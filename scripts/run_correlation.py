@@ -24,7 +24,7 @@ parser.add_argument("--iterations", type=int, default=200)
 args = parser.parse_args()
 
 config = BenchmarkConfig()
-tc = TrainConfig(lr=0.5, iterations=args.iterations, seed=args.seed)
+tc = TrainConfig(iterations=args.iterations, seed=args.seed)
 rows = []
 for seed in range(args.seed, args.seed + args.seeds):
     bench = make_benchmark(config, seed)

@@ -25,7 +25,7 @@ parser.add_argument("--iterations", type=int, default=200)
 args = parser.parse_args()
 
 config = BenchmarkConfig()
-tc = TrainConfig(lr=0.5, iterations=args.iterations, seed=args.seed)
+tc = TrainConfig(iterations=args.iterations, seed=args.seed)
 header, rows = policy_quality(config, args.seed, args.seeds, tc)
 
 os.makedirs(args.outdir, exist_ok=True)

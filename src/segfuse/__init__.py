@@ -11,8 +11,6 @@ from .core import (
     PROB_SUM_TOL,
     UNLABELED_ID,
     CertaintyTable,
-    ClassSet,
-    Ensemble,
     FusionPolicy,
     IoUReport,
     LabelMap,
@@ -28,8 +26,6 @@ from .distill import (
     ce_loss_and_grads,
     certainty_selection_protocol,
     kl_loss_and_grads,
-    loss_ce,
-    loss_kl,
     student_forward,
     train_student,
 )
@@ -66,6 +62,6 @@ from .synth import (
     make_benchmark,
     make_underperformer_maps,
 )
-from .unify import one_hot, unify
+from .unify import unify
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Every command is a pure function of its inputs and flags; all randomness
 enters through an explicit --seed.  Results go to stdout as JSON (or CSV
 for experiment tables) unless -o is given, in which case files are written
-atomically.  Validation failures exit nonzero with a JSON error line on
-stderr.
+atomically.  Validation failures and unreadable or unwritable paths exit
+2 with a JSON error line on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import io as _io
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -103,16 +104,13 @@ def cmd_select_policy(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    if args.config:
-        base = TrainConfig.from_json(_read_text(args.config))
-    else:
-        base = TrainConfig()
-    overrides = {"seed": args.seed}
-    for name in ("lr", "iterations", "weight_decay", "momentum"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return TrainConfig(**{**base.__dict__, **overrides})
+    base = TrainConfig.from_json(_read_text(args.config)) if args.config else TrainConfig()
+    overrides = {
+        name: getattr(args, name)
+        for name in ("lr", "iterations", "weight_decay", "momentum")
+        if getattr(args, name) is not None
+    }
+    return replace(base, seed=args.seed, **overrides)
 
 
 def cmd_distill(args) -> int:
@@ -140,17 +138,23 @@ def cmd_distill(args) -> int:
     return 0
 
 
+#: Benchmark flag -> BenchmarkConfig field; each flag's default is the field's.
+_BENCH_FLAGS = {
+    "height": "height",
+    "width": "width",
+    "classes": "classes",
+    "teachers": "num_teachers",
+    "images": "images",
+    "region-scale": "region_scale",
+    "error-low": "error_low",
+    "error-high": "error_high",
+    "blob-scale": "teacher_blob_scale",
+}
+
+
 def _bench_config(args) -> BenchmarkConfig:
     return BenchmarkConfig(
-        height=args.height,
-        width=args.width,
-        classes=args.classes,
-        num_teachers=args.teachers,
-        images=args.images,
-        region_scale=args.region_scale,
-        error_low=args.error_low,
-        error_high=args.error_high,
-        teacher_blob_scale=args.blob_scale,
+        **{field: getattr(args, flag.replace("-", "_")) for flag, field in _BENCH_FLAGS.items()}
     )
 
 
@@ -180,18 +184,7 @@ def cmd_synth(args) -> int:
                 emit(f"under{j:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
     manifest = {
         "seed": args.seed,
-        "config": {
-            "height": config.height,
-            "width": config.width,
-            "classes": config.classes,
-            "num_teachers": config.num_teachers,
-            "images": config.images,
-            "region_scale": config.region_scale,
-            "error_low": config.error_low,
-            "error_high": config.error_high,
-            "teacher_blob_scale": config.teacher_blob_scale,
-            "underperformers": args.underperformers,
-        },
+        "config": {**asdict(config), "underperformers": args.underperformers},
         "error_rates": [[float(v) for v in row] for row in bench.error_rates],
         "temperatures": [float(v) for v in bench.temperatures],
         "files": files,
@@ -293,15 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distill)
 
     def add_bench_flags(q):
-        q.add_argument("--height", type=int, default=64)
-        q.add_argument("--width", type=int, default=64)
-        q.add_argument("--classes", type=int, default=8)
-        q.add_argument("--teachers", type=int, default=4)
-        q.add_argument("--images", type=int, default=6)
-        q.add_argument("--region-scale", type=int, default=8, dest="region_scale")
-        q.add_argument("--error-low", type=float, default=0.15, dest="error_low")
-        q.add_argument("--error-high", type=float, default=0.30, dest="error_high")
-        q.add_argument("--blob-scale", type=int, default=4, dest="blob_scale")
+        defaults = BenchmarkConfig()
+        for flag, field in _BENCH_FLAGS.items():
+            default = getattr(defaults, field)
+            q.add_argument(f"--{flag}", type=type(default), default=default)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark directory")
     add_bench_flags(p)
@@ -313,34 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a full experiment driver")
     kinds = p.add_subparsers(dest="kind", required=True)
 
-    q = kinds.add_parser("kernel-sweep", help="mIoU gain vs conflict window size")
-    add_bench_flags(q)
+    def add_driver(kind, summary):
+        q = kinds.add_parser(kind, help=summary)
+        add_bench_flags(q)
+        q.add_argument("--seed", type=int, required=True)
+        q.add_argument("--lr", type=float, default=TrainConfig.lr)
+        q.add_argument("--iterations", type=int, default=200)
+        q.add_argument("-o", "--output")
+        q.set_defaults(func=cmd_experiment)
+        return q
+
+    q = add_driver("kernel-sweep", "mIoU gain vs conflict window size")
     q.add_argument("--kappas", default="1,3,5,7,13,21,27")
     q.add_argument("--seeds", type=int, default=10)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--lr", type=float, default=0.5)
-    q.add_argument("--iterations", type=int, default=200)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_experiment)
 
-    q = kinds.add_parser("robustness", help="mIoU vs number of under-performers")
-    add_bench_flags(q)
-    q.add_argument("--bad-counts", default="0,1,2,3", dest="bad_counts")
+    q = add_driver("robustness", "mIoU vs number of under-performers")
+    q.add_argument("--bad-counts", default="0,1,2,3")
     q.add_argument("--seeds", type=int, default=10)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--lr", type=float, default=0.5)
-    q.add_argument("--iterations", type=int, default=200)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_experiment)
 
-    q = kinds.add_parser("flexibility", help="iterative student re-addition")
-    add_bench_flags(q)
+    q = add_driver("flexibility", "iterative student re-addition")
     q.add_argument("--rounds", type=int, default=3)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--lr", type=float, default=0.5)
-    q.add_argument("--iterations", type=int, default=200)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_experiment)
 
     q = kinds.add_parser("prop-check", help="run generated guarantee checks")
     q.add_argument("--prop", choices=["1", "2", "both"], default="both")
@@ -359,11 +339,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(json.dumps({"error": f"file not found: {e.filename}"}), file=sys.stderr)
         return 2
 
 

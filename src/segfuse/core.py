@@ -26,22 +26,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ClassSet:
-    """Semantic classes 0..count-1 plus a reserved unlabeled sentinel."""
-
-    count: int
-    unlabeled_id: int = UNLABELED_ID
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"class count must be >= 2, got {self.count}")
-        if self.count > UNLABELED_ID:
-            raise ValueError(f"class count must fit 16-bit storage, got {self.count}")
-        if 0 <= self.unlabeled_id < self.count:
-            raise ValueError("unlabeled_id collides with a real class id")
-
-
 @dataclass(frozen=True, eq=False)
 class ProbMap:
     """H x W x C map of per-pixel class probabilities.
@@ -91,7 +75,12 @@ class LabelMap:
     num_classes: int
 
     def __post_init__(self):
-        ClassSet(self.num_classes)
+        if self.num_classes < 2:
+            raise ValueError(f"class count must be >= 2, got {self.num_classes}")
+        if self.num_classes > UNLABELED_ID:
+            raise ValueError(
+                f"class count must fit 16-bit storage, got {self.num_classes}"
+            )
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise ValueError(f"label map must be H x W, got shape {v.shape}")
@@ -144,38 +133,6 @@ class FusionPolicy:
 
     def teacher_for(self, class_id: int) -> int:
         return int(self.assignment[class_id])
-
-
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """Ordered, dimension-consistent collection of teacher probability maps."""
-
-    teachers: tuple
-
-    def __post_init__(self):
-        teachers = tuple(self.teachers)
-        if not teachers:
-            raise ValueError("ensemble must contain at least one teacher")
-        shape = teachers[0].values.shape
-        for t in teachers[1:]:
-            if t.values.shape != shape:
-                raise ValueError(
-                    f"inconsistent teacher dimensions: {t.values.shape} vs {shape}"
-                )
-        object.__setattr__(self, "teachers", teachers)
-
-    def __len__(self) -> int:
-        return len(self.teachers)
-
-    def __iter__(self):
-        return iter(self.teachers)
-
-    def __getitem__(self, idx):
-        return self.teachers[idx]
-
-    @property
-    def num_classes(self) -> int:
-        return self.teachers[0].num_classes
 
 
 @dataclass(frozen=True, eq=False)

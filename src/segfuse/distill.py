@@ -6,14 +6,13 @@ distillation losses, trains deterministically in seconds, and its output
 certainty reacts to pseudo-label quality the same way a deep student's
 does, which is all the certainty-aware policy selection needs.
 
-All losses are plain sums over pixels; the trainer divides by the number
-of labeled pixels so the step size is resolution-independent.
+Losses are means over the (labeled) pixels, so the trainer's step size
+is resolution-independent.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -22,7 +21,6 @@ import numpy as np
 from .core import (
     UNLABELED_ID,
     CertaintyTable,
-    Ensemble,
     FusionPolicy,
     LabelMap,
     ProbMap,
@@ -31,7 +29,7 @@ from .core import (
 from .metrics import certainty_table
 from .policy import select_certainty
 from .unify import unify
-from .util import softmax, thread_count
+from .util import softmax
 
 _LOG_CLAMP = 1e-12
 
@@ -103,13 +101,12 @@ class TrainConfig:
     momentum: float = 0.9
     iterations: int = 300
     seed: int = 0
-    source_weight: float = 0.0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.lr < 0 or self.weight_decay < 0 or self.source_weight < 0:
-            raise ValueError("lr, weight_decay and source_weight must be >= 0")
+        if self.lr < 0 or self.weight_decay < 0:
+            raise ValueError("lr and weight_decay must be >= 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
 
@@ -165,37 +162,15 @@ def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
     return ProbMap(softmax(logits, axis=2))
 
 
-def loss_kl(target: ProbMap, student: ProbMap) -> float:
-    """Soft-target cross entropy, summed over pixels and classes."""
-    if target.values.shape != student.values.shape:
-        raise ValueError("target and student shapes differ")
-    logs = np.log(np.maximum(student.values, _LOG_CLAMP))
-    return float(-(target.values * logs).sum())
-
-
-def loss_ce(fused: LabelMap, student: ProbMap) -> float:
-    """Hard-label cross entropy over fused pseudo labels, summed over pixels.
-
-    Unlabeled pixels have all-zero one-hot rows and contribute exactly 0.
-    """
-    if (fused.height, fused.width) != (student.height, student.width):
-        raise ValueError("fused map and student shapes differ")
-    if fused.num_classes != student.num_classes:
-        raise ValueError("fused map and student class counts differ")
-    mask = ~fused.unlabeled_mask()
-    if not mask.any():
-        return 0.0
-    ids = fused.values[mask].astype(np.intp)
-    picked = student.values[mask, ids]
-    return float(-np.log(np.maximum(picked, _LOG_CLAMP)).sum())
-
-
 def _as_list(x, cls):
     return [x] if isinstance(x, cls) else list(x)
 
 
-def _flatten_pairs(feats, labels):
-    """Stack (features, labels) image lists into flat pixel matrices."""
+def _labeled_rows(feats, labels):
+    """Stack (features, labels) image lists into rows of the labeled pixels.
+
+    Returns (features, int class ids, class count).
+    """
     feats = _as_list(feats, FeatureMap)
     labels = _as_list(labels, LabelMap)
     if len(feats) != len(labels) or not feats:
@@ -210,36 +185,32 @@ def _flatten_pairs(feats, labels):
             raise ValueError("images disagree on feature dim or class count")
         xs.append(f.values.reshape(-1, dims))
         ys.append(l.values.reshape(-1))
-    return np.concatenate(xs), np.concatenate(ys), classes
-
-
-def _ce_sums(weights, bias, x, y):
-    """(summed loss, summed grads, labeled count) for hard labels y."""
+    x, y = np.concatenate(xs), np.concatenate(ys)
     mask = y != UNLABELED_ID
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        return 0.0, np.zeros_like(weights), np.zeros_like(bias), 0
-    xm = x[mask]
-    ym = y[mask].astype(np.intp)
-    probs = softmax(xm @ weights.T + bias, axis=1)
-    picked = probs[np.arange(n), ym]
+    if not mask.any():
+        raise ValueError("all pixels are unlabeled; nothing to train on")
+    return x[mask], y[mask].astype(np.intp), classes
+
+
+def _ce_means(weights, bias, x, y):
+    """(mean loss, mean grads) of hard-label CE over labeled rows x, y."""
+    n = y.shape[0]
+    probs = softmax(x @ weights.T + bias, axis=1)
+    picked = probs[np.arange(n), y]
     loss = float(-np.log(np.maximum(picked, _LOG_CLAMP)).sum())
     g = probs
-    g[np.arange(n), ym] -= 1.0
-    return loss, g.T @ xm, g.sum(axis=0), n
+    g[np.arange(n), y] -= 1.0
+    return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
 
 
 def ce_loss_and_grads(
     model: ToyStudent, feats, labels
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean per-labeled-pixel CE loss and its analytic parameter gradients."""
-    x, y, classes = _flatten_pairs(feats, labels)
+    x, y, classes = _labeled_rows(feats, labels)
     if classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    loss, gw, gb, n = _ce_sums(model.weights, model.bias, x, y)
-    if n == 0:
-        raise ValueError("all pixels are unlabeled")
-    return loss / n, gw / n, gb / n
+    return _ce_means(model.weights, model.bias, x, y)
 
 
 def kl_loss_and_grads(
@@ -259,32 +230,13 @@ def kl_loss_and_grads(
     return loss, g.T @ x, g.sum(axis=0)
 
 
-def train_student(
-    feats,
-    labels,
-    config: TrainConfig,
-    source_feats=None,
-    source_labels=None,
-) -> TrainResult:
+def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     """SGD with momentum on the mean per-labeled-pixel CE loss.
 
     Learning rate follows a polynomial decay, lr_i = lr * (1 - i/n)^power.
-    With ``source_weight`` > 0 and a second labeled stream, its mean loss
-    is added with that weight.  Fully deterministic given the seed.
+    Fully deterministic given the seed.
     """
-    x, y, classes = _flatten_pairs(feats, labels)
-    n_labeled = int(np.count_nonzero(y != UNLABELED_ID))
-    if n_labeled == 0:
-        raise ValueError("all pixels are unlabeled; nothing to train on")
-    use_source = source_feats is not None and config.source_weight > 0
-    if use_source:
-        xs, ys, src_classes = _flatten_pairs(source_feats, source_labels)
-        if src_classes != classes:
-            raise ValueError("source stream class count differs")
-        ns_labeled = int(np.count_nonzero(ys != UNLABELED_ID))
-        if ns_labeled == 0:
-            raise ValueError("source stream has no labeled pixels")
-
+    x, y, classes = _labeled_rows(feats, labels)
     rng = np.random.default_rng(config.seed)
     dims = x.shape[1]
     weights = rng.normal(0.0, 0.01, size=(classes, dims))
@@ -294,14 +246,7 @@ def train_student(
     losses = np.empty(config.iterations)
 
     for i in range(config.iterations):
-        loss, gw, gb, n = _ce_sums(weights, bias, x, y)
-        loss, gw, gb = loss / n, gw / n, gb / n
-        if use_source:
-            sloss, sgw, sgb, sn = _ce_sums(weights, bias, xs, ys)
-            loss += config.source_weight * sloss / sn
-            gw += config.source_weight * sgw / sn
-            gb += config.source_weight * sgb / sn
-        losses[i] = loss
+        losses[i], gw, gb = _ce_means(weights, bias, x, y)
         gw += config.weight_decay * weights
         lr = config.lr * (1.0 - i / config.iterations) ** config.lr_decay_power
         vel_w = config.momentum * vel_w - lr * gw
@@ -330,8 +275,6 @@ def certainty_selection_protocol(
     """
     if not 0 < measure_fraction < 1:
         raise ValueError("measure_fraction must lie in (0, 1)")
-    if isinstance(teacher_maps, Ensemble):
-        teacher_maps = [[pm] for pm in teacher_maps]
     per_teacher = [_as_list(maps, ProbMap) for maps in teacher_maps]
     if not per_teacher:
         raise ValueError("ensemble must contain at least one teacher")
@@ -346,19 +289,12 @@ def certainty_selection_protocol(
     measure_feats = feats[:n_measure]
     train_feats = feats[n_measure:]
 
-    def run(t: int):
-        train_labels = [unify(pm) for pm in per_teacher[t][n_measure:]]
-        result = train_student(train_feats, train_labels, config)
-        preds = [student_forward(result.model, f) for f in measure_feats]
-        return result.model, preds
+    students, preds = [], []
+    for maps in per_teacher:
+        train_labels = [unify(pm) for pm in maps[n_measure:]]
+        model = train_student(train_feats, train_labels, config).model
+        students.append(model)
+        preds.append([student_forward(model, f) for f in measure_feats])
 
-    workers = min(thread_count(), len(per_teacher))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(len(per_teacher))))
-    else:
-        outcomes = [run(t) for t in range(len(per_teacher))]
-
-    students = tuple(model for model, _ in outcomes)
-    table = certainty_table([preds for _, preds in outcomes])
-    return ProtocolResult(table, select_certainty(table), students)
+    table = certainty_table(preds)
+    return ProtocolResult(table, select_certainty(table), tuple(students))

@@ -11,7 +11,6 @@ from dataclasses import asdict
 from typing import Sequence
 
 from .distill import (
-    DEFAULT_MEASURE_FRACTION,
     TrainConfig,
     certainty_selection_protocol,
     average_fuse,
@@ -78,8 +77,6 @@ def robustness(
     base_seed: int,
     num_seeds: int,
     train_config: TrainConfig = TrainConfig(),
-    kappa: int = DEFAULT_KAPPA,
-    measure_fraction: float = DEFAULT_MEASURE_FRACTION,
 ) -> tuple[list[str], list[tuple]]:
     """Pseudo-label mIoU as confidently-wrong members join the ensemble.
 
@@ -102,10 +99,8 @@ def robustness(
             pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
             rows.append((k, "pixel", seed, pixel))
 
-            proto = certainty_selection_protocol(
-                probs, bench.feats, measure_fraction, train_config
-            )
-            fused = _fuse_channel_all(unified, proto.policy, kappa)
+            proto = certainty_selection_protocol(probs, bench.feats, config=train_config)
+            fused = _fuse_channel_all(unified, proto.policy, DEFAULT_KAPPA)
             rows.append((k, "channel_certainty", seed, dataset_iou(fused, bench.gts).miou))
 
             averaged = [
@@ -121,8 +116,6 @@ def policy_quality(
     base_seed: int,
     num_seeds: int,
     train_config: TrainConfig = TrainConfig(),
-    kappa: int = DEFAULT_KAPPA,
-    measure_fraction: float = DEFAULT_MEASURE_FRACTION,
 ) -> tuple[list[str], list[tuple]]:
     """Fused-label mIoU under random, certainty-aware, and oracle policies."""
     rows = []
@@ -133,12 +126,12 @@ def policy_quality(
         policies = {
             "random": select_random(config.classes, bench.num_teachers, seed),
             "certainty": certainty_selection_protocol(
-                list(bench.teacher_probs), bench.feats, measure_fraction, train_config
+                list(bench.teacher_probs), bench.feats, config=train_config
             ).policy,
             "oracle": select_oracle(_teacher_reports(unified, bench.gts)),
         }
         for name, policy in policies.items():
-            fused = _fuse_channel_all(unified, policy, kappa)
+            fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
             rows.append((seed, name, dataset_iou(fused, bench.gts).miou))
     return ["seed", "policy", "miou"], rows
 
@@ -148,8 +141,6 @@ def flexibility(
     rounds: int,
     seed: int,
     train_config: TrainConfig = TrainConfig(),
-    kappa: int = DEFAULT_KAPPA,
-    measure_fraction: float = DEFAULT_MEASURE_FRACTION,
 ) -> tuple[list[str], list[tuple]]:
     """Iterative re-addition: each round's student joins the next ensemble."""
     if rounds < 1:
@@ -158,11 +149,9 @@ def flexibility(
     ensemble = [list(maps) for maps in bench.teacher_probs]
     rows = []
     for r in range(1, rounds + 1):
-        proto = certainty_selection_protocol(
-            ensemble, bench.feats, measure_fraction, train_config
-        )
+        proto = certainty_selection_protocol(ensemble, bench.feats, config=train_config)
         unified = [[unify(pm) for pm in maps] for maps in ensemble]
-        fused = _fuse_channel_all(unified, proto.policy, kappa)
+        fused = _fuse_channel_all(unified, proto.policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model
         preds = [student_forward(student, f) for f in bench.feats]
         miou = dataset_iou([unify(p) for p in preds], bench.gts).miou

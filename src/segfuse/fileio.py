@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -189,16 +189,24 @@ def trace_to_csv(losses) -> str:
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+    """Write via a temp file + rename so readers never see partial output.
+
+    The file gets mode 0666 less the umask, as ``open`` would give it, and
+    an ``OSError`` names ``path``, not the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".segfuse-")
+    tmp = os.path.join(directory, f".segfuse-{uuid.uuid4().hex}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -69,9 +69,6 @@ class ChannelSets:
     def num_classes(self) -> int:
         return self.class_masks.shape[0]
 
-    def claiming_classes(self, row: int, col: int) -> list[int]:
-        return [c for c in range(self.num_classes) if self.class_masks[c, row, col]]
-
 
 def build_channel_sets(
     unified: Sequence[LabelMap], policy: FusionPolicy

@@ -17,10 +17,3 @@ def unify(prob: ProbMap) -> LabelMap:
     labels = np.argmax(prob.values, axis=2).astype(np.uint16)
     return LabelMap(labels, prob.num_classes)
 
-
-def one_hot(labels: LabelMap) -> ProbMap:
-    """Lift hard labels back to a degenerate probability map."""
-    if labels.unlabeled_mask().any():
-        raise ValueError("cannot one-hot encode unlabeled pixels")
-    eye = np.eye(labels.num_classes, dtype=np.float64)
-    return ProbMap(eye[labels.values.astype(np.intp)])

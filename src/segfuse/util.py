@@ -1,8 +1,6 @@
-"""Small shared helpers: numerics, CSV formatting, parallelism cap."""
+"""Small shared helpers: numerics and CSV formatting."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -13,16 +11,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def thread_count() -> int:
-    """Parallelism cap from SEGFUSE_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("SEGFUSE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SEGFUSE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def format_cell(value) -> str:

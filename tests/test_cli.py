@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from segfuse.distill import TrainConfig, train_student
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import per_class_iou
 from segfuse.policy import select_random
-from segfuse.synth import corrupt_teacher, gen_ground_truth
+from segfuse.synth import BenchmarkConfig, corrupt_teacher, gen_ground_truth
 from segfuse.unify import unify
 
 
@@ -144,6 +145,12 @@ class TestSynthCommand:
         feats = np.load(outdir / "img000.features.npy")
         assert feats.shape == (12, 12, 3)
 
+    def test_manifest_config_is_the_full_benchmark_config(self, tmp_path):
+        assert main(["synth", "--seed", "0", "--outdir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        want = {**asdict(BenchmarkConfig()), "underperformers": 0}
+        assert manifest["config"] == json.loads(json.dumps(want))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = lambda d: [
             "synth", "--height", "10", "--width", "10", "--classes", "3",
@@ -171,6 +178,11 @@ class TestErrorHandling:
         rc = main(["unify", str(tmp_path / "nope.pmap"), "-o", str(tmp_path / "o.lmap")])
         assert rc == 2
         assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_directory_input(self, tmp_path, capsys):
+        rc = main(["unify", str(tmp_path), "-o", str(tmp_path / "o.lmap")])
+        assert rc == 2
+        assert str(tmp_path) in json.loads(capsys.readouterr().err)["error"]
 
     def test_even_kappa_rejected(self, scene, tmp_path, capsys):
         tmp, gt, feats, teachers, paths = scene

@@ -4,8 +4,6 @@ import pytest
 from segfuse.core import (
     UNLABELED_ID,
     CertaintyTable,
-    ClassSet,
-    Ensemble,
     FusionPolicy,
     IoUReport,
     LabelMap,
@@ -18,17 +16,19 @@ def uniform_probmap(h, w, c):
 
 
 class TestClassSet:
+    """Range checks on a label map's class count."""
+
     def test_accepts_valid(self):
-        ClassSet(2)
-        ClassSet(19)
+        for count in (2, 19, UNLABELED_ID):
+            assert LabelMap(np.zeros((1, 1), dtype=int), count).num_classes == count
 
     def test_rejects_too_few(self):
         with pytest.raises(ValueError):
-            ClassSet(1)
+            LabelMap(np.zeros((1, 1), dtype=int), 1)
 
-    def test_rejects_colliding_sentinel(self):
-        with pytest.raises(ValueError):
-            ClassSet(4, unlabeled_id=2)
+    def test_rejects_count_beyond_16_bit_storage(self):
+        with pytest.raises(ValueError, match="16-bit"):
+            LabelMap(np.zeros((1, 1), dtype=int), UNLABELED_ID + 1)
 
 
 class TestProbMap:
@@ -96,22 +96,6 @@ class TestFusionPolicy:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FusionPolicy(np.array([], dtype=int), 2)
-
-
-class TestEnsemble:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Ensemble(())
-
-    def test_rejects_mismatched(self):
-        with pytest.raises(ValueError):
-            Ensemble((uniform_probmap(2, 2, 3), uniform_probmap(2, 3, 3)))
-
-    def test_iterates_in_order(self):
-        a, b = uniform_probmap(2, 2, 3), uniform_probmap(2, 2, 3)
-        ens = Ensemble((a, b))
-        assert list(ens) == [a, b]
-        assert len(ens) == 2
 
 
 class TestIoUReport:

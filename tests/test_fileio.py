@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -176,3 +178,19 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"two"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".segfuse-")]
         assert leftovers == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.bin"
+        old = os.umask(0o022)
+        try:
+            fileio.write_bytes_atomic(str(path), b"x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_missing_directory_error_names_the_output_path(self, tmp_path):
+        path = str(tmp_path / "nope" / "out.bin")
+        with pytest.raises(FileNotFoundError) as info:
+            fileio.write_bytes_atomic(path, b"x")
+        assert info.value.filename == path
+        assert ".segfuse-" not in str(info.value)

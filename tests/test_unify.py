@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse import one_hot, unify
-from segfuse.core import LabelMap, ProbMap
+from segfuse import unify
+from segfuse.core import ProbMap
 
 
 def probmap_from_rows(rows):
@@ -61,26 +60,3 @@ class TestUnify:
         warped = probs**gamma
         warped = ProbMap(warped / warped.sum(axis=2, keepdims=True))
         assert np.array_equal(unify(pm).values, unify(warped).values)
-
-    def test_idempotent_through_one_hot(self):
-        rng = np.random.default_rng(11)
-        raw = rng.random((5, 6, 4))
-        pm = ProbMap(raw / raw.sum(axis=2, keepdims=True))
-        once = unify(pm)
-        again = unify(one_hot(once))
-        assert np.array_equal(once.values, again.values)
-
-
-class TestOneHot:
-    def test_rejects_unlabeled(self):
-        from segfuse.core import UNLABELED_ID
-
-        lm = LabelMap(np.array([[0, UNLABELED_ID]]), 2)
-        with pytest.raises(ValueError):
-            one_hot(lm)
-
-    def test_places_unit_mass(self):
-        lm = LabelMap(np.array([[2, 0]]), 3)
-        pm = one_hot(lm)
-        np.testing.assert_array_equal(pm.values[0, 0], [0, 0, 1])
-        np.testing.assert_array_equal(pm.values[0, 1], [1, 0, 0])
