@@ -26,6 +26,7 @@ from .distill import (
     ce_loss_and_grads,
     certainty_selection_protocol,
     kl_loss_and_grads,
+    measure_teacher,
     student_forward,
     train_student,
 )

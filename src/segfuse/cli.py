@@ -342,6 +342,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(json.dumps({"error": f"out of memory: {e}" if str(e) else "out of memory"}),
+              file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -29,7 +29,7 @@ from .core import (
 from .metrics import certainty_table
 from .policy import select_certainty
 from .unify import unify
-from .util import softmax
+from .util import softmax_inplace
 
 _LOG_CLAMP = 1e-12
 
@@ -158,8 +158,19 @@ def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
         raise ValueError(
             f"feature dim {feats.dims} does not match model dim {model.feature_dims}"
         )
-    logits = feats.values @ model.weights.T + model.bias
-    return ProbMap(softmax(logits, axis=2))
+    return ProbMap(_class_probs(feats.values, model.weights, model.bias, axis=2))
+
+
+def _class_probs(x, weights, bias, axis):
+    """softmax(x @ weights.T + bias) along ``axis``, in one new array.
+
+    The bias and the softmax are applied in place on the product, so a
+    training step holds a single rows x classes array and its peak memory
+    does not depend on where the heap places a second one.
+    """
+    z = x @ weights.T
+    z += bias
+    return softmax_inplace(z, axis)
 
 
 def _as_list(x, cls):
@@ -195,11 +206,11 @@ def _labeled_rows(feats, labels):
 def _ce_means(weights, bias, x, y):
     """(mean loss, mean grads) of hard-label CE over labeled rows x, y."""
     n = y.shape[0]
-    probs = softmax(x @ weights.T + bias, axis=1)
-    picked = probs[np.arange(n), y]
-    loss = float(-np.log(np.maximum(picked, _LOG_CLAMP)).sum())
+    rows = np.arange(n)
+    probs = _class_probs(x, weights, bias, axis=1)
+    loss = float(-np.log(np.maximum(probs[rows, y], _LOG_CLAMP)).sum())
     g = probs
-    g[np.arange(n), y] -= 1.0
+    g[rows, y] -= 1.0
     return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
 
 
@@ -224,7 +235,7 @@ def kl_loss_and_grads(
     x = feats.values.reshape(-1, feats.dims)
     s = target.values.reshape(-1, target.num_classes)
     n = x.shape[0]
-    probs = softmax(x @ model.weights.T + model.bias, axis=1)
+    probs = _class_probs(x, model.weights, model.bias, axis=1)
     loss = float(-(s * np.log(np.maximum(probs, _LOG_CLAMP))).sum()) / n
     g = (probs * s.sum(axis=1, keepdims=True) - s) / n
     return loss, g.T @ x, g.sum(axis=0)
@@ -257,6 +268,36 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     return TrainResult(ToyStudent(weights, bias), _frozen(losses))
 
 
+def measure_teacher(
+    maps,
+    feats,
+    measure_fraction: float = DEFAULT_MEASURE_FRACTION,
+    config: TrainConfig = TrainConfig(),
+) -> tuple[ToyStudent, list]:
+    """One member's step of the selection protocol.
+
+    Unifies the member's maps on the training split, distills a student
+    with ``config``'s fixed seed, and returns it with its ProbMaps on the
+    measurement split.  The result depends on this member alone, so a
+    member measured once never needs measuring again when others join or
+    leave the ensemble.  The first ``measure_fraction`` share of the
+    images (at least one, at most all but one) is the measurement split.
+    """
+    if not 0 < measure_fraction < 1:
+        raise ValueError("measure_fraction must lie in (0, 1)")
+    maps = _as_list(maps, ProbMap)
+    feats = _as_list(feats, FeatureMap)
+    n_images = len(feats)
+    if n_images < 2:
+        raise ValueError("protocol needs >= 2 images to split")
+    if len(maps) != n_images:
+        raise ValueError(f"teacher has {len(maps)} maps for {n_images} images")
+    n_measure = min(max(1, round(measure_fraction * n_images)), n_images - 1)
+    train_labels = [unify(pm) for pm in maps[n_measure:]]
+    model = train_student(feats[n_measure:], train_labels, config).model
+    return model, [student_forward(model, f) for f in feats[:n_measure]]
+
+
 def certainty_selection_protocol(
     teacher_maps: Sequence,
     feats,
@@ -268,33 +309,18 @@ def certainty_selection_protocol(
     ``teacher_maps[t]`` is teacher t's ProbMap (or list of ProbMaps, one
     per image); ``feats`` the matching feature maps.  The first
     ``measure_fraction`` share of the images (at least one) is held out
-    for measurement.  For each teacher: unify its predictions on the
-    training split, distill a fresh student (identical seed for every
-    teacher), then average the student's certainty per class on the
-    measurement split.  The policy is the per-class argmax of that table.
+    for measurement.  Each teacher is measured by ``measure_teacher``
+    (identical student seed for every teacher), the students' certainty
+    is averaged per class on the measurement split, and the policy is the
+    per-class argmax of that table.
     """
-    if not 0 < measure_fraction < 1:
-        raise ValueError("measure_fraction must lie in (0, 1)")
     per_teacher = [_as_list(maps, ProbMap) for maps in teacher_maps]
     if not per_teacher:
         raise ValueError("ensemble must contain at least one teacher")
     feats = _as_list(feats, FeatureMap)
-    n_images = len(feats)
-    if n_images < 2:
-        raise ValueError("protocol needs >= 2 images to split")
     for t, maps in enumerate(per_teacher):
-        if len(maps) != n_images:
-            raise ValueError(f"teacher {t} has {len(maps)} maps for {n_images} images")
-    n_measure = min(max(1, round(measure_fraction * n_images)), n_images - 1)
-    measure_feats = feats[:n_measure]
-    train_feats = feats[n_measure:]
-
-    students, preds = [], []
-    for maps in per_teacher:
-        train_labels = [unify(pm) for pm in maps[n_measure:]]
-        model = train_student(train_feats, train_labels, config).model
-        students.append(model)
-        preds.append([student_forward(model, f) for f in measure_feats])
-
-    table = certainty_table(preds)
-    return ProtocolResult(table, select_certainty(table), tuple(students))
+        if len(maps) != len(feats):
+            raise ValueError(f"teacher {t} has {len(maps)} maps for {len(feats)} images")
+    measured = [measure_teacher(maps, feats, measure_fraction, config) for maps in per_teacher]
+    table = certainty_table([preds for _, preds in measured])
+    return ProtocolResult(table, select_certainty(table), tuple(m for m, _ in measured))

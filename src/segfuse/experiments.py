@@ -12,14 +12,15 @@ from typing import Sequence
 
 from .distill import (
     TrainConfig,
-    certainty_selection_protocol,
     average_fuse,
+    certainty_selection_protocol,
+    measure_teacher,
     student_forward,
     train_student,
 )
 from .fusion import channel_fuse, pixel_fuse
-from .metrics import dataset_iou
-from .policy import select_oracle, select_random
+from .metrics import certainty_table, dataset_iou
+from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
 from .synth import Benchmark, BenchmarkConfig, make_benchmark, make_underperformer_maps
 from .unify import unify
@@ -83,7 +84,9 @@ def robustness(
     The same under-performer is appended k times (re-adding one bad model),
     and three fusion routes are compared: per-pixel majority vote,
     channel-wise fusion under the certainty-aware policy, and the
-    probability-averaging baseline.
+    probability-averaging baseline.  Each distinct member is measured once
+    per seed; a certainty table's columns are independent, so the k-member
+    table is built from those measurements.
     """
     rows = []
     for s in range(num_seeds):
@@ -92,6 +95,11 @@ def robustness(
         bad_maps = make_underperformer_maps(bench, seed)
         bad_unified = [unify(pm) for pm in bad_maps]
         good_unified = _unified(bench)
+        good_preds = [
+            measure_teacher(maps, bench.feats, config=train_config)[1]
+            for maps in bench.teacher_probs
+        ]
+        bad_preds = measure_teacher(bad_maps, bench.feats, config=train_config)[1]
         for k in sorted(set(int(k) for k in bad_counts)):
             unified = good_unified + [bad_unified] * k
             probs = list(bench.teacher_probs) + [bad_maps] * k
@@ -99,8 +107,8 @@ def robustness(
             pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
             rows.append((k, "pixel", seed, pixel))
 
-            proto = certainty_selection_protocol(probs, bench.feats, config=train_config)
-            fused = _fuse_channel_all(unified, proto.policy, DEFAULT_KAPPA)
+            policy = select_certainty(certainty_table(good_preds + [bad_preds] * k))
+            fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
             rows.append((k, "channel_certainty", seed, dataset_iou(fused, bench.gts).miou))
 
             averaged = [
@@ -142,16 +150,25 @@ def flexibility(
     seed: int,
     train_config: TrainConfig = TrainConfig(),
 ) -> tuple[list[str], list[tuple]]:
-    """Iterative re-addition: each round's student joins the next ensemble."""
+    """Iterative re-addition: each round's student joins the next ensemble.
+
+    Members already measured keep their measurement; each round measures
+    only the member that joined since the last one.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     bench = make_benchmark(config, seed)
     ensemble = [list(maps) for maps in bench.teacher_probs]
+    measured = []
     rows = []
     for r in range(1, rounds + 1):
-        proto = certainty_selection_protocol(ensemble, bench.feats, config=train_config)
+        measured += [
+            measure_teacher(maps, bench.feats, config=train_config)[1]
+            for maps in ensemble[len(measured):]
+        ]
+        policy = select_certainty(certainty_table(measured))
         unified = [[unify(pm) for pm in maps] for maps in ensemble]
-        fused = _fuse_channel_all(unified, proto.policy, DEFAULT_KAPPA)
+        fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model
         preds = [student_forward(student, f) for f in bench.feats]
         miou = dataset_iou([unify(p) for p in preds], bench.gts).miou

@@ -28,7 +28,7 @@ from .core import (
     LabelMap,
     ProbMap,
 )
-from .util import format_cell, softmax
+from .util import format_cell, softmax_inplace
 
 _HEADER = struct.Struct("<4sIIIH")
 _PMAP_MAGIC = b"PMAP"
@@ -71,7 +71,7 @@ def read_probmap(data: bytes, renormalize: bool = False) -> ProbMap:
     if renormalize:
         if not np.isfinite(raw).all():
             raise ValueError("logit body contains non-finite values")
-        raw = softmax(raw, axis=2)
+        softmax_inplace(raw, axis=2)
     return ProbMap(raw)
 
 

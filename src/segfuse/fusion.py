@@ -65,10 +65,6 @@ class ChannelSets:
         object.__setattr__(self, "class_masks", _frozen(m))
         object.__setattr__(self, "overlap", _frozen(claims >= 2))
 
-    @property
-    def num_classes(self) -> int:
-        return self.class_masks.shape[0]
-
 
 def build_channel_sets(
     unified: Sequence[LabelMap], policy: FusionPolicy

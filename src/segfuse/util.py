@@ -6,11 +6,26 @@ import numpy as np
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``, as a new array."""
+    return softmax_inplace(np.array(logits, dtype=np.float64), axis)
+
+
+def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of the float64 array ``z`` along ``axis``, written over ``z``.
+
+    Bit-identical to ``e = exp(z - z.max(axis)); e / e.sum(axis)``.  The
+    max is taken one class slice at a time, because a max-reduction over
+    a short inner axis is slow in numpy and max is exact in any order;
+    the sum keeps its order.  Returns ``z``.
+    """
+    slices = np.moveaxis(z, axis, 0)
+    m = np.array(slices[0])
+    for s in slices[1:]:
+        np.maximum(m, s, out=m)
+    z -= np.expand_dims(m, axis)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
 
 
 def format_cell(value) -> str:

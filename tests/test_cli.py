@@ -184,6 +184,18 @@ class TestErrorHandling:
         assert rc == 2
         assert str(tmp_path) in json.loads(capsys.readouterr().err)["error"]
 
+    def test_memory_error_gives_one_json_line(self, scene, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        tmp, gt, feats, teachers, paths = scene
+        monkeypatch.setattr(fileio, "read_probmap", out_of_memory)
+        rc = main(["unify", str(paths["t0"]), "-o", str(tmp_path / "o.lmap")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "out of memory: Unable to allocate 8.00 GiB"
+
     def test_even_kappa_rejected(self, scene, tmp_path, capsys):
         tmp, gt, feats, teachers, paths = scene
         ppath = tmp / "p.json"

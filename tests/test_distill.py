@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from segfuse.distill import (
     TrainConfig,
     average_fuse,
     ce_loss_and_grads,
+    _ce_means,
     certainty_selection_protocol,
     kl_loss_and_grads,
     student_forward,
@@ -17,6 +19,7 @@ from segfuse.distill import (
 )
 from segfuse.synth import corrupt_teacher, gen_ground_truth
 from segfuse.unify import unify
+from segfuse.util import softmax, softmax_inplace
 
 
 def prob(rows):
@@ -227,6 +230,76 @@ class TestGradients:
         eta = 1e-3
         stepped = ToyStudent(self.model.weights - eta * gw, self.model.bias - eta * gb)
         assert ce_loss_and_grads(stepped, self.feats, self.labels)[0] < loss
+
+
+def reference_softmax(z, axis):
+    e = np.exp(z - z.max(axis, keepdims=True))
+    return e / e.sum(axis, keepdims=True)
+
+
+def reference_ce_means(weights, bias, x, y):
+    n = y.shape[0]
+    probs = reference_softmax(x @ weights.T + bias, 1)
+    picked = probs[np.arange(n), y]
+    loss = float(-np.log(np.maximum(picked, 1e-12)).sum())
+    g = probs
+    g[np.arange(n), y] -= 1.0
+    return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
+
+
+def tied_logits(rng, shape, scale):
+    """Logits of magnitude ~scale whose rows often tie for the maximum."""
+    z = np.round(rng.normal(scale=3.0, size=shape)) * scale
+    z[..., 1] = z[..., 0]
+    return z
+
+
+class TestSoftmaxKernel:
+    """The in-place, slice-wise max kernel is bit-identical to the formula."""
+
+    @pytest.mark.parametrize("shape, axis", [
+        ((4099, 8), 1), ((4099, 19), 1), ((37, 29, 8), 2), ((11, 13, 19), 2),
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_matches_reference_formula(self, shape, axis, scale):
+        rng = np.random.default_rng(shape[-1])
+        for z in (rng.normal(scale=scale, size=shape), tied_logits(rng, shape, scale)):
+            kept = z.copy()
+            assert np.array_equal(softmax(z, axis), reference_softmax(z, axis))
+            assert np.array_equal(z, kept)
+            assert softmax_inplace(z, axis) is z
+            assert np.array_equal(z, reference_softmax(kept, axis))
+
+    @pytest.mark.parametrize("classes", [8, 19])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_ce_means_match_reference_expression(self, classes, scale):
+        rng = np.random.default_rng(classes)
+        x = rng.normal(size=(4099, 5))
+        y = rng.integers(0, classes, size=4099).astype(np.intp)
+        weights = rng.normal(scale=scale / 10, size=(classes, 5))
+        weights[1] = weights[0]
+        bias = np.round(rng.normal(size=classes)) * scale
+        bias[1] = bias[0]
+        got, want = _ce_means(weights, bias, x, y), reference_ce_means(weights, bias, x, y)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    def test_ce_step_holds_one_rows_by_classes_array(self):
+        # A second live rows x classes temporary made the heap's high-water
+        # mark, and so the peak RSS of training, depend on the row count.
+        n, classes = 20000, 19
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 5))
+        y = rng.integers(0, classes, size=n).astype(np.intp)
+        weights, bias = rng.normal(size=(classes, 5)), rng.normal(size=classes)
+        tracemalloc.start()
+        try:
+            _ce_means(weights, bias, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * classes * 8
 
 
 def separable_instance(seed=0, h=16, w=16):

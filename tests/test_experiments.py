@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from segfuse.distill import TrainConfig, certainty_selection_protocol
+from segfuse.distill import (
+    TrainConfig,
+    average_fuse,
+    certainty_selection_protocol,
+    measure_teacher,
+    student_forward,
+    train_student,
+)
 from segfuse.experiments import flexibility, kernel_sweep, prop_checks, robustness
 from segfuse.metrics import dataset_iou
-from segfuse.fusion import channel_fuse
+from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
 from segfuse.unify import unify
 
@@ -72,6 +79,71 @@ class TestRobustness:
             if method == "pixel":
                 px[k].append(miou)
         assert np.mean(px[3]) < np.mean(px[0])
+
+
+def fuse_channel(unified, policy):
+    return [channel_fuse([u[i] for u in unified], policy, 13) for i in range(len(unified[0]))]
+
+
+def robustness_reference(config, bad_counts, base_seed, num_seeds, tc):
+    """Every member trained again for every k, through the full protocol."""
+    rows = []
+    for seed in range(base_seed, base_seed + num_seeds):
+        bench = make_benchmark(config, seed)
+        bad = make_underperformer_maps(bench, seed)
+        for k in bad_counts:
+            probs = list(bench.teacher_probs) + [bad] * k
+            unified = [[unify(pm) for pm in maps] for maps in probs]
+            pixel = [pixel_fuse([u[i] for u in unified]) for i in range(config.images)]
+            policy = certainty_selection_protocol(probs, bench.feats, config=tc).policy
+            averaged = [
+                unify(average_fuse([p[i] for p in probs])) for i in range(config.images)
+            ]
+            rows += [
+                (k, "pixel", seed, dataset_iou(pixel, bench.gts).miou),
+                (k, "channel_certainty", seed,
+                 dataset_iou(fuse_channel(unified, policy), bench.gts).miou),
+                (k, "average", seed, dataset_iou(averaged, bench.gts).miou),
+            ]
+    return rows
+
+
+def flexibility_reference(config, rounds, seed, tc):
+    """The full protocol rerun over the whole ensemble every round."""
+    bench = make_benchmark(config, seed)
+    ensemble = [list(maps) for maps in bench.teacher_probs]
+    rows = []
+    for r in range(1, rounds + 1):
+        policy = certainty_selection_protocol(ensemble, bench.feats, config=tc).policy
+        unified = [[unify(pm) for pm in maps] for maps in ensemble]
+        student = train_student(list(bench.feats), fuse_channel(unified, policy), tc).model
+        preds = [student_forward(student, f) for f in bench.feats]
+        rows.append((r, len(ensemble), dataset_iou([unify(p) for p in preds], bench.gts).miou))
+        ensemble = ensemble + [preds]
+    return rows
+
+
+class TestMeasureOnce:
+    """Drivers that measure each distinct member once match a full rerun."""
+
+    def test_robustness_matches_per_k_protocol(self):
+        header, rows = robustness(FAST, [0, 1, 3], 0, 2, TC)
+        assert rows == robustness_reference(FAST, [0, 1, 3], 0, 2, TC)
+
+    def test_flexibility_matches_full_protocol_each_round(self):
+        header, rows = flexibility(FAST, 3, 0, TC)
+        assert rows == flexibility_reference(FAST, 3, 0, TC)
+
+    def test_measure_teacher_students_equal_protocol_students(self):
+        bench = make_benchmark(FAST, 0)
+        proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats, config=TC)
+        for maps, student in zip(bench.teacher_probs, proto.students):
+            model, preds = measure_teacher(maps, bench.feats, config=TC)
+            assert np.array_equal(model.weights, student.weights)
+            assert np.array_equal(model.bias, student.bias)
+            assert len(preds) == 1
+            want = student_forward(student, bench.feats[0]).values
+            assert np.array_equal(preds[0].values, want)
 
 
 class TestFlexibility:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from segfuse.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,3 +30,19 @@ def test_script_runs_and_writes_csv(tmp_path, script, args, outputs):
     assert done.returncode == 0, done.stderr
     for name in outputs:
         assert (tmp_path / name).read_text().count("\n") >= 2, name
+
+
+def test_run_all_experiments_matches_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    outdir = tmp_path / "results"
+    cmd = [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"),
+           "--outdir", str(outdir), "--seeds", "1"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("kernel_sweep.csv", "robustness.csv", "flexibility.csv", "prop_checks.jsonl"):
+        assert (outdir / name).is_file(), name
+    cli_csv = tmp_path / "robustness.csv"
+    argv = ["experiment", "robustness", "--seeds", "1", "--iterations", "120",
+            "--seed", "0", "-o", str(cli_csv)]
+    assert main(argv) == 0
+    assert (outdir / "robustness.csv").read_bytes() == cli_csv.read_bytes()
