@@ -204,15 +204,16 @@ def cmd_experiment(args) -> int:
         _emit_text(args, "\n".join(json.dumps(r) for r in results) + "\n")
         return 0
     config = _bench_config(args)
-    tc = TrainConfig(lr=args.lr, iterations=args.iterations, seed=args.seed)
     if args.kind == "kernel-sweep":
         kappas = [int(k) for k in args.kappas.split(",")]
         header, rows = kernel_sweep(config, kappas, args.seed, args.seeds)
-    elif args.kind == "robustness":
-        bad_counts = [int(k) for k in args.bad_counts.split(",")]
-        header, rows = robustness(config, bad_counts, args.seed, args.seeds, tc)
-    else:  # flexibility
-        header, rows = flexibility(config, args.rounds, args.seed, tc)
+    else:
+        tc = TrainConfig(lr=args.lr, iterations=args.iterations, seed=args.seed)
+        if args.kind == "robustness":
+            bad_counts = [int(k) for k in args.bad_counts.split(",")]
+            header, rows = robustness(config, bad_counts, args.seed, args.seeds, tc)
+        else:  # flexibility
+            header, rows = flexibility(config, args.rounds, args.seed, tc)
     _emit_text(args, rows_to_csv(header, rows))
     return 0
 
@@ -301,17 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a full experiment driver")
     kinds = p.add_subparsers(dest="kind", required=True)
 
-    def add_driver(kind, summary):
+    def add_driver(kind, summary, trains=True):
         q = kinds.add_parser(kind, help=summary)
         add_bench_flags(q)
         q.add_argument("--seed", type=int, required=True)
-        q.add_argument("--lr", type=float, default=TrainConfig.lr)
-        q.add_argument("--iterations", type=int, default=200)
+        if trains:
+            q.add_argument("--lr", type=float, default=TrainConfig.lr)
+            q.add_argument("--iterations", type=int, default=200)
         q.add_argument("-o", "--output")
         q.set_defaults(func=cmd_experiment)
         return q
 
-    q = add_driver("kernel-sweep", "mIoU gain vs conflict window size")
+    q = add_driver("kernel-sweep", "mIoU gain vs conflict window size", trains=False)
     q.add_argument("--kappas", default="1,3,5,7,13,21,27")
     q.add_argument("--seeds", type=int, default=10)
 

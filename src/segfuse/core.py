@@ -43,9 +43,11 @@ class ProbMap:
         h, w, c = v.shape
         if h < 1 or w < 1 or c < 2:
             raise ValueError(f"bad probability map shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("probability map contains non-finite values")
-        if v.min() < 0.0 or v.max() > 1.0:
+        # One range test; NaN and +-inf fail it too, and only then is the
+        # map scanned again to tell the two errors apart.
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            if not np.isfinite(v).all():
+                raise ValueError("probability map contains non-finite values")
             raise ValueError("probabilities must lie in [0, 1]")
         dev = np.abs(v.sum(axis=2) - 1.0).max()
         if dev > PROB_SUM_TOL:

@@ -152,13 +152,14 @@ def flexibility(
 ) -> tuple[list[str], list[tuple]]:
     """Iterative re-addition: each round's student joins the next ensemble.
 
-    Members already measured keep their measurement; each round measures
-    only the member that joined since the last one.
+    Members already measured or unified keep that result; each round
+    measures and unifies only the member that joined since the last one.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     bench = make_benchmark(config, seed)
     ensemble = [list(maps) for maps in bench.teacher_probs]
+    unified = _unified(bench)
     measured = []
     rows = []
     for r in range(1, rounds + 1):
@@ -167,13 +168,12 @@ def flexibility(
             for maps in ensemble[len(measured):]
         ]
         policy = select_certainty(certainty_table(measured))
-        unified = [[unify(pm) for pm in maps] for maps in ensemble]
         fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model
         preds = [student_forward(student, f) for f in bench.feats]
-        miou = dataset_iou([unify(p) for p in preds], bench.gts).miou
-        rows.append((r, len(ensemble), miou))
-        ensemble = ensemble + [preds]
+        unified.append([unify(p) for p in preds])
+        rows.append((r, len(ensemble), dataset_iou(unified[-1], bench.gts).miou))
+        ensemble.append(preds)
     return ["round", "ensemble_size", "student_miou"], rows
 
 

@@ -56,6 +56,12 @@ def _parse_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
     return height, width, classes
 
 
+def _check_body(data: bytes, expected: int) -> None:
+    body = len(data) - _HEADER.size
+    if body != expected:
+        raise ValueError(f"body is {body} bytes, header implies {expected}")
+
+
 def read_probmap(data: bytes, renormalize: bool = False) -> ProbMap:
     """Decode a .pmap byte string.
 
@@ -63,11 +69,9 @@ def read_probmap(data: bytes, renormalize: bool = False) -> ProbMap:
     through a per-pixel softmax instead of being validated as-is.
     """
     h, w, c = _parse_header(data, _PMAP_MAGIC)
-    body = data[_HEADER.size:]
-    expected = h * w * c * 4
-    if len(body) != expected:
-        raise ValueError(f"body is {len(body)} bytes, header implies {expected}")
-    raw = np.frombuffer(body, dtype="<f4").reshape(h, w, c).astype(np.float64)
+    _check_body(data, h * w * c * 4)
+    raw = np.frombuffer(data, "<f4", offset=_HEADER.size).reshape(h, w, c)
+    raw = raw.astype(np.float64)
     if renormalize:
         if not np.isfinite(raw).all():
             raise ValueError("logit body contains non-finite values")
@@ -75,21 +79,21 @@ def read_probmap(data: bytes, renormalize: bool = False) -> ProbMap:
     return ProbMap(raw)
 
 
-def write_probmap(pm: ProbMap) -> bytes:
+def write_probmap(pm: ProbMap) -> bytearray:
+    """Encode a .pmap: one output buffer, the values cast straight into it."""
     h, w, c = pm.values.shape
     if c > 65535:
         raise ValueError(f"class count {c} does not fit the u16 header field")
-    header = _HEADER.pack(_PMAP_MAGIC, _VERSION, h, w, c)
-    return header + pm.values.astype("<f4").tobytes()
+    out = bytearray(_HEADER.size + pm.values.size * 4)
+    _HEADER.pack_into(out, 0, _PMAP_MAGIC, _VERSION, h, w, c)
+    np.frombuffer(out, "<f4", offset=_HEADER.size).reshape(h, w, c)[...] = pm.values
+    return out
 
 
 def read_labelmap(data: bytes) -> LabelMap:
     h, w, c = _parse_header(data, _LMAP_MAGIC)
-    body = data[_HEADER.size:]
-    expected = h * w * 2
-    if len(body) != expected:
-        raise ValueError(f"body is {len(body)} bytes, header implies {expected}")
-    ids = np.frombuffer(body, dtype="<u2").reshape(h, w)
+    _check_body(data, h * w * 2)
+    ids = np.frombuffer(data, "<u2", offset=_HEADER.size).reshape(h, w)
     return LabelMap(ids, c)
 
 

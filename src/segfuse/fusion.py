@@ -37,12 +37,19 @@ def pixel_fuse(unified: Sequence[LabelMap]) -> LabelMap:
     """Majority vote per pixel; ties go to the smallest class id."""
     maps = _check_unified(unified)
     num_classes = maps[0].num_classes
-    h, w = maps[0].values.shape
-    votes = np.zeros((num_classes, h, w), dtype=np.int32)
-    gy, gx = np.indices((h, w))
-    for m in maps:
-        votes[m.values.astype(np.intp), gy, gx] += 1
-    return LabelMap(votes.argmax(axis=0).astype(np.uint16), num_classes)
+    shape = maps[0].values.shape
+    winner = np.zeros(shape, dtype=np.uint16)
+    top = np.zeros(shape, dtype=np.int32)
+    votes = np.empty(shape, dtype=np.int32)
+    # Classes in ascending order with a strict ">": a tie keeps the smaller id.
+    for c in range(num_classes):
+        votes.fill(0)
+        for m in maps:
+            votes += m.values == c
+        better = votes > top
+        np.copyto(winner, c, where=better)
+        np.copyto(top, votes, where=better)
+    return LabelMap(winner, num_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +93,39 @@ def build_channel_sets(
     return ChannelSets(masks)
 
 
+def _summed_area(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Fill ``table``, an (H+1) x (W+1) int64 buffer, with the summed-area
+    table of ``mask`` (Crow 1984): ``table[i, j]`` is the sum of
+    ``mask[:i, :j]``.  Built in place, so one buffer serves many masks.
+    """
+    table[0] = 0
+    table[:, 0] = 0
+    body = table[1:, 1:]
+    body[...] = mask
+    np.cumsum(body, axis=0, out=body)
+    np.cumsum(body, axis=1, out=body)
+    return table
+
+
+def _window_span(centres: np.ndarray, kappa: int, size: int):
+    """First and one-past-last index of each centre's window, clipped to [0, size]."""
+    half = kappa // 2
+    return np.clip(centres - half, 0, size), np.clip(centres + half + 1, 0, size)
+
+
+def _window_corners(pixels: np.ndarray, kappa: int, h: int, w: int):
+    """Flat indices into an (H+1) x (W+1) summed-area table of the four
+    corners of each pixel's window: (bottom-right, top-right, bottom-left,
+    top-left), so a window's count is ``t[br] - t[tr] - t[bl] + t[tl]``.
+    """
+    rows, cols = np.divmod(pixels, w)
+    r0, r1 = _window_span(rows, kappa, h)
+    c0, c1 = _window_span(cols, kappa, w)
+    r0 *= w + 1
+    r1 *= w + 1
+    return r1 + c1, r0 + c1, r1 + c0, r0 + c0
+
+
 def window_sum(mask: np.ndarray, kappa: int) -> np.ndarray:
     """Count true cells in the kappa x kappa window centred at each pixel.
 
@@ -93,19 +133,9 @@ def window_sum(mask: np.ndarray, kappa: int) -> np.ndarray:
     counts run over fewer cells.  Exact integer arithmetic throughout.
     """
     h, w = mask.shape
-    half = kappa // 2
-    ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-    ii[1:, 1:] = mask.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    r0 = np.clip(np.arange(h) - half, 0, h)
-    r1 = np.clip(np.arange(h) + half + 1, 0, h)
-    c0 = np.clip(np.arange(w) - half, 0, w)
-    c1 = np.clip(np.arange(w) + half + 1, 0, w)
-    return (
-        ii[r1[:, None], c1[None, :]]
-        - ii[r0[:, None], c1[None, :]]
-        - ii[r1[:, None], c0[None, :]]
-        + ii[r0[:, None], c0[None, :]]
-    )
+    flat = _summed_area(mask, np.empty((h + 1, w + 1), dtype=np.int64)).reshape(-1)
+    br, tr, bl, tl = _window_corners(np.arange(h * w), kappa, h, w)
+    return (flat[br] - flat[tr] - flat[bl] + flat[tl]).reshape(h, w)
 
 
 def _check_kappa(kappa: int) -> None:
@@ -115,6 +145,35 @@ def _check_kappa(kappa: int) -> None:
         raise ValueError(f"kappa must be odd and >= 1, got {kappa}")
 
 
+def _contested_winners(
+    class_masks: np.ndarray, contested: np.ndarray, kappa: int
+) -> np.ndarray:
+    """Winning class of each contested pixel, given as flat indices.
+
+    A class's summed-area table is built only if it claims a contested
+    pixel, and read only where it does.  Classes go in ascending order and
+    a strict ">" keeps the smallest claiming id on ties; every claiming
+    class counts at least itself (>= 1), so the initial 0 never wins.
+    """
+    num_classes, h, w = class_masks.shape
+    corners = _window_corners(contested, kappa, h, w)
+    table = np.empty((h + 1, w + 1), dtype=np.int64)
+    flat = table.reshape(-1)
+    best = np.zeros(contested.size, dtype=np.int64)
+    winner = np.zeros(contested.size, dtype=np.uint16)
+    for c in range(num_classes):
+        claims = np.flatnonzero(class_masks[c].reshape(-1)[contested])
+        if claims.size == 0:
+            continue
+        _summed_area(class_masks[c], table)
+        br, tr, bl, tl = (k[claims] for k in corners)
+        counts = flat[br] - flat[tr] - flat[bl] + flat[tl]
+        better = counts > best[claims]
+        best[claims[better]] = counts[better]
+        winner[claims[better]] = c
+    return winner
+
+
 def resolve_conflicts(sets: ChannelSets, kappa: int) -> LabelMap:
     """Assign one class to every overlap pixel by windowed majority count.
 
@@ -122,17 +181,18 @@ def resolve_conflicts(sets: ChannelSets, kappa: int) -> LabelMap:
     set has the most members inside the kappa x kappa window; counts use
     the raw per-class sets (contested pixels included) and ties go to the
     smallest claiming class id.  Non-overlap pixels come back unlabeled.
+    Work and memory grow with the contested pixels, plus one summed-area
+    table.
     """
     _check_kappa(kappa)
     num_classes, h, w = sets.class_masks.shape
-    counts = np.stack([window_sum(sets.class_masks[c], kappa) for c in range(num_classes)])
-    # Restrict the argmax to claiming classes: every claiming class counts
-    # at least itself (>= 1), so -1 never wins.
-    scores = np.where(sets.class_masks, counts, -1)
-    winners = scores.argmax(axis=0)
-    out = np.full((h, w), UNLABELED_ID, dtype=np.uint16)
-    out[sets.overlap] = winners[sets.overlap].astype(np.uint16)
-    return LabelMap(out, num_classes)
+    contested = np.flatnonzero(sets.overlap)
+    # The table and corner arrays are freed before the output exists, so
+    # the peak is one table plus arrays over the contested pixels.
+    winners = _contested_winners(sets.class_masks, contested, kappa)
+    out = np.full(h * w, UNLABELED_ID, dtype=np.uint16)
+    out[contested] = winners
+    return LabelMap(out.reshape(h, w), num_classes)
 
 
 def channel_fuse(
@@ -148,10 +208,9 @@ def channel_fuse(
     sets = build_channel_sets(unified, policy)
     num_classes, h, w = sets.class_masks.shape
     out = np.full((h, w), UNLABELED_ID, dtype=np.uint16)
-    single = sets.class_masks & ~sets.overlap[None, :, :]
     for c in range(num_classes):
-        out[single[c]] = c
+        np.copyto(out, c, where=sets.class_masks[c])
     if sets.overlap.any():
         resolved = resolve_conflicts(sets, kappa)
-        out[sets.overlap] = resolved.values[sets.overlap]
+        np.copyto(out, resolved.values, where=sets.overlap)
     return LabelMap(out, num_classes)

@@ -312,7 +312,7 @@ def test_c11_cli_determinism(tmp_path):
     ]
     invocations = [
         ["experiment", "kernel-sweep", "--kappas", "1,3", "--seeds", "2",
-         "--seed", "0", "--iterations", "25"] + small,
+         "--seed", "0"] + small,
         ["experiment", "robustness", "--bad-counts", "0,1", "--seeds", "1",
          "--seed", "1", "--iterations", "25"] + small,
         ["experiment", "flexibility", "--rounds", "2", "--seed", "2",

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfuse import fileio
 from segfuse.cli import main
@@ -209,6 +214,101 @@ class TestErrorHandling:
         assert "odd" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _decoder_inputs(directory):
+    """Valid inputs for fuse-pixel, fuse-channel and eval on an 8 x 12 scene."""
+    gt, _ = gen_ground_truth(8, 12, 4, region_scale=3, seed=1)
+    teachers = [corrupt_teacher(gt, [0.2] * 4, 1.0, seed=i) for i in range(3)]
+    files = {
+        "t0.pmap": fileio.write_probmap(teachers[0]),
+        "t1.lmap": fileio.write_labelmap(unify(teachers[1])),
+        "t2.pmap": fileio.write_probmap(teachers[2]),
+        "gt.lmap": fileio.write_labelmap(gt),
+        "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
+    }
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    return files
+
+
+# Each command and the input files it reads.
+_DECODER_COMMANDS = {
+    "fuse-pixel": ["t0.pmap", "t1.lmap", "t2.pmap"],
+    "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
+    "eval": ["t1.lmap", "gt.lmap"],
+}
+
+
+def _argv(command, path):
+    if command == "eval":
+        return ["eval", "--pred", path("t1.lmap"), "--gt", path("gt.lmap")]
+    teachers = [path(n) for n in _DECODER_COMMANDS["fuse-pixel"]]
+    out = ["-o", path("out.lmap")]
+    if command == "fuse-pixel":
+        return ["fuse-pixel", *teachers, *out]
+    return ["fuse-channel", *teachers, "--policy", path("policy.json"), *out]
+
+
+def _garble(name, data, draw):
+    """Change the input so that no decoder may accept it."""
+    if name.endswith(".json"):
+        # '#' is invalid anywhere in JSON; inside a key it drops the field.
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + b"#" + data[i + 1:]
+    out = bytearray(data)
+    header = fileio._HEADER.size
+    if draw(st.booleans()):
+        # magic, version, height, width or class count
+        i = draw(st.integers(0, header - 1))
+        out[i] = (out[i] + draw(st.integers(1, 255))) % 256
+    elif name.endswith(".pmap"):
+        i = header + 4 * draw(st.integers(0, (len(data) - header) // 4 - 1))
+        bad = draw(st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.5, 2.0]))
+        out[i:i + 4] = struct.pack("<f", bad)
+    else:
+        i = header + 2 * draw(st.integers(0, (len(data) - header) // 2 - 1))
+        out[i:i + 2] = struct.pack("<H", draw(st.integers(4, 65534)))  # 4 classes
+    return bytes(out)
+
+
+class TestDecoderFuzz:
+    """Truncated, extended or garbled inputs exit 2 with one JSON error line."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fuzz")
+        return directory, _decoder_inputs(directory)
+
+    @given(st.sampled_from(sorted(_DECODER_COMMANDS)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_input_exits_2_with_one_json_line(self, inputs, command, data):
+        directory, files = inputs
+        name = data.draw(st.sampled_from(_DECODER_COMMANDS[command]))
+        good = files[name]
+        how = data.draw(st.sampled_from(["truncate", "extend", "garble"]))
+        if how == "truncate":
+            bad = good[: data.draw(st.integers(0, len(good) - 1))]
+        elif how == "extend":
+            bad = good + data.draw(st.binary(min_size=1, max_size=16).filter(
+                lambda b: not b.isspace()))
+        else:
+            bad = _garble(name, good, data.draw)
+        bad_name = "bad." + name.rsplit(".", 1)[1]
+        (directory / bad_name).write_bytes(bad)
+
+        def path(n):
+            return str(directory / (bad_name if n == name else n))
+
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(_argv(command, path))
+        assert rc == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+        assert "Traceback" not in err.getvalue()
+        assert not (directory / "out.lmap").exists()
+
+
 class TestExperimentCommands:
     BENCH = [
         "--height", "12", "--width", "12", "--classes", "3", "--teachers", "2",
@@ -218,11 +318,20 @@ class TestExperimentCommands:
     def test_kernel_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         args = ["experiment", "kernel-sweep", "--kappas", "1,3", "--seeds", "2",
-                "--seed", "0", "--iterations", "20", "-o", str(out)] + self.BENCH
+                "--seed", "0", "-o", str(out)] + self.BENCH
         assert main(args) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "kappa,seed,miou,gain"
         assert len(lines) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "0.1"), ("--iterations", "20")])
+    def test_kernel_sweep_rejects_training_flags(self, flag, value, capsys):
+        # kernel-sweep never trains, so it takes no training flags
+        args = ["experiment", "kernel-sweep", "--seed", "0", flag, value] + self.BENCH
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_prop_check_jsonl(self, tmp_path):
         out = tmp_path / "props.jsonl"

@@ -51,6 +51,24 @@ class TestProbMap:
         with pytest.raises(ValueError):
             ProbMap(v)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([np.nan, 1.0], "probability map contains non-finite values"),
+            ([np.inf, 0.0], "probability map contains non-finite values"),
+            ([-np.inf, 1.0], "probability map contains non-finite values"),
+            ([-0.25, 1.25], "probabilities must lie in [0, 1]"),
+            ([1.5, -0.5], "probabilities must lie in [0, 1]"),
+            ([np.nan, -0.5], "probability map contains non-finite values"),
+        ],
+    )
+    def test_error_messages(self, bad, message):
+        v = np.full((2, 3, 2), 0.5)
+        v[1, 2] = bad
+        with pytest.raises(ValueError) as err:
+            ProbMap(v)
+        assert str(err.value) == message
+
     def test_tolerates_small_drift(self):
         v = np.array([[[0.5 + 4e-5, 0.5]]])
         ProbMap(v)  # within 1e-4

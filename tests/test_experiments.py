@@ -152,6 +152,18 @@ class TestFlexibility:
         assert [r[0] for r in rows] == [1, 2]
         assert rows[1][1] == rows[0][1] + 1
 
+    def test_unifies_each_map_once(self, monkeypatch):
+        from segfuse import experiments
+
+        calls = []
+        monkeypatch.setattr(
+            experiments, "unify", lambda pm: calls.append(1) or unify(pm)
+        )
+        rounds = 3
+        flexibility(FAST, rounds, 0, TC)
+        # every teacher map, then each round's student predictions, once each
+        assert len(calls) == (FAST.num_teachers + rounds) * FAST.images
+
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
             flexibility(FAST, 0, 0, TC)

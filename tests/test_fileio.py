@@ -47,6 +47,27 @@ class TestProbMapCodec:
         data = fileio.write_probmap(pm)
         assert fileio.write_probmap(fileio.read_probmap(data)) == data
 
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 5, 4), (7, 2, 19)])
+    def test_write_bytes_equal_header_plus_float32_body(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        raw = rng.random(shape) + 1e-3  # float64 values that float32 must round
+        pm = ProbMap(raw / raw.sum(axis=2, keepdims=True))
+        want = HEADER.pack(b"PMAP", 1, *shape) + pm.values.astype("<f4").tobytes()
+        assert fileio.write_probmap(pm) == want
+
+    def test_write_holds_one_output_buffer(self):
+        import tracemalloc
+
+        pm = ProbMap(np.full((256, 512, 19), 1.0 / 19))
+        tracemalloc.start()
+        try:
+            data = fileio.write_probmap(pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == HEADER.size + pm.values.size * 4
+        assert peak < 1.3 * len(data)
+
     def test_bad_sum_rejected_without_renormalize(self):
         body = struct.pack("<2f", 0.45, 0.45)  # sums to 0.9
         data = HEADER.pack(b"PMAP", 1, 1, 1, 2) + body

@@ -74,6 +74,21 @@ class TestPixelFuse:
         ]
         assert np.array_equal(pixel_fuse(maps).values, vote_count_oracle(maps))
 
+    @given(st.integers(0, 10**6), st.integers(3, 19), st.integers(1, 7), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_forced_ties_match_oracle(self, seed, classes, h, w):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, classes, size=(h, w))
+        y = rng.integers(0, classes, size=(h, w))
+        ensembles = [
+            [x, y],  # a 1-1 tie wherever the two differ
+            [x, y, y, x],  # 2-2 ties
+            [x, (x + 1) % classes, (x + 2) % classes],  # a 3-way tie everywhere
+        ]
+        for values in ensembles:
+            maps = [LabelMap(v, classes) for v in values]
+            assert np.array_equal(pixel_fuse(maps).values, vote_count_oracle(maps))
+
     def test_teacher_order_invariant_up_to_ties(self):
         rng = np.random.default_rng(42)
         maps = [LabelMap(rng.integers(0, 4, size=(6, 6)), 4) for _ in range(5)]
@@ -138,6 +153,28 @@ def window_count_oracle(mask, kappa, row, col):
         for j in range(max(0, col - half), min(w, col + half + 1)):
             total += bool(mask[i, j])
     return total
+
+
+def resolve_oracle(masks, kappa):
+    """Scalar resolution: at each pixel claimed twice or more, the claimant
+    with the largest window count wins, ties to the smallest id."""
+    classes, h, w = masks.shape
+    out = np.full((h, w), UNLABELED_ID, dtype=np.uint16)
+    for i in range(h):
+        for j in range(w):
+            claimants = [c for c in range(classes) if masks[c, i, j]]
+            if len(claimants) >= 2:
+                counts = [window_count_oracle(masks[c], kappa, i, j) for c in claimants]
+                out[i, j] = claimants[counts.index(max(counts))]
+    return out
+
+
+def channel_fuse_oracle(masks, kappa):
+    out = resolve_oracle(masks, kappa)
+    claims = masks.sum(axis=0)
+    for c in range(masks.shape[0]):
+        out[masks[c] & (claims == 1)] = c
+    return out
 
 
 class TestWindowSum:
@@ -206,6 +243,86 @@ class TestResolveConflicts:
         a1 = np.array([[True, True]])
         res = resolve_conflicts(self.build([a0, a1]), 1)
         assert res.values[0, 1] == UNLABELED_ID
+
+
+class TestResolveOracle:
+    """resolve_conflicts and channel_fuse against the scalar window count."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 8),
+        st.integers(1, 5),
+        st.integers(2, 19),
+        st.integers(1, 4),
+        st.sampled_from(["one", "small", "whole"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids_match_scalar_oracle(self, seed, h, extra, classes, teachers, size):
+        rng = np.random.default_rng(seed)
+        w = h + extra  # non-square
+        # few labels per teacher, so channels overlap
+        labels = rng.integers(0, classes, size=min(classes, 4))
+        maps = [LabelMap(rng.choice(labels, size=(h, w)), classes) for _ in range(teachers)]
+        policy = FusionPolicy(rng.integers(0, teachers, size=classes), teachers)
+        # 3 and 5 clip the windows at every border; the last covers the grid
+        kappa = {"one": 1, "small": int(rng.choice([3, 5])), "whole": 2 * w + 1}[size]
+        sets = build_channel_sets(maps, policy)
+        masks = sets.class_masks
+        got = resolve_conflicts(sets, kappa).values
+        assert np.array_equal(got, resolve_oracle(masks, kappa))
+        got = channel_fuse(maps, policy, kappa).values
+        assert np.array_equal(got, channel_fuse_oracle(masks, kappa))
+
+    @pytest.mark.parametrize("kappa", [1, 3, 7, 31])
+    def test_every_pixel_contested(self, kappa):
+        rng = np.random.default_rng(kappa)
+        classes, h, w = 6, 5, 9
+        masks = rng.random((classes, h, w)) < 0.3
+        for i in range(h):
+            for j in range(w):
+                masks[rng.choice(classes, size=2, replace=False), i, j] = True
+        sets = ChannelSets(masks)
+        assert sets.overlap.all()
+        got = resolve_conflicts(sets, kappa).values
+        assert np.array_equal(got, resolve_oracle(masks, kappa))
+        assert (got != UNLABELED_ID).all()
+
+    @pytest.mark.parametrize("kappa", [1, 5, 31])
+    def test_no_pixel_contested(self, kappa):
+        rng = np.random.default_rng(kappa)
+        m = LabelMap(rng.integers(0, 5, size=(4, 7)), 5)
+        policy = FusionPolicy(rng.integers(0, 3, size=5), 3)
+        sets = build_channel_sets([m, m, m], policy)
+        assert not sets.overlap.any()
+        assert (resolve_conflicts(sets, kappa).values == UNLABELED_ID).all()
+        assert np.array_equal(channel_fuse([m, m, m], policy, kappa).values, m.values)
+
+    def test_memory_stays_below_one_byte_per_class_pixel(self):
+        """A 19-class 256 x 512 resolution holds one summed-area table plus
+        arrays over the contested pixels, never a C x H x W stack."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        classes, h, w = 19, 256, 512
+
+        def blocks(values, side):
+            return np.kron(values, np.ones((side, side), dtype=values.dtype))
+
+        gt = blocks(rng.integers(0, classes, size=(h // 32, w // 32)), 32)
+        maps = []
+        for _ in range(4):
+            wrong = blocks(rng.random((h // 16, w // 16)) < 0.2, 16)
+            noise = blocks(rng.integers(0, classes, size=(h // 16, w // 16)), 16)
+            maps.append(LabelMap(np.where(wrong, noise, gt), classes))
+        sets = build_channel_sets(maps, FusionPolicy(rng.integers(0, 4, size=classes), 4))
+        assert 0.05 < sets.overlap.mean() < 0.2  # contested share as in real ensembles
+        tracemalloc.start()
+        try:
+            resolve_conflicts(sets, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < classes * h * w
 
 
 class TestChannelFuse:
