@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the four CLI experiment drivers with standard settings into results/."""
+"""Run the seven CLI experiment kinds with standard settings into results/."""
 
 import argparse
 import os
@@ -14,18 +14,19 @@ parser.add_argument("--seeds", type=int, default=10)
 args = parser.parse_args()
 
 os.makedirs(args.outdir, exist_ok=True)
-jobs = [
-    ["experiment", "kernel-sweep", "--seed", str(args.seed),
-     "--seeds", str(args.seeds), "-o", f"{args.outdir}/kernel_sweep.csv"],
-    ["experiment", "robustness", "--seed", str(args.seed),
-     "--seeds", str(args.seeds), "--iterations", "120",
-     "-o", f"{args.outdir}/robustness.csv"],
-    ["experiment", "flexibility", "--rounds", "3", "--seed", str(args.seed),
-     "-o", f"{args.outdir}/flexibility.csv"],
-    ["experiment", "prop-check", "--instances", "500", "--seed", str(args.seed),
-     "-o", f"{args.outdir}/prop_checks.jsonl"],
+seeds = ["--seeds", str(args.seeds)]
+jobs = [  # kind, its arguments besides --seed and -o, output file
+    ("kernel-sweep", seeds, "kernel_sweep.csv"),
+    ("robustness", [*seeds, "--iterations", "120"], "robustness.csv"),
+    ("flexibility", ["--rounds", "3"], "flexibility.csv"),
+    ("prop-check", ["--instances", "500"], "prop_checks.jsonl"),
+    ("policy-quality", seeds, "policy_comparison.csv"),
+    ("correlation", seeds, "certainty_iou_cosine.csv"),
+    ("certainty-hist", [], "certainty_hist.csv"),
 ]
-for job in jobs:
+for kind, extra, name in jobs:
+    job = ["experiment", kind, *extra, "--seed", str(args.seed),
+           "-o", f"{args.outdir}/{name}"]
     print("segfuse", " ".join(job))
     rc = main(job)
     if rc != 0:

@@ -36,7 +36,6 @@ from .fusion import (
     channel_fuse,
     pixel_fuse,
     resolve_conflicts,
-    window_sum,
 )
 from .metrics import (
     certainty_histogram,

@@ -27,8 +27,11 @@ from .distill import (
 )
 from .experiments import (
     DEFAULT_KAPPA,
+    certainty_hist,
+    correlation,
     flexibility,
     kernel_sweep,
+    policy_quality,
     prop_checks,
     robustness,
 )
@@ -114,7 +117,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_distill(args) -> int:
-    feats = FeatureMap(np.load(args.features))
+    feats = FeatureMap(fileio.read_npy(_read(args.features)))
     labels = fileio.read_labelmap(_read(args.labels))
     config = _train_config(args)
     result = train_student(feats, labels, config)
@@ -195,6 +198,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _experiment_table(args) -> tuple[list[str], list[tuple]]:
+    """(header, rows) of a CSV experiment kind; three run on BenchmarkConfig()."""
+    if args.kind == "kernel-sweep":
+        kappas = [int(k) for k in args.kappas.split(",")]
+        return kernel_sweep(_bench_config(args), kappas, args.seed, args.seeds)
+    if args.kind == "certainty-hist":
+        return certainty_hist(BenchmarkConfig(), args.seed, args.bins)
+    tc = TrainConfig(iterations=args.iterations, seed=args.seed)
+    if args.kind == "policy-quality":
+        return policy_quality(BenchmarkConfig(), args.seed, args.seeds, tc)
+    if args.kind == "correlation":
+        return correlation(BenchmarkConfig(), args.seed, args.seeds, tc)
+    tc = replace(tc, lr=args.lr)  # only robustness and flexibility take --lr
+    if args.kind == "robustness":
+        bad_counts = [int(k) for k in args.bad_counts.split(",")]
+        return robustness(_bench_config(args), bad_counts, args.seed, args.seeds, tc)
+    return flexibility(_bench_config(args), args.rounds, args.seed, tc)
+
+
 def cmd_experiment(args) -> int:
     if args.kind == "prop-check":
         results = prop_checks(
@@ -202,19 +224,8 @@ def cmd_experiment(args) -> int:
             classes=args.classes, teachers=args.teachers,
         )
         _emit_text(args, "\n".join(json.dumps(r) for r in results) + "\n")
-        return 0
-    config = _bench_config(args)
-    if args.kind == "kernel-sweep":
-        kappas = [int(k) for k in args.kappas.split(",")]
-        header, rows = kernel_sweep(config, kappas, args.seed, args.seeds)
     else:
-        tc = TrainConfig(lr=args.lr, iterations=args.iterations, seed=args.seed)
-        if args.kind == "robustness":
-            bad_counts = [int(k) for k in args.bad_counts.split(",")]
-            header, rows = robustness(config, bad_counts, args.seed, args.seeds, tc)
-        else:  # flexibility
-            header, rows = flexibility(config, args.rounds, args.seed, tc)
-    _emit_text(args, rows_to_csv(header, rows))
+        _emit_text(args, rows_to_csv(*_experiment_table(args)))
     return 0
 
 
@@ -302,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a full experiment driver")
     kinds = p.add_subparsers(dest="kind", required=True)
 
-    def add_driver(kind, summary, trains=True):
+    def add_driver(kind, summary, bench=True, trains=True):
         q = kinds.add_parser(kind, help=summary)
-        add_bench_flags(q)
+        if bench:
+            add_bench_flags(q)
         q.add_argument("--seed", type=int, required=True)
         if trains:
-            q.add_argument("--lr", type=float, default=TrainConfig.lr)
             q.add_argument("--iterations", type=int, default=200)
         q.add_argument("-o", "--output")
         q.set_defaults(func=cmd_experiment)
@@ -318,20 +329,30 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seeds", type=int, default=10)
 
     q = add_driver("robustness", "mIoU vs number of under-performers")
+    q.add_argument("--lr", type=float, default=TrainConfig.lr)
     q.add_argument("--bad-counts", default="0,1,2,3")
     q.add_argument("--seeds", type=int, default=10)
 
     q = add_driver("flexibility", "iterative student re-addition")
+    q.add_argument("--lr", type=float, default=TrainConfig.lr)
     q.add_argument("--rounds", type=int, default=3)
 
-    q = kinds.add_parser("prop-check", help="run generated guarantee checks")
+    q = add_driver("policy-quality", "random vs certainty vs oracle policy", bench=False)
+    q.add_argument("--seeds", type=int, default=10)
+
+    q = add_driver("correlation", "per-class cosine(rho, IoU)", bench=False)
+    q.add_argument("--seeds", type=int, default=3)
+
+    q = add_driver("certainty-hist", "certainty-scale histograms", bench=False,
+                   trains=False)
+    q.add_argument("--bins", type=int, default=20)
+
+    q = add_driver("prop-check", "run generated guarantee checks", bench=False,
+                   trains=False)
     q.add_argument("--prop", choices=["1", "2", "both"], default="both")
     q.add_argument("--instances", type=int, default=500)
     q.add_argument("--classes", type=int, default=4)
     q.add_argument("--teachers", type=int, default=3)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_experiment)
 
     return parser
 

@@ -13,6 +13,7 @@ is resolution-independent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -29,7 +30,7 @@ from .core import (
 from .metrics import certainty_table
 from .policy import select_certainty
 from .unify import unify
-from .util import softmax_inplace
+from .util import json_number, softmax_inplace
 
 _LOG_CLAMP = 1e-12
 
@@ -45,7 +46,10 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "biuf":
+            raise ValueError(f"feature map must hold real numbers, got dtype {v.dtype}")
+        v = v.astype(np.float64, copy=False)
         if v.ndim != 3:
             raise ValueError(f"feature map must be H x W x d, got shape {v.shape}")
         if not np.isfinite(v).all():
@@ -105,8 +109,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
+        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValueError("lr and weight_decay must be finite and >= 0")
+        if not math.isfinite(self.lr_decay_power):
+            raise ValueError("lr_decay_power must be finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
 
@@ -119,10 +125,18 @@ class TrainConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"training config JSON is malformed: {e}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValueError("training config JSON must be an object")
+        extra = set(obj) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown training config fields: {sorted(extra)}")
+        for name, value in obj.items():
+            integral = isinstance(getattr(cls, name), int)
+            if not json_number(value, integral):
+                kind = "an integer" if integral else "a number"
+                raise ValueError(
+                    f"training config field {name!r} must be {kind}, got {value!r}"
+                )
         return cls(**obj)
 
 

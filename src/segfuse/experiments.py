@@ -19,10 +19,16 @@ from .distill import (
     train_student,
 )
 from .fusion import channel_fuse, pixel_fuse
-from .metrics import certainty_table, dataset_iou
+from .metrics import certainty_histogram, certainty_iou_cosine, certainty_table, dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
-from .synth import Benchmark, BenchmarkConfig, make_benchmark, make_underperformer_maps
+from .synth import (
+    Benchmark,
+    BenchmarkConfig,
+    gen_underperformer,
+    make_benchmark,
+    make_underperformer_maps,
+)
 from .unify import unify
 
 DEFAULT_KAPPA = 13
@@ -142,6 +148,37 @@ def policy_quality(
             fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
             rows.append((seed, name, dataset_iou(fused, bench.gts).miou))
     return ["seed", "policy", "miou"], rows
+
+
+def correlation(
+    config: BenchmarkConfig,
+    base_seed: int,
+    num_seeds: int,
+    train_config: TrainConfig = TrainConfig(),
+) -> tuple[list[str], list[tuple]]:
+    """Per-class cosine of student certainty and teacher IoU (near 1: rho tracks IoU)."""
+    rows = []
+    for s in range(num_seeds):
+        seed = base_seed + s
+        bench = make_benchmark(config, seed)
+        reports = _teacher_reports(_unified(bench), bench.gts)
+        proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
+                                             config=train_config)
+        for c, sim in enumerate(certainty_iou_cosine(proto.table, reports)):
+            rows.append((seed, c, float(sim)))
+    return ["seed", "class", "cosine"], rows
+
+
+def certainty_hist(config: BenchmarkConfig, seed: int, bins: int) -> tuple[list[str], list]:
+    """Per-pixel certainty histogram of each teacher and an under-performer, image 0."""
+    bench = make_benchmark(config, seed)
+    members = [(f"teacher{t}", maps[0]) for t, maps in enumerate(bench.teacher_probs)]
+    members.append(("underperformer", gen_underperformer(bench.gts[0], seed=seed)))
+    rows = []
+    for name, pm in members:
+        counts, edges = certainty_histogram(pm, bins)
+        rows += [(name, edges[i], edges[i + 1], n) for i, n in enumerate(counts)]
+    return ["member", "bin_low", "bin_high", "count"], rows
 
 
 def flexibility(

@@ -8,15 +8,19 @@ Binary layouts (all little-endian):
           then H*W u16 class ids row-major; 65535 = unlabeled.
 
 Policies and IoU reports travel as UTF-8 JSON, certainty tables as CSV
-with header "class,teacher,rho".  Codecs are pure functions; writes via
+with header "class,teacher,rho" and one row per (class, teacher) cell,
+and feature maps as NumPy .npy files.  Codecs are pure functions; writes via
 ``write_bytes_atomic`` never leave partial files behind.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import struct
+import tokenize
 import uuid
 
 import numpy as np
@@ -28,7 +32,7 @@ from .core import (
     LabelMap,
     ProbMap,
 )
-from .util import format_cell, softmax_inplace
+from .util import format_cell, json_number, softmax_inplace
 
 _HEADER = struct.Struct("<4sIIIH")
 _PMAP_MAGIC = b"PMAP"
@@ -37,6 +41,12 @@ _VERSION = 1
 
 # Guard against absurd headers before allocating anything.
 _MAX_ELEMENTS = 2**31
+
+# .npy header readers by format version; 3.0 only adds UTF-8 field names.
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 def _parse_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
@@ -118,16 +128,18 @@ def policy_from_json(text: str) -> FusionPolicy:
     except json.JSONDecodeError as e:
         raise ValueError(f"policy JSON is malformed: {e}")
     try:
-        assignment = np.asarray(obj["assignment"], dtype=np.int64)
-        teachers = int(obj["teachers"])
-        classes = int(obj["classes"])
+        assignment, teachers, classes = obj["assignment"], obj["teachers"], obj["classes"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"policy JSON is missing fields: {e}")
-    if assignment.size != classes:
+    if not isinstance(assignment, list) or not all(
+        json_number(v, integral=True) for v in [teachers, classes, *assignment]
+    ):
+        raise ValueError("policy JSON needs integer classes, teachers and assignment")
+    if len(assignment) != classes:
         raise ValueError(
-            f"policy JSON says {classes} classes but lists {assignment.size} entries"
+            f"policy JSON says {classes} classes but lists {len(assignment)} entries"
         )
-    return FusionPolicy(assignment, teachers)
+    return FusionPolicy(np.array(assignment, dtype=np.int64), teachers)
 
 
 def report_to_json(report: IoUReport) -> str:
@@ -144,10 +156,11 @@ def report_from_json(text: str) -> IoUReport:
         per_class = obj["per_class"]
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ValueError(f"IoU report JSON is malformed: {e}")
-    arr = np.array(
-        [np.nan if v is None else float(v) for v in per_class], dtype=np.float64
-    )
-    return IoUReport(arr)
+    if not isinstance(per_class, list) or not all(
+        v is None or json_number(v) for v in per_class
+    ):
+        raise ValueError("IoU report JSON per_class must be a list of numbers or nulls")
+    return IoUReport(np.array([np.nan if v is None else float(v) for v in per_class]))
 
 
 def table_to_csv(table: CertaintyTable) -> str:
@@ -162,27 +175,50 @@ def table_from_csv(text: str) -> CertaintyTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "class,teacher,rho":
         raise ValueError('certainty CSV must start with header "class,teacher,rho"')
-    cells = []
+    cells = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ValueError(f"bad certainty CSV row: {ln!r}")
-        cells.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        c, t, rho = int(parts[0]), int(parts[1]), float(parts[2])
+        if c < 0 or t < 0:
+            raise ValueError(f"negative class or teacher id in certainty CSV row: {ln!r}")
+        if (c, t) in cells:
+            raise ValueError(f"certainty CSV lists cell ({c}, {t}) twice")
+        cells[c, t] = rho
     if not cells:
         raise ValueError("certainty CSV has no data rows")
-    classes = max(c for c, _, _ in cells) + 1
-    teachers = max(t for _, t, _ in cells) + 1
-    rho = np.full((classes, teachers), np.nan)
-    for c, t, v in cells:
+    classes = max(c for c, _ in cells) + 1
+    teachers = max(t for _, t in cells) + 1
+    # Every cell listed once also bounds the table by the file's size.
+    if len(cells) != classes * teachers:
+        n = len(cells)
+        raise ValueError(f"certainty CSV lists {n} of its {classes} x {teachers} cells")
+    rho = np.empty((classes, teachers))
+    for (c, t), v in cells.items():
         rho[c, t] = v
     return CertaintyTable(rho)
 
 
-def histogram_to_csv(counts: np.ndarray, edges: np.ndarray) -> str:
-    lines = ["bin_low,bin_high,count"]
-    for i, n in enumerate(counts):
-        lines.append(f"{format_cell(edges[i])},{format_cell(edges[i + 1])},{int(n)}")
-    return "\n".join(lines) + "\n"
+def read_npy(data: bytes) -> np.ndarray:
+    """Decode a .npy byte string without copying its body; no objects or trailing bytes."""
+    stream = io.BytesIO(data)
+    try:
+        version = np.lib.format.read_magic(stream)
+        read_header = _NPY_HEADERS.get(version)
+        if read_header is None:
+            raise ValueError(f"unsupported version {version}")
+        shape, fortran_order, dtype = read_header(stream)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as e:
+        raise ValueError(f"bad .npy file: {e}") from e
+    if dtype.hasobject:
+        raise ValueError("bad .npy file: object arrays are not accepted")
+    count = math.prod(shape)
+    body, expected = len(data) - stream.tell(), count * dtype.itemsize
+    if body != expected:
+        raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
+    values = np.frombuffer(data, dtype, count=count, offset=stream.tell())
+    return values.reshape(shape, order="F" if fortran_order else "C")
 
 
 def trace_to_csv(losses) -> str:

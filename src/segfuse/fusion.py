@@ -93,7 +93,7 @@ def build_channel_sets(
     return ChannelSets(masks)
 
 
-def _summed_area(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _summed_area(mask: np.ndarray, table: np.ndarray) -> None:
     """Fill ``table``, an (H+1) x (W+1) int64 buffer, with the summed-area
     table of ``mask`` (Crow 1984): ``table[i, j]`` is the sum of
     ``mask[:i, :j]``.  Built in place, so one buffer serves many masks.
@@ -104,7 +104,6 @@ def _summed_area(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
     body[...] = mask
     np.cumsum(body, axis=0, out=body)
     np.cumsum(body, axis=1, out=body)
-    return table
 
 
 def _window_span(centres: np.ndarray, kappa: int, size: int):
@@ -124,18 +123,6 @@ def _window_corners(pixels: np.ndarray, kappa: int, h: int, w: int):
     r0 *= w + 1
     r1 *= w + 1
     return r1 + c1, r0 + c1, r1 + c0, r0 + c0
-
-
-def window_sum(mask: np.ndarray, kappa: int) -> np.ndarray:
-    """Count true cells in the kappa x kappa window centred at each pixel.
-
-    Windows are clipped at the image borders (no padding), so border
-    counts run over fewer cells.  Exact integer arithmetic throughout.
-    """
-    h, w = mask.shape
-    flat = _summed_area(mask, np.empty((h + 1, w + 1), dtype=np.int64)).reshape(-1)
-    br, tr, bl, tl = _window_corners(np.arange(h * w), kappa, h, w)
-    return (flat[br] - flat[tr] - flat[bl] + flat[tl]).reshape(h, w)
 
 
 def _check_kappa(kappa: int) -> None:

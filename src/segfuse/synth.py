@@ -24,14 +24,37 @@ from .core import LabelMap, ProbMap
 from .distill import FeatureMap
 
 
+#: Side of the square pixel tiles ``_voronoi_cells`` labels one at a time.
+_TILE = 32
+
+
 def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
-    """Partition the grid into nearest-site cells (ties to the lowest site)."""
+    """Partition the grid into nearest-site cells (ties to the lowest site).
+
+    Works in square tiles, so memory does not grow with the grid.  Every
+    pixel of a tile lies within ``reach`` of the site nearest the tile's
+    centre, so only sites within ``reach`` of the tile can be nearest to
+    one of its pixels; they stay in ascending order for the tie rule.
+    """
     flat = rng.choice(height * width, size=num_sites, replace=False)
     sy = flat // width
     sx = flat % width
-    yy, xx = np.indices((height, width))
-    d2 = (yy[None] - sy[:, None, None]) ** 2 + (xx[None] - sx[:, None, None]) ** 2
-    return d2.argmin(axis=0)
+    cells = np.empty((height, width), dtype=np.intp)
+    for y0 in range(0, height, _TILE):
+        y1 = min(y0 + _TILE, height)
+        for x0 in range(0, width, _TILE):
+            x1 = min(x0 + _TILE, width)
+            cy, cx = (y0 + y1 - 1) / 2, (x0 + x1 - 1) / 2
+            # +1 keeps float rounding from dropping a site at the boundary.
+            reach = (np.sqrt(((sy - cy) ** 2 + (sx - cx) ** 2).min())
+                     + np.hypot(y1 - 1 - cy, x1 - 1 - cx) + 1)
+            dy = np.maximum(np.maximum(y0 - sy, sy - (y1 - 1)), 0)
+            dx = np.maximum(np.maximum(x0 - sx, sx - (x1 - 1)), 0)
+            near = np.flatnonzero(dy**2 + dx**2 <= reach**2)
+            yy, xx = np.ogrid[y0:y1, x0:x1]
+            d2 = (yy - sy[near, None, None]) ** 2 + (xx - sx[near, None, None]) ** 2
+            cells[y0:y1, x0:x1] = near[d2.argmin(axis=0)]
+    return cells
 
 
 def gen_ground_truth(

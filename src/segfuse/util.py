@@ -28,6 +28,14 @@ def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return z
 
 
+def json_number(value, integral: bool = False) -> bool:
+    """Whether a decoded JSON value is an int64-sized integer or, unless
+    ``integral``, a float.  JSON true and false (Python bools) are not numbers."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return -(2**63) <= value < 2**63
+    return isinstance(value, float) and not integral
+
+
 def format_cell(value) -> str:
     """Deterministic CSV cell: shortest round-trip repr for floats."""
     if isinstance(value, (bool, np.bool_)):

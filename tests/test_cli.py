@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,13 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfuse import fileio
-from segfuse.cli import main
-from segfuse.distill import TrainConfig, train_student
+from segfuse.cli import build_parser, main
+from segfuse.core import CertaintyTable
+from segfuse.distill import TrainConfig, certainty_selection_protocol, train_student
+from segfuse.experiments import policy_quality
 from segfuse.fusion import channel_fuse, pixel_fuse
-from segfuse.metrics import per_class_iou
+from segfuse.metrics import (
+    certainty_histogram,
+    certainty_iou_cosine,
+    dataset_iou,
+    per_class_iou,
+)
 from segfuse.policy import select_random
-from segfuse.synth import BenchmarkConfig, corrupt_teacher, gen_ground_truth
+from segfuse.synth import (
+    BenchmarkConfig,
+    corrupt_teacher,
+    gen_ground_truth,
+    gen_underperformer,
+    make_benchmark,
+)
 from segfuse.unify import unify
+from segfuse.util import rows_to_csv
 
 
 @pytest.fixture
@@ -214,33 +229,60 @@ class TestErrorHandling:
         assert "odd" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _npy(values) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, values)
+    return buf.getvalue()
+
+
 def _decoder_inputs(directory):
-    """Valid inputs for fuse-pixel, fuse-channel and eval on an 8 x 12 scene."""
-    gt, _ = gen_ground_truth(8, 12, 4, region_scale=3, seed=1)
+    """Valid inputs of every decoding command, on an 8 x 12 scene."""
+    gt, feats = gen_ground_truth(8, 12, 4, region_scale=3, seed=1)
     teachers = [corrupt_teacher(gt, [0.2] * 4, 1.0, seed=i) for i in range(3)]
+    rho = np.random.default_rng(3).random((4, 3))
     files = {
         "t0.pmap": fileio.write_probmap(teachers[0]),
         "t1.lmap": fileio.write_labelmap(unify(teachers[1])),
         "t2.pmap": fileio.write_probmap(teachers[2]),
         "gt.lmap": fileio.write_labelmap(gt),
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
+        "feats.npy": _npy(feats.values),
+        "config.json": b'{"iterations": 2, "lr": 0.25}',
+        "table.csv": fileio.table_to_csv(CertaintyTable(rho)).encode(),
     }
+    for t in range(3):
+        iou = per_class_iou(unify(teachers[t]), gt).per_class
+        files[f"phi{t}.json"] = json.dumps({"per_class": iou.tolist()}).encode()
     for name, data in files.items():
         (directory / name).write_bytes(data)
     return files
 
 
-# Each command and the input files it reads.
+# Each command and the input files it reads that the fuzz test garbles.
+# distill also reads gt.lmap, through the decoder that eval covers; alone,
+# a label map whose header claims more classes is still a valid input.
 _DECODER_COMMANDS = {
     "fuse-pixel": ["t0.pmap", "t1.lmap", "t2.pmap"],
     "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
     "eval": ["t1.lmap", "gt.lmap"],
+    "distill": ["feats.npy", "config.json"],
+    "select-policy certainty": ["table.csv"],
+    "select-policy oracle": ["phi0.json", "phi1.json", "phi2.json"],
 }
 
 
 def _argv(command, path):
     if command == "eval":
         return ["eval", "--pred", path("t1.lmap"), "--gt", path("gt.lmap")]
+    if command == "distill":
+        return ["distill", "--features", path("feats.npy"), "--labels", path("gt.lmap"),
+                "--config", path("config.json"), "--seed", "0", "-o", path("out.npz")]
+    if command == "select-policy certainty":
+        return ["select-policy", "certainty", "--table", path("table.csv"),
+                "-o", path("out.json")]
+    if command == "select-policy oracle":
+        phis = [path(n) for n in _DECODER_COMMANDS[command]]
+        return ["select-policy", "oracle", "--phis", *phis, "-o", path("out.json")]
     teachers = [path(n) for n in _DECODER_COMMANDS["fuse-pixel"]]
     out = ["-o", path("out.lmap")]
     if command == "fuse-pixel":
@@ -248,13 +290,56 @@ def _argv(command, path):
     return ["fuse-channel", *teachers, "--policy", path("policy.json"), *out]
 
 
+def _number_paths(obj, path=()):
+    """Paths to the numbers in a decoded JSON value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _number_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _number_paths(v, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
 def _garble(name, data, draw):
     """Change the input so that no decoder may accept it."""
     if name.endswith(".json"):
-        # '#' is invalid anywhere in JSON; inside a key it drops the field.
-        i = draw(st.integers(0, len(data) - 1))
-        return data[:i] + b"#" + data[i + 1:]
+        if draw(st.booleans()):
+            # '#' is invalid anywhere in JSON; inside a key it drops the field.
+            i = draw(st.integers(0, len(data) - 1))
+            return data[:i] + b"#" + data[i + 1:]
+        # a number becomes a string, a bool, a list or an object
+        obj = json.loads(data)
+        path = draw(st.sampled_from(list(_number_paths(obj))))
+        *parents, last = path
+        holder = obj
+        for key in parents:
+            holder = holder[key]
+        holder[last] = draw(st.sampled_from(["0.5", True, False, [], {}]))
+        return json.dumps(obj).encode()
+    if name.endswith(".csv"):
+        lines = data.decode().splitlines()
+        i = draw(st.integers(1, len(lines) - 1))
+        how = draw(st.sampled_from(["negative", "duplicate", "#"]))
+        if how == "negative":
+            lines[i] = "-1" + lines[i][lines[i].index(","):]
+        elif how == "duplicate":
+            lines.append(lines[i])
+        else:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:j] + "#" + lines[i][j + 1:]
+        return ("\n".join(lines) + "\n").encode()
     out = bytearray(data)
+    if name.endswith(".npy"):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, 5))  # the magic string
+            out[i] = (out[i] + draw(st.integers(1, 255))) % 256
+        else:
+            i = len(data) - 8 * draw(st.integers(1, 8 * 12 * 4))
+            out[i:i + 8] = struct.pack("<d", draw(st.sampled_from(
+                [float("nan"), float("inf"), float("-inf")])))
+        return bytes(out)
     header = fileio._HEADER.size
     if draw(st.booleans()):
         # magic, version, height, width or class count
@@ -270,6 +355,34 @@ def _garble(name, data, draw):
     return bytes(out)
 
 
+def _truncate(name, data, draw):
+    """A prefix of the input that no decoder may accept.
+
+    A certainty CSV does not state its size, so a prefix that ends on a row
+    boundary can be a whole smaller table.  It is cut inside its header
+    instead, or loses just its last row.
+    """
+    if name.endswith(".csv"):
+        last_row = data.rstrip(b"\n").rfind(b"\n") + 1
+        return data[: draw(st.sampled_from([*range(data.index(b"\n") + 1), last_row]))]
+    return data[: draw(st.integers(0, len(data) - 1))]
+
+
+def _run_rejected(directory, argv):
+    """Run the CLI and check that it rejected its input cleanly."""
+    for out in directory.glob("out.*"):
+        out.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    assert rc == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+    assert "Traceback" not in err.getvalue()
+    assert not list(directory.glob("out.*"))
+
+
 class TestDecoderFuzz:
     """Truncated, extended or garbled inputs exit 2 with one JSON error line."""
 
@@ -278,18 +391,26 @@ class TestDecoderFuzz:
         directory = tmp_path_factory.mktemp("fuzz")
         return directory, _decoder_inputs(directory)
 
+    def test_valid_inputs_are_accepted(self, inputs):
+        directory, files = inputs
+        for command in _DECODER_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(_argv(command, lambda n: str(directory / n))) == 0, command
+        for out in directory.glob("out.*"):
+            out.unlink()
+
     @given(st.sampled_from(sorted(_DECODER_COMMANDS)), st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_malformed_input_exits_2_with_one_json_line(self, inputs, command, data):
         directory, files = inputs
         name = data.draw(st.sampled_from(_DECODER_COMMANDS[command]))
         good = files[name]
         how = data.draw(st.sampled_from(["truncate", "extend", "garble"]))
         if how == "truncate":
-            bad = good[: data.draw(st.integers(0, len(good) - 1))]
+            bad = _truncate(name, good, data.draw)
         elif how == "extend":
             bad = good + data.draw(st.binary(min_size=1, max_size=16).filter(
-                lambda b: not b.isspace()))
+                lambda b: not b.decode("latin-1").isspace()))
         else:
             bad = _garble(name, good, data.draw)
         bad_name = "bad." + name.rsplit(".", 1)[1]
@@ -298,15 +419,31 @@ class TestDecoderFuzz:
         def path(n):
             return str(directory / (bad_name if n == name else n))
 
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(_argv(command, path))
-        assert rc == 2
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1
-        assert "error" in json.loads(lines[0])
-        assert "Traceback" not in err.getvalue()
-        assert not (directory / "out.lmap").exists()
+        _run_rejected(directory, _argv(command, path))
+
+    @pytest.mark.parametrize("command, names, content", [
+        ("distill", ["config.json"], b'["lr"]'),
+        ("distill", ["config.json"], b"3"),
+        ("distill", ["config.json"], b'{"lr": "abc"}'),
+        ("distill", ["config.json"], b'{"iterations": 2.5}'),
+        ("distill", ["config.json"], b'{"momentum": null}'),
+        ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 4), dtype=[("a", "<f8")]))),
+        ("select-policy oracle", ["phi0.json"], b'{"per_class": 5}'),
+        ("select-policy oracle", ["phi0.json", "phi1.json", "phi2.json"],
+         b'{"per_class": [true, 0.5]}'),
+        # -1 would index the last class, filling the missing cell (1, 1)
+        ("select-policy certainty", ["table.csv"],
+         b"class,teacher,rho\n0,0,0.5\n0,1,0.25\n1,0,0.75\n-1,1,0.95\n"),
+        ("select-policy certainty", ["table.csv"],
+         b"class,teacher,rho\n0,0,0.5\n1,0,0.25\n1,0,0.95\n"),
+    ], ids=["config-list", "config-number", "config-string-lr", "config-float-iterations",
+            "config-null-momentum", "features-structured-dtype", "phi-number",
+            "phi-bool-iou", "table-negative-class", "table-duplicate-cell"])
+    def test_reproduced_bad_input(self, tmp_path, command, names, content):
+        _decoder_inputs(tmp_path)
+        for name in names:
+            (tmp_path / name).write_bytes(content)
+        _run_rejected(tmp_path, _argv(command, lambda n: str(tmp_path / n)))
 
 
 class TestExperimentCommands:
@@ -352,3 +489,90 @@ class TestExperimentCommands:
         first = lines[1].split(",")
         second = lines[2].split(",")
         assert int(second[1]) == int(first[1]) + 1  # student joined the ensemble
+
+
+def _experiment_kinds():
+    """The kinds of `segfuse experiment`, as the parser lists them."""
+    def subcommands(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    return sorted(subcommands(subcommands(build_parser())["experiment"]))
+
+
+# Small arguments for each experiment kind (--seed and -o are added).
+_SMALL_BENCH = ["--height", "12", "--width", "12", "--classes", "3", "--teachers", "2",
+                "--images", "2", "--region-scale", "4"]
+_EXPERIMENT_ARGS = {
+    "kernel-sweep": [*_SMALL_BENCH, "--kappas", "1,3", "--seeds", "1"],
+    "robustness": [*_SMALL_BENCH, "--bad-counts", "0,1", "--seeds", "1",
+                   "--iterations", "5"],
+    "flexibility": [*_SMALL_BENCH, "--rounds", "1", "--iterations", "5"],
+    "prop-check": ["--instances", "3"],
+    "policy-quality": ["--seeds", "1", "--iterations", "5"],
+    "correlation": ["--seeds", "1", "--iterations", "5"],
+    "certainty-hist": ["--bins", "4"],
+}
+
+
+class TestExperimentKinds:
+    @pytest.mark.parametrize("kind", _experiment_kinds())
+    def test_rerun_is_byte_identical(self, kind, tmp_path):
+        assert kind in _EXPERIMENT_ARGS, f"no small arguments for experiment kind {kind!r}"
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            argv = ["experiment", kind, *_EXPERIMENT_ARGS[kind], "--seed", "1"]
+            assert main([*argv, "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") >= 2
+
+    def run(self, tmp_path, kind, *args):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["experiment", kind, *args, "-o", str(out)]) == 0
+        return out.read_text()
+
+    # The three kinds below replaced scripts that made these library calls.
+
+    def test_policy_quality_matches_library(self, tmp_path):
+        got = self.run(tmp_path, "policy-quality", "--seed", "1", "--seeds", "2",
+                       "--iterations", "5")
+        tc = TrainConfig(iterations=5, seed=1)
+        assert got == rows_to_csv(*policy_quality(BenchmarkConfig(), 1, 2, tc))
+
+    def test_correlation_matches_library(self, tmp_path):
+        got = self.run(tmp_path, "correlation", "--seed", "1", "--seeds", "2",
+                       "--iterations", "5")
+        tc = TrainConfig(iterations=5, seed=1)
+        rows = []
+        for seed in (1, 2):
+            bench = make_benchmark(BenchmarkConfig(), seed)
+            unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+            reports = [dataset_iou(maps, bench.gts) for maps in unified]
+            proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
+                                                 config=tc)
+            sims = certainty_iou_cosine(proto.table, reports)
+            rows += [(seed, c, float(sim)) for c, sim in enumerate(sims)]
+        assert got == rows_to_csv(["seed", "class", "cosine"], rows)
+
+    def test_certainty_hist_matches_library(self, tmp_path):
+        got = self.run(tmp_path, "certainty-hist", "--seed", "3", "--bins", "7")
+        bench = make_benchmark(BenchmarkConfig(), 3)
+        members = {f"teacher{t}": maps[0] for t, maps in enumerate(bench.teacher_probs)}
+        members["underperformer"] = gen_underperformer(bench.gts[0], seed=3)
+        want = ["member,bin_low,bin_high,count"]
+        for name, pm in members.items():
+            counts, edges = certainty_histogram(pm, 7)
+            want += [f"{name},{float(edges[i])!r},{float(edges[i + 1])!r},{int(n)}"
+                     for i, n in enumerate(counts)]
+        assert got.splitlines() == want
+
+    @pytest.mark.parametrize("flag", ["--height", "--blob-scale", "--lr"])
+    def test_moved_kinds_take_no_benchmark_or_lr_flags(self, flag, capsys):
+        # they run on BenchmarkConfig() with TrainConfig's lr, as the scripts did
+        for kind in ("policy-quality", "correlation", "certainty-hist"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["experiment", kind, "--seed", "0", flag, "2"])
+            assert exit_.value.code == 2
+            assert flag in capsys.readouterr().err

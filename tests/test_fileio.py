@@ -183,12 +183,13 @@ class TestJsonCsv:
         assert np.isnan(back.rho[0, 1])
         assert back.rho[1, 1] == 0.125
 
-    def test_histogram_csv(self):
-        text = fileio.histogram_to_csv(np.array([2, 0, 3]), np.array([0.0, 0.5, 0.75, 1.0]))
-        lines = text.splitlines()
-        assert lines[0] == "bin_low,bin_high,count"
-        assert lines[1] == "0.0,0.5,2"
-        assert lines[3] == "0.75,1.0,3"
+    @pytest.mark.parametrize("rows", [
+        "0,0,0.5\n0,1,0.5\n1,0,0.5",  # cell (1, 1) missing
+        "0,0,0.5\n1000000,0,0.5",  # one far class id: no 1000001-row table
+    ])
+    def test_table_csv_must_list_every_cell(self, rows):
+        with pytest.raises(ValueError, match="cells"):
+            fileio.table_from_csv("class,teacher,rho\n" + rows + "\n")
 
 
 class TestAtomicWrite:

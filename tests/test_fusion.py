@@ -12,7 +12,6 @@ from segfuse.fusion import (
     channel_fuse,
     pixel_fuse,
     resolve_conflicts,
-    window_sum,
 )
 from segfuse.metrics import per_class_iou
 
@@ -175,18 +174,6 @@ def channel_fuse_oracle(masks, kappa):
     for c in range(masks.shape[0]):
         out[masks[c] & (claims == 1)] = c
     return out
-
-
-class TestWindowSum:
-    @given(st.integers(0, 10**6), st.sampled_from([1, 3, 5, 7]))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_oracle(self, seed, kappa):
-        rng = np.random.default_rng(seed)
-        mask = rng.random((6, 9)) < 0.4
-        counts = window_sum(mask, kappa)
-        for i in range(6):
-            for j in range(9):
-                assert counts[i, j] == window_count_oracle(mask, kappa, i, j)
 
 
 class TestResolveConflicts:

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfuse.metrics import per_class_iou
 from segfuse.synth import (
     BenchmarkConfig,
+    _voronoi_cells,
     corrupt_teacher,
     gen_ground_truth,
     gen_underperformer,
@@ -11,6 +16,50 @@ from segfuse.synth import (
     make_underperformer_maps,
 )
 from segfuse.unify import unify
+
+
+def voronoi_reference(height, width, num_sites, rng):
+    """The broadcast formula: one sites x H x W distance array, then argmin."""
+    flat = rng.choice(height * width, size=num_sites, replace=False)
+    sy = flat // width
+    sx = flat % width
+    yy, xx = np.indices((height, width))
+    d2 = (yy[None] - sy[:, None, None]) ** 2 + (xx[None] - sx[:, None, None]) ** 2
+    return d2.argmin(axis=0)
+
+
+class TestVoronoiCells:
+    @given(st.integers(0, 2**32), st.integers(1, 90), st.integers(1, 90),
+           st.integers(1, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_broadcast_formula(self, seed, height, width, sites):
+        # Integer distances tie often, so this also checks ties go to the lowest site.
+        sites = min(sites, height * width)
+        got = _voronoi_cells(height, width, sites, np.random.default_rng(seed))
+        want = voronoi_reference(height, width, sites, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+    def test_sparse_sites_on_a_wide_grid(self):
+        # Tiles far from every site must still reach the nearest one.
+        for seed in range(5):
+            got = _voronoi_cells(40, 300, 2, np.random.default_rng(seed))
+            want = voronoi_reference(40, 300, 2, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_per_pixel_does_not_grow_with_height(self):
+        # One site per 16 pixels, as at blob_scale=4.  The broadcast formula
+        # peaks at 8 bytes per site per pixel, so its per-pixel peak grows
+        # in proportion to H; tile by tile it must not grow at all.
+        def peak_per_pixel(height, width=256):
+            tracemalloc.start()
+            try:
+                sites = height * width // 16
+                _voronoi_cells(height, width, sites, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1] / (height * width)
+            finally:
+                tracemalloc.stop()
+
+        assert peak_per_pixel(512) <= peak_per_pixel(64)
 
 
 class TestGenGroundTruth:
