@@ -19,6 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import fileio
+from .core import CertaintyTable, stack_reports
 from .distill import (
     FeatureMap,
     TrainConfig,
@@ -97,11 +98,12 @@ def cmd_eval(args) -> int:
 def cmd_select_policy(args) -> int:
     if args.mode == "random":
         policy = select_random(args.classes, args.teachers, args.seed)
-    elif args.mode == "certainty":
-        policy = select_certainty(fileio.table_from_csv(_read_text(args.table)))
     else:
-        reports = [fileio.report_from_json(_read_text(p)) for p in args.phis]
-        policy = select_oracle(reports)
+        reports = [fileio.report_from_json(_read_text(p)) for p in args.reports]
+        if args.mode == "certainty":
+            policy = select_certainty(CertaintyTable(stack_reports(reports)))
+        else:
+            policy = select_oracle(reports)
     _emit_text(args, fileio.policy_to_json(policy))
     return 0
 
@@ -128,7 +130,8 @@ def cmd_distill(args) -> int:
         pm = student_forward(result.model, feats)
         fileio.write_bytes_atomic(args.probmap_out, fileio.write_probmap(pm))
     if args.trace_out:
-        fileio.write_text_atomic(args.trace_out, fileio.trace_to_csv(result.losses))
+        trace = rows_to_csv(["iter", "loss"], enumerate(result.losses))
+        fileio.write_text_atomic(args.trace_out, trace)
     print(
         json.dumps(
             {
@@ -162,6 +165,8 @@ def _bench_config(args) -> BenchmarkConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.underperformers < 0:
+        raise ValueError(f"--underperformers must be >= 0, got {args.underperformers}")
     config = _bench_config(args)
     bench = make_benchmark(config, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
@@ -273,12 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, required=True)
     m.add_argument("-o", "--output")
     m.set_defaults(func=cmd_select_policy)
-    m = modes.add_parser("certainty", help="argmax of a student-certainty table")
-    m.add_argument("--table", required=True, help="certainty CSV file")
+    m = modes.add_parser("certainty", help="argmax of per-teacher student certainty")
+    m.add_argument("--rho", nargs="+", required=True, dest="reports", metavar="JSON",
+                   help="certainty (rho) report JSON files, one per teacher in order")
     m.add_argument("-o", "--output")
     m.set_defaults(func=cmd_select_policy)
     m = modes.add_parser("oracle", help="argmax of per-teacher IoU reports")
-    m.add_argument("--phis", nargs="+", required=True,
+    m.add_argument("--phis", nargs="+", required=True, dest="reports", metavar="JSON",
                    help="IoU report JSON files, one per teacher in order")
     m.add_argument("-o", "--output")
     m.set_defaults(func=cmd_select_policy)

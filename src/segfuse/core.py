@@ -188,6 +188,18 @@ class CertaintyTable:
         return self.rho.shape[1]
 
 
+def stack_reports(reports: Sequence[IoUReport]) -> np.ndarray:
+    """|C| x |T| array whose column t is ``reports[t].per_class`` (IoU or rho);
+    raises if there is no report or their class counts differ."""
+    reports = list(reports)
+    if not reports:
+        raise ValueError("need at least one teacher report")
+    sizes = {r.num_classes for r in reports}
+    if len(sizes) != 1:
+        raise ValueError(f"teacher reports disagree on class count: {sorted(sizes)}")
+    return np.stack([r.per_class for r in reports], axis=1)
+
+
 def check_same_grid(maps: Sequence, what: str = "map") -> None:
     """Raise if the maps disagree on (height, width) or class count."""
     first = maps[0]

@@ -53,6 +53,13 @@ def _teacher_reports(unified, gts) -> list:
     return [dataset_iou(maps, gts) for maps in unified]
 
 
+def _seeds(base_seed: int, num_seeds: int) -> range:
+    """The seeds of a multi-seed driver; an empty run would print only a header."""
+    if num_seeds < 1:
+        raise ValueError(f"num_seeds must be >= 1, got {num_seeds}")
+    return range(base_seed, base_seed + num_seeds)
+
+
 def kernel_sweep(
     config: BenchmarkConfig,
     kappas: Sequence[int],
@@ -64,8 +71,7 @@ def kernel_sweep(
     if 1 not in kappas:
         raise ValueError("kappa list must include 1 (the gain baseline)")
     rows = []
-    for s in range(num_seeds):
-        seed = base_seed + s
+    for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
         unified = _unified(bench)
         policy = select_random(config.classes, bench.num_teachers, seed)
@@ -94,9 +100,11 @@ def robustness(
     per seed; a certainty table's columns are independent, so the k-member
     table is built from those measurements.
     """
+    bad_counts = sorted(set(int(k) for k in bad_counts))
+    if not bad_counts or bad_counts[0] < 0:
+        raise ValueError(f"bad counts must be one or more ints >= 0, got {bad_counts}")
     rows = []
-    for s in range(num_seeds):
-        seed = base_seed + s
+    for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
         bad_maps = make_underperformer_maps(bench, seed)
         bad_unified = [unify(pm) for pm in bad_maps]
@@ -106,7 +114,7 @@ def robustness(
             for maps in bench.teacher_probs
         ]
         bad_preds = measure_teacher(bad_maps, bench.feats, config=train_config)[1]
-        for k in sorted(set(int(k) for k in bad_counts)):
+        for k in bad_counts:
             unified = good_unified + [bad_unified] * k
             probs = list(bench.teacher_probs) + [bad_maps] * k
 
@@ -133,8 +141,7 @@ def policy_quality(
 ) -> tuple[list[str], list[tuple]]:
     """Fused-label mIoU under random, certainty-aware, and oracle policies."""
     rows = []
-    for s in range(num_seeds):
-        seed = base_seed + s
+    for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
         unified = _unified(bench)
         policies = {
@@ -158,8 +165,7 @@ def correlation(
 ) -> tuple[list[str], list[tuple]]:
     """Per-class cosine of student certainty and teacher IoU (near 1: rho tracks IoU)."""
     rows = []
-    for s in range(num_seeds):
-        seed = base_seed + s
+    for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
         reports = _teacher_reports(_unified(bench), bench.gts)
         proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
@@ -226,6 +232,8 @@ def prop_checks(
     """Run generated instances through the guarantee checks; JSON-ready rows."""
     if which not in ("1", "2", "both"):
         raise ValueError("which must be '1', '2', or 'both'")
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     results = []
     for i in range(instances):
         seed = base_seed + i

@@ -7,9 +7,9 @@ Binary layouts (all little-endian):
   .lmap   magic "LMAP", u32 version=1, u32 H, u32 W, u16 |C|,
           then H*W u16 class ids row-major; 65535 = unlabeled.
 
-Policies and IoU reports travel as UTF-8 JSON, certainty tables as CSV
-with header "class,teacher,rho" and one row per (class, teacher) cell,
-and feature maps as NumPy .npy files.  Codecs are pure functions; writes via
+Policies and per-member score reports (a teacher's per-class IoU, or its
+student's per-class certainty rho) travel as UTF-8 JSON, and feature maps
+as NumPy .npy files.  Codecs are pure functions; writes via
 ``write_bytes_atomic`` never leave partial files behind.
 """
 
@@ -25,14 +25,8 @@ import uuid
 
 import numpy as np
 
-from .core import (
-    CertaintyTable,
-    FusionPolicy,
-    IoUReport,
-    LabelMap,
-    ProbMap,
-)
-from .util import format_cell, json_number, softmax_inplace
+from .core import FusionPolicy, IoUReport, LabelMap, ProbMap
+from .util import json_number, softmax_inplace
 
 _HEADER = struct.Struct("<4sIIIH")
 _PMAP_MAGIC = b"PMAP"
@@ -156,48 +150,28 @@ def report_from_json(text: str) -> IoUReport:
         per_class = obj["per_class"]
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ValueError(f"IoU report JSON is malformed: {e}")
+    # A misspelt miou must not pass as an absent one.
+    extra = set(obj) - {"per_class", "miou"}
+    if extra:
+        raise ValueError(f"unknown IoU report JSON fields: {sorted(extra)}")
     if not isinstance(per_class, list) or not all(
-        v is None or json_number(v) for v in per_class
+        v is None or (json_number(v) and math.isfinite(v)) for v in per_class
     ):
-        raise ValueError("IoU report JSON per_class must be a list of numbers or nulls")
-    return IoUReport(np.array([np.nan if v is None else float(v) for v in per_class]))
-
-
-def table_to_csv(table: CertaintyTable) -> str:
-    lines = ["class,teacher,rho"]
-    for c in range(table.num_classes):
-        for t in range(table.num_teachers):
-            lines.append(f"{c},{t},{format_cell(table.rho[c, t])}")
-    return "\n".join(lines) + "\n"
-
-
-def table_from_csv(text: str) -> CertaintyTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "class,teacher,rho":
-        raise ValueError('certainty CSV must start with header "class,teacher,rho"')
-    cells = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad certainty CSV row: {ln!r}")
-        c, t, rho = int(parts[0]), int(parts[1]), float(parts[2])
-        if c < 0 or t < 0:
-            raise ValueError(f"negative class or teacher id in certainty CSV row: {ln!r}")
-        if (c, t) in cells:
-            raise ValueError(f"certainty CSV lists cell ({c}, {t}) twice")
-        cells[c, t] = rho
-    if not cells:
-        raise ValueError("certainty CSV has no data rows")
-    classes = max(c for c, _ in cells) + 1
-    teachers = max(t for _, t in cells) + 1
-    # Every cell listed once also bounds the table by the file's size.
-    if len(cells) != classes * teachers:
-        n = len(cells)
-        raise ValueError(f"certainty CSV lists {n} of its {classes} x {teachers} cells")
-    rho = np.empty((classes, teachers))
-    for (c, t), v in cells.items():
-        rho[c, t] = v
-    return CertaintyTable(rho)
+        raise ValueError("IoU report JSON per_class must be a list of finite numbers or nulls")
+    report = IoUReport(np.array([np.nan if v is None else float(v) for v in per_class]))
+    # miou may be absent; if given it must be the mean of the defined
+    # per_class values (within 1e-9), or null when none is defined.
+    if "miou" in obj:
+        miou, mean = obj["miou"], report.miou
+        if np.isnan(mean):
+            ok = miou is None
+        else:
+            ok = json_number(miou) and abs(miou - mean) <= 1e-9
+        if not ok:
+            raise ValueError(
+                f"IoU report JSON miou {miou!r} is not the mean of per_class ({mean!r})"
+            )
+    return report
 
 
 def read_npy(data: bytes) -> np.ndarray:
@@ -219,13 +193,6 @@ def read_npy(data: bytes) -> np.ndarray:
         raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
     values = np.frombuffer(data, dtype, count=count, offset=stream.tell())
     return values.reshape(shape, order="F" if fortran_order else "C")
-
-
-def trace_to_csv(losses) -> str:
-    lines = ["iter,loss"]
-    for i, loss in enumerate(losses):
-        lines.append(f"{i},{format_cell(loss)}")
-    return "\n".join(lines) + "\n"
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:

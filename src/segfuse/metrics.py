@@ -6,7 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CertaintyTable, IoUReport, LabelMap, ProbMap, check_same_grid
+from .core import (CertaintyTable, IoUReport, LabelMap, ProbMap, check_same_grid,
+                   stack_reports)
 
 
 def _iou_counts(pred: LabelMap, gt: LabelMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,7 +116,7 @@ def certainty_iou_cosine(
         raise ValueError(
             f"need one IoU report per teacher ({table.num_teachers}), got {len(phis)}"
         )
-    phi = np.stack([r.per_class for r in phis], axis=1)
+    phi = stack_reports(phis)
     if phi.shape[0] != table.num_classes:
         raise ValueError("IoU reports disagree with the table's class count")
     a = np.nan_to_num(table.rho, nan=0.0)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CertaintyTable, FusionPolicy, IoUReport
+from .core import CertaintyTable, FusionPolicy, IoUReport, stack_reports
 
 
 def select_random(num_classes: int, num_teachers: int, seed: int) -> FusionPolicy:
@@ -33,14 +33,7 @@ def _argmax_policy(scores: np.ndarray, kind: str) -> FusionPolicy:
 
 def select_oracle(phis: Sequence[IoUReport]) -> FusionPolicy:
     """Greedy per-class argmax of teacher IoU (needs target ground truth)."""
-    phis = list(phis)
-    if not phis:
-        raise ValueError("need at least one teacher report")
-    sizes = {r.num_classes for r in phis}
-    if len(sizes) != 1:
-        raise ValueError(f"teacher reports disagree on class count: {sorted(sizes)}")
-    scores = np.stack([r.per_class for r in phis], axis=1)
-    return _argmax_policy(scores, "per-class IoU")
+    return _argmax_policy(stack_reports(phis), "per-class IoU")
 
 
 def select_certainty(table: CertaintyTable) -> FusionPolicy:

@@ -198,6 +198,8 @@ class BenchmarkConfig:
             raise ValueError("need 0 <= error_low <= error_high <= 1")
         if not 0 <= self.specialist_low <= self.specialist_high <= 1:
             raise ValueError("need 0 <= specialist_low <= specialist_high <= 1")
+        if self.teacher_blob_scale < 0:
+            raise ValueError(f"teacher_blob_scale must be >= 0, got {self.teacher_blob_scale}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ import io
 import json
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from segfuse import fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import CertaintyTable
+from segfuse.core import CertaintyTable, IoUReport, stack_reports
 from segfuse.distill import TrainConfig, certainty_selection_protocol, train_student
 from segfuse.experiments import policy_quality
 from segfuse.fusion import channel_fuse, pixel_fuse
@@ -22,7 +23,7 @@ from segfuse.metrics import (
     dataset_iou,
     per_class_iou,
 )
-from segfuse.policy import select_random
+from segfuse.policy import select_certainty, select_random
 from segfuse.synth import (
     BenchmarkConfig,
     corrupt_teacher,
@@ -32,6 +33,16 @@ from segfuse.synth import (
 )
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
+
+
+def _write_columns(directory, stem, scores):
+    """One report file per column of a |C| x |T| score array; their paths in order."""
+    files = []
+    for t in range(scores.shape[1]):
+        path = directory / f"{stem}{t}.json"
+        path.write_text(fileio.report_to_json(IoUReport(scores[:, t])))
+        files.append(str(path))
+    return files
 
 
 @pytest.fixture
@@ -101,26 +112,36 @@ class TestWrapperFidelity:
         np.testing.assert_array_equal(got.assignment, want.assignment)
 
     def test_select_policy_certainty_matches_argmax(self, tmp_path, capsys):
-        from segfuse.core import CertaintyTable
-        from segfuse.policy import select_certainty
-
         rho = np.array([[0.2, 0.9], [0.8, 0.1], [0.5, 0.6]])
-        table_path = tmp_path / "rho.csv"
-        table_path.write_text(fileio.table_to_csv(CertaintyTable(rho)))
-        assert main(["select-policy", "certainty", "--table", str(table_path)]) == 0
+        files = _write_columns(tmp_path, "rho", rho)
+        assert main(["select-policy", "certainty", "--rho"] + files) == 0
         got = fileio.policy_from_json(capsys.readouterr().out)
         want = select_certainty(CertaintyTable(rho))
         np.testing.assert_array_equal(got.assignment, want.assignment)
 
-    def test_select_policy_oracle_from_reports(self, tmp_path, capsys):
-        from segfuse.core import IoUReport
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_select_policy_certainty_from_protocol_columns(self, tmp_path, capsys, seed):
+        bench = make_benchmark(BenchmarkConfig(), seed)
+        proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
+                                             config=TrainConfig(iterations=60))
+        files = _write_columns(tmp_path, "rho", proto.table.rho)
+        back = stack_reports([fileio.report_from_json(Path(f).read_text()) for f in files])
+        np.testing.assert_array_equal(back, proto.table.rho)  # NaN cells included
+        assert main(["select-policy", "certainty", "--rho"] + files) == 0
+        got = fileio.policy_from_json(capsys.readouterr().out)
+        np.testing.assert_array_equal(got.assignment, proto.policy.assignment)
 
+    @pytest.mark.parametrize("mode, flag", [("certainty", "--rho"), ("oracle", "--phis")])
+    def test_select_policy_class_count_mismatch(self, tmp_path, capsys, mode, flag):
+        files = _write_columns(tmp_path, "a", np.full((3, 1), 0.5))
+        files += _write_columns(tmp_path, "b", np.full((2, 1), 0.5))
+        assert main(["select-policy", mode, flag] + files) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == "teacher reports disagree on class count: [2, 3]"
+
+    def test_select_policy_oracle_from_reports(self, tmp_path, capsys):
         phi = np.array([[0.9, 0.1], [0.2, 0.8]])
-        files = []
-        for t in range(2):
-            p = tmp_path / f"phi{t}.json"
-            p.write_text(fileio.report_to_json(IoUReport(phi[:, t])))
-            files.append(str(p))
+        files = _write_columns(tmp_path, "phi", phi)
         assert main(["select-policy", "oracle", "--phis"] + files) == 0
         got = fileio.policy_from_json(capsys.readouterr().out)
         assert got.assignment.tolist() == [0, 1]
@@ -140,9 +161,62 @@ class TestWrapperFidelity:
         saved = np.load(model_out)
         np.testing.assert_array_equal(saved["weights"], want.model.weights)
         np.testing.assert_array_equal(saved["bias"], want.model.bias)
-        assert trace_out.read_text().splitlines()[0] == "iter,loss"
+        want_trace = ["iter,loss"] + [f"{i},{float(v)!r}" for i, v in enumerate(want.losses)]
+        assert trace_out.read_text().splitlines() == want_trace
         summary = json.loads(capsys.readouterr().out)
         assert summary["final_loss"] == pytest.approx(float(want.losses[-1]))
+
+
+class TestRenormalize:
+    """--renormalize reads a .pmap body as logits, as read_probmap(renormalize=True)."""
+
+    @pytest.fixture
+    def logits(self, tmp_path):
+        """Three logit .pmap files, their paths and the library's unified maps."""
+        rng = np.random.default_rng(0)
+        paths, unified = [], []
+        for t in range(3):
+            body = rng.normal(0.0, 3.0, size=(8, 12, 4)).astype("<f4").tobytes()
+            data = fileio._HEADER.pack(b"PMAP", 1, 8, 12, 4) + body
+            path = tmp_path / f"logits{t}.pmap"
+            path.write_bytes(data)
+            paths.append(str(path))
+            unified.append(unify(fileio.read_probmap(data, renormalize=True)))
+        policy = tmp_path / "p.json"
+        policy.write_text(fileio.policy_to_json(select_random(4, 3, seed=1)))
+        return paths, unified, str(policy)
+
+    @staticmethod
+    def argv(command, paths, policy):
+        if command == "unify":
+            return ["unify", paths[0]]
+        if command == "fuse-pixel":
+            return ["fuse-pixel", *paths]
+        return ["fuse-channel", *paths, "--policy", policy, "--kappa", "5"]
+
+    @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
+    def test_matches_library(self, tmp_path, logits, command):
+        paths, unified, policy = logits
+        out = tmp_path / "out.lmap"
+        argv = self.argv(command, paths, policy) + ["-o", str(out)]
+        _run_rejected(tmp_path, argv)  # the logits are not probabilities
+        assert main(argv + ["--renormalize"]) == 0
+        want = {
+            "unify": unified[0],
+            "fuse-pixel": pixel_fuse(unified),
+            "fuse-channel": channel_fuse(unified, select_random(4, 3, seed=1), 5),
+        }[command]
+        got = fileio.read_labelmap(out.read_bytes())
+        np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
+    def test_non_finite_logit_exits_2(self, tmp_path, logits, command):
+        paths, unified, policy = logits
+        data = bytearray(Path(paths[0]).read_bytes())
+        data[-4:] = struct.pack("<f", float("inf"))
+        (tmp_path / "logits0.pmap").write_bytes(data)
+        argv = self.argv(command, paths, policy) + ["-o", str(tmp_path / "out.lmap")]
+        _run_rejected(tmp_path, argv + ["--renormalize"])
 
 
 class TestSynthCommand:
@@ -248,11 +322,11 @@ def _decoder_inputs(directory):
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
         "feats.npy": _npy(feats.values),
         "config.json": b'{"iterations": 2, "lr": 0.25}',
-        "table.csv": fileio.table_to_csv(CertaintyTable(rho)).encode(),
     }
     for t in range(3):
-        iou = per_class_iou(unify(teachers[t]), gt).per_class
-        files[f"phi{t}.json"] = json.dumps({"per_class": iou.tolist()}).encode()
+        iou = per_class_iou(unify(teachers[t]), gt)
+        files[f"phi{t}.json"] = fileio.report_to_json(iou).encode()
+        files[f"rho{t}.json"] = fileio.report_to_json(IoUReport(rho[:, t])).encode()
     for name, data in files.items():
         (directory / name).write_bytes(data)
     return files
@@ -266,7 +340,7 @@ _DECODER_COMMANDS = {
     "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
     "eval": ["t1.lmap", "gt.lmap"],
     "distill": ["feats.npy", "config.json"],
-    "select-policy certainty": ["table.csv"],
+    "select-policy certainty": ["rho0.json", "rho1.json", "rho2.json"],
     "select-policy oracle": ["phi0.json", "phi1.json", "phi2.json"],
 }
 
@@ -277,12 +351,11 @@ def _argv(command, path):
     if command == "distill":
         return ["distill", "--features", path("feats.npy"), "--labels", path("gt.lmap"),
                 "--config", path("config.json"), "--seed", "0", "-o", path("out.npz")]
-    if command == "select-policy certainty":
-        return ["select-policy", "certainty", "--table", path("table.csv"),
-                "-o", path("out.json")]
-    if command == "select-policy oracle":
-        phis = [path(n) for n in _DECODER_COMMANDS[command]]
-        return ["select-policy", "oracle", "--phis", *phis, "-o", path("out.json")]
+    if command.startswith("select-policy"):
+        mode = command.split()[1]
+        flag = "--rho" if mode == "certainty" else "--phis"
+        reports = [path(n) for n in _DECODER_COMMANDS[command]]
+        return ["select-policy", mode, flag, *reports, "-o", path("out.json")]
     teachers = [path(n) for n in _DECODER_COMMANDS["fuse-pixel"]]
     out = ["-o", path("out.lmap")]
     if command == "fuse-pixel":
@@ -306,7 +379,8 @@ def _garble(name, data, draw):
     """Change the input so that no decoder may accept it."""
     if name.endswith(".json"):
         if draw(st.booleans()):
-            # '#' is invalid anywhere in JSON; inside a key it drops the field.
+            # '#' is invalid anywhere in JSON; inside a key it swaps a known
+            # field for an unknown one.
             i = draw(st.integers(0, len(data) - 1))
             return data[:i] + b"#" + data[i + 1:]
         # a number becomes a string, a bool, a list or an object
@@ -318,18 +392,6 @@ def _garble(name, data, draw):
             holder = holder[key]
         holder[last] = draw(st.sampled_from(["0.5", True, False, [], {}]))
         return json.dumps(obj).encode()
-    if name.endswith(".csv"):
-        lines = data.decode().splitlines()
-        i = draw(st.integers(1, len(lines) - 1))
-        how = draw(st.sampled_from(["negative", "duplicate", "#"]))
-        if how == "negative":
-            lines[i] = "-1" + lines[i][lines[i].index(","):]
-        elif how == "duplicate":
-            lines.append(lines[i])
-        else:
-            j = draw(st.integers(0, len(lines[i]) - 1))
-            lines[i] = lines[i][:j] + "#" + lines[i][j + 1:]
-        return ("\n".join(lines) + "\n").encode()
     out = bytearray(data)
     if name.endswith(".npy"):
         if draw(st.booleans()):
@@ -353,19 +415,6 @@ def _garble(name, data, draw):
         i = header + 2 * draw(st.integers(0, (len(data) - header) // 2 - 1))
         out[i:i + 2] = struct.pack("<H", draw(st.integers(4, 65534)))  # 4 classes
     return bytes(out)
-
-
-def _truncate(name, data, draw):
-    """A prefix of the input that no decoder may accept.
-
-    A certainty CSV does not state its size, so a prefix that ends on a row
-    boundary can be a whole smaller table.  It is cut inside its header
-    instead, or loses just its last row.
-    """
-    if name.endswith(".csv"):
-        last_row = data.rstrip(b"\n").rfind(b"\n") + 1
-        return data[: draw(st.sampled_from([*range(data.index(b"\n") + 1), last_row]))]
-    return data[: draw(st.integers(0, len(data) - 1))]
 
 
 def _run_rejected(directory, argv):
@@ -407,7 +456,7 @@ class TestDecoderFuzz:
         good = files[name]
         how = data.draw(st.sampled_from(["truncate", "extend", "garble"]))
         if how == "truncate":
-            bad = _truncate(name, good, data.draw)
+            bad = good[: data.draw(st.integers(0, len(good) - 1))]
         elif how == "extend":
             bad = good + data.draw(st.binary(min_size=1, max_size=16).filter(
                 lambda b: not b.decode("latin-1").isspace()))
@@ -431,14 +480,18 @@ class TestDecoderFuzz:
         ("select-policy oracle", ["phi0.json"], b'{"per_class": 5}'),
         ("select-policy oracle", ["phi0.json", "phi1.json", "phi2.json"],
          b'{"per_class": [true, 0.5]}'),
-        # -1 would index the last class, filling the missing cell (1, 1)
-        ("select-policy certainty", ["table.csv"],
-         b"class,teacher,rho\n0,0,0.5\n0,1,0.25\n1,0,0.75\n-1,1,0.95\n"),
-        ("select-policy certainty", ["table.csv"],
-         b"class,teacher,rho\n0,0,0.5\n1,0,0.25\n1,0,0.95\n"),
+        ("select-policy oracle", ["phi0.json", "phi1.json", "phi2.json"],
+         b'{"per_class": [0.5, 0.2], "miou": "abc"}'),
+        ("select-policy oracle", ["phi0.json", "phi1.json", "phi2.json"],
+         b'{"per_class": [0.5, 0.2], "miou": 0.99}'),
+        ("select-policy certainty", ["rho0.json", "rho1.json", "rho2.json"],
+         b'{"per_class": [0.5, 0.2], "miou": "abc"}'),
+        ("select-policy certainty", ["rho0.json", "rho1.json", "rho2.json"],
+         b'{"per_class": [0.5, 0.2], "miou": 0.99}'),
     ], ids=["config-list", "config-number", "config-string-lr", "config-float-iterations",
             "config-null-momentum", "features-structured-dtype", "phi-number",
-            "phi-bool-iou", "table-negative-class", "table-duplicate-cell"])
+            "phi-bool-iou", "phi-string-miou", "phi-contradicting-miou",
+            "rho-string-miou", "rho-contradicting-miou"])
     def test_reproduced_bad_input(self, tmp_path, command, names, content):
         _decoder_inputs(tmp_path)
         for name in names:
@@ -469,6 +522,20 @@ class TestExperimentCommands:
             main(args)
         assert exit_.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "robustness", "--bad-counts", "0,-2"],
+        *[["experiment", kind, "--seeds", n]
+          for kind in ("kernel-sweep", "robustness", "policy-quality", "correlation")
+          for n in ("0", "-2")],
+        ["experiment", "prop-check", "--instances", "-3"],
+        ["synth", "--underperformers", "-1"],
+        ["synth", "--blob-scale", "-4"],
+    ], ids=" ".join)
+    def test_bad_count_exits_2(self, tmp_path, argv):
+        out = ["--outdir", str(tmp_path / "out.d")] if argv[0] == "synth" else [
+            "-o", str(tmp_path / "out.csv")]
+        _run_rejected(tmp_path, argv + ["--seed", "0"] + out)
 
     def test_prop_check_jsonl(self, tmp_path):
         out = tmp_path / "props.jsonl"

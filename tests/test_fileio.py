@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from segfuse import fileio
 from segfuse.core import (
     UNLABELED_ID,
-    CertaintyTable,
     FusionPolicy,
     IoUReport,
     LabelMap,
@@ -175,21 +174,32 @@ class TestJsonCsv:
         assert np.isnan(back.per_class[1])
         assert back.per_class[0] == 0.5
 
-    def test_table_csv_roundtrip(self):
-        t = CertaintyTable(np.array([[0.25, np.nan], [1.0, 0.125]]))
-        text = fileio.table_to_csv(t)
-        assert text.splitlines()[0] == "class,teacher,rho"
-        back = fileio.table_from_csv(text)
-        assert np.isnan(back.rho[0, 1])
-        assert back.rho[1, 1] == 0.125
-
-    @pytest.mark.parametrize("rows", [
-        "0,0,0.5\n0,1,0.5\n1,0,0.5",  # cell (1, 1) missing
-        "0,0,0.5\n1000000,0,0.5",  # one far class id: no 1000001-row table
+    @pytest.mark.parametrize("text", [
+        '{"per_class": [0.5, 0.25]}',
+        '{"per_class": [0.5, 0.25], "miou": 0.375}',
+        '{"per_class": [0.5, null, 0.25], "miou": 0.3750000000001}',
+        '{"per_class": [null, null], "miou": null}',
     ])
-    def test_table_csv_must_list_every_cell(self, rows):
-        with pytest.raises(ValueError, match="cells"):
-            fileio.table_from_csv("class,teacher,rho\n" + rows + "\n")
+    def test_report_miou_may_be_absent_or_the_mean(self, text):
+        assert fileio.report_from_json(text).num_classes in (2, 3)
+
+    @pytest.mark.parametrize("miou", ['"abc"', "0.99", "0.376", "null", "true", "NaN"])
+    def test_report_miou_must_be_the_mean(self, miou):
+        with pytest.raises(ValueError, match="miou"):
+            fileio.report_from_json('{"per_class": [0.5, 0.25], "miou": %s}' % miou)
+
+    def test_report_rejects_nan_for_undefined(self):
+        # null, not the non-standard NaN literal, marks an undefined class
+        with pytest.raises(ValueError, match="finite"):
+            fileio.report_from_json('{"per_class": [NaN, 0.5]}')
+
+    def test_report_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="unknown"):
+            fileio.report_from_json('{"per_class": [0.5, 0.25], "mIoU": 0.99}')
+
+    def test_report_miou_must_be_null_without_defined_classes(self):
+        with pytest.raises(ValueError, match="miou"):
+            fileio.report_from_json('{"per_class": [null, null], "miou": 0.0}')
 
 
 class TestAtomicWrite:
