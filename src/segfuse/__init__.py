@@ -10,7 +10,6 @@ fused labels into a toy per-pixel student.
 from .core import (
     PROB_SUM_TOL,
     UNLABELED_ID,
-    CertaintyTable,
     FusionPolicy,
     IoUReport,
     LabelMap,
@@ -40,7 +39,7 @@ from .fusion import (
 from .metrics import (
     certainty_histogram,
     certainty_iou_cosine,
-    certainty_table,
+    certainty_report,
     dataset_iou,
     per_class_iou,
 )

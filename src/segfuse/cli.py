@@ -4,7 +4,8 @@ Every command is a pure function of its inputs and flags; all randomness
 enters through an explicit --seed.  Results go to stdout as JSON (or CSV
 for experiment tables) unless -o is given, in which case files are written
 atomically.  Validation failures and unreadable or unwritable paths exit
-2 with a JSON error line on stderr.
+2 with a JSON error line on stderr, which names any input file that
+fails to decode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import fileio
-from .core import CertaintyTable, stack_reports
 from .distill import (
     FeatureMap,
     TrainConfig,
@@ -44,21 +44,22 @@ from .unify import unify
 from .util import rows_to_csv
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(path: str, decode, *args, text: bool = False):
+    """``decode(contents, *args)`` of the file at ``path``, read as UTF-8
+    with ``text``; a ValueError is raised again with the path in front."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return decode(data.decode("utf-8") if text else data, *args)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _load_unified(path: str, renormalize: bool = False):
     """Accept either a unified .lmap or a raw .pmap (unified on the fly)."""
     if path.endswith(".lmap"):
-        return fileio.read_labelmap(_read(path))
-    return unify(fileio.read_probmap(_read(path), renormalize))
+        return _load(path, fileio.read_labelmap)
+    return unify(_load(path, fileio.read_probmap, renormalize))
 
 
 def _emit_text(args, text: str) -> None:
@@ -69,7 +70,7 @@ def _emit_text(args, text: str) -> None:
 
 
 def cmd_unify(args) -> int:
-    pm = fileio.read_probmap(_read(args.input), args.renormalize)
+    pm = _load(args.input, fileio.read_probmap, args.renormalize)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(unify(pm)))
     return 0
 
@@ -81,7 +82,7 @@ def cmd_fuse_pixel(args) -> int:
 
 
 def cmd_fuse_channel(args) -> int:
-    policy = fileio.policy_from_json(_read_text(args.policy))
+    policy = _load(args.policy, fileio.policy_from_json, text=True)
     maps = [_load_unified(p, args.renormalize) for p in args.inputs]
     fused = channel_fuse(maps, policy, args.kappa)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(fused))
@@ -89,8 +90,8 @@ def cmd_fuse_channel(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = fileio.read_labelmap(_read(args.pred))
-    gt = fileio.read_labelmap(_read(args.gt))
+    pred = _load(args.pred, fileio.read_labelmap)
+    gt = _load(args.gt, fileio.read_labelmap)
     _emit_text(args, fileio.report_to_json(per_class_iou(pred, gt)))
     return 0
 
@@ -99,17 +100,16 @@ def cmd_select_policy(args) -> int:
     if args.mode == "random":
         policy = select_random(args.classes, args.teachers, args.seed)
     else:
-        reports = [fileio.report_from_json(_read_text(p)) for p in args.reports]
-        if args.mode == "certainty":
-            policy = select_certainty(CertaintyTable(stack_reports(reports)))
-        else:
-            policy = select_oracle(reports)
+        select = select_certainty if args.mode == "certainty" else select_oracle
+        policy = select([_load(p, fileio.report_from_json, text=True) for p in args.reports])
     _emit_text(args, fileio.policy_to_json(policy))
     return 0
 
 
 def _train_config(args) -> TrainConfig:
-    base = TrainConfig.from_json(_read_text(args.config)) if args.config else TrainConfig()
+    base = TrainConfig()
+    if args.config:
+        base = _load(args.config, TrainConfig.from_json, text=True)
     overrides = {
         name: getattr(args, name)
         for name in ("lr", "iterations", "weight_decay", "momentum")
@@ -119,8 +119,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_distill(args) -> int:
-    feats = FeatureMap(fileio.read_npy(_read(args.features)))
-    labels = fileio.read_labelmap(_read(args.labels))
+    feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)))
+    labels = _load(args.labels, fileio.read_labelmap)
     config = _train_config(args)
     result = train_student(feats, labels, config)
     buf = _io.BytesIO()

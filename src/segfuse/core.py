@@ -1,9 +1,9 @@
 """Core domain types for ensemble pseudo-label fusion.
 
-Label maps, probability maps, fusion policies and evaluation reports are
-frozen dataclasses over numpy arrays.  Every array is validated and marked
-read-only at construction time, so instances are immutable and safe to
-share across threads.
+Label maps, probability maps, fusion policies and per-member score
+reports are frozen dataclasses over numpy arrays.  Every array is
+validated and marked read-only at construction time, so instances are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -139,7 +139,9 @@ class FusionPolicy:
 
 @dataclass(frozen=True, eq=False)
 class IoUReport:
-    """Per-class IoU values in [0, 1]; NaN marks classes with an empty union."""
+    """One member's per-class scores in [0, 1]: its IoU, or its student's
+    certainty rho.  NaN marks an undefined class (an empty union, or no
+    pixel where the student predicts the class)."""
 
     per_class: np.ndarray
 
@@ -162,30 +164,6 @@ class IoUReport:
         if defined.size == 0:
             return float("nan")
         return float(defined.mean())
-
-
-@dataclass(frozen=True, eq=False)
-class CertaintyTable:
-    """|C| x |T| table of average student certainty; NaN marks empty cells."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.rho, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("certainty table must be |C| x |T| with both >= 1")
-        defined = v[~np.isnan(v)]
-        if defined.size and (defined.min() < 0.0 or defined.max() > 1.0):
-            raise ValueError("certainty values must lie in [0, 1]")
-        object.__setattr__(self, "rho", _frozen(v))
-
-    @property
-    def num_classes(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def num_teachers(self) -> int:
-        return self.rho.shape[1]
 
 
 def stack_reports(reports: Sequence[IoUReport]) -> np.ndarray:

@@ -19,15 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    UNLABELED_ID,
-    CertaintyTable,
-    FusionPolicy,
-    LabelMap,
-    ProbMap,
-    _frozen,
-)
-from .metrics import certainty_table
+from .core import UNLABELED_ID, FusionPolicy, IoUReport, LabelMap, ProbMap, _frozen
+from .metrics import certainty_report
 from .policy import select_certainty
 from .unify import unify
 from .util import json_number, softmax_inplace
@@ -148,7 +141,7 @@ class TrainResult:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
-    table: CertaintyTable
+    table: tuple[IoUReport, ...]  # member t's certainty rho, in ensemble order
     policy: FusionPolicy
     students: tuple
 
@@ -287,15 +280,16 @@ def measure_teacher(
     feats,
     measure_fraction: float = DEFAULT_MEASURE_FRACTION,
     config: TrainConfig = TrainConfig(),
-) -> tuple[ToyStudent, list]:
+) -> tuple[ToyStudent, IoUReport]:
     """One member's step of the selection protocol.
 
     Unifies the member's maps on the training split, distills a student
-    with ``config``'s fixed seed, and returns it with its ProbMaps on the
-    measurement split.  The result depends on this member alone, so a
-    member measured once never needs measuring again when others join or
-    leave the ensemble.  The first ``measure_fraction`` share of the
-    images (at least one, at most all but one) is the measurement split.
+    with ``config``'s fixed seed, and returns it with its certainty rho
+    on the measurement split.  The result depends on this member alone,
+    so a member measured once never needs measuring again when others
+    join or leave the ensemble.  The first ``measure_fraction`` share of
+    the images (at least one, at most all but one) is the measurement
+    split.
     """
     if not 0 < measure_fraction < 1:
         raise ValueError("measure_fraction must lie in (0, 1)")
@@ -309,7 +303,7 @@ def measure_teacher(
     n_measure = min(max(1, round(measure_fraction * n_images)), n_images - 1)
     train_labels = [unify(pm) for pm in maps[n_measure:]]
     model = train_student(feats[n_measure:], train_labels, config).model
-    return model, [student_forward(model, f) for f in feats[:n_measure]]
+    return model, certainty_report([student_forward(model, f) for f in feats[:n_measure]])
 
 
 def certainty_selection_protocol(
@@ -324,9 +318,9 @@ def certainty_selection_protocol(
     per image); ``feats`` the matching feature maps.  The first
     ``measure_fraction`` share of the images (at least one) is held out
     for measurement.  Each teacher is measured by ``measure_teacher``
-    (identical student seed for every teacher), the students' certainty
-    is averaged per class on the measurement split, and the policy is the
-    per-class argmax of that table.
+    (identical student seed for every teacher), which gives that teacher's
+    certainty report, and the policy is the per-class argmax of those
+    reports.
     """
     per_teacher = [_as_list(maps, ProbMap) for maps in teacher_maps]
     if not per_teacher:
@@ -336,5 +330,5 @@ def certainty_selection_protocol(
         if len(maps) != len(feats):
             raise ValueError(f"teacher {t} has {len(maps)} maps for {len(feats)} images")
     measured = [measure_teacher(maps, feats, measure_fraction, config) for maps in per_teacher]
-    table = certainty_table([preds for _, preds in measured])
-    return ProtocolResult(table, select_certainty(table), tuple(m for m, _ in measured))
+    rhos = tuple(rho for _, rho in measured)
+    return ProtocolResult(rhos, select_certainty(rhos), tuple(m for m, _ in measured))

@@ -19,7 +19,7 @@ from .distill import (
     train_student,
 )
 from .fusion import channel_fuse, pixel_fuse
-from .metrics import certainty_histogram, certainty_iou_cosine, certainty_table, dataset_iou
+from .metrics import certainty_histogram, certainty_iou_cosine, dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
 from .synth import (
@@ -97,8 +97,8 @@ def robustness(
     and three fusion routes are compared: per-pixel majority vote,
     channel-wise fusion under the certainty-aware policy, and the
     probability-averaging baseline.  Each distinct member is measured once
-    per seed; a certainty table's columns are independent, so the k-member
-    table is built from those measurements.
+    per seed; a member's rho report depends on that member alone, so the
+    k-member ensemble reuses those reports.
     """
     bad_counts = sorted(set(int(k) for k in bad_counts))
     if not bad_counts or bad_counts[0] < 0:
@@ -109,11 +109,11 @@ def robustness(
         bad_maps = make_underperformer_maps(bench, seed)
         bad_unified = [unify(pm) for pm in bad_maps]
         good_unified = _unified(bench)
-        good_preds = [
+        good_rhos = [
             measure_teacher(maps, bench.feats, config=train_config)[1]
             for maps in bench.teacher_probs
         ]
-        bad_preds = measure_teacher(bad_maps, bench.feats, config=train_config)[1]
+        bad_rho = measure_teacher(bad_maps, bench.feats, config=train_config)[1]
         for k in bad_counts:
             unified = good_unified + [bad_unified] * k
             probs = list(bench.teacher_probs) + [bad_maps] * k
@@ -121,7 +121,7 @@ def robustness(
             pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
             rows.append((k, "pixel", seed, pixel))
 
-            policy = select_certainty(certainty_table(good_preds + [bad_preds] * k))
+            policy = select_certainty(good_rhos + [bad_rho] * k)
             fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
             rows.append((k, "channel_certainty", seed, dataset_iou(fused, bench.gts).miou))
 
@@ -210,7 +210,7 @@ def flexibility(
             measure_teacher(maps, bench.feats, config=train_config)[1]
             for maps in ensemble[len(measured):]
         ]
-        policy = select_certainty(certainty_table(measured))
+        policy = select_certainty(measured)
         fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model
         preds = [student_forward(student, f) for f in bench.feats]

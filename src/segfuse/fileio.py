@@ -149,15 +149,15 @@ def report_from_json(text: str) -> IoUReport:
         obj = json.loads(text)
         per_class = obj["per_class"]
     except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ValueError(f"IoU report JSON is malformed: {e}")
+        raise ValueError(f"report JSON is malformed: {e}")
     # A misspelt miou must not pass as an absent one.
     extra = set(obj) - {"per_class", "miou"}
     if extra:
-        raise ValueError(f"unknown IoU report JSON fields: {sorted(extra)}")
+        raise ValueError(f"unknown report JSON fields: {sorted(extra)}")
     if not isinstance(per_class, list) or not all(
         v is None or (json_number(v) and math.isfinite(v)) for v in per_class
     ):
-        raise ValueError("IoU report JSON per_class must be a list of finite numbers or nulls")
+        raise ValueError("report JSON per_class must be a list of finite numbers or nulls")
     report = IoUReport(np.array([np.nan if v is None else float(v) for v in per_class]))
     # miou may be absent; if given it must be the mean of the defined
     # per_class values (within 1e-9), or null when none is defined.
@@ -169,7 +169,7 @@ def report_from_json(text: str) -> IoUReport:
             ok = json_number(miou) and abs(miou - mean) <= 1e-9
         if not ok:
             raise ValueError(
-                f"IoU report JSON miou {miou!r} is not the mean of per_class ({mean!r})"
+                f"report JSON miou {miou!r} is not the mean of per_class ({mean!r})"
             )
     return report
 

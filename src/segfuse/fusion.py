@@ -83,7 +83,7 @@ def build_channel_sets(
         raise ValueError(
             f"policy covers {policy.num_classes} classes, maps have {num_classes}"
         )
-    if policy.num_teachers > len(maps):
+    if policy.num_teachers != len(maps):
         raise ValueError(
             f"policy expects {policy.num_teachers} teachers, got {len(maps)} maps"
         )

@@ -6,8 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (CertaintyTable, IoUReport, LabelMap, ProbMap, check_same_grid,
-                   stack_reports)
+from .core import IoUReport, LabelMap, ProbMap, check_same_grid, stack_reports
 
 
 def _iou_counts(pred: LabelMap, gt: LabelMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,67 +62,59 @@ def dataset_iou(preds: Sequence[LabelMap], gts: Sequence[LabelMap]) -> IoUReport
     return _report_from_counts(*totals)
 
 
-def certainty_table(students: Sequence) -> CertaintyTable:
-    """Average per-class certainty of each teacher's distilled student.
+def certainty_report(preds) -> IoUReport:
+    """Per-class certainty rho of one member's distilled student.
 
-    ``students[t]`` is the ProbMap (or list of ProbMaps, one per held-out
-    image) produced by the student distilled from teacher t.  Cell (c, t)
-    averages the student's class-c probability over the pixels where that
-    student itself predicts c; cells with no such pixel stay undefined.
+    ``preds`` is the student's ProbMap (or list of ProbMaps, one per
+    measurement image).  Class c's rho averages the student's class-c
+    probability over the pixels where it predicts c; a class with no such
+    pixel stays undefined.
     """
-    per_teacher = [
-        [maps] if isinstance(maps, ProbMap) else list(maps) for maps in students
-    ]
-    if not per_teacher:
-        raise ValueError("need at least one student")
-    if any(len(maps) == 0 for maps in per_teacher):
+    maps = [preds] if isinstance(preds, ProbMap) else list(preds)
+    if not maps:
         raise ValueError("empty measurement set")
-    num_classes = per_teacher[0][0].num_classes
-    for maps in per_teacher:
-        for m in maps:
-            if m.num_classes != num_classes:
-                raise ValueError("students disagree on the class count")
-    num_teachers = len(per_teacher)
-    sums = np.zeros((num_classes, num_teachers))
-    counts = np.zeros((num_classes, num_teachers), dtype=np.int64)
-    for t, maps in enumerate(per_teacher):
-        for m in maps:
-            hard = np.argmax(m.values, axis=2)
-            for c in range(num_classes):
-                mask = hard == c
-                n = np.count_nonzero(mask)
-                if n:
-                    sums[c, t] += m.values[:, :, c][mask].sum()
-                    counts[c, t] += n
-    rho = np.full((num_classes, num_teachers), np.nan)
+    num_classes = maps[0].num_classes
+    if any(m.num_classes != num_classes for m in maps):
+        raise ValueError("measurement maps disagree on the class count")
+    sums = np.zeros(num_classes)
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for m in maps:
+        hard = np.argmax(m.values, axis=2)
+        for c in range(num_classes):
+            mask = hard == c
+            n = np.count_nonzero(mask)
+            if n:
+                sums[c] += m.values[:, :, c][mask].sum()
+                counts[c] += n
+    rho = np.full(num_classes, np.nan)
     seen = counts > 0
     rho[seen] = sums[seen] / counts[seen]
     # Clip float accumulation spill just above 1.0.
     np.clip(rho, 0.0, 1.0, out=rho)
-    return CertaintyTable(rho)
+    return IoUReport(rho)
 
 
 def certainty_iou_cosine(
-    table: CertaintyTable, phis: Sequence[IoUReport]
+    rhos: Sequence[IoUReport], phis: Sequence[IoUReport]
 ) -> np.ndarray:
     """Cosine similarity between rho(c, .) and IoU(c, .) for each class.
 
+    ``rhos[t]`` and ``phis[t]`` are member t's certainty and IoU reports.
     Undefined cells count as 0; a class whose either vector has zero norm
     gets NaN.
     """
-    phis = list(phis)
-    if len(phis) != table.num_teachers:
+    rhos, phis = list(rhos), list(phis)
+    if len(phis) != len(rhos):
         raise ValueError(
-            f"need one IoU report per teacher ({table.num_teachers}), got {len(phis)}"
+            f"need one IoU report per teacher ({len(rhos)}), got {len(phis)}"
         )
-    phi = stack_reports(phis)
-    if phi.shape[0] != table.num_classes:
-        raise ValueError("IoU reports disagree with the table's class count")
-    a = np.nan_to_num(table.rho, nan=0.0)
-    b = np.nan_to_num(phi, nan=0.0)
+    a = np.nan_to_num(stack_reports(rhos), nan=0.0)
+    b = np.nan_to_num(stack_reports(phis), nan=0.0)
+    if a.shape != b.shape:
+        raise ValueError("IoU reports disagree with the certainty reports' class count")
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
-    out = np.full(table.num_classes, np.nan)
+    out = np.full(a.shape[0], np.nan)
     ok = (na > 0) & (nb > 0)
     out[ok] = (a[ok] * b[ok]).sum(axis=1) / (na[ok] * nb[ok])
     return out

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CertaintyTable, FusionPolicy, IoUReport, stack_reports
+from .core import FusionPolicy, IoUReport, stack_reports
 
 
 def select_random(num_classes: int, num_teachers: int, seed: int) -> FusionPolicy:
@@ -36,6 +36,6 @@ def select_oracle(phis: Sequence[IoUReport]) -> FusionPolicy:
     return _argmax_policy(stack_reports(phis), "per-class IoU")
 
 
-def select_certainty(table: CertaintyTable) -> FusionPolicy:
+def select_certainty(rhos: Sequence[IoUReport]) -> FusionPolicy:
     """Per-class argmax of average student certainty (ground-truth free)."""
-    return _argmax_policy(table.rho, "student certainty")
+    return _argmax_policy(stack_reports(rhos), "student certainty")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from segfuse import fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import CertaintyTable, IoUReport, stack_reports
+from segfuse.core import stack_reports
 from segfuse.distill import TrainConfig, certainty_selection_protocol, train_student
 from segfuse.experiments import policy_quality
 from segfuse.fusion import channel_fuse, pixel_fuse
@@ -34,13 +34,15 @@ from segfuse.synth import (
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
+from helpers import reports_from_matrix
+
 
 def _write_columns(directory, stem, scores):
     """One report file per column of a |C| x |T| score array; their paths in order."""
     files = []
-    for t in range(scores.shape[1]):
+    for t, report in enumerate(reports_from_matrix(scores)):
         path = directory / f"{stem}{t}.json"
-        path.write_text(fileio.report_to_json(IoUReport(scores[:, t])))
+        path.write_text(fileio.report_to_json(report))
         files.append(str(path))
     return files
 
@@ -116,7 +118,7 @@ class TestWrapperFidelity:
         files = _write_columns(tmp_path, "rho", rho)
         assert main(["select-policy", "certainty", "--rho"] + files) == 0
         got = fileio.policy_from_json(capsys.readouterr().out)
-        want = select_certainty(CertaintyTable(rho))
+        want = select_certainty(reports_from_matrix(rho))
         np.testing.assert_array_equal(got.assignment, want.assignment)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -124,9 +126,9 @@ class TestWrapperFidelity:
         bench = make_benchmark(BenchmarkConfig(), seed)
         proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
                                              config=TrainConfig(iterations=60))
-        files = _write_columns(tmp_path, "rho", proto.table.rho)
+        files = _write_columns(tmp_path, "rho", stack_reports(proto.table))
         back = stack_reports([fileio.report_from_json(Path(f).read_text()) for f in files])
-        np.testing.assert_array_equal(back, proto.table.rho)  # NaN cells included
+        np.testing.assert_array_equal(back, stack_reports(proto.table))  # NaN cells included
         assert main(["select-policy", "certainty", "--rho"] + files) == 0
         got = fileio.policy_from_json(capsys.readouterr().out)
         np.testing.assert_array_equal(got.assignment, proto.policy.assignment)
@@ -302,6 +304,23 @@ class TestErrorHandling:
         assert rc == 2
         assert "odd" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("policy_teachers, inputs", [(3, 4), (1, 3)])
+    def test_policy_for_another_ensemble_size_exits_2(
+        self, scene, capsys, policy_teachers, inputs
+    ):
+        tmp, gt, feats, teachers, paths = scene
+        ppath = tmp / "p.json"
+        assert main(["select-policy", "random", "--classes", "4", "--teachers",
+                     str(policy_teachers), "--seed", "0", "-o", str(ppath)]) == 0
+        maps = [str(paths[f"t{i % 3}"]) for i in range(inputs)]
+        out = tmp / "f.lmap"
+        assert main(["fuse-channel", "--policy", str(ppath), *maps, "-o", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        want = f"policy expects {policy_teachers} teachers, got {inputs} maps"
+        assert json.loads(lines[0])["error"] == want
+        assert not out.exists()
+
 
 def _npy(values) -> bytes:
     buf = io.BytesIO()
@@ -323,10 +342,10 @@ def _decoder_inputs(directory):
         "feats.npy": _npy(feats.values),
         "config.json": b'{"iterations": 2, "lr": 0.25}',
     }
-    for t in range(3):
+    for t, rho_t in enumerate(reports_from_matrix(rho)):
         iou = per_class_iou(unify(teachers[t]), gt)
         files[f"phi{t}.json"] = fileio.report_to_json(iou).encode()
-        files[f"rho{t}.json"] = fileio.report_to_json(IoUReport(rho[:, t])).encode()
+        files[f"rho{t}.json"] = fileio.report_to_json(rho_t).encode()
     for name, data in files.items():
         (directory / name).write_bytes(data)
     return files
@@ -417,8 +436,8 @@ def _garble(name, data, draw):
     return bytes(out)
 
 
-def _run_rejected(directory, argv):
-    """Run the CLI and check that it rejected its input cleanly."""
+def _run_rejected(directory, argv) -> str:
+    """Run the CLI, check that it rejected its input cleanly, return the error."""
     for out in directory.glob("out.*"):
         out.unlink()
     err = io.StringIO()
@@ -427,9 +446,33 @@ def _run_rejected(directory, argv):
     assert rc == 2
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
-    assert "error" in json.loads(lines[0])
+    msg = json.loads(lines[0])["error"]
     assert "Traceback" not in err.getvalue()
     assert not list(directory.glob("out.*"))
+    return msg
+
+
+class TestDecodeErrorNamesFile:
+    """A file that fails to decode is named in the error, wherever it sits."""
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, names in _DECODER_COMMANDS.items() for name in names
+    ])
+    def test_truncated_input(self, tmp_path, command, name):
+        files = _decoder_inputs(tmp_path)
+        (tmp_path / name).write_bytes(files[name][: len(files[name]) // 2])
+        err = _run_rejected(tmp_path, _argv(command, lambda n: str(tmp_path / n)))
+        assert err.startswith(f"{tmp_path / name}: ")
+
+    @pytest.mark.parametrize("command, name", [
+        ("select-policy certainty", "rho1.json"), ("fuse-channel", "policy.json"),
+        ("distill", "config.json"),
+    ])
+    def test_json_input_that_is_not_utf8(self, tmp_path, command, name):
+        _decoder_inputs(tmp_path)
+        (tmp_path / name).write_bytes(b'{"per_class": [0.5, \xff]}')
+        err = _run_rejected(tmp_path, _argv(command, lambda n: str(tmp_path / n)))
+        assert err.startswith(f"{tmp_path / name}: ")
 
 
 class TestDecoderFuzz:

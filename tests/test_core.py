@@ -3,7 +3,6 @@ import pytest
 
 from segfuse.core import (
     UNLABELED_ID,
-    CertaintyTable,
     FusionPolicy,
     IoUReport,
     LabelMap,
@@ -128,12 +127,3 @@ class TestIoUReport:
         with pytest.raises(ValueError):
             IoUReport(np.array([1.5]))
 
-
-class TestCertaintyTable:
-    def test_shape(self):
-        t = CertaintyTable(np.array([[0.5, np.nan], [0.2, 0.9]]))
-        assert (t.num_classes, t.num_teachers) == (2, 2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            CertaintyTable(np.array([[1.2]]))

@@ -399,7 +399,7 @@ class TestSelectionProtocol:
         cfg = TrainConfig(lr=0.5, iterations=60, seed=0)
         res = certainty_selection_protocol([good, list(good)], feats, 0.3, cfg)
         assert (res.policy.assignment == 0).all()
-        np.testing.assert_array_equal(res.table.rho[:, 0], res.table.rho[:, 1])
+        np.testing.assert_array_equal(res.table[0].per_class, res.table[1].per_class)
 
     def test_needs_two_images(self):
         _, feats, good, _ = protocol_inputs()

@@ -143,6 +143,14 @@ class TestBuildChannelSets:
         with pytest.raises(ValueError):
             build_channel_sets([m], FusionPolicy(np.array([0, 1]), 2))
 
+    @pytest.mark.parametrize("policy_teachers", [1, 2])
+    def test_rejects_policy_built_for_a_smaller_ensemble(self, policy_teachers):
+        # a member joined after selection: the old policy would never use it
+        maps = [lmap([[0, 1]], 2)] * 3
+        policy = FusionPolicy(np.zeros(2, dtype=np.int64), policy_teachers)
+        with pytest.raises(ValueError, match=f"expects {policy_teachers} teachers, got 3"):
+            build_channel_sets(maps, policy)
+
 
 def window_count_oracle(mask, kappa, row, col):
     h, w = mask.shape

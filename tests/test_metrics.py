@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse.core import UNLABELED_ID, CertaintyTable, IoUReport, LabelMap, ProbMap
+from segfuse.core import UNLABELED_ID, IoUReport, LabelMap, ProbMap
 from segfuse.metrics import (
     certainty_histogram,
     certainty_iou_cosine,
-    certainty_table,
+    certainty_report,
     dataset_iou,
     per_class_iou,
 )
+
+from helpers import reports_from_matrix
 
 
 def lmap(rows, classes):
@@ -117,25 +119,29 @@ def prob(rows):
     return ProbMap(np.array(rows, dtype=np.float64))
 
 
-class TestCertaintyTable:
+def rho_of(preds):
+    return certainty_report(preds).per_class
+
+
+class TestCertaintyReport:
     def test_single_class_predictor(self):
         # class 0 predicted everywhere at 0.8 -> rho(0)=0.8, others undefined
         pm = prob([[[0.8, 0.1, 0.1], [0.8, 0.15, 0.05]]])
-        t = certainty_table([pm])
-        assert t.rho[0, 0] == pytest.approx(0.8)
-        assert np.isnan(t.rho[1, 0]) and np.isnan(t.rho[2, 0])
+        rho = rho_of(pm)
+        assert rho[0] == pytest.approx(0.8)
+        assert np.isnan(rho[1]) and np.isnan(rho[2])
 
     def test_uniform_student_ties_to_class_zero(self):
         pm = prob([[[0.25] * 4] * 3] * 2)
-        t = certainty_table([pm])
-        assert t.rho[0, 0] == pytest.approx(0.25)
-        assert np.isnan(t.rho[1:, 0]).all()
+        rho = rho_of(pm)
+        assert rho[0] == pytest.approx(0.25)
+        assert np.isnan(rho[1:]).all()
 
     def test_matches_scalar_accumulation_oracle(self):
         rng = np.random.default_rng(21)
         raw = rng.random((8, 8, 4))
         pm = ProbMap(raw / raw.sum(axis=2, keepdims=True))
-        t = certainty_table([pm])
+        rho = rho_of([pm])
         sums = np.zeros(4)
         counts = np.zeros(4)
         for i in range(8):
@@ -145,53 +151,50 @@ class TestCertaintyTable:
                 counts[c] += 1
         for c in range(4):
             if counts[c]:
-                assert t.rho[c, 0] == pytest.approx(sums[c] / counts[c], rel=1e-12)
+                assert rho[c] == pytest.approx(sums[c] / counts[c], rel=1e-12)
             else:
-                assert np.isnan(t.rho[c, 0])
+                assert np.isnan(rho[c])
 
     def test_accumulates_across_measurement_images(self):
         a = prob([[[0.9, 0.1]]])
         b = prob([[[0.7, 0.3]]])
-        t = certainty_table([[a, b]])
-        assert t.rho[0, 0] == pytest.approx(0.8)
+        assert rho_of([a, b])[0] == pytest.approx(0.8)
 
     def test_rejects_empty_measurement_set(self):
         with pytest.raises(ValueError, match="empty measurement"):
-            certainty_table([[]])
+            certainty_report([])
 
 
 class TestCertaintyIoUCosine:
     def test_proportional_rows_give_one(self):
-        t = CertaintyTable(np.array([[0.2, 0.4, 0.6]]))
+        rhos = reports_from_matrix([[0.2, 0.4, 0.6]])
         phis = [IoUReport(np.array([v])) for v in (0.1, 0.2, 0.3)]
-        sim = certainty_iou_cosine(t, phis)
+        sim = certainty_iou_cosine(rhos, phis)
         assert sim[0] == pytest.approx(1.0)
 
     def test_orthogonal_rows_give_zero(self):
-        t = CertaintyTable(np.array([[1.0, 0.0]]))
+        rhos = reports_from_matrix([[1.0, 0.0]])
         phis = [IoUReport(np.array([0.0])), IoUReport(np.array([1.0]))]
-        assert certainty_iou_cosine(t, phis)[0] == pytest.approx(0.0)
+        assert certainty_iou_cosine(rhos, phis)[0] == pytest.approx(0.0)
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(12)
         rho = rng.random((5, 3))
         phi = rng.random((5, 3))
-        t = CertaintyTable(rho)
-        phis = [IoUReport(phi[:, k]) for k in range(3)]
-        sim = certainty_iou_cosine(t, phis)
+        sim = certainty_iou_cosine(reports_from_matrix(rho), reports_from_matrix(phi))
         for c in range(5):
             want = rho[c] @ phi[c] / (np.linalg.norm(rho[c]) * np.linalg.norm(phi[c]))
             assert sim[c] == pytest.approx(want, rel=1e-12)
 
     def test_zero_norm_row_is_undefined(self):
-        t = CertaintyTable(np.array([[np.nan, np.nan]]))
+        rhos = reports_from_matrix([[np.nan, np.nan]])
         phis = [IoUReport(np.array([0.5])), IoUReport(np.array([0.25]))]
-        assert np.isnan(certainty_iou_cosine(t, phis)[0])
+        assert np.isnan(certainty_iou_cosine(rhos, phis)[0])
 
     def test_undefined_cells_count_as_zero(self):
-        t = CertaintyTable(np.array([[0.5, np.nan]]))
+        rhos = reports_from_matrix([[0.5, np.nan]])
         phis = [IoUReport(np.array([0.5])), IoUReport(np.array([0.0]))]
-        assert certainty_iou_cosine(t, phis)[0] == pytest.approx(1.0)
+        assert certainty_iou_cosine(rhos, phis)[0] == pytest.approx(1.0)
 
 
 class TestCertaintyHistogram:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from segfuse.core import CertaintyTable, IoUReport
 from segfuse.policy import select_certainty, select_oracle, select_random
+
+from helpers import reports_from_matrix
 
 
 class TestSelectRandom:
@@ -32,25 +33,26 @@ class TestSelectRandom:
             select_random(0, 2, seed=0)
 
 
-def reports_from_matrix(phi):
-    return [IoUReport(phi[:, t]) for t in range(phi.shape[1])]
-
-
 class TestSelectOracle:
+    """Cases for the per-class argmax body that both report selectors share."""
+
+    select = staticmethod(select_oracle)
+    kind = "per-class IoU"
+
     def test_dominant_diagonal(self):
         phi = np.array([[0.9, 0.1], [0.2, 0.8]])
-        p = select_oracle(reports_from_matrix(phi))
+        p = self.select(reports_from_matrix(phi))
         assert p.assignment.tolist() == [0, 1]
 
     def test_identical_columns_tie_to_teacher_zero(self):
         phi = np.array([[0.5, 0.5], [0.3, 0.3]])
-        p = select_oracle(reports_from_matrix(phi))
+        p = self.select(reports_from_matrix(phi))
         assert p.assignment.tolist() == [0, 0]
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(5)
         phi = rng.random((8, 5))
-        p = select_oracle(reports_from_matrix(phi))
+        p = self.select(reports_from_matrix(phi))
         for c in range(8):
             best, best_v = 0, phi[c, 0]
             for t in range(1, 5):
@@ -60,41 +62,45 @@ class TestSelectOracle:
 
     def test_undefined_ranks_below_defined(self):
         phi = np.array([[np.nan, 0.1]])
-        p = select_oracle(reports_from_matrix(phi))
+        p = self.select(reports_from_matrix(phi))
         assert p.assignment[0] == 1
 
     def test_all_undefined_warns_and_defaults(self):
         phi = np.array([[np.nan, np.nan], [0.4, 0.6]])
-        with pytest.warns(UserWarning, match="teacher 0"):
-            p = select_oracle(reports_from_matrix(phi))
+        with pytest.warns(UserWarning, match=f"{self.kind} undefined .* teacher 0"):
+            p = self.select(reports_from_matrix(phi))
         assert p.assignment.tolist() == [0, 1]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            select_oracle([])
+            self.select([])
 
 
-class TestSelectCertainty:
+class TestSelectCertainty(TestSelectOracle):
+    """Inherits the oracle's cases (ties, undefined cells) and adds its own."""
+
+    select = staticmethod(select_certainty)
+    kind = "student certainty"
+
     def test_per_row_argmax(self):
-        t = CertaintyTable(np.array([[0.7, 0.9], [0.6, 0.5]]))
-        p = select_certainty(t)
+        p = select_certainty(reports_from_matrix(np.array([[0.7, 0.9], [0.6, 0.5]])))
         assert p.assignment.tolist() == [1, 0]
 
     def test_single_teacher_identity(self):
-        t = CertaintyTable(np.array([[0.7], [0.2]]))
-        assert select_certainty(t).assignment.tolist() == [0, 0]
+        rhos = reports_from_matrix(np.array([[0.7], [0.2]]))
+        assert select_certainty(rhos).assignment.tolist() == [0, 0]
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(11)
         rho = rng.random((6, 4))
-        p = select_certainty(CertaintyTable(rho))
+        p = select_certainty(reports_from_matrix(rho))
         np.testing.assert_array_equal(p.assignment, rho.argmax(axis=1))
 
     def test_monotone_rescaling_invariance(self):
         rng = np.random.default_rng(13)
         rho = rng.random((5, 3)) * 0.5
-        base = select_certainty(CertaintyTable(rho))
-        squashed = select_certainty(CertaintyTable(rho**2))  # strictly increasing
+        base = select_certainty(reports_from_matrix(rho))
+        squashed = select_certainty(reports_from_matrix(rho**2))  # strictly increasing
         assert np.array_equal(base.assignment, squashed.assignment)
 
     def test_policies_are_total_and_in_bounds(self):
@@ -107,6 +113,6 @@ class TestSelectCertainty:
 
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    p = select_certainty(CertaintyTable(rho))
+                    p = select_certainty(reports_from_matrix(rho))
             assert p.assignment.shape == (7,)
             assert ((p.assignment >= 0) & (p.assignment < 3)).all()
