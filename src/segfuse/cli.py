@@ -15,7 +15,7 @@ import io as _io
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .distill import (
     train_student,
 )
 from .experiments import (
-    DEFAULT_KAPPA,
     certainty_hist,
     correlation,
     flexibility,
@@ -36,10 +35,10 @@ from .experiments import (
     prop_checks,
     robustness,
 )
-from .fusion import channel_fuse, pixel_fuse
+from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import per_class_iou
 from .policy import select_certainty, select_oracle, select_random
-from .synth import BenchmarkConfig, gen_underperformer, make_benchmark
+from .synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
 from .unify import unify
 from .util import rows_to_csv
 
@@ -106,22 +105,10 @@ def cmd_select_policy(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    base = TrainConfig()
-    if args.config:
-        base = _load(args.config, TrainConfig.from_json, text=True)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("lr", "iterations", "weight_decay", "momentum")
-        if getattr(args, name) is not None
-    }
-    return replace(base, seed=args.seed, **overrides)
-
-
 def cmd_distill(args) -> int:
     feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)))
     labels = _load(args.labels, fileio.read_labelmap)
-    config = _train_config(args)
+    config = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed)
     result = train_student(feats, labels, config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
@@ -144,7 +131,16 @@ def cmd_distill(args) -> int:
     return 0
 
 
-#: Benchmark flag -> BenchmarkConfig field; each flag's default is the field's.
+#: Flag -> TrainConfig field; distill takes these and the required --seed.
+_TRAIN_FLAGS = {
+    "lr": "lr",
+    "lr-decay-power": "lr_decay_power",
+    "weight-decay": "weight_decay",
+    "momentum": "momentum",
+    "iterations": "iterations",
+}
+
+#: Flag -> BenchmarkConfig field.
 _BENCH_FLAGS = {
     "height": "height",
     "width": "width",
@@ -158,16 +154,26 @@ _BENCH_FLAGS = {
 }
 
 
-def _bench_config(args) -> BenchmarkConfig:
-    return BenchmarkConfig(
-        **{field: getattr(args, flag.replace("-", "_")) for flag, field in _BENCH_FLAGS.items()}
+def _add_flags(parser, cls, table) -> None:
+    """One flag per entry of ``table``, typed and defaulted by ``cls()``'s field."""
+    defaults = cls()
+    for flag, field in table.items():
+        default = getattr(defaults, field)
+        parser.add_argument(f"--{flag}", type=type(default), default=default)
+
+
+def _config(cls, table, args, **fixed):
+    """``cls`` from the parsed flags of ``table`` plus the ``fixed`` fields."""
+    return cls(
+        **{field: getattr(args, flag.replace("-", "_")) for flag, field in table.items()},
+        **fixed,
     )
 
 
 def cmd_synth(args) -> int:
     if args.underperformers < 0:
         raise ValueError(f"--underperformers must be >= 0, got {args.underperformers}")
-    config = _bench_config(args)
+    config = _config(BenchmarkConfig, _BENCH_FLAGS, args)
     bench = make_benchmark(config, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     files = []
@@ -183,13 +189,10 @@ def cmd_synth(args) -> int:
         emit(f"img{i:03d}.features.npy", buf.getvalue())
         for t, maps in enumerate(bench.teacher_probs):
             emit(f"teacher{t:02d}.img{i:03d}.pmap", fileio.write_probmap(maps[i]))
-    if args.underperformers:
-        rng = np.random.default_rng(args.seed + 1)
-        for j in range(args.underperformers):
-            sub = int(rng.integers(2**63))
-            for i, gt in enumerate(bench.gts):
-                pm = gen_underperformer(gt, seed=sub + i)
-                emit(f"under{j:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
+    for j in range(args.underperformers):
+        # under00 is the under-performer `experiment robustness` adds at this seed
+        for i, pm in enumerate(make_underperformer_maps(bench, args.seed + j)):
+            emit(f"under{j:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
     manifest = {
         "seed": args.seed,
         "config": {**asdict(config), "underperformers": args.underperformers},
@@ -205,21 +208,21 @@ def cmd_synth(args) -> int:
 
 def _experiment_table(args) -> tuple[list[str], list[tuple]]:
     """(header, rows) of a CSV experiment kind; three run on BenchmarkConfig()."""
-    if args.kind == "kernel-sweep":
-        kappas = [int(k) for k in args.kappas.split(",")]
-        return kernel_sweep(_bench_config(args), kappas, args.seed, args.seeds)
     if args.kind == "certainty-hist":
         return certainty_hist(BenchmarkConfig(), args.seed, args.bins)
-    tc = TrainConfig(iterations=args.iterations, seed=args.seed)
-    if args.kind == "policy-quality":
-        return policy_quality(BenchmarkConfig(), args.seed, args.seeds, tc)
-    if args.kind == "correlation":
-        return correlation(BenchmarkConfig(), args.seed, args.seeds, tc)
-    tc = replace(tc, lr=args.lr)  # only robustness and flexibility take --lr
+    if args.kind in ("policy-quality", "correlation"):
+        driver = policy_quality if args.kind == "policy-quality" else correlation
+        tc = TrainConfig(iterations=args.iterations, seed=args.seed)
+        return driver(BenchmarkConfig(), args.seed, args.seeds, tc)
+    bench = _config(BenchmarkConfig, _BENCH_FLAGS, args)
+    if args.kind == "kernel-sweep":
+        kappas = [int(k) for k in args.kappas.split(",")]
+        return kernel_sweep(bench, kappas, args.seed, args.seeds)
+    tc = TrainConfig(lr=args.lr, iterations=args.iterations, seed=args.seed)
     if args.kind == "robustness":
         bad_counts = [int(k) for k in args.bad_counts.split(",")]
-        return robustness(_bench_config(args), bad_counts, args.seed, args.seeds, tc)
-    return flexibility(_bench_config(args), args.rounds, args.seed, tc)
+        return robustness(bench, bad_counts, args.seed, args.seeds, tc)
+    return flexibility(bench, args.rounds, args.seed, tc)
 
 
 def cmd_experiment(args) -> int:
@@ -234,8 +237,16 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON line on stderr, as main reports the rest."""
+
+    def error(self, message):
+        print(json.dumps({"error": f"{self.prog}: {message}"}), file=sys.stderr)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segfuse",
         description="Fuse segmentation teacher ensembles into pseudo labels, "
         "select fusion policies without ground truth, and distill toy students.",
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help=".pmap (unified on the fly) or .lmap")
     p.add_argument("--policy", required=True, help="policy JSON file")
     p.add_argument("--kappa", type=int, default=DEFAULT_KAPPA,
-                   help="odd conflict-resolution window size (default 13)")
+                   help="odd conflict-resolution window size (default %(default)s)")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--renormalize", action="store_true")
     p.set_defaults(func=cmd_fuse_channel)
@@ -292,25 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="train the toy student on fused labels")
     p.add_argument("--features", required=True, help="H x W x d .npy feature file")
     p.add_argument("--labels", required=True, help="fused .lmap pseudo labels")
-    p.add_argument("--config", help="training config JSON file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--momentum", type=float)
+    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
     p.add_argument("-o", "--output", required=True, help="model .npz output")
     p.add_argument("--probmap-out", help="also write the student's .pmap")
     p.add_argument("--trace-out", help="also write the loss trace CSV")
     p.set_defaults(func=cmd_distill)
 
-    def add_bench_flags(q):
-        defaults = BenchmarkConfig()
-        for flag, field in _BENCH_FLAGS.items():
-            default = getattr(defaults, field)
-            q.add_argument(f"--{flag}", type=type(default), default=default)
-
     p = sub.add_parser("synth", help="generate a synthetic benchmark directory")
-    add_bench_flags(p)
+    _add_flags(p, BenchmarkConfig, _BENCH_FLAGS)
     p.add_argument("--underperformers", type=int, default=0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--outdir", required=True)
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_driver(kind, summary, bench=True, trains=True):
         q = kinds.add_parser(kind, help=summary)
         if bench:
-            add_bench_flags(q)
+            _add_flags(q, BenchmarkConfig, _BENCH_FLAGS)
         q.add_argument("--seed", type=int, required=True)
         if trains:
             q.add_argument("--iterations", type=int, default=200)

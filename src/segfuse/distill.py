@@ -12,9 +12,8 @@ is resolution-independent.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .core import UNLABELED_ID, FusionPolicy, IoUReport, LabelMap, ProbMap, _fro
 from .metrics import certainty_report
 from .policy import select_certainty
 from .unify import unify
-from .util import json_number, softmax_inplace
+from .util import softmax_inplace
 
 _LOG_CLAMP = 1e-12
 
@@ -109,29 +108,6 @@ class TrainConfig:
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"training config JSON is malformed: {e}")
-        if not isinstance(obj, dict):
-            raise ValueError("training config JSON must be an object")
-        extra = set(obj) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown training config fields: {sorted(extra)}")
-        for name, value in obj.items():
-            integral = isinstance(getattr(cls, name), int)
-            if not json_number(value, integral):
-                kind = "an integer" if integral else "a number"
-                raise ValueError(
-                    f"training config field {name!r} must be {kind}, got {value!r}"
-                )
-        return cls(**obj)
-
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
@@ -141,7 +117,7 @@ class TrainResult:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
-    table: tuple[IoUReport, ...]  # member t's certainty rho, in ensemble order
+    rhos: tuple[IoUReport, ...]  # member t's certainty rho, in ensemble order
     policy: FusionPolicy
     students: tuple
 

@@ -18,7 +18,7 @@ from .distill import (
     student_forward,
     train_student,
 )
-from .fusion import channel_fuse, pixel_fuse
+from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import certainty_histogram, certainty_iou_cosine, dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
@@ -30,8 +30,6 @@ from .synth import (
     make_underperformer_maps,
 )
 from .unify import unify
-
-DEFAULT_KAPPA = 13
 
 
 def _unified(bench: Benchmark) -> list:
@@ -170,7 +168,7 @@ def correlation(
         reports = _teacher_reports(_unified(bench), bench.gts)
         proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
                                              config=train_config)
-        for c, sim in enumerate(certainty_iou_cosine(proto.table, reports)):
+        for c, sim in enumerate(certainty_iou_cosine(proto.rhos, reports)):
             rows.append((seed, c, float(sim)))
     return ["seed", "class", "cosine"], rows
 

@@ -21,6 +21,9 @@ import numpy as np
 
 from .core import UNLABELED_ID, FusionPolicy, LabelMap, _frozen, check_same_grid
 
+#: Conflict-resolution window size (kappa) unless a caller gives one.
+DEFAULT_KAPPA = 13
+
 
 def _check_unified(maps: Sequence[LabelMap]) -> list[LabelMap]:
     maps = list(maps)
@@ -183,7 +186,7 @@ def resolve_conflicts(sets: ChannelSets, kappa: int) -> LabelMap:
 
 
 def channel_fuse(
-    unified: Sequence[LabelMap], policy: FusionPolicy, kappa: int = 13
+    unified: Sequence[LabelMap], policy: FusionPolicy, kappa: int = DEFAULT_KAPPA
 ) -> LabelMap:
     """Recombine class channels across teachers under the given policy.
 

@@ -271,7 +271,7 @@ def test_c09_certainty_iou_correlation():
         proto = certainty_selection_protocol(
             list(bench.teacher_probs), bench.feats, config=tc
         )
-        sims = certainty_iou_cosine(proto.table, reports)
+        sims = certainty_iou_cosine(proto.rhos, reports)
         positives += int((sims > 0).sum())
         total += sims.size
     ok = positives / total >= 0.9

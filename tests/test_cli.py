@@ -3,7 +3,7 @@ import contextlib
 import io
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +30,17 @@ from segfuse.synth import (
     gen_ground_truth,
     gen_underperformer,
     make_benchmark,
+    make_underperformer_maps,
 )
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
 from helpers import reports_from_matrix
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _write_columns(directory, stem, scores):
@@ -126,9 +132,9 @@ class TestWrapperFidelity:
         bench = make_benchmark(BenchmarkConfig(), seed)
         proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
                                              config=TrainConfig(iterations=60))
-        files = _write_columns(tmp_path, "rho", stack_reports(proto.table))
+        files = _write_columns(tmp_path, "rho", stack_reports(proto.rhos))
         back = stack_reports([fileio.report_from_json(Path(f).read_text()) for f in files])
-        np.testing.assert_array_equal(back, stack_reports(proto.table))  # NaN cells included
+        np.testing.assert_array_equal(back, stack_reports(proto.rhos))  # NaN cells included
         assert main(["select-policy", "certainty", "--rho"] + files) == 0
         got = fileio.policy_from_json(capsys.readouterr().out)
         np.testing.assert_array_equal(got.assignment, proto.policy.assignment)
@@ -152,21 +158,39 @@ class TestWrapperFidelity:
         tmp, gt, feats, teachers, paths = scene
         model_out = tmp_path / "model.npz"
         trace_out = tmp_path / "trace.csv"
-        args = [
-            "distill", "--features", str(paths["feats"]), "--labels", str(paths["gt"]),
-            "--seed", "4", "--lr", "0.4", "--iterations", "30",
-            "-o", str(model_out), "--trace-out", str(trace_out),
-        ]
-        assert main(args) == 0
-        cfg = TrainConfig(lr=0.4, iterations=30, seed=4)
-        want = train_student(feats, gt, cfg)
-        saved = np.load(model_out)
-        np.testing.assert_array_equal(saved["weights"], want.model.weights)
-        np.testing.assert_array_equal(saved["bias"], want.model.bias)
-        want_trace = ["iter,loss"] + [f"{i},{float(v)!r}" for i, v in enumerate(want.losses)]
-        assert trace_out.read_text().splitlines() == want_trace
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["final_loss"] == pytest.approx(float(want.losses[-1]))
+        for flags, overrides in [
+            ([], {}),
+            (["--lr", "0.4", "--iterations", "30"], dict(lr=0.4, iterations=30)),
+            (["--lr-decay-power", "0.5", "--iterations", "30"],
+             dict(lr_decay_power=0.5, iterations=30)),
+            (["--weight-decay", "0", "--momentum", "0.5", "--iterations", "20"],
+             dict(weight_decay=0.0, momentum=0.5, iterations=20)),
+        ]:
+            args = [
+                "distill", "--features", str(paths["feats"]), "--labels", str(paths["gt"]),
+                "--seed", "4", *flags, "-o", str(model_out), "--trace-out", str(trace_out),
+            ]
+            assert main(args) == 0
+            want = train_student(feats, gt, TrainConfig(**overrides, seed=4))
+            saved = np.load(model_out)
+            np.testing.assert_array_equal(saved["weights"], want.model.weights)
+            np.testing.assert_array_equal(saved["bias"], want.model.bias)
+            want_trace = ["iter,loss"] + [
+                f"{i},{float(v)!r}" for i, v in enumerate(want.losses)]
+            assert trace_out.read_text().splitlines() == want_trace
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["final_loss"] == pytest.approx(float(want.losses[-1]))
+
+    def test_distill_has_one_flag_per_training_field(self):
+        actions = _subcommands(build_parser())["distill"]._actions
+        for field in fields(TrainConfig):
+            flags = [a for a in actions if a.dest == field.name]
+            assert len(flags) == 1, field.name
+            if field.name == "seed":  # the one required flag
+                assert flags[0].required and flags[0].type is int
+            else:
+                assert flags[0].type is type(field.default), field.name
+                assert flags[0].default == field.default, field.name
 
 
 class TestRenormalize:
@@ -247,6 +271,20 @@ class TestSynthCommand:
         want = {**asdict(BenchmarkConfig()), "underperformers": 0}
         assert manifest["config"] == json.loads(json.dumps(want))
 
+    def test_underperformers_are_the_library_members(self, tmp_path):
+        flags = ["--height", "12", "--width", "12", "--classes", "3", "--teachers", "2",
+                 "--images", "2"]
+        argv = ["synth", *flags, "--underperformers", "2", "--seed", "7"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        bench = make_benchmark(
+            BenchmarkConfig(height=12, width=12, classes=3, num_teachers=2, images=2), 7)
+        for j in range(2):
+            for i, pm in enumerate(make_underperformer_maps(bench, 7 + j)):
+                got = (tmp_path / f"under{j:02d}.img{i:03d}.pmap").read_bytes()
+                assert got == fileio.write_probmap(pm), (j, i)
+        under = [(tmp_path / f"under{j:02d}.img000.pmap").read_bytes() for j in range(2)]
+        assert under[0] != under[1]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = lambda d: [
             "synth", "--height", "10", "--width", "10", "--classes", "3",
@@ -260,6 +298,24 @@ class TestSynthCommand:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("flags, want", [
+        (["--seed", "0", "--iterations", "abc"],
+         "segfuse distill: argument --iterations: invalid int value: 'abc'"),
+        (["--seed", "0", "--config", "x"], "segfuse: unrecognized arguments: --config x"),
+        ([], "segfuse distill: the following arguments are required: --seed"),
+    ], ids=["bad-int", "unknown-flag", "missing-required"])
+    def test_usage_error_is_one_json_line(self, tmp_path, capsys, flags, want):
+        argv = ["distill", "--features", "f.npy", "--labels", "l.lmap",
+                "-o", str(tmp_path / "m.npz"), *flags]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "usage" not in captured.err
+        assert json.loads(lines[0]) == {"error": want}
+
     def test_bad_file_gives_json_error_and_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.pmap"
         bad.write_bytes(b"not a pmap at all")
@@ -340,7 +396,6 @@ def _decoder_inputs(directory):
         "gt.lmap": fileio.write_labelmap(gt),
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
         "feats.npy": _npy(feats.values),
-        "config.json": b'{"iterations": 2, "lr": 0.25}',
     }
     for t, rho_t in enumerate(reports_from_matrix(rho)):
         iou = per_class_iou(unify(teachers[t]), gt)
@@ -358,7 +413,7 @@ _DECODER_COMMANDS = {
     "fuse-pixel": ["t0.pmap", "t1.lmap", "t2.pmap"],
     "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
     "eval": ["t1.lmap", "gt.lmap"],
-    "distill": ["feats.npy", "config.json"],
+    "distill": ["feats.npy"],
     "select-policy certainty": ["rho0.json", "rho1.json", "rho2.json"],
     "select-policy oracle": ["phi0.json", "phi1.json", "phi2.json"],
 }
@@ -369,7 +424,7 @@ def _argv(command, path):
         return ["eval", "--pred", path("t1.lmap"), "--gt", path("gt.lmap")]
     if command == "distill":
         return ["distill", "--features", path("feats.npy"), "--labels", path("gt.lmap"),
-                "--config", path("config.json"), "--seed", "0", "-o", path("out.npz")]
+                "--iterations", "2", "--lr", "0.25", "--seed", "0", "-o", path("out.npz")]
     if command.startswith("select-policy"):
         mode = command.split()[1]
         flag = "--rho" if mode == "certainty" else "--phis"
@@ -466,7 +521,6 @@ class TestDecodeErrorNamesFile:
 
     @pytest.mark.parametrize("command, name", [
         ("select-policy certainty", "rho1.json"), ("fuse-channel", "policy.json"),
-        ("distill", "config.json"),
     ])
     def test_json_input_that_is_not_utf8(self, tmp_path, command, name):
         _decoder_inputs(tmp_path)
@@ -514,11 +568,6 @@ class TestDecoderFuzz:
         _run_rejected(directory, _argv(command, path))
 
     @pytest.mark.parametrize("command, names, content", [
-        ("distill", ["config.json"], b'["lr"]'),
-        ("distill", ["config.json"], b"3"),
-        ("distill", ["config.json"], b'{"lr": "abc"}'),
-        ("distill", ["config.json"], b'{"iterations": 2.5}'),
-        ("distill", ["config.json"], b'{"momentum": null}'),
         ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 4), dtype=[("a", "<f8")]))),
         ("select-policy oracle", ["phi0.json"], b'{"per_class": 5}'),
         ("select-policy oracle", ["phi0.json", "phi1.json", "phi2.json"],
@@ -531,8 +580,7 @@ class TestDecoderFuzz:
          b'{"per_class": [0.5, 0.2], "miou": "abc"}'),
         ("select-policy certainty", ["rho0.json", "rho1.json", "rho2.json"],
          b'{"per_class": [0.5, 0.2], "miou": 0.99}'),
-    ], ids=["config-list", "config-number", "config-string-lr", "config-float-iterations",
-            "config-null-momentum", "features-structured-dtype", "phi-number",
+    ], ids=["features-structured-dtype", "phi-number",
             "phi-bool-iou", "phi-string-miou", "phi-contradicting-miou",
             "rho-string-miou", "rho-contradicting-miou"])
     def test_reproduced_bad_input(self, tmp_path, command, names, content):
@@ -603,11 +651,7 @@ class TestExperimentCommands:
 
 def _experiment_kinds():
     """The kinds of `segfuse experiment`, as the parser lists them."""
-    def subcommands(parser):
-        return next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-
-    return sorted(subcommands(subcommands(build_parser())["experiment"]))
+    return sorted(_subcommands(_subcommands(build_parser())["experiment"]))
 
 
 # Small arguments for each experiment kind (--seed and -o are added).
@@ -662,7 +706,7 @@ class TestExperimentKinds:
             reports = [dataset_iou(maps, bench.gts) for maps in unified]
             proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
                                                  config=tc)
-            sims = certainty_iou_cosine(proto.table, reports)
+            sims = certainty_iou_cosine(proto.rhos, reports)
             rows += [(seed, c, float(sim)) for c, sim in enumerate(sims)]
         assert got == rows_to_csv(["seed", "class", "cosine"], rows)
 

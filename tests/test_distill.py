@@ -360,12 +360,6 @@ class TestTrainStudent:
         alt = train_student(FeatureMap(warped), lm, cfg).model
         np.testing.assert_array_equal(base.weights, alt.weights)
 
-    def test_config_json_roundtrip(self):
-        cfg = TrainConfig(lr=0.25, iterations=42, seed=6)
-        assert TrainConfig.from_json(cfg.to_json()) == cfg
-        with pytest.raises(ValueError):
-            TrainConfig.from_json('{"bogus": 1}')
-
 
 def protocol_inputs(seed=0, images=4, classes=4):
     rng = np.random.default_rng(seed)
@@ -399,7 +393,7 @@ class TestSelectionProtocol:
         cfg = TrainConfig(lr=0.5, iterations=60, seed=0)
         res = certainty_selection_protocol([good, list(good)], feats, 0.3, cfg)
         assert (res.policy.assignment == 0).all()
-        np.testing.assert_array_equal(res.table[0].per_class, res.table[1].per_class)
+        np.testing.assert_array_equal(res.rhos[0].per_class, res.rhos[1].per_class)
 
     def test_needs_two_images(self):
         _, feats, good, _ = protocol_inputs()
