@@ -54,11 +54,19 @@ def _load(path: str, decode, *args, text: bool = False):
         raise ValueError(f"{path}: {e}") from e
 
 
+def _load_labels(path: str, renormalize: bool = False):
+    """The labels of a .pmap, argmaxed from its float32 body; only with
+    ``renormalize`` is a float64 ``ProbMap`` of softmaxed logits built."""
+    if renormalize:
+        return unify(_load(path, fileio.read_probmap, True))
+    return _load(path, fileio.read_labels)
+
+
 def _load_unified(path: str, renormalize: bool = False):
-    """Accept either a unified .lmap or a raw .pmap (unified on the fly)."""
+    """Accept either a unified .lmap or a raw .pmap (``_load_labels``)."""
     if path.endswith(".lmap"):
         return _load(path, fileio.read_labelmap)
-    return unify(_load(path, fileio.read_probmap, renormalize))
+    return _load_labels(path, renormalize)
 
 
 def _emit_text(args, text: str) -> None:
@@ -69,8 +77,8 @@ def _emit_text(args, text: str) -> None:
 
 
 def cmd_unify(args) -> int:
-    pm = _load(args.input, fileio.read_probmap, args.renormalize)
-    fileio.write_bytes_atomic(args.output, fileio.write_labelmap(unify(pm)))
+    labels = _load_labels(args.input, args.renormalize)
+    fileio.write_bytes_atomic(args.output, fileio.write_labelmap(labels))
     return 0
 
 

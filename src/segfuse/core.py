@@ -26,12 +26,47 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unwritable(arr: np.ndarray) -> bool:
+    """True if neither ``arr`` nor any array or buffer under it is writable,
+    as for a view of ``bytes`` or a fresh array frozen by its maker."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return memoryview(arr).readonly
+
+
+def check_probabilities(v: np.ndarray) -> None:
+    """Raise unless every probability vector along the last axis of the
+    H x W x C array ``v`` lies in [0, 1] and sums to 1 within PROB_SUM_TOL.
+
+    ``v`` may be float32 or float64: the sums accumulate in float64, and
+    float32 -> float64 is exact, so a float32 array gets the same verdict,
+    message and worst deviation as its float64 copy.
+    """
+    # One range test; NaN and +-inf fail it too, and only then is the
+    # map scanned again to tell the two errors apart.
+    if not (v.min() >= 0.0 and v.max() <= 1.0):
+        if not np.isfinite(v).all():
+            raise ValueError("probability map contains non-finite values")
+        raise ValueError("probabilities must lie in [0, 1]")
+    dev = np.abs(v.sum(axis=2, dtype=np.float64) - 1.0).max()
+    if dev > PROB_SUM_TOL:
+        raise ValueError(
+            f"per-pixel probabilities must sum to 1 (worst deviation {dev:.3e})"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ProbMap:
     """H x W x C map of per-pixel class probabilities.
 
     Values are kept as float64 in memory (training and loss code needs
-    64-bit accumulation); the on-disk format is float32.
+    64-bit accumulation) and checked by ``check_probabilities``; the
+    on-disk format is float32.  ``fileio.read_labels`` runs the same
+    check on a file's float32 body when only the labels are needed.
     """
 
     values: np.ndarray
@@ -43,17 +78,7 @@ class ProbMap:
         h, w, c = v.shape
         if h < 1 or w < 1 or c < 2:
             raise ValueError(f"bad probability map shape {v.shape}")
-        # One range test; NaN and +-inf fail it too, and only then is the
-        # map scanned again to tell the two errors apart.
-        if not (v.min() >= 0.0 and v.max() <= 1.0):
-            if not np.isfinite(v).all():
-                raise ValueError("probability map contains non-finite values")
-            raise ValueError("probabilities must lie in [0, 1]")
-        dev = np.abs(v.sum(axis=2) - 1.0).max()
-        if dev > PROB_SUM_TOL:
-            raise ValueError(
-                f"per-pixel probabilities must sum to 1 (worst deviation {dev:.3e})"
-            )
+        check_probabilities(v)
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -88,13 +113,20 @@ class LabelMap:
             raise ValueError(f"label map must be H x W, got shape {v.shape}")
         if not np.issubdtype(v.dtype, np.integer):
             raise ValueError(f"label map requires integer values, got {v.dtype}")
-        bad = (v < 0) | ((v >= self.num_classes) & (v != UNLABELED_ID))
-        if bad.any():
+        # Ids >= num_classes are scanned only when there are any; then, as
+        # UNLABELED_ID >= num_classes, every one of them must be the sentinel.
+        n = self.num_classes
+        if v.min(initial=0) < 0 or (
+            v.max(initial=0) >= n
+            and np.count_nonzero(v >= n) != np.count_nonzero(v == UNLABELED_ID)
+        ):
             raise ValueError(
-                f"label map contains ids outside [0, {self.num_classes}) "
+                f"label map contains ids outside [0, {n}) "
                 f"that are not the unlabeled sentinel"
             )
-        object.__setattr__(self, "values", _frozen(v.astype(np.uint16)))
+        if not (v.dtype == np.uint16 and _unwritable(v)):
+            v = _frozen(v.astype(np.uint16))
+        object.__setattr__(self, "values", v)
 
     @property
     def height(self) -> int:

@@ -25,7 +25,8 @@ import uuid
 
 import numpy as np
 
-from .core import FusionPolicy, IoUReport, LabelMap, ProbMap
+from .core import FusionPolicy, IoUReport, LabelMap, ProbMap, check_probabilities
+from .unify import argmax_labels
 from .util import json_number, softmax_inplace
 
 _HEADER = struct.Struct("<4sIIIH")
@@ -33,8 +34,10 @@ _PMAP_MAGIC = b"PMAP"
 _LMAP_MAGIC = b"LMAP"
 _VERSION = 1
 
-# Guard against absurd headers before allocating anything.
-_MAX_ELEMENTS = 2**31
+# Guard against absurd headers before allocating anything: no decoder may
+# build an array of more than this many bytes (float64 H x W x C from a
+# .pmap, uint16 H x W from a .lmap).
+_MAX_BYTES = 2**31
 
 # .npy header readers by format version; 3.0 only adds UTF-8 field names.
 _NPY_HEADERS = {
@@ -55,7 +58,7 @@ def _parse_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
         raise ValueError(f"bad dimensions {height}x{width}")
     if classes < 2:
         raise ValueError(f"need at least 2 classes, header says {classes}")
-    if height * width * classes > _MAX_ELEMENTS:
+    if height * width * (8 * classes if magic == _PMAP_MAGIC else 2) > _MAX_BYTES:
         raise ValueError(f"dimension overflow: {height}x{width}x{classes}")
     return height, width, classes
 
@@ -66,21 +69,35 @@ def _check_body(data: bytes, expected: int) -> None:
         raise ValueError(f"body is {body} bytes, header implies {expected}")
 
 
+def _pmap_body(data: bytes) -> np.ndarray:
+    """The H x W x C float32 body of a .pmap, a view of ``data``."""
+    h, w, c = _parse_header(data, _PMAP_MAGIC)
+    _check_body(data, h * w * c * 4)
+    return np.frombuffer(data, "<f4", offset=_HEADER.size).reshape(h, w, c)
+
+
 def read_probmap(data: bytes, renormalize: bool = False) -> ProbMap:
     """Decode a .pmap byte string.
 
     With ``renormalize`` the body is treated as raw logits and passed
     through a per-pixel softmax instead of being validated as-is.
     """
-    h, w, c = _parse_header(data, _PMAP_MAGIC)
-    _check_body(data, h * w * c * 4)
-    raw = np.frombuffer(data, "<f4", offset=_HEADER.size).reshape(h, w, c)
-    raw = raw.astype(np.float64)
+    raw = _pmap_body(data).astype(np.float64)
     if renormalize:
         if not np.isfinite(raw).all():
             raise ValueError("logit body contains non-finite values")
         softmax_inplace(raw, axis=2)
     return ProbMap(raw)
+
+
+def read_labels(data: bytes) -> LabelMap:
+    """``unify(read_probmap(data))`` without the float64 map: the float32
+    body is checked and argmaxed as it lies in ``data``.  The checks, their
+    messages and the labels, ties included, are the same, because
+    float32 -> float64 is exact."""
+    body = _pmap_body(data)
+    check_probabilities(body)
+    return argmax_labels(body)
 
 
 def write_probmap(pm: ProbMap) -> bytearray:

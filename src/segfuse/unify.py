@@ -12,8 +12,14 @@ import numpy as np
 from .core import LabelMap, ProbMap
 
 
+def argmax_labels(scores: np.ndarray) -> LabelMap:
+    """Per-pixel argmax over the class axis of an H x W x C array (float32
+    or float64); ties go to the smallest class id."""
+    labels = np.argmax(scores, axis=2).astype(np.uint16)
+    labels.setflags(write=False)  # no one else holds it, so LabelMap keeps it
+    return LabelMap(labels, scores.shape[2])
+
+
 def unify(prob: ProbMap) -> LabelMap:
     """Per-pixel argmax over classes; ties go to the smallest class id."""
-    labels = np.argmax(prob.values, axis=2).astype(np.uint16)
-    return LabelMap(labels, prob.num_classes)
-
+    return argmax_labels(prob.values)

@@ -245,6 +245,42 @@ class TestRenormalize:
         _run_rejected(tmp_path, argv + ["--renormalize"])
 
 
+class TestLabelRoute:
+    """A plain .pmap is decoded straight to labels by fileio.read_labels; only
+    --renormalize builds a float64 ProbMap, through fileio.read_probmap."""
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
+    def test_decoder_calls_and_output(self, scene, monkeypatch, command, renormalize):
+        tmp, gt, feats, teachers, paths = scene
+        pmaps = [str(paths[f"t{i}"]) for i in range(1 if command == "unify" else 3)]
+        policy = select_random(4, 3, seed=5)
+        (tmp / "p.json").write_text(fileio.policy_to_json(policy))
+        decoded = [unify(fileio.read_probmap(Path(p).read_bytes(), renormalize))
+                   for p in pmaps]
+        if command == "unify":
+            want = decoded[0]
+        elif command == "fuse-pixel":
+            want = pixel_fuse(decoded)
+        else:
+            want = channel_fuse(decoded, policy, 5)
+
+        calls = {"read_probmap": 0, "read_labels": 0}
+        for name in calls:
+            def counting(*args, _name=name, _decode=getattr(fileio, name)):
+                calls[_name] += 1
+                return _decode(*args)
+            monkeypatch.setattr(fileio, name, counting)
+        argv = [command, *pmaps, "-o", str(tmp / "out.lmap")]
+        if command == "fuse-channel":
+            argv += ["--policy", str(tmp / "p.json"), "--kappa", "5"]
+        assert main(argv + (["--renormalize"] if renormalize else [])) == 0
+        n = len(pmaps)
+        assert calls == ({"read_probmap": n, "read_labels": 0} if renormalize
+                         else {"read_probmap": 0, "read_labels": n})
+        assert (tmp / "out.lmap").read_bytes() == fileio.write_labelmap(want)
+
+
 class TestSynthCommand:
     def test_generates_manifest_and_files(self, tmp_path):
         outdir = tmp_path / "bench"
@@ -341,7 +377,7 @@ class TestErrorHandling:
             raise MemoryError("Unable to allocate 8.00 GiB")
 
         tmp, gt, feats, teachers, paths = scene
-        monkeypatch.setattr(fileio, "read_probmap", out_of_memory)
+        monkeypatch.setattr(fileio, "read_labels", out_of_memory)
         rc = main(["unify", str(paths["t0"]), "-o", str(tmp_path / "o.lmap")])
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
@@ -410,6 +446,7 @@ def _decoder_inputs(directory):
 # distill also reads gt.lmap, through the decoder that eval covers; alone,
 # a label map whose header claims more classes is still a valid input.
 _DECODER_COMMANDS = {
+    "unify": ["t0.pmap"],
     "fuse-pixel": ["t0.pmap", "t1.lmap", "t2.pmap"],
     "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
     "eval": ["t1.lmap", "gt.lmap"],
@@ -420,6 +457,8 @@ _DECODER_COMMANDS = {
 
 
 def _argv(command, path):
+    if command == "unify":
+        return ["unify", path("t0.pmap"), "-o", path("out.lmap")]
     if command == "eval":
         return ["eval", "--pred", path("t1.lmap"), "--gt", path("gt.lmap")]
     if command == "distill":

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from segfuse import fileio
 from segfuse.core import (
     UNLABELED_ID,
     FusionPolicy,
@@ -12,6 +15,17 @@ from segfuse.core import (
 
 def uniform_probmap(h, w, c):
     return ProbMap(np.full((h, w, c), 1.0 / c))
+
+
+# One bad probability vector in a 2 x 3 x 2 map, and the error it must raise.
+BAD_PIXELS = [
+    ([np.nan, 1.0], "probability map contains non-finite values"),
+    ([np.inf, 0.0], "probability map contains non-finite values"),
+    ([-np.inf, 1.0], "probability map contains non-finite values"),
+    ([-0.25, 1.25], "probabilities must lie in [0, 1]"),
+    ([1.5, -0.5], "probabilities must lie in [0, 1]"),
+    ([np.nan, -0.5], "probability map contains non-finite values"),
+]
 
 
 class TestClassSet:
@@ -50,22 +64,22 @@ class TestProbMap:
         with pytest.raises(ValueError):
             ProbMap(v)
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ([np.nan, 1.0], "probability map contains non-finite values"),
-            ([np.inf, 0.0], "probability map contains non-finite values"),
-            ([-np.inf, 1.0], "probability map contains non-finite values"),
-            ([-0.25, 1.25], "probabilities must lie in [0, 1]"),
-            ([1.5, -0.5], "probabilities must lie in [0, 1]"),
-            ([np.nan, -0.5], "probability map contains non-finite values"),
-        ],
-    )
+    @pytest.mark.parametrize("bad, message", BAD_PIXELS)
     def test_error_messages(self, bad, message):
         v = np.full((2, 3, 2), 0.5)
         v[1, 2] = bad
         with pytest.raises(ValueError) as err:
             ProbMap(v)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad, message", BAD_PIXELS)
+    def test_error_messages_on_a_float32_file_body(self, bad, message):
+        """fileio.read_labels runs the same check on a .pmap's float32 body."""
+        v = np.full((2, 3, 2), 0.5, dtype="<f4")
+        v[1, 2] = bad
+        data = fileio._HEADER.pack(b"PMAP", 1, 2, 3, 2) + v.tobytes()
+        with pytest.raises(ValueError) as err:
+            fileio.read_labels(data)
         assert str(err.value) == message
 
     def test_tolerates_small_drift(self):
@@ -98,6 +112,48 @@ class TestLabelMap:
     def test_stores_uint16(self):
         lm = LabelMap(np.array([[0, 1]], dtype=np.int64), 2)
         assert lm.values.dtype == np.uint16
+
+    def test_keeps_a_map_over_bytes_without_copying(self):
+        data = np.array([[0, 1], [2, UNLABELED_ID]], dtype=np.uint16).tobytes()
+        ids = np.frombuffer(data, np.uint16).reshape(2, 2)
+        lm = LabelMap(ids, 3)
+        assert np.shares_memory(lm.values, ids)
+        assert not lm.values.flags.writeable
+
+    def test_copies_a_writable_caller_array(self):
+        ids = np.array([[0, 1], [2, UNLABELED_ID]], dtype=np.uint16)
+        lm = LabelMap(ids, 3)
+        assert not np.shares_memory(lm.values, ids)
+        assert ids.flags.writeable
+        ids[0, 0] = 2
+        assert lm.values[0, 0] == 0
+
+    @pytest.mark.parametrize("memory", ["ndarray", "bytearray"])
+    def test_copies_a_read_only_view_of_writable_memory(self, memory):
+        ids = np.array([[0, 1], [2, UNLABELED_ID]], dtype=np.uint16)
+        if memory == "bytearray":
+            ids = np.frombuffer(bytearray(ids.tobytes()), np.uint16).reshape(2, 2)
+        view = ids.view()
+        view.setflags(write=False)
+        lm = LabelMap(view, 3)
+        assert not np.shares_memory(lm.values, ids)
+        ids[0, 0] = 2
+        assert lm.values[0, 0] == 0
+
+    def test_range_check_peak_with_unlabeled_pixels(self):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 19, size=(256, 512)).astype(np.uint16)
+        ids[rng.random(ids.shape) < 0.1] = UNLABELED_ID
+        data = ids.tobytes()
+        del ids
+        view = np.frombuffer(data, np.uint16).reshape(256, 512)
+        tracemalloc.start()
+        try:
+            LabelMap(view, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * len(data)
 
 
 class TestFusionPolicy:

@@ -1,6 +1,7 @@
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from segfuse.core import (
     LabelMap,
     ProbMap,
 )
+from segfuse.synth import BenchmarkConfig, make_benchmark
+from segfuse.unify import unify
 
 HEADER = struct.Struct("<4sIIIH")
 
@@ -90,6 +93,32 @@ class TestProbMapCodec:
         with pytest.raises(ValueError, match="overflow"):
             fileio.read_probmap(data)
 
+    # The byte budget is 2**31 bytes of decoded array: float64 H x W x C
+    # for a .pmap, uint16 H x W for a .lmap.  A header at the budget reaches
+    # the body check; one just past it is refused first.
+    @pytest.mark.parametrize("magic, width, message", [
+        (b"PMAP", 2**27, "body"),
+        (b"PMAP", 2**27 + 1, "overflow"),
+        (b"LMAP", 2**30, "body"),
+        (b"LMAP", 2**30 + 1, "overflow"),
+    ])
+    def test_byte_budget_is_checked_before_the_body(self, magic, width, message):
+        data = HEADER.pack(magic, 1, 1, width, 2) + b"\x00" * 8
+        decoders = {
+            b"PMAP": [fileio.read_probmap, fileio.read_labels],
+            b"LMAP": [fileio.read_labelmap],
+        }[magic]
+        for decode in decoders:
+            with pytest.raises(ValueError, match=message):
+                decode(data)
+
+    @pytest.mark.parametrize("decode", [fileio.read_probmap, fileio.read_labels])
+    def test_cityscapes_size_header_reaches_the_body_check(self, decode):
+        data = HEADER.pack(b"PMAP", 1, 1024, 2048, 19) + b"\x00" * 8
+        with pytest.raises(ValueError) as err:
+            decode(data)
+        assert str(err.value) == f"body is 8 bytes, header implies {1024 * 2048 * 19 * 4}"
+
     def test_body_length_mismatch(self):
         data = HEADER.pack(b"PMAP", 1, 2, 2, 2) + b"\x00" * 8
         with pytest.raises(ValueError, match="body"):
@@ -149,6 +178,84 @@ class TestLabelMapCodec:
         pm = random_probmap(rng, h, w, c)
         data = fileio.write_probmap(pm)
         assert fileio.write_probmap(fileio.read_probmap(data)) == data
+
+
+_SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.25, -1e-30, 1.5, 1.0 + 2**-23]
+
+
+@st.composite
+def pmap_files(draw):
+    """.pmap bytes with random probabilities, then a few edited pixels:
+    exact ties, sums near the 1e-4 tolerance, and non-finite or out-of-range
+    cells."""
+    h, w, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((h, w, c)) + 1e-3
+    v = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        kind = draw(st.sampled_from(["tie", "drift", "special"]))
+        if kind == "tie":
+            tied = draw(st.permutations(range(c)))[:draw(st.integers(2, c))]
+            v[i, j] = 0.0
+            v[i, j, tied] = np.float32(1.0 / len(tied))
+        elif kind == "drift":
+            v[i, j] *= np.float32(1.0 + draw(st.floats(-2e-4, 2e-4)))
+        else:
+            v[i, j, draw(st.integers(0, c - 1))] = draw(st.sampled_from(_SPECIAL))
+    return HEADER.pack(b"PMAP", 1, h, w, c) + v.astype("<f4").tobytes()
+
+
+class TestReadLabels:
+    """read_labels(data) is unify(read_probmap(data)), without the float64 map."""
+
+    @staticmethod
+    def assert_same_as_unify(data):
+        try:
+            want = unify(fileio.read_probmap(data))
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                fileio.read_labels(data)
+            assert str(err.value) == str(e)
+        else:
+            got = fileio.read_labels(data)
+            assert got.num_classes == want.num_classes
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @given(pmap_files())
+    @settings(max_examples=300, deadline=None)
+    def test_same_labels_or_error_as_unify(self, data):
+        self.assert_same_as_unify(data)
+
+    def test_ties_go_to_the_smallest_class_id(self):
+        body = struct.pack("<6f", 0.0, 0.5, 0.5, 1 / 3, 1 / 3, 1 / 3)
+        data = HEADER.pack(b"PMAP", 1, 1, 2, 3) + body
+        assert fileio.read_labels(data).values.tolist() == [[1, 0]]
+
+    def test_large_synth_set(self):
+        config = BenchmarkConfig(height=256, width=512, classes=19, num_teachers=4,
+                                 images=4, region_scale=32, teacher_blob_scale=16)
+        bench = make_benchmark(config, seed=1)
+        maps = [pm for member in bench.teacher_probs for pm in member]
+        assert len(maps) == 16
+        for pm in maps:
+            data = bytes(fileio.write_probmap(pm))
+            want = unify(fileio.read_probmap(data)).values
+            np.testing.assert_array_equal(fileio.read_labels(data).values, want)
+
+    def test_peak_memory_is_about_one_body(self):
+        pm = ProbMap(np.full((256, 512, 19), 1.0 / 19))
+        data = bytes(fileio.write_probmap(pm))
+        del pm
+        body = len(data) - HEADER.size
+        tracemalloc.start()
+        try:
+            labels = fileio.read_labels(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.values.shape == (256, 512)
+        assert peak < 1.25 * body
 
 
 class TestJsonCsv:
