@@ -11,6 +11,7 @@ fails to decode.
 from __future__ import annotations
 
 import argparse
+import functools
 import io as _io
 import json
 import os
@@ -43,13 +44,16 @@ from .unify import unify
 from .util import rows_to_csv
 
 
-def _load(path: str, decode, *args, text: bool = False):
+def _load(path: str, decode, *args, text: bool = False,
+          body_offset: int = fileio.MAP_BODY_OFFSET):
     """``decode(contents, *args)`` of the file at ``path``, read as UTF-8
-    with ``text``; a ValueError is raised again with the path in front."""
+    with ``text``; a ValueError is raised again with the path in front.
+    The contents are a read-only ``fileio.read_file`` buffer with byte
+    ``body_offset`` 8-byte aligned: a map body by default; a .npy body
+    sits at a multiple of 64, so .npy reads pass 0."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return decode(data.decode("utf-8") if text else data, *args)
+        data = fileio.read_file(path, body_offset)
+        return decode(str(data, "utf-8") if text else data, *args)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
@@ -114,7 +118,8 @@ def cmd_select_policy(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)))
+    feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)),
+                  body_offset=0)
     labels = _load(args.labels, fileio.read_labelmap)
     config = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed)
     result = train_student(feats, labels, config)
@@ -372,9 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses, built at its first call, so
+    after any wrapping of the ``cmd_*`` functions it dispatches to."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -44,6 +44,8 @@ class FeatureMap:
         v = v.astype(np.float64, copy=False)
         if v.ndim != 3:
             raise ValueError(f"feature map must be H x W x d, got shape {v.shape}")
+        if min(v.shape) < 1:
+            raise ValueError(f"bad feature map shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("feature map contains non-finite values")
         object.__setattr__(self, "values", _frozen(v))

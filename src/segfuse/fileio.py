@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
 import os
 import struct
 import tokenize
@@ -94,7 +95,9 @@ def read_labels(data: bytes) -> LabelMap:
     """``unify(read_probmap(data))`` without the float64 map: the float32
     body is checked and argmaxed as it lies in ``data``.  The checks, their
     messages and the labels, ties included, are the same, because
-    float32 -> float64 is exact."""
+    float32 -> float64 is exact.  A body that is aligned, as in a buffer
+    from ``read_file(path, MAP_BODY_OFFSET)``, is never copied; an
+    unaligned one is copied once, for the screened sum."""
     body = _pmap_body(data)
     check_probabilities(body)
     return argmax_labels(body)
@@ -136,7 +139,7 @@ def policy_to_json(policy: FusionPolicy) -> str:
 def policy_from_json(text: str) -> FusionPolicy:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"policy JSON is malformed: {e}")
     try:
         assignment, teachers, classes = obj["assignment"], obj["teachers"], obj["classes"]
@@ -165,7 +168,7 @@ def report_from_json(text: str) -> IoUReport:
     try:
         obj = json.loads(text)
         per_class = obj["per_class"]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
         raise ValueError(f"report JSON is malformed: {e}")
     # A misspelt miou must not pass as an absent one.
     extra = set(obj) - {"per_class", "miou"}
@@ -193,7 +196,10 @@ def report_from_json(text: str) -> IoUReport:
 
 def read_npy(data: bytes) -> np.ndarray:
     """Decode a .npy byte string without copying its body; no objects or trailing bytes."""
-    stream = io.BytesIO(data)
+    # A stream over the header alone: BytesIO copies any buffer that is
+    # not ``bytes``, which would copy the whole body.
+    size = 2 if data[6:7] == b"\x01" else 4
+    stream = io.BytesIO(data[: 8 + size + int.from_bytes(data[8 : 8 + size], "little")])
     try:
         version = np.lib.format.read_magic(stream)
         read_header = _NPY_HEADERS.get(version)
@@ -210,6 +216,39 @@ def read_npy(data: bytes) -> np.ndarray:
         raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
     values = np.frombuffer(data, dtype, count=count, offset=stream.tell())
     return values.reshape(shape, order="F" if fortran_order else "C")
+
+
+#: Where the body of a .pmap or .lmap starts: after its header.
+MAP_BODY_OFFSET = _HEADER.size
+
+
+def read_file(path: str, body_offset: int = 0) -> memoryview:
+    """What ``fh.read()`` returns for ``path``, as one read-only buffer
+    whose byte ``body_offset`` is 8-byte aligned, so a float32 or float64
+    body there decodes to an aligned array.  The buffer grows past its
+    ``fstat`` size only when that fills, so a FIFO, or a file that changes
+    while it is read, still yields what was read up to end of file.  It is
+    anonymous memory, not heap, so its pages go back to the system as soon
+    as the last view of it is dropped.
+    """
+    pad = -body_offset % 8
+    with open(path, "rb", buffering=0) as fh:
+        buf = _anonymous(pad + os.fstat(fh.fileno()).st_size + 1)
+        end = pad
+        while got := fh.readinto(memoryview(buf)[end:]):
+            end += got
+            if end == len(buf):
+                grown = _anonymous(2 * end)
+                grown[:end] = buf[:end]
+                buf = grown
+    return memoryview(buf)[pad:end].toreadonly()
+
+
+def _anonymous(size: int) -> mmap.mmap:
+    """``size`` bytes of fresh memory, all mapped at once where the system
+    can (MAP_POPULATE), not one page fault per page as a read fills them."""
+    populate = getattr(mmap, "MAP_POPULATE", 0)
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | populate)
 
 
 def write_bytes_atomic(path: str, data: bytes) -> None:

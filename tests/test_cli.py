@@ -2,7 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse import fileio
+from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
 from segfuse.core import stack_reports
 from segfuse.distill import TrainConfig, certainty_selection_protocol, train_student
@@ -279,6 +283,110 @@ class TestLabelRoute:
         assert calls == ({"read_probmap": n, "read_labels": 0} if renormalize
                          else {"read_probmap": 0, "read_labels": n})
         assert (tmp / "out.lmap").read_bytes() == fileio.write_labelmap(want)
+
+
+class TestFileReads:
+    """Inputs are read into one read-only buffer with the body 8-byte aligned."""
+
+    def test_pmap_body_is_aligned_and_read_only(self, scene, monkeypatch):
+        tmp, gt, feats, teachers, paths = scene
+        seen = []
+
+        def check(v, _check=fileio.check_probabilities):
+            seen.append((v.flags.aligned, v.flags.writeable))
+            return _check(v)
+
+        monkeypatch.setattr(fileio, "check_probabilities", check)
+        assert main(["unify", str(paths["t0"]), "-o", str(tmp / "u.lmap")]) == 0
+        assert seen == [(True, False)]
+
+    def test_npy_body_stays_aligned(self, scene, monkeypatch):
+        tmp, gt, feats, teachers, paths = scene
+        seen = []
+
+        def read_npy(data, _read=fileio.read_npy):
+            values = _read(data)
+            seen.append((values.flags.aligned, values.flags.writeable))
+            return values
+
+        monkeypatch.setattr(fileio, "read_npy", read_npy)
+        assert main(["distill", "--features", str(paths["feats"]), "--labels",
+                     str(paths["gt"]), "--iterations", "2", "--seed", "0",
+                     "-o", str(tmp / "m.npz")]) == 0
+        assert seen == [(True, False)]
+
+    @pytest.mark.parametrize("command", ["unify", "fuse-pixel"])
+    def test_fifo_input_gives_the_file_output(self, scene, command):
+        tmp, gt, feats, teachers, paths = scene
+        others = [] if command == "unify" else [str(paths["t1"]), str(paths["t2"])]
+        assert main([command, str(paths["t0"]), *others, "-o", str(tmp / "a.lmap")]) == 0
+        fifo = tmp / "fifo.pmap"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(paths["t0"].read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            rc = main([command, str(fifo), *others, "-o", str(tmp / "b.lmap")])
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert rc == 0
+        assert (tmp / "b.lmap").read_bytes() == (tmp / "a.lmap").read_bytes()
+
+
+def _subprocess_main(argv):
+    """(exit code, stdout, stderr) of ``python -m segfuse`` in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "segfuse", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process_main(argv):
+    """(exit code, stdout, stderr) of ``main`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, scene, monkeypatch):
+        tmp, gt, feats, teachers, paths = scene
+        (tmp / "p.json").write_text(fileio.policy_to_json(select_random(4, 3, seed=5)))
+        maps = [str(paths[f"t{i}"]) for i in range(3)]
+
+        def argvs(out):
+            return [
+                ["fuse-channel", "--kappa", "4x", *maps],
+                ["fuse-channel", "--policy", str(tmp / "p.json"), "--kappa", "5", *maps,
+                 "-o", str(tmp / f"{out}.lmap")],
+                ["eval", "--pred", str(tmp / f"{out}.lmap"), "--gt", str(paths["gt"])],
+            ]
+
+        fresh = [_subprocess_main(argv) for argv in argvs("fresh")]
+        built = []
+
+        def counting_build_parser(_build=cli.build_parser):
+            built.append(1)
+            return _build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            reused = [_in_process_main(argv) for argv in argvs("reused")]
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert [rc for rc, _, _ in fresh] == [2, 0, 0]
+        assert reused == fresh
+        assert (tmp / "reused.lmap").read_bytes() == (tmp / "fresh.lmap").read_bytes()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestSynthCommand:
@@ -619,14 +727,20 @@ class TestDecoderFuzz:
          b'{"per_class": [0.5, 0.2], "miou": "abc"}'),
         ("select-policy certainty", ["rho0.json", "rho1.json", "rho2.json"],
          b'{"per_class": [0.5, 0.2], "miou": 0.99}'),
+        ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 0)))),
+        ("select-policy certainty", ["rho1.json"], b"[" * 200_000),
+        ("select-policy oracle", ["phi0.json"], b"[" * 200_000),
+        ("fuse-channel", ["policy.json"], b"[" * 200_000),
     ], ids=["features-structured-dtype", "phi-number",
             "phi-bool-iou", "phi-string-miou", "phi-contradicting-miou",
-            "rho-string-miou", "rho-contradicting-miou"])
+            "rho-string-miou", "rho-contradicting-miou", "features-empty",
+            "rho-deeply-nested", "phi-deeply-nested", "policy-deeply-nested"])
     def test_reproduced_bad_input(self, tmp_path, command, names, content):
         _decoder_inputs(tmp_path)
         for name in names:
             (tmp_path / name).write_bytes(content)
-        _run_rejected(tmp_path, _argv(command, lambda n: str(tmp_path / n)))
+        err = _run_rejected(tmp_path, _argv(command, lambda n: str(tmp_path / n)))
+        assert err.startswith(f"{tmp_path / names[0]}: ")
 
 
 class TestExperimentCommands:

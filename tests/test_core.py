@@ -2,14 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfuse import fileio
 from segfuse.core import (
+    PROB_SUM_TOL,
     UNLABELED_ID,
     FusionPolicy,
     IoUReport,
     LabelMap,
     ProbMap,
+    check_probabilities,
 )
 
 
@@ -90,6 +94,56 @@ class TestProbMap:
         pm = uniform_probmap(2, 2, 2)
         with pytest.raises(ValueError):
             pm.values[0, 0, 0] = 0.3
+
+
+def exact_check(v):
+    """The reference: the range test, then the per-pixel sums in float64."""
+    if not (v.min() >= 0.0 and v.max() <= 1.0):
+        if not np.isfinite(v).all():
+            raise ValueError("probability map contains non-finite values")
+        raise ValueError("probabilities must lie in [0, 1]")
+    dev = np.abs(v.sum(axis=2, dtype=np.float64) - 1.0).max()
+    if dev > PROB_SUM_TOL:
+        raise ValueError(
+            f"per-pixel probabilities must sum to 1 (worst deviation {dev:.3e})"
+        )
+
+
+def outcome(check, v):
+    try:
+        check(v)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def near_tolerance_maps(draw):
+    """A map whose one pixel sums to within 3 % of 1 +- PROB_SUM_TOL."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    c = draw(st.sampled_from([2, 19, 255, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.random((2, 3, c)) + 1e-3
+    v /= v.sum(axis=2, keepdims=True)
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    target = 1.0 + side * PROB_SUM_TOL * draw(st.floats(0.97, 1.03))
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    v[i, j] *= target / v[i, j].sum()
+    return v.astype(dtype)
+
+
+class TestCheckProbabilities:
+    """The screened sum gives the exact float64 check's verdict and message."""
+
+    @given(near_tolerance_maps())
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_and_message_as_the_exact_sum(self, v):
+        assert outcome(check_probabilities, v) == outcome(exact_check, v)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [2, 19, 255, 1000])
+    def test_uniform_maps_pass(self, dtype, c):
+        check_probabilities(np.full((4, 5, c), 1.0 / c, dtype=dtype))
 
 
 class TestLabelMap:

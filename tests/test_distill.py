@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,11 @@ class TestStudentForward:
         model = ToyStudent(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
             student_forward(model, FeatureMap(np.zeros((2, 2, 5))))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 0), (0, 8, 3), (8, 0, 3)])
+    def test_feature_map_rejects_an_empty_map(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"bad feature map shape {shape}")):
+            FeatureMap(np.zeros(shape))
 
 
 def finite_difference(f, model, coord, step=1e-4):

@@ -243,11 +243,9 @@ class TestReadLabels:
             want = unify(fileio.read_probmap(data)).values
             np.testing.assert_array_equal(fileio.read_labels(data).values, want)
 
-    def test_peak_memory_is_about_one_body(self):
-        pm = ProbMap(np.full((256, 512, 19), 1.0 / 19))
-        data = bytes(fileio.write_probmap(pm))
-        del pm
-        body = len(data) - HEADER.size
+    @staticmethod
+    def peak_over_body(data):
+        """tracemalloc peak of ``read_labels(data)``, over the body size."""
         tracemalloc.start()
         try:
             labels = fileio.read_labels(data)
@@ -255,7 +253,19 @@ class TestReadLabels:
         finally:
             tracemalloc.stop()
         assert labels.values.shape == (256, 512)
-        assert peak < 1.25 * body
+        return peak / (len(data) - HEADER.size)
+
+    def test_peak_memory_is_about_one_body(self):
+        pm = ProbMap(np.full((256, 512, 19), 1.0 / 19))
+        data = bytes(fileio.write_probmap(pm))
+        del pm
+        assert self.peak_over_body(data) < 1.25
+
+    def test_an_aligned_body_is_not_copied(self, tmp_path):
+        path = tmp_path / "t.pmap"
+        path.write_bytes(fileio.write_probmap(ProbMap(np.full((256, 512, 19), 1.0 / 19))))
+        data = fileio.read_file(str(path), fileio.MAP_BODY_OFFSET)
+        assert self.peak_over_body(data) < 0.25
 
 
 class TestJsonCsv:
@@ -307,6 +317,29 @@ class TestJsonCsv:
     def test_report_miou_must_be_null_without_defined_classes(self):
         with pytest.raises(ValueError, match="miou"):
             fileio.report_from_json('{"per_class": [null, null], "miou": 0.0}')
+
+
+class TestReadFile:
+    @pytest.mark.parametrize("size", [0, 1, 17, 18, 4096, 100_003])
+    @pytest.mark.parametrize("body_offset", [0, fileio.MAP_BODY_OFFSET, 3, 128])
+    def test_file_bytes_read_only_with_the_body_aligned(self, tmp_path, size, body_offset):
+        content = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "f.bin"
+        path.write_bytes(content)
+        data = fileio.read_file(str(path), body_offset)
+        assert data.readonly
+        assert data == content
+        if size > body_offset:
+            assert (np.frombuffer(data, np.uint8).ctypes.data + body_offset) % 8 == 0
+
+    def test_npy_body_is_decoded_in_place(self, tmp_path):
+        path = tmp_path / "f.npy"
+        np.save(path, np.arange(24.0).reshape(2, 3, 4))
+        data = fileio.read_file(str(path))
+        values = fileio.read_npy(data)
+        np.testing.assert_array_equal(values, np.arange(24.0).reshape(2, 3, 4))
+        assert values.flags.aligned and not values.flags.writeable
+        assert np.shares_memory(values, np.frombuffer(data, np.uint8))
 
 
 class TestAtomicWrite:
