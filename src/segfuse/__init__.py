@@ -8,7 +8,6 @@ fused labels into a toy per-pixel student.
 """
 
 from .core import (
-    PROB_SUM_TOL,
     UNLABELED_ID,
     FusionPolicy,
     IoUReport,
@@ -17,10 +16,8 @@ from .core import (
 )
 from .distill import (
     FeatureMap,
-    ProtocolResult,
     ToyStudent,
     TrainConfig,
-    TrainResult,
     average_fuse,
     ce_loss_and_grads,
     certainty_selection_protocol,
@@ -30,7 +27,6 @@ from .distill import (
     train_student,
 )
 from .fusion import (
-    ChannelSets,
     build_channel_sets,
     channel_fuse,
     pixel_fuse,
@@ -45,8 +41,6 @@ from .metrics import (
 )
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import (
-    Prop1Result,
-    Prop2Result,
     check_prop1,
     check_prop2,
     gen_prop1_instance,

@@ -40,7 +40,6 @@ from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import per_class_iou
 from .policy import select_certainty, select_oracle, select_random
 from .synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
-from .unify import unify
 from .util import rows_to_csv
 
 
@@ -58,19 +57,11 @@ def _load(path: str, decode, *args, text: bool = False,
         raise ValueError(f"{path}: {e}") from e
 
 
-def _load_labels(path: str, renormalize: bool = False):
-    """The labels of a .pmap, argmaxed from its float32 body; only with
-    ``renormalize`` is a float64 ``ProbMap`` of softmaxed logits built."""
-    if renormalize:
-        return unify(_load(path, fileio.read_probmap, True))
-    return _load(path, fileio.read_labels)
-
-
 def _load_unified(path: str, renormalize: bool = False):
-    """Accept either a unified .lmap or a raw .pmap (``_load_labels``)."""
+    """Accept either a unified .lmap or a raw .pmap (``fileio.read_labels``)."""
     if path.endswith(".lmap"):
         return _load(path, fileio.read_labelmap)
-    return _load_labels(path, renormalize)
+    return _load(path, fileio.read_labels, renormalize)
 
 
 def _emit_text(args, text: str) -> None:
@@ -81,7 +72,7 @@ def _emit_text(args, text: str) -> None:
 
 
 def cmd_unify(args) -> int:
-    labels = _load_labels(args.input, args.renormalize)
+    labels = _load(args.input, fileio.read_labels, args.renormalize)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(labels))
     return 0
 
@@ -270,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--renormalize", action="store_true",
-                   help="treat the body as raw logits and softmax on read")
+                   help="treat the body as raw logits (any finite values) "
+                   "and take their argmax")
     p.set_defaults(func=cmd_unify)
 
     p = sub.add_parser("fuse-pixel", help="per-pixel majority vote fusion")

@@ -75,8 +75,9 @@ class ProbMap:
 
     Values are kept as float64 in memory (training and loss code needs
     64-bit accumulation) and checked by ``check_probabilities``; the
-    on-disk format is float32.  ``fileio.read_labels`` runs the same
-    check on a file's float32 body when only the labels are needed.
+    on-disk format is float32.  A .pmap file is read for its labels alone:
+    ``fileio.read_labels`` runs the same check on its float32 body and
+    argmaxes it in place.
     """
 
     values: np.ndarray

@@ -7,6 +7,8 @@ Binary layouts (all little-endian):
   .lmap   magic "LMAP", u32 version=1, u32 H, u32 W, u16 |C|,
           then H*W u16 class ids row-major; 65535 = unlabeled.
 
+A .pmap is read for its labels alone (``read_labels``): the float32 body
+is checked and argmaxed where it lies, and no decoder builds a ProbMap.
 Policies and per-member score reports (a teacher's per-class IoU, or its
 student's per-class certainty rho) travel as UTF-8 JSON, and feature maps
 as NumPy .npy files.  Codecs are pure functions; writes via
@@ -28,16 +30,16 @@ import numpy as np
 
 from .core import FusionPolicy, IoUReport, LabelMap, ProbMap, check_probabilities
 from .unify import argmax_labels
-from .util import json_number, softmax_inplace
+from .util import json_number
 
 _HEADER = struct.Struct("<4sIIIH")
 _PMAP_MAGIC = b"PMAP"
 _LMAP_MAGIC = b"LMAP"
 _VERSION = 1
 
-# Guard against absurd headers before allocating anything: no decoder may
-# build an array of more than this many bytes (float64 H x W x C from a
-# .pmap, uint16 H x W from a .lmap).
+# Guard against absurd headers before reading a body: a header may describe
+# at most this many bytes, counted as a float64 H x W x C ProbMap for a
+# .pmap and as uint16 H x W labels for a .lmap.
 _MAX_BYTES = 2**31
 
 # .npy header readers by format version; 3.0 only adds UTF-8 field names.
@@ -77,29 +79,20 @@ def _pmap_body(data: bytes) -> np.ndarray:
     return np.frombuffer(data, "<f4", offset=_HEADER.size).reshape(h, w, c)
 
 
-def read_probmap(data: bytes, renormalize: bool = False) -> ProbMap:
-    """Decode a .pmap byte string.
-
-    With ``renormalize`` the body is treated as raw logits and passed
-    through a per-pixel softmax instead of being validated as-is.
-    """
-    raw = _pmap_body(data).astype(np.float64)
-    if renormalize:
-        if not np.isfinite(raw).all():
-            raise ValueError("logit body contains non-finite values")
-        softmax_inplace(raw, axis=2)
-    return ProbMap(raw)
-
-
-def read_labels(data: bytes) -> LabelMap:
-    """``unify(read_probmap(data))`` without the float64 map: the float32
-    body is checked and argmaxed as it lies in ``data``.  The checks, their
-    messages and the labels, ties included, are the same, because
-    float32 -> float64 is exact.  A body that is aligned, as in a buffer
-    from ``read_file(path, MAP_BODY_OFFSET)``, is never copied; an
-    unaligned one is copied once, for the screened sum."""
+def read_labels(data: bytes, logits: bool = False) -> LabelMap:
+    """The labels of a .pmap: the per-pixel argmax of its float32 body, as
+    it lies in ``data``, with ties to the smallest class id.  The body must
+    pass ``check_probabilities``, or with ``logits`` be finite raw scores;
+    a softmax is monotone, so their argmax is that of their softmax except
+    where ``exp`` rounding would tie two of them.  A body that is aligned,
+    as in a buffer from ``read_file(path, MAP_BODY_OFFSET)``, is never
+    copied; an unaligned one is copied once, for the screened sum of
+    probabilities."""
     body = _pmap_body(data)
-    check_probabilities(body)
+    if not logits:
+        check_probabilities(body)
+    elif not np.isfinite(body).all():
+        raise ValueError("logit body contains non-finite values")
     return argmax_labels(body)
 
 

@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import IoUReport, LabelMap, ProbMap, check_same_grid, stack_reports
+from .unify import unify
 
 
 def _iou_counts(pred: LabelMap, gt: LabelMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,7 +80,7 @@ def certainty_report(preds) -> IoUReport:
     sums = np.zeros(num_classes)
     counts = np.zeros(num_classes, dtype=np.int64)
     for m in maps:
-        hard = np.argmax(m.values, axis=2)
+        hard = unify(m).values
         for c in range(num_classes):
             mask = hard == c
             n = np.count_nonzero(mask)

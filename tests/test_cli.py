@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import stack_reports
+from segfuse.core import LabelMap, stack_reports
 from segfuse.distill import TrainConfig, certainty_selection_protocol, train_student
 from segfuse.experiments import policy_quality
 from segfuse.fusion import channel_fuse, pixel_fuse
@@ -39,7 +39,7 @@ from segfuse.synth import (
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
-from helpers import reports_from_matrix
+from helpers import read_probmap, reports_from_matrix
 
 
 def _subcommands(parser):
@@ -198,20 +198,20 @@ class TestWrapperFidelity:
 
 
 class TestRenormalize:
-    """--renormalize reads a .pmap body as logits, as read_probmap(renormalize=True)."""
+    """--renormalize reads a .pmap body as logits: the labels are their argmax."""
 
     @pytest.fixture
     def logits(self, tmp_path):
-        """Three logit .pmap files, their paths and the library's unified maps."""
+        """Three logit .pmap files, their paths and their argmax label maps."""
         rng = np.random.default_rng(0)
         paths, unified = [], []
         for t in range(3):
-            body = rng.normal(0.0, 3.0, size=(8, 12, 4)).astype("<f4").tobytes()
-            data = fileio._HEADER.pack(b"PMAP", 1, 8, 12, 4) + body
+            body = rng.normal(0.0, 3.0, size=(8, 12, 4)).astype("<f4")
+            data = fileio._HEADER.pack(b"PMAP", 1, 8, 12, 4) + body.tobytes()
             path = tmp_path / f"logits{t}.pmap"
             path.write_bytes(data)
             paths.append(str(path))
-            unified.append(unify(fileio.read_probmap(data, renormalize=True)))
+            unified.append(LabelMap(np.argmax(body.astype(np.float64), axis=2), 4))
         policy = tmp_path / "p.json"
         policy.write_text(fileio.policy_to_json(select_random(4, 3, seed=1)))
         return paths, unified, str(policy)
@@ -248,10 +248,22 @@ class TestRenormalize:
         argv = self.argv(command, paths, policy) + ["-o", str(tmp_path / "out.lmap")]
         _run_rejected(tmp_path, argv + ["--renormalize"])
 
+    @pytest.mark.parametrize("logits, want", [
+        # exp(-1e-30) == exp(0) in float64: a softmax would tie them at 0.5.
+        ((-1e-30, 0.0), 1),
+        ((2.5, 2.5), 0),
+    ], ids=["exp-rounding-tie", "equal-logits"])
+    def test_labels_follow_the_logits_order(self, tmp_path, logits, want):
+        path = tmp_path / "l.pmap"
+        path.write_bytes(fileio._HEADER.pack(b"PMAP", 1, 1, 1, 2) + struct.pack("<2f", *logits))
+        out = tmp_path / "out.lmap"
+        assert main(["unify", str(path), "--renormalize", "-o", str(out)]) == 0
+        assert fileio.read_labelmap(out.read_bytes()).values.tolist() == [[want]]
+
 
 class TestLabelRoute:
-    """A plain .pmap is decoded straight to labels by fileio.read_labels; only
-    --renormalize builds a float64 ProbMap, through fileio.read_probmap."""
+    """Every .pmap is decoded straight to labels by one fileio.read_labels
+    call, which takes the body as logits under --renormalize."""
 
     @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
@@ -260,8 +272,8 @@ class TestLabelRoute:
         pmaps = [str(paths[f"t{i}"]) for i in range(1 if command == "unify" else 3)]
         policy = select_random(4, 3, seed=5)
         (tmp / "p.json").write_text(fileio.policy_to_json(policy))
-        decoded = [unify(fileio.read_probmap(Path(p).read_bytes(), renormalize))
-                   for p in pmaps]
+        # probabilities read as logits have the same argmax
+        decoded = [unify(read_probmap(Path(p).read_bytes())) for p in pmaps]
         if command == "unify":
             want = decoded[0]
         elif command == "fuse-pixel":
@@ -269,19 +281,18 @@ class TestLabelRoute:
         else:
             want = channel_fuse(decoded, policy, 5)
 
-        calls = {"read_probmap": 0, "read_labels": 0}
-        for name in calls:
-            def counting(*args, _name=name, _decode=getattr(fileio, name)):
-                calls[_name] += 1
-                return _decode(*args)
-            monkeypatch.setattr(fileio, name, counting)
+        calls = []
+
+        def counting(data, *args, _decode=fileio.read_labels):
+            calls.append(args)
+            return _decode(data, *args)
+
+        monkeypatch.setattr(fileio, "read_labels", counting)
         argv = [command, *pmaps, "-o", str(tmp / "out.lmap")]
         if command == "fuse-channel":
             argv += ["--policy", str(tmp / "p.json"), "--kappa", "5"]
         assert main(argv + (["--renormalize"] if renormalize else [])) == 0
-        n = len(pmaps)
-        assert calls == ({"read_probmap": n, "read_labels": 0} if renormalize
-                         else {"read_probmap": 0, "read_labels": n})
+        assert calls == [(renormalize,)] * len(pmaps)
         assert (tmp / "out.lmap").read_bytes() == fileio.write_labelmap(want)
 
 
@@ -404,7 +415,7 @@ class TestSynthCommand:
             assert (outdir / name).exists()
         gt = fileio.read_labelmap((outdir / "img000.gt.lmap").read_bytes())
         assert gt.num_classes == 3
-        pm = fileio.read_probmap((outdir / "teacher00.img000.pmap").read_bytes())
+        pm = read_probmap((outdir / "teacher00.img000.pmap").read_bytes())
         assert pm.values.shape == (12, 12, 3)
         feats = np.load(outdir / "img000.features.npy")
         assert feats.shape == (12, 12, 3)
@@ -555,6 +566,7 @@ def _decoder_inputs(directory):
 # a label map whose header claims more classes is still a valid input.
 _DECODER_COMMANDS = {
     "unify": ["t0.pmap"],
+    "unify --renormalize": ["t0.pmap"],
     "fuse-pixel": ["t0.pmap", "t1.lmap", "t2.pmap"],
     "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
     "eval": ["t1.lmap", "gt.lmap"],
@@ -565,8 +577,8 @@ _DECODER_COMMANDS = {
 
 
 def _argv(command, path):
-    if command == "unify":
-        return ["unify", path("t0.pmap"), "-o", path("out.lmap")]
+    if command.startswith("unify"):
+        return command.split() + [path("t0.pmap"), "-o", path("out.lmap")]
     if command == "eval":
         return ["eval", "--pred", path("t1.lmap"), "--gt", path("gt.lmap")]
     if command == "distill":
@@ -596,8 +608,10 @@ def _number_paths(obj, path=()):
         yield path
 
 
-def _garble(name, data, draw):
-    """Change the input so that no decoder may accept it."""
+def _garble(name, data, draw, logits=False):
+    """Change the input so that no decoder may accept it.  Any finite
+    float32 is a valid logit, so a ``logits`` body value only becomes
+    NaN or +-inf."""
     if name.endswith(".json"):
         if draw(st.booleans()):
             # '#' is invalid anywhere in JSON; inside a key it swaps a known
@@ -630,7 +644,8 @@ def _garble(name, data, draw):
         out[i] = (out[i] + draw(st.integers(1, 255))) % 256
     elif name.endswith(".pmap"):
         i = header + 4 * draw(st.integers(0, (len(data) - header) // 4 - 1))
-        bad = draw(st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.5, 2.0]))
+        bad = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]
+                                   + [-0.5, 2.0] * (not logits)))
         out[i:i + 4] = struct.pack("<f", bad)
     else:
         i = header + 2 * draw(st.integers(0, (len(data) - header) // 2 - 1))
@@ -705,7 +720,7 @@ class TestDecoderFuzz:
             bad = good + data.draw(st.binary(min_size=1, max_size=16).filter(
                 lambda b: not b.decode("latin-1").isspace()))
         else:
-            bad = _garble(name, good, data.draw)
+            bad = _garble(name, good, data.draw, logits="--renormalize" in command)
         bad_name = "bad." + name.rsplit(".", 1)[1]
         (directory / bad_name).write_bytes(bad)
 

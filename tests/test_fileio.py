@@ -19,6 +19,8 @@ from segfuse.core import (
 from segfuse.synth import BenchmarkConfig, make_benchmark
 from segfuse.unify import unify
 
+from helpers import read_probmap
+
 HEADER = struct.Struct("<4sIIIH")
 
 
@@ -39,7 +41,7 @@ class TestProbMapCodec:
     def test_single_pixel_example(self):
         body = struct.pack("<2f", 0.6, 0.4)
         data = HEADER.pack(b"PMAP", 1, 1, 1, 2) + body
-        pm = fileio.read_probmap(data)
+        pm = read_probmap(data)
         assert pm.values.shape == (1, 1, 2)
         np.testing.assert_allclose(pm.values[0, 0], [0.6, 0.4], atol=1e-7)
 
@@ -47,7 +49,7 @@ class TestProbMapCodec:
         rng = np.random.default_rng(0)
         pm = random_probmap(rng, 3, 4, 5)
         data = fileio.write_probmap(pm)
-        assert fileio.write_probmap(fileio.read_probmap(data)) == data
+        assert fileio.write_probmap(read_probmap(data)) == data
 
     @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 5, 4), (7, 2, 19)])
     def test_write_bytes_equal_header_plus_float32_body(self, shape):
@@ -74,28 +76,27 @@ class TestProbMapCodec:
         body = struct.pack("<2f", 0.45, 0.45)  # sums to 0.9
         data = HEADER.pack(b"PMAP", 1, 1, 1, 2) + body
         with pytest.raises(ValueError, match="sum"):
-            fileio.read_probmap(data)
+            fileio.read_labels(data)
+        assert fileio.read_labels(data, logits=True).values.tolist() == [[0]]
 
-    def test_renormalize_applies_softmax_to_logits(self):
-        logits = np.array([[[2.0, 0.0, -1.0]]], dtype=np.float32)
-        data = HEADER.pack(b"PMAP", 1, 1, 1, 3) + logits.tobytes()
-        pm = fileio.read_probmap(data, renormalize=True)
-        e = np.exp(np.array([2.0, 0.0, -1.0]) - 2.0)
-        np.testing.assert_allclose(pm.values[0, 0], e / e.sum(), rtol=1e-6)
+    def test_logits_are_argmaxed_without_a_softmax(self):
+        logits = np.array([[[2.0, 0.0, -1.0], [-3.0, 7.5, 7.0]]], dtype=np.float32)
+        data = HEADER.pack(b"PMAP", 1, 1, 2, 3) + logits.tobytes()
+        assert fileio.read_labels(data, logits=True).values.tolist() == [[0, 1]]
 
     def test_bad_magic(self):
         data = HEADER.pack(b"XMAP", 1, 1, 1, 2) + struct.pack("<2f", 0.5, 0.5)
         with pytest.raises(ValueError, match="magic"):
-            fileio.read_probmap(data)
+            fileio.read_labels(data)
 
     def test_dimension_overflow(self):
         data = HEADER.pack(b"PMAP", 1, 2**31 - 1, 2**31 - 1, 255)
         with pytest.raises(ValueError, match="overflow"):
-            fileio.read_probmap(data)
+            fileio.read_labels(data)
 
-    # The byte budget is 2**31 bytes of decoded array: float64 H x W x C
-    # for a .pmap, uint16 H x W for a .lmap.  A header at the budget reaches
-    # the body check; one just past it is refused first.
+    # The byte budget is 2**31 bytes, counted as a float64 H x W x C map for
+    # a .pmap and as uint16 H x W labels for a .lmap.  A header at the
+    # budget reaches the body check; one just past it is refused first.
     @pytest.mark.parametrize("magic, width, message", [
         (b"PMAP", 2**27, "body"),
         (b"PMAP", 2**27 + 1, "overflow"),
@@ -105,24 +106,24 @@ class TestProbMapCodec:
     def test_byte_budget_is_checked_before_the_body(self, magic, width, message):
         data = HEADER.pack(magic, 1, 1, width, 2) + b"\x00" * 8
         decoders = {
-            b"PMAP": [fileio.read_probmap, fileio.read_labels],
+            b"PMAP": [fileio.read_labels, lambda d: fileio.read_labels(d, logits=True)],
             b"LMAP": [fileio.read_labelmap],
         }[magic]
         for decode in decoders:
             with pytest.raises(ValueError, match=message):
                 decode(data)
 
-    @pytest.mark.parametrize("decode", [fileio.read_probmap, fileio.read_labels])
-    def test_cityscapes_size_header_reaches_the_body_check(self, decode):
+    @pytest.mark.parametrize("logits", [False, True], ids=["read_labels", "logits"])
+    def test_cityscapes_size_header_reaches_the_body_check(self, logits):
         data = HEADER.pack(b"PMAP", 1, 1024, 2048, 19) + b"\x00" * 8
         with pytest.raises(ValueError) as err:
-            decode(data)
+            fileio.read_labels(data, logits)
         assert str(err.value) == f"body is 8 bytes, header implies {1024 * 2048 * 19 * 4}"
 
     def test_body_length_mismatch(self):
         data = HEADER.pack(b"PMAP", 1, 2, 2, 2) + b"\x00" * 8
         with pytest.raises(ValueError, match="body"):
-            fileio.read_probmap(data)
+            fileio.read_labels(data)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -135,7 +136,7 @@ class TestProbMapCodec:
         if bytes(data[offset:offset + 4]) == bytes(original):
             return
         with pytest.raises(ValueError):
-            fileio.read_probmap(bytes(data))
+            fileio.read_labels(bytes(data))
 
     @pytest.mark.parametrize("classes", [1, 2, 4, 200])
     def test_class_count_corruption_rejected(self, classes):
@@ -143,7 +144,7 @@ class TestProbMapCodec:
         data = bytearray(fileio.write_probmap(random_probmap(rng, 2, 2, 3)))
         data[16:18] = struct.pack("<H", classes)  # true count is 3
         with pytest.raises(ValueError):
-            fileio.read_probmap(bytes(data))
+            fileio.read_labels(bytes(data))
 
 
 class TestLabelMapCodec:
@@ -177,7 +178,7 @@ class TestLabelMapCodec:
         rng = np.random.default_rng(seed)
         pm = random_probmap(rng, h, w, c)
         data = fileio.write_probmap(pm)
-        assert fileio.write_probmap(fileio.read_probmap(data)) == data
+        assert fileio.write_probmap(read_probmap(data)) == data
 
 
 _SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.25, -1e-30, 1.5, 1.0 + 2**-23]
@@ -207,12 +208,13 @@ def pmap_files(draw):
 
 
 class TestReadLabels:
-    """read_labels(data) is unify(read_probmap(data)), without the float64 map."""
+    """read_labels(data) is unify(read_probmap(data)), without the float64 map;
+    with logits, it is the argmax of the body's float64 copy."""
 
     @staticmethod
     def assert_same_as_unify(data):
         try:
-            want = unify(fileio.read_probmap(data))
+            want = unify(read_probmap(data))
         except ValueError as e:
             with pytest.raises(ValueError) as err:
                 fileio.read_labels(data)
@@ -227,10 +229,33 @@ class TestReadLabels:
     def test_same_labels_or_error_as_unify(self, data):
         self.assert_same_as_unify(data)
 
+    @given(pmap_files())
+    @settings(max_examples=300, deadline=None)
+    def test_logit_labels_are_the_float64_argmax(self, data):
+        _, _, h, w, c = HEADER.unpack_from(data)
+        body = np.frombuffer(data, "<f4", offset=HEADER.size).reshape(h, w, c)
+        if not np.isfinite(body).all():
+            with pytest.raises(ValueError, match="^logit body contains non-finite values$"):
+                fileio.read_labels(data, logits=True)
+        else:
+            want = np.argmax(body.astype(np.float64), axis=2)
+            np.testing.assert_array_equal(fileio.read_labels(data, logits=True).values, want)
+
     def test_ties_go_to_the_smallest_class_id(self):
         body = struct.pack("<6f", 0.0, 0.5, 0.5, 1 / 3, 1 / 3, 1 / 3)
         data = HEADER.pack(b"PMAP", 1, 1, 2, 3) + body
         assert fileio.read_labels(data).values.tolist() == [[1, 0]]
+
+    def test_equal_logits_go_to_the_smallest_class_id(self):
+        body = struct.pack("<6f", -4.0, 2.5, 2.5, 7.0, 7.0, 7.0)
+        data = HEADER.pack(b"PMAP", 1, 1, 2, 3) + body
+        assert fileio.read_labels(data, logits=True).values.tolist() == [[1, 0]]
+
+    def test_logits_that_exp_rounds_to_a_tie_keep_their_order(self):
+        # exp(-1e-30) == exp(0) in float64, so a softmax would tie these and
+        # give class 0; the logits themselves put class 1 first.
+        data = HEADER.pack(b"PMAP", 1, 1, 1, 2) + struct.pack("<2f", -1e-30, 0.0)
+        assert fileio.read_labels(data, logits=True).values.tolist() == [[1]]
 
     def test_large_synth_set(self):
         config = BenchmarkConfig(height=256, width=512, classes=19, num_teachers=4,
@@ -240,7 +265,7 @@ class TestReadLabels:
         assert len(maps) == 16
         for pm in maps:
             data = bytes(fileio.write_probmap(pm))
-            want = unify(fileio.read_probmap(data)).values
+            want = unify(read_probmap(data)).values
             np.testing.assert_array_equal(fileio.read_labels(data).values, want)
 
     @staticmethod

@@ -24,8 +24,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from segfuse import fileio
 from segfuse.cli import main
+from segfuse.core import ProbMap
+from segfuse.distill import FeatureMap, measure_teacher
 from segfuse.policy import select_certainty, select_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -115,11 +119,6 @@ def make_inputs(directory: Path) -> None:
     """Write the corpus inputs: ``synth`` maps and ground truth, then one
     rho report (``measure_teacher`` on the synth features) and one IoU
     report (``eval`` of the unified image 0) per teacher."""
-    import numpy as np
-
-    from segfuse.core import ProbMap
-    from segfuse.distill import FeatureMap, measure_teacher
-
     directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
