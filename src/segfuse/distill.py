@@ -13,6 +13,7 @@ is resolution-independent.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +22,6 @@ import numpy as np
 from .core import UNLABELED_ID, FusionPolicy, IoUReport, LabelMap, ProbMap, _frozen
 from .metrics import certainty_report
 from .policy import select_certainty
-from .unify import unify
 from .util import softmax_inplace
 
 _LOG_CLAMP = 1e-12
@@ -159,7 +159,14 @@ def _class_probs(x, weights, bias, axis):
 
 
 def _as_list(x, cls):
-    return [x] if isinstance(x, cls) else list(x)
+    """One ``cls`` or an iterable of them, as a list; any other item is a ValueError."""
+    items = list(x) if isinstance(x, Iterable) else [x]
+    for item in items:
+        if not isinstance(item, cls):
+            raise ValueError(
+                f"expected a {cls.__name__} or a list of them, got {type(item).__name__}"
+            )
+    return items
 
 
 def _labeled_rows(feats, labels):
@@ -254,59 +261,53 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
 
 
 def measure_teacher(
-    maps,
-    feats,
+    labels: Sequence[LabelMap],
+    feats: Sequence[FeatureMap],
     measure_fraction: float = DEFAULT_MEASURE_FRACTION,
     config: TrainConfig = TrainConfig(),
 ) -> tuple[ToyStudent, IoUReport]:
     """One member's step of the selection protocol.
 
-    Unifies the member's maps on the training split, distills a student
-    with ``config``'s fixed seed, and returns it with its certainty rho
-    on the measurement split.  The result depends on this member alone,
-    so a member measured once never needs measuring again when others
-    join or leave the ensemble.  The first ``measure_fraction`` share of
-    the images (at least one, at most all but one) is the measurement
-    split.
+    ``labels`` is the member's unified LabelMaps, one per image, and
+    ``feats`` the matching feature maps.  Distills a student on the
+    training split's labels with ``config``'s fixed seed, and returns it
+    with its certainty rho on the measurement split, whose labels it never
+    reads.  The result depends on this member alone, so a member measured
+    once never needs measuring again when others join or leave the
+    ensemble.  The first ``measure_fraction`` share of the images (at
+    least one, at most all but one) is the measurement split.
     """
     if not 0 < measure_fraction < 1:
         raise ValueError("measure_fraction must lie in (0, 1)")
-    maps = _as_list(maps, ProbMap)
+    labels = _as_list(labels, LabelMap)
     feats = _as_list(feats, FeatureMap)
     n_images = len(feats)
     if n_images < 2:
         raise ValueError("protocol needs >= 2 images to split")
-    if len(maps) != n_images:
-        raise ValueError(f"teacher has {len(maps)} maps for {n_images} images")
+    if len(labels) != n_images:
+        raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
     n_measure = min(max(1, round(measure_fraction * n_images)), n_images - 1)
-    train_labels = [unify(pm) for pm in maps[n_measure:]]
-    model = train_student(feats[n_measure:], train_labels, config).model
+    model = train_student(feats[n_measure:], labels[n_measure:], config).model
     return model, certainty_report([student_forward(model, f) for f in feats[:n_measure]])
 
 
 def certainty_selection_protocol(
-    teacher_maps: Sequence,
-    feats,
+    members: Sequence[Sequence[LabelMap]],
+    feats: Sequence[FeatureMap],
     measure_fraction: float = DEFAULT_MEASURE_FRACTION,
     config: TrainConfig = TrainConfig(),
 ) -> ProtocolResult:
     """Offline certainty-aware policy selection.
 
-    ``teacher_maps[t]`` is teacher t's ProbMap (or list of ProbMaps, one
-    per image); ``feats`` the matching feature maps.  The first
-    ``measure_fraction`` share of the images (at least one) is held out
-    for measurement.  Each teacher is measured by ``measure_teacher``
-    (identical student seed for every teacher), which gives that teacher's
-    certainty report, and the policy is the per-class argmax of those
-    reports.
+    ``members[t]`` is member t's unified LabelMaps, one per image;
+    ``feats`` the matching feature maps.  The first ``measure_fraction``
+    share of the images (at least one) is held out for measurement.  Each
+    member is measured by ``measure_teacher`` (identical student seed for
+    every member), which gives that member's certainty report, and the
+    policy is the per-class argmax of those reports.
     """
-    per_teacher = [_as_list(maps, ProbMap) for maps in teacher_maps]
-    if not per_teacher:
+    if not members:
         raise ValueError("ensemble must contain at least one teacher")
-    feats = _as_list(feats, FeatureMap)
-    for t, maps in enumerate(per_teacher):
-        if len(maps) != len(feats):
-            raise ValueError(f"teacher {t} has {len(maps)} maps for {len(feats)} images")
-    measured = [measure_teacher(maps, feats, measure_fraction, config) for maps in per_teacher]
+    measured = [measure_teacher(labels, feats, measure_fraction, config) for labels in members]
     rhos = tuple(rho for _, rho in measured)
     return ProtocolResult(rhos, select_certainty(rhos), tuple(m for m, _ in measured))

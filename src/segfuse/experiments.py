@@ -94,9 +94,9 @@ def robustness(
     The same under-performer is appended k times (re-adding one bad model),
     and three fusion routes are compared: per-pixel majority vote,
     channel-wise fusion under the certainty-aware policy, and the
-    probability-averaging baseline.  Each distinct member is measured once
-    per seed; a member's rho report depends on that member alone, so the
-    k-member ensemble reuses those reports.
+    probability-averaging baseline.  Each distinct member is unified and
+    measured once per seed; a member's rho report depends on that member
+    alone, so the k-member ensemble reuses those labels and reports.
     """
     bad_counts = sorted(set(int(k) for k in bad_counts))
     if not bad_counts or bad_counts[0] < 0:
@@ -108,10 +108,10 @@ def robustness(
         bad_unified = [unify(pm) for pm in bad_maps]
         good_unified = _unified(bench)
         good_rhos = [
-            measure_teacher(maps, bench.feats, config=train_config)[1]
-            for maps in bench.teacher_probs
+            measure_teacher(labels, bench.feats, config=train_config)[1]
+            for labels in good_unified
         ]
-        bad_rho = measure_teacher(bad_maps, bench.feats, config=train_config)[1]
+        bad_rho = measure_teacher(bad_unified, bench.feats, config=train_config)[1]
         for k in bad_counts:
             unified = good_unified + [bad_unified] * k
             probs = list(bench.teacher_probs) + [bad_maps] * k
@@ -145,7 +145,7 @@ def policy_quality(
         policies = {
             "random": select_random(config.classes, bench.num_teachers, seed),
             "certainty": certainty_selection_protocol(
-                list(bench.teacher_probs), bench.feats, config=train_config
+                unified, bench.feats, config=train_config
             ).policy,
             "oracle": select_oracle(_teacher_reports(unified, bench.gts)),
         }
@@ -165,9 +165,9 @@ def correlation(
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
-        reports = _teacher_reports(_unified(bench), bench.gts)
-        proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
-                                             config=train_config)
+        unified = _unified(bench)
+        reports = _teacher_reports(unified, bench.gts)
+        proto = certainty_selection_protocol(unified, bench.feats, config=train_config)
         for c, sim in enumerate(certainty_iou_cosine(proto.rhos, reports)):
             rows.append((seed, c, float(sim)))
     return ["seed", "class", "cosine"], rows
@@ -199,22 +199,19 @@ def flexibility(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     bench = make_benchmark(config, seed)
-    ensemble = [list(maps) for maps in bench.teacher_probs]
     unified = _unified(bench)
     measured = []
     rows = []
     for r in range(1, rounds + 1):
         measured += [
-            measure_teacher(maps, bench.feats, config=train_config)[1]
-            for maps in ensemble[len(measured):]
+            measure_teacher(labels, bench.feats, config=train_config)[1]
+            for labels in unified[len(measured):]
         ]
         policy = select_certainty(measured)
         fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model
-        preds = [student_forward(student, f) for f in bench.feats]
-        unified.append([unify(p) for p in preds])
-        rows.append((r, len(ensemble), dataset_iou(unified[-1], bench.gts).miou))
-        ensemble.append(preds)
+        unified.append([unify(student_forward(student, f)) for f in bench.feats])
+        rows.append((r, len(measured), dataset_iou(unified[-1], bench.gts).miou))
     return ["round", "ensemble_size", "student_miou"], rows
 
 

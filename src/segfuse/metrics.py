@@ -63,15 +63,14 @@ def dataset_iou(preds: Sequence[LabelMap], gts: Sequence[LabelMap]) -> IoUReport
     return _report_from_counts(*totals)
 
 
-def certainty_report(preds) -> IoUReport:
+def certainty_report(preds: Sequence[ProbMap]) -> IoUReport:
     """Per-class certainty rho of one member's distilled student.
 
-    ``preds`` is the student's ProbMap (or list of ProbMaps, one per
-    measurement image).  Class c's rho averages the student's class-c
-    probability over the pixels where it predicts c; a class with no such
-    pixel stays undefined.
+    ``preds`` is the student's ProbMaps, one per measurement image.  Class
+    c's rho averages the student's class-c probability over the pixels
+    where it predicts c; a class with no such pixel stays undefined.
     """
-    maps = [preds] if isinstance(preds, ProbMap) else list(preds)
+    maps = list(preds)
     if not maps:
         raise ValueError("empty measurement set")
     num_classes = maps[0].num_classes

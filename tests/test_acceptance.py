@@ -268,9 +268,7 @@ def test_c09_certainty_iou_correlation():
         bench = make_benchmark(STANDARD, seed)
         unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
         reports = [dataset_iou(maps, bench.gts) for maps in unified]
-        proto = certainty_selection_protocol(
-            list(bench.teacher_probs), bench.feats, config=tc
-        )
+        proto = certainty_selection_protocol(unified, bench.feats, config=tc)
         sims = certainty_iou_cosine(proto.rhos, reports)
         positives += int((sims > 0).sum())
         total += sims.size

@@ -134,7 +134,8 @@ class TestWrapperFidelity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_select_policy_certainty_from_protocol_columns(self, tmp_path, capsys, seed):
         bench = make_benchmark(BenchmarkConfig(), seed)
-        proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
+        members = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+        proto = certainty_selection_protocol(members, bench.feats,
                                              config=TrainConfig(iterations=60))
         files = _write_columns(tmp_path, "rho", stack_reports(proto.rhos))
         back = stack_reports([fileio.report_from_json(Path(f).read_text()) for f in files])
@@ -872,8 +873,7 @@ class TestExperimentKinds:
             bench = make_benchmark(BenchmarkConfig(), seed)
             unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
             reports = [dataset_iou(maps, bench.gts) for maps in unified]
-            proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats,
-                                                 config=tc)
+            proto = certainty_selection_protocol(unified, bench.feats, config=tc)
             sims = certainty_iou_cosine(proto.rhos, reports)
             rows += [(seed, c, float(sim)) for c, sim in enumerate(sims)]
         assert got == rows_to_csv(["seed", "class", "cosine"], rows)

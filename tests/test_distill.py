@@ -15,6 +15,7 @@ from segfuse.distill import (
     _ce_means,
     certainty_selection_protocol,
     kl_loss_and_grads,
+    measure_teacher,
     student_forward,
     train_student,
 )
@@ -375,8 +376,8 @@ def protocol_inputs(seed=0, images=4, classes=4):
         g, f = gen_ground_truth(24, 24, classes, region_scale=5, seed=1000 + seed + i)
         gts.append(g)
         feats.append(f)
-        good.append(corrupt_teacher(g, [0.05] * classes, 0.5, seed=200 + i))
-        bad.append(corrupt_teacher(g, [0.65] * classes, 0.1, seed=300 + i))
+        good.append(unify(corrupt_teacher(g, [0.05] * classes, 0.5, seed=200 + i)))
+        bad.append(unify(corrupt_teacher(g, [0.65] * classes, 0.1, seed=300 + i)))
     return gts, feats, good, bad
 
 
@@ -408,6 +409,39 @@ class TestSelectionProtocol:
 
     def test_teacher_maps_must_match_feature_size(self):
         _, feats, good, _ = protocol_inputs()
-        small = [ProbMap(pm.values[:12, :12]) for pm in good]
+        small = [LabelMap(lm.values[:12, :12], lm.num_classes) for lm in good]
         with pytest.raises(ValueError, match="dimensions differ"):
             certainty_selection_protocol([small, good], feats, 0.3, TrainConfig(seed=0))
+
+    def test_never_reads_the_measurement_split_labels(self):
+        _, feats, good, bad = protocol_inputs(2)
+        cfg = TrainConfig(lr=0.5, iterations=60, seed=0)
+        # measure_fraction 0.5 of 4 images holds out images 0 and 1
+        swapped = bad[:2] + good[2:]
+        assert any((b.values != g.values).any() for b, g in zip(bad[:2], good[:2]))
+        model, rho = measure_teacher(good, feats, 0.5, cfg)
+        model2, rho2 = measure_teacher(swapped, feats, 0.5, cfg)
+        np.testing.assert_array_equal(model.weights, model2.weights)
+        np.testing.assert_array_equal(model.bias, model2.bias)
+        np.testing.assert_array_equal(rho.per_class, rho2.per_class)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda f, pms, cfg: train_student(f[0], pms[0], cfg), "LabelMap"),
+            (lambda f, pms, cfg: train_student(f, pms, cfg), "LabelMap"),
+            (lambda f, pms, cfg: ce_loss_and_grads(certain_model(4, 0), f[0], pms[0]), "LabelMap"),
+            (lambda f, pms, cfg: ce_loss_and_grads(certain_model(4, 0), f, pms), "LabelMap"),
+            (lambda f, pms, cfg: measure_teacher(pms[0], f, 0.3, cfg), "LabelMap"),
+            (lambda f, pms, cfg: measure_teacher(pms, f, 0.3, cfg), "LabelMap"),
+            (lambda f, pms, cfg: certainty_selection_protocol([], f, 0.3, cfg),
+             "at least one teacher"),
+        ],
+        ids=["train_single", "train_list", "ce_single", "ce_list",
+             "measure_single", "measure_list", "empty_ensemble"],
+    )
+    def test_bad_members_are_a_value_error(self, call, match):
+        gts, feats, _, _ = protocol_inputs()
+        probs = [corrupt_teacher(g, [0.05] * 4, 0.5, seed=i) for i, g in enumerate(gts)]
+        with pytest.raises(ValueError, match=match):
+            call(feats, probs, TrainConfig(iterations=5, seed=0))

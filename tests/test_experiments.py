@@ -11,7 +11,14 @@ from segfuse.distill import (
     student_forward,
     train_student,
 )
-from segfuse.experiments import flexibility, kernel_sweep, prop_checks, robustness
+from segfuse.experiments import (
+    correlation,
+    flexibility,
+    kernel_sweep,
+    policy_quality,
+    prop_checks,
+    robustness,
+)
 from segfuse.metrics import certainty_report, dataset_iou
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
@@ -63,7 +70,8 @@ class TestRobustness:
             bench = make_benchmark(FAST, seed)
             bad = make_underperformer_maps(bench, seed)
             probs = list(bench.teacher_probs) + [bad] * 2
-            proto = certainty_selection_protocol(probs, bench.feats, config=TC)
+            members = [[unify(pm) for pm in maps] for maps in probs]
+            proto = certainty_selection_protocol(members, bench.feats, config=TC)
             assert (proto.policy.assignment < FAST.num_teachers).all()
         by = {}
         for k, method, seed, miou in rows:
@@ -95,7 +103,7 @@ def robustness_reference(config, bad_counts, base_seed, num_seeds, tc):
             probs = list(bench.teacher_probs) + [bad] * k
             unified = [[unify(pm) for pm in maps] for maps in probs]
             pixel = [pixel_fuse([u[i] for u in unified]) for i in range(config.images)]
-            policy = certainty_selection_protocol(probs, bench.feats, config=tc).policy
+            policy = certainty_selection_protocol(unified, bench.feats, config=tc).policy
             averaged = [
                 unify(average_fuse([p[i] for p in probs])) for i in range(config.images)
             ]
@@ -114,8 +122,8 @@ def flexibility_reference(config, rounds, seed, tc):
     ensemble = [list(maps) for maps in bench.teacher_probs]
     rows = []
     for r in range(1, rounds + 1):
-        policy = certainty_selection_protocol(ensemble, bench.feats, config=tc).policy
         unified = [[unify(pm) for pm in maps] for maps in ensemble]
+        policy = certainty_selection_protocol(unified, bench.feats, config=tc).policy
         student = train_student(list(bench.feats), fuse_channel(unified, policy), tc).model
         preds = [student_forward(student, f) for f in bench.feats]
         rows.append((r, len(ensemble), dataset_iou([unify(p) for p in preds], bench.gts).miou))
@@ -136,14 +144,46 @@ class TestMeasureOnce:
 
     def test_measure_teacher_students_equal_protocol_students(self):
         bench = make_benchmark(FAST, 0)
-        proto = certainty_selection_protocol(list(bench.teacher_probs), bench.feats, config=TC)
-        for maps, student in zip(bench.teacher_probs, proto.students):
-            model, rho = measure_teacher(maps, bench.feats, config=TC)
+        members = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+        proto = certainty_selection_protocol(members, bench.feats, config=TC)
+        for labels, student in zip(members, proto.students):
+            model, rho = measure_teacher(labels, bench.feats, config=TC)
             assert np.array_equal(model.weights, student.weights)
             assert np.array_equal(model.bias, student.bias)
             # FAST's 3 images hold out one for measurement
-            want = certainty_report(student_forward(student, bench.feats[0])).per_class
+            want = certainty_report([student_forward(student, bench.feats[0])]).per_class
             assert np.array_equal(rho.per_class, want, equal_nan=True)
+
+
+class TestUnifyOnce:
+    """A driver unifies each map once: fusion and measurement share the labels."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda: robustness(FAST, [0, 1, 2], 0, 1, TC),
+            lambda: flexibility(FAST, 3, 0, TC),
+            lambda: policy_quality(FAST, 0, 1, TC),
+            lambda: correlation(FAST, 0, 1, TC),
+        ],
+        ids=["robustness", "flexibility", "policy_quality", "correlation"],
+    )
+    def test_no_map_is_unified_twice(self, monkeypatch, driver):
+        from segfuse import distill, experiments, metrics
+
+        seen = []  # strong references, so no id is reused during the run
+
+        def recording_unify(pm):
+            seen.append(pm)
+            return unify(pm)
+
+        monkeypatch.setattr(experiments, "unify", recording_unify)
+        monkeypatch.setattr(metrics, "unify", recording_unify)
+        monkeypatch.setattr(distill, "unify", recording_unify, raising=False)
+        driver()
+        repeats = len(seen) - len({id(pm) for pm in seen})
+        assert seen
+        assert repeats == 0
 
 
 class TestFlexibility:

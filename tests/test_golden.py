@@ -28,7 +28,6 @@ import numpy as np
 
 from segfuse import fileio
 from segfuse.cli import main
-from segfuse.core import ProbMap
 from segfuse.distill import FeatureMap, measure_teacher
 from segfuse.policy import select_certainty, select_oracle
 
@@ -130,10 +129,10 @@ def make_inputs(directory: Path) -> None:
         feats = [FeatureMap(np.load(tmp / f"img{i:03d}.features.npy"))
                  for i in range(IMAGES)]
         for t in range(TEACHERS):
-            maps = [ProbMap(np.fromfile(tmp / f"teacher{t:02d}.img{i:03d}.pmap", "<f4",
-                                        offset=fileio.MAP_BODY_OFFSET).reshape(32, 32, -1))
-                    for i in range(IMAGES)]
-            rho = measure_teacher(maps, feats)[1]
+            paths = [tmp / f"teacher{t:02d}.img{i:03d}.pmap" for i in range(IMAGES)]
+            labels = [fileio.read_labels(fileio.read_file(str(p), fileio.MAP_BODY_OFFSET))
+                      for p in paths]
+            rho = measure_teacher(labels, feats)[1]
             (directory / f"rho{t}.json").write_text(fileio.report_to_json(rho))
             unified = tmp / f"unified{t}.lmap"
             assert main(["unify", str(tmp / f"teacher{t:02d}.img000.pmap"),

@@ -127,13 +127,13 @@ class TestCertaintyReport:
     def test_single_class_predictor(self):
         # class 0 predicted everywhere at 0.8 -> rho(0)=0.8, others undefined
         pm = prob([[[0.8, 0.1, 0.1], [0.8, 0.15, 0.05]]])
-        rho = rho_of(pm)
+        rho = rho_of([pm])
         assert rho[0] == pytest.approx(0.8)
         assert np.isnan(rho[1]) and np.isnan(rho[2])
 
     def test_uniform_student_ties_to_class_zero(self):
         pm = prob([[[0.25] * 4] * 3] * 2)
-        rho = rho_of(pm)
+        rho = rho_of([pm])
         assert rho[0] == pytest.approx(0.25)
         assert np.isnan(rho[1:]).all()
 
