@@ -30,7 +30,6 @@ from .fusion import (
     build_channel_sets,
     channel_fuse,
     pixel_fuse,
-    resolve_conflicts,
 )
 from .metrics import (
     certainty_histogram,

@@ -4,12 +4,12 @@ Two fusion routes:
 
 * ``pixel_fuse``   -- per-pixel majority vote over all teachers (baseline);
 * ``channel_fuse`` -- recombine, per class, the prediction channel of the
-  one teacher chosen by a fusion policy, then resolve pixels claimed by
+  one teacher chosen by a fusion policy, then settle pixels claimed by
   multiple channels with a windowed majority count.
 
-Both are pure functions.  Channel fusion is evaluated in two phases (build
-the per-class pixel sets, then resolve the overlap) so overlap resolution
-is independent per pixel and parallel-safe.
+Both are pure functions.  Channel fusion builds the per-class pixel sets
+once, fills one output by class, and writes the winners of the contested
+pixels into that same output.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ def build_channel_sets(
         raise ValueError(
             f"policy expects {policy.num_teachers} teachers, got {len(maps)} maps"
         )
-    masks = np.stack(
-        [maps[policy.teacher_for(c)].values == c for c in range(num_classes)]
-    )
+    masks = np.empty((num_classes,) + maps[0].values.shape, dtype=bool)
+    for c in range(num_classes):
+        np.equal(maps[policy.teacher_for(c)].values, c, out=masks[c])
     return ChannelSets(masks)
 
 
@@ -164,27 +164,6 @@ def _contested_winners(
     return winner
 
 
-def resolve_conflicts(sets: ChannelSets, kappa: int) -> LabelMap:
-    """Assign one class to every overlap pixel by windowed majority count.
-
-    For each contested pixel the winner is the claiming class whose pixel
-    set has the most members inside the kappa x kappa window; counts use
-    the raw per-class sets (contested pixels included) and ties go to the
-    smallest claiming class id.  Non-overlap pixels come back unlabeled.
-    Work and memory grow with the contested pixels, plus one summed-area
-    table.
-    """
-    _check_kappa(kappa)
-    num_classes, h, w = sets.class_masks.shape
-    contested = np.flatnonzero(sets.overlap)
-    # The table and corner arrays are freed before the output exists, so
-    # the peak is one table plus arrays over the contested pixels.
-    winners = _contested_winners(sets.class_masks, contested, kappa)
-    out = np.full(h * w, UNLABELED_ID, dtype=np.uint16)
-    out[contested] = winners
-    return LabelMap(out.reshape(h, w), num_classes)
-
-
 def channel_fuse(
     unified: Sequence[LabelMap], policy: FusionPolicy, kappa: int = DEFAULT_KAPPA
 ) -> LabelMap:
@@ -193,6 +172,12 @@ def channel_fuse(
     Three cases per pixel: claimed by several channels -> windowed
     majority among the claimants; claimed by exactly one channel -> that
     class; claimed by none -> unlabeled.
+
+    A contested pixel goes to the claiming class whose pixel set has the
+    most members inside the kappa x kappa window; counts use the raw
+    per-class sets (contested pixels included) and ties go to the smallest
+    claiming class id.  Beyond the class masks, work and memory grow with
+    the contested pixels, plus one summed-area table.
     """
     _check_kappa(kappa)
     sets = build_channel_sets(unified, policy)
@@ -200,7 +185,6 @@ def channel_fuse(
     out = np.full((h, w), UNLABELED_ID, dtype=np.uint16)
     for c in range(num_classes):
         np.copyto(out, c, where=sets.class_masks[c])
-    if sets.overlap.any():
-        resolved = resolve_conflicts(sets, kappa)
-        np.copyto(out, resolved.values, where=sets.overlap)
+    contested = np.flatnonzero(sets.overlap)
+    out.reshape(-1)[contested] = _contested_winners(sets.class_masks, contested, kappa)
     return LabelMap(out, num_classes)

@@ -16,7 +16,7 @@ modes at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,17 +63,15 @@ def gen_ground_truth(
     classes: int,
     region_scale: int = 8,
     seed: int = 0,
-    feature_dim: Optional[int] = None,
     feature_noise: float = 0.5,
-    feature_separation: float = 2.0,
 ) -> tuple[LabelMap, FeatureMap]:
     """Blob-structured label map plus class-conditional Gaussian features.
 
     ``region_scale`` sets the typical blob side length in pixels.  Every
     class is guaranteed present (the first ``classes`` Voronoi sites keep
-    their own pixel).  Class c's feature mean is ``feature_separation``
-    along axis c, so a nearest-mean classifier separates the classes
-    comfortably at the default noise level.
+    their own pixel).  Features have one dimension per class, and class
+    c's feature mean is 2.0 along axis c, so a nearest-mean classifier
+    separates the classes comfortably at the default noise level.
     """
     if classes < 2:
         raise ValueError("need at least 2 classes")
@@ -81,9 +79,6 @@ def gen_ground_truth(
         raise ValueError("region_scale must be >= 1")
     if classes > height * width:
         raise ValueError(f"cannot place {classes} classes on {height}x{width} pixels")
-    dims = feature_dim if feature_dim is not None else classes
-    if dims < classes:
-        raise ValueError("feature_dim must be >= classes for separated class means")
     rng = np.random.default_rng(seed)
     num_sites = min(max(classes, round(height * width / region_scale**2)), height * width)
     cells = _voronoi_cells(height, width, num_sites, rng)
@@ -91,9 +86,8 @@ def gen_ground_truth(
         [np.arange(classes), rng.integers(0, classes, size=num_sites - classes)]
     )
     labels = site_class[cells]
-    means = np.zeros((classes, dims))
-    means[np.arange(classes), np.arange(classes)] = feature_separation
-    feats = means[labels] + feature_noise * rng.standard_normal((height, width, dims))
+    means = 2.0 * np.eye(classes)
+    feats = means[labels] + feature_noise * rng.standard_normal((height, width, classes))
     return LabelMap(labels.astype(np.uint16), classes), FeatureMap(feats)
 
 
@@ -113,7 +107,9 @@ def corrupt_teacher(
     then become probabilities via softmax of one-hot logits scaled by
     1/temperature: low temperature means near-1.0 certainty, high
     temperature means diffuse certainty.  The argmax always equals the
-    corrupted hard label, so unification is invariant to temperature.
+    corrupted hard label, so unification is invariant to temperature; a
+    temperature so high that the top probability would round down to the
+    others raises ``ValueError``.
     """
     rates = np.asarray(per_class_error, dtype=np.float64)
     num_classes = gt.num_classes
@@ -123,6 +119,15 @@ def corrupt_teacher(
         raise ValueError("error rates must lie in [0, 1]")
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
+    decay = np.exp(-1.0 / temperature)
+    p_top = 1.0 / (1.0 + (num_classes - 1) * decay)
+    p_other = (1.0 - p_top) / (num_classes - 1)
+    if not p_top > p_other:
+        # exp(-1/T) rounds to 1 from about T = 1e16: every class ties.
+        raise ValueError(
+            f"temperature {temperature} is too high to keep the corrupted "
+            "label on top"
+        )
     if gt.unlabeled_mask().any():
         raise ValueError("ground truth may not contain unlabeled pixels")
 
@@ -142,9 +147,6 @@ def corrupt_teacher(
     flip = flip_draw < rates[labels]
     labels[flip] = (labels[flip] + offsets[flip]) % num_classes
 
-    decay = np.exp(-1.0 / temperature)
-    p_top = 1.0 / (1.0 + (num_classes - 1) * decay)
-    p_other = (1.0 - p_top) / (num_classes - 1)
     probs = np.full((h, w, num_classes), p_other)
     np.put_along_axis(probs, labels[:, :, None], p_top, axis=2)
     return ProbMap(probs)

@@ -11,7 +11,6 @@ from segfuse.fusion import (
     build_channel_sets,
     channel_fuse,
     pixel_fuse,
-    resolve_conflicts,
 )
 from segfuse.metrics import per_class_iou
 
@@ -184,9 +183,27 @@ def channel_fuse_oracle(masks, kappa):
     return out
 
 
+def masks_ensemble(masks):
+    """Ensemble and policy whose channel sets are exactly ``masks``.
+
+    Teacher c labels mask c as c and every other pixel (c + 1) % C, and the
+    policy takes class c from teacher c.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    classes = masks.shape[0]
+    maps = [
+        LabelMap(np.where(masks[c], c, (c + 1) % classes), classes)
+        for c in range(classes)
+    ]
+    return maps, FusionPolicy(np.arange(classes), classes)
+
+
+def fuse_masks(masks, kappa):
+    return channel_fuse(*masks_ensemble(masks), kappa)
+
+
 class TestResolveConflicts:
-    def build(self, masks):
-        return ChannelSets(np.array(masks, dtype=bool))
+    """The contested-pixel step of channel_fuse, on hand-made class masks."""
 
     def test_kappa_one_all_counts_tie(self):
         # both claiming classes see only the pixel itself -> smallest wins
@@ -195,7 +212,7 @@ class TestResolveConflicts:
             [[True]],
             [[True]],
         ]
-        res = resolve_conflicts(self.build(masks), 1)
+        res = fuse_masks(masks, 1)
         assert res.values[0, 0] == 1
 
     def test_window_count_example(self):
@@ -208,16 +225,15 @@ class TestResolveConflicts:
         a2 = np.array(
             [[False, False, False], [False, True, False], [False, False, True]]
         )
-        sets = self.build([a0, a1, a2])
-        assert sets.overlap[1, 1]
-        res = resolve_conflicts(sets, 3)
+        assert build_channel_sets(*masks_ensemble([a0, a1, a2])).overlap[1, 1]
+        res = fuse_masks([a0, a1, a2], 3)
         assert res.values[1, 1] == 1
 
     def test_equal_window_counts_take_smallest_claiming(self):
         a0 = np.zeros((1, 3), dtype=bool)
         a1 = np.array([[True, True, False]])
         a2 = np.array([[False, True, True]])
-        res = resolve_conflicts(self.build([a0, a1, a2]), 3)
+        res = fuse_masks([a0, a1, a2], 3)
         assert res.values[0, 1] == 1
 
     def test_argmax_restricted_to_claiming_classes(self):
@@ -225,23 +241,23 @@ class TestResolveConflicts:
         a0 = np.array([[True, False, True], [True, False, True], [True, False, True]])
         a1 = np.array([[False, True, False], [False, True, False], [False, False, False]])
         a2 = np.array([[False, False, False], [False, True, False], [False, True, False]])
-        sets = self.build([a0, a1, a2])
-        res = resolve_conflicts(sets, 3)
+        res = fuse_masks([a0, a1, a2], 3)
         assert res.values[1, 1] in (1, 2)
 
     def test_even_kappa_rejected(self):
         with pytest.raises(ValueError):
-            resolve_conflicts(self.build([[[True]], [[True]]]), 2)
+            fuse_masks([[[True]], [[True]]], 2)
 
     def test_non_overlap_pixels_come_back_unlabeled(self):
+        # (0, 0) is contested; no channel claims (0, 1)
         a0 = np.array([[True, False]])
-        a1 = np.array([[True, True]])
-        res = resolve_conflicts(self.build([a0, a1]), 1)
+        a1 = np.array([[True, False]])
+        res = fuse_masks([a0, a1], 1)
         assert res.values[0, 1] == UNLABELED_ID
 
 
 class TestResolveOracle:
-    """resolve_conflicts and channel_fuse against the scalar window count."""
+    """channel_fuse against the scalar window count."""
 
     @given(
         st.integers(0, 10**6),
@@ -263,9 +279,9 @@ class TestResolveOracle:
         kappa = {"one": 1, "small": int(rng.choice([3, 5])), "whole": 2 * w + 1}[size]
         sets = build_channel_sets(maps, policy)
         masks = sets.class_masks
-        got = resolve_conflicts(sets, kappa).values
-        assert np.array_equal(got, resolve_oracle(masks, kappa))
         got = channel_fuse(maps, policy, kappa).values
+        contested = np.where(sets.overlap, got, UNLABELED_ID)
+        assert np.array_equal(contested, resolve_oracle(masks, kappa))
         assert np.array_equal(got, channel_fuse_oracle(masks, kappa))
 
     @pytest.mark.parametrize("kappa", [1, 3, 7, 31])
@@ -276,9 +292,9 @@ class TestResolveOracle:
         for i in range(h):
             for j in range(w):
                 masks[rng.choice(classes, size=2, replace=False), i, j] = True
-        sets = ChannelSets(masks)
-        assert sets.overlap.all()
-        got = resolve_conflicts(sets, kappa).values
+        maps, policy = masks_ensemble(masks)
+        assert build_channel_sets(maps, policy).overlap.all()
+        got = channel_fuse(maps, policy, kappa).values
         assert np.array_equal(got, resolve_oracle(masks, kappa))
         assert (got != UNLABELED_ID).all()
 
@@ -289,12 +305,13 @@ class TestResolveOracle:
         policy = FusionPolicy(rng.integers(0, 3, size=5), 3)
         sets = build_channel_sets([m, m, m], policy)
         assert not sets.overlap.any()
-        assert (resolve_conflicts(sets, kappa).values == UNLABELED_ID).all()
+        assert (resolve_oracle(sets.class_masks, kappa) == UNLABELED_ID).all()
         assert np.array_equal(channel_fuse([m, m, m], policy, kappa).values, m.values)
 
     def test_memory_stays_below_one_byte_per_class_pixel(self):
-        """A 19-class 256 x 512 resolution holds one summed-area table plus
-        arrays over the contested pixels, never a C x H x W stack."""
+        """A 19-class 256 x 512 fusion holds the C x H x W class masks plus
+        less than one byte per class-pixel: one summed-area table and
+        arrays over the contested pixels, never a second stack."""
         import tracemalloc
 
         rng = np.random.default_rng(0)
@@ -309,15 +326,17 @@ class TestResolveOracle:
             wrong = blocks(rng.random((h // 16, w // 16)) < 0.2, 16)
             noise = blocks(rng.integers(0, classes, size=(h // 16, w // 16)), 16)
             maps.append(LabelMap(np.where(wrong, noise, gt), classes))
-        sets = build_channel_sets(maps, FusionPolicy(rng.integers(0, 4, size=classes), 4))
+        policy = FusionPolicy(rng.integers(0, 4, size=classes), 4)
+        sets = build_channel_sets(maps, policy)
         assert 0.05 < sets.overlap.mean() < 0.2  # contested share as in real ensembles
+        del sets
         tracemalloc.start()
         try:
-            resolve_conflicts(sets, 13)
+            channel_fuse(maps, policy, 13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < classes * h * w
+        assert peak < 2 * classes * h * w
 
 
 class TestChannelFuse:

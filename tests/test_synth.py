@@ -118,10 +118,10 @@ class TestCorruptTeacher:
         for seed in range(5):
             labels = [
                 unify(corrupt_teacher(self.gt, [0.3] * 5, temp, seed=seed)).values
-                for temp in (0.1, 1.0, 10.0)
+                for temp in (0.1, 1.0, 10.0, 1e15)  # 1e15: the highest that works
             ]
-            assert np.array_equal(labels[0], labels[1])
-            assert np.array_equal(labels[1], labels[2])
+            for other in labels[1:]:
+                assert np.array_equal(labels[0], other)
 
     def test_low_temperature_is_confident(self):
         sharp = corrupt_teacher(self.gt, [0.0] * 5, 0.1, seed=0)
@@ -166,6 +166,11 @@ class TestCorruptTeacher:
             corrupt_teacher(self.gt, [0.1] * 5, 0.0, seed=0)
         with pytest.raises(ValueError):
             corrupt_teacher(self.gt, [0.1] * 3, 1.0, seed=0)
+
+    @pytest.mark.parametrize("temp", [1e16, 1e300, float("inf")])
+    def test_rejects_temperature_that_ties_every_class(self, temp):
+        with pytest.raises(ValueError, match="too high"):
+            corrupt_teacher(self.gt, [0.3] * 5, temp, seed=0)
 
 
 class TestGenUnderperformer:
