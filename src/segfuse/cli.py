@@ -109,10 +109,10 @@ def cmd_select_policy(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    config = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed)
     feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)),
                   body_offset=0)
     labels = _load(args.labels, fileio.read_labelmap)
-    config = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed)
     result = train_student(feats, labels, config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
@@ -156,6 +156,18 @@ _BENCH_FLAGS = {
     "error-high": "error_high",
     "blob-scale": "teacher_blob_scale",
 }
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: a non-negative integer, as numpy's
+    generators take, so a bad seed is a usage error before any input is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _add_flags(parser, cls, table) -> None:
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = modes.add_parser("random", help="uniform random teacher per class")
     m.add_argument("--classes", type=int, required=True)
     m.add_argument("--teachers", type=int, required=True)
-    m.add_argument("--seed", type=int, required=True)
+    m.add_argument("--seed", type=_seed, required=True)
     m.add_argument("-o", "--output")
     m.set_defaults(func=cmd_select_policy)
     m = modes.add_parser("certainty", help="argmax of per-teacher student certainty")
@@ -308,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="train the toy student on fused labels")
     p.add_argument("--features", required=True, help="H x W x d .npy feature file")
     p.add_argument("--labels", required=True, help="fused .lmap pseudo labels")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     _add_flags(p, TrainConfig, _TRAIN_FLAGS)
     p.add_argument("-o", "--output", required=True, help="model .npz output")
     p.add_argument("--probmap-out", help="also write the student's .pmap")
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic benchmark directory")
     _add_flags(p, BenchmarkConfig, _BENCH_FLAGS)
     p.add_argument("--underperformers", type=int, default=0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = kinds.add_parser(kind, help=summary)
         if bench:
             _add_flags(q, BenchmarkConfig, _BENCH_FLAGS)
-        q.add_argument("--seed", type=int, required=True)
+        q.add_argument("--seed", type=_seed, required=True)
         if trains:
             q.add_argument("--iterations", type=int, default=200)
         q.add_argument("-o", "--output")

@@ -101,8 +101,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
             raise ValueError("lr and weight_decay must be finite and >= 0")
         if not math.isfinite(self.lr_decay_power):
@@ -143,19 +149,46 @@ def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
         raise ValueError(
             f"feature dim {feats.dims} does not match model dim {model.feature_dims}"
         )
-    return ProbMap(_class_probs(feats.values, model.weights, model.bias, axis=2))
+    x = feats.values.reshape(-1, feats.dims)
+    probs = _class_probs(x, model.weights, model.bias)
+    return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
 
-def _class_probs(x, weights, bias, axis):
-    """softmax(x @ weights.T + bias) along ``axis``, in one new array.
+#: Rows per block of the student's softmax: the block's elementwise passes
+#: stay in cache.  Never so few that a block's matmul leaves the whole-array
+#: BLAS path: 1-row and small blocks round differently (see ``_row_blocks``).
+_BLOCK_ROWS = 8192
 
-    The bias and the softmax are applied in place on the product, so a
-    training step holds a single rows x classes array and its peak memory
-    does not depend on where the heap places a second one.
+
+def _row_blocks(n):
+    """Slices cutting ``n`` rows into near-equal blocks, none shorter than
+    ``_BLOCK_ROWS`` unless ``n`` is, so every block's ``x @ weights.T`` is
+    bit-identical to the same rows of the whole product."""
+    k = max(1, n // _BLOCK_ROWS)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _softmax_blocks(x, weights, bias, out):
+    """Write softmax(x @ weights.T + bias) of the rows x into ``out`` one row
+    block at a time, yielding each block's (rows, view) once it is written.
+
+    The bias and the softmax are applied in place, so a training step holds
+    a single rows x classes array, and a caller's per-row work on a block
+    runs while the block is still in cache.
     """
-    z = x @ weights.T
-    z += bias
-    return softmax_inplace(z, axis)
+    for rows in _row_blocks(x.shape[0]):
+        blk = out[rows]
+        np.matmul(x[rows], weights.T, out=blk)
+        blk += bias
+        yield rows, softmax_inplace(blk, 1)
+
+
+def _class_probs(x, weights, bias):
+    """softmax(x @ weights.T + bias) of the rows x, as one new rows x classes array."""
+    probs = np.empty((x.shape[0], weights.shape[0]))
+    for _ in _softmax_blocks(x, weights, bias, probs):
+        pass
+    return probs
 
 
 def _as_list(x, cls):
@@ -172,13 +205,13 @@ def _as_list(x, cls):
 def _labeled_rows(feats, labels):
     """Stack (features, labels) image lists into rows of the labeled pixels.
 
-    Returns (features, int class ids, class count).
+    Returns (features, int class ids, class count).  Each image's labeled
+    rows are copied straight into the one preallocated output.
     """
     feats = _as_list(feats, FeatureMap)
     labels = _as_list(labels, LabelMap)
     if len(feats) != len(labels) or not feats:
         raise ValueError("need equally many (>=1) feature and label maps")
-    xs, ys = [], []
     dims = feats[0].dims
     classes = labels[0].num_classes
     for f, l in zip(feats, labels):
@@ -186,23 +219,37 @@ def _labeled_rows(feats, labels):
             raise ValueError("feature and label dimensions differ")
         if f.dims != dims or l.num_classes != classes:
             raise ValueError("images disagree on feature dim or class count")
-        xs.append(f.values.reshape(-1, dims))
-        ys.append(l.values.reshape(-1))
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    mask = y != UNLABELED_ID
-    if not mask.any():
+    n = sum(int(np.count_nonzero(l.values != UNLABELED_ID)) for l in labels)
+    if not n:
         raise ValueError("all pixels are unlabeled; nothing to train on")
-    return x[mask], y[mask].astype(np.intp), classes
+    x, y = np.empty((n, dims)), np.empty(n, np.intp)
+    start = 0
+    for f, l in zip(feats, labels):
+        idx = np.flatnonzero(l.values != UNLABELED_ID)
+        rows = slice(start, start + idx.size)
+        # mode="clip" keeps take from buffering a copy of ``out``.
+        np.take(f.values.reshape(-1, dims), idx, axis=0, out=x[rows], mode="clip")
+        y[rows] = l.values.reshape(-1)[idx]
+        start = rows.stop
+    return x, y, classes
 
 
 def _ce_means(weights, bias, x, y):
-    """(mean loss, mean grads) of hard-label CE over labeled rows x, y."""
+    """(mean loss, mean grads) of hard-label CE over labeled rows x, y.
+
+    Each row block's softmax, label pick and ``-1`` at the label are done
+    while the block is in cache, into one rows x classes array ``g``; the
+    sums over rows run on the whole arrays, in the order a whole-array step
+    takes, so the result is bit-identical to it.
+    """
     n = y.shape[0]
-    rows = np.arange(n)
-    probs = _class_probs(x, weights, bias, axis=1)
-    loss = float(-np.log(np.maximum(probs[rows, y], _LOG_CLAMP)).sum())
-    g = probs
-    g[rows, y] -= 1.0
+    g = np.empty((n, weights.shape[0]))
+    picked = np.empty(n)
+    for rows, blk in _softmax_blocks(x, weights, bias, g):
+        at = (np.arange(blk.shape[0]), y[rows])
+        picked[rows] = blk[at]
+        blk[at] -= 1.0
+    loss = float(-np.log(np.maximum(picked, _LOG_CLAMP)).sum())
     return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
 
 
@@ -227,7 +274,7 @@ def kl_loss_and_grads(
     x = feats.values.reshape(-1, feats.dims)
     s = target.values.reshape(-1, target.num_classes)
     n = x.shape[0]
-    probs = _class_probs(x, model.weights, model.bias, axis=1)
+    probs = _class_probs(x, model.weights, model.bias)
     loss = float(-(s * np.log(np.maximum(probs, _LOG_CLAMP))).sum()) / n
     g = (probs * s.sum(axis=1, keepdims=True) - s) / n
     return loss, g.T @ x, g.sum(axis=0)

@@ -192,7 +192,7 @@ class TestWrapperFidelity:
             flags = [a for a in actions if a.dest == field.name]
             assert len(flags) == 1, field.name
             if field.name == "seed":  # the one required flag
-                assert flags[0].required and flags[0].type is int
+                assert flags[0].required and flags[0].type is cli._seed
             else:
                 assert flags[0].type is type(field.default), field.name
                 assert flags[0].default == field.default, field.name
@@ -898,3 +898,47 @@ class TestExperimentKinds:
                 main(["experiment", kind, "--seed", "0", flag, "2"])
             assert exit_.value.code == 2
             assert flag in capsys.readouterr().err
+
+
+# Each command that takes --seed, with its other required arguments.
+_SEEDED_ARGV = [
+    ["distill", "--features", "missing.npy", "--labels", "missing.lmap", "-o", "out.npz"],
+    ["synth", "--outdir", "out.d"],
+    ["select-policy", "random", "--classes", "3", "--teachers", "2"],
+    *[["experiment", kind] for kind in _experiment_kinds()],
+]
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "abc"])
+    @pytest.mark.parametrize("argv", _SEEDED_ARGV, ids=" ".join)
+    def test_bad_seed_is_a_usage_error_naming_the_flag(
+        self, tmp_path, capsys, monkeypatch, argv, seed
+    ):
+        # distill's inputs do not exist: the seed is rejected before any read
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--seed", seed])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        want = f"argument --seed: expected a non-negative integer, got {seed!r}"
+        assert json.loads(lines[0])["error"].endswith(want)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--iterations", "0", "iterations must be >= 1"),
+        ("--momentum", "1", "momentum must lie in [0, 1)"),
+    ])
+    def test_distill_checks_its_config_before_reading_inputs(
+        self, tmp_path, flag, value, want
+    ):
+        argv = ["distill", "--features", str(tmp_path / "missing.npy"),
+                "--labels", str(tmp_path / "missing.lmap"), "--seed", "0",
+                flag, value, "-o", str(tmp_path / "out.npz")]
+        assert _run_rejected(tmp_path, argv) == want
+
+    def test_seed_takes_any_non_negative_integer(self):
+        assert [cli._seed(s) for s in ("0", "7", "+3", str(2**70))] == [0, 7, 3, 2**70]

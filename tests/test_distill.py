@@ -10,9 +10,12 @@ from segfuse.distill import (
     FeatureMap,
     ToyStudent,
     TrainConfig,
+    _BLOCK_ROWS,
+    _ce_means,
+    _labeled_rows,
+    _row_blocks,
     average_fuse,
     ce_loss_and_grads,
-    _ce_means,
     certainty_selection_protocol,
     kl_loss_and_grads,
     measure_teacher,
@@ -307,6 +310,94 @@ class TestSoftmaxKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * classes * 8
+
+
+B = _BLOCK_ROWS
+
+
+class TestRowBlocks:
+    """The CE step's row blocks give the whole-array step's bits at any size."""
+
+    @pytest.mark.parametrize("classes, dims", [(8, 8), (19, 19), (2, 40)])
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B + 2])
+    def test_ce_means_bit_identical_across_block_boundaries(self, n, classes, dims):
+        rng = np.random.default_rng([n, classes, dims])
+        x = rng.normal(size=(n, dims))
+        y = rng.integers(0, classes, size=n).astype(np.intp)
+        weights = rng.normal(scale=0.3, size=(classes, dims))
+        bias = rng.normal(size=classes)
+        got, want = _ce_means(weights, bias, x, y), reference_ce_means(weights, bias, x, y)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("height, width", [(1, B + 1), (2 * B + 1, 1)])
+    def test_student_forward_matches_whole_array_expression(self, height, width):
+        rng = np.random.default_rng(height)
+        model = ToyStudent(rng.normal(size=(19, 19)), rng.normal(size=19))
+        feats = FeatureMap(rng.normal(size=(height, width, 19)))
+        # One product over all pixel rows: a batch of H products of W rows
+        # each takes a 1-row path at W = 1, whose last bits differ.
+        x = feats.values.reshape(-1, 19)
+        want = reference_softmax(x @ model.weights.T + model.bias, 1)
+        assert np.array_equal(student_forward(model, feats).values, want.reshape(height, width, 19))
+
+    def test_no_block_is_shorter_than_the_block_size(self):
+        for n in [*range(1, 4 * B, 61), B - 1, B, B + 1, 2 * B - 1, 2 * B, 7 * B + 5]:
+            blocks = _row_blocks(n)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [s.stop - s.start for s in blocks]
+            assert min(sizes) >= min(n, B), n
+            assert max(sizes) < 2 * B, n
+
+
+class TestLabeledRows:
+    def test_holds_one_copy_of_the_labeled_features(self):
+        # At a mostly labeled input, stacking every image's rows and then
+        # masking them held the features of all pixels plus the labeled ones.
+        h, w, dims, classes = 96, 128, 19, 5
+        rng = np.random.default_rng(0)
+        feats, labels = [], []
+        for _ in range(2):
+            feats.append(FeatureMap(rng.normal(size=(h, w, dims))))
+            lab = rng.integers(0, classes, size=(h, w))
+            lab[rng.random((h, w)) < 0.1] = UNLABELED_ID
+            labels.append(LabelMap(lab, classes))
+        tracemalloc.start()
+        try:
+            x, y, got_classes = _labeled_rows(feats, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_labeled = y.shape[0]
+        assert peak < n_labeled * (dims + 2) * 8 + 64 * 1024
+        mask = np.concatenate([l.values.reshape(-1) for l in labels]) != UNLABELED_ID
+        assert n_labeled == mask.sum() and got_classes == classes
+        want_x = np.concatenate([f.values.reshape(-1, dims) for f in feats])[mask]
+        want_y = np.concatenate([l.values.reshape(-1) for l in labels])[mask]
+        assert np.array_equal(x, want_x)
+        assert y.dtype == np.intp and np.array_equal(y, want_y)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("iterations", 3.0), ("iterations", True),
+        ("iterations", "3"), ("iterations", None),
+        ("seed", 1.5), ("seed", np.float64(2.0)), ("seed", False), ("seed", np.bool_(True)),
+        ("seed", "0"),
+    ])
+    def test_rejects_a_non_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            TrainConfig(seed=-1)
+
+    def test_takes_numpy_integers(self):
+        config = TrainConfig(iterations=np.int64(3), seed=np.uint8(2))
+        assert (config.iterations, config.seed) == (3, 2)
 
 
 def separable_instance(seed=0, h=16, w=16):
