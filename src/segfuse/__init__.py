@@ -20,7 +20,6 @@ from .distill import (
     TrainConfig,
     average_fuse,
     ce_loss_and_grads,
-    certainty_selection_protocol,
     kl_loss_and_grads,
     measure_teacher,
     student_forward,

@@ -170,6 +170,16 @@ def _seed(text: str) -> int:
     return value
 
 
+def _ints(text: str) -> list[int]:
+    """The argparse type of --kappas and --bad-counts: comma-separated
+    integers, so a malformed list is a usage error that names its flag."""
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_flags(parser, cls, table) -> None:
     """One flag per entry of ``table``, typed and defaulted by ``cls()``'s field."""
     defaults = cls()
@@ -226,18 +236,16 @@ def _experiment_table(args) -> tuple[list[str], list[tuple]]:
     """(header, rows) of a CSV experiment kind; three run on BenchmarkConfig()."""
     if args.kind == "certainty-hist":
         return certainty_hist(BenchmarkConfig(), args.seed, args.bins)
+    if args.kind == "kernel-sweep":
+        bench = _config(BenchmarkConfig, _BENCH_FLAGS, args)
+        return kernel_sweep(bench, args.kappas, args.seed, args.seeds)
+    tc = TrainConfig(iterations=args.iterations, seed=args.seed)
     if args.kind in ("policy-quality", "correlation"):
         driver = policy_quality if args.kind == "policy-quality" else correlation
-        tc = TrainConfig(iterations=args.iterations, seed=args.seed)
         return driver(BenchmarkConfig(), args.seed, args.seeds, tc)
     bench = _config(BenchmarkConfig, _BENCH_FLAGS, args)
-    if args.kind == "kernel-sweep":
-        kappas = [int(k) for k in args.kappas.split(",")]
-        return kernel_sweep(bench, kappas, args.seed, args.seeds)
-    tc = TrainConfig(lr=args.lr, iterations=args.iterations, seed=args.seed)
     if args.kind == "robustness":
-        bad_counts = [int(k) for k in args.bad_counts.split(",")]
-        return robustness(bench, bad_counts, args.seed, args.seeds, tc)
+        return robustness(bench, args.bad_counts, args.seed, args.seeds, tc)
     return flexibility(bench, args.rounds, args.seed, tc)
 
 
@@ -349,16 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
         return q
 
     q = add_driver("kernel-sweep", "mIoU gain vs conflict window size", trains=False)
-    q.add_argument("--kappas", default="1,3,5,7,13,21,27")
+    q.add_argument("--kappas", type=_ints, default="1,3,5,7,13,21,27")
     q.add_argument("--seeds", type=int, default=10)
 
     q = add_driver("robustness", "mIoU vs number of under-performers")
-    q.add_argument("--lr", type=float, default=TrainConfig.lr)
-    q.add_argument("--bad-counts", default="0,1,2,3")
+    q.add_argument("--bad-counts", type=_ints, default="0,1,2,3")
     q.add_argument("--seeds", type=int, default=10)
 
     q = add_driver("flexibility", "iterative student re-addition")
-    q.add_argument("--lr", type=float, default=TrainConfig.lr)
     q.add_argument("--rounds", type=int, default=3)
 
     q = add_driver("policy-quality", "random vs certainty vs oracle policy", bench=False)

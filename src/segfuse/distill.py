@@ -1,4 +1,4 @@
-"""Distillation losses, a toy per-pixel student, and the selection protocol.
+"""Distillation losses, a toy per-pixel student, and its per-member measurement.
 
 The student is a multinomial logistic classifier applied independently to
 each pixel's feature vector.  That is deliberately small: it exercises the
@@ -19,16 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED_ID, FusionPolicy, IoUReport, LabelMap, ProbMap, _frozen
+from .core import UNLABELED_ID, IoUReport, LabelMap, ProbMap, _frozen
 from .metrics import certainty_report
-from .policy import select_certainty
 from .util import softmax_inplace
 
 _LOG_CLAMP = 1e-12
 
-#: Measurement share of the dataset used by the selection protocol
+#: Measurement share of the images in ``measure_teacher``
 #: (500 of 2975 images in the full-scale setting).
-DEFAULT_MEASURE_FRACTION = 500 / 2975
+_MEASURE_FRACTION = 500 / 2975
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +120,6 @@ class TrainConfig:
 class TrainResult:
     model: ToyStudent
     losses: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ProtocolResult:
-    rhos: tuple[IoUReport, ...]  # member t's certainty rho, in ensemble order
-    policy: FusionPolicy
-    students: tuple
 
 
 def average_fuse(teachers: Sequence[ProbMap]) -> ProbMap:
@@ -310,22 +302,20 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
 def measure_teacher(
     labels: Sequence[LabelMap],
     feats: Sequence[FeatureMap],
-    measure_fraction: float = DEFAULT_MEASURE_FRACTION,
     config: TrainConfig = TrainConfig(),
-) -> tuple[ToyStudent, IoUReport]:
-    """One member's step of the selection protocol.
+) -> IoUReport:
+    """One member's step of the selection protocol: its certainty rho.
 
     ``labels`` is the member's unified LabelMaps, one per image, and
     ``feats`` the matching feature maps.  Distills a student on the
-    training split's labels with ``config``'s fixed seed, and returns it
-    with its certainty rho on the measurement split, whose labels it never
+    training split's labels with ``config``'s fixed seed, and returns its
+    certainty report on the measurement split, whose labels it never
     reads.  The result depends on this member alone, so a member measured
     once never needs measuring again when others join or leave the
-    ensemble.  The first ``measure_fraction`` share of the images (at
-    least one, at most all but one) is the measurement split.
+    ensemble; ``select_certainty`` over the members' reports is the
+    certainty-aware policy.  The first ``_MEASURE_FRACTION`` share of the
+    images (at least one, at most all but one) is the measurement split.
     """
-    if not 0 < measure_fraction < 1:
-        raise ValueError("measure_fraction must lie in (0, 1)")
     labels = _as_list(labels, LabelMap)
     feats = _as_list(feats, FeatureMap)
     n_images = len(feats)
@@ -333,28 +323,6 @@ def measure_teacher(
         raise ValueError("protocol needs >= 2 images to split")
     if len(labels) != n_images:
         raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
-    n_measure = min(max(1, round(measure_fraction * n_images)), n_images - 1)
+    n_measure = min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
     model = train_student(feats[n_measure:], labels[n_measure:], config).model
-    return model, certainty_report([student_forward(model, f) for f in feats[:n_measure]])
-
-
-def certainty_selection_protocol(
-    members: Sequence[Sequence[LabelMap]],
-    feats: Sequence[FeatureMap],
-    measure_fraction: float = DEFAULT_MEASURE_FRACTION,
-    config: TrainConfig = TrainConfig(),
-) -> ProtocolResult:
-    """Offline certainty-aware policy selection.
-
-    ``members[t]`` is member t's unified LabelMaps, one per image;
-    ``feats`` the matching feature maps.  The first ``measure_fraction``
-    share of the images (at least one) is held out for measurement.  Each
-    member is measured by ``measure_teacher`` (identical student seed for
-    every member), which gives that member's certainty report, and the
-    policy is the per-class argmax of those reports.
-    """
-    if not members:
-        raise ValueError("ensemble must contain at least one teacher")
-    measured = [measure_teacher(labels, feats, measure_fraction, config) for labels in members]
-    rhos = tuple(rho for _, rho in measured)
-    return ProtocolResult(rhos, select_certainty(rhos), tuple(m for m, _ in measured))
+    return certainty_report([student_forward(model, f) for f in feats[:n_measure]])

@@ -13,7 +13,6 @@ from typing import Sequence
 from .distill import (
     TrainConfig,
     average_fuse,
-    certainty_selection_protocol,
     measure_teacher,
     student_forward,
     train_student,
@@ -107,11 +106,9 @@ def robustness(
         bad_maps = make_underperformer_maps(bench, seed)
         bad_unified = [unify(pm) for pm in bad_maps]
         good_unified = _unified(bench)
-        good_rhos = [
-            measure_teacher(labels, bench.feats, config=train_config)[1]
-            for labels in good_unified
-        ]
-        bad_rho = measure_teacher(bad_unified, bench.feats, config=train_config)[1]
+        good_rhos = [measure_teacher(m, bench.feats, config=train_config)
+                     for m in good_unified]
+        bad_rho = measure_teacher(bad_unified, bench.feats, config=train_config)
         for k in bad_counts:
             unified = good_unified + [bad_unified] * k
             probs = list(bench.teacher_probs) + [bad_maps] * k
@@ -144,9 +141,9 @@ def policy_quality(
         unified = _unified(bench)
         policies = {
             "random": select_random(config.classes, bench.num_teachers, seed),
-            "certainty": certainty_selection_protocol(
-                unified, bench.feats, config=train_config
-            ).policy,
+            "certainty": select_certainty(
+                [measure_teacher(m, bench.feats, config=train_config) for m in unified]
+            ),
             "oracle": select_oracle(_teacher_reports(unified, bench.gts)),
         }
         for name, policy in policies.items():
@@ -167,8 +164,8 @@ def correlation(
         bench = make_benchmark(config, seed)
         unified = _unified(bench)
         reports = _teacher_reports(unified, bench.gts)
-        proto = certainty_selection_protocol(unified, bench.feats, config=train_config)
-        for c, sim in enumerate(certainty_iou_cosine(proto.rhos, reports)):
+        rhos = [measure_teacher(m, bench.feats, config=train_config) for m in unified]
+        for c, sim in enumerate(certainty_iou_cosine(rhos, reports)):
             rows.append((seed, c, float(sim)))
     return ["seed", "class", "cosine"], rows
 
@@ -204,7 +201,7 @@ def flexibility(
     rows = []
     for r in range(1, rounds + 1):
         measured += [
-            measure_teacher(labels, bench.feats, config=train_config)[1]
+            measure_teacher(labels, bench.feats, config=train_config)
             for labels in unified[len(measured):]
         ]
         policy = select_certainty(measured)

@@ -17,8 +17,8 @@ from segfuse.distill import (
     ToyStudent,
     TrainConfig,
     ce_loss_and_grads,
-    certainty_selection_protocol,
     kl_loss_and_grads,
+    measure_teacher,
 )
 from segfuse.experiments import kernel_sweep, policy_quality, robustness
 from segfuse.fusion import build_channel_sets, channel_fuse, pixel_fuse
@@ -268,8 +268,8 @@ def test_c09_certainty_iou_correlation():
         bench = make_benchmark(STANDARD, seed)
         unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
         reports = [dataset_iou(maps, bench.gts) for maps in unified]
-        proto = certainty_selection_protocol(unified, bench.feats, config=tc)
-        sims = certainty_iou_cosine(proto.rhos, reports)
+        rhos = [measure_teacher(m, bench.feats, config=tc) for m in unified]
+        sims = certainty_iou_cosine(rhos, reports)
         positives += int((sims > 0).sum())
         total += sims.size
     ok = positives / total >= 0.9

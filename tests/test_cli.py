@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
 from segfuse.core import LabelMap, stack_reports
-from segfuse.distill import TrainConfig, certainty_selection_protocol, train_student
+from segfuse.distill import TrainConfig, measure_teacher, train_student
 from segfuse.experiments import policy_quality
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import (
@@ -135,14 +135,14 @@ class TestWrapperFidelity:
     def test_select_policy_certainty_from_protocol_columns(self, tmp_path, capsys, seed):
         bench = make_benchmark(BenchmarkConfig(), seed)
         members = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
-        proto = certainty_selection_protocol(members, bench.feats,
-                                             config=TrainConfig(iterations=60))
-        files = _write_columns(tmp_path, "rho", stack_reports(proto.rhos))
+        tc = TrainConfig(iterations=60)
+        rhos = [measure_teacher(m, bench.feats, config=tc) for m in members]
+        files = _write_columns(tmp_path, "rho", stack_reports(rhos))
         back = stack_reports([fileio.report_from_json(Path(f).read_text()) for f in files])
-        np.testing.assert_array_equal(back, stack_reports(proto.rhos))  # NaN cells included
+        np.testing.assert_array_equal(back, stack_reports(rhos))  # NaN cells included
         assert main(["select-policy", "certainty", "--rho"] + files) == 0
         got = fileio.policy_from_json(capsys.readouterr().out)
-        np.testing.assert_array_equal(got.assignment, proto.policy.assignment)
+        np.testing.assert_array_equal(got.assignment, select_certainty(rhos).assignment)
 
     @pytest.mark.parametrize("mode, flag", [("certainty", "--rho"), ("oracle", "--phis")])
     def test_select_policy_class_count_mismatch(self, tmp_path, capsys, mode, flag):
@@ -453,24 +453,36 @@ class TestSynthCommand:
             assert p.read_bytes() == (b / p.name).read_bytes(), p.name
 
 
+# distill's required inputs but --seed; none of them is read on a usage error
+_DISTILL = ["distill", "--features", "f.npy", "--labels", "l.lmap"]
+
+
 class TestErrorHandling:
-    @pytest.mark.parametrize("flags, want", [
-        (["--seed", "0", "--iterations", "abc"],
+    @pytest.mark.parametrize("argv, want", [
+        ([*_DISTILL, "--seed", "0", "--iterations", "abc"],
          "segfuse distill: argument --iterations: invalid int value: 'abc'"),
-        (["--seed", "0", "--config", "x"], "segfuse: unrecognized arguments: --config x"),
-        ([], "segfuse distill: the following arguments are required: --seed"),
-    ], ids=["bad-int", "unknown-flag", "missing-required"])
-    def test_usage_error_is_one_json_line(self, tmp_path, capsys, flags, want):
-        argv = ["distill", "--features", "f.npy", "--labels", "l.lmap",
-                "-o", str(tmp_path / "m.npz"), *flags]
+        ([*_DISTILL, "--seed", "0", "--config", "x"],
+         "segfuse: unrecognized arguments: --config x"),
+        (_DISTILL, "segfuse distill: the following arguments are required: --seed"),
+        (["experiment", "robustness", "--seed", "0", "--bad-counts", ","],
+         "segfuse experiment robustness: argument --bad-counts: "
+         "expected comma-separated integers, got ','"),
+        (["experiment", "kernel-sweep", "--seed", "0", "--kappas", "1,x"],
+         "segfuse experiment kernel-sweep: argument --kappas: "
+         "expected comma-separated integers, got '1,x'"),
+    ], ids=["bad-int", "unknown-flag", "missing-required", "bad-counts-list",
+            "bad-kappas-list"])
+    def test_usage_error_is_one_json_line(self, tmp_path, capsys, monkeypatch, argv, want):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_:
-            main(argv)
+            main([*argv, "-o", "out"])
         assert exit_.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "usage" not in captured.err
         assert json.loads(lines[0]) == {"error": want}
+        assert not list(tmp_path.iterdir())
 
     def test_bad_file_gives_json_error_and_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.pmap"
@@ -873,8 +885,8 @@ class TestExperimentKinds:
             bench = make_benchmark(BenchmarkConfig(), seed)
             unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
             reports = [dataset_iou(maps, bench.gts) for maps in unified]
-            proto = certainty_selection_protocol(unified, bench.feats, config=tc)
-            sims = certainty_iou_cosine(proto.rhos, reports)
+            rhos = [measure_teacher(m, bench.feats, config=tc) for m in unified]
+            sims = certainty_iou_cosine(rhos, reports)
             rows += [(seed, c, float(sim)) for c, sim in enumerate(sims)]
         assert got == rows_to_csv(["seed", "class", "cosine"], rows)
 
@@ -892,8 +904,12 @@ class TestExperimentKinds:
 
     @pytest.mark.parametrize("flag", ["--height", "--blob-scale", "--lr"])
     def test_moved_kinds_take_no_benchmark_or_lr_flags(self, flag, capsys):
-        # they run on BenchmarkConfig() with TrainConfig's lr, as the scripts did
-        for kind in ("policy-quality", "correlation", "certainty-hist"):
+        # they run on BenchmarkConfig() with TrainConfig's lr, as the scripts did;
+        # the two kinds that take benchmark flags train at TrainConfig's lr too
+        kinds = ("policy-quality", "correlation", "certainty-hist")
+        if flag == "--lr":
+            kinds += ("robustness", "flexibility")
+        for kind in kinds:
             with pytest.raises(SystemExit) as exit_:
                 main(["experiment", kind, "--seed", "0", flag, "2"])
             assert exit_.value.code == 2
@@ -942,3 +958,23 @@ class TestSeedFlag:
 
     def test_seed_takes_any_non_negative_integer(self):
         assert [cli._seed(s) for s in ("0", "7", "+3", str(2**70))] == [0, 7, 3, 2**70]
+
+
+def _settable_options(parser) -> int:
+    """The options and positionals of ``parser`` and of all its subcommands."""
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(_settable_options(p) for p in action.choices.values())
+        elif not isinstance(action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_settable_value_count_is_pinned():
+    # every CLI option or positional, plus every config field a caller can set;
+    # a change that adds or removes one updates this count on purpose
+    options = _settable_options(build_parser())
+    config_fields = len(fields(TrainConfig)) + len(fields(BenchmarkConfig))
+    assert (options, config_fields) == (102, 19)
+    assert options + config_fields == 121

@@ -16,12 +16,12 @@ from segfuse.distill import (
     _row_blocks,
     average_fuse,
     ce_loss_and_grads,
-    certainty_selection_protocol,
     kl_loss_and_grads,
     measure_teacher,
     student_forward,
     train_student,
 )
+from segfuse.policy import select_certainty
 from segfuse.synth import corrupt_teacher, gen_ground_truth
 from segfuse.unify import unify
 from segfuse.util import softmax, softmax_inplace
@@ -472,49 +472,55 @@ def protocol_inputs(seed=0, images=4, classes=4):
     return gts, feats, good, bad
 
 
+def certainty_policy(members, feats, cfg):
+    """The selection protocol: ``select_certainty`` over each member's rho."""
+    return select_certainty([measure_teacher(m, feats, cfg) for m in members])
+
+
 class TestSelectionProtocol:
     def test_single_teacher_gives_identity_policy(self):
         _, feats, good, _ = protocol_inputs()
         cfg = TrainConfig(lr=0.5, iterations=60, seed=0)
-        res = certainty_selection_protocol([good], feats, 0.3, cfg)
-        assert (res.policy.assignment == 0).all()
+        policy = certainty_policy([good], feats, cfg)
+        assert (policy.assignment == 0).all()
 
     def test_accurate_teacher_wins_most_classes(self):
         _, feats, good, bad = protocol_inputs()
         cfg = TrainConfig(lr=0.5, iterations=120, seed=0)
-        res = certainty_selection_protocol([good, bad], feats, 0.3, cfg)
-        picked_good = (res.policy.assignment == 0).sum()
-        assert picked_good > res.policy.num_classes / 2
+        policy = certainty_policy([good, bad], feats, cfg)
+        picked_good = (policy.assignment == 0).sum()
+        assert picked_good > policy.num_classes / 2
 
     def test_identical_teachers_tie_deterministically(self):
         _, feats, good, _ = protocol_inputs(1)
         cfg = TrainConfig(lr=0.5, iterations=60, seed=0)
-        res = certainty_selection_protocol([good, list(good)], feats, 0.3, cfg)
-        assert (res.policy.assignment == 0).all()
-        np.testing.assert_array_equal(res.rhos[0].per_class, res.rhos[1].per_class)
+        rhos = [measure_teacher(m, feats, cfg) for m in (good, list(good))]
+        assert (select_certainty(rhos).assignment == 0).all()
+        np.testing.assert_array_equal(rhos[0].per_class, rhos[1].per_class)
 
     def test_needs_two_images(self):
         _, feats, good, _ = protocol_inputs()
         with pytest.raises(ValueError):
-            certainty_selection_protocol([good[:1]], feats[:1], 0.3, TrainConfig(seed=0))
+            measure_teacher(good[:1], feats[:1], TrainConfig(seed=0))
 
     def test_teacher_maps_must_match_feature_size(self):
         _, feats, good, _ = protocol_inputs()
         small = [LabelMap(lm.values[:12, :12], lm.num_classes) for lm in good]
         with pytest.raises(ValueError, match="dimensions differ"):
-            certainty_selection_protocol([small, good], feats, 0.3, TrainConfig(seed=0))
+            certainty_policy([small, good], feats, TrainConfig(seed=0))
 
     def test_never_reads_the_measurement_split_labels(self):
         _, feats, good, bad = protocol_inputs(2)
         cfg = TrainConfig(lr=0.5, iterations=60, seed=0)
-        # measure_fraction 0.5 of 4 images holds out images 0 and 1
-        swapped = bad[:2] + good[2:]
-        assert any((b.values != g.values).any() for b, g in zip(bad[:2], good[:2]))
-        model, rho = measure_teacher(good, feats, 0.5, cfg)
-        model2, rho2 = measure_teacher(swapped, feats, 0.5, cfg)
-        np.testing.assert_array_equal(model.weights, model2.weights)
-        np.testing.assert_array_equal(model.bias, model2.bias)
+        # the measurement share of 4 images holds out image 0 only
+        swapped = bad[:1] + good[1:]
+        assert (bad[0].values != good[0].values).any()
+        rho = measure_teacher(good, feats, cfg)
+        rho2 = measure_teacher(swapped, feats, cfg)
         np.testing.assert_array_equal(rho.per_class, rho2.per_class)
+        # while the training split's labels do reach rho
+        rho3 = measure_teacher(good[:1] + bad[1:], feats, cfg)
+        assert not np.array_equal(rho.per_class, rho3.per_class, equal_nan=True)
 
     @pytest.mark.parametrize(
         "call, match",
@@ -523,10 +529,9 @@ class TestSelectionProtocol:
             (lambda f, pms, cfg: train_student(f, pms, cfg), "LabelMap"),
             (lambda f, pms, cfg: ce_loss_and_grads(certain_model(4, 0), f[0], pms[0]), "LabelMap"),
             (lambda f, pms, cfg: ce_loss_and_grads(certain_model(4, 0), f, pms), "LabelMap"),
-            (lambda f, pms, cfg: measure_teacher(pms[0], f, 0.3, cfg), "LabelMap"),
-            (lambda f, pms, cfg: measure_teacher(pms, f, 0.3, cfg), "LabelMap"),
-            (lambda f, pms, cfg: certainty_selection_protocol([], f, 0.3, cfg),
-             "at least one teacher"),
+            (lambda f, pms, cfg: measure_teacher(pms[0], f, cfg), "LabelMap"),
+            (lambda f, pms, cfg: measure_teacher(pms, f, cfg), "LabelMap"),
+            (lambda f, pms, cfg: select_certainty([]), "at least one teacher report"),
         ],
         ids=["train_single", "train_list", "ce_single", "ce_list",
              "measure_single", "measure_list", "empty_ensemble"],

@@ -132,7 +132,7 @@ def make_inputs(directory: Path) -> None:
             paths = [tmp / f"teacher{t:02d}.img{i:03d}.pmap" for i in range(IMAGES)]
             labels = [fileio.read_labels(fileio.read_file(str(p), fileio.MAP_BODY_OFFSET))
                       for p in paths]
-            rho = measure_teacher(labels, feats)[1]
+            rho = measure_teacher(labels, feats)
             (directory / f"rho{t}.json").write_text(fileio.report_to_json(rho))
             unified = tmp / f"unified{t}.lmap"
             assert main(["unify", str(tmp / f"teacher{t:02d}.img000.pmap"),
