@@ -35,7 +35,6 @@ from .metrics import (
     certainty_iou_cosine,
     certainty_report,
     dataset_iou,
-    per_class_iou,
 )
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import (

@@ -5,7 +5,7 @@ enters through an explicit --seed.  Results go to stdout as JSON (or CSV
 for experiment tables) unless -o is given, in which case files are written
 atomically.  Validation failures and unreadable or unwritable paths exit
 2 with a JSON error line on stderr, which names any input file that
-fails to decode.
+fails to decode; a warning is likewise one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import io as _io
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -37,7 +38,7 @@ from .experiments import (
     robustness,
 )
 from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
-from .metrics import per_class_iou
+from .metrics import dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
 from .util import rows_to_csv
@@ -92,19 +93,24 @@ def cmd_fuse_channel(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = _load(args.pred, fileio.read_labelmap)
-    gt = _load(args.gt, fileio.read_labelmap)
-    _emit_text(args, fileio.report_to_json(per_class_iou(pred, gt)))
+    preds = [_load(p, fileio.read_labelmap) for p in args.pred]
+    gts = [_load(g, fileio.read_labelmap) for g in args.gt]
+    _emit_text(args, fileio.report_to_json(dataset_iou(preds, gts)))
     return 0
 
 
 def cmd_select_policy(args) -> int:
-    if args.mode == "random":
-        policy = select_random(args.classes, args.teachers, args.seed)
-    else:
-        select = select_certainty if args.mode == "certainty" else select_oracle
-        policy = select([_load(p, fileio.report_from_json, text=True) for p in args.reports])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.mode == "random":
+            policy = select_random(args.classes, args.teachers, args.seed)
+        else:
+            select = select_certainty if args.mode == "certainty" else select_oracle
+            policy = select([_load(p, fileio.report_from_json, text=True)
+                             for p in args.reports])
     _emit_text(args, fileio.policy_to_json(policy))
+    for w in caught:
+        print(json.dumps({"warning": str(w.message)}), file=sys.stderr)
     return 0
 
 
@@ -300,9 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--renormalize", action="store_true")
     p.set_defaults(func=cmd_fuse_channel)
 
-    p = sub.add_parser("eval", help="per-class IoU of a prediction vs ground truth")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
+    p = sub.add_parser("eval", help="per-class IoU pooled over image pairs")
+    p.add_argument("--pred", nargs="+", required=True, metavar="LMAP",
+                   help="predicted .lmap files, paired in order with --gt")
+    p.add_argument("--gt", nargs="+", required=True, metavar="LMAP",
+                   help="ground-truth .lmap files")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_eval)
 
@@ -398,7 +406,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
     except MemoryError as e:

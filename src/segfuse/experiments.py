@@ -216,8 +216,6 @@ def prop_checks(
     which: str,
     instances: int,
     base_seed: int,
-    height: int = 12,
-    width: int = 12,
     classes: int = 4,
     teachers: int = 3,
 ) -> list[dict]:
@@ -230,11 +228,11 @@ def prop_checks(
     for i in range(instances):
         seed = base_seed + i
         if which in ("1", "both"):
-            inst = gen_prop1_instance(seed, height, width, classes, teachers)
+            inst = gen_prop1_instance(seed, classes, teachers)
             res = check_prop1(inst.unified, inst.gt, inst.policy, inst.alpha, inst.classes)
             results.append({"prop": 1, "seed": seed, **asdict(res)})
         if which in ("2", "both"):
-            maps, gt = gen_prop2_instance(seed, height, width, classes, teachers)
+            maps, gt = gen_prop2_instance(seed, classes, teachers)
             res2 = check_prop2(maps, gt)
             results.append({"prop": 2, "seed": seed, **asdict(res2)})
     return results

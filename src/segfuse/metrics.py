@@ -1,4 +1,4 @@
-"""Per-class IoU, certainty statistics, and the certainty/IoU diagnostic."""
+"""Pooled per-class IoU, certainty statistics, and the certainty/IoU diagnostic."""
 
 from __future__ import annotations
 
@@ -32,35 +32,22 @@ def _iou_counts(pred: LabelMap, gt: LabelMap) -> tuple[np.ndarray, np.ndarray, n
     return inter, pred_n, gt_n
 
 
-def _report_from_counts(inter, pred_n, gt_n) -> IoUReport:
+def dataset_iou(preds: Sequence[LabelMap], gts: Sequence[LabelMap]) -> IoUReport:
+    """IoU per class of the counts pooled over prediction/ground-truth pairs;
+    a class absent from every map is undefined (NaN)."""
+    preds, gts = list(preds), list(gts)
+    if not preds or len(preds) != len(gts):
+        raise ValueError(f"need equally many predictions and ground truths, "
+                         f"got {len(preds)} and {len(gts)}")
+    counts = [_iou_counts(p, g) for p, g in zip(preds, gts)]
+    if len({inter.size for inter, _, _ in counts}) > 1:
+        raise ValueError("class counts differ across image pairs")
+    inter, pred_n, gt_n = (sum(column) for column in zip(*counts))
     union = pred_n + gt_n - inter
     per_class = np.full(inter.shape, np.nan)
     defined = union > 0
     per_class[defined] = inter[defined] / union[defined]
     return IoUReport(per_class)
-
-
-def per_class_iou(pred: LabelMap, gt: LabelMap) -> IoUReport:
-    """IoU per class; classes absent from both maps are undefined (NaN)."""
-    return _report_from_counts(*_iou_counts(pred, gt))
-
-
-def dataset_iou(preds: Sequence[LabelMap], gts: Sequence[LabelMap]) -> IoUReport:
-    """Pooled IoU over a list of prediction/ground-truth pairs."""
-    preds, gts = list(preds), list(gts)
-    if not preds or len(preds) != len(gts):
-        raise ValueError("need equally many predictions and ground truths")
-    totals = None
-    for p, g in zip(preds, gts):
-        counts = _iou_counts(p, g)
-        if totals is None:
-            totals = list(counts)
-        else:
-            if counts[0].size != totals[0].size:
-                raise ValueError("class counts differ across image pairs")
-            for acc, c in zip(totals, counts):
-                acc += c
-    return _report_from_counts(*totals)
 
 
 def certainty_report(preds: Sequence[ProbMap]) -> IoUReport:

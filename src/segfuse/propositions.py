@@ -6,6 +6,7 @@ either every teacher shares one prediction map (any policy then induces a
 partition), or teachers specialize in disjoint class groups and are exact
 (up to deletions) on the classes they own.  The checks themselves accept
 arbitrary instances and report unmet preconditions instead of raising.
+They fuse with kappa = 1: with no overlap there is no conflict to resolve.
 
 The mean IoU compared against the bounds averages over *all* classes with
 absent classes counted as 0, matching the bound's 1/|C| normalization;
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import FusionPolicy, IoUReport, LabelMap
 from .fusion import build_channel_sets, channel_fuse
-from .metrics import per_class_iou
+from .metrics import dataset_iou
 from .policy import select_oracle, select_random
 from .synth import corrupt_teacher, gen_ground_truth
 from .unify import unify
@@ -54,7 +55,6 @@ def check_prop1(
     policy: FusionPolicy,
     alpha: float,
     classes: Sequence[int],
-    kappa: int = 1,
 ) -> Prop1Result:
     """Lower-bound check: if the listed classes have IoU >= alpha for every
     teacher and the overlap set is empty, fused mIoU >= n*alpha/|C|."""
@@ -63,7 +63,7 @@ def check_prop1(
     classes = sorted(set(int(c) for c in classes))
     if any(c < 0 or c >= gt.num_classes for c in classes):
         raise ValueError("listed classes out of range")
-    reports = [per_class_iou(m, gt) for m in unified]
+    reports = [dataset_iou([m], [gt]) for m in unified]
     phi_ok = all(
         not np.isnan(r.per_class[c]) and r.per_class[c] >= alpha
         for r in reports
@@ -71,23 +71,21 @@ def check_prop1(
     )
     overlap_empty = not build_channel_sets(unified, policy).overlap.any()
     precondition_met = phi_ok and overlap_empty
-    fused = channel_fuse(unified, policy, kappa)
-    miou = _miou_all_classes(per_class_iou(fused, gt))
+    fused = channel_fuse(unified, policy, 1)
+    miou = _miou_all_classes(dataset_iou([fused], [gt]))
     bound = len(classes) * alpha / gt.num_classes
     holds = bool(miou >= bound) if precondition_met else None
     return Prop1Result(precondition_met, bound, miou, holds)
 
 
-def check_prop2(
-    unified: Sequence[LabelMap], gt: LabelMap, kappa: int = 1
-) -> Prop2Result:
+def check_prop2(unified: Sequence[LabelMap], gt: LabelMap) -> Prop2Result:
     """Optimal-policy check: under the per-class-argmax policy with an empty
     overlap set, fused mIoU is at least every single teacher's mIoU."""
-    reports = [per_class_iou(m, gt) for m in unified]
+    reports = [dataset_iou([m], [gt]) for m in unified]
     policy = select_oracle(reports)
     precondition_met = not build_channel_sets(unified, policy).overlap.any()
-    fused = channel_fuse(unified, policy, kappa)
-    fused_miou = _miou_all_classes(per_class_iou(fused, gt))
+    fused = channel_fuse(unified, policy, 1)
+    fused_miou = _miou_all_classes(dataset_iou([fused], [gt]))
     teacher_mious = [_miou_all_classes(r) for r in reports]
     max_teacher = max(teacher_mious)
     holds = bool(fused_miou >= max_teacher)
@@ -103,19 +101,13 @@ class PropInstance:
     classes: tuple
 
 
-def _corrupted_copy(gt: LabelMap, rng, max_rate: float = 0.2) -> LabelMap:
-    rates = rng.uniform(0.0, max_rate, size=gt.num_classes)
+def _corrupted_copy(gt: LabelMap, rng) -> LabelMap:
+    rates = rng.uniform(0.0, 0.2, size=gt.num_classes)
     return unify(corrupt_teacher(gt, rates, 1.0, seed=int(rng.integers(2**63))))
 
 
-def gen_prop1_instance(
-    seed: int,
-    height: int = 12,
-    width: int = 12,
-    classes: int = 4,
-    teachers: int = 3,
-) -> PropInstance:
-    """Instance guaranteed to satisfy the lower-bound hypothesis.
+def gen_prop1_instance(seed: int, classes: int = 4, teachers: int = 3) -> PropInstance:
+    """12x12 instance guaranteed to satisfy the lower-bound hypothesis.
 
     All teachers share one moderately corrupted map, so the selected
     channels partition the image for any policy (empty overlap by
@@ -124,12 +116,12 @@ def gen_prop1_instance(
     """
     rng = np.random.default_rng(seed)
     gt, _ = gen_ground_truth(
-        height, width, classes, region_scale=4, seed=int(rng.integers(2**63))
+        12, 12, classes, region_scale=4, seed=int(rng.integers(2**63))
     )
     shared = _corrupted_copy(gt, rng)
     unified = tuple([shared] * teachers)
     policy = select_random(classes, teachers, seed=int(rng.integers(2**63)))
-    phi = per_class_iou(shared, gt).per_class
+    phi = dataset_iou([shared], [gt]).per_class
     alpha = float(rng.uniform(0.3, 0.7))
     listed = [c for c in range(classes) if not np.isnan(phi[c]) and phi[c] >= alpha]
     if not listed:
@@ -139,14 +131,8 @@ def gen_prop1_instance(
     return PropInstance(unified, gt, policy, alpha, tuple(listed))
 
 
-def gen_prop2_instance(
-    seed: int,
-    height: int = 12,
-    width: int = 12,
-    classes: int = 4,
-    teachers: int = 3,
-) -> tuple:
-    """(unified maps, gt) guaranteed overlap-free under the argmax policy.
+def gen_prop2_instance(seed: int, classes: int = 4, teachers: int = 3) -> tuple:
+    """12x12 (unified maps, gt) guaranteed overlap-free under the argmax policy.
 
     Two modes: a shared corrupted map for every teacher, or specialists
     that are exact on the classes they own and fill everything else with
@@ -157,7 +143,7 @@ def gen_prop2_instance(
     """
     rng = np.random.default_rng(seed)
     gt, _ = gen_ground_truth(
-        height, width, classes, region_scale=4, seed=int(rng.integers(2**63))
+        12, 12, classes, region_scale=4, seed=int(rng.integers(2**63))
     )
     if teachers == 1 or rng.random() < 0.5:
         shared = _corrupted_copy(gt, rng)

@@ -27,6 +27,13 @@ from .distill import FeatureMap
 #: Side of the square pixel tiles ``_voronoi_cells`` labels one at a time.
 _TILE = 32
 
+#: Standard deviation of the Gaussian feature noise around each class mean.
+_FEATURE_NOISE = 0.5
+#: Range of a class's specialist teacher's error rate.
+_SPECIALIST_LOW, _SPECIALIST_HIGH = 0.01, 0.05
+#: Softmax temperatures the benchmark's teachers cycle through.
+_TEMPERATURES = (0.1, 0.5, 1.0, 2.0)
+
 
 def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
     """Partition the grid into nearest-site cells (ties to the lowest site).
@@ -63,7 +70,6 @@ def gen_ground_truth(
     classes: int,
     region_scale: int = 8,
     seed: int = 0,
-    feature_noise: float = 0.5,
 ) -> tuple[LabelMap, FeatureMap]:
     """Blob-structured label map plus class-conditional Gaussian features.
 
@@ -71,7 +77,7 @@ def gen_ground_truth(
     class is guaranteed present (the first ``classes`` Voronoi sites keep
     their own pixel).  Features have one dimension per class, and class
     c's feature mean is 2.0 along axis c, so a nearest-mean classifier
-    separates the classes comfortably at the default noise level.
+    separates the classes comfortably at ``_FEATURE_NOISE``.
     """
     if classes < 2:
         raise ValueError("need at least 2 classes")
@@ -87,7 +93,7 @@ def gen_ground_truth(
     )
     labels = site_class[cells]
     means = 2.0 * np.eye(classes)
-    feats = means[labels] + feature_noise * rng.standard_normal((height, width, classes))
+    feats = means[labels] + _FEATURE_NOISE * rng.standard_normal((height, width, classes))
     return LabelMap(labels.astype(np.uint16), classes), FeatureMap(feats)
 
 
@@ -152,15 +158,10 @@ def corrupt_teacher(
     return ProbMap(probs)
 
 
-def gen_underperformer(
-    gt: LabelMap,
-    seed: int,
-    error_rate: float = 0.6,
-    temperature: float = 0.1,
-) -> ProbMap:
-    """Confidently wrong teacher: high uniform error, near-1.0 certainty."""
-    rates = np.full(gt.num_classes, error_rate)
-    return corrupt_teacher(gt, rates, temperature, seed)
+def gen_underperformer(gt: LabelMap, seed: int) -> ProbMap:
+    """Confidently wrong teacher: error rate 0.6 on every class at
+    temperature 0.1, so near-1.0 certainty."""
+    return corrupt_teacher(gt, np.full(gt.num_classes, 0.6), 0.1, seed)
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,12 @@ class BenchmarkConfig:
     Teachers have complementary per-class strengths, mirroring how real
     ensemble members trained with different methods specialize on
     different classes: each class gets one designated specialist teacher
-    whose error rate comes from [specialist_low, specialist_high], while
+    whose error rate comes from [_SPECIALIST_LOW, _SPECIALIST_HIGH], while
     the other teachers draw from [error_low, error_high].  At the defaults
     per-class IoU lands roughly in the 0.6-0.9 band.  Temperatures cycle
-    through ``temperatures`` so members emit certainty on deliberately
-    different scales.
+    through ``_TEMPERATURES`` so members emit certainty on deliberately
+    different scales, and features carry ``_FEATURE_NOISE``; these module
+    constants are fixed, and each field here is one ``synth`` flag.
     """
 
     height: int = 64
@@ -183,12 +185,8 @@ class BenchmarkConfig:
     num_teachers: int = 4
     images: int = 6
     region_scale: int = 8
-    feature_noise: float = 0.5
     error_low: float = 0.15
     error_high: float = 0.30
-    specialist_low: float = 0.01
-    specialist_high: float = 0.05
-    temperatures: tuple = (0.1, 0.5, 1.0, 2.0)
     teacher_blob_scale: int = 4
 
     def __post_init__(self):
@@ -198,8 +196,6 @@ class BenchmarkConfig:
             raise ValueError("benchmark needs >= 1 teacher")
         if not 0 <= self.error_low <= self.error_high <= 1:
             raise ValueError("need 0 <= error_low <= error_high <= 1")
-        if not 0 <= self.specialist_low <= self.specialist_high <= 1:
-            raise ValueError("need 0 <= specialist_low <= specialist_high <= 1")
         if self.teacher_blob_scale < 0:
             raise ValueError(f"teacher_blob_scale must be >= 0, got {self.teacher_blob_scale}")
 
@@ -230,12 +226,9 @@ def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     order = rng.permutation(config.num_teachers)
     for c in range(config.classes):
         specialist = order[c % config.num_teachers]
-        rates[specialist, c] = rng.uniform(config.specialist_low, config.specialist_high)
+        rates[specialist, c] = rng.uniform(_SPECIALIST_LOW, _SPECIALIST_HIGH)
     temps = np.array(
-        [
-            config.temperatures[t % len(config.temperatures)]
-            for t in range(config.num_teachers)
-        ]
+        [_TEMPERATURES[t % len(_TEMPERATURES)] for t in range(config.num_teachers)]
     )
     gts, feats = [], []
     for _ in range(config.images):
@@ -245,7 +238,6 @@ def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
             config.classes,
             region_scale=config.region_scale,
             seed=int(rng.integers(2**63)),
-            feature_noise=config.feature_noise,
         )
         gts.append(gt)
         feats.append(fm)

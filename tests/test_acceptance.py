@@ -22,7 +22,7 @@ from segfuse.distill import (
 )
 from segfuse.experiments import kernel_sweep, policy_quality, robustness
 from segfuse.fusion import build_channel_sets, channel_fuse, pixel_fuse
-from segfuse.metrics import certainty_iou_cosine, dataset_iou, per_class_iou
+from segfuse.metrics import certainty_iou_cosine, dataset_iou
 from segfuse.policy import select_oracle
 from segfuse.propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
 from segfuse.synth import BenchmarkConfig, gen_ground_truth, make_benchmark
@@ -73,7 +73,7 @@ def _zero_overlap_instances(count: int):
             out.append((inst.unified, inst.gt, inst.policy))
         else:
             maps, gt = gen_prop2_instance(seed)
-            policy = select_oracle([per_class_iou(m, gt) for m in maps])
+            policy = select_oracle([dataset_iou([m], [gt]) for m in maps])
             out.append((maps, gt, policy))
     return out
 
@@ -83,9 +83,9 @@ def test_c02_channel_fusion_identity_on_zero_overlap():
     bad = 0
     for maps, gt, policy in _zero_overlap_instances(200):
         assert not build_channel_sets(maps, policy).overlap.any()
-        fused_iou = per_class_iou(channel_fuse(maps, policy, 13), gt).per_class
+        fused_iou = dataset_iou([channel_fuse(maps, policy, 13)], [gt]).per_class
         for c in range(gt.num_classes):
-            teacher_iou = per_class_iou(maps[policy.teacher_for(c)], gt).per_class[c]
+            teacher_iou = dataset_iou([maps[policy.teacher_for(c)]], [gt]).per_class[c]
             if np.isnan(fused_iou[c]) != np.isnan(teacher_iou):
                 bad += 1
             elif not np.isnan(fused_iou[c]) and fused_iou[c] != teacher_iou:

@@ -25,9 +25,8 @@ from segfuse.metrics import (
     certainty_histogram,
     certainty_iou_cosine,
     dataset_iou,
-    per_class_iou,
 )
-from segfuse.policy import select_certainty, select_random
+from segfuse.policy import select_certainty, select_oracle, select_random
 from segfuse.synth import (
     BenchmarkConfig,
     corrupt_teacher,
@@ -112,7 +111,7 @@ class TestWrapperFidelity:
         pred.write_bytes(fileio.write_labelmap(unify(teachers[0])))
         assert main(["eval", "--pred", str(pred), "--gt", str(paths["gt"])]) == 0
         got = json.loads(capsys.readouterr().out)
-        want = per_class_iou(unify(teachers[0]), gt)
+        want = dataset_iou([unify(teachers[0])], [gt])
         assert got["miou"] == pytest.approx(want.miou)
 
     def test_select_policy_random_matches_library(self, capsys):
@@ -151,6 +150,24 @@ class TestWrapperFidelity:
         assert main(["select-policy", mode, flag] + files) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == "teacher reports disagree on class count: [2, 3]"
+
+    @pytest.mark.parametrize("mode, flag, select", [
+        ("certainty", "--rho", select_certainty), ("oracle", "--phis", select_oracle)])
+    def test_select_policy_undefined_class_warns_in_one_json_line(
+        self, tmp_path, mode, flag, select
+    ):
+        scores = np.array([[0.2, 0.9], [np.nan, np.nan], [0.5, 0.6]])
+        files = _write_columns(tmp_path, "s", scores)
+        rc, out, err = _in_process_main(["select-policy", mode, flag, *files])
+        assert rc == 0
+        with pytest.warns(UserWarning):
+            want = fileio.policy_to_json(select(reports_from_matrix(scores)))
+        assert out == want + "\n"
+        lines = err.splitlines()
+        assert len(lines) == 1
+        warning = json.loads(lines[0])
+        assert list(warning) == ["warning"]
+        assert "undefined for classes [1]" in warning["warning"]
 
     def test_select_policy_oracle_from_reports(self, tmp_path, capsys):
         phi = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -196,6 +213,15 @@ class TestWrapperFidelity:
             else:
                 assert flags[0].type is type(field.default), field.name
                 assert flags[0].default == field.default, field.name
+
+    def test_synth_has_one_flag_per_benchmark_field(self):
+        actions = _subcommands(build_parser())["synth"]._actions
+        dests = {field: flag.replace("-", "_") for flag, field in cli._BENCH_FLAGS.items()}
+        for field in fields(BenchmarkConfig):
+            flags = [a for a in actions if a.dest == dests.get(field.name)]
+            assert len(flags) == 1, field.name
+            assert flags[0].type is type(field.default), field.name
+            assert flags[0].default == field.default, field.name
 
 
 class TestRenormalize:
@@ -484,6 +510,26 @@ class TestErrorHandling:
         assert json.loads(lines[0]) == {"error": want}
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["fuse-channel", "--kappa", "99999999999999999999999"],
+        ["synth", "--height", "99999999999999999999"],
+        ["experiment", "kernel-sweep", "--kappas", "1,99999999999999999999",
+         "--seeds", "1"],
+        ["experiment", "robustness", "--bad-counts", "99999999999999999999",
+         "--seeds", "1", "--iterations", "1"],
+    ], ids=["fuse-channel", "synth", "kernel-sweep", "robustness"])
+    def test_integer_too_large_is_one_json_line(self, scene, argv):
+        tmp, gt, feats, teachers, paths = scene
+        if argv[0] == "fuse-channel":
+            (tmp / "p.json").write_text(fileio.policy_to_json(select_random(4, 3, seed=1)))
+            argv = [*argv, *(str(paths[f"t{i}"]) for i in range(3)),
+                    "--policy", str(tmp / "p.json"), "-o", str(tmp / "out.lmap")]
+        elif argv[0] == "synth":
+            argv = [*argv, "--seed", "0", "--outdir", str(tmp / "out.d")]
+        else:
+            argv = [*argv, *_SMALL_BENCH, "--seed", "0", "-o", str(tmp / "out.csv")]
+        _run_rejected(tmp, argv)
+
     def test_bad_file_gives_json_error_and_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.pmap"
         bad.write_bytes(b"not a pmap at all")
@@ -565,8 +611,11 @@ def _decoder_inputs(directory):
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
         "feats.npy": _npy(feats.values),
     }
+    gt1, _ = gen_ground_truth(6, 10, 4, region_scale=3, seed=2)
+    files["e1.lmap"] = fileio.write_labelmap(unify(corrupt_teacher(gt1, [0.2] * 4, 1.0, 5)))
+    files["gt1.lmap"] = fileio.write_labelmap(gt1)
     for t, rho_t in enumerate(reports_from_matrix(rho)):
-        iou = per_class_iou(unify(teachers[t]), gt)
+        iou = dataset_iou([unify(teachers[t])], [gt])
         files[f"phi{t}.json"] = fileio.report_to_json(iou).encode()
         files[f"rho{t}.json"] = fileio.report_to_json(rho_t).encode()
     for name, data in files.items():
@@ -582,7 +631,7 @@ _DECODER_COMMANDS = {
     "unify --renormalize": ["t0.pmap"],
     "fuse-pixel": ["t0.pmap", "t1.lmap", "t2.pmap"],
     "fuse-channel": ["t0.pmap", "t1.lmap", "t2.pmap", "policy.json"],
-    "eval": ["t1.lmap", "gt.lmap"],
+    "eval": ["t1.lmap", "e1.lmap", "gt.lmap", "gt1.lmap"],
     "distill": ["feats.npy"],
     "select-policy certainty": ["rho0.json", "rho1.json", "rho2.json"],
     "select-policy oracle": ["phi0.json", "phi1.json", "phi2.json"],
@@ -593,7 +642,8 @@ def _argv(command, path):
     if command.startswith("unify"):
         return command.split() + [path("t0.pmap"), "-o", path("out.lmap")]
     if command == "eval":
-        return ["eval", "--pred", path("t1.lmap"), "--gt", path("gt.lmap")]
+        return ["eval", "--pred", path("t1.lmap"), path("e1.lmap"),
+                "--gt", path("gt.lmap"), path("gt1.lmap")]
     if command == "distill":
         return ["distill", "--features", path("feats.npy"), "--labels", path("gt.lmap"),
                 "--iterations", "2", "--lr", "0.25", "--seed", "0", "-o", path("out.npz")]
@@ -916,6 +966,62 @@ class TestExperimentKinds:
             assert flag in capsys.readouterr().err
 
 
+class TestFileReplay:
+    """A driver's rows, replayed command by command from files."""
+
+    @staticmethod
+    def run(*argv) -> str:
+        rc, out, err = _in_process_main(list(argv))
+        assert (rc, err) == (0, ""), argv
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_policy_quality_random_and_oracle_rows(self, tmp_path, seed):
+        config = BenchmarkConfig()
+        bench = tmp_path / "bench"
+        self.run("synth", "--seed", str(seed), "--outdir", str(bench))
+        images, members = range(config.images), range(config.num_teachers)
+        gts = [str(bench / f"img{i:03d}.gt.lmap") for i in images]
+
+        def labels(t, i):
+            return str(tmp_path / f"teacher{t:02d}.img{i:03d}.lmap")
+
+        for t in members:
+            for i in images:
+                self.run("unify", str(bench / f"teacher{t:02d}.img{i:03d}.pmap"),
+                         "-o", labels(t, i))
+            self.run("eval", "--pred", *(labels(t, i) for i in images), "--gt", *gts,
+                     "-o", str(tmp_path / f"phi{t}.json"))
+        policies = {
+            "random": ["random", "--classes", str(config.classes),
+                       "--teachers", str(config.num_teachers), "--seed", str(seed)],
+            "oracle": ["oracle", "--phis", *(str(tmp_path / f"phi{t}.json") for t in members)],
+        }
+        got = {}
+        for name, argv in policies.items():
+            policy = str(tmp_path / f"{name}.json")
+            self.run("select-policy", *argv, "-o", policy)
+            fused = [str(tmp_path / f"{name}.img{i:03d}.lmap") for i in images]
+            for i in images:
+                self.run("fuse-channel", *(labels(t, i) for t in members),
+                         "--policy", policy, "-o", fused[i])
+            got[name] = json.loads(self.run("eval", "--pred", *fused, "--gt", *gts))["miou"]
+        table = self.run("experiment", "policy-quality", "--seeds", "1", "--iterations", "1",
+                         "--seed", str(seed))
+        rows = [line.split(",") for line in table.splitlines()[1:]]
+        assert got == {name: float(miou) for _, name, miou in rows if name in got}
+
+    @pytest.mark.parametrize("preds, gts", [(2, 1), (1, 2)])
+    def test_eval_count_mismatch_exits_2(self, scene, preds, gts):
+        tmp, gt, feats, teachers, paths = scene
+        pred = tmp / "pred.lmap"
+        pred.write_bytes(fileio.write_labelmap(unify(teachers[0])))
+        argv = ["eval", "--pred", *[str(pred)] * preds, "--gt", *[str(paths["gt"])] * gts,
+                "-o", str(tmp / "out.json")]
+        err = _run_rejected(tmp, argv)
+        assert err == f"need equally many predictions and ground truths, got {preds} and {gts}"
+
+
 # Each command that takes --seed, with its other required arguments.
 _SEEDED_ARGV = [
     ["distill", "--features", "missing.npy", "--labels", "missing.lmap", "-o", "out.npz"],
@@ -976,5 +1082,5 @@ def test_settable_value_count_is_pinned():
     # a change that adds or removes one updates this count on purpose
     options = _settable_options(build_parser())
     config_fields = len(fields(TrainConfig)) + len(fields(BenchmarkConfig))
-    assert (options, config_fields) == (102, 19)
-    assert options + config_fields == 121
+    assert (options, config_fields) == (102, 15)
+    assert options + config_fields == 117

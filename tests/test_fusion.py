@@ -12,7 +12,7 @@ from segfuse.fusion import (
     channel_fuse,
     pixel_fuse,
 )
-from segfuse.metrics import per_class_iou
+from segfuse.metrics import dataset_iou
 
 
 def lmap(rows, classes):
@@ -385,9 +385,9 @@ class TestChannelFuse:
         maps = [m] * teachers
         policy = FusionPolicy(rng.integers(0, teachers, size=classes), teachers)
         fused = channel_fuse(maps, policy, 13)
-        fused_iou = per_class_iou(fused, gt).per_class
+        fused_iou = dataset_iou([fused], [gt]).per_class
         for c in range(classes):
-            teacher_iou = per_class_iou(maps[policy.teacher_for(c)], gt).per_class
+            teacher_iou = dataset_iou([maps[policy.teacher_for(c)]], [gt]).per_class
             if np.isnan(fused_iou[c]):
                 assert np.isnan(teacher_iou[c])
             else:

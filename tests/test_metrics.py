@@ -9,7 +9,6 @@ from segfuse.metrics import (
     certainty_iou_cosine,
     certainty_report,
     dataset_iou,
-    per_class_iou,
 )
 
 from helpers import reports_from_matrix
@@ -41,7 +40,7 @@ class TestPerClassIoU:
     def test_identity_is_one(self):
         rng = np.random.default_rng(0)
         m = LabelMap(rng.integers(0, 3, size=(5, 5)), 3)
-        r = per_class_iou(m, m)
+        r = dataset_iou([m], [m])
         present = np.unique(m.values)
         for c in present:
             assert r.per_class[c] == 1.0
@@ -50,7 +49,7 @@ class TestPerClassIoU:
     def test_hand_counted_example(self):
         pred = lmap([[0, 0], [1, 1]], 2)
         gt = lmap([[0, 1], [1, 1]], 2)
-        r = per_class_iou(pred, gt)
+        r = dataset_iou([pred], [gt])
         assert r.per_class[0] == pytest.approx(1 / 2)
         assert r.per_class[1] == pytest.approx(2 / 3)
         assert r.miou == pytest.approx(7 / 12)
@@ -58,23 +57,23 @@ class TestPerClassIoU:
     def test_all_unlabeled_prediction_scores_zero(self):
         pred = LabelMap(np.full((3, 3), UNLABELED_ID), 3)
         gt = lmap([[0, 1, 2]] * 3, 3)
-        r = per_class_iou(pred, gt)
+        r = dataset_iou([pred], [gt])
         assert (r.per_class == 0).all()
 
     def test_absent_from_both_is_undefined(self):
         pred = lmap([[0, 1]], 3)
         gt = lmap([[0, 1]], 3)
-        r = per_class_iou(pred, gt)
+        r = dataset_iou([pred], [gt])
         assert np.isnan(r.per_class[2])
         assert r.miou == 1.0
 
     def test_rejects_unlabeled_gt(self):
         with pytest.raises(ValueError):
-            per_class_iou(lmap([[0]], 2), LabelMap(np.array([[UNLABELED_ID]]), 2))
+            dataset_iou([lmap([[0]], 2)], [LabelMap(np.array([[UNLABELED_ID]]), 2)])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            per_class_iou(lmap([[0]], 2), lmap([[0, 1]], 2))
+            dataset_iou([lmap([[0]], 2)], [lmap([[0, 1]], 2)])
 
     def test_symmetric_under_simultaneous_relabeling(self):
         rng = np.random.default_rng(8)
@@ -82,9 +81,9 @@ class TestPerClassIoU:
         pred = rng.integers(0, classes, size=(6, 6))
         gt = rng.integers(0, classes, size=(6, 6))
         perm = rng.permutation(classes)
-        base = per_class_iou(LabelMap(pred, classes), LabelMap(gt, classes))
-        relab = per_class_iou(
-            LabelMap(perm[pred], classes), LabelMap(perm[gt], classes)
+        base = dataset_iou([LabelMap(pred, classes)], [LabelMap(gt, classes)])
+        relab = dataset_iou(
+            [LabelMap(perm[pred], classes)], [LabelMap(perm[gt], classes)]
         )
         inv = np.argsort(perm)
         np.testing.assert_array_equal(
@@ -100,7 +99,7 @@ class TestPerClassIoU:
         if with_unlabeled:
             pred[rng.random((6, 7)) < 0.3] = UNLABELED_ID
         gt = rng.integers(0, classes, size=(6, 7))
-        got = per_class_iou(LabelMap(pred, classes), LabelMap(gt, classes)).per_class
+        got = dataset_iou([LabelMap(pred, classes)], [LabelMap(gt, classes)]).per_class
         want = confusion_iou_oracle(pred, gt, classes)
         np.testing.assert_array_equal(
             np.nan_to_num(got, nan=-1), np.nan_to_num(want, nan=-1)
@@ -113,6 +112,34 @@ class TestPerClassIoU:
         # class 0: inter 1, union pred{2}+gt{2}-1 = 3; class 1: inter 1, union 3
         assert pooled.per_class[0] == pytest.approx(1 / 3)
         assert pooled.per_class[1] == pytest.approx(1 / 3)
+
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_equals_the_stacked_image(self, seed, images):
+        # pooling counts over pairs is the IoU of the images stacked into one
+        rng = np.random.default_rng(seed)
+        preds = [rng.integers(0, 3, size=(4, 5)) for _ in range(images)]
+        gts = [rng.integers(0, 3, size=(4, 5)) for _ in range(images)]
+        pooled = dataset_iou([LabelMap(p, 3) for p in preds], [LabelMap(g, 3) for g in gts])
+        want = confusion_iou_oracle(np.vstack(preds), np.vstack(gts), 3)
+        np.testing.assert_array_equal(
+            np.nan_to_num(pooled.per_class, nan=-1), np.nan_to_num(want, nan=-1)
+        )
+
+    @pytest.mark.parametrize("preds, gts, want", [
+        (1, 2, "need equally many predictions and ground truths, got 1 and 2"),
+        (0, 0, "need equally many predictions and ground truths, got 0 and 0"),
+    ])
+    def test_rejects_a_count_mismatch(self, preds, gts, want):
+        m = lmap([[0, 1]], 2)
+        with pytest.raises(ValueError) as e:
+            dataset_iou([m] * preds, [m] * gts)
+        assert str(e.value) == want
+
+    def test_rejects_class_counts_that_differ_across_pairs(self):
+        with pytest.raises(ValueError, match="class counts differ across image pairs"):
+            dataset_iou([lmap([[0, 1]], 2), lmap([[0, 1]], 3)],
+                        [lmap([[0, 1]], 2), lmap([[0, 1]], 3)])
 
 
 def prob(rows):

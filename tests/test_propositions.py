@@ -3,7 +3,7 @@ import pytest
 
 from segfuse.core import FusionPolicy, LabelMap
 from segfuse.fusion import build_channel_sets
-from segfuse.metrics import per_class_iou
+from segfuse.metrics import dataset_iou
 from segfuse.policy import select_oracle
 from segfuse.propositions import (
     check_prop1,
@@ -100,7 +100,7 @@ class TestCheckProp2:
     def test_generated_instances_zero_overlap_and_hold(self):
         for seed in range(50):
             maps, gt = gen_prop2_instance(seed)
-            reports = [per_class_iou(m, gt) for m in maps]
+            reports = [dataset_iou([m], [gt]) for m in maps]
             policy = select_oracle(reports)
             assert not build_channel_sets(maps, policy).overlap.any(), seed
             res = check_prop2(maps, gt)
