@@ -115,7 +115,7 @@ def cmd_select_policy(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    config = _config(TrainConfig, _TRAIN_FLAGS, args, seed=args.seed)
+    config = TrainConfig(iterations=args.iterations, seed=args.seed)
     feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)),
                   body_offset=0)
     labels = _load(args.labels, fileio.read_labelmap)
@@ -141,15 +141,6 @@ def cmd_distill(args) -> int:
     return 0
 
 
-#: Flag -> TrainConfig field; distill takes these and the required --seed.
-_TRAIN_FLAGS = {
-    "lr": "lr",
-    "lr-decay-power": "lr_decay_power",
-    "weight-decay": "weight_decay",
-    "momentum": "momentum",
-    "iterations": "iterations",
-}
-
 #: Flag -> BenchmarkConfig field.
 _BENCH_FLAGS = {
     "height": "height",
@@ -158,8 +149,6 @@ _BENCH_FLAGS = {
     "teachers": "num_teachers",
     "images": "images",
     "region-scale": "region_scale",
-    "error-low": "error_low",
-    "error-high": "error_high",
     "blob-scale": "teacher_blob_scale",
 }
 
@@ -176,36 +165,48 @@ def _seed(text: str) -> int:
     return value
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int(text: str) -> int:
+    """The argparse type of every integer option but --seed: an int64, so a
+    value numpy cannot take is a usage error that names its flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not _INT64.min <= value <= _INT64.max:
+        raise argparse.ArgumentTypeError(f"expected a 64-bit integer, got {text!r}")
+    return value
+
+
 def _ints(text: str) -> list[int]:
     """The argparse type of --kappas and --bad-counts: comma-separated
-    integers, so a malformed list is a usage error that names its flag."""
+    ``_int`` values, so a malformed list is a usage error that names its flag."""
     try:
-        return [int(k) for k in text.split(",")]
-    except ValueError:
+        return [_int(k) for k in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            f"expected comma-separated 64-bit integers, got {text!r}") from None
 
 
-def _add_flags(parser, cls, table) -> None:
-    """One flag per entry of ``table``, typed and defaulted by ``cls()``'s field."""
-    defaults = cls()
-    for flag, field in table.items():
-        default = getattr(defaults, field)
-        parser.add_argument(f"--{flag}", type=type(default), default=default)
+def _add_bench_flags(parser) -> None:
+    """One flag per ``_BENCH_FLAGS`` entry, defaulted by ``BenchmarkConfig()``."""
+    defaults = BenchmarkConfig()
+    for flag, field in _BENCH_FLAGS.items():
+        parser.add_argument(f"--{flag}", type=_int, default=getattr(defaults, field))
 
 
-def _config(cls, table, args, **fixed):
-    """``cls`` from the parsed flags of ``table`` plus the ``fixed`` fields."""
-    return cls(
-        **{field: getattr(args, flag.replace("-", "_")) for flag, field in table.items()},
-        **fixed,
-    )
+def _bench_config(args) -> BenchmarkConfig:
+    """The BenchmarkConfig of the parsed ``_BENCH_FLAGS``."""
+    return BenchmarkConfig(**{field: getattr(args, flag.replace("-", "_"))
+                              for flag, field in _BENCH_FLAGS.items()})
 
 
 def cmd_synth(args) -> int:
     if args.underperformers < 0:
         raise ValueError(f"--underperformers must be >= 0, got {args.underperformers}")
-    config = _config(BenchmarkConfig, _BENCH_FLAGS, args)
+    config = _bench_config(args)
     bench = make_benchmark(config, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     files = []
@@ -243,13 +244,12 @@ def _experiment_table(args) -> tuple[list[str], list[tuple]]:
     if args.kind == "certainty-hist":
         return certainty_hist(BenchmarkConfig(), args.seed, args.bins)
     if args.kind == "kernel-sweep":
-        bench = _config(BenchmarkConfig, _BENCH_FLAGS, args)
-        return kernel_sweep(bench, args.kappas, args.seed, args.seeds)
+        return kernel_sweep(_bench_config(args), args.kappas, args.seed, args.seeds)
     tc = TrainConfig(iterations=args.iterations, seed=args.seed)
     if args.kind in ("policy-quality", "correlation"):
         driver = policy_quality if args.kind == "policy-quality" else correlation
         return driver(BenchmarkConfig(), args.seed, args.seeds, tc)
-    bench = _config(BenchmarkConfig, _BENCH_FLAGS, args)
+    bench = _bench_config(args)
     if args.kind == "robustness":
         return robustness(bench, args.bad_counts, args.seed, args.seeds, tc)
     return flexibility(bench, args.rounds, args.seed, tc)
@@ -257,10 +257,7 @@ def _experiment_table(args) -> tuple[list[str], list[tuple]]:
 
 def cmd_experiment(args) -> int:
     if args.kind == "prop-check":
-        results = prop_checks(
-            args.prop, args.instances, args.seed,
-            classes=args.classes, teachers=args.teachers,
-        )
+        results = prop_checks(args.instances, args.seed)
         _emit_text(args, "\n".join(json.dumps(r) for r in results) + "\n")
     else:
         _emit_text(args, rows_to_csv(*_experiment_table(args)))
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse-channel", help="policy-driven channel-wise fusion")
     p.add_argument("inputs", nargs="+", help=".pmap (unified on the fly) or .lmap")
     p.add_argument("--policy", required=True, help="policy JSON file")
-    p.add_argument("--kappa", type=int, default=DEFAULT_KAPPA,
+    p.add_argument("--kappa", type=_int, default=DEFAULT_KAPPA,
                    help="odd conflict-resolution window size (default %(default)s)")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--renormalize", action="store_true")
@@ -317,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select-policy", help="construct a fusion policy")
     modes = p.add_subparsers(dest="mode", required=True)
     m = modes.add_parser("random", help="uniform random teacher per class")
-    m.add_argument("--classes", type=int, required=True)
-    m.add_argument("--teachers", type=int, required=True)
+    m.add_argument("--classes", type=_int, required=True)
+    m.add_argument("--teachers", type=_int, required=True)
     m.add_argument("--seed", type=_seed, required=True)
     m.add_argument("-o", "--output")
     m.set_defaults(func=cmd_select_policy)
@@ -337,15 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="H x W x d .npy feature file")
     p.add_argument("--labels", required=True, help="fused .lmap pseudo labels")
     p.add_argument("--seed", type=_seed, required=True)
-    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
+    p.add_argument("--iterations", type=_int, default=TrainConfig().iterations)
     p.add_argument("-o", "--output", required=True, help="model .npz output")
     p.add_argument("--probmap-out", help="also write the student's .pmap")
     p.add_argument("--trace-out", help="also write the loss trace CSV")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark directory")
-    _add_flags(p, BenchmarkConfig, _BENCH_FLAGS)
-    p.add_argument("--underperformers", type=int, default=0)
+    _add_bench_flags(p)
+    p.add_argument("--underperformers", type=_int, default=0)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_synth)
@@ -356,41 +353,38 @@ def build_parser() -> argparse.ArgumentParser:
     def add_driver(kind, summary, bench=True, trains=True):
         q = kinds.add_parser(kind, help=summary)
         if bench:
-            _add_flags(q, BenchmarkConfig, _BENCH_FLAGS)
+            _add_bench_flags(q)
         q.add_argument("--seed", type=_seed, required=True)
         if trains:
-            q.add_argument("--iterations", type=int, default=200)
+            q.add_argument("--iterations", type=_int, default=200)
         q.add_argument("-o", "--output")
         q.set_defaults(func=cmd_experiment)
         return q
 
     q = add_driver("kernel-sweep", "mIoU gain vs conflict window size", trains=False)
     q.add_argument("--kappas", type=_ints, default="1,3,5,7,13,21,27")
-    q.add_argument("--seeds", type=int, default=10)
+    q.add_argument("--seeds", type=_int, default=10)
 
     q = add_driver("robustness", "mIoU vs number of under-performers")
     q.add_argument("--bad-counts", type=_ints, default="0,1,2,3")
-    q.add_argument("--seeds", type=int, default=10)
+    q.add_argument("--seeds", type=_int, default=10)
 
     q = add_driver("flexibility", "iterative student re-addition")
-    q.add_argument("--rounds", type=int, default=3)
+    q.add_argument("--rounds", type=_int, default=3)
 
     q = add_driver("policy-quality", "random vs certainty vs oracle policy", bench=False)
-    q.add_argument("--seeds", type=int, default=10)
+    q.add_argument("--seeds", type=_int, default=10)
 
     q = add_driver("correlation", "per-class cosine(rho, IoU)", bench=False)
-    q.add_argument("--seeds", type=int, default=3)
+    q.add_argument("--seeds", type=_int, default=3)
 
     q = add_driver("certainty-hist", "certainty-scale histograms", bench=False,
                    trains=False)
-    q.add_argument("--bins", type=int, default=20)
+    q.add_argument("--bins", type=_int, default=20)
 
     q = add_driver("prop-check", "run generated guarantee checks", bench=False,
                    trains=False)
-    q.add_argument("--prop", choices=["1", "2", "both"], default="both")
-    q.add_argument("--instances", type=int, default=500)
-    q.add_argument("--classes", type=int, default=4)
-    q.add_argument("--teachers", type=int, default=3)
+    q.add_argument("--instances", type=_int, default=500)
 
     return parser
 

@@ -12,7 +12,6 @@ is resolution-independent.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,6 +27,13 @@ _LOG_CLAMP = 1e-12
 #: Measurement share of the images in ``measure_teacher``
 #: (500 of 2975 images in the full-scale setting).
 _MEASURE_FRACTION = 500 / 2975
+
+#: The student's SGD recipe: base step size, its polynomial decay power,
+#: L2 weight decay and momentum.
+_LR = 0.5
+_LR_DECAY_POWER = 0.9
+_WEIGHT_DECAY = 5e-3
+_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +96,10 @@ class ToyStudent:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD hyperparameters for the toy student."""
+    """Step count and seed of the toy student's SGD.  The rest of the recipe
+    is fixed (``_LR``, ``_LR_DECAY_POWER``, ``_WEIGHT_DECAY``, ``_MOMENTUM``),
+    so every member's student, and so its rho, comes from one recipe."""
 
-    lr: float = 0.5
-    lr_decay_power: float = 0.9
-    weight_decay: float = 5e-3
-    momentum: float = 0.9
     iterations: int = 300
     seed: int = 0
 
@@ -108,12 +112,6 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
-            raise ValueError("lr and weight_decay must be finite and >= 0")
-        if not math.isfinite(self.lr_decay_power):
-            raise ValueError("lr_decay_power must be finite")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +273,8 @@ def kl_loss_and_grads(
 def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     """SGD with momentum on the mean per-labeled-pixel CE loss.
 
-    Learning rate follows a polynomial decay, lr_i = lr * (1 - i/n)^power.
+    Learning rate follows a polynomial decay,
+    lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
     Fully deterministic given the seed.
     """
     x, y, classes = _labeled_rows(feats, labels)
@@ -289,10 +288,10 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
 
     for i in range(config.iterations):
         losses[i], gw, gb = _ce_means(weights, bias, x, y)
-        gw += config.weight_decay * weights
-        lr = config.lr * (1.0 - i / config.iterations) ** config.lr_decay_power
-        vel_w = config.momentum * vel_w - lr * gw
-        vel_b = config.momentum * vel_b - lr * gb
+        gw += _WEIGHT_DECAY * weights
+        lr = _LR * (1.0 - i / config.iterations) ** _LR_DECAY_POWER
+        vel_w = _MOMENTUM * vel_w - lr * gw
+        vel_b = _MOMENTUM * vel_b - lr * gb
         weights = weights + vel_w
         bias = bias + vel_b
 

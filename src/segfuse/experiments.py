@@ -17,7 +17,7 @@ from .distill import (
     student_forward,
     train_student,
 )
-from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
+from .fusion import DEFAULT_KAPPA, _check_kappa, channel_fuse, pixel_fuse
 from .metrics import certainty_histogram, certainty_iou_cosine, dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
@@ -67,6 +67,8 @@ def kernel_sweep(
     kappas = list(kappas)
     if 1 not in kappas:
         raise ValueError("kappa list must include 1 (the gain baseline)")
+    for kappa in kappas:  # before any seed's benchmark is built
+        _check_kappa(kappa)
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
@@ -212,27 +214,16 @@ def flexibility(
     return ["round", "ensemble_size", "student_miou"], rows
 
 
-def prop_checks(
-    which: str,
-    instances: int,
-    base_seed: int,
-    classes: int = 4,
-    teachers: int = 3,
-) -> list[dict]:
-    """Run generated instances through the guarantee checks; JSON-ready rows."""
-    if which not in ("1", "2", "both"):
-        raise ValueError("which must be '1', '2', or 'both'")
+def prop_checks(instances: int, base_seed: int) -> list[dict]:
+    """Run generated instances through both guarantee checks; JSON-ready rows."""
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
     results = []
     for i in range(instances):
         seed = base_seed + i
-        if which in ("1", "both"):
-            inst = gen_prop1_instance(seed, classes, teachers)
-            res = check_prop1(inst.unified, inst.gt, inst.policy, inst.alpha, inst.classes)
-            results.append({"prop": 1, "seed": seed, **asdict(res)})
-        if which in ("2", "both"):
-            maps, gt = gen_prop2_instance(seed, classes, teachers)
-            res2 = check_prop2(maps, gt)
-            results.append({"prop": 2, "seed": seed, **asdict(res2)})
+        inst = gen_prop1_instance(seed)
+        res = check_prop1(inst.unified, inst.gt, inst.policy, inst.alpha, inst.classes)
+        results.append({"prop": 1, "seed": seed, **asdict(res)})
+        maps, gt = gen_prop2_instance(seed)
+        results.append({"prop": 2, "seed": seed, **asdict(check_prop2(maps, gt))})
     return results

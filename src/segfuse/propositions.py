@@ -27,6 +27,9 @@ from .policy import select_oracle, select_random
 from .synth import corrupt_teacher, gen_ground_truth
 from .unify import unify
 
+#: Class and teacher counts of every generated instance.
+_CLASSES, _TEACHERS = 4, 3
+
 
 @dataclass(frozen=True)
 class Prop1Result:
@@ -106,7 +109,7 @@ def _corrupted_copy(gt: LabelMap, rng) -> LabelMap:
     return unify(corrupt_teacher(gt, rates, 1.0, seed=int(rng.integers(2**63))))
 
 
-def gen_prop1_instance(seed: int, classes: int = 4, teachers: int = 3) -> PropInstance:
+def gen_prop1_instance(seed: int) -> PropInstance:
     """12x12 instance guaranteed to satisfy the lower-bound hypothesis.
 
     All teachers share one moderately corrupted map, so the selected
@@ -116,22 +119,22 @@ def gen_prop1_instance(seed: int, classes: int = 4, teachers: int = 3) -> PropIn
     """
     rng = np.random.default_rng(seed)
     gt, _ = gen_ground_truth(
-        12, 12, classes, region_scale=4, seed=int(rng.integers(2**63))
+        12, 12, _CLASSES, region_scale=4, seed=int(rng.integers(2**63))
     )
     shared = _corrupted_copy(gt, rng)
-    unified = tuple([shared] * teachers)
-    policy = select_random(classes, teachers, seed=int(rng.integers(2**63)))
+    unified = tuple([shared] * _TEACHERS)
+    policy = select_random(_CLASSES, _TEACHERS, seed=int(rng.integers(2**63)))
     phi = dataset_iou([shared], [gt]).per_class
     alpha = float(rng.uniform(0.3, 0.7))
-    listed = [c for c in range(classes) if not np.isnan(phi[c]) and phi[c] >= alpha]
+    listed = [c for c in range(_CLASSES) if not np.isnan(phi[c]) and phi[c] >= alpha]
     if not listed:
         best = int(np.nanargmax(phi))
         alpha = float(phi[best]) * 0.95
-        listed = [c for c in range(classes) if not np.isnan(phi[c]) and phi[c] >= alpha]
+        listed = [c for c in range(_CLASSES) if not np.isnan(phi[c]) and phi[c] >= alpha]
     return PropInstance(unified, gt, policy, alpha, tuple(listed))
 
 
-def gen_prop2_instance(seed: int, classes: int = 4, teachers: int = 3) -> tuple:
+def gen_prop2_instance(seed: int) -> tuple:
     """12x12 (unified maps, gt) guaranteed overlap-free under the argmax policy.
 
     Two modes: a shared corrupted map for every teacher, or specialists
@@ -143,25 +146,24 @@ def gen_prop2_instance(seed: int, classes: int = 4, teachers: int = 3) -> tuple:
     """
     rng = np.random.default_rng(seed)
     gt, _ = gen_ground_truth(
-        12, 12, classes, region_scale=4, seed=int(rng.integers(2**63))
+        12, 12, _CLASSES, region_scale=4, seed=int(rng.integers(2**63))
     )
-    if teachers == 1 or rng.random() < 0.5:
+    if rng.random() < 0.5:
         shared = _corrupted_copy(gt, rng)
-        return tuple([shared] * teachers), gt
+        return tuple([shared] * _TEACHERS), gt
 
-    teachers = min(teachers, classes)
-    order = rng.permutation(classes)
-    owners = np.empty(classes, dtype=np.int64)
+    order = rng.permutation(_CLASSES)
+    owners = np.empty(_CLASSES, dtype=np.int64)
     for pos, c in enumerate(order):
-        owners[c] = pos % teachers
+        owners[c] = pos % _TEACHERS
     gt_values = gt.values.astype(np.intp)
     maps = []
-    for t in range(teachers):
+    for t in range(_TEACHERS):
         owned = np.flatnonzero(owners == t)
         not_owned = np.flatnonzero(owners != t)
         # Filler pixels (outside the owned ground-truth regions) only ever
         # carry non-owned classes, so the owned channels stay exact.
-        remap = np.arange(classes)
+        remap = np.arange(_CLASSES)
         remap[not_owned] = rng.choice(not_owned, size=not_owned.size)
         values = remap[gt_values]
         filler = ~np.isin(gt_values, owned)
@@ -169,5 +171,5 @@ def gen_prop2_instance(seed: int, classes: int = 4, teachers: int = 3) -> tuple:
         n_scramble = int(np.count_nonzero(scramble))
         if n_scramble:
             values[scramble] = rng.choice(not_owned, size=n_scramble)
-        maps.append(LabelMap(values.astype(np.uint16), classes))
+        maps.append(LabelMap(values.astype(np.uint16), _CLASSES))
     return tuple(maps), gt

@@ -31,6 +31,8 @@ _TILE = 32
 _FEATURE_NOISE = 0.5
 #: Range of a class's specialist teacher's error rate.
 _SPECIALIST_LOW, _SPECIALIST_HIGH = 0.01, 0.05
+#: Range of the error rate of every other teacher on a class.
+_ERROR_LOW, _ERROR_HIGH = 0.15, 0.30
 #: Softmax temperatures the benchmark's teachers cycle through.
 _TEMPERATURES = (0.1, 0.5, 1.0, 2.0)
 
@@ -172,7 +174,7 @@ class BenchmarkConfig:
     ensemble members trained with different methods specialize on
     different classes: each class gets one designated specialist teacher
     whose error rate comes from [_SPECIALIST_LOW, _SPECIALIST_HIGH], while
-    the other teachers draw from [error_low, error_high].  At the defaults
+    the other teachers draw from [_ERROR_LOW, _ERROR_HIGH].  At the defaults
     per-class IoU lands roughly in the 0.6-0.9 band.  Temperatures cycle
     through ``_TEMPERATURES`` so members emit certainty on deliberately
     different scales, and features carry ``_FEATURE_NOISE``; these module
@@ -185,8 +187,6 @@ class BenchmarkConfig:
     num_teachers: int = 4
     images: int = 6
     region_scale: int = 8
-    error_low: float = 0.15
-    error_high: float = 0.30
     teacher_blob_scale: int = 4
 
     def __post_init__(self):
@@ -194,8 +194,6 @@ class BenchmarkConfig:
             raise ValueError("benchmark needs >= 2 images (protocol split)")
         if self.num_teachers < 1:
             raise ValueError("benchmark needs >= 1 teacher")
-        if not 0 <= self.error_low <= self.error_high <= 1:
-            raise ValueError("need 0 <= error_low <= error_high <= 1")
         if self.teacher_blob_scale < 0:
             raise ValueError(f"teacher_blob_scale must be >= 0, got {self.teacher_blob_scale}")
 
@@ -219,9 +217,7 @@ class Benchmark:
 def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     """Deterministically generate scenes and a mixed-quality ensemble."""
     rng = np.random.default_rng(seed)
-    rates = rng.uniform(
-        config.error_low, config.error_high, size=(config.num_teachers, config.classes)
-    )
+    rates = rng.uniform(_ERROR_LOW, _ERROR_HIGH, size=(config.num_teachers, config.classes))
     # One specialist per class, cycling over a shuffled teacher order.
     order = rng.permutation(config.num_teachers)
     for c in range(config.classes):

@@ -219,7 +219,7 @@ STANDARD = BenchmarkConfig()
 
 def test_c07_robustness_direction():
     started = time.perf_counter()
-    tc = TrainConfig(lr=0.5, iterations=120, seed=0)
+    tc = TrainConfig(iterations=120, seed=0)
     header, rows = robustness(STANDARD, [0, 1, 2, 3], 0, 10, tc)
     agg = defaultdict(list)
     for k, method, seed, miou in rows:
@@ -239,7 +239,7 @@ def test_c07_robustness_direction():
 
 def test_c08_policy_quality_ordering_and_gap():
     started = time.perf_counter()
-    tc = TrainConfig(lr=0.5, iterations=200, seed=0)
+    tc = TrainConfig(iterations=200, seed=0)
     header, rows = policy_quality(STANDARD, 0, 10, tc)
     by = defaultdict(dict)
     for seed, name, miou in rows:
@@ -262,7 +262,7 @@ def test_c08_policy_quality_ordering_and_gap():
 
 def test_c09_certainty_iou_correlation():
     started = time.perf_counter()
-    tc = TrainConfig(lr=0.5, iterations=200, seed=0)
+    tc = TrainConfig(iterations=200, seed=0)
     positives, total = 0, 0
     for seed in range(3):
         bench = make_benchmark(STANDARD, seed)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
 from segfuse.core import LabelMap, stack_reports
-from segfuse.distill import TrainConfig, measure_teacher, train_student
+from segfuse.distill import TrainConfig, measure_teacher, student_forward, train_student
 from segfuse.experiments import policy_quality
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import (
@@ -180,23 +180,21 @@ class TestWrapperFidelity:
         tmp, gt, feats, teachers, paths = scene
         model_out = tmp_path / "model.npz"
         trace_out = tmp_path / "trace.csv"
-        for flags, overrides in [
-            ([], {}),
-            (["--lr", "0.4", "--iterations", "30"], dict(lr=0.4, iterations=30)),
-            (["--lr-decay-power", "0.5", "--iterations", "30"],
-             dict(lr_decay_power=0.5, iterations=30)),
-            (["--weight-decay", "0", "--momentum", "0.5", "--iterations", "20"],
-             dict(weight_decay=0.0, momentum=0.5, iterations=20)),
-        ]:
+        probmap_out = tmp_path / "student.pmap"
+        for flags, config in [([], TrainConfig(seed=4)),
+                              (["--iterations", "30"], TrainConfig(iterations=30, seed=4))]:
             args = [
                 "distill", "--features", str(paths["feats"]), "--labels", str(paths["gt"]),
                 "--seed", "4", *flags, "-o", str(model_out), "--trace-out", str(trace_out),
+                "--probmap-out", str(probmap_out),
             ]
             assert main(args) == 0
-            want = train_student(feats, gt, TrainConfig(**overrides, seed=4))
+            want = train_student(feats, gt, config)
             saved = np.load(model_out)
             np.testing.assert_array_equal(saved["weights"], want.model.weights)
             np.testing.assert_array_equal(saved["bias"], want.model.bias)
+            assert probmap_out.read_bytes() == fileio.write_probmap(
+                student_forward(want.model, feats))
             want_trace = ["iter,loss"] + [
                 f"{i},{float(v)!r}" for i, v in enumerate(want.losses)]
             assert trace_out.read_text().splitlines() == want_trace
@@ -211,7 +209,7 @@ class TestWrapperFidelity:
             if field.name == "seed":  # the one required flag
                 assert flags[0].required and flags[0].type is cli._seed
             else:
-                assert flags[0].type is type(field.default), field.name
+                assert flags[0].type is cli._int, field.name
                 assert flags[0].default == field.default, field.name
 
     def test_synth_has_one_flag_per_benchmark_field(self):
@@ -220,7 +218,7 @@ class TestWrapperFidelity:
         for field in fields(BenchmarkConfig):
             flags = [a for a in actions if a.dest == dests.get(field.name)]
             assert len(flags) == 1, field.name
-            assert flags[0].type is type(field.default), field.name
+            assert flags[0].type is cli._int, field.name
             assert flags[0].default == field.default, field.name
 
 
@@ -479,6 +477,19 @@ class TestSynthCommand:
             assert p.read_bytes() == (b / p.name).read_bytes(), p.name
 
 
+def _typed_options(parser, types, command=()):
+    """[*subcommands, flag] of every option of ``parser`` and its
+    subcommands whose argparse type is one of ``types``."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += _typed_options(sub, types, [*command, name])
+        elif action.type in types:
+            found.append([*command, action.option_strings[-1]])
+    return found
+
+
 # distill's required inputs but --seed; none of them is read on a usage error
 _DISTILL = ["distill", "--features", "f.npy", "--labels", "l.lmap"]
 
@@ -486,16 +497,16 @@ _DISTILL = ["distill", "--features", "f.npy", "--labels", "l.lmap"]
 class TestErrorHandling:
     @pytest.mark.parametrize("argv, want", [
         ([*_DISTILL, "--seed", "0", "--iterations", "abc"],
-         "segfuse distill: argument --iterations: invalid int value: 'abc'"),
+         "segfuse distill: argument --iterations: expected a 64-bit integer, got 'abc'"),
         ([*_DISTILL, "--seed", "0", "--config", "x"],
          "segfuse: unrecognized arguments: --config x"),
         (_DISTILL, "segfuse distill: the following arguments are required: --seed"),
         (["experiment", "robustness", "--seed", "0", "--bad-counts", ","],
          "segfuse experiment robustness: argument --bad-counts: "
-         "expected comma-separated integers, got ','"),
+         "expected comma-separated 64-bit integers, got ','"),
         (["experiment", "kernel-sweep", "--seed", "0", "--kappas", "1,x"],
          "segfuse experiment kernel-sweep: argument --kappas: "
-         "expected comma-separated integers, got '1,x'"),
+         "expected comma-separated 64-bit integers, got '1,x'"),
     ], ids=["bad-int", "unknown-flag", "missing-required", "bad-counts-list",
             "bad-kappas-list"])
     def test_usage_error_is_one_json_line(self, tmp_path, capsys, monkeypatch, argv, want):
@@ -510,25 +521,26 @@ class TestErrorHandling:
         assert json.loads(lines[0]) == {"error": want}
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["fuse-channel", "--kappa", "99999999999999999999999"],
-        ["synth", "--height", "99999999999999999999"],
-        ["experiment", "kernel-sweep", "--kappas", "1,99999999999999999999",
-         "--seeds", "1"],
-        ["experiment", "robustness", "--bad-counts", "99999999999999999999",
-         "--seeds", "1", "--iterations", "1"],
-    ], ids=["fuse-channel", "synth", "kernel-sweep", "robustness"])
-    def test_integer_too_large_is_one_json_line(self, scene, argv):
-        tmp, gt, feats, teachers, paths = scene
-        if argv[0] == "fuse-channel":
-            (tmp / "p.json").write_text(fileio.policy_to_json(select_random(4, 3, seed=1)))
-            argv = [*argv, *(str(paths[f"t{i}"]) for i in range(3)),
-                    "--policy", str(tmp / "p.json"), "-o", str(tmp / "out.lmap")]
-        elif argv[0] == "synth":
-            argv = [*argv, "--seed", "0", "--outdir", str(tmp / "out.d")]
-        else:
-            argv = [*argv, *_SMALL_BENCH, "--seed", "0", "-o", str(tmp / "out.csv")]
-        _run_rejected(tmp, argv)
+    @pytest.mark.parametrize("argv", _typed_options(build_parser(), (cli._int, cli._ints)),
+                             ids=" ".join)
+    def test_integer_too_large_is_one_json_line(self, tmp_path, monkeypatch, argv):
+        # a usage error, so no other argument is needed: nothing runs
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = _in_process_main([*argv, str(2**63)])
+        assert (rc, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        msg = json.loads(lines[0])["error"]
+        assert f"argument {argv[-1]}: expected " in msg and "64-bit integer" in msg
+        assert not list(tmp_path.iterdir())
+
+    def test_no_option_is_a_plain_int(self):
+        assert _typed_options(build_parser(), (int,)) == []
+
+    def test_int_takes_the_int64_range(self):
+        assert [cli._int(str(v)) for v in (-2**63, 0, 2**63 - 1)] == [-2**63, 0, 2**63 - 1]
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._int(str(-2**63 - 1))
 
     def test_bad_file_gives_json_error_and_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.pmap"
@@ -549,6 +561,15 @@ class TestErrorHandling:
         rc = main(["unify", str(tmp_path), "-o", str(tmp_path / "o.lmap")])
         assert rc == 2
         assert str(tmp_path) in json.loads(capsys.readouterr().err)["error"]
+
+    def test_directory_output_leaves_no_temp_file(self, scene, capsys):
+        tmp, gt, feats, teachers, paths = scene
+        out = tmp / "out.d"
+        out.mkdir()
+        assert main(["unify", str(paths["t0"]), "-o", str(out)]) == 2
+        assert str(out) in json.loads(capsys.readouterr().err)["error"]
+        assert list(out.iterdir()) == []
+        assert not [p for p in tmp.iterdir() if p.name.startswith(".segfuse-")]
 
     def test_memory_error_gives_one_json_line(self, scene, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -646,7 +667,7 @@ def _argv(command, path):
                 "--gt", path("gt.lmap"), path("gt1.lmap")]
     if command == "distill":
         return ["distill", "--features", path("feats.npy"), "--labels", path("gt.lmap"),
-                "--iterations", "2", "--lr", "0.25", "--seed", "0", "-o", path("out.npz")]
+                "--iterations", "2", "--seed", "0", "-o", path("out.npz")]
     if command.startswith("select-policy"):
         mode = command.split()[1]
         flag = "--rho" if mode == "certainty" else "--phis"
@@ -809,10 +830,15 @@ class TestDecoderFuzz:
         ("select-policy certainty", ["rho1.json"], b"[" * 200_000),
         ("select-policy oracle", ["phi0.json"], b"[" * 200_000),
         ("fuse-channel", ["policy.json"], b"[" * 200_000),
+        ("fuse-channel", ["policy.json"], b'{"classes": 4, "assignment": [0, 1, 2, 0]}'),
+        ("distill", ["feats.npy"], _npy(np.full((8, 12, 4), 0.5, dtype=object))),
+        ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 4)))[:6] + b"\x04"
+         + _npy(np.zeros((8, 12, 4)))[7:]),
     ], ids=["features-structured-dtype", "phi-number",
             "phi-bool-iou", "phi-string-miou", "phi-contradicting-miou",
             "rho-string-miou", "rho-contradicting-miou", "features-empty",
-            "rho-deeply-nested", "phi-deeply-nested", "policy-deeply-nested"])
+            "rho-deeply-nested", "phi-deeply-nested", "policy-deeply-nested",
+            "policy-missing-field", "features-object-array", "features-version-4"])
     def test_reproduced_bad_input(self, tmp_path, command, names, content):
         _decoder_inputs(tmp_path)
         for name in names:
@@ -847,6 +873,7 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "robustness", "--bad-counts", "0,-2"],
+        ["experiment", "kernel-sweep", "--kappas", "1,2", "--seeds", "1"],
         *[["experiment", kind, "--seeds", n]
           for kind in ("kernel-sweep", "robustness", "policy-quality", "correlation")
           for n in ("0", "-2")],
@@ -861,7 +888,7 @@ class TestExperimentCommands:
 
     def test_prop_check_jsonl(self, tmp_path):
         out = tmp_path / "props.jsonl"
-        args = ["experiment", "prop-check", "--prop", "both", "--instances", "5",
+        args = ["experiment", "prop-check", "--instances", "5",
                 "--seed", "0", "-o", str(out)]
         assert main(args) == 0
         rows = [json.loads(ln) for ln in out.read_text().splitlines()]
@@ -954,8 +981,8 @@ class TestExperimentKinds:
 
     @pytest.mark.parametrize("flag", ["--height", "--blob-scale", "--lr"])
     def test_moved_kinds_take_no_benchmark_or_lr_flags(self, flag, capsys):
-        # they run on BenchmarkConfig() with TrainConfig's lr, as the scripts did;
-        # the two kinds that take benchmark flags train at TrainConfig's lr too
+        # they run on BenchmarkConfig(), as the scripts did; no kind takes an
+        # lr, since the SGD recipe is fixed
         kinds = ("policy-quality", "correlation", "certainty-hist")
         if flag == "--lr":
             kinds += ("robustness", "flexibility")
@@ -1052,7 +1079,6 @@ class TestSeedFlag:
 
     @pytest.mark.parametrize("flag, value, want", [
         ("--iterations", "0", "iterations must be >= 1"),
-        ("--momentum", "1", "momentum must lie in [0, 1)"),
     ])
     def test_distill_checks_its_config_before_reading_inputs(
         self, tmp_path, flag, value, want
@@ -1082,5 +1108,5 @@ def test_settable_value_count_is_pinned():
     # a change that adds or removes one updates this count on purpose
     options = _settable_options(build_parser())
     config_fields = len(fields(TrainConfig)) + len(fields(BenchmarkConfig))
-    assert (options, config_fields) == (102, 15)
-    assert options + config_fields == 117
+    assert (options, config_fields) == (87, 9)
+    assert options + config_fields == 96

@@ -27,7 +27,7 @@ from segfuse.unify import unify
 FAST = BenchmarkConfig(
     height=24, width=24, classes=4, num_teachers=3, images=3, region_scale=5
 )
-TC = TrainConfig(lr=0.5, iterations=60, seed=0)
+TC = TrainConfig(iterations=60, seed=0)
 
 
 def certainty_policy(members, feats, tc):
@@ -59,6 +59,16 @@ class TestKernelSweep:
     def test_requires_baseline_kappa(self):
         with pytest.raises(ValueError):
             kernel_sweep(FAST, [3, 5], 0, 1)
+
+    def test_checks_every_kappa_before_any_seed(self, monkeypatch):
+        from segfuse import experiments
+
+        def no_benchmark(*args):
+            raise AssertionError("built a benchmark before checking the kappas")
+
+        monkeypatch.setattr(experiments, "make_benchmark", no_benchmark)
+        with pytest.raises(ValueError, match="kappa must be odd and >= 1, got 2"):
+            kernel_sweep(FAST, [1, 3, 2], 0, 1)
 
 
 class TestRobustness:
@@ -214,12 +224,8 @@ class TestFlexibility:
 
 class TestPropChecks:
     def test_rows_are_json_ready_and_satisfied(self):
-        results = prop_checks("both", 10, 0)
+        results = prop_checks(10, 0)
         assert len(results) == 20
         for r in results:
             assert r["precondition_met"] is True
             assert set(r) >= {"prop", "seed"}
-
-    def test_rejects_unknown_prop(self):
-        with pytest.raises(ValueError):
-            prop_checks("3", 5, 0)

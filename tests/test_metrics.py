@@ -191,6 +191,10 @@ class TestCertaintyReport:
         with pytest.raises(ValueError, match="empty measurement"):
             certainty_report([])
 
+    def test_rejects_maps_that_disagree_on_the_class_count(self):
+        with pytest.raises(ValueError, match="disagree on the class count"):
+            certainty_report([prob([[[0.9, 0.1]]]), prob([[[0.8, 0.1, 0.1]]])])
+
 
 class TestCertaintyIoUCosine:
     def test_proportional_rows_give_one(self):
