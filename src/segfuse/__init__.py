@@ -51,6 +51,7 @@ from .synth import (
     gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
+    soften,
 )
 from .unify import unify
 

@@ -40,7 +40,7 @@ from .experiments import (
 from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import dataset_iou
 from .policy import select_certainty, select_oracle, select_random
-from .synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
+from .synth import BenchmarkConfig, make_benchmark, make_underperformer_maps, soften
 from .util import rows_to_csv
 
 
@@ -100,17 +100,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_select_policy(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.mode == "random":
-            policy = select_random(args.classes, args.teachers, args.seed)
-        else:
-            select = select_certainty if args.mode == "certainty" else select_oracle
-            policy = select([_load(p, fileio.report_from_json, text=True)
-                             for p in args.reports])
+    if args.mode == "random":
+        policy = select_random(args.classes, args.teachers, args.seed)
+    else:
+        select = select_certainty if args.mode == "certainty" else select_oracle
+        policy = select([_load(p, fileio.report_from_json, text=True)
+                         for p in args.reports])
     _emit_text(args, fileio.policy_to_json(policy))
-    for w in caught:
-        print(json.dumps({"warning": str(w.message)}), file=sys.stderr)
     return 0
 
 
@@ -220,8 +216,9 @@ def cmd_synth(args) -> int:
         buf = _io.BytesIO()
         np.save(buf, fm.values)
         emit(f"img{i:03d}.features.npy", buf.getvalue())
-        for t, maps in enumerate(bench.teacher_probs):
-            emit(f"teacher{t:02d}.img{i:03d}.pmap", fileio.write_probmap(maps[i]))
+        for t, maps in enumerate(bench.teacher_labels):
+            pm = soften(maps[i], bench.temperatures[t])
+            emit(f"teacher{t:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
     for j in range(args.underperformers):
         # under00 is the under-performer `experiment robustness` adds at this seed
         for i, pm in enumerate(make_underperformer_maps(bench, args.seed + j)):
@@ -399,7 +396,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = args.func(args)
+        for w in caught:
+            print(json.dumps({"warning": str(w.message)}), file=sys.stderr)
+        return rc
     except (ValueError, OverflowError, OSError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2

@@ -18,22 +18,17 @@ from .distill import (
     train_student,
 )
 from .fusion import DEFAULT_KAPPA, _check_kappa, channel_fuse, pixel_fuse
-from .metrics import certainty_histogram, certainty_iou_cosine, dataset_iou
+from .metrics import _check_bins, certainty_histogram, certainty_iou_cosine, dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
 from .synth import (
-    Benchmark,
     BenchmarkConfig,
     gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
+    soften,
 )
 from .unify import unify
-
-
-def _unified(bench: Benchmark) -> list:
-    """teacher-major -> unified[t][i]"""
-    return [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
 
 
 def _fuse_channel_all(unified, policy, kappa):
@@ -72,7 +67,7 @@ def kernel_sweep(
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
-        unified = _unified(bench)
+        unified = bench.teacher_labels
         policy = select_random(config.classes, bench.num_teachers, seed)
         mious = {}
         for kappa in kappas:
@@ -95,9 +90,9 @@ def robustness(
     The same under-performer is appended k times (re-adding one bad model),
     and three fusion routes are compared: per-pixel majority vote,
     channel-wise fusion under the certainty-aware policy, and the
-    probability-averaging baseline.  Each distinct member is unified and
-    measured once per seed; a member's rho report depends on that member
-    alone, so the k-member ensemble reuses those labels and reports.
+    probability-averaging baseline.  Each distinct member is measured once
+    per seed; a member's rho report depends on that member alone, so the
+    k-member ensemble reuses those labels and reports.
     """
     bad_counts = sorted(set(int(k) for k in bad_counts))
     if not bad_counts or bad_counts[0] < 0:
@@ -107,13 +102,14 @@ def robustness(
         bench = make_benchmark(config, seed)
         bad_maps = make_underperformer_maps(bench, seed)
         bad_unified = [unify(pm) for pm in bad_maps]
-        good_unified = _unified(bench)
+        good_probs = [[soften(m, temp) for m in maps]
+                      for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
         good_rhos = [measure_teacher(m, bench.feats, config=train_config)
-                     for m in good_unified]
+                     for m in bench.teacher_labels]
         bad_rho = measure_teacher(bad_unified, bench.feats, config=train_config)
         for k in bad_counts:
-            unified = good_unified + [bad_unified] * k
-            probs = list(bench.teacher_probs) + [bad_maps] * k
+            unified = list(bench.teacher_labels) + [bad_unified] * k
+            probs = good_probs + [bad_maps] * k
 
             pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
             rows.append((k, "pixel", seed, pixel))
@@ -140,7 +136,7 @@ def policy_quality(
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
-        unified = _unified(bench)
+        unified = bench.teacher_labels
         policies = {
             "random": select_random(config.classes, bench.num_teachers, seed),
             "certainty": select_certainty(
@@ -164,7 +160,7 @@ def correlation(
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
-        unified = _unified(bench)
+        unified = bench.teacher_labels
         reports = _teacher_reports(unified, bench.gts)
         rhos = [measure_teacher(m, bench.feats, config=train_config) for m in unified]
         for c, sim in enumerate(certainty_iou_cosine(rhos, reports)):
@@ -174,8 +170,10 @@ def correlation(
 
 def certainty_hist(config: BenchmarkConfig, seed: int, bins: int) -> tuple[list[str], list]:
     """Per-pixel certainty histogram of each teacher and an under-performer, image 0."""
+    _check_bins(bins)  # before the benchmark is built
     bench = make_benchmark(config, seed)
-    members = [(f"teacher{t}", maps[0]) for t, maps in enumerate(bench.teacher_probs)]
+    members = [(f"teacher{t}", soften(maps[0], temp)) for t, (maps, temp)
+               in enumerate(zip(bench.teacher_labels, bench.temperatures))]
     members.append(("underperformer", gen_underperformer(bench.gts[0], seed=seed)))
     rows = []
     for name, pm in members:
@@ -198,7 +196,7 @@ def flexibility(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     bench = make_benchmark(config, seed)
-    unified = _unified(bench)
+    unified = list(bench.teacher_labels)
     measured = []
     rows = []
     for r in range(1, rounds + 1):

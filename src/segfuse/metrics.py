@@ -107,10 +107,14 @@ def certainty_iou_cosine(
     return out
 
 
+def _check_bins(bins: int) -> None:
+    if not 1 <= bins < np.iinfo(np.intp).max:  # bins + 1 edges must fit np.intp
+        raise ValueError(f"bins must be >= 1 and < {np.iinfo(np.intp).max}, got {bins}")
+
+
 def certainty_histogram(prob: ProbMap, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of per-pixel maximum probability over [0, 1]."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    _check_bins(bins)
     peak = prob.values.max(axis=2)
     counts, edges = np.histogram(peak, bins=bins, range=(0.0, 1.0))
     return counts, edges

@@ -25,7 +25,6 @@ from .fusion import build_channel_sets, channel_fuse
 from .metrics import dataset_iou
 from .policy import select_oracle, select_random
 from .synth import corrupt_teacher, gen_ground_truth
-from .unify import unify
 
 #: Class and teacher counts of every generated instance.
 _CLASSES, _TEACHERS = 4, 3
@@ -106,7 +105,7 @@ class PropInstance:
 
 def _corrupted_copy(gt: LabelMap, rng) -> LabelMap:
     rates = rng.uniform(0.0, 0.2, size=gt.num_classes)
-    return unify(corrupt_teacher(gt, rates, 1.0, seed=int(rng.integers(2**63))))
+    return corrupt_teacher(gt, rates, seed=int(rng.integers(2**63)))
 
 
 def gen_prop1_instance(seed: int) -> PropInstance:

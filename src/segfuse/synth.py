@@ -7,8 +7,8 @@ label maps are learnable by the toy student, which in turn makes the
 certainty-aware selection protocol meaningful (students trained on bad
 labels come out visibly less confident).
 
-Teacher corruption controls per-class accuracy (flip rates) and certainty
-scale (softmax temperature on one-hot logits) independently, reproducing
+``corrupt_teacher`` controls per-class accuracy (flip rates) and ``soften``
+the certainty scale (softmax temperature on one-hot logits), reproducing
 both the certainty-inconsistency and the performance-variation failure
 modes at desk scale.
 """
@@ -102,22 +102,16 @@ def gen_ground_truth(
 def corrupt_teacher(
     gt: LabelMap,
     per_class_error: Sequence[float],
-    temperature: float,
     seed: int,
     blob_scale: int = 0,
-) -> ProbMap:
-    """Teacher prediction with controlled per-class error and certainty scale.
+) -> LabelMap:
+    """Teacher labels with a controlled per-class error.
 
     Each ground-truth pixel of class c flips to a uniformly random other
     class with probability ``per_class_error[c]``; with ``blob_scale`` > 0
     the flip decisions are shared within Voronoi blobs of that scale, so
-    errors come out spatially coherent instead of i.i.d.  The hard labels
-    then become probabilities via softmax of one-hot logits scaled by
-    1/temperature: low temperature means near-1.0 certainty, high
-    temperature means diffuse certainty.  The argmax always equals the
-    corrupted hard label, so unification is invariant to temperature; a
-    temperature so high that the top probability would round down to the
-    others raises ``ValueError``.
+    errors come out spatially coherent instead of i.i.d.  ``soften`` gives
+    the labels a certainty scale.
     """
     rates = np.asarray(per_class_error, dtype=np.float64)
     num_classes = gt.num_classes
@@ -125,17 +119,6 @@ def corrupt_teacher(
         raise ValueError(f"need one error rate per class ({num_classes})")
     if (rates < 0).any() or (rates > 1).any():
         raise ValueError("error rates must lie in [0, 1]")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    decay = np.exp(-1.0 / temperature)
-    p_top = 1.0 / (1.0 + (num_classes - 1) * decay)
-    p_other = (1.0 - p_top) / (num_classes - 1)
-    if not p_top > p_other:
-        # exp(-1/T) rounds to 1 from about T = 1e16: every class ties.
-        raise ValueError(
-            f"temperature {temperature} is too high to keep the corrupted "
-            "label on top"
-        )
     if gt.unlabeled_mask().any():
         raise ValueError("ground truth may not contain unlabeled pixels")
 
@@ -154,16 +137,38 @@ def corrupt_teacher(
         offsets = rng.integers(1, num_classes, size=(h, w))
     flip = flip_draw < rates[labels]
     labels[flip] = (labels[flip] + offsets[flip]) % num_classes
+    return LabelMap(labels.astype(np.uint16), num_classes)
 
-    probs = np.full((h, w, num_classes), p_other)
-    np.put_along_axis(probs, labels[:, :, None], p_top, axis=2)
+
+def soften(labels: LabelMap, temperature: float) -> ProbMap:
+    """Labels as probabilities: softmax of one-hot logits scaled by
+    1/temperature.  Low temperature means near-1.0 certainty, high
+    temperature diffuse certainty.  The argmax always equals the label, so
+    unification is invariant to temperature; a temperature so high that the
+    top probability would round down to the others raises ``ValueError``.
+    """
+    num_classes = labels.num_classes
+    if not temperature > 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
+    decay = np.exp(-1.0 / temperature)
+    p_top = 1.0 / (1.0 + (num_classes - 1) * decay)
+    p_other = (1.0 - p_top) / (num_classes - 1)
+    if not p_top > p_other:
+        # exp(-1/T) rounds to 1 from about T = 1e16: every class ties.
+        raise ValueError(
+            f"temperature {temperature} is too high to keep the label on top"
+        )
+    if labels.unlabeled_mask().any():
+        raise ValueError("cannot soften unlabeled pixels")
+    probs = np.full((*labels.values.shape, num_classes), p_other)
+    np.put_along_axis(probs, labels.values[:, :, None], p_top, axis=2)
     return ProbMap(probs)
 
 
 def gen_underperformer(gt: LabelMap, seed: int) -> ProbMap:
     """Confidently wrong teacher: error rate 0.6 on every class at
     temperature 0.1, so near-1.0 certainty."""
-    return corrupt_teacher(gt, np.full(gt.num_classes, 0.6), 0.1, seed)
+    return soften(corrupt_teacher(gt, np.full(gt.num_classes, 0.6), seed), 0.1)
 
 
 @dataclass(frozen=True)
@@ -200,18 +205,18 @@ class BenchmarkConfig:
 
 @dataclass(frozen=True, eq=False)
 class Benchmark:
-    """Materialized benchmark instance (teacher-major probability maps)."""
+    """Materialized benchmark instance (teacher-major label maps); teacher
+    t's probabilities are ``soften`` of its labels at ``temperatures[t]``."""
 
-    config: BenchmarkConfig
     gts: tuple
     feats: tuple
-    teacher_probs: tuple  # teacher_probs[t][i] = teacher t on image i
+    teacher_labels: tuple  # teacher_labels[t][i] = teacher t on image i
     error_rates: np.ndarray  # (T, C)
     temperatures: np.ndarray  # (T,)
 
     @property
     def num_teachers(self) -> int:
-        return len(self.teacher_probs)
+        return len(self.teacher_labels)
 
 
 def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
@@ -237,22 +242,12 @@ def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
         )
         gts.append(gt)
         feats.append(fm)
-    teacher_probs = []
-    for t in range(config.num_teachers):
-        maps = [
-            corrupt_teacher(
-                gts[i],
-                rates[t],
-                float(temps[t]),
-                seed=int(rng.integers(2**63)),
-                blob_scale=config.teacher_blob_scale,
-            )
-            for i in range(config.images)
-        ]
-        teacher_probs.append(tuple(maps))
-    return Benchmark(
-        config, tuple(gts), tuple(feats), tuple(teacher_probs), rates, temps
-    )
+    teacher_labels = tuple(
+        tuple(corrupt_teacher(gts[i], rates[t], seed=int(rng.integers(2**63)),
+                              blob_scale=config.teacher_blob_scale)
+              for i in range(config.images))
+        for t in range(config.num_teachers))
+    return Benchmark(tuple(gts), tuple(feats), teacher_labels, rates, temps)
 
 
 def make_underperformer_maps(bench: Benchmark, seed: int) -> tuple:

@@ -38,8 +38,6 @@ def json_number(value, integral: bool = False) -> bool:
 
 def format_cell(value) -> str:
     """Deterministic CSV cell: shortest round-trip repr for floats."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

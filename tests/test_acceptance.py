@@ -266,7 +266,7 @@ def test_c09_certainty_iou_correlation():
     positives, total = 0, 0
     for seed in range(3):
         bench = make_benchmark(STANDARD, seed)
-        unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+        unified = bench.teacher_labels
         reports = [dataset_iou(maps, bench.gts) for maps in unified]
         rhos = [measure_teacher(m, bench.feats, config=tc) for m in unified]
         sims = certainty_iou_cosine(rhos, reports)

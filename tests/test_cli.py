@@ -19,7 +19,7 @@ from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
 from segfuse.core import LabelMap, stack_reports
 from segfuse.distill import TrainConfig, measure_teacher, student_forward, train_student
-from segfuse.experiments import policy_quality
+from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import (
     certainty_histogram,
@@ -34,6 +34,7 @@ from segfuse.synth import (
     gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
+    soften,
 )
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
@@ -60,7 +61,7 @@ def _write_columns(directory, stem, scores):
 def scene(tmp_path):
     gt, feats = gen_ground_truth(16, 16, 4, region_scale=4, seed=0)
     teachers = [
-        corrupt_teacher(gt, [0.1] * 4, temp, seed=i)
+        soften(corrupt_teacher(gt, [0.1] * 4, seed=i), temp)
         for i, temp in enumerate((0.5, 1.0, 2.0))
     ]
     paths = {}
@@ -133,7 +134,7 @@ class TestWrapperFidelity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_select_policy_certainty_from_protocol_columns(self, tmp_path, capsys, seed):
         bench = make_benchmark(BenchmarkConfig(), seed)
-        members = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+        members = bench.teacher_labels
         tc = TrainConfig(iterations=60)
         rhos = [measure_teacher(m, bench.feats, config=tc) for m in members]
         files = _write_columns(tmp_path, "rho", stack_reports(rhos))
@@ -168,6 +169,24 @@ class TestWrapperFidelity:
         warning = json.loads(lines[0])
         assert list(warning) == ["warning"]
         assert "undefined for classes [1]" in warning["warning"]
+
+    def test_experiment_undefined_class_warns_in_one_json_line(self):
+        # every command reports a warning as select-policy does
+        argv = ["experiment", "robustness", "--seed", "399", "--height", "12", "--width",
+                "12", "--classes", "3", "--teachers", "2", "--images", "2",
+                "--region-scale", "4", "--bad-counts", "0,1", "--seeds", "1",
+                "--iterations", "3"]
+        rc, out, err = _in_process_main(argv)
+        assert rc == 0
+        config = BenchmarkConfig(height=12, width=12, classes=3, num_teachers=2,
+                                 images=2, region_scale=4)
+        with pytest.warns(UserWarning):
+            want = robustness(config, [0, 1], 399, 1, TrainConfig(iterations=3, seed=399))
+        assert out == rows_to_csv(*want)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "warning": "student certainty undefined for classes [2]; assigning teacher 0"}
 
     def test_select_policy_oracle_from_reports(self, tmp_path, capsys):
         phi = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -622,21 +641,21 @@ def _npy(values) -> bytes:
 def _decoder_inputs(directory):
     """Valid inputs of every decoding command, on an 8 x 12 scene."""
     gt, feats = gen_ground_truth(8, 12, 4, region_scale=3, seed=1)
-    teachers = [corrupt_teacher(gt, [0.2] * 4, 1.0, seed=i) for i in range(3)]
+    labels = [corrupt_teacher(gt, [0.2] * 4, seed=i) for i in range(3)]
     rho = np.random.default_rng(3).random((4, 3))
     files = {
-        "t0.pmap": fileio.write_probmap(teachers[0]),
-        "t1.lmap": fileio.write_labelmap(unify(teachers[1])),
-        "t2.pmap": fileio.write_probmap(teachers[2]),
+        "t0.pmap": fileio.write_probmap(soften(labels[0], 1.0)),
+        "t1.lmap": fileio.write_labelmap(labels[1]),
+        "t2.pmap": fileio.write_probmap(soften(labels[2], 1.0)),
         "gt.lmap": fileio.write_labelmap(gt),
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
         "feats.npy": _npy(feats.values),
     }
     gt1, _ = gen_ground_truth(6, 10, 4, region_scale=3, seed=2)
-    files["e1.lmap"] = fileio.write_labelmap(unify(corrupt_teacher(gt1, [0.2] * 4, 1.0, 5)))
+    files["e1.lmap"] = fileio.write_labelmap(corrupt_teacher(gt1, [0.2] * 4, 5))
     files["gt1.lmap"] = fileio.write_labelmap(gt1)
     for t, rho_t in enumerate(reports_from_matrix(rho)):
-        iou = dataset_iou([unify(teachers[t])], [gt])
+        iou = dataset_iou([labels[t]], [gt])
         files[f"phi{t}.json"] = fileio.report_to_json(iou).encode()
         files[f"rho{t}.json"] = fileio.report_to_json(rho_t).encode()
     for name, data in files.items():
@@ -834,11 +853,14 @@ class TestDecoderFuzz:
         ("distill", ["feats.npy"], _npy(np.full((8, 12, 4), 0.5, dtype=object))),
         ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 4)))[:6] + b"\x04"
          + _npy(np.zeros((8, 12, 4)))[7:]),
+        ("unify", ["t0.pmap"], fileio._HEADER.pack(b"PMAP", 1, 0, 12, 4)),
+        ("eval", ["t1.lmap"], fileio._HEADER.pack(b"LMAP", 1, 8, 0, 4)),
     ], ids=["features-structured-dtype", "phi-number",
             "phi-bool-iou", "phi-string-miou", "phi-contradicting-miou",
             "rho-string-miou", "rho-contradicting-miou", "features-empty",
             "rho-deeply-nested", "phi-deeply-nested", "policy-deeply-nested",
-            "policy-missing-field", "features-object-array", "features-version-4"])
+            "policy-missing-field", "features-object-array", "features-version-4",
+            "pmap-zero-height", "lmap-zero-width"])
     def test_reproduced_bad_input(self, tmp_path, command, names, content):
         _decoder_inputs(tmp_path)
         for name in names:
@@ -878,6 +900,7 @@ class TestExperimentCommands:
           for kind in ("kernel-sweep", "robustness", "policy-quality", "correlation")
           for n in ("0", "-2")],
         ["experiment", "prop-check", "--instances", "-3"],
+        ["experiment", "certainty-hist", "--bins", "9223372036854775807"],
         ["synth", "--underperformers", "-1"],
         ["synth", "--blob-scale", "-4"],
     ], ids=" ".join)
@@ -960,7 +983,7 @@ class TestExperimentKinds:
         rows = []
         for seed in (1, 2):
             bench = make_benchmark(BenchmarkConfig(), seed)
-            unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+            unified = bench.teacher_labels
             reports = [dataset_iou(maps, bench.gts) for maps in unified]
             rhos = [measure_teacher(m, bench.feats, config=tc) for m in unified]
             sims = certainty_iou_cosine(rhos, reports)
@@ -970,7 +993,8 @@ class TestExperimentKinds:
     def test_certainty_hist_matches_library(self, tmp_path):
         got = self.run(tmp_path, "certainty-hist", "--seed", "3", "--bins", "7")
         bench = make_benchmark(BenchmarkConfig(), 3)
-        members = {f"teacher{t}": maps[0] for t, maps in enumerate(bench.teacher_probs)}
+        members = {f"teacher{t}": soften(maps[0], temp) for t, (maps, temp)
+                   in enumerate(zip(bench.teacher_labels, bench.temperatures))}
         members["underperformer"] = gen_underperformer(bench.gts[0], seed=3)
         want = ["member,bin_low,bin_high,count"]
         for name, pm in members.items():

@@ -22,7 +22,7 @@ from segfuse.distill import (
     train_student,
 )
 from segfuse.policy import select_certainty
-from segfuse.synth import corrupt_teacher, gen_ground_truth
+from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
 from segfuse.unify import unify
 from segfuse.util import softmax, softmax_inplace
 
@@ -459,8 +459,8 @@ def protocol_inputs(seed=0, images=4, classes=4):
         g, f = gen_ground_truth(24, 24, classes, region_scale=5, seed=1000 + seed + i)
         gts.append(g)
         feats.append(f)
-        good.append(unify(corrupt_teacher(g, [0.05] * classes, 0.5, seed=200 + i)))
-        bad.append(unify(corrupt_teacher(g, [0.65] * classes, 0.1, seed=300 + i)))
+        good.append(corrupt_teacher(g, [0.05] * classes, seed=200 + i))
+        bad.append(corrupt_teacher(g, [0.65] * classes, seed=300 + i))
     return gts, feats, good, bad
 
 
@@ -532,6 +532,7 @@ class TestSelectionProtocol:
     )
     def test_bad_members_are_a_value_error(self, call, match):
         gts, feats, _, _ = protocol_inputs()
-        probs = [corrupt_teacher(g, [0.05] * 4, 0.5, seed=i) for i, g in enumerate(gts)]
+        probs = [soften(corrupt_teacher(g, [0.05] * 4, seed=i), 0.5)
+                 for i, g in enumerate(gts)]
         with pytest.raises(ValueError, match=match):
             call(feats, probs, TrainConfig(iterations=5, seed=0))

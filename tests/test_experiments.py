@@ -11,6 +11,7 @@ from segfuse.distill import (
     train_student,
 )
 from segfuse.experiments import (
+    certainty_hist,
     correlation,
     flexibility,
     kernel_sweep,
@@ -21,7 +22,7 @@ from segfuse.experiments import (
 from segfuse.metrics import certainty_report, dataset_iou
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.policy import select_certainty
-from segfuse.synth import BenchmarkConfig, make_benchmark, make_underperformer_maps
+from segfuse.synth import BenchmarkConfig, make_benchmark, make_underperformer_maps, soften
 from segfuse.unify import unify
 
 FAST = BenchmarkConfig(
@@ -47,7 +48,7 @@ class TestKernelSweep:
 
         header, rows = kernel_sweep(FAST, [1, 5], 7, 1)
         bench = make_benchmark(FAST, 7)
-        unified = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
+        unified = bench.teacher_labels
         policy = select_random(FAST.classes, FAST.num_teachers, 7)
         for kappa, seed, miou, gain in rows:
             fused = [
@@ -83,9 +84,8 @@ class TestRobustness:
         # teacher, then the fused mIoU must be identical across k
         for seed in (0, 1):
             bench = make_benchmark(FAST, seed)
-            bad = make_underperformer_maps(bench, seed)
-            probs = list(bench.teacher_probs) + [bad] * 2
-            members = [[unify(pm) for pm in maps] for maps in probs]
+            bad = [unify(pm) for pm in make_underperformer_maps(bench, seed)]
+            members = list(bench.teacher_labels) + [bad] * 2
             policy = certainty_policy(members, bench.feats, TC)
             assert (policy.assignment < FAST.num_teachers).all()
         by = {}
@@ -114,9 +114,11 @@ def robustness_reference(config, bad_counts, base_seed, num_seeds, tc):
     for seed in range(base_seed, base_seed + num_seeds):
         bench = make_benchmark(config, seed)
         bad = make_underperformer_maps(bench, seed)
+        good = [[soften(m, temp) for m in maps]
+                for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
         for k in bad_counts:
-            probs = list(bench.teacher_probs) + [bad] * k
-            unified = [[unify(pm) for pm in maps] for maps in probs]
+            probs = good + [bad] * k
+            unified = list(bench.teacher_labels) + [[unify(pm) for pm in bad]] * k
             pixel = [pixel_fuse([u[i] for u in unified]) for i in range(config.images)]
             policy = certainty_policy(unified, bench.feats, tc)
             averaged = [
@@ -134,14 +136,13 @@ def robustness_reference(config, bad_counts, base_seed, num_seeds, tc):
 def flexibility_reference(config, rounds, seed, tc):
     """The full protocol rerun over the whole ensemble every round."""
     bench = make_benchmark(config, seed)
-    ensemble = [list(maps) for maps in bench.teacher_probs]
+    ensemble = [list(maps) for maps in bench.teacher_labels]
     rows = []
     for r in range(1, rounds + 1):
-        unified = [[unify(pm) for pm in maps] for maps in ensemble]
-        policy = certainty_policy(unified, bench.feats, tc)
-        student = train_student(list(bench.feats), fuse_channel(unified, policy), tc).model
-        preds = [student_forward(student, f) for f in bench.feats]
-        rows.append((r, len(ensemble), dataset_iou([unify(p) for p in preds], bench.gts).miou))
+        policy = certainty_policy(ensemble, bench.feats, tc)
+        student = train_student(list(bench.feats), fuse_channel(ensemble, policy), tc).model
+        preds = [unify(student_forward(student, f)) for f in bench.feats]
+        rows.append((r, len(ensemble), dataset_iou(preds, bench.gts).miou))
         ensemble = ensemble + [preds]
     return rows
 
@@ -159,8 +160,7 @@ class TestMeasureOnce:
 
     def test_measure_teacher_rho_is_the_held_out_students_certainty(self):
         bench = make_benchmark(FAST, 0)
-        members = [[unify(pm) for pm in maps] for maps in bench.teacher_probs]
-        for labels in members:
+        for labels in bench.teacher_labels:
             rho = measure_teacher(labels, bench.feats, config=TC)
             # FAST's 3 images hold out image 0: the student trains on 1 and 2
             student = train_student(bench.feats[1:], labels[1:], TC).model
@@ -214,12 +214,25 @@ class TestFlexibility:
         )
         rounds = 3
         flexibility(FAST, rounds, 0, TC)
-        # every teacher map, then each round's student predictions, once each
-        assert len(calls) == (FAST.num_teachers + rounds) * FAST.images
+        # teachers start as labels, so only each round's student predictions
+        assert len(calls) == rounds * FAST.images
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
             flexibility(FAST, 0, 0, TC)
+
+
+class TestCertaintyHist:
+    def test_checks_bins_before_the_benchmark(self, monkeypatch):
+        from segfuse import experiments
+
+        def no_benchmark(*args):
+            raise AssertionError("built a benchmark before checking the bins")
+
+        monkeypatch.setattr(experiments, "make_benchmark", no_benchmark)
+        for bins in (0, int(np.iinfo(np.intp).max)):
+            with pytest.raises(ValueError, match="bins must be"):
+                certainty_hist(FAST, 0, bins)
 
 
 class TestPropChecks:

@@ -16,7 +16,7 @@ from segfuse.core import (
     LabelMap,
     ProbMap,
 )
-from segfuse.synth import BenchmarkConfig, make_benchmark
+from segfuse.synth import BenchmarkConfig, make_benchmark, soften
 from segfuse.unify import unify
 
 from helpers import read_probmap
@@ -261,7 +261,9 @@ class TestReadLabels:
         config = BenchmarkConfig(height=256, width=512, classes=19, num_teachers=4,
                                  images=4, region_scale=32, teacher_blob_scale=16)
         bench = make_benchmark(config, seed=1)
-        maps = [pm for member in bench.teacher_probs for pm in member]
+        maps = [soften(labels, temp) for member, temp in zip(bench.teacher_labels,
+                                                             bench.temperatures)
+                for labels in member]
         assert len(maps) == 16
         for pm in maps:
             data = bytes(fileio.write_probmap(pm))

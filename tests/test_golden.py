@@ -104,6 +104,17 @@ def test_outputs_match_the_golden_hashes(tmp_path):
     assert {k: v for k, v in got.items() if v != want[k]} == {}
 
 
+def test_synth_rebuilds_the_golden_inputs(tmp_path):
+    """``synth`` at the corpus flags writes every kept input byte for byte."""
+    assert main(["synth", "--height", "32", "--width", "32", "--classes",
+                 str(CLASSES), "--teachers", str(TEACHERS), "--images",
+                 str(IMAGES), "--seed", "0", "--outdir", str(tmp_path)]) == 0
+    kept = sorted(GOLDEN.glob("*.pmap")) + sorted(GOLDEN.glob("*.gt.lmap"))
+    assert len(kept) == TEACHERS * IMAGES + IMAGES
+    for path in kept:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_duplicated_members_win_classes():
     """Each "-dup" policy's repeated member wins a class without its copy,
     so the copy ties it there and the tie rule shows in the policy."""

@@ -258,3 +258,6 @@ class TestCertaintyHistogram:
         pm = prob([[[0.5, 0.5]]])
         with pytest.raises(ValueError):
             certainty_histogram(pm, 0)
+        # bins + 1 edges would overflow np.intp inside np.linspace
+        with pytest.raises(ValueError, match="bins must be"):
+            certainty_histogram(pm, int(np.iinfo(np.intp).max))

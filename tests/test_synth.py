@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segfuse.core import UNLABELED_ID, LabelMap
 from segfuse.metrics import dataset_iou
 from segfuse.synth import (
     BenchmarkConfig,
@@ -14,8 +15,10 @@ from segfuse.synth import (
     gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
+    soften,
 )
 from segfuse.unify import unify
+from segfuse.util import softmax
 
 
 def voronoi_reference(height, width, num_sites, rng):
@@ -104,30 +107,15 @@ class TestCorruptTeacher:
     def setup_method(self):
         self.gt, _ = gen_ground_truth(24, 24, 5, seed=8)
 
-    def test_zero_error_any_temperature_recovers_gt(self):
-        for temp in (0.1, 1.0, 10.0):
-            pm = corrupt_teacher(self.gt, [0.0] * 5, temp, seed=3)
-            assert np.array_equal(unify(pm).values, self.gt.values)
+    def test_zero_error_recovers_gt(self):
+        labels = corrupt_teacher(self.gt, [0.0] * 5, seed=3)
+        assert np.array_equal(labels.values, self.gt.values)
+        assert labels.num_classes == 5
 
     def test_full_error_gives_zero_iou(self):
-        pm = corrupt_teacher(self.gt, [1.0, 0.0, 0.0, 0.0, 0.0], 1.0, seed=4)
-        report = dataset_iou([unify(pm)], [self.gt])
+        labels = corrupt_teacher(self.gt, [1.0, 0.0, 0.0, 0.0, 0.0], seed=4)
+        report = dataset_iou([labels], [self.gt])
         assert report.per_class[0] == 0.0
-
-    def test_temperature_never_changes_labels(self):
-        for seed in range(5):
-            labels = [
-                unify(corrupt_teacher(self.gt, [0.3] * 5, temp, seed=seed)).values
-                for temp in (0.1, 1.0, 10.0, 1e15)  # 1e15: the highest that works
-            ]
-            for other in labels[1:]:
-                assert np.array_equal(labels[0], other)
-
-    def test_low_temperature_is_confident(self):
-        sharp = corrupt_teacher(self.gt, [0.0] * 5, 0.1, seed=0)
-        soft = corrupt_teacher(self.gt, [0.0] * 5, 10.0, seed=0)
-        assert sharp.values.max(axis=2).min() > 0.99
-        assert soft.values.max(axis=2).max() < 0.5
 
     def test_iou_decreases_with_error_rate(self):
         # Monte Carlo over seeds: expected IoU strictly decreasing
@@ -136,41 +124,72 @@ class TestCorruptTeacher:
         for rate in rates:
             vals = []
             for seed in range(20):
-                pm = corrupt_teacher(self.gt, [rate] * 5, 1.0, seed=seed)
-                vals.append(dataset_iou([unify(pm)], [self.gt]).miou)
+                labels = corrupt_teacher(self.gt, [rate] * 5, seed=seed)
+                vals.append(dataset_iou([labels], [self.gt]).miou)
             means.append(np.mean(vals))
         assert means[0] > means[1] > means[2]
 
     def test_blob_noise_marginal_rate_matches(self):
         flips = []
         for seed in range(30):
-            pm = corrupt_teacher(self.gt, [0.4] * 5, 1.0, seed=seed, blob_scale=4)
-            flips.append((unify(pm).values != self.gt.values).mean())
+            labels = corrupt_teacher(self.gt, [0.4] * 5, seed=seed, blob_scale=4)
+            flips.append((labels.values != self.gt.values).mean())
         assert abs(np.mean(flips) - 0.4) < 0.05
 
     def test_blob_noise_is_spatially_clustered(self):
-        iid = corrupt_teacher(self.gt, [0.4] * 5, 1.0, seed=1, blob_scale=0)
-        blob = corrupt_teacher(self.gt, [0.4] * 5, 1.0, seed=1, blob_scale=6)
+        iid = corrupt_teacher(self.gt, [0.4] * 5, seed=1, blob_scale=0)
+        blob = corrupt_teacher(self.gt, [0.4] * 5, seed=1, blob_scale=6)
 
-        def boundary_rate(pm):
-            err = unify(pm).values != self.gt.values
+        def boundary_rate(labels):
+            err = labels.values != self.gt.values
             neigh_same = err[:, 1:] == err[:, :-1]
             return neigh_same.mean()
 
         assert boundary_rate(blob) > boundary_rate(iid)
 
-    def test_rejects_bad_rates_and_temperature(self):
+    def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
-            corrupt_teacher(self.gt, [1.5] * 5, 1.0, seed=0)
+            corrupt_teacher(self.gt, [1.5] * 5, seed=0)
         with pytest.raises(ValueError):
-            corrupt_teacher(self.gt, [0.1] * 5, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            corrupt_teacher(self.gt, [0.1] * 3, 1.0, seed=0)
+            corrupt_teacher(self.gt, [0.1] * 3, seed=0)
+
+
+class TestSoften:
+    def setup_method(self):
+        self.gt, _ = gen_ground_truth(24, 24, 5, seed=8)
+
+    def test_temperature_never_changes_labels(self):
+        for seed in range(5):
+            labels = corrupt_teacher(self.gt, [0.3] * 5, seed=seed)
+            for temp in (0.1, 1.0, 10.0, 1e15):  # 1e15: the highest that works
+                assert np.array_equal(unify(soften(labels, temp)).values, labels.values)
+
+    def test_low_temperature_is_confident(self):
+        sharp = soften(self.gt, 0.1)
+        soft = soften(self.gt, 10.0)
+        assert sharp.values.max(axis=2).min() > 0.99
+        assert soft.values.max(axis=2).max() < 0.5
+
+    def test_is_the_softmax_of_scaled_one_hot_logits(self):
+        labels = corrupt_teacher(self.gt, [0.3] * 5, seed=0)
+        for temp in (0.1, 0.5, 1.0, 2.0):
+            want = softmax(np.eye(5)[labels.values.astype(np.intp)] / temp, axis=2)
+            np.testing.assert_allclose(soften(labels, temp).values, want, rtol=1e-12)
+
+    def test_rejects_a_non_positive_temperature(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            soften(self.gt, 0.0)
+
+    def test_rejects_unlabeled_pixels(self):
+        values = self.gt.values.copy()
+        values[0, 0] = UNLABELED_ID
+        with pytest.raises(ValueError, match="unlabeled"):
+            soften(LabelMap(values, 5), 1.0)
 
     @pytest.mark.parametrize("temp", [1e16, 1e300, float("inf")])
     def test_rejects_temperature_that_ties_every_class(self, temp):
         with pytest.raises(ValueError, match="too high"):
-            corrupt_teacher(self.gt, [0.3] * 5, temp, seed=0)
+            soften(self.gt, temp)
 
 
 class TestGenUnderperformer:
@@ -193,25 +212,25 @@ class TestBenchmark:
         cfg = BenchmarkConfig(height=16, width=16, classes=4, num_teachers=3, images=3)
         a = make_benchmark(cfg, seed=0)
         b = make_benchmark(cfg, seed=0)
-        assert len(a.gts) == 3 and len(a.teacher_probs) == 3
-        assert len(a.teacher_probs[0]) == 3
+        assert len(a.gts) == 3 and len(a.teacher_labels) == 3
+        assert len(a.teacher_labels[0]) == 3
         np.testing.assert_array_equal(a.gts[0].values, b.gts[0].values)
         np.testing.assert_array_equal(
-            a.teacher_probs[2][1].values, b.teacher_probs[2][1].values
+            a.teacher_labels[2][1].values, b.teacher_labels[2][1].values
         )
 
     def test_teachers_have_distinct_certainty_scales(self):
         cfg = BenchmarkConfig(height=16, width=16, classes=4, num_teachers=4, images=2)
         bench = make_benchmark(cfg, seed=1)
-        peaks = [maps[0].values.max(axis=2).mean() for maps in bench.teacher_probs]
+        peaks = [soften(maps[0], temp).values.max(axis=2).mean()
+                 for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
         assert max(peaks) - min(peaks) > 0.3
 
     def test_good_teachers_land_in_target_iou_band(self):
         cfg = BenchmarkConfig()
         bench = make_benchmark(cfg, seed=0)
-        for maps in bench.teacher_probs:
-            unified = [unify(pm) for pm in maps]
-            miou = dataset_iou(unified, bench.gts).miou
+        for maps in bench.teacher_labels:
+            miou = dataset_iou(maps, bench.gts).miou
             assert 0.5 < miou < 0.95
 
     def test_underperformer_maps_align_with_images(self):
@@ -220,3 +239,19 @@ class TestBenchmark:
         bad = make_underperformer_maps(bench, seed=3)
         assert len(bad) == 3
         assert bad[0].values.shape == (16, 16, 4)
+
+    def test_memory_per_added_teacher_pixel(self):
+        # A teacher is kept as its labels, not as an H x W x C float map,
+        # so more teachers cost about 2 bytes per pixel each.
+        def peak(teachers):
+            config = BenchmarkConfig(height=64, width=128, classes=19,
+                                     num_teachers=teachers, images=2)
+            tracemalloc.start()
+            try:
+                make_benchmark(config, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        teacher_pixels = (8 - 1) * 2 * 64 * 128
+        assert (peak(8) - peak(1)) / teacher_pixels < 8
