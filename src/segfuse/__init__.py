@@ -48,7 +48,6 @@ from .synth import (
     BenchmarkConfig,
     corrupt_teacher,
     gen_ground_truth,
-    gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
     soften,

@@ -40,7 +40,8 @@ from .experiments import (
 from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import dataset_iou
 from .policy import select_certainty, select_oracle, select_random
-from .synth import BenchmarkConfig, make_benchmark, make_underperformer_maps, soften
+from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, make_benchmark,
+                    make_underperformer_maps, soften)
 from .util import rows_to_csv
 
 
@@ -58,11 +59,11 @@ def _load(path: str, decode, *args, text: bool = False,
         raise ValueError(f"{path}: {e}") from e
 
 
-def _load_unified(path: str, renormalize: bool = False):
-    """Accept either a unified .lmap or a raw .pmap (``fileio.read_labels``)."""
-    if path.endswith(".lmap"):
-        return _load(path, fileio.read_labelmap)
-    return _load(path, fileio.read_labels, renormalize)
+def _unified(data, renormalize: bool):
+    """A .lmap's labels, or a .pmap's by ``read_labels``: told apart by magic, not name."""
+    if data[:4] == fileio._LMAP_MAGIC:
+        return fileio.read_labelmap(data)
+    return fileio.read_labels(data, renormalize)
 
 
 def _emit_text(args, text: str) -> None:
@@ -79,14 +80,14 @@ def cmd_unify(args) -> int:
 
 
 def cmd_fuse_pixel(args) -> int:
-    maps = [_load_unified(p, args.renormalize) for p in args.inputs]
+    maps = [_load(p, _unified, args.renormalize) for p in args.inputs]
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(pixel_fuse(maps)))
     return 0
 
 
 def cmd_fuse_channel(args) -> int:
     policy = _load(args.policy, fileio.policy_from_json, text=True)
-    maps = [_load_unified(p, args.renormalize) for p in args.inputs]
+    maps = [_load(p, _unified, args.renormalize) for p in args.inputs]
     fused = channel_fuse(maps, policy, args.kappa)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(fused))
     return 0
@@ -221,7 +222,8 @@ def cmd_synth(args) -> int:
             emit(f"teacher{t:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
     for j in range(args.underperformers):
         # under00 is the under-performer `experiment robustness` adds at this seed
-        for i, pm in enumerate(make_underperformer_maps(bench, args.seed + j)):
+        for i, m in enumerate(make_underperformer_maps(bench, args.seed + j)):
+            pm = soften(m, UNDERPERFORMER_TEMPERATURE)
             emit(f"under{j:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
     manifest = {
         "seed": args.seed,

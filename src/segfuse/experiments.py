@@ -22,8 +22,8 @@ from .metrics import _check_bins, certainty_histogram, certainty_iou_cosine, dat
 from .policy import select_certainty, select_oracle, select_random
 from .propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
 from .synth import (
+    UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
-    gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
     soften,
@@ -83,7 +83,7 @@ def robustness(
     bad_counts: Sequence[int],
     base_seed: int,
     num_seeds: int,
-    train_config: TrainConfig = TrainConfig(),
+    train_config: TrainConfig,
 ) -> tuple[list[str], list[tuple]]:
     """Pseudo-label mIoU as confidently-wrong members join the ensemble.
 
@@ -100,16 +100,16 @@ def robustness(
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
-        bad_maps = make_underperformer_maps(bench, seed)
-        bad_unified = [unify(pm) for pm in bad_maps]
+        bad = make_underperformer_maps(bench, seed)
         good_probs = [[soften(m, temp) for m in maps]
                       for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
+        bad_probs = [soften(m, UNDERPERFORMER_TEMPERATURE) for m in bad]
         good_rhos = [measure_teacher(m, bench.feats, config=train_config)
                      for m in bench.teacher_labels]
-        bad_rho = measure_teacher(bad_unified, bench.feats, config=train_config)
+        bad_rho = measure_teacher(bad, bench.feats, config=train_config)
         for k in bad_counts:
-            unified = list(bench.teacher_labels) + [bad_unified] * k
-            probs = good_probs + [bad_maps] * k
+            unified = list(bench.teacher_labels) + [bad] * k
+            probs = good_probs + [bad_probs] * k
 
             pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
             rows.append((k, "pixel", seed, pixel))
@@ -130,7 +130,7 @@ def policy_quality(
     config: BenchmarkConfig,
     base_seed: int,
     num_seeds: int,
-    train_config: TrainConfig = TrainConfig(),
+    train_config: TrainConfig,
 ) -> tuple[list[str], list[tuple]]:
     """Fused-label mIoU under random, certainty-aware, and oracle policies."""
     rows = []
@@ -154,7 +154,7 @@ def correlation(
     config: BenchmarkConfig,
     base_seed: int,
     num_seeds: int,
-    train_config: TrainConfig = TrainConfig(),
+    train_config: TrainConfig,
 ) -> tuple[list[str], list[tuple]]:
     """Per-class cosine of student certainty and teacher IoU (near 1: rho tracks IoU)."""
     rows = []
@@ -169,12 +169,13 @@ def correlation(
 
 
 def certainty_hist(config: BenchmarkConfig, seed: int, bins: int) -> tuple[list[str], list]:
-    """Per-pixel certainty histogram of each teacher and an under-performer, image 0."""
+    """Per-pixel certainty histogram on image 0 of each teacher and of synth's under00."""
     _check_bins(bins)  # before the benchmark is built
     bench = make_benchmark(config, seed)
+    bad = make_underperformer_maps(bench, seed)[0]
     members = [(f"teacher{t}", soften(maps[0], temp)) for t, (maps, temp)
                in enumerate(zip(bench.teacher_labels, bench.temperatures))]
-    members.append(("underperformer", gen_underperformer(bench.gts[0], seed=seed)))
+    members.append(("underperformer", soften(bad, UNDERPERFORMER_TEMPERATURE)))
     rows = []
     for name, pm in members:
         counts, edges = certainty_histogram(pm, bins)
@@ -186,7 +187,7 @@ def flexibility(
     config: BenchmarkConfig,
     rounds: int,
     seed: int,
-    train_config: TrainConfig = TrainConfig(),
+    train_config: TrainConfig,
 ) -> tuple[list[str], list[tuple]]:
     """Iterative re-addition: each round's student joins the next ensemble.
 

@@ -35,6 +35,8 @@ _SPECIALIST_LOW, _SPECIALIST_HIGH = 0.01, 0.05
 _ERROR_LOW, _ERROR_HIGH = 0.15, 0.30
 #: Softmax temperatures the benchmark's teachers cycle through.
 _TEMPERATURES = (0.1, 0.5, 1.0, 2.0)
+#: The under-performer's error rate on every class, and its temperature.
+_UNDERPERFORMER_ERROR, UNDERPERFORMER_TEMPERATURE = 0.6, 0.1
 
 
 def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
@@ -165,12 +167,6 @@ def soften(labels: LabelMap, temperature: float) -> ProbMap:
     return ProbMap(probs)
 
 
-def gen_underperformer(gt: LabelMap, seed: int) -> ProbMap:
-    """Confidently wrong teacher: error rate 0.6 on every class at
-    temperature 0.1, so near-1.0 certainty."""
-    return soften(corrupt_teacher(gt, np.full(gt.num_classes, 0.6), seed), 0.1)
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Standard synthetic benchmark: blob scenes with a mixed-quality ensemble.
@@ -251,8 +247,9 @@ def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
 
 
 def make_underperformer_maps(bench: Benchmark, seed: int) -> tuple:
-    """One confidently-wrong teacher's predictions for every benchmark image."""
+    """One confidently wrong teacher's labels for every benchmark image; its
+    certainty is near 1.0 once softened at ``UNDERPERFORMER_TEMPERATURE``."""
     rng = np.random.default_rng(seed)
-    return tuple(
-        gen_underperformer(gt, seed=int(rng.integers(2**63))) for gt in bench.gts
-    )
+    rates = np.full(bench.gts[0].num_classes, _UNDERPERFORMER_ERROR)
+    return tuple(corrupt_teacher(gt, rates, seed=int(rng.integers(2**63)))
+                 for gt in bench.gts)

@@ -5,6 +5,13 @@ import struct
 import numpy as np
 
 from segfuse.core import IoUReport, ProbMap
+from segfuse.distill import measure_teacher
+from segfuse.policy import select_certainty
+
+
+def certainty_policy(members, feats, config):
+    """The certainty-aware policy: ``select_certainty`` over each member's rho."""
+    return select_certainty([measure_teacher(m, feats, config) for m in members])
 
 
 def reports_from_matrix(scores):

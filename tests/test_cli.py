@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -28,10 +29,10 @@ from segfuse.metrics import (
 )
 from segfuse.policy import select_certainty, select_oracle, select_random
 from segfuse.synth import (
+    UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
     corrupt_teacher,
     gen_ground_truth,
-    gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
     soften,
@@ -370,23 +371,58 @@ class TestFileReads:
                      "-o", str(tmp / "m.npz")]) == 0
         assert seen == [(True, False)]
 
+    @staticmethod
+    def main_through_fifo(fifo, data, argv) -> int:
+        """``main(argv)`` while a thread writes ``data`` into the new FIFO ``fifo``."""
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            rc = main(argv)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        return rc
+
     @pytest.mark.parametrize("command", ["unify", "fuse-pixel"])
     def test_fifo_input_gives_the_file_output(self, scene, command):
         tmp, gt, feats, teachers, paths = scene
         others = [] if command == "unify" else [str(paths["t1"]), str(paths["t2"])]
         assert main([command, str(paths["t0"]), *others, "-o", str(tmp / "a.lmap")]) == 0
         fifo = tmp / "fifo.pmap"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(paths["t0"].read_bytes(),),
-                                  daemon=True)
-        writer.start()
-        try:
-            rc = main([command, str(fifo), *others, "-o", str(tmp / "b.lmap")])
-        finally:
-            writer.join(timeout=30)
-        assert not writer.is_alive()
-        assert rc == 0
+        argv = [command, str(fifo), *others, "-o", str(tmp / "b.lmap")]
+        assert self.main_through_fifo(fifo, paths["t0"].read_bytes(), argv) == 0
         assert (tmp / "b.lmap").read_bytes() == (tmp / "a.lmap").read_bytes()
+
+    @pytest.mark.parametrize("route", ["fifo", "upper-case"])
+    @pytest.mark.parametrize("command", ["fuse-pixel", "fuse-channel"])
+    def test_lmap_input_is_known_by_its_magic(self, scene, command, route):
+        # a .lmap read as a .pmap would fail on its magic
+        tmp, gt, feats, teachers, paths = scene
+        lmap = tmp / "t0.lmap"
+        assert main(["unify", str(paths["t0"]), "-o", str(lmap)]) == 0
+        (tmp / "p.json").write_text(fileio.policy_to_json(select_random(4, 3, seed=5)))
+        rest = [str(paths["t1"]), str(paths["t2"])]
+        if command == "fuse-channel":
+            rest += ["--policy", str(tmp / "p.json"), "--kappa", "5"]
+        assert main([command, str(lmap), *rest, "-o", str(tmp / "a.lmap")]) == 0
+        if route == "fifo":
+            fifo = tmp / "labels"
+            argv = [command, str(fifo), *rest, "-o", str(tmp / "b.lmap")]
+            assert self.main_through_fifo(fifo, lmap.read_bytes(), argv) == 0
+        else:
+            (tmp / "t0.LMAP").write_bytes(lmap.read_bytes())
+            assert main([command, str(tmp / "t0.LMAP"), *rest, "-o", str(tmp / "b.lmap")]) == 0
+        assert (tmp / "b.lmap").read_bytes() == (tmp / "a.lmap").read_bytes()
+
+    @pytest.mark.parametrize("name", ["t0.lmap", "t0.pmap"])
+    def test_other_magic_is_refused_as_not_a_pmap(self, scene, name):
+        tmp, gt, feats, teachers, paths = scene
+        data = fileio.write_labelmap(gt)
+        (tmp / name).write_bytes(b"XMAP" + data[4:])
+        err = _run_rejected(tmp, ["fuse-pixel", str(tmp / name), str(paths["t1"]),
+                                  "-o", str(tmp / "out.lmap")])
+        assert err == f"{tmp / name}: bad magic b'XMAP', expected b'PMAP'"
 
 
 def _subprocess_main(argv):
@@ -478,11 +514,31 @@ class TestSynthCommand:
         bench = make_benchmark(
             BenchmarkConfig(height=12, width=12, classes=3, num_teachers=2, images=2), 7)
         for j in range(2):
-            for i, pm in enumerate(make_underperformer_maps(bench, 7 + j)):
+            for i, m in enumerate(make_underperformer_maps(bench, 7 + j)):
                 got = (tmp_path / f"under{j:02d}.img{i:03d}.pmap").read_bytes()
-                assert got == fileio.write_probmap(pm), (j, i)
+                want = fileio.write_probmap(soften(m, UNDERPERFORMER_TEMPERATURE))
+                assert got == want, (j, i)
         under = [(tmp_path / f"under{j:02d}.img000.pmap").read_bytes() for j in range(2)]
         assert under[0] != under[1]
+
+    def test_peak_does_not_grow_with_underperformers(self, tmp_path):
+        # each under-performer map is softened and written on its own
+        flags = ["--height", "64", "--width", "128", "--classes", "19",
+                 "--teachers", "2", "--images", "8", "--seed", "0"]
+
+        def peak(underperformers):
+            outdir = tmp_path / str(underperformers)
+            tracemalloc.start()
+            try:
+                assert main(["synth", *flags, "--underperformers", str(underperformers),
+                             "--outdir", str(outdir)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0)  # the first call's peak holds one-off allocations
+        one_map = 64 * 128 * 19 * 8  # one float64 H x W x C map
+        assert peak(2) - peak(0) < one_map / 2
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = lambda d: [
@@ -995,7 +1051,8 @@ class TestExperimentKinds:
         bench = make_benchmark(BenchmarkConfig(), 3)
         members = {f"teacher{t}": soften(maps[0], temp) for t, (maps, temp)
                    in enumerate(zip(bench.teacher_labels, bench.temperatures))}
-        members["underperformer"] = gen_underperformer(bench.gts[0], seed=3)
+        under00 = make_underperformer_maps(bench, 3)[0]
+        members["underperformer"] = soften(under00, UNDERPERFORMER_TEMPERATURE)
         want = ["member,bin_low,bin_high,count"]
         for name, pm in members.items():
             counts, edges = certainty_histogram(pm, 7)

@@ -26,6 +26,8 @@ from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
 from segfuse.unify import unify
 from segfuse.util import softmax, softmax_inplace
 
+from helpers import certainty_policy
+
 
 def prob(rows):
     return ProbMap(np.array(rows, dtype=np.float64))
@@ -462,11 +464,6 @@ def protocol_inputs(seed=0, images=4, classes=4):
         good.append(corrupt_teacher(g, [0.05] * classes, seed=200 + i))
         bad.append(corrupt_teacher(g, [0.65] * classes, seed=300 + i))
     return gts, feats, good, bad
-
-
-def certainty_policy(members, feats, cfg):
-    """The selection protocol: ``select_certainty`` over each member's rho."""
-    return select_certainty([measure_teacher(m, feats, cfg) for m in members])
 
 
 class TestSelectionProtocol:

@@ -21,19 +21,21 @@ from segfuse.experiments import (
 )
 from segfuse.metrics import certainty_report, dataset_iou
 from segfuse.fusion import channel_fuse, pixel_fuse
-from segfuse.policy import select_certainty
-from segfuse.synth import BenchmarkConfig, make_benchmark, make_underperformer_maps, soften
+from segfuse.synth import (
+    UNDERPERFORMER_TEMPERATURE,
+    BenchmarkConfig,
+    make_benchmark,
+    make_underperformer_maps,
+    soften,
+)
 from segfuse.unify import unify
+
+from helpers import certainty_policy
 
 FAST = BenchmarkConfig(
     height=24, width=24, classes=4, num_teachers=3, images=3, region_scale=5
 )
 TC = TrainConfig(iterations=60, seed=0)
-
-
-def certainty_policy(members, feats, tc):
-    """The certainty-aware policy: ``select_certainty`` over each member's rho."""
-    return select_certainty([measure_teacher(m, feats, config=tc) for m in members])
 
 
 class TestKernelSweep:
@@ -84,7 +86,7 @@ class TestRobustness:
         # teacher, then the fused mIoU must be identical across k
         for seed in (0, 1):
             bench = make_benchmark(FAST, seed)
-            bad = [unify(pm) for pm in make_underperformer_maps(bench, seed)]
+            bad = make_underperformer_maps(bench, seed)
             members = list(bench.teacher_labels) + [bad] * 2
             policy = certainty_policy(members, bench.feats, TC)
             assert (policy.assignment < FAST.num_teachers).all()
@@ -94,6 +96,18 @@ class TestRobustness:
                 by.setdefault(seed, {})[k] = miou
         for seed, vals in by.items():
             assert vals[0] == vals[2]
+
+    def test_unifies_only_the_average_rows(self, monkeypatch):
+        from segfuse import experiments
+
+        calls = []
+        monkeypatch.setattr(
+            experiments, "unify", lambda pm: calls.append(1) or unify(pm)
+        )
+        bad_counts, seeds = [0, 1, 2], 2
+        robustness(FAST, bad_counts, 0, seeds, TC)
+        # every member is labels; only the averaged probabilities are argmaxed
+        assert len(calls) == seeds * len(bad_counts) * FAST.images
 
     def test_pixel_fusion_degrades_with_bad_members(self):
         header, rows = robustness(FAST, [0, 3], 0, 3, TC)
@@ -114,11 +128,12 @@ def robustness_reference(config, bad_counts, base_seed, num_seeds, tc):
     for seed in range(base_seed, base_seed + num_seeds):
         bench = make_benchmark(config, seed)
         bad = make_underperformer_maps(bench, seed)
-        good = [[soften(m, temp) for m in maps]
-                for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
+        members = zip((*bench.teacher_labels, bad),
+                      (*bench.temperatures, UNDERPERFORMER_TEMPERATURE))
+        *good, bad_probs = [[soften(m, temp) for m in maps] for maps, temp in members]
         for k in bad_counts:
-            probs = good + [bad] * k
-            unified = list(bench.teacher_labels) + [[unify(pm) for pm in bad]] * k
+            probs = good + [bad_probs] * k
+            unified = list(bench.teacher_labels) + [bad] * k
             pixel = [pixel_fuse([u[i] for u in unified]) for i in range(config.images)]
             policy = certainty_policy(unified, bench.feats, tc)
             averaged = [

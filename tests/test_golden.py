@@ -3,11 +3,17 @@
 ``tests/data/golden/`` holds a small ``synth`` set (32x32, 5 classes, 3
 teachers, 2 images, seed 0; the feature maps are not kept), one certainty
 (rho) report and one IoU report per teacher, and ``sha256.json``, the
-sha256 of every output of ``cases()``.  Those outputs come from
-comparisons and counts over fixed float32 inputs, so they do not depend on
-the BLAS build or on numpy's SIMD ``exp``; a change to any of them is a
-behaviour change, and ``sha256.json`` changes only in a change that says
-why in CHANGES.md.
+sha256 of every output of ``cases()`` and of ``trained_digests()``.  The
+outputs of ``cases()`` come from comparisons and counts over fixed float32
+inputs, so they do not depend on the BLAS build or on numpy's SIMD
+``exp``; a change to any of them is a behaviour change, and
+``sha256.json`` changes only in a change that says why in CHANGES.md.
+
+``trained_digests()`` pins what training decides, not its floats: the
+unified labels of students distilled on fused maps.  The smallest top-2
+probability gap of those students (CHANGES.md records them) is far above
+the last-bit moves of summation order, so a changed label there is a
+training change, not rounding.
 
 The inputs were made once by ``python tests/test_golden.py inputs`` (rho
 needs a trained student, so it does depend on the BLAS build: never
@@ -33,6 +39,15 @@ from segfuse.policy import select_certainty, select_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 TEACHERS, IMAGES, CLASSES, KAPPAS = 3, 2, 5, (1, 3, 13)
+SYNTH_FLAGS = ["--height", "32", "--width", "32", "--classes", str(CLASSES), "--teachers",
+               str(TEACHERS), "--images", str(IMAGES), "--seed", "0"]
+
+# The fused maps a student is distilled on, and a larger scene whose
+# 128 x 256 image gives the student 4 row blocks of its training step.
+STUDENT_OF = [f"fuse-channel.random.k13.i{i}" for i in range(IMAGES)]
+BLOCKS_FLAGS = ["--height", "128", "--width", "256", "--classes", "5", "--teachers",
+                "3", "--images", "2", "--seed", "0"]
+TRAINED = [f"student.{name}" for name in STUDENT_OF] + ["student.blocks.fuse-pixel.i0"]
 
 # The member whose report each "-dup" policy lists twice, as
 # `experiment robustness` re-adds one member: it is the member that wins
@@ -85,30 +100,81 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def run_cases(inputs: Path, workdir: Path) -> dict[str, str]:
-    """Run every case over ``inputs``; the sha256 of each output by name."""
+def _run(*argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in argv]) == 0, argv
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cases(inputs: Path, workdir: Path, names=None) -> dict[str, str]:
+    """Run every case over ``inputs``, or the ``names`` ones; the sha256 of
+    each output by name."""
     digests = {}
     for name, argv in cases().items():
-        argv = [a.format(**{"in": inputs, "out": workdir}) for a in argv]
-        output = workdir / name
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv + ["-o", str(output)]) == 0, name
-        digests[name] = hashlib.sha256(output.read_bytes()).hexdigest()
+        if names is None or name in names:
+            _run(*(a.format(**{"in": inputs, "out": workdir}) for a in argv),
+                 "-o", workdir / name)
+            digests[name] = _sha256(workdir / name)
+    return digests
+
+
+def _student_labels(features: Path, labels: Path, workdir: Path, *flags) -> str:
+    """The sha256 of the unified .pmap of a student distilled on ``labels``."""
+    pmap, lmap = workdir / "student.pmap", workdir / "student.lmap"
+    _run("distill", "--features", features, "--labels", labels, "--seed", "0", *flags,
+         "-o", workdir / "student.npz", "--probmap-out", pmap)
+    _run("unify", pmap, "-o", lmap)
+    return _sha256(lmap)
+
+
+def trained_digests(workdir: Path) -> dict[str, str]:
+    """The sha256 of each ``TRAINED`` student's labels: one per fused map of
+    ``STUDENT_OF``, on the features ``synth`` rebuilds at the corpus flags,
+    and one on the pixel fusion of image 0 of the ``BLOCKS_FLAGS`` scene,
+    trained for 100 iterations."""
+    _run("synth", *SYNTH_FLAGS, "--outdir", workdir / "synth")
+    run_cases(GOLDEN, workdir, ["select-policy.random", *STUDENT_OF])
+    digests = {}
+    for i, name in enumerate(STUDENT_OF):
+        digests[f"student.{name}"] = _student_labels(
+            workdir / "synth" / f"img{i:03d}.features.npy", workdir / name, workdir)
+    blocks = workdir / "blocks"
+    _run("synth", *BLOCKS_FLAGS, "--outdir", blocks)
+    _run("fuse-pixel", *(blocks / f"teacher{t:02d}.img000.pmap" for t in range(3)),
+         "-o", blocks / "fused.lmap")
+    digests["student.blocks.fuse-pixel.i0"] = _student_labels(
+        blocks / "img000.features.npy", blocks / "fused.lmap", blocks, "--iterations", "100")
     return digests
 
 
 def test_outputs_match_the_golden_hashes(tmp_path):
     want = json.loads((GOLDEN / "sha256.json").read_text())
     got = run_cases(GOLDEN, tmp_path)
-    assert sorted(got) == sorted(want)
+    assert list(got) + TRAINED == list(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+def test_trained_students_match_the_golden_hashes(tmp_path):
+    want = json.loads((GOLDEN / "sha256.json").read_text())
+    got = trained_digests(tmp_path)
+    assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+def test_fresh_rho_gives_the_golden_certainty_policy(tmp_path):
+    """Each teacher measured again on the features ``synth`` rebuilds gives
+    the pinned certainty policy, so the rho fixtures are what training gives."""
+    want = json.loads((GOLDEN / "sha256.json").read_text())
+    make_inputs(tmp_path / "fresh")
+    got = run_cases(tmp_path / "fresh", tmp_path, ["select-policy.certainty"])
+    assert got == {"select-policy.certainty": want["select-policy.certainty"]}
 
 
 def test_synth_rebuilds_the_golden_inputs(tmp_path):
     """``synth`` at the corpus flags writes every kept input byte for byte."""
-    assert main(["synth", "--height", "32", "--width", "32", "--classes",
-                 str(CLASSES), "--teachers", str(TEACHERS), "--images",
-                 str(IMAGES), "--seed", "0", "--outdir", str(tmp_path)]) == 0
+    _run("synth", *SYNTH_FLAGS, "--outdir", tmp_path)
     kept = sorted(GOLDEN.glob("*.pmap")) + sorted(GOLDEN.glob("*.gt.lmap"))
     assert len(kept) == TEACHERS * IMAGES + IMAGES
     for path in kept:
@@ -132,9 +198,7 @@ def make_inputs(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        assert main(["synth", "--height", "32", "--width", "32", "--classes",
-                     str(CLASSES), "--teachers", str(TEACHERS), "--images",
-                     str(IMAGES), "--seed", "0", "--outdir", str(tmp)]) == 0
+        _run("synth", *SYNTH_FLAGS, "--outdir", tmp)
         for path in sorted(tmp.glob("*.pmap")) + sorted(tmp.glob("*.gt.lmap")):
             shutil.copyfile(path, directory / path.name)
         feats = [FeatureMap(np.load(tmp / f"img{i:03d}.features.npy"))
@@ -154,8 +218,8 @@ def make_inputs(directory: Path) -> None:
 
 
 def write_hashes() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = run_cases(GOLDEN, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as trained:
+        digests = {**run_cases(GOLDEN, Path(tmp)), **trained_digests(Path(trained))}
     (GOLDEN / "sha256.json").write_text(json.dumps(digests, indent=1) + "\n")
 
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from segfuse.core import UNLABELED_ID, LabelMap
 from segfuse.metrics import dataset_iou
 from segfuse.synth import (
+    UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
     _voronoi_cells,
     corrupt_teacher,
     gen_ground_truth,
-    gen_underperformer,
     make_benchmark,
     make_underperformer_maps,
     soften,
@@ -192,19 +192,26 @@ class TestSoften:
             soften(self.gt, temp)
 
 
-class TestGenUnderperformer:
+class TestUnderperformerMaps:
+    CONFIG = BenchmarkConfig(height=24, width=24, classes=5, num_teachers=2, images=2)
+
     def test_confidently_wrong(self):
-        gt, _ = gen_ground_truth(24, 24, 5, seed=2)
-        pm = gen_underperformer(gt, seed=1)
-        acc = (unify(pm).values == gt.values).mean()
-        assert acc < 0.55  # ~40% of pixels survive at the default error
-        assert pm.values.max(axis=2).min() > 0.99  # misleading certainty
+        bench = make_benchmark(self.CONFIG, seed=2)
+        for gt, labels in zip(bench.gts, make_underperformer_maps(bench, seed=1)):
+            acc = (labels.values == gt.values).mean()
+            assert acc < 0.55  # ~40% of pixels survive at its error rate
+            pm = soften(labels, UNDERPERFORMER_TEMPERATURE)
+            assert pm.values.max(axis=2).min() > 0.99  # misleading certainty
+            np.testing.assert_array_equal(unify(pm).values, labels.values)
 
     def test_deterministic(self):
-        gt, _ = gen_ground_truth(16, 16, 4, seed=2)
-        a = gen_underperformer(gt, seed=9)
-        b = gen_underperformer(gt, seed=9)
-        np.testing.assert_array_equal(a.values, b.values)
+        bench = make_benchmark(self.CONFIG, seed=2)
+        a = make_underperformer_maps(bench, seed=9)
+        b = make_underperformer_maps(bench, seed=9)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.values, y.values)
+        c = make_underperformer_maps(bench, seed=10)
+        assert (a[0].values != c[0].values).any()
 
 
 class TestBenchmark:
@@ -238,7 +245,8 @@ class TestBenchmark:
         bench = make_benchmark(cfg, seed=3)
         bad = make_underperformer_maps(bench, seed=3)
         assert len(bad) == 3
-        assert bad[0].values.shape == (16, 16, 4)
+        assert all(isinstance(m, LabelMap) for m in bad)
+        assert (bad[0].values.shape, bad[0].num_classes) == ((16, 16), 4)
 
     def test_memory_per_added_teacher_pixel(self):
         # A teacher is kept as its labels, not as an H x W x C float map,
