@@ -144,40 +144,32 @@ def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
     return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
 
-#: Rows per block of the student's softmax: the block's elementwise passes
-#: stay in cache.  Never so few that a block's matmul leaves the whole-array
-#: BLAS path: 1-row and small blocks round differently (see ``_row_blocks``).
+#: Rows per block of the student's softmax and CE step: near-equal blocks
+#: of 8,192 to 16,383 rows keep a block's passes in cache, and none is so
+#: short that its matmul takes BLAS's small-matrix kernel.
 _BLOCK_ROWS = 8192
 
 
 def _row_blocks(n):
     """Slices cutting ``n`` rows into near-equal blocks, none shorter than
-    ``_BLOCK_ROWS`` unless ``n`` is, so every block's ``x @ weights.T`` is
-    bit-identical to the same rows of the whole product."""
+    ``_BLOCK_ROWS`` unless ``n`` is.  The cut depends on ``n`` alone, so a
+    step's sums run in one order for a given row count."""
     k = max(1, n // _BLOCK_ROWS)
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _softmax_blocks(x, weights, bias, out):
-    """Write softmax(x @ weights.T + bias) of the rows x into ``out`` one row
-    block at a time, yielding each block's (rows, view) once it is written.
-
-    The bias and the softmax are applied in place, so a training step holds
-    a single rows x classes array, and a caller's per-row work on a block
-    runs while the block is still in cache.
-    """
-    for rows in _row_blocks(x.shape[0]):
-        blk = out[rows]
-        np.matmul(x[rows], weights.T, out=blk)
-        blk += bias
-        yield rows, softmax_inplace(blk, 1)
+def _block_probs(x, weights, bias, out):
+    """Write softmax(x @ weights.T + bias) of the rows x into ``out``."""
+    np.matmul(x, weights.T, out=out)
+    out += bias
+    return softmax_inplace(out)
 
 
 def _class_probs(x, weights, bias):
     """softmax(x @ weights.T + bias) of the rows x, as one new rows x classes array."""
     probs = np.empty((x.shape[0], weights.shape[0]))
-    for _ in _softmax_blocks(x, weights, bias, probs):
-        pass
+    for rows in _row_blocks(x.shape[0]):
+        _block_probs(x[rows], weights, bias, probs[rows])
     return probs
 
 
@@ -224,23 +216,32 @@ def _labeled_rows(feats, labels):
     return x, y, classes
 
 
-def _ce_means(weights, bias, x, y):
-    """(mean loss, mean grads) of hard-label CE over labeled rows x, y.
+def _label_blocks(y, classes):
+    """Each row block's (rows, flat positions of its labels in a block-rows
+    x classes array), written over ``y``: found once per training, uncopied."""
+    blocks = [(rows, y[rows]) for rows in _row_blocks(y.shape[0])]
+    for _, at in blocks:
+        at += np.arange(at.shape[0]) * classes
+    return blocks
 
-    Each row block's softmax, label pick and ``-1`` at the label are done
-    while the block is in cache, into one rows x classes array ``g``; the
-    sums over rows run on the whole arrays, in the order a whole-array step
-    takes, so the result is bit-identical to it.
-    """
-    n = y.shape[0]
-    g = np.empty((n, weights.shape[0]))
-    picked = np.empty(n)
-    for rows, blk in _softmax_blocks(x, weights, bias, g):
-        at = (np.arange(blk.shape[0]), y[rows])
-        picked[rows] = blk[at]
-        blk[at] -= 1.0
-    loss = float(-np.log(np.maximum(picked, _LOG_CLAMP)).sum())
-    return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
+
+def _ce_means(weights, bias, x, blocks):
+    """(mean loss, mean grads) of hard-label CE over the rows x, labeled by
+    ``_label_blocks``.  Each block's softmax and its shares of the loss and
+    gradients run in one reused buffer while it is in cache, so a step holds
+    O(block x classes); per-block sums move the last bits of a whole-array step."""
+    n = x.shape[0]
+    buf = np.empty((max(len(at) for _, at in blocks), weights.shape[0]))
+    ones = np.ones(buf.shape[0])
+    loss, gw, gb = 0.0, np.zeros_like(weights), np.zeros_like(bias)
+    for rows, at in blocks:
+        blk = _block_probs(x[rows], weights, bias, buf[: len(at)])
+        picked = blk.take(at)
+        blk.put(at, picked - 1.0)
+        loss -= float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum())
+        gw += blk.T @ x[rows]
+        gb += ones[: len(at)] @ blk
+    return loss / n, gw / n, gb / n
 
 
 def ce_loss_and_grads(
@@ -250,7 +251,7 @@ def ce_loss_and_grads(
     x, y, classes = _labeled_rows(feats, labels)
     if classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    return _ce_means(model.weights, model.bias, x, y)
+    return _ce_means(model.weights, model.bias, x, _label_blocks(y, classes))
 
 
 def kl_loss_and_grads(
@@ -278,6 +279,7 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     Fully deterministic given the seed.
     """
     x, y, classes = _labeled_rows(feats, labels)
+    blocks = _label_blocks(y, classes)
     rng = np.random.default_rng(config.seed)
     dims = x.shape[1]
     weights = rng.normal(0.0, 0.01, size=(classes, dims))
@@ -287,7 +289,7 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     losses = np.empty(config.iterations)
 
     for i in range(config.iterations):
-        losses[i], gw, gb = _ce_means(weights, bias, x, y)
+        losses[i], gw, gb = _ce_means(weights, bias, x, blocks)
         gw += _WEIGHT_DECAY * weights
         lr = _LR * (1.0 - i / config.iterations) ** _LR_DECAY_POWER
         vel_w = _MOMENTUM * vel_w - lr * gw

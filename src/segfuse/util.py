@@ -5,26 +5,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``, as a new array."""
-    return softmax_inplace(np.array(logits, dtype=np.float64), axis)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis, as a new array."""
+    return softmax_inplace(np.array(logits, dtype=np.float64))
 
 
-def softmax_inplace(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of the float64 array ``z`` along ``axis``, written over ``z``.
+def softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Softmax of the float64 array ``z`` along its last axis, written over ``z``.
 
-    Bit-identical to ``e = exp(z - z.max(axis)); e / e.sum(axis)``.  The
-    max is taken one class slice at a time, because a max-reduction over
-    a short inner axis is slow in numpy and max is exact in any order;
-    the sum keeps its order.  Returns ``z``.
+    The max goes one class slice at a time (numpy is slow over a short inner
+    axis; max is exact in any order) and the row sum is a BLAS product with
+    ones: deterministic for a given shape, and exact on ties.  Returns ``z``.
     """
-    slices = np.moveaxis(z, axis, 0)
-    m = np.array(slices[0])
-    for s in slices[1:]:
-        np.maximum(m, s, out=m)
-    z -= np.expand_dims(m, axis)
+    m = np.array(z[..., 0])
+    for c in range(1, z.shape[-1]):
+        np.maximum(m, z[..., c], out=m)
+    z -= m[..., None]
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z /= (z @ np.ones(z.shape[-1]))[..., None]
     return z
 
 

@@ -146,7 +146,7 @@ def test_c05_certainty_scale_invariance():
         base_logits = eye[gt.values.astype(np.intp)]
         outputs = []
         for temp in (0.1, 1.0, 10.0):
-            scaled = ProbMap(softmax(base_logits / temp, axis=2))
+            scaled = ProbMap(softmax(base_logits / temp))
             u = unify(scaled)
             px = pixel_fuse([u] + labels)
             ch = channel_fuse([u] + labels, policy, 13)

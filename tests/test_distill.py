@@ -12,6 +12,7 @@ from segfuse.distill import (
     TrainConfig,
     _BLOCK_ROWS,
     _ce_means,
+    _label_blocks,
     _labeled_rows,
     _row_blocks,
     average_fuse,
@@ -244,19 +245,51 @@ class TestGradients:
         assert ce_loss_and_grads(stepped, self.feats, self.labels)[0] < loss
 
 
-def reference_softmax(z, axis):
-    e = np.exp(z - z.max(axis, keepdims=True))
-    return e / e.sum(axis, keepdims=True)
+def reference_softmax(z):
+    e = np.exp(z - z.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
 
 
 def reference_ce_means(weights, bias, x, y):
     n = y.shape[0]
-    probs = reference_softmax(x @ weights.T + bias, 1)
+    probs = reference_softmax(x @ weights.T + bias)
     picked = probs[np.arange(n), y]
     loss = float(-np.log(np.maximum(picked, 1e-12)).sum())
     g = probs
     g[np.arange(n), y] -= 1.0
     return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
+
+
+def ce_means(weights, bias, x, y):
+    return _ce_means(weights, bias, x, _label_blocks(y.copy(), weights.shape[0]))
+
+
+#: How far the kernels may be from the whole-array formulas, relative to
+#: the largest magnitude of the reference: their row sums (BLAS products
+#: with a ones vector) and per-block gradient sums round in another order.
+REL_TOL = 1e-13
+
+
+def assert_near(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
+
+
+def assert_ce_means_near_reference(weights, bias, x, y):
+    """``_ce_means`` is within REL_TOL of the whole-array step, gives the
+    same bits on a second call, and, with classes 0 and 1 tied, the same
+    loss bits when their labels swap (their probabilities are equal)."""
+    got = ce_means(weights, bias, x, y)
+    for g, w in zip(got, reference_ce_means(weights, bias, x, y)):
+        assert_near(g, w)
+    again = ce_means(weights, bias, x, y)
+    assert got[0] == again[0]
+    assert np.array_equal(got[1], again[1]) and np.array_equal(got[2], again[2])
+    tied_w, tied_b = weights.copy(), bias.copy()
+    tied_w[1], tied_b[1] = tied_w[0], tied_b[0]
+    swapped = np.where(y == 0, 1, np.where(y == 1, 0, y))
+    assert ce_means(tied_w, tied_b, x, swapped)[0] == ce_means(tied_w, tied_b, x, y)[0]
 
 
 def tied_logits(rng, shape, scale):
@@ -267,20 +300,22 @@ def tied_logits(rng, shape, scale):
 
 
 class TestSoftmaxKernel:
-    """The in-place, slice-wise max kernel is bit-identical to the formula."""
+    """The in-place, slice-wise max kernel is the formula within REL_TOL,
+    deterministic, and exact on ties."""
 
-    @pytest.mark.parametrize("shape, axis", [
-        ((4099, 8), 1), ((4099, 19), 1), ((37, 29, 8), 2), ((11, 13, 19), 2),
-    ])
+    @pytest.mark.parametrize("shape", [(4099, 8), (4099, 19), (37, 29, 8), (11, 13, 19)])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
-    def test_matches_reference_formula(self, shape, axis, scale):
+    def test_matches_reference_formula(self, shape, scale):
         rng = np.random.default_rng(shape[-1])
         for z in (rng.normal(scale=scale, size=shape), tied_logits(rng, shape, scale)):
             kept = z.copy()
-            assert np.array_equal(softmax(z, axis), reference_softmax(z, axis))
+            got = softmax(z)
             assert np.array_equal(z, kept)
-            assert softmax_inplace(z, axis) is z
-            assert np.array_equal(z, reference_softmax(kept, axis))
+            assert_near(got, reference_softmax(z))
+            assert np.array_equal(softmax(z), got)
+            assert softmax_inplace(z) is z
+            assert np.array_equal(z, got)
+        assert np.array_equal(got[..., 1], got[..., 0])
 
     @pytest.mark.parametrize("classes", [8, 19])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
@@ -292,57 +327,61 @@ class TestSoftmaxKernel:
         weights[1] = weights[0]
         bias = np.round(rng.normal(size=classes)) * scale
         bias[1] = bias[0]
-        got, want = _ce_means(weights, bias, x, y), reference_ce_means(weights, bias, x, y)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
+        assert_ce_means_near_reference(weights, bias, x, y)
 
-    def test_ce_step_holds_one_rows_by_classes_array(self):
-        # A second live rows x classes temporary made the heap's high-water
-        # mark, and so the peak RSS of training, depend on the row count.
-        n, classes = 20000, 19
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(n, 5))
-        y = rng.integers(0, classes, size=n).astype(np.intp)
-        weights, bias = rng.normal(size=(classes, 5)), rng.normal(size=classes)
-        tracemalloc.start()
-        try:
-            _ce_means(weights, bias, x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * n * classes * 8
+    def test_ce_step_peak_does_not_grow_with_the_row_count(self):
+        # A rows x classes gradient array made the step's heap high-water
+        # mark, and so the peak RSS of training, grow with the row count.
+        classes = 19
+
+        def step_peak(n):
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(n, 5))
+            y = rng.integers(0, classes, size=n).astype(np.intp)
+            weights, bias = rng.normal(size=(classes, 5)), rng.normal(size=classes)
+            blocks = _label_blocks(y, classes)
+            tracemalloc.start()
+            try:
+                _ce_means(weights, bias, x, blocks)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert step_peak(200_000) - step_peak(20_000) < (2 * B - 1) * classes * 8
 
 
 B = _BLOCK_ROWS
 
 
 class TestRowBlocks:
-    """The CE step's row blocks give the whole-array step's bits at any size."""
+    """The CE step's row blocks stay within REL_TOL of the whole-array step
+    at any size."""
 
     @pytest.mark.parametrize("classes, dims", [(8, 8), (19, 19), (2, 40)])
     @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B + 2])
-    def test_ce_means_bit_identical_across_block_boundaries(self, n, classes, dims):
+    def test_ce_means_match_reference_across_block_boundaries(self, n, classes, dims):
         rng = np.random.default_rng([n, classes, dims])
         x = rng.normal(size=(n, dims))
         y = rng.integers(0, classes, size=n).astype(np.intp)
         weights = rng.normal(scale=0.3, size=(classes, dims))
         bias = rng.normal(size=classes)
-        got, want = _ce_means(weights, bias, x, y), reference_ce_means(weights, bias, x, y)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
+        assert_ce_means_near_reference(weights, bias, x, y)
 
     @pytest.mark.parametrize("height, width", [(1, B + 1), (2 * B + 1, 1)])
     def test_student_forward_matches_whole_array_expression(self, height, width):
         rng = np.random.default_rng(height)
-        model = ToyStudent(rng.normal(size=(19, 19)), rng.normal(size=19))
+        weights, bias = rng.normal(size=(19, 19)), rng.normal(size=19)
+        weights[1], bias[1] = weights[0], bias[0]
+        model = ToyStudent(weights, bias)
         feats = FeatureMap(rng.normal(size=(height, width, 19)))
         # One product over all pixel rows: a batch of H products of W rows
         # each takes a 1-row path at W = 1, whose last bits differ.
         x = feats.values.reshape(-1, 19)
-        want = reference_softmax(x @ model.weights.T + model.bias, 1)
-        assert np.array_equal(student_forward(model, feats).values, want.reshape(height, width, 19))
+        want = reference_softmax(x @ model.weights.T + model.bias)
+        got = student_forward(model, feats).values
+        assert_near(got, want.reshape(height, width, 19))
+        assert np.array_equal(student_forward(model, feats).values, got)
+        assert np.array_equal(got[..., 1], got[..., 0])
 
     def test_no_block_is_shorter_than_the_block_size(self):
         for n in [*range(1, 4 * B, 61), B - 1, B, B + 1, 2 * B - 1, 2 * B, 7 * B + 5]:
