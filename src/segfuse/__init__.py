@@ -33,7 +33,6 @@ from .fusion import (
 from .metrics import (
     certainty_histogram,
     certainty_iou_cosine,
-    certainty_report,
     dataset_iou,
 )
 from .policy import select_certainty, select_oracle, select_random

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import UNLABELED_ID, IoUReport, LabelMap, ProbMap, _frozen
-from .metrics import certainty_report
+from .unify import argmax_labels
 from .util import softmax_inplace
 
 _LOG_CLAMP = 1e-12
@@ -133,20 +133,25 @@ def average_fuse(teachers: Sequence[ProbMap]) -> ProbMap:
     return ProbMap(stacked.mean(axis=0))
 
 
-def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
-    """Per-pixel softmax(W x + b)."""
+def _pixel_rows(model, feats):
+    """The pixel rows of ``feats``, one per pixel, as ``model``'s inputs."""
     if feats.dims != model.feature_dims:
         raise ValueError(
             f"feature dim {feats.dims} does not match model dim {model.feature_dims}"
         )
-    x = feats.values.reshape(-1, feats.dims)
-    probs = _class_probs(x, model.weights, model.bias)
+    return feats.values.reshape(-1, feats.dims)
+
+
+def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
+    """Per-pixel softmax(W x + b)."""
+    probs = _class_probs(_pixel_rows(model, feats), model.weights, model.bias)
     return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
 
-#: Rows per block of the student's softmax and CE step: near-equal blocks
-#: of 8,192 to 16,383 rows keep a block's passes in cache, and none is so
-#: short that its matmul takes BLAS's small-matrix kernel.
+#: Rows per block of the student's softmax, its CE step and its certainty
+#: (rho) pass: near-equal blocks of 8,192 to 16,383 rows keep a block's
+#: passes in cache, and none is so short that its matmul takes BLAS's
+#: small-matrix kernel.
 _BLOCK_ROWS = 8192
 
 
@@ -171,6 +176,33 @@ def _class_probs(x, weights, bias):
     for rows in _row_blocks(x.shape[0]):
         _block_probs(x[rows], weights, bias, probs[rows])
     return probs
+
+
+def _certainty(model, feats):
+    """Per-class certainty rho of ``model`` on the FeatureMaps ``feats``.
+
+    Class c's rho averages the student's class-c probability over the
+    pixels where it predicts c (ties to the smallest id); a class with no
+    such pixel stays undefined (NaN).  Every image runs one row block at a
+    time through one reused buffer, so memory does not grow with the image
+    count; per-block sums move the last bits of a per-class masked sum.
+    """
+    classes = model.num_classes
+    images = [(x, _row_blocks(len(x))) for x in (_pixel_rows(model, f) for f in feats)]
+    buf = np.empty((max(b.stop - b.start for _, bs in images for b in bs), classes))
+    sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
+    for x, bs in images:
+        for b in bs:
+            blk = _block_probs(x[b], model.weights, model.bias, buf[: b.stop - b.start])
+            ids = argmax_labels(blk[None]).values[0]
+            sums += np.bincount(ids, weights=blk.max(axis=1), minlength=classes)
+            counts += np.bincount(ids, minlength=classes)
+    rho = np.full(classes, np.nan)
+    seen = counts > 0
+    rho[seen] = sums[seen] / counts[seen]
+    # Clip float accumulation spill just above 1.0.
+    np.clip(rho, 0.0, 1.0, out=rho)
+    return IoUReport(rho)
 
 
 def _as_list(x, cls):
@@ -310,10 +342,13 @@ def measure_teacher(
     ``labels`` is the member's unified LabelMaps, one per image, and
     ``feats`` the matching feature maps.  Distills a student on the
     training split's labels with ``config``'s fixed seed, and returns its
-    certainty report on the measurement split, whose labels it never
-    reads.  The result depends on this member alone, so a member measured
-    once never needs measuring again when others join or leave the
-    ensemble; ``select_certainty`` over the members' reports is the
+    certainty rho on the measurement split, whose labels it never reads:
+    class c's mean class-c probability over the pixels the student labels
+    c, accumulated one row block at a time (``_certainty``), so no
+    probability map is built and memory does not grow with the split.
+    The result depends on this member alone, so a member measured once
+    never needs measuring again when others join or leave the ensemble;
+    ``select_certainty`` over the members' reports is the
     certainty-aware policy.  The first ``_MEASURE_FRACTION`` share of the
     images (at least one, at most all but one) is the measurement split.
     """
@@ -326,4 +361,4 @@ def measure_teacher(
         raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
     n_measure = min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
     model = train_student(feats[n_measure:], labels[n_measure:], config).model
-    return certainty_report([student_forward(model, f) for f in feats[:n_measure]])
+    return _certainty(model, feats[:n_measure])

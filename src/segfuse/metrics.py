@@ -1,4 +1,5 @@
-"""Pooled per-class IoU, certainty statistics, and the certainty/IoU diagnostic."""
+"""Pooled per-class IoU, and the certainty diagnostics: the certainty/IoU
+cosine and the peak-probability histogram."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import IoUReport, LabelMap, ProbMap, check_same_grid, stack_reports
-from .unify import unify
 
 
 def _iou_counts(pred: LabelMap, gt: LabelMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -48,37 +48,6 @@ def dataset_iou(preds: Sequence[LabelMap], gts: Sequence[LabelMap]) -> IoUReport
     defined = union > 0
     per_class[defined] = inter[defined] / union[defined]
     return IoUReport(per_class)
-
-
-def certainty_report(preds: Sequence[ProbMap]) -> IoUReport:
-    """Per-class certainty rho of one member's distilled student.
-
-    ``preds`` is the student's ProbMaps, one per measurement image.  Class
-    c's rho averages the student's class-c probability over the pixels
-    where it predicts c; a class with no such pixel stays undefined.
-    """
-    maps = list(preds)
-    if not maps:
-        raise ValueError("empty measurement set")
-    num_classes = maps[0].num_classes
-    if any(m.num_classes != num_classes for m in maps):
-        raise ValueError("measurement maps disagree on the class count")
-    sums = np.zeros(num_classes)
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for m in maps:
-        hard = unify(m).values
-        for c in range(num_classes):
-            mask = hard == c
-            n = np.count_nonzero(mask)
-            if n:
-                sums[c] += m.values[:, :, c][mask].sum()
-                counts[c] += n
-    rho = np.full(num_classes, np.nan)
-    seen = counts > 0
-    rho[seen] = sums[seen] / counts[seen]
-    # Clip float accumulation spill just above 1.0.
-    np.clip(rho, 0.0, 1.0, out=rho)
-    return IoUReport(rho)
 
 
 def certainty_iou_cosine(

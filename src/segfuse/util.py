@@ -5,11 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis, as a new array."""
-    return softmax_inplace(np.array(logits, dtype=np.float64))
-
-
 def softmax_inplace(z: np.ndarray) -> np.ndarray:
     """Softmax of the float64 array ``z`` along its last axis, written over ``z``.
 

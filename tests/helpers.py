@@ -1,12 +1,15 @@
 """Helpers shared by the test modules."""
 
 import struct
+from typing import Sequence
 
 import numpy as np
 
 from segfuse.core import IoUReport, ProbMap
 from segfuse.distill import measure_teacher
 from segfuse.policy import select_certainty
+from segfuse.unify import unify
+from segfuse.util import softmax_inplace
 
 
 def certainty_policy(members, feats, config):
@@ -27,3 +30,40 @@ def read_probmap(data) -> ProbMap:
     if (magic, version) != (b"PMAP", 1) or len(data) != 18 + 4 * h * w * c:
         raise ValueError("not a version 1 .pmap")
     return ProbMap(np.frombuffer(data, "<f4", offset=18).reshape(h, w, c).astype(np.float64))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis, as a new array."""
+    return softmax_inplace(np.array(logits, dtype=np.float64))
+
+
+def certainty_report(preds: Sequence[ProbMap]) -> IoUReport:
+    """Per-class certainty rho of one member's distilled student.
+
+    ``preds`` is the student's ProbMaps, one per measurement image.  Class
+    c's rho averages the student's class-c probability over the pixels
+    where it predicts c; a class with no such pixel stays undefined.
+    The oracle for ``distill._certainty``, which sums per row block.
+    """
+    maps = list(preds)
+    if not maps:
+        raise ValueError("empty measurement set")
+    num_classes = maps[0].num_classes
+    if any(m.num_classes != num_classes for m in maps):
+        raise ValueError("measurement maps disagree on the class count")
+    sums = np.zeros(num_classes)
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for m in maps:
+        hard = unify(m).values
+        for c in range(num_classes):
+            mask = hard == c
+            n = np.count_nonzero(mask)
+            if n:
+                sums[c] += m.values[:, :, c][mask].sum()
+                counts[c] += n
+    rho = np.full(num_classes, np.nan)
+    seen = counts > 0
+    rho[seen] = sums[seen] / counts[seen]
+    # Clip float accumulation spill just above 1.0.
+    np.clip(rho, 0.0, 1.0, out=rho)
+    return IoUReport(rho)

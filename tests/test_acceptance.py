@@ -27,7 +27,7 @@ from segfuse.policy import select_oracle
 from segfuse.propositions import check_prop1, check_prop2, gen_prop1_instance, gen_prop2_instance
 from segfuse.synth import BenchmarkConfig, gen_ground_truth, make_benchmark
 from segfuse.unify import unify
-from segfuse.util import softmax
+from helpers import softmax
 
 
 def _report(num: int, name: str, ok: bool, detail: str, started: float, budget: float):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfuse.core import UNLABELED_ID, LabelMap, ProbMap
 from segfuse.distill import (
@@ -12,6 +14,7 @@ from segfuse.distill import (
     TrainConfig,
     _BLOCK_ROWS,
     _ce_means,
+    _certainty,
     _label_blocks,
     _labeled_rows,
     _row_blocks,
@@ -25,9 +28,9 @@ from segfuse.distill import (
 from segfuse.policy import select_certainty
 from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
 from segfuse.unify import unify
-from segfuse.util import softmax, softmax_inplace
+from segfuse.util import softmax_inplace
 
-from helpers import certainty_policy
+from helpers import certainty_policy, certainty_report, softmax
 
 
 def prob(rows):
@@ -393,6 +396,121 @@ class TestRowBlocks:
             assert max(sizes) < 2 * B, n
 
 
+def rho_of(model, images):
+    return _certainty(model, [FeatureMap(v) for v in images]).per_class
+
+
+@st.composite
+def certainty_cases(draw):
+    """A random student with classes 0 and 1 exactly tied (so 1 is never
+    predicted) and the last class held far down (never predicted either),
+    and 1 to 3 images of under one block up to more than three blocks."""
+    classes = draw(st.integers(3, 19))
+    dims = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    weights = rng.normal(scale=scale, size=(classes, dims))
+    bias = rng.normal(size=classes)
+    weights[1], bias[1] = weights[0], bias[0]
+    bias[-1] = -1e4
+    sizes = st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.sampled_from([(1, B - 1), (B + 1, 1), (2, B + 3), (4 * B // 64 + 3, 64)]),
+    )
+    shapes = draw(st.lists(sizes, min_size=1, max_size=3))
+    feats = [FeatureMap(rng.normal(size=(h, w, dims))) for h, w in shapes]
+    return ToyStudent(weights, bias), feats
+
+
+class TestCertainty:
+    """The block rho is the masked per-class certainty of the student's
+    probability maps, summed in another order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(certainty_cases())
+    def test_matches_the_probability_map_oracle(self, case):
+        model, feats = case
+        got = _certainty(model, feats).per_class
+        want = certainty_report([student_forward(model, f) for f in feats]).per_class
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got[[1, -1]]).all()
+        seen = ~np.isnan(want)
+        assert np.abs(got[seen] - want[seen]).max() <= 1e-13
+        assert np.array_equal(_certainty(model, feats).per_class, got, equal_nan=True)
+
+    def test_single_class_predictor(self):
+        # class 0 predicted everywhere at 0.8 -> rho(0)=0.8, others undefined
+        model = ToyStudent(np.zeros((3, 2)), np.log([0.8, 0.1, 0.1]))
+        rho = rho_of(model, [np.random.default_rng(0).normal(size=(1, 2, 2))])
+        assert rho[0] == pytest.approx(0.8)
+        assert np.isnan(rho[1]) and np.isnan(rho[2])
+
+    def test_uniform_student_ties_to_class_zero(self):
+        rho = rho_of(ToyStudent(np.zeros((4, 3)), np.zeros(4)), [np.ones((2, 3, 3))])
+        assert rho[0] == pytest.approx(0.25)
+        assert np.isnan(rho[1:]).all()
+
+    def test_matches_scalar_accumulation_oracle(self):
+        rng = np.random.default_rng(21)
+        model = ToyStudent(rng.normal(size=(4, 3)), rng.normal(size=4))
+        x = rng.normal(size=(8, 8, 3))
+        rho = rho_of(model, [x])
+        sums = np.zeros(4)
+        counts = np.zeros(4)
+        for i in range(8):
+            for j in range(8):
+                logits = [float(model.weights[c] @ x[i, j] + model.bias[c]) for c in range(4)]
+                e = [math.exp(z - max(logits)) for z in logits]
+                c = e.index(max(e))
+                sums[c] += e[c] / sum(e)
+                counts[c] += 1
+        for c in range(4):
+            if counts[c]:
+                assert rho[c] == pytest.approx(sums[c] / counts[c], rel=1e-12)
+            else:
+                assert np.isnan(rho[c])
+
+    def test_accumulates_across_measurement_images(self):
+        # p(0) = 9 / (1 + 9) = 0.9 on the first image, 7 / (7 + 3) = 0.7 on the second
+        model = ToyStudent(np.array([[1.0], [0.0]]), np.zeros(2))
+        rho = rho_of(model, [np.full((1, 1, 1), np.log(v)) for v in (9, 7 / 3)])
+        assert rho[0] == pytest.approx(0.8)
+
+    def test_peak_does_not_grow_with_the_image_count(self):
+        # One probability map per measurement image made the peak grow by
+        # height x width x classes floats per image.
+        rng = np.random.default_rng(0)
+        classes, dims = 19, 8
+        model = ToyStudent(rng.normal(size=(classes, dims)), rng.normal(size=classes))
+        feats = FeatureMap(rng.normal(size=(256, 128, dims)))
+
+        def peak(images):
+            tracemalloc.start()
+            try:
+                _certainty(model, [feats] * images)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(1)
+        # one block buffer (under 2B rows) and a few per-row arrays
+        assert one < 2 * B * (classes + 4) * 8
+        assert peak(3) - one < 16 * 1024
+
+
+class TestCertaintyOracle:
+    """``helpers.certainty_report``'s own checks: ``measure_teacher`` never
+    passes an empty measurement set, or maps of two class counts."""
+
+    def test_rejects_empty_measurement_set(self):
+        with pytest.raises(ValueError, match="empty measurement"):
+            certainty_report([])
+
+    def test_rejects_maps_that_disagree_on_the_class_count(self):
+        with pytest.raises(ValueError, match="disagree on the class count"):
+            certainty_report([prob([[[0.9, 0.1]]]), prob([[[0.8, 0.1, 0.1]]])])
+
+
 class TestLabeledRows:
     def test_holds_one_copy_of_the_labeled_features(self):
         # At a mostly labeled input, stacking every image's rows and then
@@ -505,6 +623,11 @@ def protocol_inputs(seed=0, images=4, classes=4):
     return gts, feats, good, bad
 
 
+def with_extra_dim(feats):
+    """``feats`` with one more, all-zero feature dimension."""
+    return FeatureMap(np.pad(feats.values, ((0, 0), (0, 0), (0, 1))))
+
+
 class TestSelectionProtocol:
     def test_single_teacher_gives_identity_policy(self):
         _, feats, good, _ = protocol_inputs()
@@ -561,10 +684,14 @@ class TestSelectionProtocol:
             (lambda f, pms, cfg: measure_teacher(pms, f, cfg), "LabelMap"),
             (lambda f, pms, cfg: measure_teacher([unify(p) for p in pms[1:]], f, cfg),
              "^member has 3 label maps for 4 images$"),
+            (lambda f, pms, cfg: measure_teacher(
+                [unify(p) for p in pms], [with_extra_dim(f[0])] + f[1:], cfg),
+             "^feature dim 5 does not match model dim 4$"),
             (lambda f, pms, cfg: select_certainty([]), "at least one teacher report"),
         ],
         ids=["train_single", "train_list", "ce_single", "ce_list",
-             "measure_single", "measure_list", "measure_count", "empty_ensemble"],
+             "measure_single", "measure_list", "measure_count", "measure_dims",
+             "empty_ensemble"],
     )
     def test_bad_members_are_a_value_error(self, call, match):
         gts, feats, _, _ = protocol_inputs()

@@ -5,6 +5,7 @@ import pytest
 
 from segfuse.distill import (
     TrainConfig,
+    _certainty,
     average_fuse,
     measure_teacher,
     student_forward,
@@ -19,7 +20,7 @@ from segfuse.experiments import (
     prop_checks,
     robustness,
 )
-from segfuse.metrics import certainty_report, dataset_iou
+from segfuse.metrics import dataset_iou
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.synth import (
     UNDERPERFORMER_TEMPERATURE,
@@ -179,25 +180,26 @@ class TestMeasureOnce:
             rho = measure_teacher(labels, bench.feats, config=TC)
             # FAST's 3 images hold out image 0: the student trains on 1 and 2
             student = train_student(bench.feats[1:], labels[1:], TC).model
-            want = certainty_report([student_forward(student, bench.feats[0])]).per_class
+            want = _certainty(student, [bench.feats[0]]).per_class
             assert np.array_equal(rho.per_class, want, equal_nan=True)
 
 
 class TestUnifyOnce:
-    """A driver unifies each map once: fusion and measurement share the labels."""
+    """A driver unifies each map once: fusion and measurement share the
+    labels, and measuring rho unifies no map."""
 
     @pytest.mark.parametrize(
-        "driver",
+        "driver, unifies",
         [
-            lambda: robustness(FAST, [0, 1, 2], 0, 1, TC),
-            lambda: flexibility(FAST, 3, 0, TC),
-            lambda: policy_quality(FAST, 0, 1, TC),
-            lambda: correlation(FAST, 0, 1, TC),
+            (lambda: robustness(FAST, [0, 1, 2], 0, 1, TC), True),
+            (lambda: flexibility(FAST, 3, 0, TC), True),
+            (lambda: policy_quality(FAST, 0, 1, TC), False),
+            (lambda: correlation(FAST, 0, 1, TC), False),
         ],
         ids=["robustness", "flexibility", "policy_quality", "correlation"],
     )
-    def test_no_map_is_unified_twice(self, monkeypatch, driver):
-        from segfuse import distill, experiments, metrics
+    def test_no_map_is_unified_twice(self, monkeypatch, driver, unifies):
+        from segfuse import distill, experiments
 
         seen = []  # strong references, so no id is reused during the run
 
@@ -206,11 +208,10 @@ class TestUnifyOnce:
             return unify(pm)
 
         monkeypatch.setattr(experiments, "unify", recording_unify)
-        monkeypatch.setattr(metrics, "unify", recording_unify)
         monkeypatch.setattr(distill, "unify", recording_unify, raising=False)
         driver()
         repeats = len(seen) - len({id(pm) for pm in seen})
-        assert seen
+        assert bool(seen) == unifies
         assert repeats == 0
 
 

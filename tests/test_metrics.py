@@ -7,7 +7,6 @@ from segfuse.core import UNLABELED_ID, IoUReport, LabelMap, ProbMap
 from segfuse.metrics import (
     certainty_histogram,
     certainty_iou_cosine,
-    certainty_report,
     dataset_iou,
 )
 
@@ -144,56 +143,6 @@ class TestPerClassIoU:
 
 def prob(rows):
     return ProbMap(np.array(rows, dtype=np.float64))
-
-
-def rho_of(preds):
-    return certainty_report(preds).per_class
-
-
-class TestCertaintyReport:
-    def test_single_class_predictor(self):
-        # class 0 predicted everywhere at 0.8 -> rho(0)=0.8, others undefined
-        pm = prob([[[0.8, 0.1, 0.1], [0.8, 0.15, 0.05]]])
-        rho = rho_of([pm])
-        assert rho[0] == pytest.approx(0.8)
-        assert np.isnan(rho[1]) and np.isnan(rho[2])
-
-    def test_uniform_student_ties_to_class_zero(self):
-        pm = prob([[[0.25] * 4] * 3] * 2)
-        rho = rho_of([pm])
-        assert rho[0] == pytest.approx(0.25)
-        assert np.isnan(rho[1:]).all()
-
-    def test_matches_scalar_accumulation_oracle(self):
-        rng = np.random.default_rng(21)
-        raw = rng.random((8, 8, 4))
-        pm = ProbMap(raw / raw.sum(axis=2, keepdims=True))
-        rho = rho_of([pm])
-        sums = np.zeros(4)
-        counts = np.zeros(4)
-        for i in range(8):
-            for j in range(8):
-                c = int(np.argmax(pm.values[i, j]))
-                sums[c] += pm.values[i, j, c]
-                counts[c] += 1
-        for c in range(4):
-            if counts[c]:
-                assert rho[c] == pytest.approx(sums[c] / counts[c], rel=1e-12)
-            else:
-                assert np.isnan(rho[c])
-
-    def test_accumulates_across_measurement_images(self):
-        a = prob([[[0.9, 0.1]]])
-        b = prob([[[0.7, 0.3]]])
-        assert rho_of([a, b])[0] == pytest.approx(0.8)
-
-    def test_rejects_empty_measurement_set(self):
-        with pytest.raises(ValueError, match="empty measurement"):
-            certainty_report([])
-
-    def test_rejects_maps_that_disagree_on_the_class_count(self):
-        with pytest.raises(ValueError, match="disagree on the class count"):
-            certainty_report([prob([[[0.9, 0.1]]]), prob([[[0.8, 0.1, 0.1]]])])
 
 
 class TestCertaintyIoUCosine:

@@ -18,7 +18,8 @@ from segfuse.synth import (
     soften,
 )
 from segfuse.unify import unify
-from segfuse.util import softmax
+
+from helpers import softmax
 
 
 def voronoi_reference(height, width, num_sites, rng):
