@@ -19,8 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import UNLABELED_ID, IoUReport, LabelMap, ProbMap, _frozen
-from .unify import argmax_labels
-from .util import softmax_inplace
 
 _LOG_CLAMP = 1e-12
 
@@ -133,12 +131,15 @@ def average_fuse(teachers: Sequence[ProbMap]) -> ProbMap:
     return ProbMap(stacked.mean(axis=0))
 
 
+def _check_dims(feats, dims):
+    """Raise a ValueError unless the FeatureMap ``feats`` has ``dims`` features."""
+    if feats.dims != dims:
+        raise ValueError(f"feature dim {feats.dims} does not match model dim {dims}")
+
+
 def _pixel_rows(model, feats):
     """The pixel rows of ``feats``, one per pixel, as ``model``'s inputs."""
-    if feats.dims != model.feature_dims:
-        raise ValueError(
-            f"feature dim {feats.dims} does not match model dim {model.feature_dims}"
-        )
+    _check_dims(feats, model.feature_dims)
     return feats.values.reshape(-1, feats.dims)
 
 
@@ -149,32 +150,57 @@ def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
 
 
 #: Rows per block of the student's softmax, its CE step and its certainty
-#: (rho) pass: near-equal blocks of 8,192 to 16,383 rows keep a block's
-#: passes in cache, and none is so short that its matmul takes BLAS's
-#: small-matrix kernel.
+#: (rho) pass: blocks of 8,192 to 16,352 rows keep a block's passes in
+#: cache, and none but the remainder block is so short that its matmul
+#: takes BLAS's small-matrix kernel.
 _BLOCK_ROWS = 8192
+
+#: Every block but the remainder is a whole number of these rows, so that
+#: the block gemms give the same bits at any BLAS thread count (checked at
+#: 1, 2 and 4 threads on OpenBLAS's Haswell kernel, where most other block
+#: sizes gave different bits at 2 threads).
+_BLOCK_UNIT = 32
 
 
 def _row_blocks(n):
-    """Slices cutting ``n`` rows into near-equal blocks, none shorter than
-    ``_BLOCK_ROWS`` unless ``n`` is.  The cut depends on ``n`` alone, so a
-    step's sums run in one order for a given row count."""
+    """Slices cutting ``n`` rows into near-equal blocks of whole
+    ``_BLOCK_UNIT``-row units, none shorter than ``_BLOCK_ROWS`` unless
+    ``n`` is, then the ``n % _BLOCK_UNIT`` left-over rows as one short last
+    block.  The cut depends on ``n`` alone, so a step's sums run in one
+    order for a given row count."""
+    units = n // _BLOCK_UNIT
     k = max(1, n // _BLOCK_ROWS)
-    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+    cuts = [i * units // k * _BLOCK_UNIT for i in range(k + 1)] + [n]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _block_probs(x, weights, bias, out):
-    """Write softmax(x @ weights.T + bias) of the rows x into ``out``."""
-    np.matmul(x, weights.T, out=out)
-    out += bias
-    return softmax_inplace(out)
+def _block_buffer(classes, blocks):
+    """One flat buffer for the classes x rows block of the longest of ``blocks``."""
+    return np.empty(classes * max(b.stop - b.start for b in blocks))
+
+
+def _block_probs(x, weights, bias, buf):
+    """Write softmax(weights @ x.T + bias) of the rows x, class-major
+    (classes x rows), into the head of the flat ``buf`` and return it.
+
+    Every pass runs along the rows, and the class sum is a BLAS product
+    with ones: tied classes get equal bits."""
+    out = buf[: weights.shape[0] * x.shape[0]].reshape(weights.shape[0], x.shape[0])
+    np.matmul(weights, x.T, out=out)
+    out += bias[:, None]
+    out -= out.max(axis=0)
+    np.exp(out, out=out)
+    out /= np.ones(out.shape[0]) @ out
+    return out
 
 
 def _class_probs(x, weights, bias):
     """softmax(x @ weights.T + bias) of the rows x, as one new rows x classes array."""
     probs = np.empty((x.shape[0], weights.shape[0]))
-    for rows in _row_blocks(x.shape[0]):
-        _block_probs(x[rows], weights, bias, probs[rows])
+    blocks = _row_blocks(x.shape[0])
+    buf = _block_buffer(weights.shape[0], blocks)
+    for rows in blocks:
+        probs[rows] = _block_probs(x[rows], weights, bias, buf).T
     return probs
 
 
@@ -189,13 +215,13 @@ def _certainty(model, feats):
     """
     classes = model.num_classes
     images = [(x, _row_blocks(len(x))) for x in (_pixel_rows(model, f) for f in feats)]
-    buf = np.empty((max(b.stop - b.start for _, bs in images for b in bs), classes))
+    buf = _block_buffer(classes, [b for _, bs in images for b in bs])
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
     for x, bs in images:
         for b in bs:
-            blk = _block_probs(x[b], model.weights, model.bias, buf[: b.stop - b.start])
-            ids = argmax_labels(blk[None]).values[0]
-            sums += np.bincount(ids, weights=blk.max(axis=1), minlength=classes)
+            blk = _block_probs(x[b], model.weights, model.bias, buf)
+            ids = blk.argmax(axis=0)
+            sums += np.bincount(ids, weights=blk.max(axis=0), minlength=classes)
             counts += np.bincount(ids, minlength=classes)
     rho = np.full(classes, np.nan)
     seen = counts > 0
@@ -248,12 +274,13 @@ def _labeled_rows(feats, labels):
     return x, y, classes
 
 
-def _label_blocks(y, classes):
-    """Each row block's (rows, flat positions of its labels in a block-rows
-    x classes array), written over ``y``: found once per training, uncopied."""
+def _label_blocks(y):
+    """Each row block's (rows, flat positions of its labels in a classes x
+    block-rows array), written over ``y``: found once per training, uncopied."""
     blocks = [(rows, y[rows]) for rows in _row_blocks(y.shape[0])]
     for _, at in blocks:
-        at += np.arange(at.shape[0]) * classes
+        at *= at.shape[0]
+        at += np.arange(at.shape[0])
     return blocks
 
 
@@ -263,16 +290,16 @@ def _ce_means(weights, bias, x, blocks):
     gradients run in one reused buffer while it is in cache, so a step holds
     O(block x classes); per-block sums move the last bits of a whole-array step."""
     n = x.shape[0]
-    buf = np.empty((max(len(at) for _, at in blocks), weights.shape[0]))
-    ones = np.ones(buf.shape[0])
+    buf = _block_buffer(weights.shape[0], [rows for rows, _ in blocks])
+    ones = np.ones(max(len(at) for _, at in blocks))
     loss, gw, gb = 0.0, np.zeros_like(weights), np.zeros_like(bias)
     for rows, at in blocks:
-        blk = _block_probs(x[rows], weights, bias, buf[: len(at)])
+        blk = _block_probs(x[rows], weights, bias, buf)
         picked = blk.take(at)
         blk.put(at, picked - 1.0)
         loss -= float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum())
-        gw += blk.T @ x[rows]
-        gb += ones[: len(at)] @ blk
+        gw += blk @ x[rows]
+        gb += blk @ ones[: len(at)]
     return loss / n, gw / n, gb / n
 
 
@@ -283,7 +310,7 @@ def ce_loss_and_grads(
     x, y, classes = _labeled_rows(feats, labels)
     if classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    return _ce_means(model.weights, model.bias, x, _label_blocks(y, classes))
+    return _ce_means(model.weights, model.bias, x, _label_blocks(y))
 
 
 def kl_loss_and_grads(
@@ -311,7 +338,7 @@ def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     Fully deterministic given the seed.
     """
     x, y, classes = _labeled_rows(feats, labels)
-    blocks = _label_blocks(y, classes)
+    blocks = _label_blocks(y)
     rng = np.random.default_rng(config.seed)
     dims = x.shape[1]
     weights = rng.normal(0.0, 0.01, size=(classes, dims))
@@ -360,5 +387,8 @@ def measure_teacher(
     if len(labels) != n_images:
         raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
     n_measure = min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
+    # The student's dims are the training images'; check before training.
+    for f in feats[:n_measure]:
+        _check_dims(f, feats[n_measure].dims)
     model = train_student(feats[n_measure:], labels[n_measure:], config).model
     return _certainty(model, feats[:n_measure])

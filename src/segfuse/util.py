@@ -1,24 +1,8 @@
-"""Small shared helpers: numerics and CSV formatting."""
+"""Small shared helpers: JSON numbers and CSV formatting."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """Softmax of the float64 array ``z`` along its last axis, written over ``z``.
-
-    The max goes one class slice at a time (numpy is slow over a short inner
-    axis; max is exact in any order) and the row sum is a BLAS product with
-    ones: deterministic for a given shape, and exact on ties.  Returns ``z``.
-    """
-    m = np.array(z[..., 0])
-    for c in range(1, z.shape[-1]):
-        np.maximum(m, z[..., c], out=m)
-    z -= m[..., None]
-    np.exp(z, out=z)
-    z /= (z @ np.ones(z.shape[-1]))[..., None]
-    return z
 
 
 def json_number(value, integral: bool = False) -> bool:

@@ -9,7 +9,6 @@ from segfuse.core import IoUReport, ProbMap
 from segfuse.distill import measure_teacher
 from segfuse.policy import select_certainty
 from segfuse.unify import unify
-from segfuse.util import softmax_inplace
 
 
 def certainty_policy(members, feats, config):
@@ -30,6 +29,22 @@ def read_probmap(data) -> ProbMap:
     if (magic, version) != (b"PMAP", 1) or len(data) != 18 + 4 * h * w * c:
         raise ValueError("not a version 1 .pmap")
     return ProbMap(np.frombuffer(data, "<f4", offset=18).reshape(h, w, c).astype(np.float64))
+
+
+def softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Softmax of the float64 array ``z`` along its last axis, written over ``z``.
+
+    The max goes one class slice at a time (numpy is slow over a short inner
+    axis; max is exact in any order) and the row sum is a BLAS product with
+    ones: deterministic for a given shape, and exact on ties.  Returns ``z``.
+    """
+    m = np.array(z[..., 0])
+    for c in range(1, z.shape[-1]):
+        np.maximum(m, z[..., c], out=m)
+    z -= m[..., None]
+    np.exp(z, out=z)
+    z /= (z @ np.ones(z.shape[-1]))[..., None]
+    return z
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

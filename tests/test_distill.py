@@ -1,18 +1,25 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segfuse import distill
 from segfuse.core import UNLABELED_ID, LabelMap, ProbMap
 from segfuse.distill import (
     FeatureMap,
     ToyStudent,
     TrainConfig,
     _BLOCK_ROWS,
+    _BLOCK_UNIT,
+    _block_probs,
     _ce_means,
     _certainty,
     _label_blocks,
@@ -28,9 +35,8 @@ from segfuse.distill import (
 from segfuse.policy import select_certainty
 from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
 from segfuse.unify import unify
-from segfuse.util import softmax_inplace
 
-from helpers import certainty_policy, certainty_report, softmax
+from helpers import certainty_policy, certainty_report
 
 
 def prob(rows):
@@ -264,7 +270,7 @@ def reference_ce_means(weights, bias, x, y):
 
 
 def ce_means(weights, bias, x, y):
-    return _ce_means(weights, bias, x, _label_blocks(y.copy(), weights.shape[0]))
+    return _ce_means(weights, bias, x, _label_blocks(y.copy()))
 
 
 #: How far the kernels may be from the whole-array formulas, relative to
@@ -295,30 +301,30 @@ def assert_ce_means_near_reference(weights, bias, x, y):
     assert ce_means(tied_w, tied_b, x, swapped)[0] == ce_means(tied_w, tied_b, x, y)[0]
 
 
-def tied_logits(rng, shape, scale):
-    """Logits of magnitude ~scale whose rows often tie for the maximum."""
-    z = np.round(rng.normal(scale=3.0, size=shape)) * scale
-    z[..., 1] = z[..., 0]
-    return z
-
-
 class TestSoftmaxKernel:
-    """The in-place, slice-wise max kernel is the formula within REL_TOL,
-    deterministic, and exact on ties."""
+    """The class-major block softmax is the formula within REL_TOL,
+    deterministic, exact on ties, and written into its buffer."""
 
-    @pytest.mark.parametrize("shape", [(4099, 8), (4099, 19), (37, 29, 8), (11, 13, 19)])
+    @pytest.mark.parametrize("shape", [(4099, 8), (4099, 19), (1, 19), (31, 8)])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_matches_reference_formula(self, shape, scale):
-        rng = np.random.default_rng(shape[-1])
-        for z in (rng.normal(scale=scale, size=shape), tied_logits(rng, shape, scale)):
-            kept = z.copy()
-            got = softmax(z)
-            assert np.array_equal(z, kept)
-            assert_near(got, reference_softmax(z))
-            assert np.array_equal(softmax(z), got)
-            assert softmax_inplace(z) is z
-            assert np.array_equal(z, got)
-        assert np.array_equal(got[..., 1], got[..., 0])
+        rows, classes = shape
+        rng = np.random.default_rng(classes)
+        x = rng.normal(size=(rows, 5))
+        weights = rng.normal(scale=scale / 10, size=(classes, 5))
+        bias = np.round(rng.normal(size=classes)) * scale
+        for tied in (False, True):
+            if tied:  # classes 0 and 1 tie, often for the maximum
+                bias[0] = bias.max()
+                weights[1], bias[1] = weights[0], bias[0]
+            buf = np.full(classes * rows + 3, np.nan)
+            got = _block_probs(x, weights, bias, buf)
+            assert got.shape == (classes, rows)
+            assert np.shares_memory(got, buf) and got.ctypes.data == buf.ctypes.data
+            assert np.isnan(buf[classes * rows:]).all()
+            assert_near(got.T, reference_softmax(x @ weights.T + bias))
+            assert np.array_equal(_block_probs(x, weights, bias, np.empty(classes * rows)), got)
+        assert np.array_equal(got[1], got[0])
 
     @pytest.mark.parametrize("classes", [8, 19])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
@@ -342,7 +348,7 @@ class TestSoftmaxKernel:
             x = rng.normal(size=(n, 5))
             y = rng.integers(0, classes, size=n).astype(np.intp)
             weights, bias = rng.normal(size=(classes, 5)), rng.normal(size=classes)
-            blocks = _label_blocks(y, classes)
+            blocks = _label_blocks(y)
             tracemalloc.start()
             try:
                 _ce_means(weights, bias, x, blocks)
@@ -386,14 +392,49 @@ class TestRowBlocks:
         assert np.array_equal(student_forward(model, feats).values, got)
         assert np.array_equal(got[..., 1], got[..., 0])
 
-    def test_no_block_is_shorter_than_the_block_size(self):
-        for n in [*range(1, 4 * B, 61), B - 1, B, B + 1, 2 * B - 1, 2 * B, 7 * B + 5]:
+    def test_blocks_are_whole_units_but_a_last_remainder(self):
+        U = _BLOCK_UNIT
+        for n in [*range(1, 4 * B, 61), *range(1, 3 * U), B - 1, B, B + 1,
+                  2 * B - 1, 2 * B, 2 * B + U - 1, 7 * B + 5]:
             blocks = _row_blocks(n)
             assert blocks[0].start == 0 and blocks[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             sizes = [s.stop - s.start for s in blocks]
-            assert min(sizes) >= min(n, B), n
-            assert max(sizes) < 2 * B, n
+            assert min(sizes) > 0, n
+            if n % U:
+                assert sizes.pop() == n % U, n
+            assert all(size % U == 0 and size <= 2 * B for size in sizes), n
+            assert all(size >= B for size in sizes) or len(sizes) <= 1, n
+
+
+#: Trains a 19-class student on 33,000 rows (4 row blocks and a remainder)
+#: for 5 steps and prints the bytes of its weights, bias, losses and rho.
+THREAD_PROBE = """
+import hashlib, numpy as np
+from segfuse.core import LabelMap
+from segfuse.distill import FeatureMap, TrainConfig, _certainty, train_student
+rng = np.random.default_rng(0)
+feats = FeatureMap(rng.normal(size=(33_000, 1, 19)))
+labels = LabelMap(rng.integers(0, 19, size=(33_000, 1)).astype(np.uint8), 19)
+result = train_student(feats, labels, TrainConfig(iterations=5, seed=0))
+rho = _certainty(result.model, [feats]).per_class
+for a in (result.model.weights, result.model.bias, result.losses, rho):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count():
+    def probe(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    one = probe(1)
+    assert len(one) == 4
+    assert probe(2) == one
 
 
 def rho_of(model, images):
@@ -693,7 +734,13 @@ class TestSelectionProtocol:
              "measure_single", "measure_list", "measure_count", "measure_dims",
              "empty_ensemble"],
     )
-    def test_bad_members_are_a_value_error(self, call, match):
+    def test_bad_members_are_a_value_error(self, call, match, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("measure_teacher trained before it checked its inputs")
+
+        # The train cases call the imported train_student; measure_teacher
+        # looks it up in its module, so no bad member may reach training.
+        monkeypatch.setattr(distill, "train_student", no_training)
         gts, feats, _, _ = protocol_inputs()
         probs = [soften(corrupt_teacher(g, [0.05] * 4, seed=i), 0.5)
                  for i, g in enumerate(gts)]
