@@ -45,25 +45,43 @@ from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, make_benchmark,
 from .util import rows_to_csv
 
 
-def _load(path: str, decode, *args, text: bool = False,
-          body_offset: int = fileio.MAP_BODY_OFFSET):
-    """``decode(contents, *args)`` of the file at ``path``, read as UTF-8
-    with ``text``; a ValueError is raised again with the path in front.
-    The contents are a read-only ``fileio.read_file`` buffer with byte
-    ``body_offset`` 8-byte aligned: a map body by default; a .npy body
-    sits at a multiple of 64, so .npy reads pass 0."""
+def _load(path: str, decode, *args, text: bool = False, stream: bool = False):
+    """``decode(contents, *args)`` of the file at ``path``; a ValueError is
+    raised again with the path in front.  The contents are the file open
+    for reading with ``stream``; else a read-only ``fileio.read_file``
+    buffer, which starts 8-byte aligned, or its text as UTF-8 with ``text``."""
     try:
-        data = fileio.read_file(path, body_offset)
+        if stream:
+            with open(path, "rb") as fh:
+                return decode(fh, *args)
+        data = fileio.read_file(path)
         return decode(str(data, "utf-8") if text else data, *args)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
-def _unified(data, renormalize: bool):
-    """A .lmap's labels, or a .pmap's by ``read_labels``: told apart by magic, not name."""
-    if data[:4] == fileio._LMAP_MAGIC:
-        return fileio.read_labelmap(data)
-    return fileio.read_labels(data, renormalize)
+class _Unread:
+    """The binary stream ``fh`` with ``head``, bytes already read from it,
+    put back in front, for a reader that wants them: a FIFO cannot seek."""
+
+    def __init__(self, head: bytes, fh):
+        self.head, self.fh = head, fh
+
+    def readinto(self, buf) -> int:
+        if not self.head:
+            return self.fh.readinto(buf)
+        n = min(len(buf), len(self.head))
+        buf[:n], self.head = self.head[:n], self.head[n:]
+        return n
+
+
+def _unified(fh, renormalize: bool):
+    """A .lmap's labels, or a .pmap's by ``read_labels``, from the open file
+    ``fh``: told apart by the 4-byte magic, not by name."""
+    magic = fh.read(4)
+    if magic == fileio._LMAP_MAGIC:
+        return fileio.read_labelmap(magic + fh.read())
+    return fileio.read_labels(_Unread(magic, fh), renormalize)
 
 
 def _emit_text(args, text: str) -> None:
@@ -74,20 +92,20 @@ def _emit_text(args, text: str) -> None:
 
 
 def cmd_unify(args) -> int:
-    labels = _load(args.input, fileio.read_labels, args.renormalize)
+    labels = _load(args.input, fileio.read_labels, args.renormalize, stream=True)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(labels))
     return 0
 
 
 def cmd_fuse_pixel(args) -> int:
-    maps = [_load(p, _unified, args.renormalize) for p in args.inputs]
+    maps = [_load(p, _unified, args.renormalize, stream=True) for p in args.inputs]
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(pixel_fuse(maps)))
     return 0
 
 
 def cmd_fuse_channel(args) -> int:
     policy = _load(args.policy, fileio.policy_from_json, text=True)
-    maps = [_load(p, _unified, args.renormalize) for p in args.inputs]
+    maps = [_load(p, _unified, args.renormalize, stream=True) for p in args.inputs]
     fused = channel_fuse(maps, policy, args.kappa)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(fused))
     return 0
@@ -113,8 +131,7 @@ def cmd_select_policy(args) -> int:
 
 def cmd_distill(args) -> int:
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
-    feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)),
-                  body_offset=0)
+    feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)))
     labels = _load(args.labels, fileio.read_labelmap)
     result = train_student(feats, labels, config)
     buf = _io.BytesIO()

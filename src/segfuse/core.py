@@ -38,6 +38,62 @@ def _unwritable(arr: np.ndarray) -> bool:
     return memoryview(arr).readonly
 
 
+class ProbabilityCheck:
+    """``check_probabilities`` taken block by block: ``add`` each block of
+    whole probability vectors (an array whose last axis is the class axis),
+    in any order, then ``verdict`` raises what the check over the whole map
+    would raise.  The blocks leave three things: whether any value is
+    non-finite, whether any lies outside [0, 1], and the worst exact
+    deviation of the blocks whose screened sum fails.  Each is decided over
+    the whole map, so the error and its printed worst deviation do not
+    depend on how the map was cut.
+    """
+
+    def __init__(self):
+        self.non_finite = False
+        self.out_of_range = False
+        self.worst = 0.0
+
+    @property
+    def failed(self) -> bool:
+        """True once the blocks added so far fail the check."""
+        return self.non_finite or self.out_of_range or self.worst > PROB_SUM_TOL
+
+    def add(self, v: np.ndarray) -> None:
+        """Take in the non-empty block ``v``, float32 or float64."""
+        if self.non_finite:
+            return
+        # One range test; NaN and +-inf fail it too, and only then is the
+        # block scanned again to tell the two errors apart.  After a range
+        # failure only a non-finite value can change the verdict.
+        if self.out_of_range or not (v.min() >= 0.0 and v.max() <= 1.0):
+            self.out_of_range = True
+            self.non_finite = not np.isfinite(v).all()
+            return
+        # Any order of summing C terms in [0, 1] is off from the exact sum s
+        # by at most about (C - 1) * eps / 2 * s, so a screened sum that
+        # clears the tolerance by this margin proves the exact float64
+        # verdict a pass.  Per-pixel float64 sums do not depend on the block.
+        c = v.shape[-1]
+        margin = 2 * c * np.finfo(v.dtype).eps * (1 + PROB_SUM_TOL)
+        screened = v @ np.ones(c, v.dtype)
+        screened -= 1
+        if float(np.abs(screened, out=screened).max()) > PROB_SUM_TOL - margin:
+            dev = float(np.abs(v.sum(axis=-1, dtype=np.float64) - 1.0).max())
+            self.worst = max(self.worst, dev)
+
+    def verdict(self) -> None:
+        """Raise the error of the blocks added so far, if they fail."""
+        if self.non_finite:
+            raise ValueError("probability map contains non-finite values")
+        if self.out_of_range:
+            raise ValueError("probabilities must lie in [0, 1]")
+        if self.worst > PROB_SUM_TOL:
+            raise ValueError(
+                f"per-pixel probabilities must sum to 1 (worst deviation {self.worst:.3e})"
+            )
+
+
 def check_probabilities(v: np.ndarray) -> None:
     """Raise unless every probability vector along the last axis of the
     H x W x C array ``v`` lies in [0, 1] and sums to 1 within PROB_SUM_TOL.
@@ -47,26 +103,11 @@ def check_probabilities(v: np.ndarray) -> None:
     float32 array gets the same verdict, message and worst deviation as
     its float64 copy.  A BLAS row sum in ``v``'s own precision screens
     first; only a map it cannot pass is summed exactly, and only that sum
-    raises.
+    raises.  ``v`` is one ``ProbabilityCheck`` block.
     """
-    # One range test; NaN and +-inf fail it too, and only then is the
-    # map scanned again to tell the two errors apart.
-    if not (v.min() >= 0.0 and v.max() <= 1.0):
-        if not np.isfinite(v).all():
-            raise ValueError("probability map contains non-finite values")
-        raise ValueError("probabilities must lie in [0, 1]")
-    # Any order of summing C terms in [0, 1] is off from the exact sum s by
-    # at most about (C - 1) * eps / 2 * s, so a screened sum that clears the
-    # tolerance by this margin proves the exact float64 verdict a pass.
-    c = v.shape[2]
-    margin = 2 * c * np.finfo(v.dtype).eps * (1 + PROB_SUM_TOL)
-    if float(np.abs(v @ np.ones(c, v.dtype) - 1).max()) <= PROB_SUM_TOL - margin:
-        return
-    dev = np.abs(v.sum(axis=2, dtype=np.float64) - 1.0).max()
-    if dev > PROB_SUM_TOL:
-        raise ValueError(
-            f"per-pixel probabilities must sum to 1 (worst deviation {dev:.3e})"
-        )
+    check = ProbabilityCheck()
+    check.add(v)
+    check.verdict()
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +117,8 @@ class ProbMap:
     Values are kept as float64 in memory (training and loss code needs
     64-bit accumulation) and checked by ``check_probabilities``; the
     on-disk format is float32.  A .pmap file is read for its labels alone:
-    ``fileio.read_labels`` runs the same check on its float32 body and
-    argmaxes it in place.
+    ``fileio.read_labels`` runs the same check on its float32 body one
+    chunk at a time and argmaxes each chunk as it arrives.
     """
 
     values: np.ndarray

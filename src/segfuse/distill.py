@@ -321,7 +321,7 @@ def kl_loss_and_grads(
         raise ValueError("feature and target dimensions differ")
     if target.num_classes != model.num_classes:
         raise ValueError("target class count does not match the model")
-    x = feats.values.reshape(-1, feats.dims)
+    x = _pixel_rows(model, feats)
     s = target.values.reshape(-1, target.num_classes)
     n = x.shape[0]
     probs = _class_probs(x, model.weights, model.bias)

@@ -12,8 +12,8 @@ import numpy as np
 from .core import LabelMap, ProbMap
 
 
-# np.argmax copies a read-only input (a file buffer, a frozen ProbMap)
-# whole before it starts, so it is run on row blocks of about this size.
+# np.argmax copies a read-only input (a frozen ProbMap) whole before it
+# starts, so it is run on row blocks of about this size.
 _BLOCK_BYTES = 1 << 18
 
 

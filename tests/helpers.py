@@ -5,10 +5,11 @@ from typing import Sequence
 
 import numpy as np
 
-from segfuse.core import IoUReport, ProbMap
+from segfuse import fileio
+from segfuse.core import IoUReport, LabelMap, ProbMap, check_probabilities
 from segfuse.distill import measure_teacher
 from segfuse.policy import select_certainty
-from segfuse.unify import unify
+from segfuse.unify import argmax_labels, unify
 
 
 def certainty_policy(members, feats, config):
@@ -29,6 +30,26 @@ def read_probmap(data) -> ProbMap:
     if (magic, version) != (b"PMAP", 1) or len(data) != 18 + 4 * h * w * c:
         raise ValueError("not a version 1 .pmap")
     return ProbMap(np.frombuffer(data, "<f4", offset=18).reshape(h, w, c).astype(np.float64))
+
+
+def _pmap_body(data) -> np.ndarray:
+    """The H x W x C float32 body of a .pmap's bytes, a view of ``data``."""
+    h, w, c = fileio._parse_header(data, fileio._PMAP_MAGIC)
+    fileio._check_body(data, h * w * c * 4)
+    return np.frombuffer(data, "<f4", offset=18).reshape(h, w, c)
+
+
+def read_labels_whole(data, logits: bool = False) -> LabelMap:
+    """The labels of a .pmap's bytes, decoded from the whole buffer at once:
+    ``_pmap_body``, then ``check_probabilities`` over the whole body (or,
+    with ``logits``, a finiteness test), then ``argmax_labels``.  The
+    oracle for the chunked ``fileio.read_labels``."""
+    body = _pmap_body(data)
+    if not logits:
+        check_probabilities(body)
+    elif not np.isfinite(body).all():
+        raise ValueError("logit body contains non-finite values")
+    return argmax_labels(body)
 
 
 def softmax_inplace(z: np.ndarray) -> np.ndarray:

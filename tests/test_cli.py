@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import LabelMap, stack_reports
+from segfuse.core import LabelMap, ProbMap, stack_reports
 from segfuse.distill import TrainConfig, measure_teacher, student_forward, train_student
 from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
@@ -41,6 +41,14 @@ from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
 from helpers import read_probmap, reports_from_matrix
+
+
+def _write_in_pieces(path, data: bytes, piece: int) -> None:
+    """Write ``data`` to ``path`` in writes of ``piece`` bytes, each flushed."""
+    with open(path, "wb") as fh:
+        for i in range(0, len(data), piece):
+            fh.write(data[i : i + piece])
+            fh.flush()
 
 
 def _subcommands(parser):
@@ -342,19 +350,27 @@ class TestLabelRoute:
 
 
 class TestFileReads:
-    """Inputs are read into one read-only buffer with the body 8-byte aligned."""
+    """A .pmap streams through one reused chunk buffer; other inputs are
+    read into one read-only buffer with the body 8-byte aligned."""
 
-    def test_pmap_body_is_aligned_and_read_only(self, scene, monkeypatch):
-        tmp, gt, feats, teachers, paths = scene
+    def test_pmap_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
+        # 130 x 256 x 4 float32 is two whole chunks and a part of one more
+        pm = ProbMap(np.full((130, 256, 4), 0.25))
+        (tmp_path / "t.pmap").write_bytes(fileio.write_probmap(pm))
         seen = []
 
-        def check(v, _check=fileio.check_probabilities):
-            seen.append((v.flags.aligned, v.flags.writeable))
-            return _check(v)
+        class Recording(fileio.ProbabilityCheck):
+            def add(self, v):
+                seen.append((v.ctypes.data, v.nbytes, v.flags.aligned))
+                super().add(v)
 
-        monkeypatch.setattr(fileio, "check_probabilities", check)
-        assert main(["unify", str(paths["t0"]), "-o", str(tmp / "u.lmap")]) == 0
-        assert seen == [(True, False)]
+        monkeypatch.setattr(fileio, "ProbabilityCheck", Recording)
+        assert main(["unify", str(tmp_path / "t.pmap"), "-o", str(tmp_path / "u.lmap")]) == 0
+        assert len(seen) == 3 and len({start for start, _, _ in seen}) == 1
+        assert all(aligned and size <= fileio._CHUNK_BYTES for _, size, aligned in seen)
+        assert sum(size for _, size, _ in seen) == pm.values.size * 4
+        got = fileio.read_labelmap((tmp_path / "u.lmap").read_bytes())
+        np.testing.assert_array_equal(got.values, unify(pm).values)
 
     def test_npy_body_stays_aligned(self, scene, monkeypatch):
         tmp, gt, feats, teachers, paths = scene
@@ -372,10 +388,13 @@ class TestFileReads:
         assert seen == [(True, False)]
 
     @staticmethod
-    def main_through_fifo(fifo, data, argv) -> int:
-        """``main(argv)`` while a thread writes ``data`` into the new FIFO ``fifo``."""
+    def main_through_fifo(fifo, data, argv, piece=None) -> int:
+        """``main(argv)`` while a thread writes ``data`` into the new FIFO
+        ``fifo``: at once, or in writes of ``piece`` bytes, so that reads
+        from it come back short."""
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer = threading.Thread(target=_write_in_pieces,
+                                  args=(fifo, data, piece or len(data) or 1), daemon=True)
         writer.start()
         try:
             rc = main(argv)
@@ -384,15 +403,41 @@ class TestFileReads:
         assert not writer.is_alive()
         return rc
 
-    @pytest.mark.parametrize("command", ["unify", "fuse-pixel"])
+    @staticmethod
+    def fuse_argv(command, tmp, others):
+        """The arguments after the first input, up to ``-o``, of ``command``."""
+        if command != "fuse-channel":
+            return others
+        (tmp / "p.json").write_text(fileio.policy_to_json(select_random(4, 3, seed=5)))
+        return [*others, "--policy", str(tmp / "p.json"), "--kappa", "5"]
+
+    @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
     def test_fifo_input_gives_the_file_output(self, scene, command):
         tmp, gt, feats, teachers, paths = scene
         others = [] if command == "unify" else [str(paths["t1"]), str(paths["t2"])]
-        assert main([command, str(paths["t0"]), *others, "-o", str(tmp / "a.lmap")]) == 0
+        rest = self.fuse_argv(command, tmp, others)
+        assert main([command, str(paths["t0"]), *rest, "-o", str(tmp / "a.lmap")]) == 0
         fifo = tmp / "fifo.pmap"
-        argv = [command, str(fifo), *others, "-o", str(tmp / "b.lmap")]
+        argv = [command, str(fifo), *rest, "-o", str(tmp / "b.lmap")]
         assert self.main_through_fifo(fifo, paths["t0"].read_bytes(), argv) == 0
         assert (tmp / "b.lmap").read_bytes() == (tmp / "a.lmap").read_bytes()
+
+    @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
+    def test_fifo_written_in_short_pieces_gives_the_file_output(self, tmp_path, command):
+        # 96 x 512 x 4 float32 is three chunks, written 1,000 bytes at a time
+        gt, _ = gen_ground_truth(96, 512, 4, region_scale=16, seed=0)
+        paths = []
+        for i in range(3):
+            paths.append(tmp_path / f"t{i}.pmap")
+            pm = soften(corrupt_teacher(gt, [0.1] * 4, seed=i), 1.0)
+            paths[-1].write_bytes(fileio.write_probmap(pm))
+        rest = self.fuse_argv(command, tmp_path,
+                              [] if command == "unify" else [str(p) for p in paths[1:]])
+        assert main([command, str(paths[0]), *rest, "-o", str(tmp_path / "a.lmap")]) == 0
+        fifo = tmp_path / "fifo.pmap"
+        argv = [command, str(fifo), *rest, "-o", str(tmp_path / "b.lmap")]
+        assert self.main_through_fifo(fifo, paths[0].read_bytes(), argv, piece=1000) == 0
+        assert (tmp_path / "b.lmap").read_bytes() == (tmp_path / "a.lmap").read_bytes()
 
     @pytest.mark.parametrize("route", ["fifo", "upper-case"])
     @pytest.mark.parametrize("command", ["fuse-pixel", "fuse-channel"])

@@ -124,6 +124,13 @@ class TestLossKL:
         loss = kl_loss_and_grads(model, feats, pm)[0]
         assert 16 * loss == pytest.approx(float(entropy), rel=1e-12)
 
+    def test_feature_dim_must_match_the_model(self):
+        # the message student_forward gives, not numpy's matmul error
+        target = prob([[[1 / 3] * 3] * 4])
+        model = ToyStudent(np.zeros((3, 4)), np.zeros(3))
+        with pytest.raises(ValueError, match="^feature dim 5 does not match model dim 4$"):
+            kl_loss_and_grads(model, zero_feats(1, 4, dims=5), target)
+
 
 class TestLossCE:
     def test_correct_certain_student_is_zero(self):

@@ -19,7 +19,7 @@ from segfuse.core import (
 from segfuse.synth import BenchmarkConfig, make_benchmark, soften
 from segfuse.unify import unify
 
-from helpers import read_probmap
+from helpers import read_labels_whole, read_probmap
 
 HEADER = struct.Struct("<4sIIIH")
 
@@ -271,28 +271,180 @@ class TestReadLabels:
             np.testing.assert_array_equal(fileio.read_labels(data).values, want)
 
     @staticmethod
-    def peak_over_body(data):
-        """tracemalloc peak of ``read_labels(data)``, over the body size."""
+    def peak_of_read(source):
+        """tracemalloc peak in bytes of ``read_labels(source)``, and the labels."""
         tracemalloc.start()
         try:
-            labels = fileio.read_labels(data)
+            labels = fileio.read_labels(source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert labels.values.shape == (256, 512)
-        return peak / (len(data) - HEADER.size)
+        return peak, labels
 
     def test_peak_memory_is_about_one_body(self):
         pm = ProbMap(np.full((256, 512, 19), 1.0 / 19))
         data = bytes(fileio.write_probmap(pm))
         del pm
-        assert self.peak_over_body(data) < 1.25
+        peak, labels = self.peak_of_read(data)
+        assert labels.values.shape == (256, 512)
+        assert peak / (len(data) - HEADER.size) < 1.25
 
-    def test_an_aligned_body_is_not_copied(self, tmp_path):
+    def test_a_file_is_read_one_chunk_at_a_time(self, tmp_path):
+        # the peak is one chunk, its argmax ids and the labels, not the body
         path = tmp_path / "t.pmap"
         path.write_bytes(fileio.write_probmap(ProbMap(np.full((256, 512, 19), 1.0 / 19))))
-        data = fileio.read_file(str(path), fileio.MAP_BODY_OFFSET)
-        assert self.peak_over_body(data) < 0.25
+        with open(path, "rb") as fh:
+            peak, labels = self.peak_of_read(fh)
+        assert labels.values.shape == (256, 512)
+        assert peak < 2 * fileio._CHUNK_BYTES + labels.values.nbytes
+        assert peak / (path.stat().st_size - HEADER.size) < 0.1
+
+    def test_peak_grows_only_by_the_labels(self):
+        peaks = {}
+        for rows in (64, 512):
+            raw = np.random.default_rng(rows).random((rows, 512, 19)) + 1e-3
+            body = (raw / raw.sum(axis=2, keepdims=True)).astype("<f4").tobytes()
+            del raw
+            data = HEADER.pack(b"PMAP", 1, rows, 512, 19) + body
+            del body
+            peaks[rows], labels = self.peak_of_read(data)
+            assert labels.values.shape == (rows, 512)
+        # the extra labels, and the float32 row sums of one more whole chunk
+        # (the 64-row map's last chunk is a partial one)
+        assert peaks[512] <= peaks[64] + (512 - 64) * 512 * 2 + 4 * _chunk_pixels(19)
+
+    @pytest.mark.parametrize("logits", [False, True], ids=["read_labels", "logits"])
+    def test_a_huge_header_sizes_no_array(self, logits):
+        # a header of 2**27 pixels over an 8-byte body: no labels, no map
+        data = HEADER.pack(b"PMAP", 1, 1, 2**27, 2) + b"\x00" * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^body is 8 bytes, header implies {2**30}$"):
+                fileio.read_labels(data, logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class Trickle:
+    """A binary stream over ``data`` whose reads return at most ``piece``
+    bytes, as reads from a pipe may."""
+
+    def __init__(self, data: bytes, piece: int):
+        self.data, self.pos, self.piece = memoryview(data), 0, piece
+
+    def readinto(self, buf) -> int:
+        n = min(len(buf), self.piece, len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return n
+
+
+def _chunk_pixels(c: int) -> int:
+    """Pixels in one of ``read_labels``' chunks at ``c`` classes."""
+    return fileio._CHUNK_BYTES // (4 * c)
+
+
+@st.composite
+def chunked_pmap_files(draw):
+    """.pmap bytes sized around ``read_labels``' chunk (1 pixel, one chunk
+    less or more one pixel, whole chunks, anything up to three chunks),
+    with faults placed in chosen chunks, then maybe a body cut inside a
+    chunk or at a chunk boundary, or trailing bytes."""
+    c = draw(st.sampled_from([2, 3, 19]))
+    step = _chunk_pixels(c)
+    pixels = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step, 3 * step - 1])
+                  | st.integers(1, 3 * step))
+    width = draw(st.sampled_from([d for d in (1, 2, 3, 5, 7) if pixels % d == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((pixels, c)) + 1e-3
+    v = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+    for _ in range(draw(st.integers(0, 3))):
+        chunk = draw(st.integers(0, (pixels - 1) // step))
+        i = draw(st.integers(chunk * step, min(pixels, (chunk + 1) * step) - 1))
+        kind = draw(st.sampled_from(["tie", "drift", "sum", "special"]))
+        if kind == "tie":
+            v[i] = 0.0
+            v[i, :2] = 0.5
+        elif kind == "drift":
+            v[i] *= np.float32(1.0 + draw(st.floats(-2e-4, 2e-4)))
+        elif kind == "sum":
+            v[i] *= np.float32(draw(st.sampled_from([0.5, 0.99, 1.01])))
+        else:
+            v[i, draw(st.integers(0, c - 1))] = draw(st.sampled_from(_SPECIAL))
+    body = v.astype("<f4").tobytes()
+    cut = draw(st.sampled_from(["none", "inside", "boundary", "trailing"]))
+    if cut == "inside":
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    elif cut == "boundary":
+        body = body[: draw(st.integers(0, (pixels - 1) // step)) * step * 4 * c]
+    elif cut == "trailing":
+        body += bytes(draw(st.sampled_from([1, 4 * c, 4 * c * step + 3])))
+    return HEADER.pack(b"PMAP", 1, pixels // width, width, c) + body
+
+
+class TestChunkedReads:
+    """read_labels over chunks gives the labels or the exact error of the
+    decode of the whole buffer, however the body is cut into chunks and
+    however short the stream's reads are."""
+
+    @staticmethod
+    def assert_same_as_whole(source, data, logits):
+        try:
+            want = read_labels_whole(data, logits)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                fileio.read_labels(source, logits)
+            assert str(err.value) == str(e)
+        else:
+            got = fileio.read_labels(source, logits)
+            assert got.num_classes == want.num_classes
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @given(chunked_pmap_files(), st.booleans(), st.sampled_from([5, 1000, 65537]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_labels_or_error_as_the_whole_decode(self, data, logits, piece):
+        self.assert_same_as_whole(data, data, logits)
+        self.assert_same_as_whole(Trickle(data, max(piece, len(data) // 1000)), data, logits)
+
+    @staticmethod
+    def three_chunks(c=19):
+        """A valid body of three whole chunks at ``c`` classes, as a float32 array."""
+        raw = np.random.default_rng(c).random((3 * _chunk_pixels(c), c)) + 1e-3
+        return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+
+    @pytest.mark.parametrize("faults, message", [
+        ([(0, "sum"), (2, "nan")], "non-finite"),
+        ([(0, "sum"), (2, "range")], "lie in"),
+        ([(0, "range"), (2, "nan")], "non-finite"),
+        ([(2, "range")], "lie in"),
+        ([(0, "sum"), (2, "bigger-sum")], "worst deviation 2.000e-02"),
+        ([(2, "bigger-sum"), (0, "sum")], "worst deviation 2.000e-02"),
+    ])
+    def test_faults_in_later_chunks_decide_as_in_the_whole_body(self, faults, message):
+        v = self.three_chunks()
+        step = _chunk_pixels(19)
+        for chunk, kind in faults:
+            i = chunk * step + step // 2 if chunk < 2 else len(v) - 1
+            if kind == "nan":
+                v[i, 3] = np.nan
+            elif kind == "range":
+                v[i, 3] = 1.5
+            else:
+                v[i] *= np.float32(1.01 if kind == "sum" else 1.02)
+        data = HEADER.pack(b"PMAP", 1, 3, step, 19) + v.tobytes()
+        with pytest.raises(ValueError, match=message):
+            read_labels_whole(data)
+        self.assert_same_as_whole(data, data, False)
+
+    @pytest.mark.parametrize("logits", [False, True], ids=["read_labels", "logits"])
+    @pytest.mark.parametrize("pixels", [1, 0, -1], ids=["chunk+1px", "chunk", "chunk-1px"])
+    def test_one_chunk_give_or_take_a_pixel(self, pixels, logits):
+        v = self.three_chunks()[: _chunk_pixels(19) + pixels]
+        data = HEADER.pack(b"PMAP", 1, 1, len(v), 19) + v.tobytes()
+        np.testing.assert_array_equal(fileio.read_labels(data, logits).values,
+                                      v.argmax(axis=1)[None])
 
 
 class TestJsonCsv:
@@ -348,16 +500,15 @@ class TestJsonCsv:
 
 class TestReadFile:
     @pytest.mark.parametrize("size", [0, 1, 17, 18, 4096, 100_003])
-    @pytest.mark.parametrize("body_offset", [0, fileio.MAP_BODY_OFFSET, 3, 128])
-    def test_file_bytes_read_only_with_the_body_aligned(self, tmp_path, size, body_offset):
+    def test_file_bytes_read_only_and_aligned(self, tmp_path, size):
         content = np.random.default_rng(size).bytes(size)
         path = tmp_path / "f.bin"
         path.write_bytes(content)
-        data = fileio.read_file(str(path), body_offset)
+        data = fileio.read_file(str(path))
         assert data.readonly
         assert data == content
-        if size > body_offset:
-            assert (np.frombuffer(data, np.uint8).ctypes.data + body_offset) % 8 == 0
+        if size:
+            assert np.frombuffer(data, np.uint8).ctypes.data % 8 == 0
 
     def test_npy_body_is_decoded_in_place(self, tmp_path):
         path = tmp_path / "f.npy"

@@ -205,8 +205,7 @@ def make_inputs(directory: Path) -> None:
                  for i in range(IMAGES)]
         for t in range(TEACHERS):
             paths = [tmp / f"teacher{t:02d}.img{i:03d}.pmap" for i in range(IMAGES)]
-            labels = [fileio.read_labels(fileio.read_file(str(p), fileio.MAP_BODY_OFFSET))
-                      for p in paths]
+            labels = [fileio.read_labels(p.read_bytes()) for p in paths]
             rho = measure_teacher(labels, feats)
             (directory / f"rho{t}.json").write_text(fileio.report_to_json(rho))
             unified = tmp / f"unified{t}.lmap"
