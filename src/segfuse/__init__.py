@@ -9,13 +9,13 @@ fused labels into a toy per-pixel student.
 
 from .core import (
     UNLABELED_ID,
+    FeatureMap,
     FusionPolicy,
     IoUReport,
     LabelMap,
     ProbMap,
 )
 from .distill import (
-    FeatureMap,
     ToyStudent,
     TrainConfig,
     average_fuse,

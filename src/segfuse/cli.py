@@ -22,12 +22,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import fileio
-from .distill import (
-    FeatureMap,
-    TrainConfig,
-    student_forward,
-    train_student,
-)
+from .core import UNLABELED_ID
+from .distill import TrainConfig, student_blocks, train_rows
 from .experiments import (
     certainty_hist,
     correlation,
@@ -131,18 +127,22 @@ def cmd_select_policy(args) -> int:
 
 def cmd_distill(args) -> int:
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
-    feats = _load(args.features, lambda data: FeatureMap(fileio.read_npy(data)))
     labels = _load(args.labels, fileio.read_labelmap)
-    result = train_student(feats, labels, config)
+    x, u = _load(args.features, fileio.read_feature_rows, labels, stream=True)
+    labeled = labels.values.reshape(-1) != UNLABELED_ID
+    y = labels.values.reshape(-1)[labeled].astype(np.intp)
+    result = train_rows(x, y, labels.num_classes, config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
-    fileio.write_bytes_atomic(args.output, buf.getvalue())
+    outputs = [(args.output, [buf.getvalue()])]
     if args.probmap_out:
-        pm = student_forward(result.model, feats)
-        fileio.write_bytes_atomic(args.probmap_out, fileio.write_probmap(pm))
+        blocks = student_blocks(result.model, x, u, labeled)
+        outputs.append((args.probmap_out, fileio.probmap_chunks(
+            labels.height, labels.width, labels.num_classes, blocks)))
     if args.trace_out:
         trace = rows_to_csv(["iter", "loss"], enumerate(result.losses))
-        fileio.write_text_atomic(args.trace_out, trace)
+        outputs.append((args.trace_out, [trace.encode("utf-8")]))
+    fileio.write_files_atomic(outputs)
     print(
         json.dumps(
             {

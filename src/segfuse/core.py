@@ -1,6 +1,6 @@
 """Core domain types for ensemble pseudo-label fusion.
 
-Label maps, probability maps, fusion policies and per-member score
+Label maps, probability maps, feature maps, fusion policies and per-member score
 reports are frozen dataclasses over numpy arrays.  Every array is
 validated and marked read-only at construction time, so instances are
 immutable and safe to share across threads.
@@ -143,6 +143,56 @@ class ProbMap:
 
     @property
     def num_classes(self) -> int:
+        return self.values.shape[2]
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """``np.isfinite(v).all()`` of the non-empty array ``v``, without a bool
+    array of its shape: NaN propagates through min and max, and an infinity
+    is one of them."""
+    return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
+
+
+def _check_feature_layout(dtype: np.dtype, shape: tuple) -> None:
+    """Raise unless an array of ``dtype`` and ``shape`` can be a FeatureMap:
+    real numbers on three non-empty axes.  ``fileio.read_feature_rows``
+    takes these checks from a .npy header."""
+    if dtype.kind not in "biuf":
+        raise ValueError(f"feature map must hold real numbers, got dtype {dtype}")
+    if len(shape) != 3:
+        raise ValueError(f"feature map must be H x W x d, got shape {shape}")
+    if min(shape) < 1:
+        raise ValueError(f"bad feature map shape {shape}")
+
+
+#: The error of a feature map holding NaN or an infinity.
+_FEATURES_NOT_FINITE = "feature map contains non-finite values"
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMap:
+    """H x W x d map of real-valued per-pixel features, kept as float64."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values)
+        _check_feature_layout(v.dtype, v.shape)
+        v = v.astype(np.float64, copy=False)
+        if not _all_finite(v):
+            raise ValueError(_FEATURES_NOT_FINITE)
+        object.__setattr__(self, "values", _frozen(v))
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def dims(self) -> int:
         return self.values.shape[2]
 
 

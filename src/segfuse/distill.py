@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED_ID, IoUReport, LabelMap, ProbMap, _frozen
+from .core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, _frozen
 
 _LOG_CLAMP = 1e-12
 
@@ -32,38 +32,6 @@ _LR = 0.5
 _LR_DECAY_POWER = 0.9
 _WEIGHT_DECAY = 5e-3
 _MOMENTUM = 0.9
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMap:
-    """H x W x d map of real-valued per-pixel features."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.dtype.kind not in "biuf":
-            raise ValueError(f"feature map must hold real numbers, got dtype {v.dtype}")
-        v = v.astype(np.float64, copy=False)
-        if v.ndim != 3:
-            raise ValueError(f"feature map must be H x W x d, got shape {v.shape}")
-        if min(v.shape) < 1:
-            raise ValueError(f"bad feature map shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("feature map contains non-finite values")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +95,13 @@ def average_fuse(teachers: Sequence[ProbMap]) -> ProbMap:
     for t in teachers[1:]:
         if t.values.shape != shape:
             raise ValueError(f"teacher shapes differ: {t.values.shape} vs {shape}")
-    stacked = np.stack([t.values for t in teachers])
-    return ProbMap(stacked.mean(axis=0))
+    # Summed in member order into one map, then divided: the bits of
+    # ``np.stack(...).mean(axis=0)`` without its T x H x W x C stack.
+    total = teachers[0].values.copy()
+    for t in teachers[1:]:
+        total += t.values
+    total /= len(teachers)
+    return ProbMap(total)
 
 
 def _check_dims(feats, dims):
@@ -204,6 +177,29 @@ def _class_probs(x, weights, bias):
     return probs
 
 
+def student_blocks(model: ToyStudent, x, u, labeled):
+    """``student_forward``'s probabilities of one image, one block at a time.
+
+    ``labeled`` is the image's flat labeled-pixel mask, and ``x`` and ``u``
+    are the feature rows of its labeled and unlabeled pixels, each in pixel
+    order.  Each of ``student_forward``'s row blocks is gathered back into
+    pixel order and yielded as its rows x classes probabilities, a view of
+    one reused buffer, with ``student_forward``'s bits.
+    """
+    blocks = _row_blocks(len(labeled))
+    buf = _block_buffer(model.num_classes, blocks)
+    rows = np.empty((max(b.stop - b.start for b in blocks), model.feature_dims))
+    i = j = 0
+    for b in blocks:
+        m = labeled[b]
+        k = int(np.count_nonzero(m))
+        blk = rows[: len(m)]
+        blk[m] = x[i : i + k]
+        blk[~m] = u[j : j + len(m) - k]
+        i, j = i + k, j + len(m) - k
+        yield _block_probs(blk, model.weights, model.bias, buf).T
+
+
 def _certainty(model, feats):
     """Per-class certainty rho of ``model`` on the FeatureMaps ``feats``.
 
@@ -260,8 +256,6 @@ def _labeled_rows(feats, labels):
         if f.dims != dims or l.num_classes != classes:
             raise ValueError("images disagree on feature dim or class count")
     n = sum(int(np.count_nonzero(l.values != UNLABELED_ID)) for l in labels)
-    if not n:
-        raise ValueError("all pixels are unlabeled; nothing to train on")
     x, y = np.empty((n, dims)), np.empty(n, np.intp)
     start = 0
     for f, l in zip(feats, labels):
@@ -277,6 +271,8 @@ def _labeled_rows(feats, labels):
 def _label_blocks(y):
     """Each row block's (rows, flat positions of its labels in a classes x
     block-rows array), written over ``y``: found once per training, uncopied."""
+    if not len(y):
+        raise ValueError("all pixels are unlabeled; nothing to train on")
     blocks = [(rows, y[rows]) for rows in _row_blocks(y.shape[0])]
     for _, at in blocks:
         at *= at.shape[0]
@@ -331,13 +327,20 @@ def kl_loss_and_grads(
 
 
 def train_student(feats, labels, config: TrainConfig) -> TrainResult:
-    """SGD with momentum on the mean per-labeled-pixel CE loss.
+    """SGD with momentum on the mean per-labeled-pixel CE loss of FeatureMap
+    and LabelMap image lists (or one of each): ``train_rows`` over the
+    feature rows of their labeled pixels."""
+    return train_rows(*_labeled_rows(feats, labels), config)
+
+
+def train_rows(x, y, classes: int, config: TrainConfig) -> TrainResult:
+    """SGD with momentum on the mean CE loss of the float64 feature rows
+    ``x``, labeled by the int class ids ``y`` (overwritten) of ``classes``.
 
     Learning rate follows a polynomial decay,
     lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
-    Fully deterministic given the seed.
+    Fully deterministic given the seed and the rows.
     """
-    x, y, classes = _labeled_rows(feats, labels)
     blocks = _label_blocks(y)
     rng = np.random.default_rng(config.seed)
     dims = x.shape[1]

@@ -10,14 +10,16 @@ Binary layouts (all little-endian):
 A .pmap is read for its labels alone (``read_labels``): its float32 body
 streams through one reused buffer a cache-sized chunk at a time, each
 chunk checked and argmaxed as it arrives, and no decoder builds a ProbMap.
-Policies and per-member score reports (a teacher's per-class IoU, or its
-student's per-class certainty rho) travel as UTF-8 JSON, and feature maps
-as NumPy .npy files.  Codecs are pure functions; writes via
-``write_bytes_atomic`` never leave partial files behind.
+Feature maps are NumPy .npy files, read as training rows
+(``read_feature_rows``) in the same kind of chunks.  Policies and
+per-member score reports (a teacher's per-class IoU, or its student's
+per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions;
+writes via ``write_files_atomic`` never leave partial files behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -29,7 +31,8 @@ import uuid
 
 import numpy as np
 
-from .core import FusionPolicy, IoUReport, LabelMap, ProbabilityCheck, ProbMap
+from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FusionPolicy, IoUReport, LabelMap,
+                   ProbabilityCheck, ProbMap, _all_finite, _check_feature_layout)
 from .util import json_number
 
 _HEADER = struct.Struct("<4sIIIH")
@@ -72,9 +75,10 @@ def _check_body(data: bytes, expected: int) -> None:
         raise ValueError(f"body is {body} bytes, header implies {expected}")
 
 
-#: A .pmap body is read, checked and argmaxed in chunks of whole pixels of
-#: about this many bytes, each still in L2 cache for its passes (chunks of
-#: 128 to 512 KB were about equally fast at 19 classes, 1 MB slower).
+#: A .pmap body is read, checked and argmaxed, and a .npy body read into
+#: training rows, in chunks of whole pixels of about this many bytes, each
+#: still in L2 cache for its passes (for a .pmap, chunks of 128 to 512 KB
+#: were about equally fast at 19 classes, 1 MB slower).
 _CHUNK_BYTES = 1 << 18
 
 
@@ -85,6 +89,26 @@ def _read_into(fh, buf: memoryview) -> int:
     while got < len(buf) and (n := fh.readinto(buf[got:])):
         got += n
     return got
+
+
+def _fill(fh, buf: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Read up to ``size`` bytes of ``fh`` into the uint8 array ``buf``,
+    short only at end of file: (the buffer, the count read).  A buffer
+    shorter than ``size`` doubles, up to ``size``, only once the bytes read
+    have filled it, so memory follows the bytes that arrive."""
+    got = _read_into(fh, memoryview(buf)[:size])
+    while got == len(buf) < size:
+        grown = np.empty(min(2 * len(buf), size), np.uint8)
+        grown[:got] = buf[:got]
+        buf = grown
+        got += _read_into(fh, memoryview(buf)[got:size])
+    return buf, got
+
+
+def _take(fh, size: int) -> bytes:
+    """Up to ``size`` bytes of ``fh``, short only at end of file."""
+    buf, got = _fill(fh, np.empty(min(size, _CHUNK_BYTES), np.uint8), size)
+    return buf[:got].tobytes()
 
 
 def read_labels(source, logits: bool = False) -> LabelMap:
@@ -135,15 +159,30 @@ def read_labels(source, logits: bool = False) -> LabelMap:
     return LabelMap(labels.reshape(h, w), c)
 
 
+def _pmap_header(height: int, width: int, classes: int) -> bytes:
+    if classes > 65535:
+        raise ValueError(f"class count {classes} does not fit the u16 header field")
+    return _HEADER.pack(_PMAP_MAGIC, _VERSION, height, width, classes)
+
+
 def write_probmap(pm: ProbMap) -> bytearray:
     """Encode a .pmap: one output buffer, the values cast straight into it."""
     h, w, c = pm.values.shape
-    if c > 65535:
-        raise ValueError(f"class count {c} does not fit the u16 header field")
+    header = _pmap_header(h, w, c)
     out = bytearray(_HEADER.size + pm.values.size * 4)
-    _HEADER.pack_into(out, 0, _PMAP_MAGIC, _VERSION, h, w, c)
+    out[: _HEADER.size] = header
     np.frombuffer(out, "<f4", offset=_HEADER.size).reshape(h, w, c)[...] = pm.values
     return out
+
+
+def probmap_chunks(height: int, width: int, classes: int, blocks):
+    """A .pmap's bytes as chunks to write: the header, then each of
+    ``blocks`` (rows x classes probabilities, together the H x W pixels in
+    pixel order) cast to float32 as it comes.  Unlike ``write_probmap`` it
+    builds no whole map and checks no probability."""
+    yield _pmap_header(height, width, classes)
+    for blk in blocks:
+        yield blk.astype("<f4", order="C")
 
 
 def read_labelmap(data: bytes) -> LabelMap:
@@ -226,12 +265,14 @@ def report_from_json(text: str) -> IoUReport:
     return report
 
 
-def read_npy(data: bytes) -> np.ndarray:
-    """Decode a .npy byte string without copying its body; no objects or trailing bytes."""
-    # A stream over the header alone: BytesIO copies any buffer that is
-    # not ``bytes``, which would copy the whole body.
-    size = 2 if data[6:7] == b"\x01" else 4
-    stream = io.BytesIO(data[: 8 + size + int.from_bytes(data[8 : 8 + size], "little")])
+def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
+    """(shape, fortran_order, dtype) of the .npy header at the start of the
+    binary stream ``fh``, which is read up to the header's end and no further."""
+    head = _take(fh, 10)
+    size = 2 if head[6:7] == b"\x01" else 4
+    head += _take(fh, size - 2)
+    head += _take(fh, int.from_bytes(head[8 : 8 + size], "little"))
+    stream = io.BytesIO(head)
     try:
         version = np.lib.format.read_magic(stream)
         read_header = _NPY_HEADERS.get(version)
@@ -242,19 +283,86 @@ def read_npy(data: bytes) -> np.ndarray:
         raise ValueError(f"bad .npy file: {e}") from e
     if dtype.hasobject:
         raise ValueError("bad .npy file: object arrays are not accepted")
-    count = math.prod(shape)
-    body, expected = len(data) - stream.tell(), count * dtype.itemsize
+    return shape, fortran_order, dtype
+
+
+def _append_rows(rows: np.ndarray, end: int, v: np.ndarray, take: np.ndarray,
+                 limit: int) -> int:
+    """Copy the rows of ``v`` where ``take`` is set into ``rows`` from row
+    ``end`` on, and return the new end.  ``rows`` grows in place when they
+    do not fit: to twice its rows, at most ``limit``, so a few reallocations
+    copy it, not one per chunk."""
+    new_end = end + int(np.count_nonzero(take))
+    if new_end > len(rows):
+        rows.resize((min(max(new_end, 2 * len(rows)), limit), rows.shape[1]), refcheck=False)
+    np.compress(take, v, axis=0, out=rows[end:new_end])
+    return new_end
+
+
+def read_feature_rows(source, labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 rows of a .npy H x W x d feature map on the grid of
+    ``labels``: (x, u), the rows of its labeled pixels and of its unlabeled
+    ones, each in pixel order.
+
+    ``source`` is a binary stream at the start of the file, or its bytes,
+    as for ``read_labels``.  The body is read in chunks of whole pixels of
+    about ``_CHUNK_BYTES`` into one reused buffer; each chunk is cast to
+    float64, checked, and its rows copied onto the end of ``x`` or ``u``,
+    which grow (at most doubling) only as their pixels arrive.  The peak is
+    the rows plus one chunk, and no array is sized from the header before
+    its bytes arrive.
+    A Fortran-order body has no pixel rows to stream, so it is read whole,
+    as one chunk.  Header errors and object arrays are raised at once;
+    then, at end of file, the body size, a layout no FeatureMap takes, a
+    grid other than ``labels``', and non-finite values, in that order.
+    """
+    fh = source if hasattr(source, "readinto") else io.BytesIO(source)
+    shape, fortran, dtype = _npy_header(fh)
+    expected = math.prod(shape) * dtype.itemsize
+    try:
+        _check_feature_layout(dtype, shape)
+        if shape[:2] != (labels.height, labels.width):
+            raise ValueError("feature and label dimensions differ")
+        error, dims = None, shape[2]
+    except ValueError as e:
+        error, dims = e, 1  # raised once the body is counted
+    pixel = dims * dtype.itemsize
+    # A chunk is whole pixel rows, or a Fortran-order body whole.
+    unit = expected if fortran else pixel
+    step = _CHUNK_BYTES if error is not None else unit * max(1, _CHUNK_BYTES // unit)
+    labeled = labels.values.reshape(-1) != UNLABELED_ID
+    n_x = int(np.count_nonzero(labeled))
+    x, u, x_end, u_end = np.empty((0, dims)), np.empty((0, dims)), 0, 0
+    buf, body, finite = np.empty(min(step, _CHUNK_BYTES), np.uint8), 0, True
+    while True:
+        buf, got = _fill(fh, buf, step)
+        if not got:
+            break
+        body += got
+        if error is not None or not finite or body > expected or got % unit:
+            continue  # a verdict is decided; read on to count the body
+        v = buf[:got].view(dtype)
+        if fortran:
+            v = v.reshape(shape, order="F")
+        v = v.reshape(-1, dims).astype(np.float64, copy=False)
+        finite = _all_finite(v)
+        if finite:
+            take = labeled[(body - got) // pixel :][: len(v)]
+            x_end = _append_rows(x, x_end, v, take, n_x)
+            u_end = _append_rows(u, u_end, v, ~take, len(labeled) - n_x)
     if body != expected:
         raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
-    values = np.frombuffer(data, dtype, count=count, offset=stream.tell())
-    return values.reshape(shape, order="F" if fortran_order else "C")
+    if error is not None:
+        raise error
+    if not finite:
+        raise ValueError(_FEATURES_NOT_FINITE)
+    return x, u
 
 
 def read_file(path: str) -> memoryview:
     """What ``fh.read()`` returns for ``path``, as one read-only buffer
-    that starts on a page boundary, so a body at a multiple of its item
-    size (the u16 ids of a .lmap at byte 18, a .npy body at a multiple of
-    64) decodes to an aligned array.  The buffer grows past its ``fstat``
+    that starts on a page boundary, so the u16 ids of a .lmap at byte 18
+    decode to an aligned array.  The buffer grows past its ``fstat``
     size only when that fills, so a FIFO, or a file that changes while it
     is read, still yields what was read up to end of file.  It is
     anonymous memory, not heap, so its pages go back to the system as soon
@@ -279,25 +387,40 @@ def _anonymous(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | populate)
 
 
-def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write via a temp file + rename so readers never see partial output.
+def write_files_atomic(outputs) -> None:
+    """Write each ``(path, chunks)`` of the list ``outputs``, ``chunks`` an
+    iterable of bytes-like objects, to a temp file beside ``path``, and
+    rename the temp files to their paths only once all are written: a
+    failed write, or an error raised while the chunks are made, leaves no
+    output and no temp file, and readers never see a partial file.
 
-    The file gets mode 0666 less the umask, as ``open`` would give it, and
-    an ``OSError`` names ``path``, not the temp file.
+    The files get mode 0666 less the umask, as ``open`` would give them,
+    and an ``OSError`` names the output's path, not its temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".segfuse-{uuid.uuid4().hex}")
+    written, path = [], None
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, chunks in outputs:
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".segfuse-{uuid.uuid4().hex}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            written.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                for chunk in chunks:
+                    fh.write(chunk)
+        for tmp, path in written:
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, path) from e
+    except BaseException as e:
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from e
+        raise
+
+
+def write_bytes_atomic(path: str, data: bytes) -> None:
+    """``write_files_atomic`` of the one output ``data`` at ``path``."""
+    write_files_atomic([(path, [data])])
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -1,12 +1,16 @@
 """Helpers shared by the test modules."""
 
+import io
+import math
 import struct
+import tokenize
 from typing import Sequence
 
 import numpy as np
 
 from segfuse import fileio
-from segfuse.core import IoUReport, LabelMap, ProbMap, check_probabilities
+from segfuse.core import (UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap,
+                          check_probabilities)
 from segfuse.distill import measure_teacher
 from segfuse.policy import select_certainty
 from segfuse.unify import argmax_labels, unify
@@ -50,6 +54,62 @@ def read_labels_whole(data, logits: bool = False) -> LabelMap:
     elif not np.isfinite(body).all():
         raise ValueError("logit body contains non-finite values")
     return argmax_labels(body)
+
+
+def npy_bytes(values) -> bytes:
+    """The .npy file ``np.save`` writes for ``values``."""
+    buf = io.BytesIO()
+    np.save(buf, values)
+    return buf.getvalue()
+
+
+def random_labelmap(rng, h, w, c, unlabeled_frac=0.2) -> LabelMap:
+    """Uniform random class ids, each pixel unlabeled with ``unlabeled_frac``."""
+    vals = rng.integers(0, c, size=(h, w))
+    vals[rng.random((h, w)) < unlabeled_frac] = UNLABELED_ID
+    return LabelMap(vals, c)
+
+
+def read_features_whole(data) -> FeatureMap:
+    """The FeatureMap of a .npy's bytes, decoded from the whole buffer at
+    once: the header, the body size, then ``FeatureMap`` over a view of
+    the body.  With ``feature_rows_whole``, the oracle for
+    ``fileio.read_feature_rows``."""
+    size = 2 if data[6:7] == b"\x01" else 4
+    stream = io.BytesIO(data[: 8 + size + int.from_bytes(data[8 : 8 + size], "little")])
+    try:
+        version = np.lib.format.read_magic(stream)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported version {version}")
+        read_header = getattr(np.lib.format, f"read_array_header_{version[0]}_0")
+        shape, fortran_order, dtype = read_header(stream)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as e:
+        raise ValueError(f"bad .npy file: {e}") from e
+    if dtype.hasobject:
+        raise ValueError("bad .npy file: object arrays are not accepted")
+    count = math.prod(shape)
+    body, expected = len(data) - stream.tell(), count * dtype.itemsize
+    if body != expected:
+        raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
+    values = np.frombuffer(data, dtype, count=count, offset=stream.tell())
+    return FeatureMap(values.reshape(shape, order="F" if fortran_order else "C"))
+
+
+def feature_rows_whole(data, labels: LabelMap):
+    """(labeled rows, unlabeled rows) of ``read_features_whole(data)`` on
+    the grid of ``labels``, each in pixel order."""
+    feats = read_features_whole(data)
+    if (feats.height, feats.width) != (labels.height, labels.width):
+        raise ValueError("feature and label dimensions differ")
+    rows = feats.values.reshape(-1, feats.dims)
+    labeled = labels.values.reshape(-1) != UNLABELED_ID
+    return rows[labeled], rows[~labeled]
+
+
+def average_fuse_stacked(teachers: Sequence[ProbMap]) -> np.ndarray:
+    """The mean of the member maps over a T x H x W x C stack: the oracle
+    for ``average_fuse``."""
+    return np.stack([t.values for t in teachers]).mean(axis=0)
 
 
 def softmax_inplace(z: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import LabelMap, ProbMap, stack_reports
+from segfuse.core import FeatureMap, LabelMap, ProbMap, stack_reports
 from segfuse.distill import TrainConfig, measure_teacher, student_forward, train_student
 from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
@@ -40,7 +40,7 @@ from segfuse.synth import (
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
-from helpers import read_probmap, reports_from_matrix
+from helpers import npy_bytes, random_labelmap, read_probmap, reports_from_matrix
 
 
 def _write_in_pieces(path, data: bytes, piece: int) -> None:
@@ -49,6 +49,22 @@ def _write_in_pieces(path, data: bytes, piece: int) -> None:
         for i in range(0, len(data), piece):
             fh.write(data[i : i + piece])
             fh.flush()
+
+
+def _distill_argv(features, labels, out) -> list[str]:
+    """``distill`` of ``features`` on ``labels``, its three outputs in ``out``."""
+    return ["distill", "--features", str(features), "--labels", str(labels), "--seed", "3",
+            "--iterations", "3", "-o", str(out / "m.npz"),
+            "--probmap-out", str(out / "s.pmap"), "--trace-out", str(out / "t.csv")]
+
+
+def _distill_outputs(out) -> dict:
+    """The outputs of ``_distill_argv`` in ``out``; the model's arrays, not
+    its .npz, whose zip entries carry timestamps."""
+    with np.load(out / "m.npz") as model:
+        params = model["weights"].tobytes() + model["bias"].tobytes()
+    return {"params": params, "pmap": (out / "s.pmap").read_bytes(),
+            "trace": (out / "t.csv").read_bytes()}
 
 
 def _subcommands(parser):
@@ -229,6 +245,44 @@ class TestWrapperFidelity:
             summary = json.loads(capsys.readouterr().out)
             assert summary["final_loss"] == pytest.approx(float(want.losses[-1]))
 
+    @pytest.mark.parametrize("unwritable", ["m.npz", "s.pmap", "t.csv"])
+    def test_distill_leaves_no_partial_output(self, scene, capsys, unwritable):
+        tmp, gt, feats, teachers, paths = scene
+        out = tmp / "out"
+        out.mkdir()
+        argv = _distill_argv(paths["feats"], paths["gt"], out)
+        bad = str(tmp / "missing" / unwritable)
+        argv[argv.index(str(out / unwritable))] = bad
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"].endswith(f": '{bad}'")
+        assert list(out.iterdir()) == []
+        assert not list(tmp.glob(".segfuse-*"))
+
+    def test_distill_probmap_peak_grows_by_about_the_extra_features(self, tmp_path):
+        # the float64 feature rows are held once; the rest does not grow
+        # with the map (at the parent, a float64 map and the encoded .pmap
+        # came on top of the rows)
+        peaks, feature_bytes = {}, {}
+        for h, w in [(128, 256), (256, 512)]:
+            rng = np.random.default_rng(h)
+            values = rng.normal(size=(h, w, 19))
+            np.save(tmp_path / "f.npy", values)
+            feature_bytes[h] = values.nbytes
+            del values
+            labels = random_labelmap(rng, h, w, 19, 0.1)
+            (tmp_path / "l.lmap").write_bytes(fileio.write_labelmap(labels))
+            argv = ["distill", "--features", str(tmp_path / "f.npy"), "--labels",
+                    str(tmp_path / "l.lmap"), "--seed", "0", "--iterations", "1",
+                    "-o", str(tmp_path / "m.npz"), "--probmap-out", str(tmp_path / "s.pmap")]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[256] - peaks[128] <= 1.2 * (feature_bytes[256] - feature_bytes[128])
+
     def test_distill_has_one_flag_per_training_field(self):
         actions = _subcommands(build_parser())["distill"]._actions
         for field in fields(TrainConfig):
@@ -372,20 +426,55 @@ class TestFileReads:
         got = fileio.read_labelmap((tmp_path / "u.lmap").read_bytes())
         np.testing.assert_array_equal(got.values, unify(pm).values)
 
-    def test_npy_body_stays_aligned(self, scene, monkeypatch):
-        tmp, gt, feats, teachers, paths = scene
+    def test_npy_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
+        # 130 x 256 x 4 float64 is four whole chunks and a part of one more
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(130, 256, 4))
+        labels = random_labelmap(rng, 130, 256, 3, 0.1)
+        np.save(tmp_path / "f.npy", values)
+        (tmp_path / "l.lmap").write_bytes(fileio.write_labelmap(labels))
         seen = []
 
-        def read_npy(data, _read=fileio.read_npy):
-            values = _read(data)
-            seen.append((values.flags.aligned, values.flags.writeable))
-            return values
+        def recording(v, _check=fileio._all_finite):
+            seen.append((v.ctypes.data, v.nbytes, v.flags.aligned))
+            return _check(v)
 
-        monkeypatch.setattr(fileio, "read_npy", read_npy)
-        assert main(["distill", "--features", str(paths["feats"]), "--labels",
-                     str(paths["gt"]), "--iterations", "2", "--seed", "0",
-                     "-o", str(tmp / "m.npz")]) == 0
-        assert seen == [(True, False)]
+        monkeypatch.setattr(fileio, "_all_finite", recording)
+        assert main(["distill", "--features", str(tmp_path / "f.npy"), "--labels",
+                     str(tmp_path / "l.lmap"), "--iterations", "2", "--seed", "0",
+                     "-o", str(tmp_path / "m.npz")]) == 0
+        assert len(seen) == 5 and len({start for start, _, _ in seen}) == 1
+        assert all(aligned and size <= fileio._CHUNK_BYTES for _, size, aligned in seen)
+        assert sum(size for _, size, _ in seen) == values.nbytes
+        want = train_student(FeatureMap(values), labels, TrainConfig(iterations=2, seed=0))
+        with np.load(tmp_path / "m.npz") as model:
+            assert np.array_equal(model["weights"], want.model.weights)
+            assert np.array_equal(model["bias"], want.model.bias)
+
+    @pytest.mark.parametrize("piece", [None, 1000], ids=["whole", "1000-byte-writes"])
+    def test_fifo_features_give_the_file_outputs(self, tmp_path, piece):
+        # 96 x 512 x 4 float64 is six chunks
+        gt, feats = gen_ground_truth(96, 512, 4, region_scale=16, seed=0)
+        np.save(tmp_path / "f.npy", feats.values)
+        (tmp_path / "gt.lmap").write_bytes(fileio.write_labelmap(gt))
+        for out in ("a", "b"):
+            (tmp_path / out).mkdir()
+        assert main(_distill_argv(tmp_path / "f.npy", tmp_path / "gt.lmap", tmp_path / "a")) == 0
+        fifo = tmp_path / "fifo.npy"
+        argv = _distill_argv(fifo, tmp_path / "gt.lmap", tmp_path / "b")
+        data = (tmp_path / "f.npy").read_bytes()
+        assert self.main_through_fifo(fifo, data, argv, piece) == 0
+        assert _distill_outputs(tmp_path / "b") == _distill_outputs(tmp_path / "a")
+
+    def test_fortran_order_features_give_the_same_outputs(self, scene, tmp_path):
+        # read whole, as one chunk: a Fortran-order body has no pixel rows
+        tmp, gt, feats, teachers, paths = scene
+        np.save(tmp / "f.npy", np.asfortranarray(feats.values))
+        assert b"'fortran_order': True" in (tmp / "f.npy").read_bytes()[:128]
+        for out, features in (("a", paths["feats"]), ("b", tmp / "f.npy")):
+            (tmp / out).mkdir()
+            assert main(_distill_argv(features, paths["gt"], tmp / out)) == 0
+        assert _distill_outputs(tmp / "b") == _distill_outputs(tmp / "a")
 
     @staticmethod
     def main_through_fifo(fifo, data, argv, piece=None) -> int:
@@ -733,12 +822,6 @@ class TestErrorHandling:
         assert not out.exists()
 
 
-def _npy(values) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, values)
-    return buf.getvalue()
-
-
 def _decoder_inputs(directory):
     """Valid inputs of every decoding command, on an 8 x 12 scene."""
     gt, feats = gen_ground_truth(8, 12, 4, region_scale=3, seed=1)
@@ -750,7 +833,7 @@ def _decoder_inputs(directory):
         "t2.pmap": fileio.write_probmap(soften(labels[2], 1.0)),
         "gt.lmap": fileio.write_labelmap(gt),
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
-        "feats.npy": _npy(feats.values),
+        "feats.npy": npy_bytes(feats.values),
     }
     gt1, _ = gen_ground_truth(6, 10, 4, region_scale=3, seed=2)
     files["e1.lmap"] = fileio.write_labelmap(corrupt_teacher(gt1, [0.2] * 4, 5))
@@ -934,7 +1017,7 @@ class TestDecoderFuzz:
         _run_rejected(directory, _argv(command, path))
 
     @pytest.mark.parametrize("command, names, content", [
-        ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 4), dtype=[("a", "<f8")]))),
+        ("distill", ["feats.npy"], npy_bytes(np.zeros((8, 12, 4), dtype=[("a", "<f8")]))),
         ("select-policy oracle", ["phi0.json"], b'{"per_class": 5}'),
         ("select-policy oracle", ["phi0.json", "phi1.json", "phi2.json"],
          b'{"per_class": [true, 0.5]}'),
@@ -946,14 +1029,14 @@ class TestDecoderFuzz:
          b'{"per_class": [0.5, 0.2], "miou": "abc"}'),
         ("select-policy certainty", ["rho0.json", "rho1.json", "rho2.json"],
          b'{"per_class": [0.5, 0.2], "miou": 0.99}'),
-        ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 0)))),
+        ("distill", ["feats.npy"], npy_bytes(np.zeros((8, 12, 0)))),
         ("select-policy certainty", ["rho1.json"], b"[" * 200_000),
         ("select-policy oracle", ["phi0.json"], b"[" * 200_000),
         ("fuse-channel", ["policy.json"], b"[" * 200_000),
         ("fuse-channel", ["policy.json"], b'{"classes": 4, "assignment": [0, 1, 2, 0]}'),
-        ("distill", ["feats.npy"], _npy(np.full((8, 12, 4), 0.5, dtype=object))),
-        ("distill", ["feats.npy"], _npy(np.zeros((8, 12, 4)))[:6] + b"\x04"
-         + _npy(np.zeros((8, 12, 4)))[7:]),
+        ("distill", ["feats.npy"], npy_bytes(np.full((8, 12, 4), 0.5, dtype=object))),
+        ("distill", ["feats.npy"], npy_bytes(np.zeros((8, 12, 4)))[:6] + b"\x04"
+         + npy_bytes(np.zeros((8, 12, 4)))[7:]),
         ("unify", ["t0.pmap"], fileio._HEADER.pack(b"PMAP", 1, 0, 12, 4)),
         ("eval", ["t1.lmap"], fileio._HEADER.pack(b"LMAP", 1, 8, 0, 4)),
     ], ids=["features-structured-dtype", "phi-number",

@@ -33,10 +33,12 @@ from segfuse.distill import (
     train_student,
 )
 from segfuse.policy import select_certainty
-from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
+from segfuse.synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, corrupt_teacher,
+                           gen_ground_truth, make_benchmark, make_underperformer_maps,
+                           soften)
 from segfuse.unify import unify
 
-from helpers import certainty_policy, certainty_report
+from helpers import average_fuse_stacked, certainty_policy, certainty_report
 
 
 def prob(rows):
@@ -70,6 +72,34 @@ class TestAverageFuse:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             average_fuse([])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_of_the_stacked_mean(self, seed):
+        # robustness' members: the teachers, then one under-performer re-added
+        bench = make_benchmark(BenchmarkConfig(), seed)
+        members = [soften(maps[0], temp)
+                   for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
+        bad = soften(make_underperformer_maps(bench, seed)[0], UNDERPERFORMER_TEMPERATURE)
+        members += [bad] * 3
+        for k in range(1, len(members) + 1):
+            got = average_fuse(members[:k]).values
+            assert np.array_equal(got, average_fuse_stacked(members[:k])), k
+
+    def test_peak_does_not_grow_with_the_member_count(self):
+        rng = np.random.default_rng(0)
+        raw = rng.random((64, 64, 8)) + 1e-3
+        member = ProbMap(raw / raw.sum(axis=2, keepdims=True))
+        peaks = []
+        for count in (2, 8):
+            tracemalloc.start()
+            try:
+                average_fuse([member] * count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one summed map and the ProbMap check's temporaries, whatever the count
+        assert peaks[1] <= peaks[0] + 4096
+        assert peaks[1] < 2.5 * member.values.nbytes
 
 
 def certain_model(classes, winner, dims=2):
@@ -183,6 +213,14 @@ class TestStudentForward:
         model = ToyStudent(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
             student_forward(model, FeatureMap(np.zeros((2, 2, 5))))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_feature_map_rejects_any_non_finite_value(self, value, where):
+        v = np.random.default_rng(0).normal(size=(6, 7, 5))
+        v.reshape(-1)[{"first": 0, "middle": v.size // 2, "last": -1}[where]] = value
+        with pytest.raises(ValueError, match="^feature map contains non-finite values$"):
+            FeatureMap(v)
 
     @pytest.mark.parametrize("shape", [(8, 8, 0), (0, 8, 3), (8, 0, 3)])
     def test_feature_map_rejects_an_empty_map(self, shape):

@@ -1,3 +1,4 @@
+import io
 import os
 import stat
 import struct
@@ -19,7 +20,8 @@ from segfuse.core import (
 from segfuse.synth import BenchmarkConfig, make_benchmark, soften
 from segfuse.unify import unify
 
-from helpers import read_labels_whole, read_probmap
+from helpers import (feature_rows_whole, npy_bytes, random_labelmap, read_labels_whole,
+                     read_probmap)
 
 HEADER = struct.Struct("<4sIIIH")
 
@@ -29,12 +31,6 @@ def random_probmap(rng, h, w, c):
     raw = rng.random((h, w, c)).astype(np.float32).astype(np.float64) + 1e-3
     probs = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
     return ProbMap(probs.astype(np.float64))
-
-
-def random_labelmap(rng, h, w, c, unlabeled_frac=0.2):
-    vals = rng.integers(0, c, size=(h, w))
-    vals[rng.random((h, w)) < unlabeled_frac] = UNLABELED_ID
-    return LabelMap(vals, c)
 
 
 class TestProbMapCodec:
@@ -447,6 +443,180 @@ class TestChunkedReads:
                                       v.argmax(axis=1)[None])
 
 
+def _row_chunk(dims: int, itemsize: int) -> int:
+    """Pixels in one of ``read_feature_rows``' chunks."""
+    return max(1, fileio._CHUNK_BYTES // (dims * itemsize))
+
+
+_NPY_DTYPES = ["<f8", ">f8", "<f4", "<i2", "|b1"]
+
+
+@st.composite
+def npy_files(draw):
+    """(.npy bytes, labels) sized around ``read_feature_rows``' chunk (1
+    pixel, one chunk less or more one pixel row, whole chunks, anything up
+    to three chunks), in any of ``_NPY_DTYPES`` and either order, with
+    non-finite values placed in chosen chunks, then maybe a body cut inside
+    a chunk or at a chunk boundary, or trailing bytes."""
+    dtype = np.dtype(draw(st.sampled_from(_NPY_DTYPES)))
+    dims = draw(st.sampled_from([1, 3, 19]))
+    step = _row_chunk(dims, dtype.itemsize)
+    pixels = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step, 3 * step - 1])
+                  .filter(lambda n: n >= 1) | st.integers(1, 3 * step))
+    width = draw(st.sampled_from([d for d in (1, 2, 3, 5, 7) if pixels % d == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype.kind == "f":
+        v = (rng.normal(size=(pixels, dims)) * 1e3).astype(dtype)
+        for _ in range(draw(st.integers(0, 2))):
+            chunk = draw(st.integers(0, (pixels - 1) // step))
+            i = draw(st.integers(chunk * step, min(pixels, (chunk + 1) * step) - 1))
+            v[i, draw(st.integers(0, dims - 1))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif dtype.kind == "i":
+        v = rng.integers(-2**15, 2**15, size=(pixels, dims)).astype(dtype)
+    else:
+        v = rng.random((pixels, dims)) < 0.5
+    v = v.reshape(pixels // width, width, dims)
+    data = npy_bytes(np.asfortranarray(v) if draw(st.booleans()) else v)
+    header = len(npy_bytes(v[:0]))  # the header does not depend on the shape's size here
+    cut = draw(st.sampled_from(["none", "inside", "boundary", "trailing"]))
+    if cut == "inside":
+        data = data[: draw(st.integers(header, len(data) - 1))]
+    elif cut == "boundary":
+        data = data[: header + draw(st.integers(0, (pixels - 1) // step))
+                    * step * dims * dtype.itemsize]
+    elif cut == "trailing":
+        data += bytes(draw(st.sampled_from([1, dims * dtype.itemsize, 4097])))
+    labels = random_labelmap(rng, pixels // width, width, 3,
+                             draw(st.sampled_from([0.0, 0.2, 1.0])))
+    return data, labels
+
+
+class TestReadFeatureRows:
+    """read_feature_rows over chunks gives the rows or the exact error of
+    the decode of the whole buffer (today's ``FeatureMap`` of the .npy),
+    however the body is cut into chunks and however short the stream's
+    reads are."""
+
+    @staticmethod
+    def assert_same_as_whole(source, data, labels):
+        try:
+            want = feature_rows_whole(data, labels)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                fileio.read_feature_rows(source, labels)
+            assert str(err.value) == str(e)
+        else:
+            got = fileio.read_feature_rows(source, labels)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
+
+    @given(npy_files(), st.sampled_from([5, 1000, 65537]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows_or_error_as_the_whole_decode(self, file, piece):
+        data, labels = file
+        self.assert_same_as_whole(data, data, labels)
+        self.assert_same_as_whole(Trickle(data, max(piece, len(data) // 1000)), data, labels)
+
+    @pytest.mark.parametrize("dtype", _NPY_DTYPES)
+    @pytest.mark.parametrize("rows", [1, 0, -1], ids=["chunk+1row", "chunk", "chunk-1row"])
+    def test_one_chunk_give_or_take_a_pixel_row(self, dtype, rows):
+        # a pixel row is one pixel's d features; width 1 makes it one image row
+        step = _row_chunk(19, np.dtype(dtype).itemsize)
+        v = (np.random.default_rng(3).normal(size=(step + rows, 1, 19)) * 100).astype(dtype)
+        labels = random_labelmap(np.random.default_rng(4), step + rows, 1, 3)
+        data = npy_bytes(v)
+        self.assert_same_as_whole(data, data, labels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cut", ["none", "short", "long"])
+    def test_a_bad_value_in_a_later_chunk_loses_to_the_body_size(self, value, cut):
+        step = _row_chunk(19, 8)
+        v = np.random.default_rng(5).normal(size=(3 * step, 1, 19))
+        v[2 * step + 1, 0, 7] = value
+        data = npy_bytes(v)
+        data = {"none": data, "short": data[:-8], "long": data + b"\0"}[cut]
+        labels = random_labelmap(np.random.default_rng(6), 3 * step, 1, 3)
+        message = ("^feature map contains non-finite values$" if cut == "none"
+                   else "^bad .npy file: body is ")
+        for source in (data, Trickle(data, 1000)):
+            with pytest.raises(ValueError, match=message):
+                fileio.read_feature_rows(source, labels)
+        self.assert_same_as_whole(data, data, labels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_any_non_finite_value_is_found(self, value, where):
+        v = np.random.default_rng(7).normal(size=(40, 50, 19))
+        flat = v.reshape(-1)
+        flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = value
+        labels = random_labelmap(np.random.default_rng(8), 40, 50, 3)
+        with pytest.raises(ValueError, match="^feature map contains non-finite values$"):
+            fileio.read_feature_rows(npy_bytes(v), labels)
+
+    def test_the_grid_must_be_the_labels_grid(self):
+        data = npy_bytes(np.zeros((8, 12, 4)))
+        for h, w in [(12, 8), (8, 11), (9, 12)]:
+            labels = random_labelmap(np.random.default_rng(0), h, w, 3)
+            with pytest.raises(ValueError, match="^feature and label dimensions differ$"):
+                fileio.read_feature_rows(data, labels)
+        # the body size is decided first, non-finite values after the grid
+        with pytest.raises(ValueError, match="^bad .npy file: body is "):
+            fileio.read_feature_rows(data[:-1], labels)
+        with pytest.raises(ValueError, match="^feature and label dimensions differ$"):
+            fileio.read_feature_rows(npy_bytes(np.full((8, 12, 4), np.nan)), labels)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((8, 12, 4), np.complex128),
+         "feature map must hold real numbers, got dtype complex128"),
+        (np.zeros((8, 12)), r"feature map must be H x W x d, got shape \(8, 12\)"),
+        (np.zeros((8, 12, 0)), r"bad feature map shape \(8, 12, 0\)"),
+    ], ids=["complex", "2-d", "empty"])
+    def test_a_bad_layout_is_decided_after_the_body_size(self, values, message):
+        labels = random_labelmap(np.random.default_rng(0), 8, 12, 3)
+        data = npy_bytes(values)
+        for body, want in [(data, f"^{message}$"),
+                           (data + b"\0", "^bad .npy file: body is ")]:
+            with pytest.raises(ValueError, match=want):
+                fileio.read_feature_rows(body, labels)
+            self.assert_same_as_whole(body, body, labels)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2**27), (2**20, 2**20, 19)])
+    def test_a_huge_header_sizes_no_array(self, shape):
+        # 1 GiB for the one pixel the labels have, or a grid no labels match
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        data = header.getvalue() + bytes(64)
+        grid = shape[:2] if shape[0] == 1 else (8, 8)
+        labels = LabelMap(np.zeros(grid, np.uint16), 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^bad .npy file: body is 64 bytes"):
+                fileio.read_feature_rows(data, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_huge_header_length_reads_no_further_than_the_file(self):
+        # a version 2 header may claim 4 GiB of header text
+        data = b"\x93NUMPY\x02\x00" + struct.pack("<I", 2**32 - 1) + b"{'descr'"
+        labels = random_labelmap(np.random.default_rng(0), 2, 2, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^bad .npy file: EOF"):
+                fileio.read_feature_rows(data, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ValueError) as err:
+            feature_rows_whole(data, labels)
+        assert "EOF" in str(err.value)
+
+
 class TestJsonCsv:
     def test_policy_roundtrip(self):
         p = FusionPolicy(np.array([0, 2, 1]), 3)
@@ -510,14 +680,29 @@ class TestReadFile:
         if size:
             assert np.frombuffer(data, np.uint8).ctypes.data % 8 == 0
 
-    def test_npy_body_is_decoded_in_place(self, tmp_path):
+    def test_npy_body_is_decoded_in_place_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # 130 x 256 x 4 little-endian float64 is four whole chunks and a part
+        # of one more; each is checked as an aligned float64 view of one
+        # reused buffer, not a copy
+        values = np.random.default_rng(0).normal(size=(130, 256, 4))
         path = tmp_path / "f.npy"
-        np.save(path, np.arange(24.0).reshape(2, 3, 4))
-        data = fileio.read_file(str(path))
-        values = fileio.read_npy(data)
-        np.testing.assert_array_equal(values, np.arange(24.0).reshape(2, 3, 4))
-        assert values.flags.aligned and not values.flags.writeable
-        assert np.shares_memory(values, np.frombuffer(data, np.uint8))
+        np.save(path, values)
+        seen = []
+
+        def recording(v, _check=fileio._all_finite):
+            seen.append((v.ctypes.data, v.nbytes, v.flags.aligned, v.base is not None))
+            return _check(v)
+
+        monkeypatch.setattr(fileio, "_all_finite", recording)
+        labels = random_labelmap(np.random.default_rng(1), 130, 256, 3)
+        with open(path, "rb") as fh:
+            x, u = fileio.read_feature_rows(fh, labels)
+        assert len(seen) == 5 and len({start for start, *_ in seen}) == 1
+        assert all(aligned and view and size <= fileio._CHUNK_BYTES
+                   for _, size, aligned, view in seen)
+        assert sum(size for _, size, *_ in seen) == values.nbytes
+        rows, labeled = values.reshape(-1, 4), labels.values.reshape(-1) != UNLABELED_ID
+        assert np.array_equal(x, rows[labeled]) and np.array_equal(u, rows[~labeled])
 
 
 class TestAtomicWrite:
@@ -537,6 +722,17 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_an_output_that_fails_leaves_no_output(self, tmp_path):
+        def chunks():
+            yield b"part"
+            raise ValueError("broken")
+
+        outputs = [(str(tmp_path / "a.bin"), [b"a"]), (str(tmp_path / "b.bin"), chunks()),
+                   (str(tmp_path / "c.bin"), [b"c"])]
+        with pytest.raises(ValueError, match="^broken$"):
+            fileio.write_files_atomic(outputs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_directory_error_names_the_output_path(self, tmp_path):
         path = str(tmp_path / "nope" / "out.bin")
