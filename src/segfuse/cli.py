@@ -130,8 +130,10 @@ def cmd_distill(args) -> int:
     labels = _load(args.labels, fileio.read_labelmap)
     x, u = _load(args.features, fileio.read_feature_rows, labels, stream=True)
     labeled = labels.values.reshape(-1) != UNLABELED_ID
-    y = labels.values.reshape(-1)[labeled].astype(np.intp)
-    result = train_rows(x, y, labels.num_classes, config)
+    # The class ids become train_rows' label positions; none outlives it,
+    # so the --probmap-out write does not hold them.
+    result = train_rows(x, labels.values.reshape(-1)[labeled].astype(np.intp),
+                        labels.num_classes, config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
     outputs = [(args.output, [buf.getvalue()])]

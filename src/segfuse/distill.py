@@ -116,16 +116,21 @@ def _pixel_rows(model, feats):
     return feats.values.reshape(-1, feats.dims)
 
 
+def _augmented_weights(model):
+    """``model``'s classes x (d+1) weights with its bias as the last column."""
+    return np.column_stack([model.weights, model.bias])
+
+
 def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
     """Per-pixel softmax(W x + b)."""
-    probs = _class_probs(_pixel_rows(model, feats), model.weights, model.bias)
+    probs = _class_probs(_pixel_rows(model, feats), _augmented_weights(model))
     return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
 
 #: Rows per block of the student's softmax, its CE step and its certainty
-#: (rho) pass: blocks of 8,192 to 16,352 rows keep a block's passes in
-#: cache, and none but the remainder block is so short that its matmul
-#: takes BLAS's small-matrix kernel.
+#: (rho) pass, and of the class-major training blocks: blocks of 8,192 to
+#: 16,352 rows keep a block's passes in cache, and none but the remainder
+#: block is so short that its matmuls take BLAS's small-matrix kernel.
 _BLOCK_ROWS = 8192
 
 #: Every block but the remainder is a whole number of these rows, so that
@@ -147,57 +152,113 @@ def _row_blocks(n):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _block_buffer(classes, blocks):
-    """One flat buffer for the classes x rows block of the longest of ``blocks``."""
-    return np.empty(classes * max(b.stop - b.start for b in blocks))
+def _block_buffers(wb, blocks):
+    """Flat buffers for one (d+1) x rows input and one classes x rows
+    output block of the weights ``wb``, rows the longest of ``blocks``."""
+    rows = max(b.stop - b.start for b in blocks)
+    return np.empty(wb.shape[1] * rows), np.empty(wb.shape[0] * rows)
 
 
-def _block_probs(x, weights, bias, buf):
-    """Write softmax(weights @ x.T + bias) of the rows x, class-major
-    (classes x rows), into the head of the flat ``buf`` and return it.
-
-    Every pass runs along the rows, and the class sum is a BLAS product
-    with ones: tied classes get equal bits."""
-    out = buf[: weights.shape[0] * x.shape[0]].reshape(weights.shape[0], x.shape[0])
-    np.matmul(weights, x.T, out=out)
-    out += bias[:, None]
-    out -= out.max(axis=0)
-    np.exp(out, out=out)
-    out /= np.ones(out.shape[0]) @ out
+def _augmented(x, buf):
+    """The rows x as one class-major (d+1) x rows block with a row of ones
+    last, written into the head of the flat ``buf`` and returned."""
+    out = buf[: (x.shape[1] + 1) * x.shape[0]].reshape(x.shape[1] + 1, x.shape[0])
+    out[:-1] = x.T
+    out[-1] = 1.0
     return out
 
 
-def _class_probs(x, weights, bias):
-    """softmax(x @ weights.T + bias) of the rows x, as one new rows x classes array."""
-    probs = np.empty((x.shape[0], weights.shape[0]))
+class _TrainingBlocks:
+    """The class-major training blocks of ``n`` rows of ``dims`` features:
+    one exact-size (dims+1) x rows array, its last row ones, per block of
+    ``_row_blocks(n)``, in ``blocks`` once all ``n`` rows were added.
+
+    Rows arrive row-major (``add``).  At most one block of them is staged,
+    in a buffer that grows in place, at most doubling, only as rows arrive;
+    each block is transposed into its class-major array once its rows are in.
+    So no array is sized before its rows arrive, and the peak is the
+    blocks plus one block of staged rows."""
+
+    def __init__(self, n, dims):
+        self.blocks = []
+        self._sizes = [b.stop - b.start for b in reversed(_row_blocks(n))]
+        self._stage, self._end = np.empty((0, dims)), 0
+
+    def add(self, rows, idx):
+        """Append ``rows[idx]``: the float64 rows ``rows`` at the positions ``idx``."""
+        while len(idx):
+            size = self._sizes[-1]
+            start, end = self._end, min(self._end + len(idx), size)
+            if end > len(self._stage):
+                grown = min(max(end, 2 * len(self._stage)), size)
+                self._stage.resize((grown, rows.shape[1]), refcheck=False)
+            # mode="clip" keeps take from buffering a copy of ``out``.
+            np.take(rows, idx[: end - start], axis=0, out=self._stage[start:end], mode="clip")
+            idx, self._end = idx[end - start :], end
+            if end == size:
+                flat = np.empty(size * (rows.shape[1] + 1))
+                self.blocks.append(_augmented(self._stage[:size], flat))
+                self._sizes.pop()
+                self._end = 0
+
+
+def _block_probs(xb, wb, buf):
+    """Write softmax(wb @ xb) of the class-major block ``xb`` ((d+1) x
+    rows, ones last) under the classes x (d+1) weights ``wb`` (bias last),
+    class-major (classes x rows), into the head of the flat ``buf`` and
+    return it.
+
+    The bias is in the gemm, every pass runs along the rows, and the class
+    sum is a BLAS product with ones: tied classes get equal bits."""
+    out = buf[: wb.shape[0] * xb.shape[1]].reshape(wb.shape[0], xb.shape[1])
+    np.matmul(wb, xb, out=out)
+    out -= out.max(axis=0)
+    np.exp(out, out=out)
+    total = np.ones(out.shape[0]) @ out
+    out *= np.reciprocal(total, out=total)
+    return out
+
+
+def _class_probs(x, wb):
+    """softmax(wb @ [x | 1].T) of the rows x, as one new rows x classes array."""
+    probs = np.empty((x.shape[0], wb.shape[0]))
     blocks = _row_blocks(x.shape[0])
-    buf = _block_buffer(weights.shape[0], blocks)
+    xbuf, buf = _block_buffers(wb, blocks)
     for rows in blocks:
-        probs[rows] = _block_probs(x[rows], weights, bias, buf).T
+        probs[rows] = _block_probs(_augmented(x[rows], xbuf), wb, buf).T
     return probs
 
 
-def student_blocks(model: ToyStudent, x, u, labeled):
+def student_blocks(model: ToyStudent, blocks, u, labeled):
     """``student_forward``'s probabilities of one image, one block at a time.
 
-    ``labeled`` is the image's flat labeled-pixel mask, and ``x`` and ``u``
-    are the feature rows of its labeled and unlabeled pixels, each in pixel
-    order.  Each of ``student_forward``'s row blocks is gathered back into
-    pixel order and yielded as its rows x classes probabilities, a view of
-    one reused buffer, with ``student_forward``'s bits.
+    ``labeled`` is the image's flat labeled-pixel mask, ``blocks`` the
+    class-major training blocks of its labeled pixels (``_TrainingBlocks``)
+    and ``u`` the rows of its unlabeled ones, each in pixel order.  Each of
+    ``student_forward``'s row blocks is gathered back into pixel order,
+    class-major with its row of ones, and yielded as its rows x classes
+    probabilities, a view of one reused buffer, with ``student_forward``'s
+    bits.
     """
-    blocks = _row_blocks(len(labeled))
-    buf = _block_buffer(model.num_classes, blocks)
-    rows = np.empty((max(b.stop - b.start for b in blocks), model.feature_dims))
-    i = j = 0
-    for b in blocks:
+    wb = _augmented_weights(model)
+    cuts = _row_blocks(len(labeled))
+    xbuf, buf = _block_buffers(wb, cuts)
+    source, cur, off, j = iter(blocks), np.empty((wb.shape[1], 0)), 0, 0
+    for b in cuts:
         m = labeled[b]
-        k = int(np.count_nonzero(m))
-        blk = rows[: len(m)]
-        blk[m] = x[i : i + k]
-        blk[~m] = u[j : j + len(m) - k]
-        i, j = i + k, j + len(m) - k
-        yield _block_probs(blk, model.weights, model.bias, buf).T
+        xb = xbuf[: wb.shape[1] * len(m)].reshape(wb.shape[1], len(m))
+        pos = np.flatnonzero(m)
+        while len(pos):  # the labeled columns, read on across training blocks
+            if off == cur.shape[1]:
+                cur, off = next(source), 0
+            k = min(len(pos), cur.shape[1] - off)
+            xb[:, pos[:k]] = cur[:, off : off + k]
+            pos, off = pos[k:], off + k
+        rest = len(m) - int(np.count_nonzero(m))
+        xb[:-1, ~m] = u[j : j + rest].T
+        xb[-1, ~m] = 1.0
+        j += rest
+        yield _block_probs(xb, wb, buf).T
 
 
 def _certainty(model, feats):
@@ -209,13 +270,13 @@ def _certainty(model, feats):
     time through one reused buffer, so memory does not grow with the image
     count; per-block sums move the last bits of a per-class masked sum.
     """
-    classes = model.num_classes
+    classes, wb = model.num_classes, _augmented_weights(model)
     images = [(x, _row_blocks(len(x))) for x in (_pixel_rows(model, f) for f in feats)]
-    buf = _block_buffer(classes, [b for _, bs in images for b in bs])
+    xbuf, buf = _block_buffers(wb, [b for _, bs in images for b in bs])
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
     for x, bs in images:
         for b in bs:
-            blk = _block_probs(x[b], model.weights, model.bias, buf)
+            blk = _block_probs(_augmented(x[b], xbuf), wb, buf)
             ids = blk.argmax(axis=0)
             sums += np.bincount(ids, weights=blk.max(axis=0), minlength=classes)
             counts += np.bincount(ids, minlength=classes)
@@ -239,10 +300,10 @@ def _as_list(x, cls):
 
 
 def _labeled_rows(feats, labels):
-    """Stack (features, labels) image lists into rows of the labeled pixels.
+    """The labeled pixels of (features, labels) image lists as training rows.
 
-    Returns (features, int class ids, class count).  Each image's labeled
-    rows are copied straight into the one preallocated output.
+    Returns (class-major training blocks, int class ids, class count).
+    Each image's labeled rows go straight into ``_TrainingBlocks``.
     """
     feats = _as_list(feats, FeatureMap)
     labels = _as_list(labels, LabelMap)
@@ -256,57 +317,71 @@ def _labeled_rows(feats, labels):
         if f.dims != dims or l.num_classes != classes:
             raise ValueError("images disagree on feature dim or class count")
     n = sum(int(np.count_nonzero(l.values != UNLABELED_ID)) for l in labels)
-    x, y = np.empty((n, dims)), np.empty(n, np.intp)
+    x, y = _TrainingBlocks(n, dims), np.empty(n, np.intp)
     start = 0
     for f, l in zip(feats, labels):
         idx = np.flatnonzero(l.values != UNLABELED_ID)
-        rows = slice(start, start + idx.size)
-        # mode="clip" keeps take from buffering a copy of ``out``.
-        np.take(f.values.reshape(-1, dims), idx, axis=0, out=x[rows], mode="clip")
-        y[rows] = l.values.reshape(-1)[idx]
-        start = rows.stop
-    return x, y, classes
+        x.add(f.values.reshape(-1, dims), idx)
+        y[start : start + idx.size] = l.values.reshape(-1)[idx]
+        start += idx.size
+    return x.blocks, y, classes
 
 
-def _label_blocks(y):
-    """Each row block's (rows, flat positions of its labels in a classes x
-    block-rows array), written over ``y``: found once per training, uncopied."""
+def _label_blocks(blocks, y, classes):
+    """(label sums, each block's flat label positions) of the training
+    blocks labeled by ``y``, found once per training.  The label sums,
+    onehot(y) @ [x | 1] summed by one BLAS product per block, are what a CE
+    step's gradient subtracts; the positions (in a classes x block-rows
+    array) are written over ``y``, uncopied."""
     if not len(y):
         raise ValueError("all pixels are unlabeled; nothing to train on")
-    blocks = [(rows, y[rows]) for rows in _row_blocks(y.shape[0])]
-    for _, at in blocks:
-        at *= at.shape[0]
-        at += np.arange(at.shape[0])
-    return blocks
+    sums = np.zeros((classes, blocks[0].shape[0]))
+    onehot = np.empty(classes * max(xb.shape[1] for xb in blocks))
+    at, start = [], 0
+    for xb in blocks:
+        rows = xb.shape[1]
+        at.append(y[start : start + rows])
+        start += rows
+        at[-1] *= rows
+        at[-1] += np.arange(rows)
+        e = onehot[: classes * rows].reshape(classes, rows)
+        e.fill(0.0)
+        e.put(at[-1], 1.0)
+        sums += e @ xb.T
+    return sums, at
 
 
-def _ce_means(weights, bias, x, blocks):
-    """(mean loss, mean grads) of hard-label CE over the rows x, labeled by
-    ``_label_blocks``.  Each block's softmax and its shares of the loss and
-    gradients run in one reused buffer while it is in cache, so a step holds
-    O(block x classes); per-block sums move the last bits of a whole-array step."""
-    n = x.shape[0]
-    buf = _block_buffer(weights.shape[0], [rows for rows, _ in blocks])
-    ones = np.ones(max(len(at) for _, at in blocks))
-    loss, gw, gb = 0.0, np.zeros_like(weights), np.zeros_like(bias)
-    for rows, at in blocks:
-        blk = _block_probs(x[rows], weights, bias, buf)
-        picked = blk.take(at)
-        blk.put(at, picked - 1.0)
+def _ce_means(wb, blocks, labels):
+    """(mean loss, mean grads) of hard-label CE over the training blocks
+    labeled by ``_label_blocks``, for the classes x (d+1) weights ``wb``
+    (bias last), the grads shaped alike.  Each block is one gemm in, its
+    softmax and loss, and one gemm out while it is in cache, in one reused
+    buffer, so a step holds O(block x classes); the label sums are
+    subtracted after the blocks.  Per-block sums move the last bits of a
+    whole-array step."""
+    sums, at = labels
+    n = sum(len(a) for a in at)
+    buf = np.empty(wb.shape[0] * max(len(a) for a in at))
+    loss, grads = 0.0, np.zeros_like(wb)
+    for xb, a in zip(blocks, at):
+        blk = _block_probs(xb, wb, buf)
+        picked = blk.take(a)
         loss -= float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum())
-        gw += blk @ x[rows]
-        gb += blk @ ones[: len(at)]
-    return loss / n, gw / n, gb / n
+        grads += blk @ xb.T
+    grads -= sums
+    grads /= n
+    return loss / n, grads
 
 
 def ce_loss_and_grads(
     model: ToyStudent, feats, labels
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean per-labeled-pixel CE loss and its analytic parameter gradients."""
-    x, y, classes = _labeled_rows(feats, labels)
+    blocks, y, classes = _labeled_rows(feats, labels)
     if classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    return _ce_means(model.weights, model.bias, x, _label_blocks(y))
+    loss, grads = _ce_means(_augmented_weights(model), blocks, _label_blocks(blocks, y, classes))
+    return loss, grads[:, :-1], grads[:, -1]
 
 
 def kl_loss_and_grads(
@@ -320,7 +395,7 @@ def kl_loss_and_grads(
     x = _pixel_rows(model, feats)
     s = target.values.reshape(-1, target.num_classes)
     n = x.shape[0]
-    probs = _class_probs(x, model.weights, model.bias)
+    probs = _class_probs(x, _augmented_weights(model))
     loss = float(-(s * np.log(np.maximum(probs, _LOG_CLAMP))).sum()) / n
     g = (probs * s.sum(axis=1, keepdims=True) - s) / n
     return loss, g.T @ x, g.sum(axis=0)
@@ -329,37 +404,37 @@ def kl_loss_and_grads(
 def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     """SGD with momentum on the mean per-labeled-pixel CE loss of FeatureMap
     and LabelMap image lists (or one of each): ``train_rows`` over the
-    feature rows of their labeled pixels."""
+    training blocks of their labeled pixels."""
     return train_rows(*_labeled_rows(feats, labels), config)
 
 
-def train_rows(x, y, classes: int, config: TrainConfig) -> TrainResult:
-    """SGD with momentum on the mean CE loss of the float64 feature rows
-    ``x``, labeled by the int class ids ``y`` (overwritten) of ``classes``.
+def train_rows(blocks, y, classes: int, config: TrainConfig) -> TrainResult:
+    """SGD with momentum on the mean CE loss of the class-major training
+    blocks ``blocks`` (``_TrainingBlocks``' (d+1) x rows arrays), labeled by
+    the int class ids ``y`` of ``classes``, which it overwrites with their
+    flat label positions.
 
-    Learning rate follows a polynomial decay,
-    lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
+    Trains the weights with the bias as their last column, so the bias
+    rides in every gemm; weight decay skips that column.  Learning rate
+    follows a polynomial decay, lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
     Fully deterministic given the seed and the rows.
     """
-    blocks = _label_blocks(y)
+    labels = _label_blocks(blocks, y, classes)
     rng = np.random.default_rng(config.seed)
-    dims = x.shape[1]
-    weights = rng.normal(0.0, 0.01, size=(classes, dims))
-    bias = np.zeros(classes)
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(bias)
+    dims = blocks[0].shape[0] - 1
+    wb = np.zeros((classes, dims + 1))
+    wb[:, :dims] = rng.normal(0.0, 0.01, size=(classes, dims))
+    vel = np.zeros_like(wb)
     losses = np.empty(config.iterations)
 
     for i in range(config.iterations):
-        losses[i], gw, gb = _ce_means(weights, bias, x, blocks)
-        gw += _WEIGHT_DECAY * weights
+        losses[i], grads = _ce_means(wb, blocks, labels)
+        grads[:, :dims] += _WEIGHT_DECAY * wb[:, :dims]
         lr = _LR * (1.0 - i / config.iterations) ** _LR_DECAY_POWER
-        vel_w = _MOMENTUM * vel_w - lr * gw
-        vel_b = _MOMENTUM * vel_b - lr * gb
-        weights = weights + vel_w
-        bias = bias + vel_b
+        vel = _MOMENTUM * vel - lr * grads
+        wb = wb + vel
 
-    return TrainResult(ToyStudent(weights, bias), _frozen(losses))
+    return TrainResult(ToyStudent(wb[:, :dims], wb[:, dims]), _frozen(losses))
 
 
 def measure_teacher(

@@ -10,7 +10,7 @@ Binary layouts (all little-endian):
 A .pmap is read for its labels alone (``read_labels``): its float32 body
 streams through one reused buffer a cache-sized chunk at a time, each
 chunk checked and argmaxed as it arrives, and no decoder builds a ProbMap.
-Feature maps are NumPy .npy files, read as training rows
+Feature maps are NumPy .npy files, read as the student's training blocks
 (``read_feature_rows``) in the same kind of chunks.  Policies and
 per-member score reports (a teacher's per-class IoU, or its student's
 per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions;
@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FusionPolicy, IoUReport, LabelMap,
                    ProbabilityCheck, ProbMap, _all_finite, _check_feature_layout)
+from .distill import _TrainingBlocks
 from .util import json_number
 
 _HEADER = struct.Struct("<4sIIIH")
@@ -299,18 +300,22 @@ def _append_rows(rows: np.ndarray, end: int, v: np.ndarray, take: np.ndarray,
     return new_end
 
 
-def read_feature_rows(source, labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
+def read_feature_rows(source, labels: LabelMap) -> tuple[list, np.ndarray]:
     """The float64 rows of a .npy H x W x d feature map on the grid of
-    ``labels``: (x, u), the rows of its labeled pixels and of its unlabeled
-    ones, each in pixel order.
+    ``labels``: (x, u), the class-major training blocks of its labeled
+    pixels (``distill._TrainingBlocks``: (d+1) x rows arrays, a row of
+    ones last) and the rows of its unlabeled ones, each in pixel order.
 
     ``source`` is a binary stream at the start of the file, or its bytes,
     as for ``read_labels``.  The body is read in chunks of whole pixels of
     about ``_CHUNK_BYTES`` into one reused buffer; each chunk is cast to
-    float64, checked, and its rows copied onto the end of ``x`` or ``u``,
-    which grow (at most doubling) only as their pixels arrive.  The peak is
-    the rows plus one chunk, and no array is sized from the header before
-    its bytes arrive.
+    float64, checked, and its labeled rows staged for their training block
+    and its unlabeled rows copied onto the end of ``u``.  The staged rows
+    (at most one block) and ``u`` (at most doubling) grow only as their
+    pixels arrive, and each finished block is transposed into an
+    exact-size array.  The peak is the rows, (d+1)/d times over for the
+    labeled ones, plus one block and one chunk, and no array is sized from
+    the header before its bytes arrive.
     A Fortran-order body has no pixel rows to stream, so it is read whole,
     as one chunk.  Header errors and object arrays are raised at once;
     then, at end of file, the body size, a layout no FeatureMap takes, a
@@ -332,7 +337,7 @@ def read_feature_rows(source, labels: LabelMap) -> tuple[np.ndarray, np.ndarray]
     step = _CHUNK_BYTES if error is not None else unit * max(1, _CHUNK_BYTES // unit)
     labeled = labels.values.reshape(-1) != UNLABELED_ID
     n_x = int(np.count_nonzero(labeled))
-    x, u, x_end, u_end = np.empty((0, dims)), np.empty((0, dims)), 0, 0
+    x, u, u_end = _TrainingBlocks(n_x, dims), np.empty((0, dims)), 0
     buf, body, finite = np.empty(min(step, _CHUNK_BYTES), np.uint8), 0, True
     while True:
         buf, got = _fill(fh, buf, step)
@@ -348,7 +353,7 @@ def read_feature_rows(source, labels: LabelMap) -> tuple[np.ndarray, np.ndarray]
         finite = _all_finite(v)
         if finite:
             take = labeled[(body - got) // pixel :][: len(v)]
-            x_end = _append_rows(x, x_end, v, take, n_x)
+            x.add(v, np.flatnonzero(take))
             u_end = _append_rows(u, u_end, v, ~take, len(labeled) - n_x)
     if body != expected:
         raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
@@ -356,7 +361,7 @@ def read_feature_rows(source, labels: LabelMap) -> tuple[np.ndarray, np.ndarray]
         raise error
     if not finite:
         raise ValueError(_FEATURES_NOT_FINITE)
-    return x, u
+    return x.blocks, u
 
 
 def read_file(path: str) -> memoryview:

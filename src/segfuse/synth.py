@@ -15,6 +15,7 @@ modes at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,9 +24,6 @@ import numpy as np
 from .core import LabelMap, ProbMap
 from .distill import FeatureMap
 
-
-#: Side of the square pixel tiles ``_voronoi_cells`` labels one at a time.
-_TILE = 32
 
 #: Standard deviation of the Gaussian feature noise around each class mean.
 _FEATURE_NOISE = 0.5
@@ -42,29 +40,51 @@ _UNDERPERFORMER_ERROR, UNDERPERFORMER_TEMPERATURE = 0.6, 0.1
 def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
     """Partition the grid into nearest-site cells (ties to the lowest site).
 
-    Works in square tiles, so memory does not grow with the grid.  Every
-    pixel of a tile lies within ``reach`` of the site nearest the tile's
-    centre, so only sites within ``reach`` of the tile can be nearest to
-    one of its pixels; they stay in ascending order for the tie rule.
+    Works in square tiles of about 4 site spacings, 16 to 32 pixels
+    (smaller tiles pay numpy's per-call cost, larger ones compare each
+    pixel with more sites), so memory does not grow with the grid, and
+    buckets the sites by tile.
+    A ring search over the buckets finds a site near each tile's centre;
+    every pixel of the tile lies within ``reach`` of it, so only sites
+    within ``reach`` of the tile, taken from the buckets that reach
+    covers, can be nearest to one of its pixels; they stay in ascending
+    order for the tie rule.
     """
     flat = rng.choice(height * width, size=num_sites, replace=False)
     sy = flat // width
     sx = flat % width
+    tile = min(max(16, round(4 * math.sqrt(height * width / num_sites))), 32)
+    ny, nx = -(-height // tile), -(-width // tile)
+    bucket = sy // tile * nx + sx // tile
+    order = np.argsort(bucket, kind="stable")
+    starts = np.searchsorted(bucket[order], np.arange(ny * nx + 1))
+
+    def sites_near(ty, tx, r):
+        """The sites in the buckets at most r buckets from bucket (ty, tx)."""
+        a, b = max(tx - r, 0), min(tx + r, nx - 1)
+        return np.concatenate([order[starts[row * nx + a] : starts[row * nx + b + 1]]
+                               for row in range(max(ty - r, 0), min(ty + r, ny - 1) + 1)])
+
     cells = np.empty((height, width), dtype=np.intp)
-    for y0 in range(0, height, _TILE):
-        y1 = min(y0 + _TILE, height)
-        for x0 in range(0, width, _TILE):
-            x1 = min(x0 + _TILE, width)
+    for ty in range(ny):
+        y0, y1 = ty * tile, min(ty * tile + tile, height)
+        for tx in range(nx):
+            x0, x1 = tx * tile, min(tx * tile + tile, width)
             cy, cx = (y0 + y1 - 1) / 2, (x0 + x1 - 1) / 2
+            r = 0
+            while not len(near := sites_near(ty, tx, r)):
+                r += 1
             # +1 keeps float rounding from dropping a site at the boundary.
-            reach = (np.sqrt(((sy - cy) ** 2 + (sx - cx) ** 2).min())
+            reach = (np.sqrt(((sy[near] - cy) ** 2 + (sx[near] - cx) ** 2).min())
                      + np.hypot(y1 - 1 - cy, x1 - 1 - cx) + 1)
-            dy = np.maximum(np.maximum(y0 - sy, sy - (y1 - 1)), 0)
-            dx = np.maximum(np.maximum(x0 - sx, sx - (x1 - 1)), 0)
-            near = np.flatnonzero(dy**2 + dx**2 <= reach**2)
-            yy, xx = np.ogrid[y0:y1, x0:x1]
-            d2 = (yy - sy[near, None, None]) ** 2 + (xx - sx[near, None, None]) ** 2
-            cells[y0:y1, x0:x1] = near[d2.argmin(axis=0)]
+            near = np.sort(sites_near(ty, tx, int(reach // tile) + 1))
+            dy = np.maximum(np.maximum(y0 - sy[near], sy[near] - (y1 - 1)), 0)
+            dx = np.maximum(np.maximum(x0 - sx[near], sx[near] - (x1 - 1)), 0)
+            near = near[dy**2 + dx**2 <= reach**2]
+            # Sites on the last axis: argmin runs along contiguous memory.
+            d2 = ((np.arange(y0, y1)[:, None, None] - sy[near]) ** 2
+                  + (np.arange(x0, x1)[:, None] - sx[near]) ** 2)
+            cells[y0:y1, x0:x1] = near[d2.argmin(axis=2)]
     return cells
 
 

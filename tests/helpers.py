@@ -106,6 +106,31 @@ def feature_rows_whole(data, labels: LabelMap):
     return rows[labeled], rows[~labeled]
 
 
+def voronoi_cells_tiled(height: int, width: int, num_sites: int, rng) -> np.ndarray:
+    """Nearest-site cells (ties to the lowest site) in 32-pixel tiles, each
+    tile's reach taken from every site: the oracle for the bucketed
+    ``synth._voronoi_cells``."""
+    tile = 32
+    flat = rng.choice(height * width, size=num_sites, replace=False)
+    sy = flat // width
+    sx = flat % width
+    cells = np.empty((height, width), dtype=np.intp)
+    for y0 in range(0, height, tile):
+        y1 = min(y0 + tile, height)
+        for x0 in range(0, width, tile):
+            x1 = min(x0 + tile, width)
+            cy, cx = (y0 + y1 - 1) / 2, (x0 + x1 - 1) / 2
+            reach = (np.sqrt(((sy - cy) ** 2 + (sx - cx) ** 2).min())
+                     + np.hypot(y1 - 1 - cy, x1 - 1 - cx) + 1)
+            dy = np.maximum(np.maximum(y0 - sy, sy - (y1 - 1)), 0)
+            dx = np.maximum(np.maximum(x0 - sx, sx - (x1 - 1)), 0)
+            near = np.flatnonzero(dy**2 + dx**2 <= reach**2)
+            yy, xx = np.ogrid[y0:y1, x0:x1]
+            d2 = (yy - sy[near, None, None]) ** 2 + (xx - sx[near, None, None]) ** 2
+            cells[y0:y1, x0:x1] = near[d2.argmin(axis=0)]
+    return cells
+
+
 def average_fuse_stacked(teachers: Sequence[ProbMap]) -> np.ndarray:
     """The mean of the member maps over a T x H x W x C stack: the oracle
     for ``average_fuse``."""

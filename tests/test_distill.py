@@ -19,12 +19,14 @@ from segfuse.distill import (
     TrainConfig,
     _BLOCK_ROWS,
     _BLOCK_UNIT,
+    _augmented,
     _block_probs,
     _ce_means,
     _certainty,
     _label_blocks,
     _labeled_rows,
     _row_blocks,
+    _TrainingBlocks,
     average_fuse,
     ce_loss_and_grads,
     kl_loss_and_grads,
@@ -314,8 +316,19 @@ def reference_ce_means(weights, bias, x, y):
     return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
 
 
+def training_blocks(x):
+    """The class-major training blocks of the rows x, as training builds them."""
+    blocks = _TrainingBlocks(*x.shape)
+    blocks.add(x, np.arange(x.shape[0]))
+    return blocks.blocks
+
+
 def ce_means(weights, bias, x, y):
-    return _ce_means(weights, bias, x, _label_blocks(y.copy()))
+    """``_ce_means`` of the rows x, as (mean loss, weight grads, bias grads)."""
+    blocks = training_blocks(x)
+    labels = _label_blocks(blocks, y.copy(), weights.shape[0])
+    loss, grads = _ce_means(np.column_stack([weights, bias]), blocks, labels)
+    return loss, grads[:, :-1], grads[:, -1]
 
 
 #: How far the kernels may be from the whole-array formulas, relative to
@@ -347,8 +360,9 @@ def assert_ce_means_near_reference(weights, bias, x, y):
 
 
 class TestSoftmaxKernel:
-    """The class-major block softmax is the formula within REL_TOL,
-    deterministic, exact on ties, and written into its buffer."""
+    """The class-major block softmax of an augmented block (a row of ones
+    last, the bias the weights' last column) is the formula within
+    REL_TOL, deterministic, exact on ties, and written into its buffer."""
 
     @pytest.mark.parametrize("shape", [(4099, 8), (4099, 19), (1, 19), (31, 8)])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
@@ -362,13 +376,16 @@ class TestSoftmaxKernel:
             if tied:  # classes 0 and 1 tie, often for the maximum
                 bias[0] = bias.max()
                 weights[1], bias[1] = weights[0], bias[0]
+            xb, wb = _augmented(x, np.empty(6 * rows)), np.column_stack([weights, bias])
+            assert xb.shape == (6, rows) and (xb[-1] == 1).all()
+            assert np.array_equal(xb[:-1], x.T)
             buf = np.full(classes * rows + 3, np.nan)
-            got = _block_probs(x, weights, bias, buf)
+            got = _block_probs(xb, wb, buf)
             assert got.shape == (classes, rows)
             assert np.shares_memory(got, buf) and got.ctypes.data == buf.ctypes.data
             assert np.isnan(buf[classes * rows:]).all()
             assert_near(got.T, reference_softmax(x @ weights.T + bias))
-            assert np.array_equal(_block_probs(x, weights, bias, np.empty(classes * rows)), got)
+            assert np.array_equal(_block_probs(xb, wb, np.empty(classes * rows)), got)
         assert np.array_equal(got[1], got[0])
 
     @pytest.mark.parametrize("classes", [8, 19])
@@ -392,11 +409,12 @@ class TestSoftmaxKernel:
             rng = np.random.default_rng(0)
             x = rng.normal(size=(n, 5))
             y = rng.integers(0, classes, size=n).astype(np.intp)
-            weights, bias = rng.normal(size=(classes, 5)), rng.normal(size=classes)
-            blocks = _label_blocks(y)
+            wb = rng.normal(size=(classes, 6))
+            blocks = training_blocks(x)
+            labels = _label_blocks(blocks, y, classes)
             tracemalloc.start()
             try:
-                _ce_means(weights, bias, x, blocks)
+                _ce_means(wb, blocks, labels)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -419,6 +437,18 @@ class TestRowBlocks:
         y = rng.integers(0, classes, size=n).astype(np.intp)
         weights = rng.normal(scale=0.3, size=(classes, dims))
         bias = rng.normal(size=classes)
+        assert_ce_means_near_reference(weights, bias, x, y)
+
+    @pytest.mark.parametrize("classes", [8, 19])
+    def test_ce_means_match_reference_near_convergence(self, classes):
+        # Labels are the argmax of logits of scale about 3, so most label
+        # probabilities are near 1 and the label sums, taken once, nearly
+        # cancel the probability products they are subtracted from.
+        rng = np.random.default_rng(classes)
+        x = rng.normal(size=(20_000, classes))
+        weights = rng.normal(scale=3 / np.sqrt(classes), size=(classes, classes))
+        bias = rng.normal(size=classes)
+        y = (x @ weights.T + bias).argmax(axis=1)
         assert_ce_means_near_reference(weights, bias, x, y)
 
     @pytest.mark.parametrize("height, width", [(1, B + 1), (2 * B + 1, 1)])
@@ -452,15 +482,17 @@ class TestRowBlocks:
             assert all(size >= B for size in sizes) or len(sizes) <= 1, n
 
 
-#: Trains a 19-class student on 33,000 rows (4 row blocks and a remainder)
-#: for 5 steps and prints the bytes of its weights, bias, losses and rho.
+#: Trains a C-class student on 33,000 rows of C features (4 row blocks and
+#: a remainder) for 5 steps and prints the bytes of its weights, bias,
+#: losses and rho.
 THREAD_PROBE = """
-import hashlib, numpy as np
+import hashlib, sys, numpy as np
 from segfuse.core import LabelMap
 from segfuse.distill import FeatureMap, TrainConfig, _certainty, train_student
+c = int(sys.argv[1])
 rng = np.random.default_rng(0)
-feats = FeatureMap(rng.normal(size=(33_000, 1, 19)))
-labels = LabelMap(rng.integers(0, 19, size=(33_000, 1)).astype(np.uint8), 19)
+feats = FeatureMap(rng.normal(size=(33_000, 1, c)))
+labels = LabelMap(rng.integers(0, c, size=(33_000, 1)).astype(np.uint8), c)
 result = train_student(feats, labels, TrainConfig(iterations=5, seed=0))
 rho = _certainty(result.model, [feats]).per_class
 for a in (result.model.weights, result.model.bias, result.losses, rho):
@@ -468,11 +500,14 @@ for a in (result.model.weights, result.model.bias, result.losses, rho):
 """
 
 
-def test_training_bits_do_not_depend_on_the_blas_thread_count():
+@pytest.mark.parametrize("classes", [8, 19])
+def test_training_bits_do_not_depend_on_the_blas_thread_count(classes):
+    # C = d = 8 is the robustness workload's shape: the forward gemm's
+    # inner dimension is 9 with the ones row; 19 is the large set-ups'.
     def probe(threads):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(classes)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout.split()
@@ -579,8 +614,9 @@ class TestCertainty:
                 tracemalloc.stop()
 
         one = peak(1)
-        # one block buffer (under 2B rows) and a few per-row arrays
-        assert one < 2 * B * (classes + 4) * 8
+        # one block buffer and one augmented input block (each under 2B
+        # rows) and a few per-row arrays
+        assert one < 2 * B * (classes + dims + 1 + 4) * 8
         assert peak(3) - one < 16 * 1024
 
 
@@ -601,6 +637,8 @@ class TestLabeledRows:
     def test_holds_one_copy_of_the_labeled_features(self):
         # At a mostly labeled input, stacking every image's rows and then
         # masking them held the features of all pixels plus the labeled ones.
+        # Now: the blocks with their ones row, the labels, one staged block
+        # of row-major rows and one image's positions.
         h, w, dims, classes = 96, 128, 19, 5
         rng = np.random.default_rng(0)
         feats, labels = [], []
@@ -616,12 +654,15 @@ class TestLabeledRows:
         finally:
             tracemalloc.stop()
         n_labeled = y.shape[0]
-        assert peak < n_labeled * (dims + 2) * 8 + 64 * 1024
+        block = max(b.stop - b.start for b in _row_blocks(n_labeled))
+        assert peak < n_labeled * (dims + 2) * 8 + block * dims * 8 + h * w * 8 + 64 * 1024
         mask = np.concatenate([l.values.reshape(-1) for l in labels]) != UNLABELED_ID
         assert n_labeled == mask.sum() and got_classes == classes
         want_x = np.concatenate([f.values.reshape(-1, dims) for f in feats])[mask]
         want_y = np.concatenate([l.values.reshape(-1) for l in labels])[mask]
-        assert np.array_equal(x, want_x)
+        assert [b.shape[1] for b in x] == [b.stop - b.start for b in _row_blocks(n_labeled)]
+        assert all(b.shape[0] == dims + 1 and b.flags.c_contiguous for b in x)
+        assert np.array_equal(np.concatenate(x, axis=1), np.vstack([want_x.T, np.ones(n_labeled)]))
         assert y.dtype == np.intp and np.array_equal(y, want_y)
 
 

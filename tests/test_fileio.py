@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfuse import fileio
+from segfuse.distill import _row_blocks
 from segfuse.core import (
     UNLABELED_ID,
     FusionPolicy,
@@ -492,6 +493,18 @@ def npy_files(draw):
     return data, labels
 
 
+def assert_training_blocks(blocks, rows):
+    """``blocks`` are the class-major training blocks of ``rows``: float64
+    (d+1) x rows arrays cut by ``_row_blocks``, a row of ones last, whose
+    concatenation is ``rows`` transposed."""
+    cuts = _row_blocks(len(rows))
+    assert [b.shape for b in blocks] == [(rows.shape[1] + 1, c.stop - c.start) for c in cuts]
+    assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
+    if blocks:
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1),
+                                      np.vstack([rows.T, np.ones(len(rows))]))
+
+
 class TestReadFeatureRows:
     """read_feature_rows over chunks gives the rows or the exact error of
     the decode of the whole buffer (today's ``FeatureMap`` of the .npy),
@@ -501,16 +514,16 @@ class TestReadFeatureRows:
     @staticmethod
     def assert_same_as_whole(source, data, labels):
         try:
-            want = feature_rows_whole(data, labels)
+            want_x, want_u = feature_rows_whole(data, labels)
         except ValueError as e:
             with pytest.raises(ValueError) as err:
                 fileio.read_feature_rows(source, labels)
             assert str(err.value) == str(e)
         else:
-            got = fileio.read_feature_rows(source, labels)
-            for g, w in zip(got, want):
-                assert g.dtype == np.float64 and g.shape == w.shape
-                np.testing.assert_array_equal(g, w)
+            x, u = fileio.read_feature_rows(source, labels)
+            assert_training_blocks(x, want_x)
+            assert u.dtype == np.float64 and u.shape == want_u.shape
+            np.testing.assert_array_equal(u, want_u)
 
     @given(npy_files(), st.sampled_from([5, 1000, 65537]))
     @settings(max_examples=150, deadline=None)
@@ -581,6 +594,31 @@ class TestReadFeatureRows:
             with pytest.raises(ValueError, match=want):
                 fileio.read_feature_rows(body, labels)
             self.assert_same_as_whole(body, body, labels)
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+    def test_peak_is_the_rows_one_block_and_one_chunk(self, dtype):
+        # 40,960 pixels, about 32,800 of them labeled: 4 training blocks
+        # and a remainder
+        h, w, dims = 160, 256, 19
+        v = np.random.default_rng(0).normal(size=(h, w, dims)).astype(dtype)
+        labels = random_labelmap(np.random.default_rng(1), h, w, 3)
+        data = npy_bytes(v)
+        n_x = int(np.count_nonzero(labels.values != UNLABELED_ID))
+        tracemalloc.start()
+        try:
+            x, u = fileio.read_feature_rows(data, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want_x, want_u = feature_rows_whole(data, labels)
+        assert_training_blocks(x, want_x)
+        assert np.array_equal(u, want_u)
+        assert len(x) == 5
+        rows = (n_x * (dims + 1) + (h * w - n_x) * dims) * 8
+        block = max(c.stop - c.start for c in _row_blocks(n_x)) * dims * 8
+        # the chunk read, and for float32 its float64 cast
+        chunk = fileio._CHUNK_BYTES * (1 if dtype == "<f8" else 3)
+        assert peak < rows + block + chunk + 128 * 1024
 
     @pytest.mark.parametrize("shape", [(1, 1, 2**27), (2**20, 2**20, 19)])
     def test_a_huge_header_sizes_no_array(self, shape):
@@ -702,7 +740,8 @@ class TestReadFile:
                    for _, size, aligned, view in seen)
         assert sum(size for _, size, *_ in seen) == values.nbytes
         rows, labeled = values.reshape(-1, 4), labels.values.reshape(-1) != UNLABELED_ID
-        assert np.array_equal(x, rows[labeled]) and np.array_equal(u, rows[~labeled])
+        assert_training_blocks(x, rows[labeled])
+        assert np.array_equal(u, rows[~labeled])
 
 
 class TestAtomicWrite:

@@ -19,7 +19,7 @@ from segfuse.synth import (
 )
 from segfuse.unify import unify
 
-from helpers import softmax
+from helpers import softmax, voronoi_cells_tiled
 
 
 def voronoi_reference(height, width, num_sites, rng):
@@ -42,6 +42,26 @@ class TestVoronoiCells:
         got = _voronoi_cells(height, width, sites, np.random.default_rng(seed))
         want = voronoi_reference(height, width, sites, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
+
+    @given(st.integers(0, 2**32), st.integers(1, 160), st.integers(1, 160),
+           st.one_of(st.just(1), st.just(-1), st.integers(1, 1600)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_tiled_oracle(self, seed, height, width, sites):
+        # -1 puts a site on every pixel; sizes up to 160 are rarely a whole
+        # number of 16- or 32-pixel tiles.
+        sites = height * width if sites == -1 else min(sites, height * width)
+        got = _voronoi_cells(height, width, sites, np.random.default_rng(seed))
+        want = voronoi_cells_tiled(height, width, sites, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("height, width, scale", [(64, 64, 4), (64, 64, 8), (97, 130, 4),
+                                                       (256, 512, 16), (256, 512, 32)])
+    def test_matches_the_tiled_oracle_at_the_benchmark_scales(self, height, width, scale):
+        sites = round(height * width / scale**2)
+        for seed in range(3):
+            got = _voronoi_cells(height, width, sites, np.random.default_rng(seed))
+            want = voronoi_cells_tiled(height, width, sites, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
     def test_sparse_sites_on_a_wide_grid(self):
         # Tiles far from every site must still reach the nearest one.
