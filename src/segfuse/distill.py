@@ -337,16 +337,13 @@ def _label_blocks(blocks, y, classes):
         raise ValueError("all pixels are unlabeled; nothing to train on")
     sums = np.zeros((classes, blocks[0].shape[0]))
     onehot = np.empty(classes * max(xb.shape[1] for xb in blocks))
-    at, start = [], 0
-    for xb in blocks:
-        rows = xb.shape[1]
-        at.append(y[start : start + rows])
-        start += rows
-        at[-1] *= rows
-        at[-1] += np.arange(rows)
-        e = onehot[: classes * rows].reshape(classes, rows)
+    at = [y[rows] for rows in _row_blocks(len(y))]
+    for xb, a in zip(blocks, at):
+        a *= len(a)
+        a += np.arange(len(a))
+        e = onehot[: classes * len(a)].reshape(classes, len(a))
         e.fill(0.0)
-        e.put(at[-1], 1.0)
+        e.put(a, 1.0)
         sums += e @ xb.T
     return sums, at
 
