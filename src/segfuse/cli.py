@@ -44,45 +44,21 @@ from .util import rows_to_csv
 def _load(path: str, decode, *args, text: bool = False, stream: bool = False):
     """``decode(contents, *args)`` of the file at ``path``; a ValueError is
     raised again with the path in front.  The contents are the file open
-    for reading with ``stream``; else a read-only ``fileio.read_file``
-    buffer, which starts 8-byte aligned, or its text as UTF-8 with ``text``."""
+    for reading with ``stream``; else its bytes, or with ``text`` their
+    UTF-8 text."""
     try:
-        if stream:
-            with open(path, "rb") as fh:
+        with open(path, "rb") as fh:
+            if stream:
                 return decode(fh, *args)
-        data = fileio.read_file(path)
-        return decode(str(data, "utf-8") if text else data, *args)
+            data = fh.read()
+        return decode(data.decode("utf-8") if text else data, *args)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
-class _Unread:
-    """The binary stream ``fh`` with ``head``, bytes already read from it,
-    put back in front, for a reader that wants them: a FIFO cannot seek."""
-
-    def __init__(self, head: bytes, fh):
-        self.head, self.fh = head, fh
-
-    def readinto(self, buf) -> int:
-        if not self.head:
-            return self.fh.readinto(buf)
-        n = min(len(buf), len(self.head))
-        buf[:n], self.head = self.head[:n], self.head[n:]
-        return n
-
-
-def _unified(fh, renormalize: bool):
-    """A .lmap's labels, or a .pmap's by ``read_labels``, from the open file
-    ``fh``: told apart by the 4-byte magic, not by name."""
-    magic = fh.read(4)
-    if magic == fileio._LMAP_MAGIC:
-        return fileio.read_labelmap(magic + fh.read())
-    return fileio.read_labels(_Unread(magic, fh), renormalize)
-
-
 def _emit_text(args, text: str) -> None:
     if getattr(args, "output", None):
-        fileio.write_text_atomic(args.output, text)
+        fileio.write_bytes_atomic(args.output, text.encode("utf-8"))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -94,14 +70,14 @@ def cmd_unify(args) -> int:
 
 
 def cmd_fuse_pixel(args) -> int:
-    maps = [_load(p, _unified, args.renormalize, stream=True) for p in args.inputs]
+    maps = [_load(p, fileio.read_labels, args.renormalize, stream=True) for p in args.inputs]
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(pixel_fuse(maps)))
     return 0
 
 
 def cmd_fuse_channel(args) -> int:
     policy = _load(args.policy, fileio.policy_from_json, text=True)
-    maps = [_load(p, _unified, args.renormalize, stream=True) for p in args.inputs]
+    maps = [_load(p, fileio.read_labels, args.renormalize, stream=True) for p in args.inputs]
     fused = channel_fuse(maps, policy, args.kappa)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(fused))
     return 0
@@ -227,23 +203,26 @@ def cmd_synth(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     files = []
 
-    def emit(name: str, data: bytes):
-        fileio.write_bytes_atomic(os.path.join(args.outdir, name), data)
+    def emit(name: str, chunks):
+        fileio.write_files_atomic([(os.path.join(args.outdir, name), chunks)])
         files.append(name)
 
+    def pmap(labels, temperature: float):
+        # no caller binds the softened map, so it is freed once written
+        values = soften(labels, temperature).values
+        return fileio.probmap_chunks(*values.shape, [values.reshape(-1, values.shape[2])])
+
     for i, (gt, fm) in enumerate(zip(bench.gts, bench.feats)):
-        emit(f"img{i:03d}.gt.lmap", fileio.write_labelmap(gt))
+        emit(f"img{i:03d}.gt.lmap", [fileio.write_labelmap(gt)])
         buf = _io.BytesIO()
         np.save(buf, fm.values)
-        emit(f"img{i:03d}.features.npy", buf.getvalue())
+        emit(f"img{i:03d}.features.npy", [buf.getvalue()])
         for t, maps in enumerate(bench.teacher_labels):
-            pm = soften(maps[i], bench.temperatures[t])
-            emit(f"teacher{t:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
+            emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(maps[i], bench.temperatures[t]))
     for j in range(args.underperformers):
         # under00 is the under-performer `experiment robustness` adds at this seed
         for i, m in enumerate(make_underperformer_maps(bench, args.seed + j)):
-            pm = soften(m, UNDERPERFORMER_TEMPERATURE)
-            emit(f"under{j:02d}.img{i:03d}.pmap", fileio.write_probmap(pm))
+            emit(f"under{j:02d}.img{i:03d}.pmap", pmap(m, UNDERPERFORMER_TEMPERATURE))
     manifest = {
         "seed": args.seed,
         "config": {**asdict(config), "underperformers": args.underperformers},
@@ -251,9 +230,8 @@ def cmd_synth(args) -> int:
         "temperatures": [float(v) for v in bench.temperatures],
         "files": files,
     }
-    fileio.write_text_atomic(
-        os.path.join(args.outdir, "manifest.json"), json.dumps(manifest, indent=2)
-    )
+    fileio.write_bytes_atomic(os.path.join(args.outdir, "manifest.json"),
+                              json.dumps(manifest, indent=2).encode("utf-8"))
     return 0
 
 
@@ -298,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("unify", help="argmax a .pmap into a hard-label .lmap")
+    p = sub.add_parser("unify", help="argmax a .pmap into a hard-label .lmap; a .lmap is kept")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--renormalize", action="store_true",

@@ -7,14 +7,16 @@ Binary layouts (all little-endian):
   .lmap   magic "LMAP", u32 version=1, u32 H, u32 W, u16 |C|,
           then H*W u16 class ids row-major; 65535 = unlabeled.
 
-A .pmap is read for its labels alone (``read_labels``): its float32 body
-streams through one reused buffer a cache-sized chunk at a time, each
+A member's labels are read by ``read_labels``, which tells a .lmap from a
+.pmap by its magic: a .pmap is read for its labels alone, its float32 body
+streaming through one reused buffer a cache-sized chunk at a time, each
 chunk checked and argmaxed as it arrives, and no decoder builds a ProbMap.
 Feature maps are NumPy .npy files, read as the student's training blocks
-(``read_feature_rows``) in the same kind of chunks.  Policies and
-per-member score reports (a teacher's per-class IoU, or its student's
-per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions;
-writes via ``write_files_atomic`` never leave partial files behind.
+(``read_feature_rows``) in the same kind of chunks.  A .pmap is written
+by one encoder, ``probmap_chunks``.  Policies and per-member score reports
+(a teacher's per-class IoU, or its student's per-class certainty rho)
+travel as UTF-8 JSON.  Codecs are pure functions; writes via
+``write_files_atomic`` never leave partial files behind.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import contextlib
 import io
 import json
 import math
-import mmap
 import os
 import struct
 import tokenize
@@ -32,7 +33,7 @@ import uuid
 import numpy as np
 
 from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FusionPolicy, IoUReport, LabelMap,
-                   ProbabilityCheck, ProbMap, _all_finite, _check_feature_layout)
+                   ProbabilityCheck, _all_finite, _check_feature_layout)
 from .distill import _TrainingBlocks
 from .util import json_number
 
@@ -70,10 +71,10 @@ def _parse_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
     return height, width, classes
 
 
-def _check_body(data: bytes, expected: int) -> None:
-    body = len(data) - _HEADER.size
+def _check_size(body: int, expected: int, prefix: str = "") -> None:
+    """Refuse a body of ``body`` bytes where the header says ``expected``."""
     if body != expected:
-        raise ValueError(f"body is {body} bytes, header implies {expected}")
+        raise ValueError(f"{prefix}body is {body} bytes, header implies {expected}")
 
 
 #: A .pmap body is read, checked and argmaxed, and a .npy body read into
@@ -112,47 +113,61 @@ def _take(fh, size: int) -> bytes:
     return buf[:got].tobytes()
 
 
+def _chunks(fh, expected: int, step: int, unit: int, prefix: str = ""):
+    """The rest of ``fh``, a body the header says is ``expected`` bytes of
+    whole ``unit``s, read in chunks of ``step`` bytes (whole units) into
+    one reused uint8 buffer: yields (offset, chunk) for each chunk that
+    can be part of that body, and skips the rest, which only count.  At
+    end of file it raises the size error, ``prefix`` in front."""
+    buf, body = np.empty(min(step, _CHUNK_BYTES), np.uint8), 0
+    while True:
+        buf, got = _fill(fh, buf, step)
+        if not got:
+            break
+        body += got
+        if body <= expected and not got % unit:
+            yield body - got, buf[:got]
+    _check_size(body, expected, prefix)
+
+
 def read_labels(source, logits: bool = False) -> LabelMap:
-    """The labels of a .pmap: the per-pixel argmax of its float32 body,
-    with ties to the smallest class id.  The body must pass
+    """The labels of a .lmap (``read_labelmap``) or of a .pmap, told apart
+    by the magic.  A .pmap's labels are the per-pixel argmax of its
+    float32 body, with ties to the smallest class id.  The body must pass
     ``check_probabilities``, or with ``logits`` be finite raw scores; a
     softmax is monotone, so their argmax is that of their softmax except
     where ``exp`` rounding would tie two of them.
 
-    ``source`` is a binary stream at the start of the file (anything with
-    ``readinto``: a file, a FIFO), or the file's bytes.  The body is read
-    in chunks of whole pixels into one reused buffer, and each chunk is
-    checked and argmaxed while it is in cache; the labels grow only as
-    their pixels arrive.  The peak is one chunk plus the labels, and no
-    array is sized from the header before its bytes arrive.  Errors are
-    decided at end of file, in the order of a check of the whole body:
-    its size, then its values, by one ``ProbabilityCheck``.
+    ``source`` is a binary file at its start (a file, a FIFO), or the
+    file's bytes.  A .pmap body is read in chunks of whole pixels into one
+    reused buffer, and each chunk is checked and argmaxed while it is in
+    cache; the labels grow only as their pixels arrive.  The peak is one
+    chunk plus the labels, and no array is sized from the header before
+    its bytes arrive.  Errors are decided at end of file, in the order of
+    a check of the whole body: its size, then its values, by one
+    ``ProbabilityCheck``.
     """
     fh = source if hasattr(source, "readinto") else io.BytesIO(source)
-    head = memoryview(bytearray(_HEADER.size))
-    h, w, c = _parse_header(head[: _read_into(fh, head)], _PMAP_MAGIC)
+    head = _take(fh, _HEADER.size)
+    if head[:4] == _LMAP_MAGIC:
+        return read_labelmap(head + fh.read())
+    h, w, c = _parse_header(head, _PMAP_MAGIC)
     pixel = 4 * c
-    expected = h * w * pixel
-    chunk = np.empty((min(h * w, max(1, _CHUNK_BYTES // pixel)), c), "<f4")
-    ids = np.empty(len(chunk), np.intp)
+    step = pixel * min(h * w, max(1, _CHUNK_BYTES // pixel))
+    ids = np.empty(step // pixel, np.intp)
     labels = np.empty(0, np.uint16)
     check, finite = ProbabilityCheck(), True
-    buf, body = memoryview(chunk).cast("B"), 0
-    while got := _read_into(fh, buf):
-        start, body = body // pixel, body + got
-        if body > expected or got % pixel:
-            continue  # a size error; read on to count the body
-        v = chunk[: got // pixel]
+    for offset, chunk in _chunks(fh, h * w * pixel, step, pixel):
+        v = chunk.view("<f4").reshape(-1, c)
         if not logits:
             check.add(v)
         elif finite:
             finite = bool(np.isfinite(v).all())
         if finite and not check.failed:
+            start = offset // pixel
             np.argmax(v, axis=1, out=ids[: len(v)])
             labels.resize(start + len(v), refcheck=False)
             labels[start:] = ids[: len(v)]
-    if body != expected:
-        raise ValueError(f"body is {body} bytes, header implies {expected}")
     if not finite:
         raise ValueError("logit body contains non-finite values")
     check.verdict()
@@ -160,35 +175,20 @@ def read_labels(source, logits: bool = False) -> LabelMap:
     return LabelMap(labels.reshape(h, w), c)
 
 
-def _pmap_header(height: int, width: int, classes: int) -> bytes:
-    if classes > 65535:
-        raise ValueError(f"class count {classes} does not fit the u16 header field")
-    return _HEADER.pack(_PMAP_MAGIC, _VERSION, height, width, classes)
-
-
-def write_probmap(pm: ProbMap) -> bytearray:
-    """Encode a .pmap: one output buffer, the values cast straight into it."""
-    h, w, c = pm.values.shape
-    header = _pmap_header(h, w, c)
-    out = bytearray(_HEADER.size + pm.values.size * 4)
-    out[: _HEADER.size] = header
-    np.frombuffer(out, "<f4", offset=_HEADER.size).reshape(h, w, c)[...] = pm.values
-    return out
-
-
 def probmap_chunks(height: int, width: int, classes: int, blocks):
     """A .pmap's bytes as chunks to write: the header, then each of
     ``blocks`` (rows x classes probabilities, together the H x W pixels in
-    pixel order) cast to float32 as it comes.  Unlike ``write_probmap`` it
-    builds no whole map and checks no probability."""
-    yield _pmap_header(height, width, classes)
+    pixel order) cast to float32 as it comes.  It checks no probability."""
+    if classes > 65535:
+        raise ValueError(f"class count {classes} does not fit the u16 header field")
+    yield _HEADER.pack(_PMAP_MAGIC, _VERSION, height, width, classes)
     for blk in blocks:
         yield blk.astype("<f4", order="C")
 
 
 def read_labelmap(data: bytes) -> LabelMap:
     h, w, c = _parse_header(data, _LMAP_MAGIC)
-    _check_body(data, h * w * 2)
+    _check_size(len(data) - _HEADER.size, h * w * 2)
     ids = np.frombuffer(data, "<u2", offset=_HEADER.size).reshape(h, w)
     return LabelMap(ids, c)
 
@@ -338,58 +338,24 @@ def read_feature_rows(source, labels: LabelMap) -> tuple[list, np.ndarray]:
     labeled = labels.values.reshape(-1) != UNLABELED_ID
     n_x = int(np.count_nonzero(labeled))
     x, u, u_end = _TrainingBlocks(n_x, dims), np.empty((0, dims)), 0
-    buf, body, finite = np.empty(min(step, _CHUNK_BYTES), np.uint8), 0, True
-    while True:
-        buf, got = _fill(fh, buf, step)
-        if not got:
-            break
-        body += got
-        if error is not None or not finite or body > expected or got % unit:
+    finite = True
+    for offset, chunk in _chunks(fh, expected, step, unit, "bad .npy file: "):
+        if error is not None or not finite:
             continue  # a verdict is decided; read on to count the body
-        v = buf[:got].view(dtype)
+        v = chunk.view(dtype)
         if fortran:
             v = v.reshape(shape, order="F")
         v = v.reshape(-1, dims).astype(np.float64, copy=False)
         finite = _all_finite(v)
         if finite:
-            take = labeled[(body - got) // pixel :][: len(v)]
+            take = labeled[offset // pixel :][: len(v)]
             x.add(v, np.flatnonzero(take))
             u_end = _append_rows(u, u_end, v, ~take, len(labeled) - n_x)
-    if body != expected:
-        raise ValueError(f"bad .npy file: body is {body} bytes, header implies {expected}")
     if error is not None:
         raise error
     if not finite:
         raise ValueError(_FEATURES_NOT_FINITE)
     return x.blocks, u
-
-
-def read_file(path: str) -> memoryview:
-    """What ``fh.read()`` returns for ``path``, as one read-only buffer
-    that starts on a page boundary, so the u16 ids of a .lmap at byte 18
-    decode to an aligned array.  The buffer grows past its ``fstat``
-    size only when that fills, so a FIFO, or a file that changes while it
-    is read, still yields what was read up to end of file.  It is
-    anonymous memory, not heap, so its pages go back to the system as soon
-    as the last view of it is dropped.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        buf = _anonymous(os.fstat(fh.fileno()).st_size + 1)
-        end = 0
-        while got := fh.readinto(memoryview(buf)[end:]):
-            end += got
-            if end == len(buf):
-                grown = _anonymous(2 * end)
-                grown[:end] = buf[:end]
-                buf = grown
-    return memoryview(buf)[:end].toreadonly()
-
-
-def _anonymous(size: int) -> mmap.mmap:
-    """``size`` bytes of fresh memory, all mapped at once where the system
-    can (MAP_POPULATE), not one page fault per page as a read fills them."""
-    populate = getattr(mmap, "MAP_POPULATE", 0)
-    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | populate)
 
 
 def write_files_atomic(outputs) -> None:
@@ -426,7 +392,3 @@ def write_files_atomic(outputs) -> None:
 def write_bytes_atomic(path: str, data: bytes) -> None:
     """``write_files_atomic`` of the one output ``data`` at ``path``."""
     write_files_atomic([(path, [data])])
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelMap, ProbMap
+from .core import UNLABELED_ID, LabelMap, ProbMap
 from .distill import FeatureMap
 
 
@@ -105,6 +105,8 @@ def gen_ground_truth(
     """
     if classes < 2:
         raise ValueError("need at least 2 classes")
+    if classes > UNLABELED_ID:
+        raise ValueError(f"class count must fit 16-bit storage, got {classes}")
     if region_scale < 1:
         raise ValueError("region_scale must be >= 1")
     if classes > height * width:

@@ -36,10 +36,16 @@ def read_probmap(data) -> ProbMap:
     return ProbMap(np.frombuffer(data, "<f4", offset=18).reshape(h, w, c).astype(np.float64))
 
 
+def write_probmap(pm: ProbMap) -> bytes:
+    """The .pmap bytes of ``pm``: ``fileio.probmap_chunks`` of its pixels."""
+    h, w, c = pm.values.shape
+    return b"".join(fileio.probmap_chunks(h, w, c, [pm.values.reshape(-1, c)]))
+
+
 def _pmap_body(data) -> np.ndarray:
     """The H x W x C float32 body of a .pmap's bytes, a view of ``data``."""
     h, w, c = fileio._parse_header(data, fileio._PMAP_MAGIC)
-    fileio._check_body(data, h * w * c * 4)
+    fileio._check_size(len(data) - 18, h * w * c * 4)
     return np.frombuffer(data, "<f4", offset=18).reshape(h, w, c)
 
 

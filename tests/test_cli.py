@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import FeatureMap, LabelMap, ProbMap, stack_reports
+from segfuse.core import FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
 from segfuse.distill import TrainConfig, measure_teacher, student_forward, train_student
 from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
@@ -40,7 +40,8 @@ from segfuse.synth import (
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
-from helpers import npy_bytes, random_labelmap, read_probmap, reports_from_matrix
+from helpers import (npy_bytes, random_labelmap, read_probmap, reports_from_matrix,
+                     write_probmap)
 
 
 def _write_in_pieces(path, data: bytes, piece: int) -> None:
@@ -96,7 +97,7 @@ def scene(tmp_path):
     np.save(paths["feats"], feats.values)
     for i, t in enumerate(teachers):
         p = tmp_path / f"t{i}.pmap"
-        p.write_bytes(fileio.write_probmap(t))
+        p.write_bytes(write_probmap(t))
         paths[f"t{i}"] = p
     return tmp_path, gt, feats, teachers, paths
 
@@ -237,7 +238,7 @@ class TestWrapperFidelity:
             saved = np.load(model_out)
             np.testing.assert_array_equal(saved["weights"], want.model.weights)
             np.testing.assert_array_equal(saved["bias"], want.model.bias)
-            assert probmap_out.read_bytes() == fileio.write_probmap(
+            assert probmap_out.read_bytes() == write_probmap(
                 student_forward(want.model, feats))
             want_trace = ["iter,loss"] + [
                 f"{i},{float(v)!r}" for i, v in enumerate(want.losses)]
@@ -404,13 +405,14 @@ class TestLabelRoute:
 
 
 class TestFileReads:
-    """A .pmap streams through one reused chunk buffer; other inputs are
-    read into one read-only buffer with the body 8-byte aligned."""
+    """A .pmap or a .npy streams through one reused chunk buffer; the
+    other inputs are read whole.  Each reads through a FIFO, however short
+    its reads come back, as through a file."""
 
     def test_pmap_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
         # 130 x 256 x 4 float32 is two whole chunks and a part of one more
         pm = ProbMap(np.full((130, 256, 4), 0.25))
-        (tmp_path / "t.pmap").write_bytes(fileio.write_probmap(pm))
+        (tmp_path / "t.pmap").write_bytes(write_probmap(pm))
         seen = []
 
         class Recording(fileio.ProbabilityCheck):
@@ -519,7 +521,7 @@ class TestFileReads:
         for i in range(3):
             paths.append(tmp_path / f"t{i}.pmap")
             pm = soften(corrupt_teacher(gt, [0.1] * 4, seed=i), 1.0)
-            paths[-1].write_bytes(fileio.write_probmap(pm))
+            paths[-1].write_bytes(write_probmap(pm))
         rest = self.fuse_argv(command, tmp_path,
                               [] if command == "unify" else [str(p) for p in paths[1:]])
         assert main([command, str(paths[0]), *rest, "-o", str(tmp_path / "a.lmap")]) == 0
@@ -548,6 +550,58 @@ class TestFileReads:
             (tmp / "t0.LMAP").write_bytes(lmap.read_bytes())
             assert main([command, str(tmp / "t0.LMAP"), *rest, "-o", str(tmp / "b.lmap")]) == 0
         assert (tmp / "b.lmap").read_bytes() == (tmp / "a.lmap").read_bytes()
+
+    @pytest.mark.parametrize("renormalize", [[], ["--renormalize"]], ids=["probs", "logits"])
+    def test_unify_of_an_lmap_writes_its_bytes(self, tmp_path, renormalize):
+        lmap = tmp_path / "in.lmap"
+        lmap.write_bytes(fileio.write_labelmap(random_labelmap(np.random.default_rng(0),
+                                                               9, 7, 5)))
+        assert main(["unify", str(lmap), *renormalize, "-o", str(tmp_path / "u.lmap")]) == 0
+        assert (tmp_path / "u.lmap").read_bytes() == lmap.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--pred", "--gt", "--labels", "--policy", "--rho"])
+    def test_fifo_lmap_and_json_inputs_give_the_file_output(self, tmp_path, flag):
+        # every input passes 1,000 bytes, so that reads from the FIFO come
+        # back short; JSON may end in any whitespace
+        gt, feats = gen_ground_truth(96, 512, 4, region_scale=16, seed=0)
+        pred = corrupt_teacher(gt, [0.1] * 4, seed=0)
+        np.save(tmp_path / "f.npy", feats.values)
+        (tmp_path / "t.pmap").write_bytes(write_probmap(soften(pred, 1.0)))
+        pad = b" " * 1000
+        files = {"gt.lmap": fileio.write_labelmap(gt), "pred.lmap": fileio.write_labelmap(pred),
+                 "p.json": fileio.policy_to_json(select_random(4, 2, seed=5)).encode() + pad}
+        for t, scores in enumerate(([0.9, 0.2, 0.7, 0.4], [0.3, 0.8, 0.5, 0.6])):
+            files[f"rho{t}.json"] = fileio.report_to_json(IoUReport(np.array(scores))).encode()
+        files["rho0.json"] += pad
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        path = {name: str(tmp_path / name) for name in files}
+        name = {"--pred": "pred.lmap", "--gt": "gt.lmap", "--labels": "gt.lmap",
+                "--policy": "p.json", "--rho": "rho0.json"}[flag]
+
+        def argv(source, out):
+            """``flag``'s command with ``source`` as that input, its outputs in ``out``."""
+            out.mkdir()
+            return {
+                "--pred": ["eval", "--pred", source, "--gt", path["gt.lmap"],
+                           "-o", str(out / "r")],
+                "--gt": ["eval", "--pred", path["pred.lmap"], "--gt", source,
+                         "-o", str(out / "r")],
+                "--labels": _distill_argv(tmp_path / "f.npy", source, out),
+                "--policy": ["fuse-channel", str(tmp_path / "t.pmap"), path["gt.lmap"],
+                             "--policy", source, "-o", str(out / "r")],
+                "--rho": ["select-policy", "certainty", "--rho", source, path["rho1.json"],
+                          "-o", str(out / "r")],
+            }[flag]
+
+        assert main(argv(path[name], tmp_path / "a")) == 0
+        fifo = tmp_path / "fifo"
+        assert self.main_through_fifo(fifo, files[name], argv(str(fifo), tmp_path / "b"),
+                                      piece=1000) == 0
+        if flag == "--labels":
+            assert _distill_outputs(tmp_path / "b") == _distill_outputs(tmp_path / "a")
+        else:
+            assert (tmp_path / "b" / "r").read_bytes() == (tmp_path / "a" / "r").read_bytes()
 
     @pytest.mark.parametrize("name", ["t0.lmap", "t0.pmap"])
     def test_other_magic_is_refused_as_not_a_pmap(self, scene, name):
@@ -650,7 +704,7 @@ class TestSynthCommand:
         for j in range(2):
             for i, m in enumerate(make_underperformer_maps(bench, 7 + j)):
                 got = (tmp_path / f"under{j:02d}.img{i:03d}.pmap").read_bytes()
-                want = fileio.write_probmap(soften(m, UNDERPERFORMER_TEMPERATURE))
+                want = write_probmap(soften(m, UNDERPERFORMER_TEMPERATURE))
                 assert got == want, (j, i)
         under = [(tmp_path / f"under{j:02d}.img000.pmap").read_bytes() for j in range(2)]
         assert under[0] != under[1]
@@ -673,6 +727,28 @@ class TestSynthCommand:
         peak(0)  # the first call's peak holds one-off allocations
         one_map = 64 * 128 * 19 * 8  # one float64 H x W x C map
         assert peak(2) - peak(0) < one_map / 2
+
+    def test_peak_above_the_benchmark_is_under_two_softened_maps(self, tmp_path):
+        # one softened map and its float32 cast are held while it is
+        # written; no map outlives its file
+        flags = ["--height", "128", "--width", "256", "--classes", "19",
+                 "--teachers", "4", "--images", "2", "--seed", "0"]
+        config = BenchmarkConfig(height=128, width=256, classes=19, num_teachers=4, images=2)
+        assert main(["synth", *flags, "--outdir", str(tmp_path / "warm")]) == 0
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def synth():
+            assert main(["synth", *flags, "--outdir", str(tmp_path / "run")]) == 0
+
+        one_map = 128 * 256 * 19 * 8  # one softened float64 H x W x C map
+        assert (peak(synth) - peak(lambda: make_benchmark(config, 0))) / one_map < 1.8
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = lambda d: [
@@ -828,9 +904,9 @@ def _decoder_inputs(directory):
     labels = [corrupt_teacher(gt, [0.2] * 4, seed=i) for i in range(3)]
     rho = np.random.default_rng(3).random((4, 3))
     files = {
-        "t0.pmap": fileio.write_probmap(soften(labels[0], 1.0)),
+        "t0.pmap": write_probmap(soften(labels[0], 1.0)),
         "t1.lmap": fileio.write_labelmap(labels[1]),
-        "t2.pmap": fileio.write_probmap(soften(labels[2], 1.0)),
+        "t2.pmap": write_probmap(soften(labels[2], 1.0)),
         "gt.lmap": fileio.write_labelmap(gt),
         "policy.json": fileio.policy_to_json(select_random(4, 3, seed=2)).encode(),
         "feats.npy": npy_bytes(feats.values),

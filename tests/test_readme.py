@@ -1,12 +1,14 @@
 """The README's command-line examples parse, and its Python examples run."""
 
 import argparse
+import importlib
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import segfuse
 from segfuse import fileio
 from segfuse.cli import build_parser, main
 
@@ -57,3 +59,22 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert main(["select-policy", "certainty", "--rho", *files, "-o", "policy.json"]) == 0
     got = fileio.policy_from_json((tmp_path / "policy.json").read_text())
     assert got.assignment.tolist() == namespace["policy"].assignment.tolist()
+
+
+def test_readme_names_resolve():
+    """Every backticked `name(...)` and `module.name` in the README's prose
+    names an attribute of segfuse or of that segfuse module."""
+    # by name: the package's `unify` attribute is the function, not the
+    # module, and walking the package would run __main__
+    modules = {name: importlib.import_module(f"segfuse.{name}")
+               for name in ("cli", "core", "distill", "experiments", "fileio", "fusion",
+                            "metrics", "policy", "propositions", "synth", "unify", "util")}
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    calls = [m[1] for s in spans if (m := re.match(r"([A-Za-z_]\w*)\(", s))]
+    qualified = [s.split(".") for s in spans
+                 if re.fullmatch(r"\w+\.\w+", s) and s.split(".")[0] in modules]
+    assert calls and qualified
+    owners = [segfuse, *modules.values()]
+    assert [c for c in calls if not any(hasattr(m, c) for m in owners)] == []
+    assert [f"{m}.{n}" for m, n in qualified if not hasattr(modules[m], n)] == []

@@ -109,6 +109,13 @@ class TestGenGroundTruth:
         with pytest.raises(ValueError):
             gen_ground_truth(2, 2, 5, seed=0)
 
+    def test_rejects_a_class_count_past_16_bits_before_allocating(self):
+        # 65,536 classes fit on 256 x 256 pixels, but their one-hot feature
+        # means alone would be a 32 GiB float64 array
+        with pytest.raises(ValueError,
+                           match="^class count must fit 16-bit storage, got 65536$"):
+            gen_ground_truth(256, 256, UNLABELED_ID + 1, seed=0)
+
     def test_nearest_mean_classifier_separates_features(self):
         gt, feats = gen_ground_truth(32, 32, 6, seed=3)
         means = np.zeros((6, 6))
