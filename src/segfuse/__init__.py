@@ -23,6 +23,7 @@ from .distill import (
     kl_loss_and_grads,
     measure_teacher,
     student_forward,
+    student_labels,
     train_student,
 )
 from .fusion import (

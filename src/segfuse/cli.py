@@ -114,7 +114,7 @@ def cmd_distill(args) -> int:
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
     outputs = [(args.output, [buf.getvalue()])]
     if args.probmap_out:
-        blocks = student_blocks(result.model, x, u, labeled)
+        blocks = (blk.T for _, blk in student_blocks(result.model, [(labeled, x, u)]))
         outputs.append((args.probmap_out, fileio.probmap_chunks(
             labels.height, labels.width, labels.num_classes, blocks)))
     if args.trace_out:

@@ -104,27 +104,9 @@ def average_fuse(teachers: Sequence[ProbMap]) -> ProbMap:
     return ProbMap(total)
 
 
-def _check_dims(feats, dims):
-    """Raise a ValueError unless the FeatureMap ``feats`` has ``dims`` features."""
-    if feats.dims != dims:
-        raise ValueError(f"feature dim {feats.dims} does not match model dim {dims}")
-
-
-def _pixel_rows(model, feats):
-    """The pixel rows of ``feats``, one per pixel, as ``model``'s inputs."""
-    _check_dims(feats, model.feature_dims)
-    return feats.values.reshape(-1, feats.dims)
-
-
 def _augmented_weights(model):
     """``model``'s classes x (d+1) weights with its bias as the last column."""
     return np.column_stack([model.weights, model.bias])
-
-
-def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
-    """Per-pixel softmax(W x + b)."""
-    probs = _class_probs(_pixel_rows(model, feats), _augmented_weights(model))
-    return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
 
 #: Rows per block of the student's softmax, its CE step and its certainty
@@ -150,22 +132,6 @@ def _row_blocks(n):
     k = max(1, n // _BLOCK_ROWS)
     cuts = [i * units // k * _BLOCK_UNIT for i in range(k + 1)] + [n]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-def _block_buffers(wb, blocks):
-    """Flat buffers for one (d+1) x rows input and one classes x rows
-    output block of the weights ``wb``, rows the longest of ``blocks``."""
-    rows = max(b.stop - b.start for b in blocks)
-    return np.empty(wb.shape[1] * rows), np.empty(wb.shape[0] * rows)
-
-
-def _augmented(x, buf):
-    """The rows x as one class-major (d+1) x rows block with a row of ones
-    last, written into the head of the flat ``buf`` and returned."""
-    out = buf[: (x.shape[1] + 1) * x.shape[0]].reshape(x.shape[1] + 1, x.shape[0])
-    out[:-1] = x.T
-    out[-1] = 1.0
-    return out
 
 
 class _TrainingBlocks:
@@ -196,8 +162,10 @@ class _TrainingBlocks:
             np.take(rows, idx[: end - start], axis=0, out=self._stage[start:end], mode="clip")
             idx, self._end = idx[end - start :], end
             if end == size:
-                flat = np.empty(size * (rows.shape[1] + 1))
-                self.blocks.append(_augmented(self._stage[:size], flat))
+                block = np.empty((rows.shape[1] + 1, size))
+                block[:-1] = self._stage[:size].T
+                block[-1] = 1.0
+                self.blocks.append(block)
                 self._sizes.pop()
                 self._end = 0
 
@@ -219,46 +187,77 @@ def _block_probs(xb, wb, buf):
     return out
 
 
-def _class_probs(x, wb):
-    """softmax(wb @ [x | 1].T) of the rows x, as one new rows x classes array."""
-    probs = np.empty((x.shape[0], wb.shape[0]))
-    blocks = _row_blocks(x.shape[0])
-    xbuf, buf = _block_buffers(wb, blocks)
-    for rows in blocks:
-        probs[rows] = _block_probs(_augmented(x[rows], xbuf), wb, buf).T
-    return probs
+def student_blocks(model: ToyStudent, images):
+    """Yield (slice, probabilities) for each ``_row_blocks`` block of each
+    image of the list ``images``: its slice of the image's flat pixels and
+    its classes x rows probabilities, a view of one reused buffer.
 
-
-def student_blocks(model: ToyStudent, blocks, u, labeled):
-    """``student_forward``'s probabilities of one image, one block at a time.
-
-    ``labeled`` is the image's flat labeled-pixel mask, ``blocks`` the
-    class-major training blocks of its labeled pixels (``_TrainingBlocks``)
-    and ``u`` the rows of its unlabeled ones, each in pixel order.  Each of
-    ``student_forward``'s row blocks is gathered back into pixel order,
-    class-major with its row of ones, and yielded as its rows x classes
-    probabilities, a view of one reused buffer, with ``student_forward``'s
-    bits.
-    """
+    An image is (its flat labeled mask, ``_TrainingBlocks``' blocks of its
+    labeled pixels, the rows of its unlabeled ones), in pixel order.  A
+    block is gathered back into pixel order by one slice copy per run of
+    like pixels, so its bits do not depend on which pixels are labeled."""
     wb = _augmented_weights(model)
-    cuts = _row_blocks(len(labeled))
-    xbuf, buf = _block_buffers(wb, cuts)
-    source, cur, off, j = iter(blocks), np.empty((wb.shape[1], 0)), 0, 0
-    for b in cuts:
-        m = labeled[b]
-        xb = xbuf[: wb.shape[1] * len(m)].reshape(wb.shape[1], len(m))
-        pos = np.flatnonzero(m)
-        while len(pos):  # the labeled columns, read on across training blocks
-            if off == cur.shape[1]:
-                cur, off = next(source), 0
-            k = min(len(pos), cur.shape[1] - off)
-            xb[:, pos[:k]] = cur[:, off : off + k]
-            pos, off = pos[k:], off + k
-        rest = len(m) - int(np.count_nonzero(m))
-        xb[:-1, ~m] = u[j : j + rest].T
-        xb[-1, ~m] = 1.0
-        j += rest
-        yield _block_probs(xb, wb, buf).T
+    cuts = [_row_blocks(len(labeled)) for labeled, _, _ in images]
+    rows = max(b.stop - b.start for bs in cuts for b in bs)
+    xbuf, buf = np.empty(wb.shape[1] * rows), np.empty(wb.shape[0] * rows)
+    for (labeled, blocks, u), bs in zip(images, cuts):
+        source, cur, off, j = iter(blocks), np.empty((wb.shape[1], 0)), 0, 0
+        for b in bs:
+            m = labeled[b]
+            xb = xbuf[: wb.shape[1] * len(m)].reshape(wb.shape[1], len(m))
+            xb[-1] = 1.0
+            ends = [*(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), len(m)]
+            for s, e in zip([0, *ends], ends):
+                if not m[s]:
+                    xb[:-1, s:e] = u[j : j + e - s].T
+                    j += e - s
+                    continue
+                while s < e:  # a labeled run, read on across training blocks
+                    if off == cur.shape[1]:
+                        cur, off = next(source), 0
+                    k = min(e - s, cur.shape[1] - off)
+                    xb[:-1, s : s + k] = cur[:-1, off : off + k]
+                    s, off = s + k, off + k
+            yield b, _block_probs(xb, wb, buf)
+
+
+def _unlabeled(feats, dims):
+    """The FeatureMaps ``feats`` as ``student_blocks``' all-unlabeled images
+    (no labeled pixel, no training block, every row), each of ``dims``
+    features, or a ValueError."""
+    for f in feats:
+        if f.dims != dims:
+            raise ValueError(f"feature dim {f.dims} does not match model dim {dims}")
+    return [(np.broadcast_to(False, f.height * f.width), [], f.values.reshape(-1, f.dims))
+            for f in feats]
+
+
+def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
+    """Per-pixel softmax(W x + b)."""
+    probs = np.empty((feats.height * feats.width, model.num_classes))
+    for b, blk in student_blocks(model, _unlabeled([feats], model.feature_dims)):
+        probs[b] = blk.T
+    return ProbMap(probs.reshape(feats.height, feats.width, -1))
+
+
+def _block_ids(blk, ids):
+    """Write ``blk.argmax(axis=0)`` of the class-major block ``blk`` into
+    ``ids`` (ties to the smallest id) without copying ``blk``; return the
+    column maxima."""
+    mx = blk.max(axis=0)
+    for c in range(len(blk) - 1, -1, -1):
+        ids[blk[c] == mx] = c
+    return mx
+
+
+def student_labels(model: ToyStudent, feats: FeatureMap) -> LabelMap:
+    """The student's per-pixel labels: ``unify(student_forward(model,
+    feats))``, without its probability map."""
+    ids = np.empty(feats.height * feats.width, np.uint16)
+    for b, blk in student_blocks(model, _unlabeled([feats], model.feature_dims)):
+        _block_ids(blk, ids[b])
+    ids.setflags(write=False)  # no one else holds it, so LabelMap keeps it
+    return LabelMap(ids.reshape(feats.height, feats.width), model.num_classes)
 
 
 def _certainty(model, feats):
@@ -270,16 +269,12 @@ def _certainty(model, feats):
     time through one reused buffer, so memory does not grow with the image
     count; per-block sums move the last bits of a per-class masked sum.
     """
-    classes, wb = model.num_classes, _augmented_weights(model)
-    images = [(x, _row_blocks(len(x))) for x in (_pixel_rows(model, f) for f in feats)]
-    xbuf, buf = _block_buffers(wb, [b for _, bs in images for b in bs])
+    classes = model.num_classes
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
-    for x, bs in images:
-        for b in bs:
-            blk = _block_probs(_augmented(x[b], xbuf), wb, buf)
-            ids = blk.argmax(axis=0)
-            sums += np.bincount(ids, weights=blk.max(axis=0), minlength=classes)
-            counts += np.bincount(ids, minlength=classes)
+    for _, blk in student_blocks(model, _unlabeled(feats, model.feature_dims)):
+        ids = np.empty(blk.shape[1], np.intp)
+        sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
+        counts += np.bincount(ids, minlength=classes)
     rho = np.full(classes, np.nan)
     seen = counts > 0
     rho[seen] = sums[seen] / counts[seen]
@@ -335,9 +330,13 @@ def _label_blocks(blocks, y, classes):
     array) are written over ``y``, uncopied."""
     if not len(y):
         raise ValueError("all pixels are unlabeled; nothing to train on")
-    sums = np.zeros((classes, blocks[0].shape[0]))
-    onehot = np.empty(classes * max(xb.shape[1] for xb in blocks))
     at = [y[rows] for rows in _row_blocks(len(y))]
+    given, want = [xb.shape[1] for xb in blocks], [len(a) for a in at]
+    if given != want:
+        raise ValueError(f"training blocks of {given} rows are not the {want}-row cut "
+                         f"of {len(y)} labels")
+    sums = np.zeros((classes, blocks[0].shape[0]))
+    onehot = np.empty(classes * max(want))
     for xb, a in zip(blocks, at):
         a *= len(a)
         a += np.arange(len(a))
@@ -389,10 +388,10 @@ def kl_loss_and_grads(
         raise ValueError("feature and target dimensions differ")
     if target.num_classes != model.num_classes:
         raise ValueError("target class count does not match the model")
-    x = _pixel_rows(model, feats)
-    s = target.values.reshape(-1, target.num_classes)
-    n = x.shape[0]
-    probs = _class_probs(x, _augmented_weights(model))
+    probs = student_forward(model, feats).values.reshape(-1, model.num_classes)
+    s = target.values.reshape(probs.shape)
+    n = len(probs)
+    x = feats.values.reshape(n, -1)
     loss = float(-(s * np.log(np.maximum(probs, _LOG_CLAMP))).sum()) / n
     g = (probs * s.sum(axis=1, keepdims=True) - s) / n
     return loss, g.T @ x, g.sum(axis=0)
@@ -463,7 +462,6 @@ def measure_teacher(
         raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
     n_measure = min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
     # The student's dims are the training images'; check before training.
-    for f in feats[:n_measure]:
-        _check_dims(f, feats[n_measure].dims)
+    _unlabeled(feats[:n_measure], feats[n_measure].dims)
     model = train_student(feats[n_measure:], labels[n_measure:], config).model
     return _certainty(model, feats[:n_measure])

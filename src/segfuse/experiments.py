@@ -14,7 +14,7 @@ from .distill import (
     TrainConfig,
     average_fuse,
     measure_teacher,
-    student_forward,
+    student_labels,
     train_student,
 )
 from .fusion import DEFAULT_KAPPA, _check_kappa, channel_fuse, pixel_fuse
@@ -191,8 +191,8 @@ def flexibility(
 ) -> tuple[list[str], list[tuple]]:
     """Iterative re-addition: each round's student joins the next ensemble.
 
-    Members already measured or unified keep that result; each round
-    measures and unifies only the member that joined since the last one.
+    Members already measured keep their report; each round measures only
+    the member that joined since, a student labeled by ``student_labels``.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -208,7 +208,7 @@ def flexibility(
         policy = select_certainty(measured)
         fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model
-        unified.append([unify(student_forward(student, f)) for f in bench.feats])
+        unified.append([student_labels(student, f) for f in bench.feats])
         rows.append((r, len(measured), dataset_iou(unified[-1], bench.gts).miou))
     return ["round", "ensemble_size", "student_miou"], rows
 

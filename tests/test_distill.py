@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -19,7 +20,6 @@ from segfuse.distill import (
     TrainConfig,
     _BLOCK_ROWS,
     _BLOCK_UNIT,
-    _augmented,
     _block_probs,
     _ce_means,
     _certainty,
@@ -31,7 +31,10 @@ from segfuse.distill import (
     ce_loss_and_grads,
     kl_loss_and_grads,
     measure_teacher,
+    student_blocks,
     student_forward,
+    student_labels,
+    train_rows,
     train_student,
 )
 from segfuse.policy import select_certainty
@@ -376,7 +379,8 @@ class TestSoftmaxKernel:
             if tied:  # classes 0 and 1 tie, often for the maximum
                 bias[0] = bias.max()
                 weights[1], bias[1] = weights[0], bias[0]
-            xb, wb = _augmented(x, np.empty(6 * rows)), np.column_stack([weights, bias])
+            xb = np.concatenate(training_blocks(x), axis=1)
+            wb = np.column_stack([weights, bias])
             assert xb.shape == (6, rows) and (xb[-1] == 1).all()
             assert np.array_equal(xb[:-1], x.T)
             buf = np.full(classes * rows + 3, np.nan)
@@ -599,25 +603,135 @@ class TestCertainty:
 
     def test_peak_does_not_grow_with_the_image_count(self):
         # One probability map per measurement image made the peak grow by
-        # height x width x classes floats per image.
-        rng = np.random.default_rng(0)
-        classes, dims = 19, 8
-        model = ToyStudent(rng.normal(size=(classes, dims)), rng.normal(size=classes))
-        feats = FeatureMap(rng.normal(size=(256, 128, dims)))
+        # height x width x classes floats per image, and an argmax that
+        # copied each block held one more output block.
+        model, feats, buffers, block = peak_case()
+        one = traced_peak(_certainty, model, [feats])
+        assert one - buffers < block
+        assert traced_peak(_certainty, model, [feats] * 3) - one < 16 * 1024
 
-        def peak(images):
-            tracemalloc.start()
-            try:
-                _certainty(model, [feats] * images)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
-        one = peak(1)
-        # one block buffer and one augmented input block (each under 2B
-        # rows) and a few per-row arrays
-        assert one < 2 * B * (classes + dims + 1 + 4) * 8
-        assert peak(3) - one < 16 * 1024
+def traced_peak(f, *args):
+    """The tracemalloc peak of ``f(*args)`` in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def peak_case():
+    """(a 19-class student of 8 features, a 256 x 128 feature map, the
+    bytes of its two block buffers, the bytes of one output block)."""
+    rng = np.random.default_rng(0)
+    classes, dims = 19, 8
+    model = ToyStudent(rng.normal(size=(classes, dims)), rng.normal(size=classes))
+    feats = FeatureMap(rng.normal(size=(256, 128, dims)))
+    rows = max(b.stop - b.start for b in _row_blocks(256 * 128))
+    return model, feats, (dims + 1 + classes) * rows * 8, classes * rows * 8
+
+
+class TestStudentLabels:
+    """``student_labels`` is ``unify(student_forward(...))`` without its map."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(certainty_cases())
+    def test_matches_unify_of_the_probability_map(self, case):
+        model, feats = case
+        for f in feats:
+            got, want = student_labels(model, f), unify(student_forward(model, f))
+            assert got.num_classes == want.num_classes
+            assert np.array_equal(got.values, want.values)
+
+    def test_rejects_dim_mismatch(self):
+        model = ToyStudent(np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="feature dim 5 does not match model dim 2"):
+            student_labels(model, FeatureMap(np.zeros((2, 2, 5))))
+
+    def test_peak_is_under_one_output_block(self):
+        # Beyond its labels and its two block buffers: no probability map
+        # and no copy of a block.
+        model, feats, buffers, block = peak_case()
+        labels = feats.height * feats.width * 2
+        assert traced_peak(student_labels, model, feats) - labels - buffers < block
+
+
+#: Pixels of an image of three whole row blocks and a 2-row remainder.
+GATHER_N = 3 * B + 2
+
+
+def gather_masks():
+    """Labeled masks of a GATHER_N-pixel image, by name."""
+    n = GATHER_N
+    starts = np.random.default_rng(0).random(n) < 0.5
+    starts[B], starts[2 * B] = True, False  # a block starts labeled, one unlabeled
+    crossing = np.ones(n, bool)
+    crossing[:300] = crossing[n - 100 :] = False
+    return {"none": np.zeros(n, bool), "all": np.ones(n, bool),
+            "alternating": np.arange(n) % 2 == 0, "block-starts": starts,
+            "crossing": crossing}
+
+
+class TestStudentBlocks:
+    """``student_blocks`` gathers each row block back into pixel order from
+    an image's training blocks and unlabeled rows with ``student_forward``'s
+    bits, whatever pixels are labeled."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(1)
+        self.model = ToyStudent(rng.normal(size=(5, 3)), rng.normal(size=5))
+        self.feats = FeatureMap(rng.normal(size=(2, GATHER_N // 2, 3)))
+        self.want = student_forward(self.model, self.feats).values.reshape(-1, 5)
+
+    def image(self, mask):
+        rows = self.feats.values.reshape(-1, 3)
+        blocks = _TrainingBlocks(int(np.count_nonzero(mask)), 3)
+        blocks.add(rows, np.flatnonzero(mask))
+        return mask, blocks.blocks, rows[~mask]
+
+    def gathered(self, masks):
+        """Each image's rows x classes probabilities from one pass."""
+        out = []
+        for b, blk in student_blocks(self.model, [self.image(m) for m in masks]):
+            if b.start == 0:
+                out.append(np.full((GATHER_N, 5), np.nan))
+            out[-1][b] = blk.T
+        return out
+
+    @pytest.mark.parametrize("name", list(gather_masks()))
+    def test_matches_student_forward(self, name):
+        [got] = self.gathered([gather_masks()[name]])
+        assert np.array_equal(got, self.want)
+
+    def test_images_of_one_pass_keep_their_own_rows(self):
+        got = self.gathered(list(gather_masks().values()))
+        assert len(got) == len(gather_masks())
+        assert all(np.array_equal(g, self.want) for g in got)
+
+    def test_masks_cover_the_cuts(self):
+        masks = gather_masks()
+        cuts = [b.start for b in _row_blocks(GATHER_N)[1:]]
+        assert cuts[:2] == [B, 2 * B] and len(cuts) > 2
+        assert masks["block-starts"][B] and not masks["block-starts"][2 * B]
+        # the one labeled run holds a row cut and a training block boundary
+        crossing = masks["crossing"]
+        labeled = np.flatnonzero(crossing)
+        run = range(labeled[0], labeled[-1] + 1)
+        assert len(run) == len(labeled)
+        bounds = [labeled[b.start] for b in _row_blocks(len(labeled))[1:]]
+        assert any(c in run[1:] for c in cuts) and any(p in run[1:] for p in bounds)
+
+
+def test_block_probs_runs_in_one_forward_and_the_ce_step():
+    # The student's forward is one block loop: a second inference loop
+    # would split its buffers and its gather again.
+    tree = ast.parse(Path(distill.__file__).read_text(encoding="utf-8"))
+    owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_block_probs"]
+    assert sorted(owner.get(id(c), "<module>") for c in calls) == ["_ce_means", "student_blocks"]
 
 
 class TestCertaintyOracle:
@@ -722,6 +836,23 @@ class TestTrainStudent:
         empty = LabelMap(np.full((16, 16), UNLABELED_ID), 2)
         with pytest.raises(ValueError):
             train_student(feats, empty, TrainConfig(iterations=5, seed=0))
+
+    def test_train_rows_names_a_wrong_block_cut(self):
+        # Per-image training blocks joined together are not the cut of all
+        # the rows; numpy's reshape error named neither.
+        bench = make_benchmark(BenchmarkConfig(), 0)
+        blocks, ys = [], []
+        for f, l in zip(bench.feats, bench.teacher_labels[0]):
+            b, y, classes = _labeled_rows(f, l)
+            blocks += b
+            ys.append(y)
+        y = np.concatenate(ys)
+        given = [b.shape[1] for b in blocks]
+        want = [b.stop - b.start for b in _row_blocks(len(y))]
+        assert given != want
+        msg = f"training blocks of {given} rows are not the {want}-row cut of {len(y)} labels"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            train_rows(blocks, y, classes, TrainConfig(iterations=1))
 
     def test_unlabeled_pixels_ignored_by_training(self):
         feats, labels = separable_instance(13)

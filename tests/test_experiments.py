@@ -9,6 +9,7 @@ from segfuse.distill import (
     average_fuse,
     measure_teacher,
     student_forward,
+    student_labels,
     train_student,
 )
 from segfuse.experiments import (
@@ -185,34 +186,41 @@ class TestMeasureOnce:
 
 
 class TestUnifyOnce:
-    """A driver unifies each map once: fusion and measurement share the
-    labels, and measuring rho unifies no map."""
+    """A driver unifies each map once and labels each image once per
+    student: fusion and measurement share the labels, measuring rho unifies
+    no map, and a student's labels come from ``student_labels``."""
 
     @pytest.mark.parametrize(
-        "driver, unifies",
+        "driver, unifies, labeled",
         [
-            (lambda: robustness(FAST, [0, 1, 2], 0, 1, TC), True),
-            (lambda: flexibility(FAST, 3, 0, TC), True),
-            (lambda: policy_quality(FAST, 0, 1, TC), False),
-            (lambda: correlation(FAST, 0, 1, TC), False),
+            (lambda: robustness(FAST, [0, 1, 2], 0, 1, TC), True, 0),
+            (lambda: flexibility(FAST, 3, 0, TC), False, 3 * FAST.images),
+            (lambda: policy_quality(FAST, 0, 1, TC), False, 0),
+            (lambda: correlation(FAST, 0, 1, TC), False, 0),
         ],
         ids=["robustness", "flexibility", "policy_quality", "correlation"],
     )
-    def test_no_map_is_unified_twice(self, monkeypatch, driver, unifies):
+    def test_no_map_is_unified_twice(self, monkeypatch, driver, unifies, labeled):
         from segfuse import distill, experiments
 
-        seen = []  # strong references, so no id is reused during the run
+        seen, calls = [], []  # strong references, so no id is reused during the run
 
         def recording_unify(pm):
             seen.append(pm)
             return unify(pm)
 
+        def recording_labels(model, feats):
+            calls.append((model, feats))
+            return student_labels(model, feats)
+
         monkeypatch.setattr(experiments, "unify", recording_unify)
         monkeypatch.setattr(distill, "unify", recording_unify, raising=False)
+        monkeypatch.setattr(experiments, "student_labels", recording_labels)
         driver()
         repeats = len(seen) - len({id(pm) for pm in seen})
         assert bool(seen) == unifies
         assert repeats == 0
+        assert len({(id(m), id(f)) for m, f in calls}) == len(calls) == labeled
 
 
 class TestFlexibility:
@@ -224,14 +232,20 @@ class TestFlexibility:
     def test_unifies_each_map_once(self, monkeypatch):
         from segfuse import experiments
 
-        calls = []
+        unified, labeled = [], []
         monkeypatch.setattr(
-            experiments, "unify", lambda pm: calls.append(1) or unify(pm)
+            experiments, "unify", lambda pm: unified.append(1) or unify(pm)
+        )
+        monkeypatch.setattr(
+            experiments, "student_labels",
+            lambda model, f: labeled.append(1) or student_labels(model, f),
         )
         rounds = 3
         flexibility(FAST, rounds, 0, TC)
-        # teachers start as labels, so only each round's student predictions
-        assert len(calls) == rounds * FAST.images
+        # teachers start as labels, and each round's student labels each
+        # image once without a probability map to unify
+        assert len(unified) == 0
+        assert len(labeled) == rounds * FAST.images
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
