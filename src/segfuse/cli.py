@@ -22,8 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import fileio
-from .core import UNLABELED_ID
-from .distill import TrainConfig, student_blocks, train_rows
+from .distill import TrainConfig, _TrainingBlocks, student_blocks, train_rows
 from .experiments import (
     certainty_hist,
     correlation,
@@ -104,17 +103,16 @@ def cmd_select_policy(args) -> int:
 def cmd_distill(args) -> int:
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
     labels = _load(args.labels, fileio.read_labelmap)
-    x, u = _load(args.features, fileio.read_feature_rows, labels, stream=True)
-    labeled = labels.values.reshape(-1) != UNLABELED_ID
+    x = _TrainingBlocks([labels])
+    u = _load(args.features, fileio.read_feature_rows, labels, x, stream=True)
     # The class ids become train_rows' label positions; none outlives it,
     # so the --probmap-out write does not hold them.
-    result = train_rows(x, labels.values.reshape(-1)[labeled].astype(np.intp),
-                        labels.num_classes, config)
+    result = train_rows(*x.done(), config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
     outputs = [(args.output, [buf.getvalue()])]
     if args.probmap_out:
-        blocks = (blk.T for _, blk in student_blocks(result.model, [(labeled, x, u)]))
+        blocks = (blk.T for _, blk in student_blocks(result.model, x.blocks, [(x.labeled, u)]))
         outputs.append((args.probmap_out, fileio.probmap_chunks(
             labels.height, labels.width, labels.num_classes, blocks)))
     if args.trace_out:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, _frozen
+from .util import grow_rows
 
 _LOG_CLAMP = 1e-12
 
@@ -135,29 +136,36 @@ def _row_blocks(n):
 
 
 class _TrainingBlocks:
-    """The class-major training blocks of ``n`` rows of ``dims`` features:
-    one exact-size (dims+1) x rows array, its last row ones, per block of
-    ``_row_blocks(n)``, in ``blocks`` once all ``n`` rows were added.
+    """The training layout of the images labeled by the LabelMaps
+    ``labels``: their labeled pixels, in pixel order image after image, as
+    one exact-size class-major (d+1) x rows array, its last row ones, per
+    block of ``_row_blocks`` of their count, in ``blocks`` once every
+    pixel's row was added.  ``labeled`` is the images' flat labeled mask.
 
-    Rows arrive row-major (``add``).  At most one block of them is staged,
-    in a buffer that grows in place, at most doubling, only as rows arrive;
-    each block is transposed into its class-major array once its rows are in.
-    So no array is sized before its rows arrive, and the peak is the
-    blocks plus one block of staged rows."""
+    Rows arrive row-major (``add``), d features each as the first rows
+    given.  At most one block of labeled rows is staged, in a buffer that
+    grows in place, at most doubling, only as rows arrive; each block is
+    transposed into its class-major array once its rows are in.  So no
+    array is sized before its rows arrive, and the peak is the blocks plus
+    one block of staged rows until ``done`` drops the stage."""
 
-    def __init__(self, n, dims):
-        self.blocks = []
-        self._sizes = [b.stop - b.start for b in reversed(_row_blocks(n))]
-        self._stage, self._end = np.empty((0, dims)), 0
+    def __init__(self, labels):
+        self._labels, self.classes = labels, labels[0].num_classes
+        self.labeled = np.concatenate([l.values for l in labels], None) != UNLABELED_ID
+        self._sizes = [b.stop - b.start for b in reversed(_row_blocks(int(self.labeled.sum())))]
+        self.blocks, self._stage, self._end, self._rest = [], None, 0, self.labeled
 
-    def add(self, rows, idx):
-        """Append ``rows[idx]``: the float64 rows ``rows`` at the positions ``idx``."""
+    def add(self, rows):
+        """Stage the labeled ones of the float64 rows ``rows``, the next
+        pixels' rows; return those pixels' labeled mask."""
+        take, self._rest = self._rest[: len(rows)], self._rest[len(rows) :]
+        if self._stage is None:
+            self._stage = np.empty((0, rows.shape[1]))
+        idx = np.flatnonzero(take)
         while len(idx):
             size = self._sizes[-1]
             start, end = self._end, min(self._end + len(idx), size)
-            if end > len(self._stage):
-                grown = min(max(end, 2 * len(self._stage)), size)
-                self._stage.resize((grown, rows.shape[1]), refcheck=False)
+            grow_rows(self._stage, end, size)
             # mode="clip" keeps take from buffering a copy of ``out``.
             np.take(rows, idx[: end - start], axis=0, out=self._stage[start:end], mode="clip")
             idx, self._end = idx[end - start :], end
@@ -168,6 +176,14 @@ class _TrainingBlocks:
                 self.blocks.append(block)
                 self._sizes.pop()
                 self._end = 0
+        return take
+
+    def done(self):
+        """(blocks, the intp class ids of their rows, the class count) for
+        ``train_rows``, once every pixel's row was added; drops the stage."""
+        y = np.concatenate([l.values for l in self._labels], None)[self.labeled].astype(np.intp)
+        self._stage = None
+        return self.blocks, y, self.classes
 
 
 def _block_probs(xb, wb, buf):
@@ -187,21 +203,22 @@ def _block_probs(xb, wb, buf):
     return out
 
 
-def student_blocks(model: ToyStudent, images):
+def student_blocks(model: ToyStudent, blocks, images):
     """Yield (slice, probabilities) for each ``_row_blocks`` block of each
     image of the list ``images``: its slice of the image's flat pixels and
     its classes x rows probabilities, a view of one reused buffer.
 
-    An image is (its flat labeled mask, ``_TrainingBlocks``' blocks of its
-    labeled pixels, the rows of its unlabeled ones), in pixel order.  A
-    block is gathered back into pixel order by one slice copy per run of
-    like pixels, so its bits do not depend on which pixels are labeled."""
+    An image is (its flat labeled mask, the rows of its unlabeled pixels),
+    in pixel order; ``blocks`` are one ``_TrainingBlocks``' blocks of the
+    images' labeled pixels, read on across the images.  A block is
+    gathered back into pixel order by one slice copy per run of like
+    pixels, so its bits do not depend on which pixels are labeled."""
     wb = _augmented_weights(model)
-    cuts = [_row_blocks(len(labeled)) for labeled, _, _ in images]
+    cuts = [_row_blocks(len(labeled)) for labeled, _ in images]
     rows = max(b.stop - b.start for bs in cuts for b in bs)
     xbuf, buf = np.empty(wb.shape[1] * rows), np.empty(wb.shape[0] * rows)
-    for (labeled, blocks, u), bs in zip(images, cuts):
-        source, cur, off, j = iter(blocks), np.empty((wb.shape[1], 0)), 0, 0
+    source, cur, off = iter(blocks), np.empty((wb.shape[1], 0)), 0
+    for (labeled, u), bs in zip(images, cuts):
         for b in bs:
             m = labeled[b]
             xb = xbuf[: wb.shape[1] * len(m)].reshape(wb.shape[1], len(m))
@@ -209,8 +226,8 @@ def student_blocks(model: ToyStudent, images):
             ends = [*(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), len(m)]
             for s, e in zip([0, *ends], ends):
                 if not m[s]:
-                    xb[:-1, s:e] = u[j : j + e - s].T
-                    j += e - s
+                    xb[:-1, s:e] = u[: e - s].T
+                    u = u[e - s :]
                     continue
                 while s < e:  # a labeled run, read on across training blocks
                     if off == cur.shape[1]:
@@ -223,19 +240,19 @@ def student_blocks(model: ToyStudent, images):
 
 def _unlabeled(feats, dims):
     """The FeatureMaps ``feats`` as ``student_blocks``' all-unlabeled images
-    (no labeled pixel, no training block, every row), each of ``dims``
-    features, or a ValueError."""
+    (no labeled pixel, every row), each of ``dims`` features, or a
+    ValueError."""
     for f in feats:
         if f.dims != dims:
             raise ValueError(f"feature dim {f.dims} does not match model dim {dims}")
-    return [(np.broadcast_to(False, f.height * f.width), [], f.values.reshape(-1, f.dims))
+    return [(np.broadcast_to(False, f.height * f.width), f.values.reshape(-1, f.dims))
             for f in feats]
 
 
 def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
     """Per-pixel softmax(W x + b)."""
     probs = np.empty((feats.height * feats.width, model.num_classes))
-    for b, blk in student_blocks(model, _unlabeled([feats], model.feature_dims)):
+    for b, blk in student_blocks(model, [], _unlabeled([feats], model.feature_dims)):
         probs[b] = blk.T
     return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
@@ -254,7 +271,7 @@ def student_labels(model: ToyStudent, feats: FeatureMap) -> LabelMap:
     """The student's per-pixel labels: ``unify(student_forward(model,
     feats))``, without its probability map."""
     ids = np.empty(feats.height * feats.width, np.uint16)
-    for b, blk in student_blocks(model, _unlabeled([feats], model.feature_dims)):
+    for b, blk in student_blocks(model, [], _unlabeled([feats], model.feature_dims)):
         _block_ids(blk, ids[b])
     ids.setflags(write=False)  # no one else holds it, so LabelMap keeps it
     return LabelMap(ids.reshape(feats.height, feats.width), model.num_classes)
@@ -271,7 +288,7 @@ def _certainty(model, feats):
     """
     classes = model.num_classes
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
-    for _, blk in student_blocks(model, _unlabeled(feats, model.feature_dims)):
+    for _, blk in student_blocks(model, [], _unlabeled(feats, model.feature_dims)):
         ids = np.empty(blk.shape[1], np.intp)
         sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
         counts += np.bincount(ids, minlength=classes)
@@ -297,29 +314,21 @@ def _as_list(x, cls):
 def _labeled_rows(feats, labels):
     """The labeled pixels of (features, labels) image lists as training rows.
 
-    Returns (class-major training blocks, int class ids, class count).
-    Each image's labeled rows go straight into ``_TrainingBlocks``.
+    Returns ``_TrainingBlocks.done()``: (class-major training blocks, int
+    class ids, class count).  Each image's rows go straight into one builder.
     """
     feats = _as_list(feats, FeatureMap)
     labels = _as_list(labels, LabelMap)
     if len(feats) != len(labels) or not feats:
         raise ValueError("need equally many (>=1) feature and label maps")
-    dims = feats[0].dims
-    classes = labels[0].num_classes
+    x = _TrainingBlocks(labels)
     for f, l in zip(feats, labels):
         if (f.height, f.width) != (l.height, l.width):
             raise ValueError("feature and label dimensions differ")
-        if f.dims != dims or l.num_classes != classes:
+        if f.dims != feats[0].dims or l.num_classes != x.classes:
             raise ValueError("images disagree on feature dim or class count")
-    n = sum(int(np.count_nonzero(l.values != UNLABELED_ID)) for l in labels)
-    x, y = _TrainingBlocks(n, dims), np.empty(n, np.intp)
-    start = 0
-    for f, l in zip(feats, labels):
-        idx = np.flatnonzero(l.values != UNLABELED_ID)
-        x.add(f.values.reshape(-1, dims), idx)
-        y[start : start + idx.size] = l.values.reshape(-1)[idx]
-        start += idx.size
-    return x.blocks, y, classes
+        x.add(f.values.reshape(-1, f.dims))
+    return x.done()
 
 
 def _label_blocks(blocks, y, classes):

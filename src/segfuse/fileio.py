@@ -11,11 +11,13 @@ A member's labels are read by ``read_labels``, which tells a .lmap from a
 .pmap by its magic: a .pmap is read for its labels alone, its float32 body
 streaming through one reused buffer a cache-sized chunk at a time, each
 chunk checked and argmaxed as it arrives, and no decoder builds a ProbMap.
-Feature maps are NumPy .npy files, read as the student's training blocks
-(``read_feature_rows``) in the same kind of chunks.  A .pmap is written
-by one encoder, ``probmap_chunks``.  Policies and per-member score reports
-(a teacher's per-class IoU, or its student's per-class certainty rho)
-travel as UTF-8 JSON.  Codecs are pure functions; writes via
+Feature maps are NumPy .npy files, read in the same kind of chunks
+(``read_feature_rows``) into a caller-owned training builder, which keeps
+the labeled rows, and the unlabeled rows, which the reader returns: which
+pixels train, and in which order and cut, is the builder's business, not
+this module's.  A .pmap is written by one encoder, ``probmap_chunks``.
+Policies and per-member score reports (a teacher's per-class IoU, or its
+student's per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions; writes via
 ``write_files_atomic`` never leave partial files behind.
 """
 
@@ -34,8 +36,7 @@ import numpy as np
 
 from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FusionPolicy, IoUReport, LabelMap,
                    ProbabilityCheck, _all_finite, _check_feature_layout)
-from .distill import _TrainingBlocks
-from .util import json_number
+from .util import grow_rows, json_number
 
 _HEADER = struct.Struct("<4sIIIH")
 _PMAP_MAGIC = b"PMAP"
@@ -287,35 +288,20 @@ def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
     return shape, fortran_order, dtype
 
 
-def _append_rows(rows: np.ndarray, end: int, v: np.ndarray, take: np.ndarray,
-                 limit: int) -> int:
-    """Copy the rows of ``v`` where ``take`` is set into ``rows`` from row
-    ``end`` on, and return the new end.  ``rows`` grows in place when they
-    do not fit: to twice its rows, at most ``limit``, so a few reallocations
-    copy it, not one per chunk."""
-    new_end = end + int(np.count_nonzero(take))
-    if new_end > len(rows):
-        rows.resize((min(max(new_end, 2 * len(rows)), limit), rows.shape[1]), refcheck=False)
-    np.compress(take, v, axis=0, out=rows[end:new_end])
-    return new_end
-
-
-def read_feature_rows(source, labels: LabelMap) -> tuple[list, np.ndarray]:
-    """The float64 rows of a .npy H x W x d feature map on the grid of
-    ``labels``: (x, u), the class-major training blocks of its labeled
-    pixels (``distill._TrainingBlocks``: (d+1) x rows arrays, a row of
-    ones last) and the rows of its unlabeled ones, each in pixel order.
+def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:
+    """Read a .npy H x W x d feature map on the grid of ``labels`` as
+    float64 rows in pixel order: each chunk's rows go to ``x.add``, which
+    keeps the labeled ones and returns their mask (``distill``'s training
+    builder), and the rest, the rows of the unlabeled pixels, are returned.
 
     ``source`` is a binary stream at the start of the file, or its bytes,
     as for ``read_labels``.  The body is read in chunks of whole pixels of
     about ``_CHUNK_BYTES`` into one reused buffer; each chunk is cast to
-    float64, checked, and its labeled rows staged for their training block
-    and its unlabeled rows copied onto the end of ``u``.  The staged rows
-    (at most one block) and ``u`` (at most doubling) grow only as their
-    pixels arrive, and each finished block is transposed into an
-    exact-size array.  The peak is the rows, (d+1)/d times over for the
-    labeled ones, plus one block and one chunk, and no array is sized from
-    the header before its bytes arrive.
+    float64, checked, handed to ``x`` and its unlabeled rows copied onto
+    the end of ``u``, which grows only as they arrive, at most doubling,
+    never past the labels' unlabeled count.  The peak is the rows plus
+    ``x``'s own and one chunk, and no array is sized from the header
+    before its bytes arrive.
     A Fortran-order body has no pixel rows to stream, so it is read whole,
     as one chunk.  Header errors and object arrays are raised at once;
     then, at end of file, the body size, a layout no FeatureMap takes, a
@@ -335,11 +321,9 @@ def read_feature_rows(source, labels: LabelMap) -> tuple[list, np.ndarray]:
     # A chunk is whole pixel rows, or a Fortran-order body whole.
     unit = expected if fortran else pixel
     step = _CHUNK_BYTES if error is not None else unit * max(1, _CHUNK_BYTES // unit)
-    labeled = labels.values.reshape(-1) != UNLABELED_ID
-    n_x = int(np.count_nonzero(labeled))
-    x, u, u_end = _TrainingBlocks(n_x, dims), np.empty((0, dims)), 0
-    finite = True
-    for offset, chunk in _chunks(fh, expected, step, unit, "bad .npy file: "):
+    u, u_end, finite = np.empty((0, dims)), 0, True
+    n_u = int(np.count_nonzero(labels.values == UNLABELED_ID))  # u's rows, its size cap
+    for _, chunk in _chunks(fh, expected, step, unit, "bad .npy file: "):
         if error is not None or not finite:
             continue  # a verdict is decided; read on to count the body
         v = chunk.view(dtype)
@@ -348,14 +332,16 @@ def read_feature_rows(source, labels: LabelMap) -> tuple[list, np.ndarray]:
         v = v.reshape(-1, dims).astype(np.float64, copy=False)
         finite = _all_finite(v)
         if finite:
-            take = labeled[offset // pixel :][: len(v)]
-            x.add(v, np.flatnonzero(take))
-            u_end = _append_rows(u, u_end, v, ~take, len(labeled) - n_x)
+            keep = ~x.add(v)
+            end = u_end + int(np.count_nonzero(keep))
+            grow_rows(u, end, n_u)
+            np.compress(keep, v, axis=0, out=u[u_end:end])
+            u_end = end
     if error is not None:
         raise error
     if not finite:
         raise ValueError(_FEATURES_NOT_FINITE)
-    return x.blocks, u
+    return u
 
 
 def write_files_atomic(outputs) -> None:
@@ -366,8 +352,13 @@ def write_files_atomic(outputs) -> None:
     output and no temp file, and readers never see a partial file.
 
     The files get mode 0666 less the umask, as ``open`` would give them,
-    and an ``OSError`` names the output's path, not its temp file.
+    and an ``OSError`` names the output's path, not its temp file.  Two
+    outputs that resolve to one file are a ValueError, before any is opened.
     """
+    real = [os.path.realpath(path) for path, _ in outputs]
+    for i, (path, _) in enumerate(outputs):
+        if real[i] in real[:i]:
+            raise ValueError(f"{path}: names the same file as another output")
     written, path = [], None
     try:
         for path, chunks in outputs:

@@ -77,8 +77,9 @@ def certainty_iou_cosine(
 
 
 def _check_bins(bins: int) -> None:
-    if not 1 <= bins < np.iinfo(np.intp).max:  # bins + 1 edges must fit np.intp
-        raise ValueError(f"bins must be >= 1 and < {np.iinfo(np.intp).max}, got {bins}")
+    limit = np.iinfo(np.intp).max // 8  # bins + 1 float64 edges must fit an array
+    if not 1 <= bins < limit:
+        raise ValueError(f"bins must be >= 1 and < {limit}, got {bins}")
 
 
 def certainty_histogram(prob: ProbMap, bins: int) -> tuple[np.ndarray, np.ndarray]:

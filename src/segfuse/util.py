@@ -1,4 +1,4 @@
-"""Small shared helpers: JSON numbers and CSV formatting."""
+"""Small shared helpers: JSON numbers, CSV formatting and growing row buffers."""
 
 from __future__ import annotations
 
@@ -11,6 +11,14 @@ def json_number(value, integral: bool = False) -> bool:
     if isinstance(value, int) and not isinstance(value, bool):
         return -(2**63) <= value < 2**63
     return isinstance(value, float) and not integral
+
+
+def grow_rows(rows: np.ndarray, end: int, limit: int) -> None:
+    """Grow the 2-d array ``rows`` in place to hold ``end`` rows when it
+    does not: to twice its rows, at most ``limit``, so a few reallocations
+    copy it, not one per append."""
+    if end > len(rows):
+        rows.resize((min(max(end, 2 * len(rows)), limit), rows.shape[1]), refcheck=False)
 
 
 def format_cell(value) -> str:

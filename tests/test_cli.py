@@ -259,6 +259,22 @@ class TestWrapperFidelity:
         assert list(out.iterdir()) == []
         assert not list(tmp.glob(".segfuse-*"))
 
+    @pytest.mark.parametrize("flag, alias", [("--trace-out", "m.npz"),
+                                             ("--probmap-out", "./m.npz")])
+    def test_distill_refuses_two_outputs_of_one_file(self, scene, capsys, monkeypatch,
+                                                       flag, alias):
+        # the later output replaced the model, and distill exited 0
+        tmp, gt, feats, teachers, paths = scene
+        out = tmp / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        argv = _distill_argv(paths["feats"], paths["gt"], out)
+        argv[argv.index(flag) + 1] = alias
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"{alias}: names the same file as another output")
+        assert list(out.iterdir()) == []
+
     def test_distill_probmap_peak_grows_by_about_the_extra_features(self, tmp_path):
         # the float64 feature rows are held once; the rest does not grow
         # with the map (at the parent, a float64 map and the encoded .pmap
@@ -1161,6 +1177,8 @@ class TestExperimentCommands:
           for n in ("0", "-2")],
         ["experiment", "prop-check", "--instances", "-3"],
         ["experiment", "certainty-hist", "--bins", "9223372036854775807"],
+        # bins + 1 float64 edges past numpy's array size: np.linspace's IndexError
+        ["experiment", "certainty-hist", "--bins", "9223372036854775806"],
         ["synth", "--underperformers", "-1"],
         ["synth", "--blob-scale", "-4"],
     ], ids=" ".join)

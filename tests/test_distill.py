@@ -321,9 +321,9 @@ def reference_ce_means(weights, bias, x, y):
 
 def training_blocks(x):
     """The class-major training blocks of the rows x, as training builds them."""
-    blocks = _TrainingBlocks(*x.shape)
-    blocks.add(x, np.arange(x.shape[0]))
-    return blocks.blocks
+    blocks = _TrainingBlocks([LabelMap(np.zeros((1, len(x)), np.uint16), 2)])
+    blocks.add(x)
+    return blocks.done()[0]
 
 
 def ce_means(weights, bias, x, y):
@@ -684,16 +684,15 @@ class TestStudentBlocks:
         self.feats = FeatureMap(rng.normal(size=(2, GATHER_N // 2, 3)))
         self.want = student_forward(self.model, self.feats).values.reshape(-1, 5)
 
-    def image(self, mask):
-        rows = self.feats.values.reshape(-1, 3)
-        blocks = _TrainingBlocks(int(np.count_nonzero(mask)), 3)
-        blocks.add(rows, np.flatnonzero(mask))
-        return mask, blocks.blocks, rows[~mask]
-
     def gathered(self, masks):
-        """Each image's rows x classes probabilities from one pass."""
+        """Each image's rows x classes probabilities from one pass, the
+        images' labeled pixels in one builder's training blocks."""
+        rows = self.feats.values.reshape(-1, 3)
+        x = _TrainingBlocks([LabelMap(np.where(m, 0, UNLABELED_ID)[None], 2) for m in masks])
+        for _ in masks:
+            x.add(rows)
         out = []
-        for b, blk in student_blocks(self.model, [self.image(m) for m in masks]):
+        for b, blk in student_blocks(self.model, x.done()[0], [(m, rows[~m]) for m in masks]):
             if b.start == 0:
                 out.append(np.full((GATHER_N, 5), np.nan))
             out[-1][b] = blk.T
@@ -708,6 +707,15 @@ class TestStudentBlocks:
         got = self.gathered(list(gather_masks().values()))
         assert len(got) == len(gather_masks())
         assert all(np.array_equal(g, self.want) for g in got)
+
+    def test_training_blocks_span_the_images(self):
+        # one training block holds the last labeled pixels of the first
+        # image and the first of the second: read on, not restarted
+        masks = [gather_masks()["crossing"], gather_masks()["alternating"]]
+        first = int(np.count_nonzero(masks[0]))
+        cuts = _row_blocks(first + int(np.count_nonzero(masks[1])))
+        assert any(b.start < first < b.stop for b in cuts)
+        assert all(np.array_equal(g, self.want) for g in self.gathered(masks))
 
     def test_masks_cover_the_cuts(self):
         masks = gather_masks()

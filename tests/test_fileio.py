@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import stat
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfuse import fileio
-from segfuse.distill import _row_blocks
+from segfuse.distill import TrainConfig, _row_blocks, _TrainingBlocks, train_rows, train_student
 from segfuse.core import (
     UNLABELED_ID,
+    FeatureMap,
     FusionPolicy,
     IoUReport,
     LabelMap,
@@ -480,6 +482,14 @@ def npy_files(draw):
     return data, labels
 
 
+def read_rows(source, labels):
+    """``fileio.read_feature_rows`` into a training builder of its own:
+    (the builder's training blocks, the unlabeled rows)."""
+    x = _TrainingBlocks([labels])
+    u = fileio.read_feature_rows(source, labels, x)
+    return x.done()[0], u
+
+
 def assert_training_blocks(blocks, rows):
     """``blocks`` are the class-major training blocks of ``rows``: float64
     (d+1) x rows arrays cut by ``_row_blocks``, a row of ones last, whose
@@ -504,10 +514,10 @@ class TestReadFeatureRows:
             want_x, want_u = feature_rows_whole(data, labels)
         except ValueError as e:
             with pytest.raises(ValueError) as err:
-                fileio.read_feature_rows(source, labels)
+                read_rows(source, labels)
             assert str(err.value) == str(e)
         else:
-            x, u = fileio.read_feature_rows(source, labels)
+            x, u = read_rows(source, labels)
             assert_training_blocks(x, want_x)
             assert u.dtype == np.float64 and u.shape == want_u.shape
             np.testing.assert_array_equal(u, want_u)
@@ -542,7 +552,7 @@ class TestReadFeatureRows:
                    else "^bad .npy file: body is ")
         for source in (data, Trickle(data, 1000)):
             with pytest.raises(ValueError, match=message):
-                fileio.read_feature_rows(source, labels)
+                read_rows(source, labels)
         self.assert_same_as_whole(data, data, labels)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -553,19 +563,19 @@ class TestReadFeatureRows:
         flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = value
         labels = random_labelmap(np.random.default_rng(8), 40, 50, 3)
         with pytest.raises(ValueError, match="^feature map contains non-finite values$"):
-            fileio.read_feature_rows(npy_bytes(v), labels)
+            read_rows(npy_bytes(v), labels)
 
     def test_the_grid_must_be_the_labels_grid(self):
         data = npy_bytes(np.zeros((8, 12, 4)))
         for h, w in [(12, 8), (8, 11), (9, 12)]:
             labels = random_labelmap(np.random.default_rng(0), h, w, 3)
             with pytest.raises(ValueError, match="^feature and label dimensions differ$"):
-                fileio.read_feature_rows(data, labels)
+                read_rows(data, labels)
         # the body size is decided first, non-finite values after the grid
         with pytest.raises(ValueError, match="^bad .npy file: body is "):
-            fileio.read_feature_rows(data[:-1], labels)
+            read_rows(data[:-1], labels)
         with pytest.raises(ValueError, match="^feature and label dimensions differ$"):
-            fileio.read_feature_rows(npy_bytes(np.full((8, 12, 4), np.nan)), labels)
+            read_rows(npy_bytes(np.full((8, 12, 4), np.nan)), labels)
 
     @pytest.mark.parametrize("values, message", [
         (np.zeros((8, 12, 4), np.complex128),
@@ -579,7 +589,7 @@ class TestReadFeatureRows:
         for body, want in [(data, f"^{message}$"),
                            (data + b"\0", "^bad .npy file: body is ")]:
             with pytest.raises(ValueError, match=want):
-                fileio.read_feature_rows(body, labels)
+                read_rows(body, labels)
             self.assert_same_as_whole(body, body, labels)
 
     @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
@@ -593,7 +603,7 @@ class TestReadFeatureRows:
         n_x = int(np.count_nonzero(labels.values != UNLABELED_ID))
         tracemalloc.start()
         try:
-            x, u = fileio.read_feature_rows(data, labels)
+            x, u = read_rows(data, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -619,7 +629,7 @@ class TestReadFeatureRows:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^bad .npy file: body is 64 bytes"):
-                fileio.read_feature_rows(data, labels)
+                read_rows(data, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -632,7 +642,7 @@ class TestReadFeatureRows:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^bad .npy file: EOF"):
-                fileio.read_feature_rows(data, labels)
+                read_rows(data, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -640,6 +650,46 @@ class TestReadFeatureRows:
         with pytest.raises(ValueError) as err:
             feature_rows_whole(data, labels)
         assert "EOF" in str(err.value)
+
+
+class TestOneBuilderOverFiles:
+    """The training rows of several .npy files are one builder's: one
+    ``_row_blocks`` cut over all their labeled pixels."""
+
+    def test_two_files_train_as_train_student(self, tmp_path):
+        bench = make_benchmark(BenchmarkConfig(), 0)
+        rng = np.random.default_rng(0)
+        feats, labels = bench.feats[:2], []
+        for i, (f, l) in enumerate(zip(feats, bench.teacher_labels[0])):
+            ids = l.values.copy()
+            ids[rng.random(ids.shape) < 0.15] = UNLABELED_ID
+            labels.append(LabelMap(ids, l.num_classes))
+            np.save(tmp_path / f"f{i}.npy", f.values)
+        x = _TrainingBlocks(labels)
+        for i, (f, l) in enumerate(zip(feats, labels)):
+            with open(tmp_path / f"f{i}.npy", "rb") as fh:
+                u = fileio.read_feature_rows(fh, l, x)
+            mask = l.values.reshape(-1) == UNLABELED_ID
+            assert mask.any() and np.array_equal(u, f.values.reshape(-1, f.dims)[mask])
+        blocks, y, classes = x.done()
+        # per-file blocks would be cut at the file boundary; these are not
+        first = int(np.count_nonzero(labels[0].values != UNLABELED_ID))
+        assert any(b.start < first < b.stop for b in _row_blocks(len(y)))
+        config = TrainConfig(iterations=20, seed=3)
+        got, want = train_rows(blocks, y, classes, config), train_student(feats, labels, config)
+        assert np.array_equal(got.model.weights, want.model.weights)
+        assert np.array_equal(got.model.bias, want.model.bias)
+        assert np.array_equal(got.losses, want.losses)
+
+
+def test_fileio_imports_nothing_from_distill():
+    # the file layer is a codec: which pixels train, in which order and
+    # cut, is the training builder's alone
+    tree = ast.parse(open(fileio.__file__, encoding="utf-8").read())
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+    assert imported and not [m for m in imported if m.split(".")[-1] == "distill"]
 
 
 class TestJsonCsv:
@@ -710,7 +760,7 @@ class TestReadFile:
         monkeypatch.setattr(fileio, "_all_finite", recording)
         labels = random_labelmap(np.random.default_rng(1), 130, 256, 3)
         with open(path, "rb") as fh:
-            x, u = fileio.read_feature_rows(fh, labels)
+            x, u = read_rows(fh, labels)
         assert len(seen) == 5 and len({start for start, *_ in seen}) == 1
         assert all(aligned and view and size <= fileio._CHUNK_BYTES
                    for _, size, aligned, view in seen)
@@ -728,6 +778,25 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"two"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".segfuse-")]
         assert leftovers == []
+
+    def test_refuses_two_outputs_of_one_file_before_writing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.symlink(tmp_path / "a.bin", tmp_path / "link")
+        made = []
+
+        def chunks(name):
+            made.append(name)
+            yield b"x"
+
+        for alias in ("./a.bin", "link", str(tmp_path / "sub" / ".." / "a.bin")):
+            (tmp_path / "sub").mkdir(exist_ok=True)
+            outputs = [(str(tmp_path / "a.bin"), chunks("a")), ("b.bin", chunks("b")),
+                       (alias, chunks("alias"))]
+            with pytest.raises(ValueError) as err:
+                fileio.write_files_atomic(outputs)
+            assert str(err.value) == f"{alias}: names the same file as another output"
+            assert made == []
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
 
     def test_mode_follows_umask(self, tmp_path):
         path = tmp_path / "out.bin"
