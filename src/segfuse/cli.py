@@ -212,9 +212,11 @@ def cmd_synth(args) -> int:
 
     for i, (gt, fm) in enumerate(zip(bench.gts, bench.feats)):
         emit(f"img{i:03d}.gt.lmap", [fileio.write_labelmap(gt)])
-        buf = _io.BytesIO()
-        np.save(buf, fm.values)
-        emit(f"img{i:03d}.features.npy", [buf.getvalue()])
+        # np.save's bytes: its header, then the array itself, with no copy
+        head = _io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            head, np.lib.format.header_data_from_array_1_0(fm.values))
+        emit(f"img{i:03d}.features.npy", [head.getvalue(), fm.values])
         for t, maps in enumerate(bench.teacher_labels):
             emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(maps[i], bench.temperatures[t]))
     for j in range(args.underperformers):

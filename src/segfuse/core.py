@@ -3,7 +3,10 @@
 Label maps, probability maps, feature maps, fusion policies and per-member score
 reports are frozen dataclasses over numpy arrays.  Every array is
 validated and marked read-only at construction time, so instances are
-immutable and safe to share across threads.
+immutable and safe to share across threads.  Probabilities have one check,
+``ProbabilityCheck``, which a ProbMap takes in one block and
+``fileio.read_labels`` one .pmap chunk at a time; ``_all_finite`` is the
+one finiteness test of probabilities, logits and features.
 """
 
 from __future__ import annotations
@@ -38,15 +41,30 @@ def _unwritable(arr: np.ndarray) -> bool:
     return memoryview(arr).readonly
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    """``np.isfinite(v).all()`` of the non-empty array ``v``, without a bool
+    array of its shape: NaN propagates through min and max, and an infinity
+    is one of them."""
+    return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
+
+
 class ProbabilityCheck:
-    """``check_probabilities`` taken block by block: ``add`` each block of
-    whole probability vectors (an array whose last axis is the class axis),
-    in any order, then ``verdict`` raises what the check over the whole map
-    would raise.  The blocks leave three things: whether any value is
-    non-finite, whether any lies outside [0, 1], and the worst exact
-    deviation of the blocks whose screened sum fails.  Each is decided over
-    the whole map, so the error and its printed worst deviation do not
-    depend on how the map was cut.
+    """The check that every probability vector of a map lies in [0, 1] and
+    sums to 1 within PROB_SUM_TOL, taken block by block: ``add`` each block
+    of whole probability vectors (an array whose last axis is the class
+    axis), in any order, then ``verdict`` raises what the check over the
+    whole map would raise.  The blocks leave three things: whether any
+    value is non-finite, whether any lies outside [0, 1], and the worst
+    exact deviation of the blocks whose screened sum fails.  Each is
+    decided over the whole map, so the error and its printed worst
+    deviation do not depend on how the map was cut.
+
+    Blocks may be float32 or float64: the verdict is that of the per-pixel
+    sums accumulated in float64, and float32 -> float64 is exact, so a
+    float32 map gets the same verdict, message and worst deviation as its
+    float64 copy.  A BLAS row sum in the block's own precision screens
+    first; only a block it cannot pass is summed exactly, and only that
+    sum raises.
     """
 
     def __init__(self):
@@ -68,7 +86,7 @@ class ProbabilityCheck:
         # failure only a non-finite value can change the verdict.
         if self.out_of_range or not (v.min() >= 0.0 and v.max() <= 1.0):
             self.out_of_range = True
-            self.non_finite = not np.isfinite(v).all()
+            self.non_finite = not _all_finite(v)
             return
         # Any order of summing C terms in [0, 1] is off from the exact sum s
         # by at most about (C - 1) * eps / 2 * s, so a screened sum that
@@ -94,28 +112,12 @@ class ProbabilityCheck:
             )
 
 
-def check_probabilities(v: np.ndarray) -> None:
-    """Raise unless every probability vector along the last axis of the
-    H x W x C array ``v`` lies in [0, 1] and sums to 1 within PROB_SUM_TOL.
-
-    ``v`` may be float32 or float64: the verdict is that of the per-pixel
-    sums accumulated in float64, and float32 -> float64 is exact, so a
-    float32 array gets the same verdict, message and worst deviation as
-    its float64 copy.  A BLAS row sum in ``v``'s own precision screens
-    first; only a map it cannot pass is summed exactly, and only that sum
-    raises.  ``v`` is one ``ProbabilityCheck`` block.
-    """
-    check = ProbabilityCheck()
-    check.add(v)
-    check.verdict()
-
-
 @dataclass(frozen=True, eq=False)
 class ProbMap:
     """H x W x C map of per-pixel class probabilities.
 
     Values are kept as float64 in memory (training and loss code needs
-    64-bit accumulation) and checked by ``check_probabilities``; the
+    64-bit accumulation) and checked by one ``ProbabilityCheck`` block; the
     on-disk format is float32.  A .pmap file is read for its labels alone:
     ``fileio.read_labels`` runs the same check on its float32 body one
     chunk at a time and argmaxes each chunk as it arrives.
@@ -130,7 +132,9 @@ class ProbMap:
         h, w, c = v.shape
         if h < 1 or w < 1 or c < 2:
             raise ValueError(f"bad probability map shape {v.shape}")
-        check_probabilities(v)
+        check = ProbabilityCheck()
+        check.add(v)
+        check.verdict()
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -144,13 +148,6 @@ class ProbMap:
     @property
     def num_classes(self) -> int:
         return self.values.shape[2]
-
-
-def _all_finite(v: np.ndarray) -> bool:
-    """``np.isfinite(v).all()`` of the non-empty array ``v``, without a bool
-    array of its shape: NaN propagates through min and max, and an infinity
-    is one of them."""
-    return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
 
 
 def _check_feature_layout(dtype: np.dtype, shape: tuple) -> None:

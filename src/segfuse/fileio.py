@@ -10,7 +10,9 @@ Binary layouts (all little-endian):
 A member's labels are read by ``read_labels``, which tells a .lmap from a
 .pmap by its magic: a .pmap is read for its labels alone, its float32 body
 streaming through one reused buffer a cache-sized chunk at a time, each
-chunk checked and argmaxed as it arrives, and no decoder builds a ProbMap.
+chunk checked (``core.ProbabilityCheck``) and argmaxed (``unify``'s
+kernel) as it arrives, and no decoder builds a ProbMap: this module
+takes no argmax and no finiteness test of a map's values itself.
 Feature maps are NumPy .npy files, read in the same kind of chunks
 (``read_feature_rows``) into a caller-owned training builder, which keeps
 the labeled rows, and the unlabeled rows, which the reader returns: which
@@ -36,6 +38,7 @@ import numpy as np
 
 from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FusionPolicy, IoUReport, LabelMap,
                    ProbabilityCheck, _all_finite, _check_feature_layout)
+from .unify import _BLOCK_BYTES, _argmax_into
 from .util import grow_rows, json_number
 
 _HEADER = struct.Struct("<4sIIIH")
@@ -78,13 +81,6 @@ def _check_size(body: int, expected: int, prefix: str = "") -> None:
         raise ValueError(f"{prefix}body is {body} bytes, header implies {expected}")
 
 
-#: A .pmap body is read, checked and argmaxed, and a .npy body read into
-#: training rows, in chunks of whole pixels of about this many bytes, each
-#: still in L2 cache for its passes (for a .pmap, chunks of 128 to 512 KB
-#: were about equally fast at 19 classes, 1 MB slower).
-_CHUNK_BYTES = 1 << 18
-
-
 def _read_into(fh, buf: memoryview) -> int:
     """Fill ``buf`` from the binary stream ``fh``, short only at end of
     file, whatever sizes its reads return; the count of bytes read."""
@@ -110,7 +106,7 @@ def _fill(fh, buf: np.ndarray, size: int) -> tuple[np.ndarray, int]:
 
 def _take(fh, size: int) -> bytes:
     """Up to ``size`` bytes of ``fh``, short only at end of file."""
-    buf, got = _fill(fh, np.empty(min(size, _CHUNK_BYTES), np.uint8), size)
+    buf, got = _fill(fh, np.empty(min(size, _BLOCK_BYTES), np.uint8), size)
     return buf[:got].tobytes()
 
 
@@ -120,7 +116,7 @@ def _chunks(fh, expected: int, step: int, unit: int, prefix: str = ""):
     one reused uint8 buffer: yields (offset, chunk) for each chunk that
     can be part of that body, and skips the rest, which only count.  At
     end of file it raises the size error, ``prefix`` in front."""
-    buf, body = np.empty(min(step, _CHUNK_BYTES), np.uint8), 0
+    buf, body = np.empty(min(step, _BLOCK_BYTES), np.uint8), 0
     while True:
         buf, got = _fill(fh, buf, step)
         if not got:
@@ -134,19 +130,20 @@ def _chunks(fh, expected: int, step: int, unit: int, prefix: str = ""):
 def read_labels(source, logits: bool = False) -> LabelMap:
     """The labels of a .lmap (``read_labelmap``) or of a .pmap, told apart
     by the magic.  A .pmap's labels are the per-pixel argmax of its
-    float32 body, with ties to the smallest class id.  The body must pass
-    ``check_probabilities``, or with ``logits`` be finite raw scores; a
-    softmax is monotone, so their argmax is that of their softmax except
-    where ``exp`` rounding would tie two of them.
+    float32 body, with ties to the smallest class id (``unify``'s
+    ``_argmax_into``).  The body must pass a ``ProbabilityCheck``, or with
+    ``logits`` be finite raw scores; a softmax is monotone, so their
+    argmax is that of their softmax except where ``exp`` rounding would
+    tie two of them.
 
     ``source`` is a binary file at its start (a file, a FIFO), or the
     file's bytes.  A .pmap body is read in chunks of whole pixels into one
     reused buffer, and each chunk is checked and argmaxed while it is in
-    cache; the labels grow only as their pixels arrive.  The peak is one
-    chunk plus the labels, and no array is sized from the header before
-    its bytes arrive.  Errors are decided at end of file, in the order of
-    a check of the whole body: its size, then its values, by one
-    ``ProbabilityCheck``.
+    cache; the labels grow only as their pixels arrive, at most doubling.
+    The peak is one chunk plus the labels, and no array is sized from the
+    header before its bytes arrive.  Errors are decided at end of file, in
+    the order of a check of the whole body: its size, then its values, by
+    one ``ProbabilityCheck``.
     """
     fh = source if hasattr(source, "readinto") else io.BytesIO(source)
     head = _take(fh, _HEADER.size)
@@ -154,8 +151,7 @@ def read_labels(source, logits: bool = False) -> LabelMap:
         return read_labelmap(head + fh.read())
     h, w, c = _parse_header(head, _PMAP_MAGIC)
     pixel = 4 * c
-    step = pixel * min(h * w, max(1, _CHUNK_BYTES // pixel))
-    ids = np.empty(step // pixel, np.intp)
+    step = pixel * min(h * w, max(1, _BLOCK_BYTES // pixel))
     labels = np.empty(0, np.uint16)
     check, finite = ProbabilityCheck(), True
     for offset, chunk in _chunks(fh, h * w * pixel, step, pixel):
@@ -163,12 +159,12 @@ def read_labels(source, logits: bool = False) -> LabelMap:
         if not logits:
             check.add(v)
         elif finite:
-            finite = bool(np.isfinite(v).all())
+            finite = _all_finite(v)
         if finite and not check.failed:
             start = offset // pixel
-            np.argmax(v, axis=1, out=ids[: len(v)])
-            labels.resize(start + len(v), refcheck=False)
-            labels[start:] = ids[: len(v)]
+            end = start + len(v)
+            grow_rows(labels, end, h * w)
+            _argmax_into(v, labels[start:end])
     if not finite:
         raise ValueError("logit body contains non-finite values")
     check.verdict()
@@ -296,7 +292,7 @@ def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:
 
     ``source`` is a binary stream at the start of the file, or its bytes,
     as for ``read_labels``.  The body is read in chunks of whole pixels of
-    about ``_CHUNK_BYTES`` into one reused buffer; each chunk is cast to
+    about ``_BLOCK_BYTES`` into one reused buffer; each chunk is cast to
     float64, checked, handed to ``x`` and its unlabeled rows copied onto
     the end of ``u``, which grows only as they arrive, at most doubling,
     never past the labels' unlabeled count.  The peak is the rows plus
@@ -320,7 +316,7 @@ def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:
     pixel = dims * dtype.itemsize
     # A chunk is whole pixel rows, or a Fortran-order body whole.
     unit = expected if fortran else pixel
-    step = _CHUNK_BYTES if error is not None else unit * max(1, _CHUNK_BYTES // unit)
+    step = _BLOCK_BYTES if error is not None else unit * max(1, _BLOCK_BYTES // unit)
     u, u_end, finite = np.empty((0, dims)), 0, True
     n_u = int(np.count_nonzero(labels.values == UNLABELED_ID))  # u's rows, its size cap
     for _, chunk in _chunks(fh, expected, step, unit, "bad .npy file: "):

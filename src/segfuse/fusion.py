@@ -14,8 +14,7 @@ pixels into that same output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +54,7 @@ def pixel_fuse(unified: Sequence[LabelMap]) -> LabelMap:
     return LabelMap(winner, num_classes)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelSets:
+class ChannelSets(NamedTuple):
     """Per-class pixel sets A_c selected by the policy, plus their overlap.
 
     ``class_masks[c]`` holds the pixels the selected teacher labeled as c;
@@ -65,15 +63,7 @@ class ChannelSets:
     """
 
     class_masks: np.ndarray
-    overlap: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.class_masks, dtype=bool)
-        if m.ndim != 3 or m.shape[0] < 2:
-            raise ValueError(f"class masks must be C x H x W with C >= 2, got {m.shape}")
-        claims = m.sum(axis=0)
-        object.__setattr__(self, "class_masks", _frozen(m))
-        object.__setattr__(self, "overlap", _frozen(claims >= 2))
+    overlap: np.ndarray
 
 
 def build_channel_sets(
@@ -93,7 +83,7 @@ def build_channel_sets(
     masks = np.empty((num_classes,) + maps[0].values.shape, dtype=bool)
     for c in range(num_classes):
         np.equal(maps[policy.teacher_for(c)].values, c, out=masks[c])
-    return ChannelSets(masks)
+    return ChannelSets(_frozen(masks), _frozen(masks.sum(axis=0) >= 2))
 
 
 def _summed_area(mask: np.ndarray, table: np.ndarray) -> None:

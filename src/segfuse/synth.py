@@ -109,6 +109,9 @@ def gen_ground_truth(
         raise ValueError(f"class count must fit 16-bit storage, got {classes}")
     if region_scale < 1:
         raise ValueError("region_scale must be >= 1")
+    if height * width >= 2**63:
+        raise ValueError(
+            f"grid {height}x{width} has {height * width} pixels, more than an int64 holds")
     if classes > height * width:
         raise ValueError(f"cannot place {classes} classes on {height}x{width} pixels")
     rng = np.random.default_rng(seed)

@@ -14,11 +14,11 @@ def json_number(value, integral: bool = False) -> bool:
 
 
 def grow_rows(rows: np.ndarray, end: int, limit: int) -> None:
-    """Grow the 2-d array ``rows`` in place to hold ``end`` rows when it
-    does not: to twice its rows, at most ``limit``, so a few reallocations
-    copy it, not one per append."""
+    """Grow the array ``rows`` in place along its first axis to hold
+    ``end`` rows when it does not: to twice its rows, at most ``limit``, so
+    a few reallocations copy it, not one per append."""
     if end > len(rows):
-        rows.resize((min(max(end, 2 * len(rows)), limit), rows.shape[1]), refcheck=False)
+        rows.resize((min(max(end, 2 * len(rows)), limit), *rows.shape[1:]), refcheck=False)
 
 
 def format_cell(value) -> str:

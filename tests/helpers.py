@@ -9,11 +9,11 @@ from typing import Sequence
 import numpy as np
 
 from segfuse import fileio
-from segfuse.core import (UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap,
-                          check_probabilities)
+from segfuse.core import (UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbabilityCheck,
+                          ProbMap)
 from segfuse.distill import measure_teacher
 from segfuse.policy import select_certainty
-from segfuse.unify import argmax_labels, unify
+from segfuse.unify import unify
 
 
 def certainty_policy(members, feats, config):
@@ -49,17 +49,24 @@ def _pmap_body(data) -> np.ndarray:
     return np.frombuffer(data, "<f4", offset=18).reshape(h, w, c)
 
 
+def check_whole(v) -> None:
+    """A ``ProbabilityCheck`` of the probability map ``v`` as one block."""
+    check = ProbabilityCheck()
+    check.add(v)
+    check.verdict()
+
+
 def read_labels_whole(data, logits: bool = False) -> LabelMap:
     """The labels of a .pmap's bytes, decoded from the whole buffer at once:
-    ``_pmap_body``, then ``check_probabilities`` over the whole body (or,
-    with ``logits``, a finiteness test), then ``argmax_labels``.  The
+    ``_pmap_body``, then ``check_whole`` (or, with ``logits``, a finiteness
+    test), then a whole-array ``np.argmax`` over the class axis.  The
     oracle for the chunked ``fileio.read_labels``."""
     body = _pmap_body(data)
     if not logits:
-        check_probabilities(body)
+        check_whole(body)
     elif not np.isfinite(body).all():
         raise ValueError("logit body contains non-finite values")
-    return argmax_labels(body)
+    return LabelMap(body.argmax(axis=2), body.shape[2])
 
 
 def npy_bytes(values) -> bytes:

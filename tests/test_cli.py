@@ -439,7 +439,7 @@ class TestFileReads:
         monkeypatch.setattr(fileio, "ProbabilityCheck", Recording)
         assert main(["unify", str(tmp_path / "t.pmap"), "-o", str(tmp_path / "u.lmap")]) == 0
         assert len(seen) == 3 and len({start for start, _, _ in seen}) == 1
-        assert all(aligned and size <= fileio._CHUNK_BYTES for _, size, aligned in seen)
+        assert all(aligned and size <= fileio._BLOCK_BYTES for _, size, aligned in seen)
         assert sum(size for _, size, _ in seen) == pm.values.size * 4
         got = fileio.read_labelmap((tmp_path / "u.lmap").read_bytes())
         np.testing.assert_array_equal(got.values, unify(pm).values)
@@ -462,7 +462,7 @@ class TestFileReads:
                      str(tmp_path / "l.lmap"), "--iterations", "2", "--seed", "0",
                      "-o", str(tmp_path / "m.npz")]) == 0
         assert len(seen) == 5 and len({start for start, _, _ in seen}) == 1
-        assert all(aligned and size <= fileio._CHUNK_BYTES for _, size, aligned in seen)
+        assert all(aligned and size <= fileio._BLOCK_BYTES for _, size, aligned in seen)
         assert sum(size for _, size, _ in seen) == values.nbytes
         want = train_student(FeatureMap(values), labels, TrainConfig(iterations=2, seed=0))
         with np.load(tmp_path / "m.npz") as model:
@@ -1186,6 +1186,18 @@ class TestExperimentCommands:
         out = ["--outdir", str(tmp_path / "out.d")] if argv[0] == "synth" else [
             "-o", str(tmp_path / "out.csv")]
         _run_rejected(tmp_path, argv + ["--seed", "0"] + out)
+
+    @pytest.mark.parametrize("argv", [["synth"], ["experiment", "kernel-sweep"],
+                                      ["experiment", "robustness"], ["experiment", "flexibility"]],
+                             ids=" ".join)
+    def test_grid_past_int64_pixels_is_refused_by_name(self, tmp_path, argv):
+        # 4e9 x 4e9 pixels do not fit an int64: refused before any draw
+        out = ["--outdir", str(tmp_path / "out.d")] if argv[0] == "synth" else [
+            "-o", str(tmp_path / "out.csv")]
+        big = ["--height", "4000000000", "--width", "4000000000", "--seed", "0"]
+        msg = _run_rejected(tmp_path, argv + big + out)
+        assert msg == ("grid 4000000000x4000000000 has 16000000000000000000 pixels, "
+                       "more than an int64 holds")
 
     def test_prop_check_jsonl(self, tmp_path):
         out = tmp_path / "props.jsonl"

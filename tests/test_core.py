@@ -13,8 +13,9 @@ from segfuse.core import (
     IoUReport,
     LabelMap,
     ProbMap,
-    check_probabilities,
 )
+
+from helpers import check_whole
 
 
 def uniform_probmap(h, w, c):
@@ -138,12 +139,12 @@ class TestCheckProbabilities:
     @given(near_tolerance_maps())
     @settings(max_examples=400, deadline=None)
     def test_same_verdict_and_message_as_the_exact_sum(self, v):
-        assert outcome(check_probabilities, v) == outcome(exact_check, v)
+        assert outcome(check_whole, v) == outcome(exact_check, v)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [2, 19, 255, 1000])
     def test_uniform_maps_pass(self, dtype, c):
-        check_probabilities(np.full((4, 5, c), 1.0 / c, dtype=dtype))
+        check_whole(np.full((4, 5, c), 1.0 / c, dtype=dtype))
 
 
 class TestLabelMap:

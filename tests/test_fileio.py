@@ -3,7 +3,9 @@ import io
 import os
 import stat
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,7 +284,7 @@ class TestReadLabels:
         with open(path, "rb") as fh:
             peak, labels = self.peak_of_read(fh)
         assert labels.values.shape == (256, 512)
-        assert peak < 2 * fileio._CHUNK_BYTES + labels.values.nbytes
+        assert peak < 2 * fileio._BLOCK_BYTES + labels.values.nbytes
         assert peak / (path.stat().st_size - HEADER.size) < 0.1
 
     def test_peak_grows_only_by_the_labels(self):
@@ -329,7 +331,7 @@ class Trickle:
 
 def _chunk_pixels(c: int) -> int:
     """Pixels in one of ``read_labels``' chunks at ``c`` classes."""
-    return fileio._CHUNK_BYTES // (4 * c)
+    return fileio._BLOCK_BYTES // (4 * c)
 
 
 @st.composite
@@ -435,7 +437,7 @@ class TestChunkedReads:
 
 def _row_chunk(dims: int, itemsize: int) -> int:
     """Pixels in one of ``read_feature_rows``' chunks."""
-    return max(1, fileio._CHUNK_BYTES // (dims * itemsize))
+    return max(1, fileio._BLOCK_BYTES // (dims * itemsize))
 
 
 _NPY_DTYPES = ["<f8", ">f8", "<f4", "<i2", "|b1"]
@@ -614,7 +616,7 @@ class TestReadFeatureRows:
         rows = (n_x * (dims + 1) + (h * w - n_x) * dims) * 8
         block = max(c.stop - c.start for c in _row_blocks(n_x)) * dims * 8
         # the chunk read, and for float32 its float64 cast
-        chunk = fileio._CHUNK_BYTES * (1 if dtype == "<f8" else 3)
+        chunk = fileio._BLOCK_BYTES * (1 if dtype == "<f8" else 3)
         assert peak < rows + block + chunk + 128 * 1024
 
     @pytest.mark.parametrize("shape", [(1, 1, 2**27), (2**20, 2**20, 19)])
@@ -692,6 +694,27 @@ def test_fileio_imports_nothing_from_distill():
     assert imported and not [m for m in imported if m.split(".")[-1] == "distill"]
 
 
+def test_package_imports_only_the_standard_library_numpy_and_itself():
+    # numpy is the one declared dependency; scipy being installed is no licence
+    for path in sorted(Path(fileio.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and not node.level]
+        imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for a in node.names]
+        foreign = {m.split(".")[0] for m in imported} - {"numpy", "segfuse"}
+        assert not foreign - sys.stdlib_module_names, path.name
+
+
+def test_fileio_calls_no_argmax_and_no_numpy_isfinite():
+    # a .pmap's labels come from unify's one argmax, and finiteness from
+    # core's one test; math.isfinite of a decoded JSON number is no map's test
+    tree = ast.parse(open(fileio.__file__, encoding="utf-8").read())
+    called = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert called and not [f for f in called if f.split(".")[-1] == "argmax"
+                           or f.split(".")[-1] == "isfinite" and f != "math.isfinite"]
+
+
 class TestJsonCsv:
     def test_policy_roundtrip(self):
         p = FusionPolicy(np.array([0, 2, 1]), 3)
@@ -762,7 +785,7 @@ class TestReadFile:
         with open(path, "rb") as fh:
             x, u = read_rows(fh, labels)
         assert len(seen) == 5 and len({start for start, *_ in seen}) == 1
-        assert all(aligned and view and size <= fileio._CHUNK_BYTES
+        assert all(aligned and view and size <= fileio._BLOCK_BYTES
                    for _, size, aligned, view in seen)
         assert sum(size for _, size, *_ in seen) == values.nbytes
         rows, labeled = values.reshape(-1, 4), labels.values.reshape(-1) != UNLABELED_ID

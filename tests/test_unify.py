@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfuse import unify
 from segfuse.core import ProbMap
+from segfuse.unify import _BLOCK_BYTES
 
 
 def probmap_from_rows(rows):
@@ -60,3 +64,25 @@ class TestUnify:
         warped = probs**gamma
         warped = ProbMap(warped / warped.sum(axis=2, keepdims=True))
         assert np.array_equal(unify(pm).values, unify(warped).values)
+
+
+class TestUnifyMemory:
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_peak_is_the_labels_and_one_block(self, layout):
+        # a read-only map, and one kept as the strided view of a W x H x C
+        # array (where a reshape to pixel rows copies it), is copied one row
+        # block at a time, never whole
+        raw = np.random.default_rng(0).random((256, 512, 19)) + 1e-3
+        raw /= raw.sum(axis=2, keepdims=True)
+        if layout == "transposed":
+            raw = np.ascontiguousarray(raw.transpose(1, 0, 2)).transpose(1, 0, 2)
+        pm = ProbMap(raw)
+        assert pm.values.flags.c_contiguous == (layout == "contiguous")
+        tracemalloc.start()
+        try:
+            labels = unify(pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels.values, pm.values.argmax(axis=2))
+        assert peak < labels.values.nbytes + 2 * _BLOCK_BYTES + 64 * 1024
