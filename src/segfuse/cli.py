@@ -105,9 +105,9 @@ def cmd_distill(args) -> int:
     labels = _load(args.labels, fileio.read_labelmap)
     x = _TrainingBlocks([labels])
     u = _load(args.features, fileio.read_feature_rows, labels, x, stream=True)
-    # The class ids become train_rows' label positions; none outlives it,
-    # so the --probmap-out write does not hold them.
-    result = train_rows(*x.done(), config)
+    # train_rows takes the finished set; its label sums and positions die
+    # with it, so the --probmap-out write holds only x's blocks and u.
+    result = train_rows(x.done(), config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
     outputs = [(args.output, [buf.getvalue()])]
@@ -212,11 +212,7 @@ def cmd_synth(args) -> int:
 
     for i, (gt, fm) in enumerate(zip(bench.gts, bench.feats)):
         emit(f"img{i:03d}.gt.lmap", [fileio.write_labelmap(gt)])
-        # np.save's bytes: its header, then the array itself, with no copy
-        head = _io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            head, np.lib.format.header_data_from_array_1_0(fm.values))
-        emit(f"img{i:03d}.features.npy", [head.getvalue(), fm.values])
+        emit(f"img{i:03d}.features.npy", fileio.npy_chunks(fm.values))
         for t, maps in enumerate(bench.teacher_labels):
             emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(maps[i], bench.temperatures[t]))
     for j in range(args.underperformers):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,12 +135,24 @@ def _row_blocks(n):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
+class _TrainingSet(NamedTuple):
+    """What ``_ce_means`` reads: the class-major (d+1) x rows ``blocks``,
+    their label sums onehot(y) @ [x | 1], each block's flat label positions
+    in a classes x block-rows array, and the class count."""
+
+    blocks: list
+    sums: np.ndarray
+    at: list
+    classes: int
+
+
 class _TrainingBlocks:
-    """The training layout of the images labeled by the LabelMaps
-    ``labels``: their labeled pixels, in pixel order image after image, as
-    one exact-size class-major (d+1) x rows array, its last row ones, per
-    block of ``_row_blocks`` of their count, in ``blocks`` once every
-    pixel's row was added.  ``labeled`` is the images' flat labeled mask.
+    """The one owner of the training set of the images labeled by the
+    LabelMaps ``labels`` (of one class count), from the label maps to what
+    ``_ce_means`` reads (``done``): their labeled pixels, in pixel order
+    image after image, as one exact-size class-major (d+1) x rows array,
+    its last row ones, per block of one ``_row_blocks`` cut of their
+    count, in ``blocks``.  ``labeled`` is the images' flat labeled mask.
 
     Rows arrive row-major (``add``), d features each as the first rows
     given.  At most one block of labeled rows is staged, in a buffer that
@@ -150,20 +162,25 @@ class _TrainingBlocks:
     one block of staged rows until ``done`` drops the stage."""
 
     def __init__(self, labels):
-        self._labels, self.classes = labels, labels[0].num_classes
+        self._labels, self._classes = labels, labels[0].num_classes
+        if any(l.num_classes != self._classes for l in labels):
+            raise ValueError("images disagree on feature dim or class count")
         self.labeled = np.concatenate([l.values for l in labels], None) != UNLABELED_ID
-        self._sizes = [b.stop - b.start for b in reversed(_row_blocks(int(self.labeled.sum())))]
+        self._cuts = _row_blocks(int(self.labeled.sum()))
         self.blocks, self._stage, self._end, self._rest = [], None, 0, self.labeled
 
     def add(self, rows):
         """Stage the labeled ones of the float64 rows ``rows``, the next
         pixels' rows; return those pixels' labeled mask."""
-        take, self._rest = self._rest[: len(rows)], self._rest[len(rows) :]
         if self._stage is None:
             self._stage = np.empty((0, rows.shape[1]))
+        elif rows.shape[1] != self._stage.shape[1]:
+            raise ValueError("images disagree on feature dim or class count")
+        take, self._rest = self._rest[: len(rows)], self._rest[len(rows) :]
         idx = np.flatnonzero(take)
         while len(idx):
-            size = self._sizes[-1]
+            cut = self._cuts[len(self.blocks)]
+            size = cut.stop - cut.start
             start, end = self._end, min(self._end + len(idx), size)
             grow_rows(self._stage, end, size)
             # mode="clip" keeps take from buffering a copy of ``out``.
@@ -174,16 +191,29 @@ class _TrainingBlocks:
                 block[:-1] = self._stage[:size].T
                 block[-1] = 1.0
                 self.blocks.append(block)
-                self._sizes.pop()
                 self._end = 0
         return take
 
     def done(self):
-        """(blocks, the intp class ids of their rows, the class count) for
-        ``train_rows``, once every pixel's row was added; drops the stage."""
-        y = np.concatenate([l.values for l in self._labels], None)[self.labeled].astype(np.intp)
-        self._stage = None
-        return self.blocks, y, self.classes
+        """The finished ``_TrainingSet``; keeps no label data.  Takes the
+        labeled pixels' class ids, drops the stage, then takes each block's
+        flat label positions and label sums, one BLAS product each."""
+        y = np.concatenate([l.values for l in self._labels], None)[self.labeled]
+        classes, dims = self._classes, self._stage.shape[1] + 1
+        # ids first: dropping the stage first read more robustness peak RSS
+        self._labels = self._stage = None
+        sums, at = np.zeros((classes, dims)), []
+        onehot = np.empty(classes * max((xb.shape[1] for xb in self.blocks), default=0))
+        for xb, cut in zip(self.blocks, self._cuts):
+            a = y[cut].astype(np.intp)
+            a *= len(a)
+            a += np.arange(len(a))
+            e = onehot[: classes * len(a)].reshape(classes, len(a))
+            e.fill(0.0)
+            e.put(a, 1.0)
+            sums += e @ xb.T
+            at.append(a)
+        return _TrainingSet(self.blocks, sums, at, classes)
 
 
 def _block_probs(xb, wb, buf):
@@ -312,11 +342,7 @@ def _as_list(x, cls):
 
 
 def _labeled_rows(feats, labels):
-    """The labeled pixels of (features, labels) image lists as training rows.
-
-    Returns ``_TrainingBlocks.done()``: (class-major training blocks, int
-    class ids, class count).  Each image's rows go straight into one builder.
-    """
+    """The ``_TrainingSet`` of (features, labels) image lists, one builder for all."""
     feats = _as_list(feats, FeatureMap)
     labels = _as_list(labels, LabelMap)
     if len(feats) != len(labels) or not feats:
@@ -325,55 +351,28 @@ def _labeled_rows(feats, labels):
     for f, l in zip(feats, labels):
         if (f.height, f.width) != (l.height, l.width):
             raise ValueError("feature and label dimensions differ")
-        if f.dims != feats[0].dims or l.num_classes != x.classes:
-            raise ValueError("images disagree on feature dim or class count")
         x.add(f.values.reshape(-1, f.dims))
     return x.done()
 
 
-def _label_blocks(blocks, y, classes):
-    """(label sums, each block's flat label positions) of the training
-    blocks labeled by ``y``, found once per training.  The label sums,
-    onehot(y) @ [x | 1] summed by one BLAS product per block, are what a CE
-    step's gradient subtracts; the positions (in a classes x block-rows
-    array) are written over ``y``, uncopied."""
-    if not len(y):
+def _ce_means(wb, rows):
+    """(mean loss, mean grads) of hard-label CE over the ``_TrainingSet``
+    ``rows``, for the classes x (d+1) weights ``wb`` (bias last), the grads
+    shaped alike.  Each block is one gemm in, its softmax and loss, and one
+    gemm out while it is in cache, in one reused buffer, so a step holds
+    O(block x classes); the label sums are subtracted after the blocks.
+    Per-block sums move the last bits of a whole-array step."""
+    if not rows.at:
         raise ValueError("all pixels are unlabeled; nothing to train on")
-    at = [y[rows] for rows in _row_blocks(len(y))]
-    given, want = [xb.shape[1] for xb in blocks], [len(a) for a in at]
-    if given != want:
-        raise ValueError(f"training blocks of {given} rows are not the {want}-row cut "
-                         f"of {len(y)} labels")
-    sums = np.zeros((classes, blocks[0].shape[0]))
-    onehot = np.empty(classes * max(want))
-    for xb, a in zip(blocks, at):
-        a *= len(a)
-        a += np.arange(len(a))
-        e = onehot[: classes * len(a)].reshape(classes, len(a))
-        e.fill(0.0)
-        e.put(a, 1.0)
-        sums += e @ xb.T
-    return sums, at
-
-
-def _ce_means(wb, blocks, labels):
-    """(mean loss, mean grads) of hard-label CE over the training blocks
-    labeled by ``_label_blocks``, for the classes x (d+1) weights ``wb``
-    (bias last), the grads shaped alike.  Each block is one gemm in, its
-    softmax and loss, and one gemm out while it is in cache, in one reused
-    buffer, so a step holds O(block x classes); the label sums are
-    subtracted after the blocks.  Per-block sums move the last bits of a
-    whole-array step."""
-    sums, at = labels
-    n = sum(len(a) for a in at)
-    buf = np.empty(wb.shape[0] * max(len(a) for a in at))
+    n = sum(len(a) for a in rows.at)
+    buf = np.empty(wb.shape[0] * max(len(a) for a in rows.at))
     loss, grads = 0.0, np.zeros_like(wb)
-    for xb, a in zip(blocks, at):
+    for xb, a in zip(rows.blocks, rows.at):
         blk = _block_probs(xb, wb, buf)
         picked = blk.take(a)
         loss -= float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum())
         grads += blk @ xb.T
-    grads -= sums
+    grads -= rows.sums
     grads /= n
     return loss / n, grads
 
@@ -382,10 +381,10 @@ def ce_loss_and_grads(
     model: ToyStudent, feats, labels
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean per-labeled-pixel CE loss and its analytic parameter gradients."""
-    blocks, y, classes = _labeled_rows(feats, labels)
-    if classes != model.num_classes:
+    rows = _labeled_rows(feats, labels)
+    if rows.classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    loss, grads = _ce_means(_augmented_weights(model), blocks, _label_blocks(blocks, y, classes))
+    loss, grads = _ce_means(_augmented_weights(model), rows)
     return loss, grads[:, :-1], grads[:, -1]
 
 
@@ -409,31 +408,28 @@ def kl_loss_and_grads(
 def train_student(feats, labels, config: TrainConfig) -> TrainResult:
     """SGD with momentum on the mean per-labeled-pixel CE loss of FeatureMap
     and LabelMap image lists (or one of each): ``train_rows`` over the
-    training blocks of their labeled pixels."""
-    return train_rows(*_labeled_rows(feats, labels), config)
+    training set of their labeled pixels."""
+    return train_rows(_labeled_rows(feats, labels), config)
 
 
-def train_rows(blocks, y, classes: int, config: TrainConfig) -> TrainResult:
-    """SGD with momentum on the mean CE loss of the class-major training
-    blocks ``blocks`` (``_TrainingBlocks``' (d+1) x rows arrays), labeled by
-    the int class ids ``y`` of ``classes``, which it overwrites with their
-    flat label positions.
+def train_rows(rows: _TrainingSet, config: TrainConfig) -> TrainResult:
+    """SGD with momentum on the mean CE loss of the ``_TrainingSet``
+    ``rows``, as ``_TrainingBlocks.done`` finishes it.
 
     Trains the weights with the bias as their last column, so the bias
     rides in every gemm; weight decay skips that column.  Learning rate
     follows a polynomial decay, lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
     Fully deterministic given the seed and the rows.
     """
-    labels = _label_blocks(blocks, y, classes)
     rng = np.random.default_rng(config.seed)
-    dims = blocks[0].shape[0] - 1
-    wb = np.zeros((classes, dims + 1))
-    wb[:, :dims] = rng.normal(0.0, 0.01, size=(classes, dims))
+    dims = rows.sums.shape[1] - 1
+    wb = np.zeros((rows.classes, dims + 1))
+    wb[:, :dims] = rng.normal(0.0, 0.01, size=(rows.classes, dims))
     vel = np.zeros_like(wb)
     losses = np.empty(config.iterations)
 
     for i in range(config.iterations):
-        losses[i], grads = _ce_means(wb, blocks, labels)
+        losses[i], grads = _ce_means(wb, rows)
         grads[:, :dims] += _WEIGHT_DECAY * wb[:, :dims]
         lr = _LR * (1.0 - i / config.iterations) ** _LR_DECAY_POWER
         vel = _MOMENTUM * vel - lr * grads

@@ -17,7 +17,7 @@ Feature maps are NumPy .npy files, read in the same kind of chunks
 (``read_feature_rows``) into a caller-owned training builder, which keeps
 the labeled rows, and the unlabeled rows, which the reader returns: which
 pixels train, and in which order and cut, is the builder's business, not
-this module's.  A .pmap is written by one encoder, ``probmap_chunks``.
+this module's.  One encoder writes each: .pmap ``probmap_chunks``, .npy ``npy_chunks``.
 Policies and per-member score reports (a teacher's per-class IoU, or its
 student's per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions; writes via
 ``write_files_atomic`` never leave partial files behind.
@@ -282,6 +282,13 @@ def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
     if dtype.hasobject:
         raise ValueError("bad .npy file: object arrays are not accepted")
     return shape, fortran_order, dtype
+
+
+def npy_chunks(values: np.ndarray) -> list:
+    """``np.save``'s bytes of ``values`` as chunks: its 1.0 header, then the array, uncopied."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(values))
+    return [head.getvalue(), values]
 
 
 def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:

@@ -23,7 +23,6 @@ from segfuse.distill import (
     _block_probs,
     _ce_means,
     _certainty,
-    _label_blocks,
     _labeled_rows,
     _row_blocks,
     _TrainingBlocks,
@@ -34,7 +33,6 @@ from segfuse.distill import (
     student_blocks,
     student_forward,
     student_labels,
-    train_rows,
     train_student,
 )
 from segfuse.policy import select_certainty
@@ -319,18 +317,18 @@ def reference_ce_means(weights, bias, x, y):
     return loss / n, (g.T @ x) / n, g.sum(axis=0) / n
 
 
-def training_blocks(x):
-    """The class-major training blocks of the rows x, as training builds them."""
-    blocks = _TrainingBlocks([LabelMap(np.zeros((1, len(x)), np.uint16), 2)])
-    blocks.add(x)
-    return blocks.done()[0]
+def training_set(x, y, classes):
+    """The training set of the rows x labeled by the class ids y, as
+    training builds it."""
+    builder = _TrainingBlocks([LabelMap(y[None], classes)])
+    builder.add(x)
+    return builder.done()
 
 
 def ce_means(weights, bias, x, y):
     """``_ce_means`` of the rows x, as (mean loss, weight grads, bias grads)."""
-    blocks = training_blocks(x)
-    labels = _label_blocks(blocks, y.copy(), weights.shape[0])
-    loss, grads = _ce_means(np.column_stack([weights, bias]), blocks, labels)
+    rows = training_set(x, y, weights.shape[0])
+    loss, grads = _ce_means(np.column_stack([weights, bias]), rows)
     return loss, grads[:, :-1], grads[:, -1]
 
 
@@ -379,7 +377,7 @@ class TestSoftmaxKernel:
             if tied:  # classes 0 and 1 tie, often for the maximum
                 bias[0] = bias.max()
                 weights[1], bias[1] = weights[0], bias[0]
-            xb = np.concatenate(training_blocks(x), axis=1)
+            xb = np.concatenate(training_set(x, np.zeros(rows, np.intp), 2).blocks, axis=1)
             wb = np.column_stack([weights, bias])
             assert xb.shape == (6, rows) and (xb[-1] == 1).all()
             assert np.array_equal(xb[:-1], x.T)
@@ -414,11 +412,10 @@ class TestSoftmaxKernel:
             x = rng.normal(size=(n, 5))
             y = rng.integers(0, classes, size=n).astype(np.intp)
             wb = rng.normal(size=(classes, 6))
-            blocks = training_blocks(x)
-            labels = _label_blocks(blocks, y, classes)
+            rows = training_set(x, y, classes)
             tracemalloc.start()
             try:
-                _ce_means(wb, blocks, labels)
+                _ce_means(wb, rows)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -731,15 +728,37 @@ class TestStudentBlocks:
         assert any(c in run[1:] for c in cuts) and any(p in run[1:] for p in bounds)
 
 
+def callers(name):
+    """The sorted innermost functions or classes of ``distill`` that call
+    ``name``, once per call, each by its qualified name (``Class.method``)."""
+    tree = ast.parse(Path(distill.__file__).read_text(encoding="utf-8"))
+    owner = {}
+
+    def scope(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                # an inner scope's calls overwrite its outer scope's owner
+                owner.update((id(n), prefix + child.name) for n in ast.walk(child))
+                scope(child, f"{prefix}{child.name}.")
+            else:
+                scope(child, prefix)
+
+    scope(tree, "")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == name]
+    return sorted(owner.get(id(c), "<module>") for c in calls)
+
+
 def test_block_probs_runs_in_one_forward_and_the_ce_step():
     # The student's forward is one block loop: a second inference loop
     # would split its buffers and its gather again.
-    tree = ast.parse(Path(distill.__file__).read_text(encoding="utf-8"))
-    owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-             for node in ast.walk(fn)}
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "_block_probs"]
-    assert sorted(owner.get(id(c), "<module>") for c in calls) == ["_ce_means", "student_blocks"]
+    assert callers("_block_probs") == ["_ce_means", "student_blocks"]
+
+
+def test_row_blocks_cuts_once_for_training_and_once_for_inference():
+    # A second training cut, of the labels apart from the builder's
+    # blocks, had to be checked against the builder's own.
+    assert callers("_row_blocks") == ["_TrainingBlocks.__init__", "student_blocks"]
 
 
 class TestCertaintyOracle:
@@ -771,10 +790,12 @@ class TestLabeledRows:
             labels.append(LabelMap(lab, classes))
         tracemalloc.start()
         try:
-            x, y, got_classes = _labeled_rows(feats, labels)
+            rows = _labeled_rows(feats, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        x, got_classes = rows.blocks, rows.classes
+        y = np.concatenate([a // len(a) for a in rows.at])
         n_labeled = y.shape[0]
         block = max(b.stop - b.start for b in _row_blocks(n_labeled))
         assert peak < n_labeled * (dims + 2) * 8 + block * dims * 8 + h * w * 8 + 64 * 1024
@@ -786,6 +807,21 @@ class TestLabeledRows:
         assert all(b.shape[0] == dims + 1 and b.flags.c_contiguous for b in x)
         assert np.array_equal(np.concatenate(x, axis=1), np.vstack([want_x.T, np.ones(n_labeled)]))
         assert y.dtype == np.intp and np.array_equal(y, want_y)
+        assert all(np.array_equal(a % len(a), np.arange(len(a))) for a in rows.at)
+        assert_near(rows.sums, np.eye(classes)[want_y].T @ np.column_stack([want_x, y >= 0]))
+
+    def test_refuses_label_maps_of_two_class_counts(self):
+        # The first map's count was taken, and a 2-class student trained.
+        labels = [LabelMap(np.zeros((2, 2), np.uint16), c) for c in (2, 3)]
+        with pytest.raises(ValueError, match="^images disagree on feature dim or class count$"):
+            _TrainingBlocks(labels)
+
+    @pytest.mark.parametrize("dims, classes", [((3, 5), (2, 2)), ((3, 3), (2, 3))])
+    def test_train_student_refuses_images_that_disagree(self, dims, classes):
+        feats = [FeatureMap(np.zeros((2, 2, d))) for d in dims]
+        labels = [LabelMap(np.zeros((2, 2), np.uint16), c) for c in classes]
+        with pytest.raises(ValueError, match="^images disagree on feature dim or class count$"):
+            train_student(feats, labels, TrainConfig(iterations=1))
 
 
 class TestTrainConfig:
@@ -844,23 +880,6 @@ class TestTrainStudent:
         empty = LabelMap(np.full((16, 16), UNLABELED_ID), 2)
         with pytest.raises(ValueError):
             train_student(feats, empty, TrainConfig(iterations=5, seed=0))
-
-    def test_train_rows_names_a_wrong_block_cut(self):
-        # Per-image training blocks joined together are not the cut of all
-        # the rows; numpy's reshape error named neither.
-        bench = make_benchmark(BenchmarkConfig(), 0)
-        blocks, ys = [], []
-        for f, l in zip(bench.feats, bench.teacher_labels[0]):
-            b, y, classes = _labeled_rows(f, l)
-            blocks += b
-            ys.append(y)
-        y = np.concatenate(ys)
-        given = [b.shape[1] for b in blocks]
-        want = [b.stop - b.start for b in _row_blocks(len(y))]
-        assert given != want
-        msg = f"training blocks of {given} rows are not the {want}-row cut of {len(y)} labels"
-        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            train_rows(blocks, y, classes, TrainConfig(iterations=1))
 
     def test_unlabeled_pixels_ignored_by_training(self):
         feats, labels = separable_instance(13)

@@ -489,7 +489,7 @@ def read_rows(source, labels):
     (the builder's training blocks, the unlabeled rows)."""
     x = _TrainingBlocks([labels])
     u = fileio.read_feature_rows(source, labels, x)
-    return x.done()[0], u
+    return x.done().blocks, u
 
 
 def assert_training_blocks(blocks, rows):
@@ -673,15 +673,23 @@ class TestOneBuilderOverFiles:
                 u = fileio.read_feature_rows(fh, l, x)
             mask = l.values.reshape(-1) == UNLABELED_ID
             assert mask.any() and np.array_equal(u, f.values.reshape(-1, f.dims)[mask])
-        blocks, y, classes = x.done()
+        rows = x.done()
         # per-file blocks would be cut at the file boundary; these are not
         first = int(np.count_nonzero(labels[0].values != UNLABELED_ID))
-        assert any(b.start < first < b.stop for b in _row_blocks(len(y)))
+        assert any(b.start < first < b.stop for b in _row_blocks(sum(map(len, rows.at))))
         config = TrainConfig(iterations=20, seed=3)
-        got, want = train_rows(blocks, y, classes, config), train_student(feats, labels, config)
+        got, want = train_rows(rows, config), train_student(feats, labels, config)
         assert np.array_equal(got.model.weights, want.model.weights)
         assert np.array_equal(got.model.bias, want.model.bias)
         assert np.array_equal(got.losses, want.losses)
+
+    def test_files_of_two_feature_dims_are_refused(self):
+        # numpy's take named neither the images nor their dims
+        labels = [LabelMap(np.zeros((2, 3), np.uint16), 2)] * 2
+        x = _TrainingBlocks(labels)
+        fileio.read_feature_rows(npy_bytes(np.zeros((2, 3, 4))), labels[0], x)
+        with pytest.raises(ValueError, match="^images disagree on feature dim or class count$"):
+            fileio.read_feature_rows(npy_bytes(np.zeros((2, 3, 5))), labels[1], x)
 
 
 def test_fileio_imports_nothing_from_distill():
