@@ -104,15 +104,15 @@ def cmd_distill(args) -> int:
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
     labels = _load(args.labels, fileio.read_labelmap)
     x = _TrainingBlocks([labels])
-    u = _load(args.features, fileio.read_feature_rows, labels, x, stream=True)
+    pieces = _load(args.features, fileio.read_feature_rows, labels, x, stream=True)
     # train_rows takes the finished set; its label sums and positions die
-    # with it, so the --probmap-out write holds only x's blocks and u.
+    # with it, so the --probmap-out write holds only x's blocks and pieces.
     result = train_rows(x.done(), config)
     buf = _io.BytesIO()
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
     outputs = [(args.output, [buf.getvalue()])]
     if args.probmap_out:
-        blocks = (blk.T for _, blk in student_blocks(result.model, x.blocks, [(x.labeled, u)]))
+        blocks = (blk.T for _, blk in student_blocks(result.model, x.blocks, [(x.labeled, pieces)]))
         outputs.append((args.probmap_out, fileio.probmap_chunks(
             labels.height, labels.width, labels.num_classes, blocks)))
     if args.trace_out:

@@ -117,9 +117,9 @@ def _augmented_weights(model):
 _BLOCK_ROWS = 8192
 
 #: Every block but the remainder is a whole number of these rows, so that
-#: the block gemms give the same bits at any BLAS thread count (checked at
-#: 1, 2 and 4 threads on OpenBLAS's Haswell kernel, where most other block
-#: sizes gave different bits at 2 threads).
+#: the block gemms give the same bits at any BLAS thread count on OpenBLAS's
+#: SkylakeX, Haswell and Sandybridge kernels, where most other block sizes
+#: did not; on its Nehalem and Prescott kernels no block size does.
 _BLOCK_UNIT = 32
 
 
@@ -152,21 +152,24 @@ class _TrainingBlocks:
     ``_ce_means`` reads (``done``): their labeled pixels, in pixel order
     image after image, as one exact-size class-major (d+1) x rows array,
     its last row ones, per block of one ``_row_blocks`` cut of their
-    count, in ``blocks``.  ``labeled`` is the images' flat labeled mask.
+    count, in ``blocks``.  One read of the maps gives ``labeled``, the
+    images' flat labeled mask, and the class ids that ``done`` takes.
 
     Rows arrive row-major (``add``), d features each as the first rows
     given.  At most one block of labeled rows is staged, in a buffer that
     grows in place, at most doubling, only as rows arrive; each block is
-    transposed into its class-major array once its rows are in.  So no
-    array is sized before its rows arrive, and the peak is the blocks plus
-    one block of staged rows until ``done`` drops the stage."""
+    transposed into its class-major array once its rows are in, and the
+    stage is emptied once the last one is.  So no array is sized before its
+    rows arrive, and the peak is the blocks plus one block of staged rows."""
 
     def __init__(self, labels):
-        self._labels, self._classes = labels, labels[0].num_classes
+        self._classes = labels[0].num_classes
         if any(l.num_classes != self._classes for l in labels):
             raise ValueError("images disagree on feature dim or class count")
-        self.labeled = np.concatenate([l.values for l in labels], None) != UNLABELED_ID
-        self._cuts = _row_blocks(int(self.labeled.sum()))
+        ids = np.concatenate([l.values for l in labels], None)
+        self.labeled = ids != UNLABELED_ID
+        self._y = ids[self.labeled]
+        self._cuts = _row_blocks(len(self._y))
         self.blocks, self._stage, self._end, self._rest = [], None, 0, self.labeled
 
     def add(self, rows):
@@ -192,16 +195,15 @@ class _TrainingBlocks:
                 block[-1] = 1.0
                 self.blocks.append(block)
                 self._end = 0
+                if len(self.blocks) == len(self._cuts):  # keeps the dims for the checks
+                    self._stage.resize((0, rows.shape[1]), refcheck=False)
         return take
 
     def done(self):
-        """The finished ``_TrainingSet``; keeps no label data.  Takes the
-        labeled pixels' class ids, drops the stage, then takes each block's
+        """The finished ``_TrainingSet``, keeping no label data: each block's
         flat label positions and label sums, one BLAS product each."""
-        y = np.concatenate([l.values for l in self._labels], None)[self.labeled]
-        classes, dims = self._classes, self._stage.shape[1] + 1
-        # ids first: dropping the stage first read more robustness peak RSS
-        self._labels = self._stage = None
+        y, classes, dims = self._y, self._classes, self._stage.shape[1] + 1
+        self._y = self._stage = None
         sums, at = np.zeros((classes, dims)), []
         onehot = np.empty(classes * max((xb.shape[1] for xb in self.blocks), default=0))
         for xb, cut in zip(self.blocks, self._cuts):
@@ -238,44 +240,44 @@ def student_blocks(model: ToyStudent, blocks, images):
     image of the list ``images``: its slice of the image's flat pixels and
     its classes x rows probabilities, a view of one reused buffer.
 
-    An image is (its flat labeled mask, the rows of its unlabeled pixels),
-    in pixel order; ``blocks`` are one ``_TrainingBlocks``' blocks of the
-    images' labeled pixels, read on across the images.  A block is
-    gathered back into pixel order by one slice copy per run of like
-    pixels, so its bits do not depend on which pixels are labeled."""
+    An image is (its flat labeled mask, its unlabeled pixels' rows as the
+    d x rows pieces ``fileio.read_feature_rows`` returns), in pixel order,
+    and ``blocks`` one ``_TrainingBlocks``' blocks of their labeled pixels.
+    A block is gathered in pixel order by one slice copy per run of like
+    pixels and array it spans, so its bits do not depend on which are labeled."""
     wb = _augmented_weights(model)
     cuts = [_row_blocks(len(labeled)) for labeled, _ in images]
     rows = max(b.stop - b.start for bs in cuts for b in bs)
     xbuf, buf = np.empty(wb.shape[1] * rows), np.empty(wb.shape[0] * rows)
-    source, cur, off = iter(blocks), np.empty((wb.shape[1], 0)), 0
-    for (labeled, u), bs in zip(images, cuts):
+    # each kind of pixel's [d x rows arrays, the current one, the offset in it]
+    kinds = [[(p for _, ps in images for p in ps), np.empty((0, 0)), 0],  # unlabeled
+             [(blk[:-1] for blk in blocks), np.empty((0, 0)), 0]]  # labeled
+    for (labeled, _), bs in zip(images, cuts):
         for b in bs:
             m = labeled[b]
             xb = xbuf[: wb.shape[1] * len(m)].reshape(wb.shape[1], len(m))
             xb[-1] = 1.0
-            ends = [*(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), len(m)]
-            for s, e in zip([0, *ends], ends):
-                if not m[s]:
-                    xb[:-1, s:e] = u[: e - s].T
-                    u = u[e - s :]
-                    continue
-                while s < e:  # a labeled run, read on across training blocks
+            starts = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()]
+            for s, e, kind in zip(starts, [*starts[1:], len(m)], m[starts].tolist()):
+                source, cur, off = kinds[kind]
+                while s < e:  # a run, read on across its kind's arrays
                     if off == cur.shape[1]:
                         cur, off = next(source), 0
                     k = min(e - s, cur.shape[1] - off)
-                    xb[:-1, s : s + k] = cur[:-1, off : off + k]
+                    xb[:-1, s : s + k] = cur[:, off : off + k]
                     s, off = s + k, off + k
+                kinds[kind][1:] = cur, off
             yield b, _block_probs(xb, wb, buf)
 
 
 def _unlabeled(feats, dims):
     """The FeatureMaps ``feats`` as ``student_blocks``' all-unlabeled images
-    (no labeled pixel, every row), each of ``dims`` features, or a
-    ValueError."""
+    (no labeled pixel, every row as one piece, a transposed view), each of
+    ``dims`` features, or a ValueError."""
     for f in feats:
         if f.dims != dims:
             raise ValueError(f"feature dim {f.dims} does not match model dim {dims}")
-    return [(np.broadcast_to(False, f.height * f.width), f.values.reshape(-1, f.dims))
+    return [(np.broadcast_to(False, f.height * f.width), [f.values.reshape(-1, f.dims).T])
             for f in feats]
 
 
@@ -307,8 +309,8 @@ def student_labels(model: ToyStudent, feats: FeatureMap) -> LabelMap:
     return LabelMap(ids.reshape(feats.height, feats.width), model.num_classes)
 
 
-def _certainty(model, feats):
-    """Per-class certainty rho of ``model`` on the FeatureMaps ``feats``.
+def _certainty(model, images):
+    """Per-class certainty rho of ``model`` on the ``student_blocks`` images ``images``.
 
     Class c's rho averages the student's class-c probability over the
     pixels where it predicts c (ties to the smallest id); a class with no
@@ -318,7 +320,7 @@ def _certainty(model, feats):
     """
     classes = model.num_classes
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
-    for _, blk in student_blocks(model, [], _unlabeled(feats, model.feature_dims)):
+    for _, blk in student_blocks(model, [], images):
         ids = np.empty(blk.shape[1], np.intp)
         sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
         counts += np.bincount(ids, minlength=classes)
@@ -467,6 +469,6 @@ def measure_teacher(
         raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
     n_measure = min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
     # The student's dims are the training images'; check before training.
-    _unlabeled(feats[:n_measure], feats[n_measure].dims)
+    images = _unlabeled(feats[:n_measure], feats[n_measure].dims)
     model = train_student(feats[n_measure:], labels[n_measure:], config).model
-    return _certainty(model, feats[:n_measure])
+    return _certainty(model, images)

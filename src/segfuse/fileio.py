@@ -15,9 +15,9 @@ kernel) as it arrives, and no decoder builds a ProbMap: this module
 takes no argmax and no finiteness test of a map's values itself.
 Feature maps are NumPy .npy files, read in the same kind of chunks
 (``read_feature_rows``) into a caller-owned training builder, which keeps
-the labeled rows, and the unlabeled rows, which the reader returns: which
-pixels train, and in which order and cut, is the builder's business, not
-this module's.  One encoder writes each: .pmap ``probmap_chunks``, .npy ``npy_chunks``.
+the labeled rows; the rest come back as the pieces they arrive in.  Which
+pixels train is the builder's business: the reader reads no label value.
+One encoder writes each: .pmap ``probmap_chunks``, .npy ``npy_chunks``.
 Policies and per-member score reports (a teacher's per-class IoU, or its
 student's per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions; writes via
 ``write_files_atomic`` never leave partial files behind.
@@ -36,7 +36,7 @@ import uuid
 
 import numpy as np
 
-from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FusionPolicy, IoUReport, LabelMap,
+from .core import (_FEATURES_NOT_FINITE, FusionPolicy, IoUReport, LabelMap,
                    ProbabilityCheck, _all_finite, _check_feature_layout)
 from .unify import _BLOCK_BYTES, _argmax_into
 from .util import grow_rows, json_number
@@ -291,20 +291,20 @@ def npy_chunks(values: np.ndarray) -> list:
     return [head.getvalue(), values]
 
 
-def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:
-    """Read a .npy H x W x d feature map on the grid of ``labels`` as
-    float64 rows in pixel order: each chunk's rows go to ``x.add``, which
-    keeps the labeled ones and returns their mask (``distill``'s training
-    builder), and the rest, the rows of the unlabeled pixels, are returned.
+def read_feature_rows(source, labels: LabelMap, x) -> list:
+    """Read a .npy H x W x d feature map on the grid of ``labels`` (its
+    only use of them) as float64 rows in pixel order: each chunk's rows go
+    to ``x.add``, which keeps the labeled ones and returns their mask
+    (``distill``'s training builder), and the rest, the rows of the
+    unlabeled pixels, are returned as the pieces they arrive in: for each
+    chunk that has any, one exact-size copy, as a class-major d x rows view.
 
     ``source`` is a binary stream at the start of the file, or its bytes,
     as for ``read_labels``.  The body is read in chunks of whole pixels of
-    about ``_BLOCK_BYTES`` into one reused buffer; each chunk is cast to
-    float64, checked, handed to ``x`` and its unlabeled rows copied onto
-    the end of ``u``, which grows only as they arrive, at most doubling,
-    never past the labels' unlabeled count.  The peak is the rows plus
-    ``x``'s own and one chunk, and no array is sized from the header
-    before its bytes arrive.
+    about ``_BLOCK_BYTES`` into one reused buffer, each cast to float64,
+    checked and handed to ``x``.  The peak is the rows plus ``x``'s own
+    and one chunk, and no array is sized from the header before its bytes
+    arrive.
     A Fortran-order body has no pixel rows to stream, so it is read whole,
     as one chunk.  Header errors and object arrays are raised at once;
     then, at end of file, the body size, a layout no FeatureMap takes, a
@@ -324,8 +324,7 @@ def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:
     # A chunk is whole pixel rows, or a Fortran-order body whole.
     unit = expected if fortran else pixel
     step = _BLOCK_BYTES if error is not None else unit * max(1, _BLOCK_BYTES // unit)
-    u, u_end, finite = np.empty((0, dims)), 0, True
-    n_u = int(np.count_nonzero(labels.values == UNLABELED_ID))  # u's rows, its size cap
+    pieces, finite = [], True
     for _, chunk in _chunks(fh, expected, step, unit, "bad .npy file: "):
         if error is not None or not finite:
             continue  # a verdict is decided; read on to count the body
@@ -336,15 +335,13 @@ def read_feature_rows(source, labels: LabelMap, x) -> np.ndarray:
         finite = _all_finite(v)
         if finite:
             keep = ~x.add(v)
-            end = u_end + int(np.count_nonzero(keep))
-            grow_rows(u, end, n_u)
-            np.compress(keep, v, axis=0, out=u[u_end:end])
-            u_end = end
+            if keep.any():
+                pieces.append(v[keep].T)  # a copy: the chunk buffer is reused
     if error is not None:
         raise error
     if not finite:
         raise ValueError(_FEATURES_NOT_FINITE)
-    return u
+    return pieces
 
 
 def write_files_atomic(outputs) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import struct
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from segfuse import cli, fileio
 from segfuse.cli import build_parser, main
-from segfuse.core import FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
-from segfuse.distill import TrainConfig, measure_teacher, student_forward, train_student
+from segfuse.core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
+from segfuse.distill import (TrainConfig, _row_blocks, measure_teacher, student_forward,
+                             train_student)
 from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import (
@@ -100,6 +102,24 @@ def scene(tmp_path):
         p.write_bytes(write_probmap(t))
         paths[f"t{i}"] = p
     return tmp_path, gt, feats, teachers, paths
+
+
+def _unlabeled_runs(directory):
+    """(features path, labels path, features, labels) of a 136 x 128 image
+    of 4 features: two row blocks and three .npy chunks, whose ground truth
+    has a run of unlabeled pixels across each chunk boundary and row-block
+    cut, and scattered unlabeled pixels besides."""
+    gt, feats = gen_ground_truth(136, 128, 4, region_scale=16, seed=1)
+    ids = gt.values.reshape(-1).copy()
+    ids[np.random.default_rng(2).random(len(ids)) < 0.02] = UNLABELED_ID
+    chunk = fileio._BLOCK_BYTES // (4 * 8)
+    for cut in [chunk, 2 * chunk, *(b.start for b in _row_blocks(len(ids))[1:])]:
+        ids[cut - 100 : cut + 100] = UNLABELED_ID
+    labels = LabelMap(ids.reshape(gt.values.shape), 4)
+    paths = directory / "runs.npy", directory / "runs.lmap"
+    np.save(paths[0], feats.values)
+    paths[1].write_bytes(fileio.write_labelmap(labels))
+    return *paths, feats, labels
 
 
 class TestWrapperFidelity:
@@ -226,15 +246,19 @@ class TestWrapperFidelity:
         model_out = tmp_path / "model.npz"
         trace_out = tmp_path / "trace.csv"
         probmap_out = tmp_path / "student.pmap"
-        for flags, config in [([], TrainConfig(seed=4)),
-                              (["--iterations", "30"], TrainConfig(iterations=30, seed=4))]:
+        # the ground truth has no unlabeled pixel; the second input's
+        # unlabeled and labeled runs read on across .npy pieces and blocks
+        inputs = [(paths["feats"], paths["gt"], feats, gt), _unlabeled_runs(tmp_path)]
+        for (feats_path, labels_path, feats, labels), (flags, config) in itertools.product(
+                inputs, [([], TrainConfig(seed=4)),
+                         (["--iterations", "30"], TrainConfig(iterations=30, seed=4))]):
             args = [
-                "distill", "--features", str(paths["feats"]), "--labels", str(paths["gt"]),
+                "distill", "--features", str(feats_path), "--labels", str(labels_path),
                 "--seed", "4", *flags, "-o", str(model_out), "--trace-out", str(trace_out),
                 "--probmap-out", str(probmap_out),
             ]
             assert main(args) == 0
-            want = train_student(feats, gt, config)
+            want = train_student(feats, labels, config)
             saved = np.load(model_out)
             np.testing.assert_array_equal(saved["weights"], want.model.weights)
             np.testing.assert_array_equal(saved["bias"], want.model.bias)

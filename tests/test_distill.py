@@ -26,6 +26,7 @@ from segfuse.distill import (
     _labeled_rows,
     _row_blocks,
     _TrainingBlocks,
+    _unlabeled,
     average_fuse,
     ce_loss_and_grads,
     kl_loss_and_grads,
@@ -489,13 +490,13 @@ class TestRowBlocks:
 THREAD_PROBE = """
 import hashlib, sys, numpy as np
 from segfuse.core import LabelMap
-from segfuse.distill import FeatureMap, TrainConfig, _certainty, train_student
+from segfuse.distill import FeatureMap, TrainConfig, _certainty, _unlabeled, train_student
 c = int(sys.argv[1])
 rng = np.random.default_rng(0)
 feats = FeatureMap(rng.normal(size=(33_000, 1, c)))
 labels = LabelMap(rng.integers(0, c, size=(33_000, 1)).astype(np.uint8), c)
 result = train_student(feats, labels, TrainConfig(iterations=5, seed=0))
-rho = _certainty(result.model, [feats]).per_class
+rho = _certainty(result.model, _unlabeled([feats], c)).per_class
 for a in (result.model.weights, result.model.bias, result.losses, rho):
     print(hashlib.sha256(a.tobytes()).hexdigest())
 """
@@ -519,7 +520,8 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count(classes):
 
 
 def rho_of(model, images):
-    return _certainty(model, [FeatureMap(v) for v in images]).per_class
+    feats = [FeatureMap(v) for v in images]
+    return _certainty(model, _unlabeled(feats, model.feature_dims)).per_class
 
 
 @st.composite
@@ -552,13 +554,14 @@ class TestCertainty:
     @given(certainty_cases())
     def test_matches_the_probability_map_oracle(self, case):
         model, feats = case
-        got = _certainty(model, feats).per_class
+        images = _unlabeled(feats, model.feature_dims)
+        got = _certainty(model, images).per_class
         want = certainty_report([student_forward(model, f) for f in feats]).per_class
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.isnan(got[[1, -1]]).all()
         seen = ~np.isnan(want)
         assert np.abs(got[seen] - want[seen]).max() <= 1e-13
-        assert np.array_equal(_certainty(model, feats).per_class, got, equal_nan=True)
+        assert np.array_equal(_certainty(model, images).per_class, got, equal_nan=True)
 
     def test_single_class_predictor(self):
         # class 0 predicted everywhere at 0.8 -> rho(0)=0.8, others undefined
@@ -603,9 +606,10 @@ class TestCertainty:
         # height x width x classes floats per image, and an argmax that
         # copied each block held one more output block.
         model, feats, buffers, block = peak_case()
-        one = traced_peak(_certainty, model, [feats])
+        one = traced_peak(_certainty, model, _unlabeled([feats], feats.dims))
         assert one - buffers < block
-        assert traced_peak(_certainty, model, [feats] * 3) - one < 16 * 1024
+        three = traced_peak(_certainty, model, _unlabeled([feats] * 3, feats.dims))
+        assert three - one < 16 * 1024
 
 
 def traced_peak(f, *args):
@@ -689,7 +693,7 @@ class TestStudentBlocks:
         for _ in masks:
             x.add(rows)
         out = []
-        for b, blk in student_blocks(self.model, x.done()[0], [(m, rows[~m]) for m in masks]):
+        for b, blk in student_blocks(self.model, x.done()[0], [(m, [rows[~m].T]) for m in masks]):
             if b.start == 0:
                 out.append(np.full((GATHER_N, 5), np.nan))
             out[-1][b] = blk.T
@@ -730,7 +734,8 @@ class TestStudentBlocks:
 
 def callers(name):
     """The sorted innermost functions or classes of ``distill`` that call
-    ``name``, once per call, each by its qualified name (``Class.method``)."""
+    ``name``, as a name or an attribute (``np.name``), once per call, each
+    by its qualified name (``Class.method``)."""
     tree = ast.parse(Path(distill.__file__).read_text(encoding="utf-8"))
     owner = {}
 
@@ -745,7 +750,7 @@ def callers(name):
 
     scope(tree, "")
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == name]
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
     return sorted(owner.get(id(c), "<module>") for c in calls)
 
 
@@ -759,6 +764,12 @@ def test_row_blocks_cuts_once_for_training_and_once_for_inference():
     # A second training cut, of the labels apart from the builder's
     # blocks, had to be checked against the builder's own.
     assert callers("_row_blocks") == ["_TrainingBlocks.__init__", "student_blocks"]
+
+
+def test_label_maps_are_concatenated_once():
+    # The builder took the mask at construction and concatenated the label
+    # maps again in done() for the class ids.
+    assert callers("concatenate") == ["_TrainingBlocks.__init__"]
 
 
 class TestCertaintyOracle:

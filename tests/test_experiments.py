@@ -6,6 +6,7 @@ import pytest
 from segfuse.distill import (
     TrainConfig,
     _certainty,
+    _unlabeled,
     average_fuse,
     measure_teacher,
     student_forward,
@@ -181,7 +182,7 @@ class TestMeasureOnce:
             rho = measure_teacher(labels, bench.feats, config=TC)
             # FAST's 3 images hold out image 0: the student trains on 1 and 2
             student = train_student(bench.feats[1:], labels[1:], TC).model
-            want = _certainty(student, [bench.feats[0]]).per_class
+            want = _certainty(student, _unlabeled(bench.feats[:1], student.feature_dims)).per_class
             assert np.array_equal(rho.per_class, want, equal_nan=True)
 
 

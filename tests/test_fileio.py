@@ -486,10 +486,15 @@ def npy_files(draw):
 
 def read_rows(source, labels):
     """``fileio.read_feature_rows`` into a training builder of its own:
-    (the builder's training blocks, the unlabeled rows)."""
+    (the builder's training blocks, the unlabeled rows' pieces)."""
     x = _TrainingBlocks([labels])
-    u = fileio.read_feature_rows(source, labels, x)
-    return x.done().blocks, u
+    pieces = fileio.read_feature_rows(source, labels, x)
+    return x.done().blocks, pieces
+
+
+def joined(pieces, dims):
+    """The unlabeled rows' class-major pieces as one rows x ``dims`` array."""
+    return np.concatenate(pieces, axis=1).T if pieces else np.empty((0, dims))
 
 
 def assert_training_blocks(blocks, rows):
@@ -519,7 +524,8 @@ class TestReadFeatureRows:
                 read_rows(source, labels)
             assert str(err.value) == str(e)
         else:
-            x, u = read_rows(source, labels)
+            x, pieces = read_rows(source, labels)
+            u = joined(pieces, want_u.shape[1])
             assert_training_blocks(x, want_x)
             assert u.dtype == np.float64 and u.shape == want_u.shape
             np.testing.assert_array_equal(u, want_u)
@@ -594,6 +600,17 @@ class TestReadFeatureRows:
                 read_rows(body, labels)
             self.assert_same_as_whole(body, body, labels)
 
+    def test_unlabeled_rows_are_one_exact_copy_per_chunk_that_has_any(self):
+        # one buffer that grew by doubling held its slack at the peak
+        step = _row_chunk(19, 8)
+        v = np.random.default_rng(9).normal(size=(3 * step, 1, 19))
+        ids = np.zeros(3 * step, np.uint16)
+        ids[step - 5 : step + 7] = UNLABELED_ID  # across the first chunk boundary only
+        _, pieces = read_rows(npy_bytes(v), LabelMap(ids.reshape(-1, 1), 2))
+        assert [p.shape for p in pieces] == [(19, 5), (19, 7)]
+        assert all(p.base.flags.owndata and p.base.nbytes == p.nbytes for p in pieces)
+        np.testing.assert_array_equal(joined(pieces, 19), v.reshape(-1, 19)[ids == UNLABELED_ID])
+
     @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
     def test_peak_is_the_rows_one_block_and_one_chunk(self, dtype):
         # 40,960 pixels, about 32,800 of them labeled: 4 training blocks
@@ -605,10 +622,11 @@ class TestReadFeatureRows:
         n_x = int(np.count_nonzero(labels.values != UNLABELED_ID))
         tracemalloc.start()
         try:
-            x, u = read_rows(data, labels)
+            x, pieces = read_rows(data, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        u = joined(pieces, dims)
         want_x, want_u = feature_rows_whole(data, labels)
         assert_training_blocks(x, want_x)
         assert np.array_equal(u, want_u)
@@ -670,7 +688,7 @@ class TestOneBuilderOverFiles:
         x = _TrainingBlocks(labels)
         for i, (f, l) in enumerate(zip(feats, labels)):
             with open(tmp_path / f"f{i}.npy", "rb") as fh:
-                u = fileio.read_feature_rows(fh, l, x)
+                u = joined(fileio.read_feature_rows(fh, l, x), f.dims)
             mask = l.values.reshape(-1) == UNLABELED_ID
             assert mask.any() and np.array_equal(u, f.values.reshape(-1, f.dims)[mask])
         rows = x.done()
@@ -700,6 +718,19 @@ def test_fileio_imports_nothing_from_distill():
     imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for a in node.names]
     assert imported and not [m for m in imported if m.split(".")[-1] == "distill"]
+
+
+def test_read_feature_rows_reads_only_the_grid_of_its_labels():
+    # which pixels are labeled is the training builder's alone: the reader
+    # also counted the unlabeled pixels from the label values
+    tree = ast.parse(Path(fileio.__file__).read_text(encoding="utf-8"))
+    [fn] = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "read_feature_rows"]
+    parent = {id(child): node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+    uses = [parent[id(node)] for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "labels"]
+    assert sorted({getattr(use, "attr", type(use).__name__) for use in uses}) == [
+        "height", "width"]
 
 
 def test_package_imports_only_the_standard_library_numpy_and_itself():
@@ -791,7 +822,8 @@ class TestReadFile:
         monkeypatch.setattr(fileio, "_all_finite", recording)
         labels = random_labelmap(np.random.default_rng(1), 130, 256, 3)
         with open(path, "rb") as fh:
-            x, u = read_rows(fh, labels)
+            x, pieces = read_rows(fh, labels)
+        u = joined(pieces, 4)
         assert len(seen) == 5 and len({start for start, *_ in seen}) == 1
         assert all(aligned and view and size <= fileio._BLOCK_BYTES
                    for _, size, aligned, view in seen)
