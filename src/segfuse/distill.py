@@ -12,6 +12,11 @@ is resolution-independent.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -119,7 +124,8 @@ _BLOCK_ROWS = 8192
 #: Every block but the remainder is a whole number of these rows, so that
 #: the block gemms give the same bits at any BLAS thread count on OpenBLAS's
 #: SkylakeX, Haswell and Sandybridge kernels, where most other block sizes
-#: did not; on its Nehalem and Prescott kernels no block size does.
+#: did not, even where ``_one_blas_thread`` does not pin BLAS; on its
+#: Nehalem and Prescott kernels no block size does.
 _BLOCK_UNIT = 32
 
 
@@ -133,6 +139,55 @@ def _row_blocks(n):
     k = max(1, n // _BLOCK_ROWS)
     cuts = [i * units // k * _BLOCK_UNIT for i in range(k + 1)] + [n]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles (``numpy.libs/libscipy_openblas64_*.so``), or None where numpy
+    has no such library or it lacks them, as other numpy builds do."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs)
+                    if n.startswith("libscipy_openblas64_") and n.endswith(".so"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with ``_openblas`` on one thread, then give back the
+    caller's thread count, however the body ends.  So the body's gemms give
+    their one-thread bits whatever count the caller set, on every OpenBLAS
+    kernel, and ``_ce_means``' workers do not each start BLAS threads.  The
+    count is process-global: BLAS calls of other threads run on one thread
+    too meanwhile.  Without the library this does nothing."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_count = blas
+    before = get()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(before)
+
+
+def _workers(blocks):
+    """``_ce_means``' worker count for ``blocks`` row blocks: one per core
+    while each gets at least two blocks (with fewer, two workers were no
+    faster than one), and one where ``_one_blas_thread`` cannot pin BLAS,
+    so that no two workers' gemms each start BLAS threads."""
+    if _openblas() is None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), blocks // 2))
 
 
 class _TrainingSet(NamedTuple):
@@ -206,15 +261,16 @@ class _TrainingBlocks:
         self._y = self._stage = None
         sums, at = np.zeros((classes, dims)), []
         onehot = np.empty(classes * max((xb.shape[1] for xb in self.blocks), default=0))
-        for xb, cut in zip(self.blocks, self._cuts):
-            a = y[cut].astype(np.intp)
-            a *= len(a)
-            a += np.arange(len(a))
-            e = onehot[: classes * len(a)].reshape(classes, len(a))
-            e.fill(0.0)
-            e.put(a, 1.0)
-            sums += e @ xb.T
-            at.append(a)
+        with _one_blas_thread():
+            for xb, cut in zip(self.blocks, self._cuts):
+                a = y[cut].astype(np.intp)
+                a *= len(a)
+                a += np.arange(len(a))
+                e = onehot[: classes * len(a)].reshape(classes, len(a))
+                e.fill(0.0)
+                e.put(a, 1.0)
+                sums += e @ xb.T
+                at.append(a)
         return _TrainingSet(self.blocks, sums, at, classes)
 
 
@@ -320,10 +376,11 @@ def _certainty(model, images):
     """
     classes = model.num_classes
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
-    for _, blk in student_blocks(model, [], images):
-        ids = np.empty(blk.shape[1], np.intp)
-        sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
-        counts += np.bincount(ids, minlength=classes)
+    with _one_blas_thread():
+        for _, blk in student_blocks(model, [], images):
+            ids = np.empty(blk.shape[1], np.intp)
+            sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
+            counts += np.bincount(ids, minlength=classes)
     rho = np.full(classes, np.nan)
     seen = counts > 0
     rho[seen] = sums[seen] / counts[seen]
@@ -357,24 +414,56 @@ def _labeled_rows(feats, labels):
     return x.done()
 
 
-def _ce_means(wb, rows):
+def _ce_buffers(rows, workers=1):
+    """``workers`` block buffers for ``_ce_means`` over the ``_TrainingSet`` ``rows``."""
+    return [np.empty(rows.classes * max(map(len, rows.at), default=0)) for _ in range(workers)]
+
+
+def _ce_part(wb, rows, buf, which, parts, errors):
+    """Set ``parts[j]`` to block j's (summed log label probability,
+    probabilities @ rows) for each j of ``which``, in the block buffer
+    ``buf``; append a failure to ``errors`` instead of raising it, so that
+    a worker thread hands it on to ``_ce_means``."""
+    try:
+        for j in which:
+            xb = rows.blocks[j]
+            blk = _block_probs(xb, wb, buf)
+            picked = blk.take(rows.at[j])
+            parts[j] = (float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum()),
+                        blk @ xb.T)
+    except BaseException as e:  # re-raised by _ce_means once every worker is joined
+        errors.append(e)
+
+
+def _ce_means(wb, rows, bufs):
     """(mean loss, mean grads) of hard-label CE over the ``_TrainingSet``
     ``rows``, for the classes x (d+1) weights ``wb`` (bias last), the grads
     shaped alike.  Each block is one gemm in, its softmax and loss, and one
-    gemm out while it is in cache, in one reused buffer, so a step holds
-    O(block x classes); the label sums are subtracted after the blocks.
-    Per-block sums move the last bits of a whole-array step."""
+    gemm out while it is in cache, in a reused buffer, so a step holds
+    O(block x classes) per worker; the label sums are subtracted after the
+    blocks.  Worker w of W = len(``bufs``) takes blocks w, w + W, ... in
+    ``bufs[w]``, worker 0 on the calling thread, and the blocks' terms are
+    summed in block order, so the bits do not depend on W.  Per-block sums
+    move the last bits of a whole-array step."""
     if not rows.at:
         raise ValueError("all pixels are unlabeled; nothing to train on")
-    n = sum(len(a) for a in rows.at)
-    buf = np.empty(wb.shape[0] * max(len(a) for a in rows.at))
+    parts, errors = [None] * len(rows.at), []
+    jobs = [(wb, rows, buf, range(w, len(parts), len(bufs)), parts, errors)
+            for w, buf in enumerate(bufs)]
+    threads = [threading.Thread(target=_ce_part, args=job) for job in jobs[1:]]
+    for t in threads:
+        t.start()
+    _ce_part(*jobs[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     loss, grads = 0.0, np.zeros_like(wb)
-    for xb, a in zip(rows.blocks, rows.at):
-        blk = _block_probs(xb, wb, buf)
-        picked = blk.take(a)
-        loss -= float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum())
-        grads += blk @ xb.T
+    for part_loss, products in parts:
+        loss -= part_loss
+        grads += products
     grads -= rows.sums
+    n = sum(len(a) for a in rows.at)
     grads /= n
     return loss / n, grads
 
@@ -386,7 +475,7 @@ def ce_loss_and_grads(
     rows = _labeled_rows(feats, labels)
     if rows.classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    loss, grads = _ce_means(_augmented_weights(model), rows)
+    loss, grads = _ce_means(_augmented_weights(model), rows, _ce_buffers(rows))
     return loss, grads[:, :-1], grads[:, -1]
 
 
@@ -421,7 +510,9 @@ def train_rows(rows: _TrainingSet, config: TrainConfig) -> TrainResult:
     Trains the weights with the bias as their last column, so the bias
     rides in every gemm; weight decay skips that column.  Learning rate
     follows a polynomial decay, lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
-    Fully deterministic given the seed and the rows.
+    Fully deterministic given the seed and the rows: each step runs on
+    ``_workers`` threads with BLAS on one thread (``_one_blas_thread``),
+    and its bits depend on neither.
     """
     rng = np.random.default_rng(config.seed)
     dims = rows.sums.shape[1] - 1
@@ -430,12 +521,14 @@ def train_rows(rows: _TrainingSet, config: TrainConfig) -> TrainResult:
     vel = np.zeros_like(wb)
     losses = np.empty(config.iterations)
 
-    for i in range(config.iterations):
-        losses[i], grads = _ce_means(wb, rows)
-        grads[:, :dims] += _WEIGHT_DECAY * wb[:, :dims]
-        lr = _LR * (1.0 - i / config.iterations) ** _LR_DECAY_POWER
-        vel = _MOMENTUM * vel - lr * grads
-        wb = wb + vel
+    with _one_blas_thread():
+        bufs = _ce_buffers(rows, _workers(len(rows.at)))
+        for i in range(config.iterations):
+            losses[i], grads = _ce_means(wb, rows, bufs)
+            grads[:, :dims] += _WEIGHT_DECAY * wb[:, :dims]
+            lr = _LR * (1.0 - i / config.iterations) ** _LR_DECAY_POWER
+            vel = _MOMENTUM * vel - lr * grads
+            wb = wb + vel
 
     return TrainResult(ToyStudent(wb[:, :dims], wb[:, dims]), _frozen(losses))
 

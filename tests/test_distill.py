@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from segfuse.distill import (
     _BLOCK_ROWS,
     _BLOCK_UNIT,
     _block_probs,
+    _ce_buffers,
     _ce_means,
     _certainty,
     _labeled_rows,
@@ -34,6 +36,7 @@ from segfuse.distill import (
     student_blocks,
     student_forward,
     student_labels,
+    train_rows,
     train_student,
 )
 from segfuse.policy import select_certainty
@@ -326,10 +329,11 @@ def training_set(x, y, classes):
     return builder.done()
 
 
-def ce_means(weights, bias, x, y):
-    """``_ce_means`` of the rows x, as (mean loss, weight grads, bias grads)."""
+def ce_means(weights, bias, x, y, workers=1):
+    """``_ce_means`` of the rows x on ``workers`` workers, as (mean loss,
+    weight grads, bias grads)."""
     rows = training_set(x, y, weights.shape[0])
-    loss, grads = _ce_means(np.column_stack([weights, bias]), rows)
+    loss, grads = _ce_means(np.column_stack([weights, bias]), rows, _ce_buffers(rows, workers))
     return loss, grads[:, :-1], grads[:, -1]
 
 
@@ -347,12 +351,13 @@ def assert_near(got, want):
 
 def assert_ce_means_near_reference(weights, bias, x, y):
     """``_ce_means`` is within REL_TOL of the whole-array step, gives the
-    same bits on a second call, and, with classes 0 and 1 tied, the same
-    loss bits when their labels swap (their probabilities are equal)."""
+    same bits on a second call on two workers, and, with classes 0 and 1
+    tied, the same loss bits when their labels swap (their probabilities
+    are equal)."""
     got = ce_means(weights, bias, x, y)
     for g, w in zip(got, reference_ce_means(weights, bias, x, y)):
         assert_near(g, w)
-    again = ce_means(weights, bias, x, y)
+    again = ce_means(weights, bias, x, y, workers=2)
     assert got[0] == again[0]
     assert np.array_equal(got[1], again[1]) and np.array_equal(got[2], again[2])
     tied_w, tied_b = weights.copy(), bias.copy()
@@ -416,7 +421,7 @@ class TestSoftmaxKernel:
             rows = training_set(x, y, classes)
             tracemalloc.start()
             try:
-                _ce_means(wb, rows)
+                _ce_means(wb, rows, _ce_buffers(rows))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -502,13 +507,21 @@ for a in (result.model.weights, result.model.bias, result.losses, rho):
 """
 
 
-@pytest.mark.parametrize("classes", [8, 19])
-def test_training_bits_do_not_depend_on_the_blas_thread_count(classes):
+@pytest.mark.parametrize("classes, kernel", [
+    pytest.param(classes, kernel, id=f"{classes}-{kernel}" if kernel else str(classes))
+    for classes in (8, 19) for kernel in (None, "Nehalem", "Prescott")])
+def test_training_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
     # C = d = 8 is the robustness workload's shape: the forward gemm's
     # inner dimension is 9 with the ones row; 19 is the large set-ups'.
+    # The default kernel is the CPU's; on Nehalem and Prescott, which any
+    # x86-64 CPU runs, the gemms change bits with the thread count, so
+    # only training's pin to one BLAS thread holds the bits there.
     def probe(threads):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
         done = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(classes)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -517,6 +530,147 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count(classes):
     one = probe(1)
     assert len(one) == 4
     assert probe(2) == one
+
+
+def rows_of(blocks, classes=8, dims=8):
+    """A random training set of ``blocks`` row blocks, the last a short
+    remainder of 5 rows."""
+    n = (blocks - 1) * B + 5
+    rng = np.random.default_rng([blocks, classes])
+    rows = training_set(rng.normal(size=(n, dims)), rng.integers(0, classes, n), classes)
+    assert len(rows.at) == blocks and len(rows.at[-1]) == 5
+    return rows
+
+
+#: Trains on 4 row blocks (so on 2 workers where there are 2 cores) at the
+#: thread count the environment gives OpenBLAS, and prints that count
+#: before, during and after training.
+BLAS_PIN_PROBE = """
+import numpy as np
+from segfuse import distill
+from segfuse.core import LabelMap
+from segfuse.distill import FeatureMap, TrainConfig, train_student
+get = distill._openblas()[0]
+during, block_probs = set(), distill._block_probs
+def spy(*args):
+    during.add(get())
+    return block_probs(*args)
+distill._block_probs = spy
+before = get()
+rng = np.random.default_rng(0)
+feats = FeatureMap(rng.normal(size=(40_000, 1, 3)))
+labels = LabelMap(rng.integers(0, 3, size=(40_000, 1)).astype(np.uint8), 3)
+train_student(feats, labels, TrainConfig(iterations=2))
+print(before, sorted(during), get())
+"""
+
+
+class TestCEWorkers:
+    """The CE step's worker threads change neither its bits nor its
+    errors, each costs one block buffer, and training gives the caller's
+    BLAS thread count back."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 15])
+    def test_workers_give_the_same_bits(self, blocks):
+        rows = rows_of(blocks)
+        wb = np.random.default_rng(blocks).normal(size=(8, 9))
+        loss, grads = _ce_means(wb, rows, _ce_buffers(rows))
+        # More workers than cores, switching threads often: a block term
+        # lost or summed out of order would change the bits.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3, 5):
+                got = _ce_means(wb, rows, _ce_buffers(rows, workers))
+                assert got[0] == loss and got[1].tobytes() == grads.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_training_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        rows, config = rows_of(4), TrainConfig(iterations=3, seed=1)
+
+        def train(workers):
+            monkeypatch.setattr(distill, "_workers", lambda blocks: workers)
+            result = train_rows(rows, config)
+            return result.model.weights.tobytes(), result.model.bias.tobytes(), result.losses.tobytes()
+
+        assert train(2) == train(1)
+
+    def test_workers_follow_the_cores_and_the_block_count(self, monkeypatch):
+        monkeypatch.setattr(distill.os, "sched_getaffinity", lambda pid: {0, 1})
+        counts = [distill._workers(blocks) for blocks in (1, 2, 3, 4, 15)]
+        assert counts == ([1] * 5 if distill._openblas() is None else [1, 1, 1, 2, 2])
+
+    def test_without_the_library_training_runs_unpinned_on_one_worker(self, monkeypatch):
+        monkeypatch.setattr(distill.os, "listdir", lambda path: ["libopenblas.so"])
+        distill._openblas.cache_clear()
+        try:
+            assert distill._openblas() is None and distill._workers(15) == 1
+            with distill._one_blas_thread():
+                pass
+        finally:
+            monkeypatch.undo()
+            distill._openblas.cache_clear()
+
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_a_failing_block_raises_without_hanging(self, worker, monkeypatch):
+        rows = rows_of(4)
+        bad, block_probs = rows.blocks[2 + worker], distill._block_probs  # worker 1 owns 1, 3
+
+        def failing(xb, wb, buf):
+            if xb is bad:
+                raise RuntimeError("block failed")
+            return block_probs(xb, wb, buf)
+
+        monkeypatch.setattr(distill, "_block_probs", failing)
+        monkeypatch.setattr(distill, "_workers", lambda blocks: 2)
+        blas = distill._openblas()
+        before = blas and blas[0]()
+        errors = []
+
+        def run():
+            try:
+                train_rows(rows, TrainConfig(iterations=2))
+            except RuntimeError as e:
+                errors.append(e)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+        assert [str(e) for e in errors] == ["block failed"]
+        assert (blas and blas[0]()) == before
+
+    def test_training_gives_the_blas_thread_count_back(self):
+        if distill._openblas() is None:
+            pytest.skip("this numpy bundles no scipy-openblas to pin")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", BLAS_PIN_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "[1]", "2"]
+
+    def test_each_extra_worker_costs_one_block_buffer(self, monkeypatch):
+        classes = 19
+        rows = rows_of(4, classes, dims=19)
+
+        def peak(workers):
+            monkeypatch.setattr(distill, "_workers", lambda blocks: workers)
+            tracemalloc.start()
+            try:
+                train_rows(rows, TrainConfig(iterations=2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A worker's block buffer, plus the two rows-long vectors it may
+        # hold at once: its block's column maxima or sums, and its picked
+        # label probabilities.
+        size = max(map(len, rows.at)) * 8
+        one = peak(1)
+        for workers in (2, 3):
+            assert peak(workers) - one <= (workers - 1) * (classes * size + 2 * size)
 
 
 def rho_of(model, images):
@@ -757,7 +911,7 @@ def callers(name):
 def test_block_probs_runs_in_one_forward_and_the_ce_step():
     # The student's forward is one block loop: a second inference loop
     # would split its buffers and its gather again.
-    assert callers("_block_probs") == ["_ce_means", "student_blocks"]
+    assert callers("_block_probs") == ["_ce_part", "student_blocks"]
 
 
 def test_row_blocks_cuts_once_for_training_and_once_for_inference():
