@@ -37,7 +37,7 @@ from .metrics import dataset_iou
 from .policy import select_certainty, select_oracle, select_random
 from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, make_benchmark,
                     make_underperformer_maps, soften)
-from .util import rows_to_csv
+from .util import on_threads, rows_to_csv
 
 
 def _load(path: str, decode, *args, text: bool = False, stream: bool = False):
@@ -68,15 +68,26 @@ def cmd_unify(args) -> int:
     return 0
 
 
+def _read_members(args) -> list:
+    """The labels of each member file of ``args.inputs``, in order, read on
+    one thread per core, at most one per member (``on_threads``): worker w
+    reads members w, w + W, ...  A read lets go of the GIL in its file
+    reads and numpy's loops, so reads of ``unify._BLOCK_BYTES`` chunks
+    overlap.  A failure raised is the first failing member's in argument
+    order, as a loop's would be."""
+    return on_threads(lambda w, p: _load(p, fileio.read_labels, args.renormalize, stream=True),
+                      args.inputs, len(os.sched_getaffinity(0)))
+
+
 def cmd_fuse_pixel(args) -> int:
-    maps = [_load(p, fileio.read_labels, args.renormalize, stream=True) for p in args.inputs]
+    maps = _read_members(args)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(pixel_fuse(maps)))
     return 0
 
 
 def cmd_fuse_channel(args) -> int:
     policy = _load(args.policy, fileio.policy_from_json, text=True)
-    maps = [_load(p, fileio.read_labels, args.renormalize, stream=True) for p in args.inputs]
+    maps = _read_members(args)
     fused = channel_fuse(maps, policy, args.kappa)
     fileio.write_bytes_atomic(args.output, fileio.write_labelmap(fused))
     return 0

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, _frozen
-from .util import grow_rows
+from .util import grow_rows, on_threads
 
 _LOG_CLAMP = 1e-12
 
@@ -159,6 +159,12 @@ def _openblas():
     return get, set_count
 
 
+#: ``_one_blas_thread``'s lock, and its entrants inside and the thread
+#: count the first of them found.
+_BLAS_PIN_LOCK = threading.Lock()
+_blas_pin = {"depth": 0, "before": None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with ``_openblas`` on one thread, then give back the
@@ -166,18 +172,27 @@ def _one_blas_thread():
     their one-thread bits whatever count the caller set, on every OpenBLAS
     kernel, and ``_ce_means``' workers do not each start BLAS threads.  The
     count is process-global: BLAS calls of other threads run on one thread
-    too meanwhile.  Without the library this does nothing."""
+    too meanwhile.  Bodies may overlap, on one thread or several: the
+    first to enter saves the count and pins it, and the last to leave
+    gives it back, so every body runs pinned.  Without the library this
+    does nothing."""
     blas = _openblas()
     if blas is None:
         yield
         return
     get, set_count = blas
-    before = get()
-    set_count(1)
+    with _BLAS_PIN_LOCK:
+        if not _blas_pin["depth"]:
+            _blas_pin["before"] = get()
+            set_count(1)
+        _blas_pin["depth"] += 1
     try:
         yield
     finally:
-        set_count(before)
+        with _BLAS_PIN_LOCK:
+            _blas_pin["depth"] -= 1
+            if not _blas_pin["depth"]:
+                set_count(_blas_pin["before"])
 
 
 def _workers(blocks):
@@ -419,20 +434,14 @@ def _ce_buffers(rows, workers=1):
     return [np.empty(rows.classes * max(map(len, rows.at), default=0)) for _ in range(workers)]
 
 
-def _ce_part(wb, rows, buf, which, parts, errors):
-    """Set ``parts[j]`` to block j's (summed log label probability,
-    probabilities @ rows) for each j of ``which``, in the block buffer
-    ``buf``; append a failure to ``errors`` instead of raising it, so that
-    a worker thread hands it on to ``_ce_means``."""
-    try:
-        for j in which:
-            xb = rows.blocks[j]
-            blk = _block_probs(xb, wb, buf)
-            picked = blk.take(rows.at[j])
-            parts[j] = (float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum()),
-                        blk @ xb.T)
-    except BaseException as e:  # re-raised by _ce_means once every worker is joined
-        errors.append(e)
+def _ce_part(wb, rows, buf, j):
+    """Block j's (summed log label probability, probabilities @ rows), in
+    the block buffer ``buf``."""
+    xb = rows.blocks[j]
+    blk = _block_probs(xb, wb, buf)
+    picked = blk.take(rows.at[j])
+    return (float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum()),
+            blk @ xb.T)
 
 
 def _ce_means(wb, rows, bufs):
@@ -442,22 +451,14 @@ def _ce_means(wb, rows, bufs):
     gemm out while it is in cache, in a reused buffer, so a step holds
     O(block x classes) per worker; the label sums are subtracted after the
     blocks.  Worker w of W = len(``bufs``) takes blocks w, w + W, ... in
-    ``bufs[w]``, worker 0 on the calling thread, and the blocks' terms are
-    summed in block order, so the bits do not depend on W.  Per-block sums
-    move the last bits of a whole-array step."""
+    ``bufs[w]`` (``on_threads``: a failure raised is the lowest failing
+    block's), and the blocks' terms are summed in block order, so the bits
+    do not depend on W.  Per-block sums move the last bits of a
+    whole-array step."""
     if not rows.at:
         raise ValueError("all pixels are unlabeled; nothing to train on")
-    parts, errors = [None] * len(rows.at), []
-    jobs = [(wb, rows, buf, range(w, len(parts), len(bufs)), parts, errors)
-            for w, buf in enumerate(bufs)]
-    threads = [threading.Thread(target=_ce_part, args=job) for job in jobs[1:]]
-    for t in threads:
-        t.start()
-    _ce_part(*jobs[0])
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    parts = on_threads(lambda w, j: _ce_part(wb, rows, bufs[w], j), range(len(rows.at)),
+                       len(bufs))
     loss, grads = 0.0, np.zeros_like(wb)
     for part_loss, products in parts:
         loss -= part_loss

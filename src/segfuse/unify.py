@@ -16,9 +16,13 @@ from .core import LabelMap, ProbMap
 
 #: Maps are argmaxed, and a .pmap or .npy body read (``fileio``), in blocks
 #: of whole pixels of about this many bytes, each still in L2 cache for its
-#: passes (for a .pmap, chunks of 128 to 512 KB were about equally fast at
-#: 19 classes, 1 MB slower).
-_BLOCK_BYTES = 1 << 18
+#: passes.  A .pmap read holds the GIL for about 8 short numpy calls a
+#: chunk, so readers on two threads (``fuse-pixel``, ``fuse-channel``)
+#: overlap only with large chunks.  Four 256 x 512 x 19 reads on a 2-core
+#: Xeon VM, one reader / two readers: 64 KB 33 / 53 ms, 128 KB 28 / 31 ms,
+#: 256 KB 26 / 22 ms, 512 KB 25 / 19 ms, 1 MB 25 / 17 ms.  512 KB takes
+#: most of that gain at half the chunk buffer of 1 MB per reader.
+_BLOCK_BYTES = 1 << 19
 
 
 def _argmax_into(scores: np.ndarray, out: np.ndarray) -> None:

@@ -1,6 +1,9 @@
-"""Small shared helpers: JSON numbers, CSV formatting and growing row buffers."""
+"""Small shared helpers: JSON numbers, CSV formatting, growing row buffers
+and one worker pool on threads."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -19,6 +22,36 @@ def grow_rows(rows: np.ndarray, end: int, limit: int) -> None:
     a few reallocations copy it, not one per append."""
     if end > len(rows):
         rows.resize((min(max(end, 2 * len(rows)), limit), *rows.shape[1:]), refcheck=False)
+
+
+def on_threads(fn, items, workers: int) -> list:
+    """``[fn(w, item) for item in items]``, on ``workers`` threads, at most
+    one per item: worker w takes items w, w + W, ..., worker 0 on the
+    calling thread, and stops at its first failure.  Once every worker has
+    joined, the failure of the lowest failing item is raised, the one a
+    loop over ``items`` in order would raise: each worker takes its items
+    in order, so every item below it was tried."""
+    items = list(items)
+    results, errors = [None] * len(items), {}
+    workers = max(1, min(workers, len(items)))
+
+    def work(w):
+        for i in range(w, len(items), workers):
+            try:
+                results[i] = fn(w, items[i])
+            except BaseException as e:  # raised once every worker is joined
+                errors[i] = e
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def format_cell(value) -> str:

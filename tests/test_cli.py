@@ -106,14 +106,14 @@ def scene(tmp_path):
 
 def _unlabeled_runs(directory):
     """(features path, labels path, features, labels) of a 136 x 128 image
-    of 4 features: two row blocks and three .npy chunks, whose ground truth
-    has a run of unlabeled pixels across each chunk boundary and row-block
-    cut, and scattered unlabeled pixels besides."""
+    of 4 features: two row blocks and, at 512 KB chunks, two .npy chunks,
+    whose ground truth has a run of unlabeled pixels across each chunk
+    boundary and row-block cut, and scattered unlabeled pixels besides."""
     gt, feats = gen_ground_truth(136, 128, 4, region_scale=16, seed=1)
     ids = gt.values.reshape(-1).copy()
     ids[np.random.default_rng(2).random(len(ids)) < 0.02] = UNLABELED_ID
     chunk = fileio._BLOCK_BYTES // (4 * 8)
-    for cut in [chunk, 2 * chunk, *(b.start for b in _row_blocks(len(ids))[1:])]:
+    for cut in [*range(chunk, len(ids), chunk), *(b.start for b in _row_blocks(len(ids))[1:])]:
         ids[cut - 100 : cut + 100] = UNLABELED_ID
     labels = LabelMap(ids.reshape(gt.values.shape), 4)
     paths = directory / "runs.npy", directory / "runs.lmap"
@@ -450,8 +450,9 @@ class TestFileReads:
     its reads come back, as through a file."""
 
     def test_pmap_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
-        # 130 x 256 x 4 float32 is two whole chunks and a part of one more
-        pm = ProbMap(np.full((130, 256, 4), 0.25))
+        # height x 256 x 4 float32 is two whole chunks and a part of one more
+        height = 2 * fileio._BLOCK_BYTES // (256 * 4 * 4) + 2
+        pm = ProbMap(np.full((height, 256, 4), 0.25))
         (tmp_path / "t.pmap").write_bytes(write_probmap(pm))
         seen = []
 
@@ -469,10 +470,11 @@ class TestFileReads:
         np.testing.assert_array_equal(got.values, unify(pm).values)
 
     def test_npy_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
-        # 130 x 256 x 4 float64 is four whole chunks and a part of one more
+        # height x 256 x 4 float64 is four whole chunks and a part of one more
+        height = 4 * fileio._BLOCK_BYTES // (256 * 4 * 8) + 2
         rng = np.random.default_rng(0)
-        values = rng.normal(size=(130, 256, 4))
-        labels = random_labelmap(rng, 130, 256, 3, 0.1)
+        values = rng.normal(size=(height, 256, 4))
+        labels = random_labelmap(rng, height, 256, 3, 0.1)
         np.save(tmp_path / "f.npy", values)
         (tmp_path / "l.lmap").write_bytes(fileio.write_labelmap(labels))
         seen = []
@@ -495,7 +497,7 @@ class TestFileReads:
 
     @pytest.mark.parametrize("piece", [None, 1000], ids=["whole", "1000-byte-writes"])
     def test_fifo_features_give_the_file_outputs(self, tmp_path, piece):
-        # 96 x 512 x 4 float64 is six chunks
+        # 96 x 512 x 4 float64 is three chunks
         gt, feats = gen_ground_truth(96, 512, 4, region_scale=16, seed=0)
         np.save(tmp_path / "f.npy", feats.values)
         (tmp_path / "gt.lmap").write_bytes(fileio.write_labelmap(gt))
@@ -555,7 +557,7 @@ class TestFileReads:
 
     @pytest.mark.parametrize("command", ["unify", "fuse-pixel", "fuse-channel"])
     def test_fifo_written_in_short_pieces_gives_the_file_output(self, tmp_path, command):
-        # 96 x 512 x 4 float32 is three chunks, written 1,000 bytes at a time
+        # 96 x 512 x 4 float32 is a chunk and a half, written 1,000 bytes at a time
         gt, _ = gen_ground_truth(96, 512, 4, region_scale=16, seed=0)
         paths = []
         for i in range(3):
@@ -670,6 +672,121 @@ def _in_process_main(argv):
         except SystemExit as e:
             rc = e.code
     return rc, out.getvalue(), err.getvalue()
+
+
+def _member_files(directory, count):
+    """``count`` members of one image of 256 columns and 5 classes, each
+    .pmap body two whole chunks and a part, so that two readers overlap:
+    paths t0, t1, ..., every third a .lmap."""
+    height = 2 * fileio._BLOCK_BYTES // (256 * 5 * 4) + 2
+    gt, _ = gen_ground_truth(height, 256, 5, region_scale=16, seed=0)
+    paths = []
+    for i in range(count):
+        pm = soften(corrupt_teacher(gt, [0.2] * 5, seed=i), 0.5 + i / 4)
+        if i % 3 == 2:
+            paths.append(directory / f"t{i}.lmap")
+            paths[-1].write_bytes(fileio.write_labelmap(unify(pm)))
+        else:
+            paths.append(directory / f"t{i}.pmap")
+            paths[-1].write_bytes(write_probmap(pm))
+    return paths
+
+
+def _on_cores(monkeypatch, cores):
+    """Make ``cores`` cores visible to the process, as ``_read_members`` counts them."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+class TestMemberReads:
+    """``fuse-pixel`` and ``fuse-channel`` read their members on one thread
+    per core: the outputs and errors are those of one reader, and every
+    thread is joined before the command returns."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("command", ["fuse-pixel", "fuse-channel"])
+    def test_outputs_do_not_depend_on_the_reader_count(self, tmp_path, monkeypatch, command,
+                                                       count):
+        paths = _member_files(tmp_path, count)
+        fifo_member = count // 2  # a FIFO, fed by a thread of its own
+        policy = select_random(5, count, seed=3)
+        (tmp_path / "p.json").write_text(fileio.policy_to_json(policy))
+        readers, read_labels = set(), fileio.read_labels
+
+        def spying(data, *args):
+            readers.add(threading.get_ident())
+            return read_labels(data, *args)
+
+        monkeypatch.setattr(fileio, "read_labels", spying)
+        outputs = []
+        for cores in (1, 2):
+            _on_cores(monkeypatch, cores)
+            readers.clear()
+            fifo = tmp_path / f"fifo{cores}"
+            inputs = [str(fifo if i == fifo_member else p) for i, p in enumerate(paths)]
+            argv = [command, *inputs, "-o", str(tmp_path / f"out{cores}.lmap")]
+            if command == "fuse-channel":
+                argv += ["--policy", str(tmp_path / "p.json"), "--kappa", "5"]
+            data = paths[fifo_member].read_bytes()
+            assert TestFileReads.main_through_fifo(fifo, data, argv) == 0
+            assert len(readers) == min(cores, count)
+            outputs.append((tmp_path / f"out{cores}.lmap").read_bytes())
+        maps = [read_labels(p.read_bytes()) for p in paths]
+        want = pixel_fuse(maps) if command == "fuse-pixel" else channel_fuse(maps, policy, 5)
+        assert outputs == [fileio.write_labelmap(want)] * 2
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("command", ["fuse-pixel", "fuse-channel"])
+    def test_the_first_malformed_member_is_named(self, tmp_path, monkeypatch, command, cores):
+        paths = _member_files(tmp_path, 5)
+        paths[1].write_bytes(paths[1].read_bytes()[:-4])  # a short body
+        paths[3].write_bytes(b"XMAP" + paths[3].read_bytes()[4:])  # a bad magic
+        (tmp_path / "p.json").write_text(fileio.policy_to_json(select_random(5, 5, seed=3)))
+        _on_cores(monkeypatch, cores)
+        argv = [command, *map(str, paths), "-o", str(tmp_path / "out.lmap")]
+        if command == "fuse-channel":
+            argv += ["--policy", str(tmp_path / "p.json")]
+        err = _run_rejected(tmp_path, argv)
+        assert err.startswith(f"{paths[1]}: body is ")
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_a_failing_reader_is_joined(self, tmp_path, monkeypatch, member):
+        # member 0 is read on the calling thread, member 1 on a worker
+        paths = _member_files(tmp_path, 4)
+        paths[member].write_bytes(b"")
+        _on_cores(monkeypatch, 2)
+        before, rcs = set(threading.enumerate()), []
+        caller = threading.Thread(target=lambda: rcs.append(_run_rejected(
+            tmp_path, ["fuse-pixel", *map(str, paths), "-o", str(tmp_path / "out.lmap")])),
+            daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+        assert rcs[0].startswith(f"{paths[member]}: ")
+        assert set(threading.enumerate()) <= before
+
+    def test_a_second_reader_costs_about_one_chunk(self, tmp_path, monkeypatch):
+        gt, _ = gen_ground_truth(64, 512, 19, region_scale=16, seed=0)
+        paths = []
+        for i in range(4):
+            paths.append(tmp_path / f"t{i}.pmap")
+            paths[-1].write_bytes(write_probmap(soften(corrupt_teacher(gt, [0.1] * 19, seed=i),
+                                                       1.0)))
+        args = argparse.Namespace(inputs=[str(p) for p in paths], renormalize=False)
+
+        def peak(cores):
+            _on_cores(monkeypatch, cores)
+            tracemalloc.start()
+            try:
+                cli._read_members(args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(1)
+        # a chunk buffer, and 96 KB for the second reader's smaller
+        # temporaries (its chunk's float32 row sums, about 28 KB) and its
+        # thread's own objects: 2 readers read 575 KB above 1 when measured
+        assert peak(2) - one <= fileio._BLOCK_BYTES + 96 * 1024
 
 
 class TestParserReuse:

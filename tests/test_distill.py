@@ -565,6 +565,35 @@ print(before, sorted(during), get())
 """
 
 
+#: Runs two overlapping ``_one_blas_thread`` bodies on two threads, in the
+#: order A enters, B enters, A leaves, B leaves, and prints the thread
+#: count inside B after A has left, then after both have left.
+BLAS_OVERLAP_PROBE = """
+import threading
+from segfuse import distill
+get = distill._openblas()[0]
+a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+inside_b = []
+def a():
+    with distill._one_blas_thread():
+        a_in.set()
+        assert b_in.wait(30)
+    a_out.set()
+def b():
+    assert a_in.wait(30)
+    with distill._one_blas_thread():
+        b_in.set()
+        assert a_out.wait(30)
+        inside_b.append(get())
+threads = [threading.Thread(target=a), threading.Thread(target=b)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(inside_b[0], get())
+"""
+
+
 class TestCEWorkers:
     """The CE step's worker threads change neither its bits nor its
     errors, each costs one block buffer, and training gives the caller's
@@ -650,6 +679,38 @@ class TestCEWorkers:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["2", "[1]", "2"]
+
+    def test_overlapping_pins_hold_until_the_last_leaves(self):
+        if distill._openblas() is None:
+            pytest.skip("this numpy bundles no scipy-openblas to pin")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", BLAS_OVERLAP_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "2"]
+
+    def test_the_lowest_failing_block_is_raised(self, monkeypatch):
+        # worker 0 takes blocks 0 and 2, worker 1 blocks 1 and 3; block 2
+        # fails first, then block 1, whose error is the one raised
+        rows = rows_of(4)
+        block_probs, two_failed = distill._block_probs, threading.Event()
+
+        def failing(xb, wb, buf):
+            if xb is rows.blocks[2]:
+                two_failed.set()
+                raise RuntimeError("block 2 failed")
+            if xb is rows.blocks[1]:
+                assert two_failed.wait(30)
+                raise ValueError("block 1 failed")
+            return block_probs(xb, wb, buf)
+
+        monkeypatch.setattr(distill, "_block_probs", failing)
+        monkeypatch.setattr(distill, "_workers", lambda blocks: 2)
+        for _ in range(5):
+            two_failed.clear()
+            with pytest.raises(ValueError, match="^block 1 failed$"):
+                train_rows(rows, TrainConfig(iterations=2))
 
     def test_each_extra_worker_costs_one_block_buffer(self, monkeypatch):
         classes = 19

@@ -807,10 +807,11 @@ class TestJsonCsv:
 
 class TestReadFile:
     def test_npy_body_is_decoded_in_place_one_chunk_at_a_time(self, tmp_path, monkeypatch):
-        # 130 x 256 x 4 little-endian float64 is four whole chunks and a part
-        # of one more; each is checked as an aligned float64 view of one
-        # reused buffer, not a copy
-        values = np.random.default_rng(0).normal(size=(130, 256, 4))
+        # height x 256 x 4 little-endian float64 is four whole chunks and a
+        # part of one more; each is checked as an aligned float64 view of
+        # one reused buffer, not a copy
+        height = 4 * fileio._BLOCK_BYTES // (256 * 4 * 8) + 2
+        values = np.random.default_rng(0).normal(size=(height, 256, 4))
         path = tmp_path / "f.npy"
         np.save(path, values)
         seen = []
@@ -820,7 +821,7 @@ class TestReadFile:
             return _check(v)
 
         monkeypatch.setattr(fileio, "_all_finite", recording)
-        labels = random_labelmap(np.random.default_rng(1), 130, 256, 3)
+        labels = random_labelmap(np.random.default_rng(1), height, 256, 3)
         with open(path, "rb") as fh:
             x, pieces = read_rows(fh, labels)
         u = joined(pieces, 4)
