@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fileio
+from . import fileio, util
 from .distill import TrainConfig, _TrainingBlocks, student_blocks, train_rows
 from .experiments import (
     certainty_hist,
@@ -76,7 +76,7 @@ def _read_members(args) -> list:
     overlap.  A failure raised is the first failing member's in argument
     order, as a loop's would be."""
     return on_threads(lambda w, p: _load(p, fileio.read_labels, args.renormalize, stream=True),
-                      args.inputs, len(os.sched_getaffinity(0)))
+                      args.inputs, util.cores())
 
 
 def cmd_fuse_pixel(args) -> int:

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import util
 from .core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, _frozen
 from .util import grow_rows, on_threads
 
@@ -195,14 +196,18 @@ def _one_blas_thread():
                 set_count(_blas_pin["before"])
 
 
+def _blas_workers():
+    """Threads that may run ``_one_blas_thread`` bodies at once: one per
+    core, and one where it cannot pin BLAS, so that no two threads' gemms
+    each start BLAS threads."""
+    return util.cores() if _openblas() else 1
+
+
 def _workers(blocks):
-    """``_ce_means``' worker count for ``blocks`` row blocks: one per core
-    while each gets at least two blocks (with fewer, two workers were no
-    faster than one), and one where ``_one_blas_thread`` cannot pin BLAS,
-    so that no two workers' gemms each start BLAS threads."""
-    if _openblas() is None:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), blocks // 2))
+    """``_ce_means``' worker count for ``blocks`` row blocks: one per
+    ``_blas_workers`` while each gets at least two blocks (with fewer, two
+    workers were no faster than one)."""
+    return max(1, min(_blas_workers(), blocks // 2))
 
 
 class _TrainingSet(NamedTuple):
@@ -315,7 +320,10 @@ def student_blocks(model: ToyStudent, blocks, images):
     d x rows pieces ``fileio.read_feature_rows`` returns), in pixel order,
     and ``blocks`` one ``_TrainingBlocks``' blocks of their labeled pixels.
     A block is gathered in pixel order by one slice copy per run of like
-    pixels and array it spans, so its bits do not depend on which are labeled."""
+    pixels and array it spans, so its bits do not depend on which are
+    labeled, and its probabilities are taken with BLAS on one thread
+    (``_one_blas_thread``, not held while the generator is suspended), so
+    they do not depend on the BLAS thread count."""
     wb = _augmented_weights(model)
     cuts = [_row_blocks(len(labeled)) for labeled, _ in images]
     rows = max(b.stop - b.start for bs in cuts for b in bs)
@@ -338,7 +346,9 @@ def student_blocks(model: ToyStudent, blocks, images):
                     xb[:-1, s : s + k] = cur[:, off : off + k]
                     s, off = s + k, off + k
                 kinds[kind][1:] = cur, off
-            yield b, _block_probs(xb, wb, buf)
+            with _one_blas_thread():
+                probs = _block_probs(xb, wb, buf)
+            yield b, probs
 
 
 def _unlabeled(feats, dims):
@@ -391,11 +401,10 @@ def _certainty(model, images):
     """
     classes = model.num_classes
     sums, counts = np.zeros(classes), np.zeros(classes, np.int64)
-    with _one_blas_thread():
-        for _, blk in student_blocks(model, [], images):
-            ids = np.empty(blk.shape[1], np.intp)
-            sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
-            counts += np.bincount(ids, minlength=classes)
+    for _, blk in student_blocks(model, [], images):
+        ids = np.empty(blk.shape[1], np.intp)
+        sums += np.bincount(ids, weights=_block_ids(blk, ids), minlength=classes)
+        counts += np.bincount(ids, minlength=classes)
     rho = np.full(classes, np.nan)
     seen = counts > 0
     rho[seen] = sums[seen] / counts[seen]

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .distill import (
     TrainConfig,
+    _blas_workers,
     average_fuse,
     measure_teacher,
     student_labels,
@@ -29,6 +30,7 @@ from .synth import (
     soften,
 )
 from .unify import unify
+from .util import on_threads
 
 
 def _fuse_channel_all(unified, policy, kappa):
@@ -39,6 +41,18 @@ def _fuse_channel_all(unified, policy, kappa):
 def _fuse_pixel_all(unified):
     images = len(unified[0])
     return [pixel_fuse([u[i] for u in unified]) for i in range(images)]
+
+
+def _measure(members, feats, train_config) -> list:
+    """``measure_teacher`` of each member (its label maps) of ``members``
+    on ``feats``, in member order, on one thread per core (``on_threads``):
+    a member's rho depends on that member alone, and every training pins
+    BLAS to one thread and cuts its own blocks, so no bit depends on the
+    thread count (``_blas_workers``: one thread where BLAS cannot be
+    pinned).  A failure raised is the first failing member's, as a loop's
+    would be."""
+    return on_threads(lambda w, labels: measure_teacher(labels, feats, config=train_config),
+                      members, _blas_workers())
 
 
 def _teacher_reports(unified, gts) -> list:
@@ -104,9 +118,7 @@ def robustness(
         good_probs = [[soften(m, temp) for m in maps]
                       for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
         bad_probs = [soften(m, UNDERPERFORMER_TEMPERATURE) for m in bad]
-        good_rhos = [measure_teacher(m, bench.feats, config=train_config)
-                     for m in bench.teacher_labels]
-        bad_rho = measure_teacher(bad, bench.feats, config=train_config)
+        *good_rhos, bad_rho = _measure([*bench.teacher_labels, bad], bench.feats, train_config)
         for k in bad_counts:
             unified = list(bench.teacher_labels) + [bad] * k
             probs = good_probs + [bad_probs] * k
@@ -139,9 +151,7 @@ def policy_quality(
         unified = bench.teacher_labels
         policies = {
             "random": select_random(config.classes, bench.num_teachers, seed),
-            "certainty": select_certainty(
-                [measure_teacher(m, bench.feats, config=train_config) for m in unified]
-            ),
+            "certainty": select_certainty(_measure(unified, bench.feats, train_config)),
             "oracle": select_oracle(_teacher_reports(unified, bench.gts)),
         }
         for name, policy in policies.items():
@@ -162,7 +172,7 @@ def correlation(
         bench = make_benchmark(config, seed)
         unified = bench.teacher_labels
         reports = _teacher_reports(unified, bench.gts)
-        rhos = [measure_teacher(m, bench.feats, config=train_config) for m in unified]
+        rhos = _measure(unified, bench.feats, train_config)
         for c, sim in enumerate(certainty_iou_cosine(rhos, reports)):
             rows.append((seed, c, float(sim)))
     return ["seed", "class", "cosine"], rows
@@ -201,10 +211,7 @@ def flexibility(
     measured = []
     rows = []
     for r in range(1, rounds + 1):
-        measured += [
-            measure_teacher(labels, bench.feats, config=train_config)
-            for labels in unified[len(measured):]
-        ]
+        measured += _measure(unified[len(measured):], bench.feats, train_config)
         policy = select_certainty(measured)
         fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
         student = train_student(list(bench.feats), fused, train_config).model

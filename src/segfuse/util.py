@@ -1,8 +1,9 @@
-"""Small shared helpers: JSON numbers, CSV formatting, growing row buffers
-and one worker pool on threads."""
+"""Small shared helpers: JSON numbers, CSV formatting, growing row buffers,
+the core count and one worker pool on threads."""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -22,6 +23,15 @@ def grow_rows(rows: np.ndarray, end: int, limit: int) -> None:
     a few reallocations copy it, not one per append."""
     if end > len(rows):
         rows.resize((min(max(end, 2 * len(rows)), limit), *rows.shape[1:]), refcheck=False)
+
+
+def cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS
+    reports one (``os.sched_getaffinity`` is Linux-only), else the
+    machine's CPU count, at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def on_threads(fn, items, workers: int) -> list:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse import cli, fileio
+from segfuse import cli, fileio, util
 from segfuse.cli import build_parser, main
 from segfuse.core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
 from segfuse.distill import (TrainConfig, _row_blocks, measure_teacher, student_forward,
@@ -694,7 +694,7 @@ def _member_files(directory, count):
 
 def _on_cores(monkeypatch, cores):
     """Make ``cores`` cores visible to the process, as ``_read_members`` counts them."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(util, "cores", lambda: cores)
 
 
 class TestMemberReads:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse import distill
+from segfuse import distill, util
 from segfuse.core import UNLABELED_ID, LabelMap, ProbMap
 from segfuse.distill import (
     FeatureMap,
@@ -532,6 +532,43 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
     assert probe(2) == one
 
 
+#: Runs a random C-class student with C features (C = d) over a 128 x 256
+#: image, 4 row blocks, and prints the bytes of its probabilities.
+FORWARD_PROBE = """
+import hashlib, sys, numpy as np
+from segfuse.distill import FeatureMap, ToyStudent, student_forward
+c = int(sys.argv[1])
+rng = np.random.default_rng(0)
+model = ToyStudent(rng.normal(size=(c, c)), rng.normal(size=c))
+feats = FeatureMap(rng.normal(size=(128, 256, c)))
+print(hashlib.sha256(student_forward(model, feats).values.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("classes, kernel", [
+    pytest.param(classes, kernel, id=f"{classes}-{kernel}" if kernel else str(classes))
+    for classes in (8, 19) for kernel in (None, "Nehalem", "Prescott")])
+def test_forward_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
+    # student_blocks pins BLAS for every consumer (student_forward,
+    # student_labels, distill --probmap-out, rho), not only for training's:
+    # unpinned, the forward gemm's bits follow the thread count on Nehalem
+    # and Prescott.
+    def probe(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        done = subprocess.run([sys.executable, "-c", FORWARD_PROBE, str(classes)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    one = probe(1)
+    assert len(one) == 1
+    assert probe(2) == one
+
+
 def rows_of(blocks, classes=8, dims=8):
     """A random training set of ``blocks`` row blocks, the last a short
     remainder of 5 rows."""
@@ -626,7 +663,7 @@ class TestCEWorkers:
         assert train(2) == train(1)
 
     def test_workers_follow_the_cores_and_the_block_count(self, monkeypatch):
-        monkeypatch.setattr(distill.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(util, "cores", lambda: 2)
         counts = [distill._workers(blocks) for blocks in (1, 2, 3, 4, 15)]
         assert counts == ([1] * 5 if distill._openblas() is None else [1, 1, 1, 2, 2])
 

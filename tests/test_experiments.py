@@ -1,7 +1,12 @@
 """Experiment-driver behavior on a small fast benchmark."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+
+from segfuse import distill, experiments, util
 
 from segfuse.distill import (
     TrainConfig,
@@ -222,6 +227,98 @@ class TestUnifyOnce:
         assert bool(seen) == unifies
         assert repeats == 0
         assert len({(id(m), id(f)) for m, f in calls}) == len(calls) == labeled
+
+
+DRIVERS = {
+    "robustness": lambda: robustness(FAST, [0, 1, 2], 0, 2, TC),
+    "flexibility": lambda: flexibility(FAST, 3, 0, TC),
+    "policy_quality": lambda: policy_quality(FAST, 0, 2, TC),
+    "correlation": lambda: correlation(FAST, 0, 2, TC),
+}
+
+
+def robustness_members(seed):
+    """The members ``robustness`` measures for ``seed``: the teachers, then ``bad``."""
+    bench = make_benchmark(FAST, seed)
+    return [*bench.teacher_labels, make_underperformer_maps(bench, seed)]
+
+
+class TestMemberPool:
+    """The drivers measure their members on one thread per core: the rows
+    and errors are those of one thread, and every thread is joined."""
+
+    @pytest.mark.parametrize("name", DRIVERS)
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, name):
+        measuring, measure = [], measure_teacher
+
+        def spying(*args, **kwargs):
+            measuring.append(threading.get_ident())
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "measure_teacher", spying)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often
+        try:
+            runs = {}
+            for cores in (1, 2):
+                monkeypatch.setattr(util, "cores", lambda: cores)
+                measuring.clear()
+                runs[cores] = DRIVERS[name]()
+                assert len(set(measuring)) == (cores if distill._openblas() else 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[2] == runs[1]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_the_first_failing_member_is_raised(self, monkeypatch, cores):
+        # On 3 workers, worker 0 takes members 0 and 3, worker 1 member 1:
+        # member 3 fails first, then member 1, whose error is the one raised.
+        members, measure = robustness_members(0), measure_teacher
+        three_failed = threading.Event()
+        workers = cores if distill._openblas() else 1
+
+        def failing(labels, *args, **kwargs):
+            member = next(i for i, m in enumerate(members)
+                          if np.array_equal(m[0].values, labels[0].values))
+            if member == 3:
+                three_failed.set()
+                raise RuntimeError("member 3 failed")
+            if member == 1:
+                assert workers < 3 or three_failed.wait(30)
+                raise ValueError("member 1 failed")
+            return measure(labels, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "measure_teacher", failing)
+        monkeypatch.setattr(util, "cores", lambda: cores)
+        with pytest.raises(ValueError, match="^member 1 failed$"):
+            robustness(FAST, [0], 0, 1, TC)
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_a_failing_member_is_joined(self, monkeypatch, member):
+        # member 0 is measured on the calling thread, member 1 on a worker
+        members, measure = robustness_members(0), measure_teacher
+
+        def failing(labels, *args, **kwargs):
+            if np.array_equal(members[member][0].values, labels[0].values):
+                raise RuntimeError(f"member {member} failed")
+            return measure(labels, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "measure_teacher", failing)
+        monkeypatch.setattr(util, "cores", lambda: 2)
+        before, errors = set(threading.enumerate()), []
+
+        def run():
+            try:
+                robustness(FAST, [0], 0, 1, TC)
+            except RuntimeError as e:
+                errors.append(str(e))
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+        assert errors == [f"member {member} failed"]
+        assert set(threading.enumerate()) <= before
 
 
 class TestFlexibility:

@@ -1,8 +1,22 @@
+import ast
+import os
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from segfuse.util import on_threads
+import segfuse
+from segfuse import fileio
+from segfuse.cli import main
+from segfuse.core import FeatureMap
+from segfuse.distill import TrainConfig, train_student
+from segfuse.policy import select_random
+from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
+from segfuse.unify import unify
+from segfuse.util import cores, on_threads
+
+from helpers import random_labelmap
 
 
 class TestOnThreads:
@@ -48,3 +62,67 @@ class TestOnThreads:
         # each worker stopped at its first failure and every thread is joined
         assert sorted(calls) == [0, 1, 3]
         assert set(threading.enumerate()) <= before
+
+
+class TestCores:
+    """``cores`` counts the cores a process may use, where the OS has no
+    affinity call too, and every pool runs there."""
+
+    def test_the_affinity_where_the_os_has_one(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("this OS reports no CPU affinity")
+        assert cores() == len(os.sched_getaffinity(0))
+
+    def test_the_cpu_count_where_the_os_has_no_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert cores() == 1
+
+    def test_fusion_and_training_run_without_the_affinity_call(self, tmp_path, monkeypatch):
+        gt, _ = gen_ground_truth(16, 16, 3, region_scale=4, seed=0)
+        paths = [tmp_path / f"t{i}.lmap" for i in range(3)]
+        for i, p in enumerate(paths):
+            p.write_bytes(fileio.write_labelmap(unify(soften(corrupt_teacher(
+                gt, [0.2] * 3, seed=i), 1.0))))
+        (tmp_path / "p.json").write_text(fileio.policy_to_json(select_random(3, 3, seed=0)))
+        labels = random_labelmap(np.random.default_rng(0), 40_000, 1, 3, unlabeled_frac=0.0)
+        feats = FeatureMap(np.random.default_rng(1).normal(size=(40_000, 1, 3)))
+        want = train_student(feats, labels, TrainConfig(iterations=2)).losses
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        out = tmp_path / "out.lmap"
+        assert main(["fuse-channel", *map(str, paths), "--policy", str(tmp_path / "p.json"),
+                     "-o", str(out)]) == 0
+        assert out.stat().st_size > 0
+        got = train_student(feats, labels, TrainConfig(iterations=2)).losses  # 4 row blocks
+        assert got.tobytes() == want.tobytes()
+
+
+def owners(names):
+    """The sorted (module, innermost function) pairs of ``segfuse`` whose
+    code names one of ``names``, as an attribute (``os.name``), a name or
+    an import, once per use."""
+    found = []
+    for path in sorted(Path(segfuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so inner ones overwrite
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = (getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+                    getattr(node, "id", None) if isinstance(node, ast.Name) else
+                    getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+            if name in names:
+                found.append((path.stem, owner.get(id(node), "<module>")))
+    return sorted(found)
+
+
+def test_one_thread_pool_and_one_core_count():
+    # The CE blocks, the member reads and the member measurements share one
+    # pool and one core count; a pool of its own would need its own error
+    # order and join, and a core count of its own its own portability.
+    assert owners({"Thread"}) == [("util", "on_threads")]
+    assert owners({"sched_getaffinity"}) == [("util", "cores")]
