@@ -140,10 +140,10 @@ def read_labels(source, logits: bool = False) -> LabelMap:
     file's bytes.  A .pmap body is read in chunks of whole pixels into one
     reused buffer, and each chunk is checked and argmaxed while it is in
     cache; the labels grow only as their pixels arrive, at most doubling.
-    The peak is one chunk plus the labels, and no array is sized from the
-    header before its bytes arrive.  Errors are decided at end of file, in
-    the order of a check of the whole body: its size, then its values, by
-    one ``ProbabilityCheck``.
+    The peak is one chunk, its intp ids and the labels; no array is sized
+    from the header before its bytes arrive.  Errors are decided at end of
+    file, in the order of a check of the whole body: its size, then its
+    values, by one ``ProbabilityCheck``.
     """
     fh = source if hasattr(source, "readinto") else io.BytesIO(source)
     head = _take(fh, _HEADER.size)
@@ -152,7 +152,7 @@ def read_labels(source, logits: bool = False) -> LabelMap:
     h, w, c = _parse_header(head, _PMAP_MAGIC)
     pixel = 4 * c
     step = pixel * min(h * w, max(1, _BLOCK_BYTES // pixel))
-    labels = np.empty(0, np.uint16)
+    labels, ids = np.empty(0, np.uint16), None
     check, finite = ProbabilityCheck(), True
     for offset, chunk in _chunks(fh, h * w * pixel, step, pixel):
         v = chunk.view("<f4").reshape(-1, c)
@@ -164,7 +164,9 @@ def read_labels(source, logits: bool = False) -> LabelMap:
             start = offset // pixel
             end = start + len(v)
             grow_rows(labels, end, h * w)
-            _argmax_into(v, labels[start:end])
+            if ids is None:  # the first chunk: no later one is longer
+                ids = np.empty(len(v), np.intp)
+            _argmax_into(v, labels[start:end], ids)
     if not finite:
         raise ValueError("logit body contains non-finite values")
     check.verdict()

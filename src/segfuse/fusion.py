@@ -7,9 +7,9 @@ Two fusion routes:
   one teacher chosen by a fusion policy, then settle pixels claimed by
   multiple channels with a windowed majority count.
 
-Both are pure functions.  Channel fusion builds the per-class pixel sets
-once, fills one output by class, and writes the winners of the contested
-pixels into that same output.
+Both are pure functions on small integers.  Channel fusion builds the
+per-class pixel sets once, fills one output by class, and writes the
+winners of the contested pixels into that same output.
 """
 
 from __future__ import annotations
@@ -36,22 +36,33 @@ def _check_unified(maps: Sequence[LabelMap]) -> list[LabelMap]:
 
 
 def pixel_fuse(unified: Sequence[LabelMap]) -> LabelMap:
-    """Majority vote per pixel; ties go to the smallest class id."""
+    """Majority vote per pixel; ties go to the smallest class id.
+
+    Member i votes for its class once for each member from i on that agrees
+    with it, itself included: the class's full count at its first member,
+    less at later ones, which so never win.  That is T(T-1)/2 compares, in
+    counts of the smallest unsigned type that holds T.  A running maximum
+    of count << 16 | ~class keeps the top count and, among equal counts,
+    the smallest class, so memory does not grow with T.
+    """
     maps = _check_unified(unified)
-    num_classes = maps[0].num_classes
-    shape = maps[0].values.shape
-    winner = np.zeros(shape, dtype=np.uint16)
-    top = np.zeros(shape, dtype=np.int32)
-    votes = np.empty(shape, dtype=np.int32)
-    # Classes in ascending order with a strict ">": a tie keeps the smaller id.
-    for c in range(num_classes):
-        votes.fill(0)
-        for m in maps:
-            votes += m.values == c
-        better = votes > top
-        np.copyto(winner, c, where=better)
-        np.copyto(top, votes, where=better)
-    return LabelMap(winner, num_classes)
+    values = [m.values for m in maps]
+    shape = values[0].shape
+    best = np.zeros(shape, np.min_scalar_type(len(values) << 16))
+    key = np.empty_like(best)
+    votes = np.empty(shape, np.min_scalar_type(len(values)))
+    agree = np.empty(shape, bool)
+    for i, v in enumerate(values):
+        votes.fill(1)
+        for u in values[i + 1 :]:
+            np.equal(v, u, out=agree)
+            votes += agree
+        np.left_shift(votes, 16, out=key, dtype=key.dtype)
+        key |= ~v
+        np.maximum(best, key, out=best)
+    winner = best.astype(np.uint16)  # the low 16 bits: ~class
+    np.invert(winner, out=winner)
+    return LabelMap(winner, maps[0].num_classes)
 
 
 class ChannelSets(NamedTuple):
@@ -83,39 +94,32 @@ def build_channel_sets(
     masks = np.empty((num_classes,) + maps[0].values.shape, dtype=bool)
     for c in range(num_classes):
         np.equal(maps[policy.teacher_for(c)].values, c, out=masks[c])
-    return ChannelSets(_frozen(masks), _frozen(masks.sum(axis=0) >= 2))
+    # A member labels a pixel once, so it has at most min(C, T) claims.
+    claims = np.add.reduce(masks, axis=0, dtype=np.min_scalar_type(min(num_classes, len(maps))))
+    return ChannelSets(_frozen(masks), _frozen(claims >= 2))
 
 
-def _summed_area(mask: np.ndarray, table: np.ndarray) -> None:
-    """Fill ``table``, an (H+1) x (W+1) int64 buffer, with the summed-area
-    table of ``mask`` (Crow 1984): ``table[i, j]`` is the sum of
-    ``mask[:i, :j]``.  Built in place, so one buffer serves many masks.
+def _box_sums(ones: np.ndarray, sums: np.ndarray, width: int, stride: int) -> None:
+    """Set ``sums[i]``, a flat buffer like ``ones``, to the sum of
+    ``ones[i + k * stride]`` over k < ``width``, an odd count, wherever all
+    of them lie in the buffer; ``ones`` is overwritten.  Spans of 1, 2, 4,
+    ... are doubled in place and ``sums`` takes those that make up
+    ``width`` (13 = 1 + 4 + 8): O(log width) passes.  Elements whose sum
+    would run past the end, or across a row when ``stride`` is 1, are left
+    holding partial sums; a caller reads only the others.
     """
-    table[0] = 0
-    table[:, 0] = 0
-    body = table[1:, 1:]
-    body[...] = mask
-    np.cumsum(body, axis=0, out=body)
-    np.cumsum(body, axis=1, out=body)
-
-
-def _window_span(centres: np.ndarray, kappa: int, size: int):
-    """First and one-past-last index of each centre's window, clipped to [0, size]."""
-    half = kappa // 2
-    return np.clip(centres - half, 0, size), np.clip(centres + half + 1, 0, size)
-
-
-def _window_corners(pixels: np.ndarray, kappa: int, h: int, w: int):
-    """Flat indices into an (H+1) x (W+1) summed-area table of the four
-    corners of each pixel's window: (bottom-right, top-right, bottom-left,
-    top-left), so a window's count is ``t[br] - t[tr] - t[bl] + t[tl]``.
-    """
-    rows, cols = np.divmod(pixels, w)
-    r0, r1 = _window_span(rows, kappa, h)
-    c0, c1 = _window_span(cols, kappa, w)
-    r0 *= w + 1
-    r1 *= w + 1
-    return r1 + c1, r0 + c1, r1 + c0, r0 + c0
+    sums[...] = ones
+    done = span = 1
+    rest = width >> 1
+    while rest:
+        shift = span * stride
+        ones[:-shift] += ones[shift:]  # in place: numpy reads ahead of its writes
+        span *= 2
+        if rest & 1:
+            shift = done * stride
+            sums[:-shift] += ones[shift:]
+            done += span
+        rest >>= 1
 
 
 def _check_kappa(kappa: int) -> None:
@@ -130,26 +134,39 @@ def _contested_winners(
 ) -> np.ndarray:
     """Winning class of each contested pixel, given as flat indices.
 
-    A class's summed-area table is built only if it claims a contested
-    pixel, and read only where it does.  Classes go in ascending order and
-    a strict ">" keeps the smallest claiming id on ties; every claiming
-    class counts at least itself (>= 1), so the initial 0 never wins.
+    A class's window counts are taken only if it claims a contested pixel,
+    and read only where it does.  Its mask goes into a zero-padded
+    (H + kappa - 1) x (W + kappa - 1) grid, and box sums along each row,
+    then down each column, leave at (i, j) the count of the window centred
+    on pixel (i, j); the padding clips windows at the border.  A window is
+    first cut to at most 2n - 1 pixels along an axis of n, which changes
+    no count.  Classes go in ascending order and a strict ">" keeps the
+    smallest claiming id on ties; every claiming class counts at least
+    itself (>= 1), so the initial 0 never wins.
     """
     num_classes, h, w = class_masks.shape
-    corners = _window_corners(contested, kappa, h, w)
-    table = np.empty((h + 1, w + 1), dtype=np.int64)
-    flat = table.reshape(-1)
-    best = np.zeros(contested.size, dtype=np.int64)
+    half_h, half_w = min(kappa // 2, h - 1), min(kappa // 2, w - 1)
+    padded_w = w + 2 * half_w
+    counts_type = np.min_scalar_type((2 * half_h + 1) * (2 * half_w + 1))
+    padded, across, counts = (
+        np.empty((h + 2 * half_h) * padded_w, counts_type) for _ in range(3)
+    )
+    grid = padded.reshape(-1, padded_w)
+    rows, cols = np.divmod(contested, w)
+    at = rows * padded_w + cols
+    best = np.zeros(contested.size, counts_type)
     winner = np.zeros(contested.size, dtype=np.uint16)
     for c in range(num_classes):
         claims = np.flatnonzero(class_masks[c].reshape(-1)[contested])
         if claims.size == 0:
             continue
-        _summed_area(class_masks[c], table)
-        br, tr, bl, tl = (k[claims] for k in corners)
-        counts = flat[br] - flat[tr] - flat[bl] + flat[tl]
-        better = counts > best[claims]
-        best[claims[better]] = counts[better]
+        grid.fill(0)
+        grid[half_h : half_h + h, half_w : half_w + w] = class_masks[c]
+        _box_sums(padded, across, 2 * half_w + 1, 1)
+        _box_sums(across, counts, 2 * half_h + 1, padded_w)
+        found = counts[at[claims]]
+        better = found > best[claims]
+        best[claims[better]] = found[better]
         winner[claims[better]] = c
     return winner
 
@@ -166,8 +183,10 @@ def channel_fuse(
     A contested pixel goes to the claiming class whose pixel set has the
     most members inside the kappa x kappa window; counts use the raw
     per-class sets (contested pixels included) and ties go to the smallest
-    claiming class id.  Beyond the class masks, work and memory grow with
-    the contested pixels, plus one summed-area table.
+    claiming class id.  Beyond the class masks, memory grows with the
+    contested pixels, plus three padded small-integer grids; work adds
+    O(log kappa) passes over a grid for each class that claims a contested
+    pixel.
     """
     _check_kappa(kappa)
     sets = build_channel_sets(unified, policy)

@@ -25,14 +25,22 @@ from .core import LabelMap, ProbMap
 _BLOCK_BYTES = 1 << 19
 
 
-def _argmax_into(scores: np.ndarray, out: np.ndarray) -> None:
+def _argmax_into(scores: np.ndarray, out: np.ndarray, ids: np.ndarray | None = None) -> None:
     """Write into the uint16 array ``out`` the argmax over the last (class)
     axis of ``scores``, float32 or float64, ties to the smallest class id.
     np.argmax copies a read-only or strided input before it starts, so it
-    runs on blocks of about ``_BLOCK_BYTES`` along the first axis."""
+    runs on blocks of about ``_BLOCK_BYTES`` along the first axis.  It
+    writes each block's ids into ``ids``, an intp buffer of at least one
+    block, then copies them to ``out``: into a uint16 ``out`` it would
+    allocate and copy back an intp array of its own every block.  A caller
+    with many inputs passes one ``ids``; without it, one is made per call."""
     rows = max(1, _BLOCK_BYTES // (scores[0].size * scores.itemsize))
+    if ids is None:
+        ids = np.empty((min(rows, len(scores)),) + scores.shape[1:-1], np.intp)
     for i in range(0, len(scores), rows):
-        np.argmax(scores[i : i + rows], axis=-1, out=out[i : i + rows])
+        block = scores[i : i + rows]
+        np.argmax(block, axis=-1, out=ids[: len(block)])
+        out[i : i + rows] = ids[: len(block)]
 
 
 def unify(prob: ProbMap) -> LabelMap:

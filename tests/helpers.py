@@ -1,13 +1,16 @@
 """Helpers shared by the test modules."""
 
+import ast
 import io
 import math
 import struct
 import tokenize
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+import segfuse
 from segfuse import fileio
 from segfuse.core import (UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbabilityCheck,
                           ProbMap)
@@ -201,3 +204,23 @@ def certainty_report(preds: Sequence[ProbMap]) -> IoUReport:
     # Clip float accumulation spill just above 1.0.
     np.clip(rho, 0.0, 1.0, out=rho)
     return IoUReport(rho)
+
+
+def owners(names):
+    """The sorted (module, innermost function) pairs of ``segfuse`` whose
+    code names one of ``names``, as an attribute (``os.name``), a name or
+    an import, once per use."""
+    found = []
+    for path in sorted(Path(segfuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so inner ones overwrite
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = (getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+                    getattr(node, "id", None) if isinstance(node, ast.Name) else
+                    getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+            if name in names:
+                found.append((path.stem, owner.get(id(node), "<module>")))
+    return sorted(found)

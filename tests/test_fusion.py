@@ -14,6 +14,8 @@ from segfuse.fusion import (
 )
 from segfuse.metrics import dataset_iou
 
+from helpers import owners
+
 
 def lmap(rows, classes):
     return LabelMap(np.array(rows), classes)
@@ -58,7 +60,7 @@ class TestPixelFuse:
 
     @given(
         st.integers(0, 10**6),
-        st.integers(1, 5),
+        st.integers(1, 9),  # up to more members than classes, where some must agree
         st.integers(2, 5),
         st.integers(1, 8),
         st.integers(1, 8),
@@ -86,6 +88,37 @@ class TestPixelFuse:
         for values in ensembles:
             maps = [LabelMap(v, classes) for v in values]
             assert np.array_equal(pixel_fuse(maps).values, vote_count_oracle(maps))
+
+    @pytest.mark.parametrize("teachers", [2, 3, 5, 7])
+    def test_every_member_disagrees(self, teachers):
+        # Each pixel's members hold distinct classes, so every class has one
+        # vote and the smallest of them wins.
+        rng = np.random.default_rng(teachers)
+        classes, h, w = 7, 6, 11
+        labels = rng.permuted(np.broadcast_to(np.arange(classes), (h, w, classes)), axis=-1)
+        maps = [LabelMap(labels[..., t], classes) for t in range(teachers)]
+        fused = pixel_fuse(maps).values
+        assert np.array_equal(fused, labels[..., :teachers].min(axis=-1))
+        assert np.array_equal(fused, vote_count_oracle(maps))
+
+    def test_memory_does_not_grow_with_members(self):
+        """The vote keeps a running best over H x W, so 9 members peak no
+        higher than 3 do, give or take one uint16 map: no T x H x W or
+        C x H x W stack."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        classes, h, w = 19, 256, 512
+        maps = [LabelMap(rng.integers(0, classes, size=(h, w)), classes) for _ in range(9)]
+        peaks = []
+        for members in (maps[:3], maps):
+            tracemalloc.start()
+            try:
+                pixel_fuse(members)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 * h * w
 
     def test_teacher_order_invariant_up_to_ties(self):
         rng = np.random.default_rng(42)
@@ -159,6 +192,18 @@ def window_count_oracle(mask, kappa, row, col):
         for j in range(max(0, col - half), min(w, col + half + 1)):
             total += bool(mask[i, j])
     return total
+
+
+def window_counts(mask, kappa):
+    """Every pixel's clipped kappa x kappa window count, as int64: each axis
+    convolved in full with kappa ones, cut to the centred windows."""
+    half = kappa // 2
+    ones = np.ones(kappa, dtype=np.int64)
+    counts = mask.astype(np.int64)
+    for axis in (1, 0):
+        full = np.apply_along_axis(np.convolve, axis, counts, ones)
+        counts = np.take(full, np.arange(half, half + mask.shape[axis]), axis=axis)
+    return counts
 
 
 def resolve_oracle(masks, kappa):
@@ -308,6 +353,24 @@ class TestResolveOracle:
         assert (resolve_oracle(sets.class_masks, kappa) == UNLABELED_ID).all()
         assert np.array_equal(channel_fuse([m, m, m], policy, kappa).values, m.values)
 
+    @pytest.mark.parametrize(
+        "side, kappa, missing",
+        [(17, 15, 50), (17, 17, 50), (257, 255, 900), (257, 257, 900)],
+    )
+    def test_counts_past_the_small_integer_types(self, side, kappa, missing):
+        # Class 1 claims every pixel and class 0 all but ``missing`` of them.
+        # Near the centre class 1's count passes 255 at kappa 17 and 65,535
+        # at 257 (15 and 255 stay below), class 0's does not, so a count
+        # that wrapped in too small a type would hand those pixels to 0.
+        rng = np.random.default_rng(side + kappa)
+        masks = np.ones((2, side, side), dtype=bool)
+        masks[0].reshape(-1)[rng.choice(side * side, size=missing, replace=False)] = False
+        got = fuse_masks(masks, kappa).values
+        counts = [window_counts(m, kappa) for m in masks]
+        want = np.where(masks[0] & (counts[0] >= counts[1]), 0, 1)
+        assert np.array_equal(got, want)
+        assert (want == 1).sum() > missing  # some contested pixels go to class 1
+
     def test_memory_stays_below_one_byte_per_class_pixel(self):
         """A 19-class 256 x 512 fusion holds the C x H x W class masks plus
         less than one byte per class-pixel: one summed-area table and
@@ -398,3 +461,10 @@ class TestChannelFuse:
 
         sig = inspect.signature(channel_fuse)
         assert sig.parameters["kappa"].default == 13
+
+
+def test_one_window_kernel():
+    # Window counts have one implementation, box sums by doubling, taken
+    # only for the contested pixels; numpy's cumsum is a scalar loop.
+    assert [o for o in owners({"cumsum"}) if o[0] == "fusion"] == []
+    assert set(owners({"_box_sums"})) == {("fusion", "_contested_winners")}

@@ -1,12 +1,9 @@
-import ast
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import segfuse
 from segfuse import fileio
 from segfuse.cli import main
 from segfuse.core import FeatureMap
@@ -16,7 +13,7 @@ from segfuse.synth import corrupt_teacher, gen_ground_truth, soften
 from segfuse.unify import unify
 from segfuse.util import cores, on_threads
 
-from helpers import random_labelmap
+from helpers import owners, random_labelmap
 
 
 class TestOnThreads:
@@ -98,26 +95,6 @@ class TestCores:
         assert out.stat().st_size > 0
         got = train_student(feats, labels, TrainConfig(iterations=2)).losses  # 4 row blocks
         assert got.tobytes() == want.tobytes()
-
-
-def owners(names):
-    """The sorted (module, innermost function) pairs of ``segfuse`` whose
-    code names one of ``names``, as an attribute (``os.name``), a name or
-    an import, once per use."""
-    found = []
-    for path in sorted(Path(segfuse.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}
-        for fn in ast.walk(tree):  # outer functions first, so inner ones overwrite
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(n), fn.name) for n in ast.walk(fn))
-        for node in ast.walk(tree):
-            name = (getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
-                    getattr(node, "id", None) if isinstance(node, ast.Name) else
-                    getattr(node, "name", None) if isinstance(node, ast.alias) else None)
-            if name in names:
-                found.append((path.stem, owner.get(id(node), "<module>")))
-    return sorted(found)
 
 
 def test_one_thread_pool_and_one_core_count():
