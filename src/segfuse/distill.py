@@ -203,10 +203,23 @@ def _blas_workers():
     return util.cores() if _openblas() else 1
 
 
+def _released_product(a, b):
+    """``a @ b`` of the 2-D float64 arrays ``a`` and ``b``, through ``np.dot``,
+    which releases the GIL around its BLAS call at any size.  numpy's matmul
+    (``@``) keeps the GIL whenever its output has at most 500 elements,
+    whatever the inner dimension (numpy 2.4), so a classes x (d+1) product
+    over a block's rows on a worker thread would hold the other workers
+    back for its whole gemm.  Gives ``@``'s bits."""
+    return np.dot(a, b)
+
+
 def _workers(blocks):
     """``_ce_means``' worker count for ``blocks`` row blocks: one per
-    ``_blas_workers`` while each gets at least two blocks (with fewer, two
-    workers were no faster than one)."""
+    ``_blas_workers`` while each gets at least two blocks.  Alone, two
+    workers step 2 blocks a little faster than one, but such short
+    trainings run where member trainings already fill the cores
+    (``experiments._measure``), and there a second worker per training
+    slowed them."""
     return max(1, min(_blas_workers(), blocks // 2))
 
 
@@ -289,7 +302,7 @@ class _TrainingBlocks:
                 e = onehot[: classes * len(a)].reshape(classes, len(a))
                 e.fill(0.0)
                 e.put(a, 1.0)
-                sums += e @ xb.T
+                sums += _released_product(e, xb.T)
                 at.append(a)
         return _TrainingSet(self.blocks, sums, at, classes)
 
@@ -450,7 +463,7 @@ def _ce_part(wb, rows, buf, j):
     blk = _block_probs(xb, wb, buf)
     picked = blk.take(rows.at[j])
     return (float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum()),
-            blk @ xb.T)
+            _released_product(blk, xb.T))
 
 
 def _ce_means(wb, rows, bufs):

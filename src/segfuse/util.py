@@ -36,21 +36,28 @@ def cores() -> int:
 
 def on_threads(fn, items, workers: int) -> list:
     """``[fn(w, item) for item in items]``, on ``workers`` threads, at most
-    one per item: worker w takes items w, w + W, ..., worker 0 on the
-    calling thread, and stops at its first failure.  Once every worker has
-    joined, the failure of the lowest failing item is raised, the one a
-    loop over ``items`` in order would raise: each worker takes its items
-    in order, so every item below it was tried."""
+    one per item: worker w takes items w, w + W, ..., in order, worker 0 on
+    the calling thread.  A worker stops at its first failure, and takes
+    item i only while no item below i is known to have failed, so a
+    failure ends the run once the other workers' current items are done.
+    Once every worker has joined, the failure of the lowest failing item is
+    raised, the one a loop over ``items`` in order would raise: every item
+    below it was tried."""
     items = list(items)
     results, errors = [None] * len(items), {}
     workers = max(1, min(workers, len(items)))
+    lock, lowest = threading.Lock(), [len(items)]  # the lowest failing item yet
 
     def work(w):
         for i in range(w, len(items), workers):
+            if lowest[0] < i:
+                return
             try:
                 results[i] = fn(w, items[i])
             except BaseException as e:  # raised once every worker is joined
                 errors[i] = e
+                with lock:
+                    lowest[0] = min(lowest[0], i)
                 return
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]

@@ -3,7 +3,10 @@
 import ast
 import io
 import math
+import pickle
 import struct
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 from typing import Sequence
@@ -224,3 +227,31 @@ def owners(names):
             if name in names:
                 found.append((path.stem, owner.get(id(node), "<module>")))
     return sorted(found)
+
+
+#: Reads the parent's ``sys.path`` and a pickled (function, args) from
+#: stdin, calls the function and pickles its result to stdout; what the
+#: function prints goes to stderr.
+_FRESH_CHILD = """
+import os, pickle, sys
+out = os.fdopen(os.dup(1), "wb")
+os.dup2(2, 1)
+sys.path[:0] = pickle.load(sys.stdin.buffer)
+fn, args = pickle.load(sys.stdin.buffer)
+pickle.dump(fn(*args), out)
+out.close()
+"""
+
+
+def in_fresh_interpreter(fn, *args):
+    """``fn(*args)``, run in a fresh interpreter: a tracemalloc peak that
+    ``fn`` measures there does not depend on which tests ran before in
+    this process, as a peak measured here does by a few KB.  ``fn`` is a
+    module-level function of an importable module (a test module too),
+    and ``args`` and the result are picklable.  A failure in the child
+    fails here with the child's traceback."""
+    done = subprocess.run([sys.executable, "-c", _FRESH_CHILD],
+                          input=pickle.dumps(sys.path) + pickle.dumps((fn, args)),
+                          capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    return pickle.loads(done.stdout)

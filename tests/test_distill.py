@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -769,6 +770,60 @@ class TestCEWorkers:
         one = peak(1)
         for workers in (2, 3):
             assert peak(workers) - one <= (workers - 1) * (classes * size + 2 * size)
+
+
+class TestReleasedProduct:
+    """``_released_product``, the CE step's and the label sums' product,
+    lets other threads run during its gemm and gives ``@``'s bits."""
+
+    def test_other_threads_run_during_the_product(self):
+        # A spinner that needs the GIL for every turn.  The switch interval
+        # outlasts a product, so a product that held the GIL would let it
+        # turn 0 times (numpy's matmul does, for a 19 x 20 output); one that
+        # releases it lets it turn whenever it gets a core, so the test
+        # runs up to 20 products until it has turned 50 times during them.
+        rng = np.random.default_rng(0)
+        a, x = rng.random((19, 200_000)), rng.random((20, 200_000))
+        turns, started, stop = [0], threading.Event(), threading.Event()
+
+        def spin():
+            started.set()
+            while not stop.is_set():
+                turns[0] += 1
+                time.sleep(0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        try:
+            assert started.wait(30)
+            during = 0
+            for _ in range(20):
+                before = turns[0]
+                distill._released_product(a, x.T)
+                during += turns[0] - before
+                if during >= 50:
+                    break
+        finally:
+            stop.set()
+            spinner.join(30)
+            sys.setswitchinterval(interval)
+        assert not spinner.is_alive()
+        assert during >= 50
+
+    @pytest.mark.parametrize("classes", [8, 19])
+    def test_gives_the_bits_of_matmul(self, classes):
+        rows = rows_of(3, classes, dims=classes)  # the last block 5 rows
+        wb = np.random.default_rng(classes).normal(size=(classes, classes + 1))
+        buf = _ce_buffers(rows)[0]
+        for xb, at in zip(rows.blocks, rows.at):
+            blk = _block_probs(xb, wb, buf)
+            assert distill._released_product(blk, xb.T).tobytes() == (blk @ xb.T).tobytes()
+            onehot = np.zeros(blk.shape)
+            onehot.put(at, 1.0)
+            assert (distill._released_product(onehot, xb.T).tobytes()
+                    == (onehot @ xb.T).tobytes())
 
 
 def rho_of(model, images):

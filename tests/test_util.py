@@ -1,5 +1,7 @@
 import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +61,50 @@ class TestOnThreads:
         # each worker stopped at its first failure and every thread is joined
         assert sorted(calls) == [0, 1, 3]
         assert set(threading.enumerate()) <= before
+
+    def test_a_failure_ends_the_run_after_the_current_items(self):
+        # worker 0 takes items 0, 2, 4, 6 and worker 1 items 1, 3, 5, 7;
+        # item 0 fails at once, so worker 1 takes no item after item 1
+        # (nor item 1 itself, where it starts after the failure)
+        calls = []
+
+        def fn(w, item):
+            calls.append(item)
+            if item == 0:
+                raise ValueError("item 0")
+            time.sleep(1)
+            return item
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^item 0$"):
+            on_threads(fn, range(8), 2)
+        assert time.perf_counter() - start < 3  # 4 s when every item ran
+        assert sorted(calls) in ([0], [0, 1])
+
+    def test_every_item_below_the_lowest_failure_runs(self):
+        # More workers than cores, switching threads often, several items
+        # failing: the lowest failure is raised and no item below it is
+        # skipped, whichever failure is recorded first.
+        rng = np.random.default_rng(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                failing = set(rng.choice(60, size=3, replace=False).tolist())
+                calls = []
+
+                def fn(w, item):
+                    calls.append(item)
+                    if item in failing:
+                        raise ValueError(item)
+                    return item
+
+                with pytest.raises(ValueError) as raised:
+                    on_threads(fn, range(60), 7)
+                assert raised.value.args == (min(failing),)
+                assert set(range(min(failing) + 1)) <= set(calls)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCores:
