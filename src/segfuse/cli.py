@@ -35,7 +35,7 @@ from .experiments import (
 from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import dataset_iou
 from .policy import select_certainty, select_oracle, select_random
-from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, make_benchmark,
+from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, benchmark_images,
                     make_underperformer_maps, soften)
 from .util import on_threads, rows_to_csv
 
@@ -208,7 +208,7 @@ def cmd_synth(args) -> int:
     if args.underperformers < 0:
         raise ValueError(f"--underperformers must be >= 0, got {args.underperformers}")
     config = _bench_config(args)
-    bench = make_benchmark(config, args.seed)
+    rates, temps, images = benchmark_images(config, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     files = []
 
@@ -217,24 +217,35 @@ def cmd_synth(args) -> int:
         files.append(name)
 
     def pmap(labels, temperature: float):
-        # no caller binds the softened map, so it is freed once written
+        # no caller binds the softened map, so it is freed once written;
+        # each row block is cast to float32 as it is written
         values = soften(labels, temperature).values
-        return fileio.probmap_chunks(*values.shape, [values.reshape(-1, values.shape[2])])
+        rows = values.reshape(-1, values.shape[2])
+        step = max(1, fileio._BLOCK_BYTES // (rows.shape[1] * 4))
+        return fileio.probmap_chunks(*values.shape, (rows[r:r + step]
+                                                     for r in range(0, len(rows), step)))
 
-    for i, (gt, fm) in enumerate(zip(bench.gts, bench.feats)):
+    # Each image is written as it is made; only its ground truth is kept,
+    # for the under-performers.
+    gts = []
+    for gt, fm, teachers in images:
+        i = len(gts)
         emit(f"img{i:03d}.gt.lmap", [fileio.write_labelmap(gt)])
         emit(f"img{i:03d}.features.npy", fileio.npy_chunks(fm.values))
-        for t, maps in enumerate(bench.teacher_labels):
-            emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(maps[i], bench.temperatures[t]))
+        del fm  # before any teacher is softened
+        for t, labels in enumerate(teachers):
+            emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(labels, temps[t]))
+        gts.append(gt)
+        del teachers  # before the next image is made
     for j in range(args.underperformers):
         # under00 is the under-performer `experiment robustness` adds at this seed
-        for i, m in enumerate(make_underperformer_maps(bench, args.seed + j)):
+        for i, m in enumerate(make_underperformer_maps(gts, args.seed + j)):
             emit(f"under{j:02d}.img{i:03d}.pmap", pmap(m, UNDERPERFORMER_TEMPERATURE))
     manifest = {
         "seed": args.seed,
         "config": {**asdict(config), "underperformers": args.underperformers},
-        "error_rates": [[float(v) for v in row] for row in bench.error_rates],
-        "temperatures": [float(v) for v in bench.temperatures],
+        "error_rates": [[float(v) for v in row] for row in rates],
+        "temperatures": [float(v) for v in temps],
         "files": files,
     }
     fileio.write_bytes_atomic(os.path.join(args.outdir, "manifest.json"),

@@ -92,6 +92,15 @@ def kernel_sweep(
     return ["kappa", "seed", "miou", "gain"], rows
 
 
+def _average_image(members, temps, bad_counts) -> list:
+    """The unified ``average_fuse`` of one image's members, the teachers
+    then the under-performer k times, for each k of ``bad_counts``; each
+    member is softened at its temperature of ``temps``.  Only this image's
+    softened maps are alive, and they die on return."""
+    *good, bad = [soften(m, temp) for m, temp in zip(members, temps)]
+    return [unify(average_fuse(good + [bad] * k)) for k in bad_counts]
+
+
 def robustness(
     config: BenchmarkConfig,
     bad_counts: Sequence[int],
@@ -106,7 +115,8 @@ def robustness(
     channel-wise fusion under the certainty-aware policy, and the
     probability-averaging baseline.  Each distinct member is measured once
     per seed; a member's rho report depends on that member alone, so the
-    k-member ensemble reuses those labels and reports.
+    k-member ensemble reuses those labels and reports.  The members are
+    softened for the average rows one image at a time (``_average_image``).
     """
     bad_counts = sorted(set(int(k) for k in bad_counts))
     if not bad_counts or bad_counts[0] < 0:
@@ -114,14 +124,15 @@ def robustness(
     rows = []
     for seed in _seeds(base_seed, num_seeds):
         bench = make_benchmark(config, seed)
-        bad = make_underperformer_maps(bench, seed)
-        good_probs = [[soften(m, temp) for m in maps]
-                      for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
-        bad_probs = [soften(m, UNDERPERFORMER_TEMPERATURE) for m in bad]
-        *good_rhos, bad_rho = _measure([*bench.teacher_labels, bad], bench.feats, train_config)
-        for k in bad_counts:
+        bad = make_underperformer_maps(bench.gts, seed)
+        members = [*bench.teacher_labels, bad]
+        *good_rhos, bad_rho = _measure(members, bench.feats, train_config)
+        temps = [*bench.temperatures, UNDERPERFORMER_TEMPERATURE]
+        # per_image[i][j]: image i's averaged labels at bad_counts[j]
+        per_image = [_average_image([maps[i] for maps in members], temps, bad_counts)
+                     for i in range(config.images)]
+        for j, k in enumerate(bad_counts):
             unified = list(bench.teacher_labels) + [bad] * k
-            probs = good_probs + [bad_probs] * k
 
             pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
             rows.append((k, "pixel", seed, pixel))
@@ -129,11 +140,7 @@ def robustness(
             policy = select_certainty(good_rhos + [bad_rho] * k)
             fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)
             rows.append((k, "channel_certainty", seed, dataset_iou(fused, bench.gts).miou))
-
-            averaged = [
-                unify(average_fuse([p[i] for p in probs]))
-                for i in range(config.images)
-            ]
+            averaged = [labels[j] for labels in per_image]
             rows.append((k, "average", seed, dataset_iou(averaged, bench.gts).miou))
     return ["bad_count", "method", "seed", "miou"], rows
 
@@ -182,7 +189,7 @@ def certainty_hist(config: BenchmarkConfig, seed: int, bins: int) -> tuple[list[
     """Per-pixel certainty histogram on image 0 of each teacher and of synth's under00."""
     _check_bins(bins)  # before the benchmark is built
     bench = make_benchmark(config, seed)
-    bad = make_underperformer_maps(bench, seed)[0]
+    bad = make_underperformer_maps(bench.gts, seed)[0]
     members = [(f"teacher{t}", soften(maps[0], temp)) for t, (maps, temp)
                in enumerate(zip(bench.teacher_labels, bench.temperatures))]
     members.append(("underperformer", soften(bad, UNDERPERFORMER_TEMPERATURE)))

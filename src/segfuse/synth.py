@@ -88,6 +88,23 @@ def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
     return cells
 
 
+def _check_scene(height: int, width: int, classes: int, region_scale: int) -> None:
+    """Raise unless ``gen_ground_truth`` can build a scene of these sizes."""
+    if classes < 2:
+        raise ValueError("need at least 2 classes")
+    if classes > UNLABELED_ID:
+        raise ValueError(f"class count must fit 16-bit storage, got {classes}")
+    if region_scale < 1:
+        raise ValueError("region_scale must be >= 1")
+    if height * width >= 2**63:
+        raise ValueError(
+            f"grid {height}x{width} has {height * width} pixels, more than an int64 holds")
+    if classes > height * width:
+        raise ValueError(f"cannot place {classes} classes on {height}x{width} pixels")
+    if height < 0:  # and so width < 0: their product is positive
+        raise ValueError(f"grid {height}x{width} has negative sides")
+
+
 def gen_ground_truth(
     height: int,
     width: int,
@@ -103,17 +120,7 @@ def gen_ground_truth(
     c's feature mean is 2.0 along axis c, so a nearest-mean classifier
     separates the classes comfortably at ``_FEATURE_NOISE``.
     """
-    if classes < 2:
-        raise ValueError("need at least 2 classes")
-    if classes > UNLABELED_ID:
-        raise ValueError(f"class count must fit 16-bit storage, got {classes}")
-    if region_scale < 1:
-        raise ValueError("region_scale must be >= 1")
-    if height * width >= 2**63:
-        raise ValueError(
-            f"grid {height}x{width} has {height * width} pixels, more than an int64 holds")
-    if classes > height * width:
-        raise ValueError(f"cannot place {classes} classes on {height}x{width} pixels")
+    _check_scene(height, width, classes, region_scale)
     rng = np.random.default_rng(seed)
     num_sites = min(max(classes, round(height * width / region_scale**2)), height * width)
     cells = _voronoi_cells(height, width, num_sites, rng)
@@ -121,8 +128,14 @@ def gen_ground_truth(
         [np.arange(classes), rng.integers(0, classes, size=num_sites - classes)]
     )
     labels = site_class[cells]
-    means = 2.0 * np.eye(classes)
-    feats = means[labels] + _FEATURE_NOISE * rng.standard_normal((height, width, classes))
+    del cells
+    # The bits of ``2.0 * np.eye(classes)[labels] + _FEATURE_NOISE * noise``
+    # built in the noise itself: adding 0.0 turns a -0.0 into +0.0 as
+    # ``0.0 + x`` does, and 2.0 goes to each pixel's own class.
+    feats = rng.standard_normal((height, width, classes))
+    feats *= _FEATURE_NOISE
+    feats += 0.0
+    feats.reshape(-1)[np.arange(0, labels.size * classes, classes) + labels.reshape(-1)] += 2.0
     return LabelMap(labels.astype(np.uint16), classes), FeatureMap(feats)
 
 
@@ -240,8 +253,17 @@ class Benchmark:
         return len(self.teacher_labels)
 
 
-def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
-    """Deterministically generate scenes and a mixed-quality ensemble."""
+def benchmark_images(config: BenchmarkConfig, seed: int):
+    """``(error_rates, temperatures, images)`` of the benchmark
+    ``make_benchmark`` builds: ``images`` yields one image at a time, as
+    ``(ground truth, features, (teacher 0's labels, ...))``.
+
+    Every seed is drawn from the one rng first, in a fixed order (the
+    error rates, the specialists, one ground-truth seed per image, then
+    teacher x image), so an image needs nothing of the others and only
+    the image in hand is held.  The scene sizes are checked here, before
+    any image is made.
+    """
     rng = np.random.default_rng(seed)
     rates = rng.uniform(_ERROR_LOW, _ERROR_HIGH, size=(config.num_teachers, config.classes))
     # One specialist per class, cycling over a shuffled teacher order.
@@ -252,29 +274,34 @@ def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     temps = np.array(
         [_TEMPERATURES[t % len(_TEMPERATURES)] for t in range(config.num_teachers)]
     )
-    gts, feats = [], []
-    for _ in range(config.images):
-        gt, fm = gen_ground_truth(
-            config.height,
-            config.width,
-            config.classes,
-            region_scale=config.region_scale,
-            seed=int(rng.integers(2**63)),
-        )
-        gts.append(gt)
-        feats.append(fm)
-    teacher_labels = tuple(
-        tuple(corrupt_teacher(gts[i], rates[t], seed=int(rng.integers(2**63)),
-                              blob_scale=config.teacher_blob_scale)
-              for i in range(config.images))
-        for t in range(config.num_teachers))
-    return Benchmark(tuple(gts), tuple(feats), teacher_labels, rates, temps)
+    _check_scene(config.height, config.width, config.classes, config.region_scale)
+    gt_seeds = [int(rng.integers(2**63)) for _ in range(config.images)]
+    teacher_seeds = [[int(rng.integers(2**63)) for _ in range(config.images)]
+                     for _ in range(config.num_teachers)]
+
+    def image(i):
+        gt, fm = gen_ground_truth(config.height, config.width, config.classes,
+                                  region_scale=config.region_scale, seed=gt_seeds[i])
+        return gt, fm, tuple(corrupt_teacher(gt, rates[t], seed=seeds[i],
+                                             blob_scale=config.teacher_blob_scale)
+                             for t, seeds in enumerate(teacher_seeds))
+
+    # No name binds an image between yields, so none outlives its turn.
+    return rates, temps, (image(i) for i in range(config.images))
 
 
-def make_underperformer_maps(bench: Benchmark, seed: int) -> tuple:
-    """One confidently wrong teacher's labels for every benchmark image; its
-    certainty is near 1.0 once softened at ``UNDERPERFORMER_TEMPERATURE``."""
+def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
+    """Deterministically generate scenes and a mixed-quality ensemble: every
+    image of ``benchmark_images``, held at once."""
+    rates, temps, images = benchmark_images(config, seed)
+    gts, feats, labels = zip(*images)
+    return Benchmark(gts, feats, tuple(zip(*labels)), rates, temps)
+
+
+def make_underperformer_maps(gts: Sequence[LabelMap], seed: int) -> tuple:
+    """One confidently wrong teacher's labels for each ground-truth map of
+    ``gts``; its certainty is near 1.0 once softened at
+    ``UNDERPERFORMER_TEMPERATURE``."""
     rng = np.random.default_rng(seed)
-    rates = np.full(bench.gts[0].num_classes, _UNDERPERFORMER_ERROR)
-    return tuple(corrupt_teacher(gt, rates, seed=int(rng.integers(2**63)))
-                 for gt in bench.gts)
+    rates = np.full(gts[0].num_classes, _UNDERPERFORMER_ERROR)
+    return tuple(corrupt_teacher(gt, rates, seed=int(rng.integers(2**63))) for gt in gts)

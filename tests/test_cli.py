@@ -859,7 +859,7 @@ class TestSynthCommand:
         bench = make_benchmark(
             BenchmarkConfig(height=12, width=12, classes=3, num_teachers=2, images=2), 7)
         for j in range(2):
-            for i, m in enumerate(make_underperformer_maps(bench, 7 + j)):
+            for i, m in enumerate(make_underperformer_maps(bench.gts, 7 + j)):
                 got = (tmp_path / f"under{j:02d}.img{i:03d}.pmap").read_bytes()
                 want = write_probmap(soften(m, UNDERPERFORMER_TEMPERATURE))
                 assert got == want, (j, i)
@@ -906,6 +906,42 @@ class TestSynthCommand:
 
         one_map = 128 * 256 * 19 * 8  # one softened float64 H x W x C map
         assert (peak(synth) - peak(lambda: make_benchmark(config, 0))) / one_map < 1.8
+
+    def test_peak_does_not_grow_with_images(self, tmp_path):
+        # each image is written as it is made; only its ground truth is kept
+        flags = ["--height", "64", "--width", "128", "--classes", "19",
+                 "--teachers", "2", "--seed", "0"]
+
+        def peak(images):
+            outdir = tmp_path / str(images)
+            tracemalloc.start()
+            try:
+                assert main(["synth", *flags, "--images", str(images),
+                             "--outdir", str(outdir)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the first call's peak holds one-off allocations
+        kept = 3 * 64 * 128 * 2  # three more uint16 ground-truth maps
+        # 16 KB for small objects; holding the 3 more images' features
+        # would add 3.7 MB
+        assert peak(5) - peak(2) <= kept + 16 * 1024
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--classes", "300", "--height", "10", "--width", "10"],
+         "cannot place 300 classes on 10x10 pixels"),
+        (["--classes", "65536", "--height", "300", "--width", "300"],
+         "class count must fit 16-bit storage, got 65536"),
+        (["--classes", "2", "--height", "-2", "--width", "-3"],
+         "grid -2x-3 has negative sides"),
+    ], ids=["classes-over-pixels", "classes-over-u16", "negative-sides"])
+    def test_bad_scene_creates_no_directory_or_file(self, tmp_path, flags, error):
+        # the scene is checked before the output directory is made
+        outdir = tmp_path / "new" / "bench"
+        argv = ["synth", *flags, "--seed", "0", "--outdir", str(outdir)]
+        assert _run_rejected(tmp_path, argv) == error
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = lambda d: [
@@ -1426,7 +1462,7 @@ class TestExperimentKinds:
         bench = make_benchmark(BenchmarkConfig(), 3)
         members = {f"teacher{t}": soften(maps[0], temp) for t, (maps, temp)
                    in enumerate(zip(bench.teacher_labels, bench.temperatures))}
-        under00 = make_underperformer_maps(bench, 3)[0]
+        under00 = make_underperformer_maps(bench.gts, 3)[0]
         members["underperformer"] = soften(under00, UNDERPERFORMER_TEMPERATURE)
         want = ["member,bin_low,bin_high,count"]
         for name, pm in members.items():

@@ -87,7 +87,7 @@ class TestAverageFuse:
         bench = make_benchmark(BenchmarkConfig(), seed)
         members = [soften(maps[0], temp)
                    for maps, temp in zip(bench.teacher_labels, bench.temperatures)]
-        bad = soften(make_underperformer_maps(bench, seed)[0], UNDERPERFORMER_TEMPERATURE)
+        bad = soften(make_underperformer_maps(bench.gts, seed)[0], UNDERPERFORMER_TEMPERATURE)
         members += [bad] * 3
         for k in range(1, len(members) + 1):
             got = average_fuse(members[:k]).values

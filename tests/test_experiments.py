@@ -2,11 +2,13 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from segfuse import distill, experiments, util
+from segfuse.cli import main
 
 from segfuse.distill import (
     TrainConfig,
@@ -37,6 +39,7 @@ from segfuse.synth import (
     soften,
 )
 from segfuse.unify import unify
+from segfuse.util import rows_to_csv
 
 from helpers import certainty_policy
 
@@ -94,7 +97,7 @@ class TestRobustness:
         # teacher, then the fused mIoU must be identical across k
         for seed in (0, 1):
             bench = make_benchmark(FAST, seed)
-            bad = make_underperformer_maps(bench, seed)
+            bad = make_underperformer_maps(bench.gts, seed)
             members = list(bench.teacher_labels) + [bad] * 2
             policy = certainty_policy(members, bench.feats, TC)
             assert (policy.assignment < FAST.num_teachers).all()
@@ -117,6 +120,33 @@ class TestRobustness:
         # every member is labels; only the averaged probabilities are argmaxed
         assert len(calls) == seeds * len(bad_counts) * FAST.images
 
+    def test_softens_one_image_at_a_time(self, monkeypatch):
+        # at most the teachers and the under-performer of one image
+        refs, alive = [], []
+
+        def tracked_soften(labels, temperature):
+            pm = soften(labels, temperature)
+            refs.append(weakref.ref(pm))
+            alive.append(sum(r() is not None for r in refs))
+            return pm
+
+        monkeypatch.setattr(experiments, "soften", tracked_soften)
+        robustness(FAST, [0, 1, 3], 0, 2, TC)
+        assert len(refs) == 2 * FAST.images * (FAST.num_teachers + 1)
+        assert max(alive) == FAST.num_teachers + 1
+
+    @pytest.mark.parametrize("bad_counts", ["3,1", "0,2,5"])
+    def test_csv_at_gapped_counts_is_the_reference(self, tmp_path, bad_counts):
+        # the reference softens every image's members before averaging
+        flags = ["--height", "24", "--width", "24", "--classes", "4", "--teachers", "3",
+                 "--images", "3", "--region-scale", "5", "--blob-scale", "4"]
+        out = tmp_path / "robustness.csv"
+        assert main(["experiment", "robustness", *flags, "--bad-counts", bad_counts,
+                     "--seed", "0", "--seeds", "2", "--iterations", "60", "-o", str(out)]) == 0
+        counts = sorted(int(k) for k in bad_counts.split(","))
+        want = robustness_reference(FAST, counts, 0, 2, TC)
+        assert out.read_text() == rows_to_csv(["bad_count", "method", "seed", "miou"], want)
+
     def test_pixel_fusion_degrades_with_bad_members(self):
         header, rows = robustness(FAST, [0, 3], 0, 3, TC)
         px = {k: [] for k in (0, 3)}
@@ -135,7 +165,7 @@ def robustness_reference(config, bad_counts, base_seed, num_seeds, tc):
     rows = []
     for seed in range(base_seed, base_seed + num_seeds):
         bench = make_benchmark(config, seed)
-        bad = make_underperformer_maps(bench, seed)
+        bad = make_underperformer_maps(bench.gts, seed)
         members = zip((*bench.teacher_labels, bad),
                       (*bench.temperatures, UNDERPERFORMER_TEMPERATURE))
         *good, bad_probs = [[soften(m, temp) for m in maps] for maps, temp in members]
@@ -240,7 +270,7 @@ DRIVERS = {
 def robustness_members(seed):
     """The members ``robustness`` measures for ``seed``: the teachers, then ``bad``."""
     bench = make_benchmark(FAST, seed)
-    return [*bench.teacher_labels, make_underperformer_maps(bench, seed)]
+    return [*bench.teacher_labels, make_underperformer_maps(bench.gts, seed)]
 
 
 class TestMemberPool:

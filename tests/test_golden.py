@@ -3,7 +3,8 @@
 ``tests/data/golden/`` holds a small ``synth`` set (32x32, 5 classes, 3
 teachers, 2 images, seed 0; the feature maps are not kept), one certainty
 (rho) report and one IoU report per teacher, and ``sha256.json``, the
-sha256 of every output of ``cases()`` and of ``trained_digests()``.  The
+sha256 of every output of ``cases()``, of ``trained_digests()`` and of
+``synth_digests()``, the ``synth`` files the set does not keep.  The
 outputs of ``cases()`` come from comparisons and counts over fixed float32
 inputs, so they do not depend on the BLAS build or on numpy's SIMD
 ``exp``; a change to any of them is a behaviour change, and
@@ -48,6 +49,11 @@ STUDENT_OF = [f"fuse-channel.random.k13.i{i}" for i in range(IMAGES)]
 BLOCKS_FLAGS = ["--height", "128", "--width", "256", "--classes", "5", "--teachers",
                 "3", "--images", "2", "--seed", "0"]
 TRAINED = [f"student.{name}" for name in STUDENT_OF] + ["student.blocks.fuse-pixel.i0"]
+
+# The files of a `synth --underperformers 1` run at the corpus flags that
+# the corpus does not keep, pinned by their sha256 as "synth.<file>".
+SYNTH_PINNED = [*(f"img{i:03d}.features.npy" for i in range(IMAGES)), "manifest.json",
+                *(f"under00.img{i:03d}.pmap" for i in range(IMAGES))]
 
 # The member whose report each "-dup" policy lists twice, as
 # `experiment robustness` re-adds one member: it is the member that wins
@@ -150,10 +156,17 @@ def trained_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
+def synth_digests(workdir: Path) -> dict[str, str]:
+    """Run ``synth`` at the corpus flags with one under-performer into
+    ``workdir``; the sha256 of each ``SYNTH_PINNED`` file, by "synth.<file>"."""
+    _run("synth", *SYNTH_FLAGS, "--underperformers", "1", "--outdir", workdir)
+    return {f"synth.{name}": _sha256(workdir / name) for name in SYNTH_PINNED}
+
+
 def test_outputs_match_the_golden_hashes(tmp_path):
     want = json.loads((GOLDEN / "sha256.json").read_text())
     got = run_cases(GOLDEN, tmp_path)
-    assert list(got) + TRAINED == list(want)
+    assert list(got) + TRAINED + [f"synth.{name}" for name in SYNTH_PINNED] == list(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
 
 
@@ -173,12 +186,15 @@ def test_fresh_rho_gives_the_golden_certainty_policy(tmp_path):
 
 
 def test_synth_rebuilds_the_golden_inputs(tmp_path):
-    """``synth`` at the corpus flags writes every kept input byte for byte."""
-    _run("synth", *SYNTH_FLAGS, "--outdir", tmp_path)
+    """``synth`` at the corpus flags writes every kept input byte for byte,
+    and the files not kept match their pinned sha256."""
+    want = json.loads((GOLDEN / "sha256.json").read_text())
+    got = synth_digests(tmp_path)
     kept = sorted(GOLDEN.glob("*.pmap")) + sorted(GOLDEN.glob("*.gt.lmap"))
     assert len(kept) == TEACHERS * IMAGES + IMAGES
     for path in kept:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    assert {k: v for k, v in got.items() if v != want[k]} == {}
 
 
 def test_duplicated_members_win_classes():
@@ -217,8 +233,10 @@ def make_inputs(directory: Path) -> None:
 
 
 def write_hashes() -> None:
-    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as trained:
-        digests = {**run_cases(GOLDEN, Path(tmp)), **trained_digests(Path(trained))}
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as trained, \
+            tempfile.TemporaryDirectory() as synth:
+        digests = {**run_cases(GOLDEN, Path(tmp)), **trained_digests(Path(trained)),
+                   **synth_digests(Path(synth))}
     (GOLDEN / "sha256.json").write_text(json.dumps(digests, indent=1) + "\n")
 
 

@@ -11,6 +11,7 @@ from segfuse.synth import (
     UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
     _voronoi_cells,
+    benchmark_images,
     corrupt_teacher,
     gen_ground_truth,
     make_benchmark,
@@ -225,7 +226,7 @@ class TestUnderperformerMaps:
 
     def test_confidently_wrong(self):
         bench = make_benchmark(self.CONFIG, seed=2)
-        for gt, labels in zip(bench.gts, make_underperformer_maps(bench, seed=1)):
+        for gt, labels in zip(bench.gts, make_underperformer_maps(bench.gts, seed=1)):
             acc = (labels.values == gt.values).mean()
             assert acc < 0.55  # ~40% of pixels survive at its error rate
             pm = soften(labels, UNDERPERFORMER_TEMPERATURE)
@@ -234,11 +235,11 @@ class TestUnderperformerMaps:
 
     def test_deterministic(self):
         bench = make_benchmark(self.CONFIG, seed=2)
-        a = make_underperformer_maps(bench, seed=9)
-        b = make_underperformer_maps(bench, seed=9)
+        a = make_underperformer_maps(bench.gts, seed=9)
+        b = make_underperformer_maps(bench.gts, seed=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.values, y.values)
-        c = make_underperformer_maps(bench, seed=10)
+        c = make_underperformer_maps(bench.gts, seed=10)
         assert (a[0].values != c[0].values).any()
 
 
@@ -253,6 +254,21 @@ class TestBenchmark:
         np.testing.assert_array_equal(
             a.teacher_labels[2][1].values, b.teacher_labels[2][1].values
         )
+
+    def test_is_the_per_image_generator_collected(self):
+        cfg = BenchmarkConfig(height=16, width=20, classes=4, num_teachers=3, images=3)
+        bench = make_benchmark(cfg, seed=5)
+        rates, temps, images = benchmark_images(cfg, seed=5)
+        images = list(images)
+        assert len(images) == cfg.images
+        for i, (gt, fm, teachers) in enumerate(images):
+            assert np.array_equal(gt.values, bench.gts[i].values)
+            assert np.array_equal(fm.values, bench.feats[i].values)
+            assert len(teachers) == cfg.num_teachers
+            for t, labels in enumerate(teachers):
+                assert np.array_equal(labels.values, bench.teacher_labels[t][i].values)
+        assert np.array_equal(rates, bench.error_rates)
+        assert np.array_equal(temps, bench.temperatures)
 
     def test_teachers_have_distinct_certainty_scales(self):
         cfg = BenchmarkConfig(height=16, width=16, classes=4, num_teachers=4, images=2)
@@ -271,7 +287,7 @@ class TestBenchmark:
     def test_underperformer_maps_align_with_images(self):
         cfg = BenchmarkConfig(height=16, width=16, classes=4, num_teachers=2, images=3)
         bench = make_benchmark(cfg, seed=3)
-        bad = make_underperformer_maps(bench, seed=3)
+        bad = make_underperformer_maps(bench.gts, seed=3)
         assert len(bad) == 3
         assert all(isinstance(m, LabelMap) for m in bad)
         assert (bad[0].values.shape, bad[0].num_classes) == ((16, 16), 4)
