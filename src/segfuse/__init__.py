@@ -22,7 +22,6 @@ from .distill import (
     ce_loss_and_grads,
     kl_loss_and_grads,
     measure_teacher,
-    student_forward,
     student_labels,
     train_student,
 )

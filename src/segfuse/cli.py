@@ -217,13 +217,9 @@ def cmd_synth(args) -> int:
         files.append(name)
 
     def pmap(labels, temperature: float):
-        # no caller binds the softened map, so it is freed once written;
-        # each row block is cast to float32 as it is written
+        # no caller binds the softened map, so it is freed once written
         values = soften(labels, temperature).values
-        rows = values.reshape(-1, values.shape[2])
-        step = max(1, fileio._BLOCK_BYTES // (rows.shape[1] * 4))
-        return fileio.probmap_chunks(*values.shape, (rows[r:r + step]
-                                                     for r in range(0, len(rows), step)))
+        return fileio.probmap_chunks(*values.shape, [values.reshape(-1, values.shape[2])])
 
     # Each image is written as it is made; only its ground truth is kept,
     # for the under-performers.

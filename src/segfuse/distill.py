@@ -203,16 +203,6 @@ def _blas_workers():
     return util.cores() if _openblas() else 1
 
 
-def _released_product(a, b):
-    """``a @ b`` of the 2-D float64 arrays ``a`` and ``b``, through ``np.dot``,
-    which releases the GIL around its BLAS call at any size.  numpy's matmul
-    (``@``) keeps the GIL whenever its output has at most 500 elements,
-    whatever the inner dimension (numpy 2.4), so a classes x (d+1) product
-    over a block's rows on a worker thread would hold the other workers
-    back for its whole gemm.  Gives ``@``'s bits."""
-    return np.dot(a, b)
-
-
 def _workers(blocks):
     """``_ce_means``' worker count for ``blocks`` row blocks: one per
     ``_blas_workers`` while each gets at least two blocks.  Alone, two
@@ -302,7 +292,7 @@ class _TrainingBlocks:
                 e = onehot[: classes * len(a)].reshape(classes, len(a))
                 e.fill(0.0)
                 e.put(a, 1.0)
-                sums += _released_product(e, xb.T)
+                sums += np.dot(e, xb.T)
                 at.append(a)
         return _TrainingSet(self.blocks, sums, at, classes)
 
@@ -375,14 +365,6 @@ def _unlabeled(feats, dims):
             for f in feats]
 
 
-def student_forward(model: ToyStudent, feats: FeatureMap) -> ProbMap:
-    """Per-pixel softmax(W x + b)."""
-    probs = np.empty((feats.height * feats.width, model.num_classes))
-    for b, blk in student_blocks(model, [], _unlabeled([feats], model.feature_dims)):
-        probs[b] = blk.T
-    return ProbMap(probs.reshape(feats.height, feats.width, -1))
-
-
 def _block_ids(blk, ids):
     """Write ``blk.argmax(axis=0)`` of the class-major block ``blk`` into
     ``ids`` (ties to the smallest id) without copying ``blk``; return the
@@ -394,8 +376,8 @@ def _block_ids(blk, ids):
 
 
 def student_labels(model: ToyStudent, feats: FeatureMap) -> LabelMap:
-    """The student's per-pixel labels: ``unify(student_forward(model,
-    feats))``, without its probability map."""
+    """The student's per-pixel labels: ``unify`` of its per-pixel
+    softmax(W x + b), without a probability map."""
     ids = np.empty(feats.height * feats.width, np.uint16)
     for b, blk in student_blocks(model, [], _unlabeled([feats], model.feature_dims)):
         _block_ids(blk, ids[b])
@@ -462,8 +444,10 @@ def _ce_part(wb, rows, buf, j):
     xb = rows.blocks[j]
     blk = _block_probs(xb, wb, buf)
     picked = blk.take(rows.at[j])
+    # np.dot lets the other workers run during its gemm and gives @'s bits;
+    # numpy 2.4's @ keeps the GIL for an output of at most 500 elements.
     return (float(np.log(np.maximum(picked, _LOG_CLAMP, out=picked), out=picked).sum()),
-            _released_product(blk, xb.T))
+            np.dot(blk, xb.T))
 
 
 def _ce_means(wb, rows, bufs):
@@ -510,7 +494,9 @@ def kl_loss_and_grads(
         raise ValueError("feature and target dimensions differ")
     if target.num_classes != model.num_classes:
         raise ValueError("target class count does not match the model")
-    probs = student_forward(model, feats).values.reshape(-1, model.num_classes)
+    probs = np.empty((feats.height * feats.width, model.num_classes))
+    for b, blk in student_blocks(model, [], _unlabeled([feats], model.feature_dims)):
+        probs[b] = blk.T
     s = target.values.reshape(probs.shape)
     n = len(probs)
     x = feats.values.reshape(n, -1)

@@ -177,12 +177,15 @@ def read_labels(source, logits: bool = False) -> LabelMap:
 def probmap_chunks(height: int, width: int, classes: int, blocks):
     """A .pmap's bytes as chunks to write: the header, then each of
     ``blocks`` (rows x classes probabilities, together the H x W pixels in
-    pixel order) cast to float32 as it comes.  It checks no probability."""
+    pixel order) cast to float32 as it comes, one slice of whole rows of
+    about ``_BLOCK_BYTES`` at a time.  It checks no probability."""
     if classes > 65535:
         raise ValueError(f"class count {classes} does not fit the u16 header field")
     yield _HEADER.pack(_PMAP_MAGIC, _VERSION, height, width, classes)
+    step = max(1, _BLOCK_BYTES // (classes * 4))
     for blk in blocks:
-        yield blk.astype("<f4", order="C")
+        for r in range(0, len(blk), step):
+            yield blk[r : r + step].astype("<f4", order="C")
 
 
 def read_labelmap(data: bytes) -> LabelMap:

@@ -17,7 +17,7 @@ import segfuse
 from segfuse import fileio
 from segfuse.core import (UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbabilityCheck,
                           ProbMap)
-from segfuse.distill import measure_teacher
+from segfuse.distill import _unlabeled, measure_teacher, student_blocks
 from segfuse.policy import select_certainty
 from segfuse.unify import unify
 
@@ -25,6 +25,16 @@ from segfuse.unify import unify
 def certainty_policy(members, feats, config):
     """The certainty-aware policy: ``select_certainty`` over each member's rho."""
     return select_certainty([measure_teacher(m, feats, config) for m in members])
+
+
+def student_map(model, feats) -> ProbMap:
+    """The ToyStudent ``model``'s probability map of the FeatureMap
+    ``feats``: ``student_blocks``' row blocks of its all-unlabeled image,
+    put together in pixel order and checked as a ProbMap."""
+    probs = np.empty((feats.height * feats.width, model.num_classes))
+    for b, blk in student_blocks(model, [], _unlabeled([feats], model.feature_dims)):
+        probs[b] = blk.T
+    return ProbMap(probs.reshape(feats.height, feats.width, -1))
 
 
 def reports_from_matrix(scores):
@@ -209,10 +219,23 @@ def certainty_report(preds: Sequence[ProbMap]) -> IoUReport:
     return IoUReport(rho)
 
 
-def owners(names):
+def _name(node):
+    """What the node ``node`` names as an attribute (``os.name``), a name or
+    an import, or None."""
+    return (getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+            getattr(node, "id", None) if isinstance(node, ast.Name) else
+            getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+
+
+def names_in(path):
+    """The set of what the Python file ``path`` names, as ``owners`` counts it."""
+    return {_name(node) for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8")))}
+
+
+def owners(names, calls=False):
     """The sorted (module, innermost function) pairs of ``segfuse`` whose
     code names one of ``names``, as an attribute (``os.name``), a name or
-    an import, once per use."""
+    an import, once per use; with ``calls``, only the uses that it calls."""
     found = []
     for path in sorted(Path(segfuse.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -220,11 +243,9 @@ def owners(names):
         for fn in ast.walk(tree):  # outer functions first, so inner ones overwrite
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(n), fn.name) for n in ast.walk(fn))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
-            name = (getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
-                    getattr(node, "id", None) if isinstance(node, ast.Name) else
-                    getattr(node, "name", None) if isinstance(node, ast.alias) else None)
-            if name in names:
+            if _name(node) in names and (not calls or id(node) in called):
                 found.append((path.stem, owner.get(id(node), "<module>")))
     return sorted(found)
 

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from segfuse import cli, fileio, util
 from segfuse.cli import build_parser, main
 from segfuse.core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
-from segfuse.distill import (TrainConfig, _row_blocks, measure_teacher, student_forward,
-                             train_student)
+from segfuse.distill import TrainConfig, _row_blocks, measure_teacher, train_student
 from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import (
@@ -43,7 +42,7 @@ from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
 from helpers import (npy_bytes, random_labelmap, read_probmap, reports_from_matrix,
-                     write_probmap)
+                     student_map, write_probmap)
 
 
 def _write_in_pieces(path, data: bytes, piece: int) -> None:
@@ -263,7 +262,7 @@ class TestWrapperFidelity:
             np.testing.assert_array_equal(saved["weights"], want.model.weights)
             np.testing.assert_array_equal(saved["bias"], want.model.bias)
             assert probmap_out.read_bytes() == write_probmap(
-                student_forward(want.model, feats))
+                student_map(want.model, feats))
             want_trace = ["iter,loss"] + [
                 f"{i},{float(v)!r}" for i, v in enumerate(want.losses)]
             assert trace_out.read_text().splitlines() == want_trace

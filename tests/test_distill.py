@@ -35,7 +35,6 @@ from segfuse.distill import (
     kl_loss_and_grads,
     measure_teacher,
     student_blocks,
-    student_forward,
     student_labels,
     train_rows,
     train_student,
@@ -46,7 +45,7 @@ from segfuse.synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, corrupt_
                            soften)
 from segfuse.unify import unify
 
-from helpers import average_fuse_stacked, certainty_policy, certainty_report
+from helpers import average_fuse_stacked, certainty_policy, certainty_report, student_map
 
 
 def prob(rows):
@@ -157,13 +156,31 @@ class TestLossKL:
         rng = np.random.default_rng(3)
         feats = FeatureMap(rng.normal(size=(4, 4, 2)))
         model = ToyStudent(rng.normal(size=(3, 2)), rng.normal(size=3))
-        pm = student_forward(model, feats)
+        pm = student_map(model, feats)
         entropy = -(pm.values * np.log(pm.values)).sum()
         loss = kl_loss_and_grads(model, feats, pm)[0]
         assert 16 * loss == pytest.approx(float(entropy), rel=1e-12)
 
+    def test_is_the_expression_on_the_assembled_probabilities_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        model = ToyStudent(rng.normal(size=(7, 5)), rng.normal(size=7))
+        feats = FeatureMap(rng.normal(size=(129, 130, 5)))
+        assert len(_row_blocks(129 * 130)) == 3
+        raw = rng.random((129, 130, 7)) + 1e-3
+        target = ProbMap(raw / raw.sum(2, keepdims=True))
+        probs = student_map(model, feats).values.reshape(-1, 7)
+        s = target.values.reshape(probs.shape)
+        n = len(probs)
+        x = feats.values.reshape(n, -1)
+        loss = float(-(s * np.log(np.maximum(probs, distill._LOG_CLAMP))).sum()) / n
+        g = (probs * s.sum(axis=1, keepdims=True) - s) / n
+        got = kl_loss_and_grads(model, feats, target)
+        assert got[0].hex() == loss.hex()
+        assert got[1].tobytes() == (g.T @ x).tobytes()
+        assert got[2].tobytes() == g.sum(axis=0).tobytes()
+
     def test_feature_dim_must_match_the_model(self):
-        # the message student_forward gives, not numpy's matmul error
+        # the message the forward's own check gives, not numpy's matmul error
         target = prob([[[1 / 3] * 3] * 4])
         model = ToyStudent(np.zeros((3, 4)), np.zeros(3))
         with pytest.raises(ValueError, match="^feature dim 5 does not match model dim 4$"):
@@ -193,7 +210,7 @@ class TestStudentForward:
     def test_zero_parameters_give_uniform(self):
         model = ToyStudent(np.zeros((4, 3)), np.zeros(4))
         feats = FeatureMap(np.random.default_rng(0).normal(size=(2, 2, 3)))
-        out = student_forward(model, feats)
+        out = student_map(model, feats)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-12)
 
     def test_dominant_class_weights(self):
@@ -201,14 +218,14 @@ class TestStudentForward:
         b = np.array([50.0, 0.0, 0.0])
         model = ToyStudent(w, b)
         feats = FeatureMap(np.random.default_rng(1).normal(size=(3, 3, 2)))
-        out = unify(student_forward(model, feats))
+        out = unify(student_map(model, feats))
         assert (out.values == 0).all()
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         model = ToyStudent(rng.normal(size=(4, 3)), rng.normal(size=4))
         feats = FeatureMap(rng.normal(size=(3, 2, 3)))
-        out = student_forward(model, feats)
+        out = student_map(model, feats)
         for i in range(3):
             for j in range(2):
                 logits = model.weights @ feats.values[i, j] + model.bias
@@ -220,7 +237,7 @@ class TestStudentForward:
     def test_rejects_dim_mismatch(self):
         model = ToyStudent(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
-            student_forward(model, FeatureMap(np.zeros((2, 2, 5))))
+            student_map(model, FeatureMap(np.zeros((2, 2, 5))))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -470,9 +487,9 @@ class TestRowBlocks:
         # each takes a 1-row path at W = 1, whose last bits differ.
         x = feats.values.reshape(-1, 19)
         want = reference_softmax(x @ model.weights.T + model.bias)
-        got = student_forward(model, feats).values
+        got = student_map(model, feats).values
         assert_near(got, want.reshape(height, width, 19))
-        assert np.array_equal(student_forward(model, feats).values, got)
+        assert np.array_equal(student_map(model, feats).values, got)
         assert np.array_equal(got[..., 1], got[..., 0])
 
     def test_blocks_are_whole_units_but_a_last_remainder(self):
@@ -537,12 +554,13 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
 #: image, 4 row blocks, and prints the bytes of its probabilities.
 FORWARD_PROBE = """
 import hashlib, sys, numpy as np
-from segfuse.distill import FeatureMap, ToyStudent, student_forward
+from segfuse.distill import FeatureMap, ToyStudent
+from helpers import student_map
 c = int(sys.argv[1])
 rng = np.random.default_rng(0)
 model = ToyStudent(rng.normal(size=(c, c)), rng.normal(size=c))
 feats = FeatureMap(rng.normal(size=(128, 256, c)))
-print(hashlib.sha256(student_forward(model, feats).values.tobytes()).hexdigest())
+print(hashlib.sha256(student_map(model, feats).values.tobytes()).hexdigest())
 """
 
 
@@ -550,13 +568,14 @@ print(hashlib.sha256(student_forward(model, feats).values.tobytes()).hexdigest()
     pytest.param(classes, kernel, id=f"{classes}-{kernel}" if kernel else str(classes))
     for classes in (8, 19) for kernel in (None, "Nehalem", "Prescott")])
 def test_forward_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
-    # student_blocks pins BLAS for every consumer (student_forward,
+    # student_blocks pins BLAS for every consumer (kl_loss_and_grads,
     # student_labels, distill --probmap-out, rho), not only for training's:
     # unpinned, the forward gemm's bits follow the thread count on Nehalem
     # and Prescott.
     def probe(threads):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                              str(Path(__file__).parent)])}
         env.pop("OPENBLAS_CORETYPE", None)
         if kernel:
             env["OPENBLAS_CORETYPE"] = kernel
@@ -773,8 +792,8 @@ class TestCEWorkers:
 
 
 class TestReleasedProduct:
-    """``_released_product``, the CE step's and the label sums' product,
-    lets other threads run during its gemm and gives ``@``'s bits."""
+    """``np.dot``, the CE step's and the label sums' product, lets other
+    threads run during its gemm and gives ``@``'s bits."""
 
     def test_other_threads_run_during_the_product(self):
         # A spinner that needs the GIL for every turn.  The switch interval
@@ -801,7 +820,7 @@ class TestReleasedProduct:
             during = 0
             for _ in range(20):
                 before = turns[0]
-                distill._released_product(a, x.T)
+                np.dot(a, x.T)
                 during += turns[0] - before
                 if during >= 50:
                     break
@@ -819,11 +838,10 @@ class TestReleasedProduct:
         buf = _ce_buffers(rows)[0]
         for xb, at in zip(rows.blocks, rows.at):
             blk = _block_probs(xb, wb, buf)
-            assert distill._released_product(blk, xb.T).tobytes() == (blk @ xb.T).tobytes()
+            assert np.dot(blk, xb.T).tobytes() == (blk @ xb.T).tobytes()
             onehot = np.zeros(blk.shape)
             onehot.put(at, 1.0)
-            assert (distill._released_product(onehot, xb.T).tobytes()
-                    == (onehot @ xb.T).tobytes())
+            assert np.dot(onehot, xb.T).tobytes() == (onehot @ xb.T).tobytes()
 
 
 def rho_of(model, images):
@@ -863,7 +881,7 @@ class TestCertainty:
         model, feats = case
         images = _unlabeled(feats, model.feature_dims)
         got = _certainty(model, images).per_class
-        want = certainty_report([student_forward(model, f) for f in feats]).per_class
+        want = certainty_report([student_map(model, f) for f in feats]).per_class
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.isnan(got[[1, -1]]).all()
         seen = ~np.isnan(want)
@@ -941,14 +959,15 @@ def peak_case():
 
 
 class TestStudentLabels:
-    """``student_labels`` is ``unify(student_forward(...))`` without its map."""
+    """``student_labels`` is ``unify`` of the student's probability map
+    without the map."""
 
     @settings(max_examples=40, deadline=None)
     @given(certainty_cases())
     def test_matches_unify_of_the_probability_map(self, case):
         model, feats = case
         for f in feats:
-            got, want = student_labels(model, f), unify(student_forward(model, f))
+            got, want = student_labels(model, f), unify(student_map(model, f))
             assert got.num_classes == want.num_classes
             assert np.array_equal(got.values, want.values)
 
@@ -983,14 +1002,14 @@ def gather_masks():
 
 class TestStudentBlocks:
     """``student_blocks`` gathers each row block back into pixel order from
-    an image's training blocks and unlabeled rows with ``student_forward``'s
-    bits, whatever pixels are labeled."""
+    an image's training blocks and unlabeled rows with the bits of its
+    all-unlabeled forward (``student_map``), whatever pixels are labeled."""
 
     def setup_method(self):
         rng = np.random.default_rng(1)
         self.model = ToyStudent(rng.normal(size=(5, 3)), rng.normal(size=5))
         self.feats = FeatureMap(rng.normal(size=(2, GATHER_N // 2, 3)))
-        self.want = student_forward(self.model, self.feats).values.reshape(-1, 5)
+        self.want = student_map(self.model, self.feats).values.reshape(-1, 5)
 
     def gathered(self, masks):
         """Each image's rows x classes probabilities from one pass, the
@@ -1175,7 +1194,7 @@ class TestTrainStudent:
         feats, labels = separable_instance()
         cfg = TrainConfig(iterations=500, seed=0)
         result = train_student(feats, labels, cfg)
-        pred = unify(student_forward(result.model, feats))
+        pred = student_labels(result.model, feats)
         acc = (pred.values == labels.values).mean()
         assert acc >= 0.95
 

@@ -16,7 +16,6 @@ from segfuse.distill import (
     _unlabeled,
     average_fuse,
     measure_teacher,
-    student_forward,
     student_labels,
     train_student,
 )
@@ -41,7 +40,7 @@ from segfuse.synth import (
 from segfuse.unify import unify
 from segfuse.util import rows_to_csv
 
-from helpers import certainty_policy
+from helpers import certainty_policy, student_map
 
 FAST = BenchmarkConfig(
     height=24, width=24, classes=4, num_teachers=3, images=3, region_scale=5
@@ -194,7 +193,7 @@ def flexibility_reference(config, rounds, seed, tc):
     for r in range(1, rounds + 1):
         policy = certainty_policy(ensemble, bench.feats, tc)
         student = train_student(list(bench.feats), fuse_channel(ensemble, policy), tc).model
-        preds = [unify(student_forward(student, f)) for f in bench.feats]
+        preds = [unify(student_map(student, f)) for f in bench.feats]
         rows.append((r, len(ensemble), dataset_iou(preds, bench.gts).miou))
         ensemble = ensemble + [preds]
     return rows

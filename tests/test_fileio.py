@@ -60,6 +60,18 @@ class TestProbMapCodec:
         want = HEADER.pack(b"PMAP", 1, *shape) + pm.values.astype("<f4").tobytes()
         assert write_probmap(pm) == want
 
+    def test_blocks_are_cast_in_whole_row_slices_of_about_one_chunk(self):
+        step = fileio._BLOCK_BYTES // (4 * 19)  # rows of 19 float32 classes
+        sizes = [1, step - 1, step, 2 * step + 3, 0, 5]
+        rng = np.random.default_rng(0)
+        blocks = [rng.random((n, 19)) for n in sizes]
+        header, *body = fileio.probmap_chunks(1, sum(sizes), 19, blocks)
+        assert header == HEADER.pack(b"PMAP", 1, 1, sum(sizes), 19)
+        assert [len(c) for c in body] == [1, step - 1, step, step, step, 3, 5]
+        assert all(c.dtype == "<f4" and c.flags.c_contiguous for c in body)
+        assert max(c.nbytes for c in body) <= fileio._BLOCK_BYTES
+        assert b"".join(body) == np.concatenate(blocks).astype("<f4").tobytes()
+
     def test_bad_sum_rejected_without_renormalize(self):
         body = struct.pack("<2f", 0.45, 0.45)  # sums to 0.9
         data = HEADER.pack(b"PMAP", 1, 1, 1, 2) + body
