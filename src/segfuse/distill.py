@@ -12,20 +12,14 @@ is resolution-independent.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import util
 from .core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, _frozen
-from .util import grow_rows, on_threads
+from .util import grow_rows, on_threads, one_blas_thread, workers
 
 _LOG_CLAMP = 1e-12
 
@@ -125,7 +119,7 @@ _BLOCK_ROWS = 8192
 #: Every block but the remainder is a whole number of these rows, so that
 #: the block gemms give the same bits at any BLAS thread count on OpenBLAS's
 #: SkylakeX, Haswell and Sandybridge kernels, where most other block sizes
-#: did not, even where ``_one_blas_thread`` does not pin BLAS; on its
+#: did not, even where ``one_blas_thread`` does not pin BLAS; on its
 #: Nehalem and Prescott kernels no block size does.
 _BLOCK_UNIT = 32
 
@@ -140,77 +134,6 @@ def _row_blocks(n):
     k = max(1, n // _BLOCK_ROWS)
     cuts = [i * units // k * _BLOCK_UNIT for i in range(k + 1)] + [n]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-@functools.cache
-def _openblas():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    bundles (``numpy.libs/libscipy_openblas64_*.so``), or None where numpy
-    has no such library or it lacks them, as other numpy builds do."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        name = next(n for n in os.listdir(libs)
-                    if n.startswith("libscipy_openblas64_") and n.endswith(".so"))
-        lib = ctypes.CDLL(os.path.join(libs, name))
-        get, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (OSError, StopIteration, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_count.argtypes, set_count.restype = [ctypes.c_int], None
-    return get, set_count
-
-
-#: ``_one_blas_thread``'s lock, and its entrants inside and the thread
-#: count the first of them found.
-_BLAS_PIN_LOCK = threading.Lock()
-_blas_pin = {"depth": 0, "before": None}
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with ``_openblas`` on one thread, then give back the
-    caller's thread count, however the body ends.  So the body's gemms give
-    their one-thread bits whatever count the caller set, on every OpenBLAS
-    kernel, and ``_ce_means``' workers do not each start BLAS threads.  The
-    count is process-global: BLAS calls of other threads run on one thread
-    too meanwhile.  Bodies may overlap, on one thread or several: the
-    first to enter saves the count and pins it, and the last to leave
-    gives it back, so every body runs pinned.  Without the library this
-    does nothing."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_count = blas
-    with _BLAS_PIN_LOCK:
-        if not _blas_pin["depth"]:
-            _blas_pin["before"] = get()
-            set_count(1)
-        _blas_pin["depth"] += 1
-    try:
-        yield
-    finally:
-        with _BLAS_PIN_LOCK:
-            _blas_pin["depth"] -= 1
-            if not _blas_pin["depth"]:
-                set_count(_blas_pin["before"])
-
-
-def _blas_workers():
-    """Threads that may run ``_one_blas_thread`` bodies at once: one per
-    core, and one where it cannot pin BLAS, so that no two threads' gemms
-    each start BLAS threads."""
-    return util.cores() if _openblas() else 1
-
-
-def _workers(blocks):
-    """``_ce_means``' worker count for ``blocks`` row blocks: one per
-    ``_blas_workers`` while each gets at least two blocks.  Alone, two
-    workers step 2 blocks a little faster than one, but such short
-    trainings run where member trainings already fill the cores
-    (``experiments._measure``), and there a second worker per training
-    slowed them."""
-    return max(1, min(_blas_workers(), blocks // 2))
 
 
 class _TrainingSet(NamedTuple):
@@ -284,7 +207,7 @@ class _TrainingBlocks:
         self._y = self._stage = None
         sums, at = np.zeros((classes, dims)), []
         onehot = np.empty(classes * max((xb.shape[1] for xb in self.blocks), default=0))
-        with _one_blas_thread():
+        with one_blas_thread():
             for xb, cut in zip(self.blocks, self._cuts):
                 a = y[cut].astype(np.intp)
                 a *= len(a)
@@ -325,7 +248,7 @@ def student_blocks(model: ToyStudent, blocks, images):
     A block is gathered in pixel order by one slice copy per run of like
     pixels and array it spans, so its bits do not depend on which are
     labeled, and its probabilities are taken with BLAS on one thread
-    (``_one_blas_thread``, not held while the generator is suspended), so
+    (``one_blas_thread``, not held while the generator is suspended), so
     they do not depend on the BLAS thread count."""
     wb = _augmented_weights(model)
     cuts = [_row_blocks(len(labeled)) for labeled, _ in images]
@@ -349,7 +272,7 @@ def student_blocks(model: ToyStudent, blocks, images):
                     xb[:-1, s : s + k] = cur[:, off : off + k]
                     s, off = s + k, off + k
                 kinds[kind][1:] = cur, off
-            with _one_blas_thread():
+            with one_blas_thread():
                 probs = _block_probs(xb, wb, buf)
             yield b, probs
 
@@ -482,7 +405,8 @@ def ce_loss_and_grads(
     rows = _labeled_rows(feats, labels)
     if rows.classes != model.num_classes:
         raise ValueError("label class count does not match the model")
-    loss, grads = _ce_means(_augmented_weights(model), rows, _ce_buffers(rows))
+    with one_blas_thread():
+        loss, grads = _ce_means(_augmented_weights(model), rows, _ce_buffers(rows))
     return loss, grads[:, :-1], grads[:, -1]
 
 
@@ -502,7 +426,8 @@ def kl_loss_and_grads(
     x = feats.values.reshape(n, -1)
     loss = float(-(s * np.log(np.maximum(probs, _LOG_CLAMP))).sum()) / n
     g = (probs * s.sum(axis=1, keepdims=True) - s) / n
-    return loss, g.T @ x, g.sum(axis=0)
+    with one_blas_thread():
+        return loss, g.T @ x, g.sum(axis=0)
 
 
 def train_student(feats, labels, config: TrainConfig) -> TrainResult:
@@ -520,7 +445,7 @@ def train_rows(rows: _TrainingSet, config: TrainConfig) -> TrainResult:
     rides in every gemm; weight decay skips that column.  Learning rate
     follows a polynomial decay, lr_i = _LR * (1 - i/n)^_LR_DECAY_POWER.
     Fully deterministic given the seed and the rows: each step runs on
-    ``_workers`` threads with BLAS on one thread (``_one_blas_thread``),
+    ``util.workers`` threads with BLAS on one thread (``one_blas_thread``),
     and its bits depend on neither.
     """
     rng = np.random.default_rng(config.seed)
@@ -530,8 +455,12 @@ def train_rows(rows: _TrainingSet, config: TrainConfig) -> TrainResult:
     vel = np.zeros_like(wb)
     losses = np.empty(config.iterations)
 
-    with _one_blas_thread():
-        bufs = _ce_buffers(rows, _workers(len(rows.at)))
+    with one_blas_thread():
+        # At least two blocks per worker: alone, two workers step 2 blocks a
+        # little faster than one, but such short trainings run where member
+        # trainings already fill the cores (``experiments._measure``), and
+        # there a second worker per training slowed them.
+        bufs = _ce_buffers(rows, workers(len(rows.at) // 2))
         for i in range(config.iterations):
             losses[i], grads = _ce_means(wb, rows, bufs)
             grads[:, :dims] += _WEIGHT_DECAY * wb[:, :dims]

@@ -12,7 +12,6 @@ from typing import Sequence
 
 from .distill import (
     TrainConfig,
-    _blas_workers,
     average_fuse,
     measure_teacher,
     student_labels,
@@ -30,7 +29,7 @@ from .synth import (
     soften,
 )
 from .unify import unify
-from .util import on_threads
+from .util import on_threads, workers
 
 
 def _fuse_channel_all(unified, policy, kappa):
@@ -48,11 +47,10 @@ def _measure(members, feats, train_config) -> list:
     on ``feats``, in member order, on one thread per core (``on_threads``):
     a member's rho depends on that member alone, and every training pins
     BLAS to one thread and cuts its own blocks, so no bit depends on the
-    thread count (``_blas_workers``: one thread where BLAS cannot be
-    pinned).  A failure raised is the first failing member's, as a loop's
-    would be."""
+    thread count (``workers``: one thread where BLAS cannot be pinned).
+    A failure raised is the first failing member's, as a loop's would be."""
     return on_threads(lambda w, labels: measure_teacher(labels, feats, config=train_config),
-                      members, _blas_workers())
+                      members, workers(len(members)))
 
 
 def _teacher_reports(unified, gts) -> list:

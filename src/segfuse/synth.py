@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED_ID, LabelMap, ProbMap
-from .distill import FeatureMap
+from .core import UNLABELED_ID, FeatureMap, LabelMap, ProbMap
 
 
 #: Standard deviation of the Gaussian feature noise around each class mean.

@@ -1,8 +1,12 @@
 """Small shared helpers: JSON numbers, CSV formatting, growing row buffers,
-the core count and one worker pool on threads."""
+and the one thread policy: the core count, the OpenBLAS pin, the worker
+count and one worker pool on threads."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import threading
 
@@ -32,6 +36,68 @@ def cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles (``numpy.libs/libscipy_openblas64_*.so``), or None where numpy
+    has no such library or it lacks them, as other numpy builds do."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs)
+                    if n.startswith("libscipy_openblas64_") and n.endswith(".so"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
+
+
+#: ``one_blas_thread``'s lock, and its entrants inside and the thread
+#: count the first of them found.
+_BLAS_PIN_LOCK = threading.Lock()
+_blas_pin = {"depth": 0, "before": None}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with ``_openblas`` on one thread, then give back the
+    caller's thread count, however the body ends.  So the body's gemms give
+    their one-thread bits whatever count the caller set, on every OpenBLAS
+    kernel, and ``on_threads``' workers do not each start BLAS threads.  The
+    count is process-global: BLAS calls of other threads run on one thread
+    too meanwhile.  Bodies may overlap, on one thread or several: the
+    first to enter saves the count and pins it, and the last to leave
+    gives it back, so every body runs pinned.  Without the library this
+    does nothing."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_count = blas
+    with _BLAS_PIN_LOCK:
+        if not _blas_pin["depth"]:
+            _blas_pin["before"] = get()
+            set_count(1)
+        _blas_pin["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_PIN_LOCK:
+            _blas_pin["depth"] -= 1
+            if not _blas_pin["depth"]:
+                set_count(_blas_pin["before"])
+
+
+def workers(items: int) -> int:
+    """``on_threads``' worker count for ``items`` items whose BLAS calls
+    run in ``one_blas_thread`` bodies: one per core, at most one per item,
+    and one where BLAS cannot be pinned, so that no two threads' gemms each
+    start BLAS threads."""
+    return max(1, min(cores() if _openblas() else 1, items))
 
 
 def on_threads(fn, items, workers: int) -> list:

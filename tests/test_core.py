@@ -238,3 +238,24 @@ class TestIoUReport:
         with pytest.raises(ValueError):
             IoUReport(np.array([1.5]))
 
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ProbMap(np.full((2, 2), 0.5)),
+                 "probability map must be H x W x C, got shape (2, 2)", id="probmap-rank"),
+    pytest.param(lambda: ProbMap(np.ones((2, 2, 1))),
+                 "bad probability map shape (2, 2, 1)", id="probmap-one-class"),
+    pytest.param(lambda: ProbMap(np.full((0, 2, 2), 0.5)),
+                 "bad probability map shape (0, 2, 2)", id="probmap-empty"),
+    pytest.param(lambda: LabelMap(np.zeros(3, np.uint16), 2),
+                 "label map must be H x W, got shape (3,)", id="labelmap-rank"),
+    pytest.param(lambda: FusionPolicy(np.array([0.0, 1.0]), 2),
+                 "policy assignment must hold integer teacher indices", id="policy-float"),
+    pytest.param(lambda: FusionPolicy(np.array([0]), 0),
+                 "policy needs at least one teacher", id="policy-no-teacher"),
+    pytest.param(lambda: IoUReport(np.array([])),
+                 "per-class IoU must be a non-empty 1-d array", id="report-empty"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -507,6 +507,32 @@ class TestRowBlocks:
             assert all(size >= B for size in sizes) or len(sizes) <= 1, n
 
 
+#: C = d = 8 is the robustness workload's shape: the forward gemm's inner
+#: dimension is 9 with the ones row; 19 is the large set-ups'.  The default
+#: kernel is the CPU's; on Nehalem and Prescott, which any x86-64 CPU runs,
+#: the gemms change bits with the thread count, so only the pin to one BLAS
+#: thread holds the bits there.
+BLAS_CASES = pytest.mark.parametrize("classes, kernel", [
+    pytest.param(classes, kernel, id=f"{classes}-{kernel}" if kernel else str(classes))
+    for classes in (8, 19) for kernel in (None, "Nehalem", "Prescott")])
+
+
+def blas_probe(script, classes, kernel, threads):
+    """The words that the Python code ``script`` prints for ``classes`` in a
+    fresh interpreter, on OpenBLAS's ``kernel`` (None: the CPU's) at
+    ``threads`` BLAS threads; ``helpers`` is importable there."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                          str(Path(__file__).parent)])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    done = subprocess.run([sys.executable, "-c", script, str(classes)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 #: Trains a C-class student on 33,000 rows of C features (4 row blocks and
 #: a remainder) for 5 steps and prints the bytes of its weights, bias,
 #: losses and rho.
@@ -525,29 +551,11 @@ for a in (result.model.weights, result.model.bias, result.losses, rho):
 """
 
 
-@pytest.mark.parametrize("classes, kernel", [
-    pytest.param(classes, kernel, id=f"{classes}-{kernel}" if kernel else str(classes))
-    for classes in (8, 19) for kernel in (None, "Nehalem", "Prescott")])
+@BLAS_CASES
 def test_training_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
-    # C = d = 8 is the robustness workload's shape: the forward gemm's
-    # inner dimension is 9 with the ones row; 19 is the large set-ups'.
-    # The default kernel is the CPU's; on Nehalem and Prescott, which any
-    # x86-64 CPU runs, the gemms change bits with the thread count, so
-    # only training's pin to one BLAS thread holds the bits there.
-    def probe(threads):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        env.pop("OPENBLAS_CORETYPE", None)
-        if kernel:
-            env["OPENBLAS_CORETYPE"] = kernel
-        done = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(classes)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.split()
-
-    one = probe(1)
+    one = blas_probe(THREAD_PROBE, classes, kernel, 1)
     assert len(one) == 4
-    assert probe(2) == one
+    assert blas_probe(THREAD_PROBE, classes, kernel, 2) == one
 
 
 #: Runs a random C-class student with C features (C = d) over a 128 x 256
@@ -564,29 +572,47 @@ print(hashlib.sha256(student_map(model, feats).values.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("classes, kernel", [
-    pytest.param(classes, kernel, id=f"{classes}-{kernel}" if kernel else str(classes))
-    for classes in (8, 19) for kernel in (None, "Nehalem", "Prescott")])
+@BLAS_CASES
 def test_forward_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
     # student_blocks pins BLAS for every consumer (kl_loss_and_grads,
     # student_labels, distill --probmap-out, rho), not only for training's:
     # unpinned, the forward gemm's bits follow the thread count on Nehalem
     # and Prescott.
-    def probe(threads):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
-                                              str(Path(__file__).parent)])}
-        env.pop("OPENBLAS_CORETYPE", None)
-        if kernel:
-            env["OPENBLAS_CORETYPE"] = kernel
-        done = subprocess.run([sys.executable, "-c", FORWARD_PROBE, str(classes)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.split()
-
-    one = probe(1)
+    one = blas_probe(FORWARD_PROBE, classes, kernel, 1)
     assert len(one) == 1
-    assert probe(2) == one
+    assert blas_probe(FORWARD_PROBE, classes, kernel, 2) == one
+
+
+#: Takes the CE and KL losses and gradients of a random C-class student
+#: with C features on a 33,000 x 1 image (4 row blocks and a remainder),
+#: under random labels and a random soft target, and prints their bytes.
+LOSS_PROBE = """
+import hashlib, sys, numpy as np
+from segfuse.core import LabelMap, ProbMap
+from segfuse.distill import FeatureMap, ToyStudent, ce_loss_and_grads, kl_loss_and_grads
+c = int(sys.argv[1])
+rng = np.random.default_rng(0)
+model = ToyStudent(rng.normal(size=(c, c)), rng.normal(size=c))
+feats = FeatureMap(rng.normal(size=(33_000, 1, c)))
+labels = LabelMap(rng.integers(0, c, size=(33_000, 1)).astype(np.uint8), c)
+target = rng.random((33_000, 1, c)) + 1e-3
+target = ProbMap(target / target.sum(axis=2, keepdims=True))
+for loss, gw, gb in (ce_loss_and_grads(model, feats, labels),
+                     kl_loss_and_grads(model, feats, target)):
+    for a in (np.float64(loss), gw, gb):
+        print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+@BLAS_CASES
+def test_loss_bits_do_not_depend_on_the_blas_thread_count(classes, kernel):
+    # ce_loss_and_grads and kl_loss_and_grads pin BLAS as training does:
+    # unpinned, the gradient gemms' bits follow the thread count on Nehalem
+    # and Prescott, and the KL weight gradient's on the CPU's own kernel
+    # too at C = 19.
+    one = blas_probe(LOSS_PROBE, classes, kernel, 1)
+    assert len(one) == 6
+    assert blas_probe(LOSS_PROBE, classes, kernel, 2) == one
 
 
 def rows_of(blocks, classes=8, dims=8):
@@ -604,10 +630,10 @@ def rows_of(blocks, classes=8, dims=8):
 #: before, during and after training.
 BLAS_PIN_PROBE = """
 import numpy as np
-from segfuse import distill
+from segfuse import distill, util
 from segfuse.core import LabelMap
 from segfuse.distill import FeatureMap, TrainConfig, train_student
-get = distill._openblas()[0]
+get = util._openblas()[0]
 during, block_probs = set(), distill._block_probs
 def spy(*args):
     during.add(get())
@@ -622,23 +648,23 @@ print(before, sorted(during), get())
 """
 
 
-#: Runs two overlapping ``_one_blas_thread`` bodies on two threads, in the
-#: order A enters, B enters, A leaves, B leaves, and prints the thread
+#: Runs two overlapping ``util.one_blas_thread`` bodies on two threads, in
+#: the order A enters, B enters, A leaves, B leaves, and prints the thread
 #: count inside B after A has left, then after both have left.
 BLAS_OVERLAP_PROBE = """
 import threading
-from segfuse import distill
-get = distill._openblas()[0]
+from segfuse import util
+get = util._openblas()[0]
 a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
 inside_b = []
 def a():
-    with distill._one_blas_thread():
+    with util.one_blas_thread():
         a_in.set()
         assert b_in.wait(30)
     a_out.set()
 def b():
     assert a_in.wait(30)
-    with distill._one_blas_thread():
+    with util.one_blas_thread():
         b_in.set()
         assert a_out.wait(30)
         inside_b.append(get())
@@ -676,27 +702,37 @@ class TestCEWorkers:
         rows, config = rows_of(4), TrainConfig(iterations=3, seed=1)
 
         def train(workers):
-            monkeypatch.setattr(distill, "_workers", lambda blocks: workers)
+            monkeypatch.setattr(distill, "workers", lambda items: workers)
             result = train_rows(rows, config)
             return result.model.weights.tobytes(), result.model.bias.tobytes(), result.losses.tobytes()
 
         assert train(2) == train(1)
 
     def test_workers_follow_the_cores_and_the_block_count(self, monkeypatch):
+        # At least two blocks per worker, read from the buffers that
+        # train_rows asks for, one per worker.
         monkeypatch.setattr(util, "cores", lambda: 2)
-        counts = [distill._workers(blocks) for blocks in (1, 2, 3, 4, 15)]
-        assert counts == ([1] * 5 if distill._openblas() is None else [1, 1, 1, 2, 2])
+        counts, ce_buffers = [], distill._ce_buffers
+
+        def spy(rows, workers=1):
+            counts.append(workers)
+            return ce_buffers(rows, workers)
+
+        monkeypatch.setattr(distill, "_ce_buffers", spy)
+        for blocks in (1, 2, 3, 4, 15):
+            train_rows(rows_of(blocks), TrainConfig(iterations=1))
+        assert counts == ([1] * 5 if util._openblas() is None else [1, 1, 1, 2, 2])
 
     def test_without_the_library_training_runs_unpinned_on_one_worker(self, monkeypatch):
-        monkeypatch.setattr(distill.os, "listdir", lambda path: ["libopenblas.so"])
-        distill._openblas.cache_clear()
+        monkeypatch.setattr(util.os, "listdir", lambda path: ["libopenblas.so"])
+        util._openblas.cache_clear()
         try:
-            assert distill._openblas() is None and distill._workers(15) == 1
-            with distill._one_blas_thread():
+            assert util._openblas() is None and util.workers(15) == 1
+            with util.one_blas_thread():
                 pass
         finally:
             monkeypatch.undo()
-            distill._openblas.cache_clear()
+            util._openblas.cache_clear()
 
     @pytest.mark.parametrize("worker", [0, 1])
     def test_a_failing_block_raises_without_hanging(self, worker, monkeypatch):
@@ -709,8 +745,8 @@ class TestCEWorkers:
             return block_probs(xb, wb, buf)
 
         monkeypatch.setattr(distill, "_block_probs", failing)
-        monkeypatch.setattr(distill, "_workers", lambda blocks: 2)
-        blas = distill._openblas()
+        monkeypatch.setattr(distill, "workers", lambda items: 2)
+        blas = util._openblas()
         before = blas and blas[0]()
         errors = []
 
@@ -728,7 +764,7 @@ class TestCEWorkers:
         assert (blas and blas[0]()) == before
 
     def test_training_gives_the_blas_thread_count_back(self):
-        if distill._openblas() is None:
+        if util._openblas() is None:
             pytest.skip("this numpy bundles no scipy-openblas to pin")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -738,7 +774,7 @@ class TestCEWorkers:
         assert done.stdout.split() == ["2", "[1]", "2"]
 
     def test_overlapping_pins_hold_until_the_last_leaves(self):
-        if distill._openblas() is None:
+        if util._openblas() is None:
             pytest.skip("this numpy bundles no scipy-openblas to pin")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -763,7 +799,7 @@ class TestCEWorkers:
             return block_probs(xb, wb, buf)
 
         monkeypatch.setattr(distill, "_block_probs", failing)
-        monkeypatch.setattr(distill, "_workers", lambda blocks: 2)
+        monkeypatch.setattr(distill, "workers", lambda items: 2)
         for _ in range(5):
             two_failed.clear()
             with pytest.raises(ValueError, match="^block 1 failed$"):
@@ -774,7 +810,7 @@ class TestCEWorkers:
         rows = rows_of(4, classes, dims=19)
 
         def peak(workers):
-            monkeypatch.setattr(distill, "_workers", lambda blocks: workers)
+            monkeypatch.setattr(distill, "workers", lambda items: workers)
             tracemalloc.start()
             try:
                 train_rows(rows, TrainConfig(iterations=2))
@@ -1327,3 +1363,40 @@ class TestSelectionProtocol:
                  for i, g in enumerate(gts)]
         with pytest.raises(ValueError, match=match):
             call(feats, probs, TrainConfig(iterations=5, seed=0))
+
+
+def _model(classes=2, dims=2):
+    return ToyStudent(np.zeros((classes, dims)), np.zeros(classes))
+
+
+def _feats(h=2, w=2, dims=2):
+    return FeatureMap(np.zeros((h, w, dims)))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ToyStudent(np.zeros((3, 2)), np.zeros(2)),
+                 "weights must be |C| x d and bias |C|", id="student-shapes"),
+    pytest.param(lambda: ToyStudent(np.zeros(3), np.zeros(3)),
+                 "weights must be |C| x d and bias |C|", id="student-rank"),
+    pytest.param(lambda: ToyStudent(np.full((2, 2), np.inf), np.zeros(2)),
+                 "student parameters must be finite", id="student-inf-weight"),
+    pytest.param(lambda: ToyStudent(np.zeros((2, 2)), np.array([0.0, np.nan])),
+                 "student parameters must be finite", id="student-nan-bias"),
+    pytest.param(lambda: average_fuse([ProbMap(np.full((2, 2, 2), 0.5)),
+                                       ProbMap(np.full((2, 3, 2), 0.5))]),
+                 "teacher shapes differ: (2, 3, 2) vs (2, 2, 2)", id="average-shapes"),
+    pytest.param(lambda: train_student([_feats(), _feats()],
+                                       [LabelMap(np.zeros((2, 2), np.uint8), 2)], TrainConfig()),
+                 "need equally many (>=1) feature and label maps", id="train-counts"),
+    pytest.param(lambda: ce_loss_and_grads(_model(3), _feats(),
+                                           LabelMap(np.zeros((2, 2), np.uint8), 2)),
+                 "label class count does not match the model", id="ce-classes"),
+    pytest.param(lambda: kl_loss_and_grads(_model(), _feats(), ProbMap(np.full((2, 3, 2), 0.5))),
+                 "feature and target dimensions differ", id="kl-grid"),
+    pytest.param(lambda: kl_loss_and_grads(_model(3), _feats(), ProbMap(np.full((2, 2, 2), 0.5))),
+                 "target class count does not match the model", id="kl-classes"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from segfuse import distill, experiments, util
+from segfuse import experiments, util
 from segfuse.cli import main
 
 from segfuse.distill import (
@@ -293,7 +293,7 @@ class TestMemberPool:
                 monkeypatch.setattr(util, "cores", lambda: cores)
                 measuring.clear()
                 runs[cores] = DRIVERS[name]()
-                assert len(set(measuring)) == (cores if distill._openblas() else 1)
+                assert len(set(measuring)) == (cores if util._openblas() else 1)
         finally:
             sys.setswitchinterval(interval)
         assert runs[2] == runs[1]
@@ -304,7 +304,7 @@ class TestMemberPool:
         # member 3 fails first, then member 1, whose error is the one raised.
         members, measure = robustness_members(0), measure_teacher
         three_failed = threading.Event()
-        workers = cores if distill._openblas() else 1
+        workers = cores if util._openblas() else 1
 
         def failing(labels, *args, **kwargs):
             member = next(i for i, m in enumerate(members)

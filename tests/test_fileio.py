@@ -72,6 +72,11 @@ class TestProbMapCodec:
         assert max(c.nbytes for c in body) <= fileio._BLOCK_BYTES
         assert b"".join(body) == np.concatenate(blocks).astype("<f4").tobytes()
 
+    def test_class_count_must_fit_the_u16_header_field(self):
+        with pytest.raises(ValueError) as err:
+            next(fileio.probmap_chunks(1, 1, 65536, []))
+        assert str(err.value) == "class count 65536 does not fit the u16 header field"
+
     def test_bad_sum_rejected_without_renormalize(self):
         body = struct.pack("<2f", 0.45, 0.45)  # sums to 0.9
         data = HEADER.pack(b"PMAP", 1, 1, 1, 2) + body
@@ -418,6 +423,7 @@ class TestChunkedReads:
         ([(0, "sum"), (2, "nan")], "non-finite"),
         ([(0, "sum"), (2, "range")], "lie in"),
         ([(0, "range"), (2, "nan")], "non-finite"),
+        ([(0, "nan")], "non-finite"),
         ([(2, "range")], "lie in"),
         ([(0, "sum"), (2, "bigger-sum")], "worst deviation 2.000e-02"),
         ([(2, "bigger-sum"), (0, "sum")], "worst deviation 2.000e-02"),

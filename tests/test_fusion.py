@@ -468,3 +468,16 @@ def test_one_window_kernel():
     # only for the contested pixels; numpy's cumsum is a scalar loop.
     assert [o for o in owners({"cumsum"}) if o[0] == "fusion"] == []
     assert set(owners({"_box_sums"})) == {("fusion", "_contested_winners")}
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: build_channel_sets([lmap([[0, 1, 2]], 3)],
+                                            FusionPolicy(np.array([0, 0]), 1)),
+                 "policy covers 2 classes, maps have 3", id="policy-classes"),
+    pytest.param(lambda: channel_fuse([lmap([[0, 1]], 2)], FusionPolicy(np.array([0, 0]), 1), 3.0),
+                 "kappa must be an integer, got 3.0", id="kappa-float"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

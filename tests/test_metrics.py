@@ -210,3 +210,18 @@ class TestCertaintyHistogram:
         # bins + 1 edges would overflow np.intp inside np.linspace
         with pytest.raises(ValueError, match="bins must be"):
             certainty_histogram(pm, int(np.iinfo(np.intp).max))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: certainty_iou_cosine(reports_from_matrix([[0.5, 0.5]]),
+                                              [IoUReport(np.array([0.5]))]),
+                 "need one IoU report per teacher (2), got 1", id="cosine-count"),
+    pytest.param(lambda: certainty_iou_cosine(reports_from_matrix([[0.5]]),
+                                              [IoUReport(np.array([0.5, 0.5]))]),
+                 "IoU reports disagree with the certainty reports' class count",
+                 id="cosine-classes"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

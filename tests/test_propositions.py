@@ -28,6 +28,18 @@ class TestCheckProp1:
         policy = FusionPolicy(np.array([0, 1, 0]), 2)
         return maps, gt, policy
 
+    @pytest.mark.parametrize("alpha, classes, message", [
+        pytest.param(1.0, [0], "alpha must lie in [0, 1)", id="alpha-one"),
+        pytest.param(-0.1, [0], "alpha must lie in [0, 1)", id="alpha-negative"),
+        pytest.param(0.5, [0, 3], "listed classes out of range", id="class-too-high"),
+        pytest.param(0.5, [-1], "listed classes out of range", id="class-negative"),
+    ])
+    def test_validation_messages(self, alpha, classes, message):
+        maps, gt, policy = self.hand_instance()
+        with pytest.raises(ValueError) as err:
+            check_prop1(maps, gt, policy, alpha=alpha, classes=classes)
+        assert str(err.value) == message
+
     def test_two_strong_classes_bound_holds(self):
         maps, gt, policy = self.hand_instance()
         res = check_prop1(maps, gt, policy, alpha=0.6, classes=[0, 1])

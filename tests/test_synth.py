@@ -307,3 +307,20 @@ class TestBenchmark:
 
         teacher_pixels = (8 - 1) * 2 * 64 * 128
         assert (peak(8) - peak(1)) / teacher_pixels < 8
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: gen_ground_truth(4, 4, 1), "need at least 2 classes", id="one-class"),
+    pytest.param(lambda: gen_ground_truth(4, 4, 2, region_scale=0),
+                 "region_scale must be >= 1", id="region-scale"),
+    pytest.param(lambda: corrupt_teacher(LabelMap(np.array([[0, UNLABELED_ID]]), 2), [0.1, 0.1], 0),
+                 "ground truth may not contain unlabeled pixels", id="unlabeled-gt"),
+    pytest.param(lambda: BenchmarkConfig(images=1),
+                 "benchmark needs >= 2 images (protocol split)", id="one-image"),
+    pytest.param(lambda: BenchmarkConfig(num_teachers=0),
+                 "benchmark needs >= 1 teacher", id="no-teacher"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

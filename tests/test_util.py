@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from segfuse import fileio
+from segfuse import fileio, util
 from segfuse.cli import main
 from segfuse.core import FeatureMap
 from segfuse.distill import TrainConfig, train_student
@@ -143,9 +143,23 @@ class TestCores:
         assert got.tobytes() == want.tobytes()
 
 
+class TestWorkers:
+    """``workers`` gives one thread per core, at most one per item, and one
+    where BLAS cannot be pinned."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_one_per_core_and_item(self, monkeypatch, cores):
+        monkeypatch.setattr(util, "cores", lambda: cores)
+        got = [util.workers(items) for items in (0, 1, 2, 5)]
+        pinned = util._openblas() is not None
+        assert got == [1, 1, min(cores, 2) if pinned else 1, cores if pinned else 1]
+
+
 def test_one_thread_pool_and_one_core_count():
     # The CE blocks, the member reads and the member measurements share one
-    # pool and one core count; a pool of its own would need its own error
-    # order and join, and a core count of its own its own portability.
+    # pool, one core count and one BLAS pin; a pool of its own would need
+    # its own error order and join, a core count of its own its own
+    # portability, and a pin of its own its own depth count and lock.
     assert owners({"Thread"}) == [("util", "on_threads")]
     assert owners({"sched_getaffinity"}) == [("util", "cores")]
+    assert owners({"CDLL"}) == [("util", "_openblas")]
