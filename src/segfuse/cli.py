@@ -22,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import fileio, util
+from .core import ProbabilityCheck
 from .distill import TrainConfig, _TrainingBlocks, student_blocks, train_rows
 from .experiments import (
     certainty_hist,
@@ -35,8 +36,8 @@ from .experiments import (
 from .fusion import DEFAULT_KAPPA, channel_fuse, pixel_fuse
 from .metrics import dataset_iou
 from .policy import select_certainty, select_oracle, select_random
-from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, benchmark_images,
-                    make_underperformer_maps, soften)
+from .synth import (UNDERPERFORMER_TEMPERATURE, BenchmarkConfig, _soften_blocks,
+                    benchmark_images, make_underperformer_maps)
 from .util import on_threads, rows_to_csv
 
 
@@ -217,18 +218,27 @@ def cmd_synth(args) -> int:
         files.append(name)
 
     def pmap(labels, temperature: float):
-        # no caller binds the softened map, so it is freed once written
-        values = soften(labels, temperature).values
-        return fileio.probmap_chunks(*values.shape, [values.reshape(-1, values.shape[2])])
+        # each softened block is checked, as a ProbMap is, and cast as it is
+        # written: no whole map is made
+        check, classes = ProbabilityCheck(), labels.num_classes
 
-    # Each image is written as it is made; only its ground truth is kept,
-    # for the under-performers.
+        def blocks():
+            for blk in _soften_blocks(labels, temperature):
+                check.add(blk)
+                yield blk.reshape(-1, classes)
+            check.verdict()
+
+        return fileio.probmap_chunks(labels.height, labels.width, classes, blocks())
+
+    # Each image is written as it is made, its features drawn and its
+    # members softened one row block at a time; only its ground truth is
+    # kept, for the under-performers.
     gts = []
-    for gt, fm, teachers in images:
+    shape = (config.height, config.width, config.classes)
+    for gt, features, teachers in images:
         i = len(gts)
         emit(f"img{i:03d}.gt.lmap", [fileio.write_labelmap(gt)])
-        emit(f"img{i:03d}.features.npy", fileio.npy_chunks(fm.values))
-        del fm  # before any teacher is softened
+        emit(f"img{i:03d}.features.npy", fileio.npy_chunks(shape, features))
         for t, labels in enumerate(teachers):
             emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(labels, temps[t]))
         gts.append(gt)

@@ -17,7 +17,8 @@ Feature maps are NumPy .npy files, read in the same kind of chunks
 (``read_feature_rows``) into a caller-owned training builder, which keeps
 the labeled rows; the rest come back as the pieces they arrive in.  Which
 pixels train is the builder's business: the reader reads no label value.
-One encoder writes each: .pmap ``probmap_chunks``, .npy ``npy_chunks``.
+One encoder writes each, from blocks of rows as they are made, so no
+whole map need exist: .pmap ``probmap_chunks``, .npy ``npy_chunks``.
 Policies and per-member score reports (a teacher's per-class IoU, or its
 student's per-class certainty rho) travel as UTF-8 JSON.  Codecs are pure functions; writes via
 ``write_files_atomic`` never leave partial files behind.
@@ -289,11 +290,16 @@ def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
     return shape, fortran_order, dtype
 
 
-def npy_chunks(values: np.ndarray) -> list:
-    """``np.save``'s bytes of ``values`` as chunks: its 1.0 header, then the array, uncopied."""
+def npy_chunks(shape: tuple, blocks):
+    """``np.save``'s bytes of a C-order float64 array of ``shape`` as
+    chunks: its 1.0 header, then each of ``blocks``, the array's
+    consecutive row blocks, uncopied as each comes."""
     head = io.BytesIO()
-    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(values))
-    return [head.getvalue(), values]
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False, "shape": tuple(shape)})
+    yield head.getvalue()
+    yield from blocks
 
 
 def read_feature_rows(source, labels: LabelMap, x) -> list:

@@ -21,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UNLABELED_ID, FeatureMap, LabelMap, ProbMap
+from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FeatureMap, LabelMap, ProbMap,
+                   _all_finite)
+from .unify import _BLOCK_BYTES
 
 
 #: Standard deviation of the Gaussian feature noise around each class mean.
@@ -104,6 +106,66 @@ def _check_scene(height: int, width: int, classes: int, region_scale: int) -> No
         raise ValueError(f"grid {height}x{width} has negative sides")
 
 
+def _row_blocks(labels: np.ndarray, classes: int):
+    """Cut the H x W class ids ``labels`` into row blocks of a float64
+    H x W x ``classes`` map of about ``_BLOCK_BYTES`` (at least one row):
+    yields each block's ids and its buffer, the first rows of one buffer
+    reused for every block."""
+    h, w = labels.shape
+    rows = max(1, _BLOCK_BYTES // (8 * classes * max(w, 1)))
+    buf = np.empty((min(rows, h), w, classes))
+    for r in range(0, h, rows):
+        ids = labels[r : r + rows]
+        yield ids, buf[: len(ids)]
+
+
+def _whole(blocks, shape: tuple) -> np.ndarray:
+    """The consecutive row blocks ``blocks`` of a float64 map of ``shape``
+    copied into one array as each arrives."""
+    out = np.empty(shape)
+    r = 0
+    for blk in blocks:
+        out[r : r + len(blk)] = blk
+        r += len(blk)
+    return out
+
+
+def _feature_blocks(gt: LabelMap, rng):
+    """The features of ``gen_ground_truth`` on ``gt``, drawn from ``rng``
+    one row block (``_row_blocks``) at a time: each block is valid until
+    the next is drawn.  The blocks draw the one ``standard_normal`` stream
+    in pixel order, so they hold the bits of one whole draw
+    ``2.0 * np.eye(classes)[labels] + _FEATURE_NOISE * noise``: adding 0.0
+    turns a -0.0 into +0.0 as ``0.0 + x`` does, and 2.0 goes to each
+    pixel's own class.  Each block is checked finite, as a FeatureMap is."""
+    c = gt.num_classes
+    for ids, out in _row_blocks(gt.values, c):
+        rng.standard_normal(out=out)
+        out *= _FEATURE_NOISE
+        out += 0.0
+        out.reshape(-1, c)[np.arange(ids.size), ids.reshape(-1)] += 2.0
+        if not _all_finite(out):
+            raise ValueError(_FEATURES_NOT_FINITE)
+        yield out
+
+
+def _scene(height: int, width: int, classes: int, region_scale: int, seed: int):
+    """``gen_ground_truth``'s label map, and its features as the lazy row
+    blocks of ``_feature_blocks``."""
+    _check_scene(height, width, classes, region_scale)
+    rng = np.random.default_rng(seed)
+    num_sites = min(max(classes, round(height * width / region_scale**2)), height * width)
+    cells = _voronoi_cells(height, width, num_sites, rng)
+    site_class = np.concatenate(
+        [np.arange(classes), rng.integers(0, classes, size=num_sites - classes)]
+    )
+    labels = site_class[cells].astype(np.uint16)
+    del cells
+    labels.setflags(write=False)  # no one else holds it, so LabelMap keeps it
+    gt = LabelMap(labels, classes)
+    return gt, _feature_blocks(gt, rng)
+
+
 def gen_ground_truth(
     height: int,
     width: int,
@@ -119,23 +181,8 @@ def gen_ground_truth(
     c's feature mean is 2.0 along axis c, so a nearest-mean classifier
     separates the classes comfortably at ``_FEATURE_NOISE``.
     """
-    _check_scene(height, width, classes, region_scale)
-    rng = np.random.default_rng(seed)
-    num_sites = min(max(classes, round(height * width / region_scale**2)), height * width)
-    cells = _voronoi_cells(height, width, num_sites, rng)
-    site_class = np.concatenate(
-        [np.arange(classes), rng.integers(0, classes, size=num_sites - classes)]
-    )
-    labels = site_class[cells]
-    del cells
-    # The bits of ``2.0 * np.eye(classes)[labels] + _FEATURE_NOISE * noise``
-    # built in the noise itself: adding 0.0 turns a -0.0 into +0.0 as
-    # ``0.0 + x`` does, and 2.0 goes to each pixel's own class.
-    feats = rng.standard_normal((height, width, classes))
-    feats *= _FEATURE_NOISE
-    feats += 0.0
-    feats.reshape(-1)[np.arange(0, labels.size * classes, classes) + labels.reshape(-1)] += 2.0
-    return LabelMap(labels.astype(np.uint16), classes), FeatureMap(feats)
+    gt, features = _scene(height, width, classes, region_scale, seed)
+    return gt, FeatureMap(_whole(features, (height, width, classes)))
 
 
 def corrupt_teacher(
@@ -179,13 +226,10 @@ def corrupt_teacher(
     return LabelMap(labels.astype(np.uint16), num_classes)
 
 
-def soften(labels: LabelMap, temperature: float) -> ProbMap:
-    """Labels as probabilities: softmax of one-hot logits scaled by
-    1/temperature.  Low temperature means near-1.0 certainty, high
-    temperature diffuse certainty.  The argmax always equals the label, so
-    unification is invariant to temperature; a temperature so high that the
-    top probability would round down to the others raises ``ValueError``.
-    """
+def _soften_blocks(labels: LabelMap, temperature: float):
+    """``soften``'s probabilities of ``labels``, one row block
+    (``_row_blocks``) at a time, each valid until the next is made; its
+    errors are raised before the first block."""
     num_classes = labels.num_classes
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
@@ -199,9 +243,21 @@ def soften(labels: LabelMap, temperature: float) -> ProbMap:
         )
     if labels.unlabeled_mask().any():
         raise ValueError("cannot soften unlabeled pixels")
-    probs = np.full((*labels.values.shape, num_classes), p_other)
-    np.put_along_axis(probs, labels.values[:, :, None], p_top, axis=2)
-    return ProbMap(probs)
+    for ids, out in _row_blocks(labels.values, num_classes):
+        out.fill(p_other)
+        np.put_along_axis(out, ids[:, :, None], p_top, axis=2)
+        yield out
+
+
+def soften(labels: LabelMap, temperature: float) -> ProbMap:
+    """Labels as probabilities: softmax of one-hot logits scaled by
+    1/temperature.  Low temperature means near-1.0 certainty, high
+    temperature diffuse certainty.  The argmax always equals the label, so
+    unification is invariant to temperature; a temperature so high that the
+    top probability would round down to the others raises ``ValueError``.
+    """
+    blocks = _soften_blocks(labels, temperature)
+    return ProbMap(_whole(blocks, (labels.height, labels.width, labels.num_classes)))
 
 
 @dataclass(frozen=True)
@@ -255,7 +311,11 @@ class Benchmark:
 def benchmark_images(config: BenchmarkConfig, seed: int):
     """``(error_rates, temperatures, images)`` of the benchmark
     ``make_benchmark`` builds: ``images`` yields one image at a time, as
-    ``(ground truth, features, (teacher 0's labels, ...))``.
+    ``(ground truth, features, (teacher 0's labels, ...))``.  The features
+    are not drawn yet: they are an iterator of the feature map's row
+    blocks of about ``_BLOCK_BYTES``, drawn as each is asked for into one
+    reused buffer (``_feature_blocks``), so no whole float64 map is made
+    unless the caller puts the blocks together.
 
     Every seed is drawn from the one rng first, in a fixed order (the
     error rates, the specialists, one ground-truth seed per image, then
@@ -279,11 +339,11 @@ def benchmark_images(config: BenchmarkConfig, seed: int):
                      for _ in range(config.num_teachers)]
 
     def image(i):
-        gt, fm = gen_ground_truth(config.height, config.width, config.classes,
-                                  region_scale=config.region_scale, seed=gt_seeds[i])
-        return gt, fm, tuple(corrupt_teacher(gt, rates[t], seed=seeds[i],
-                                             blob_scale=config.teacher_blob_scale)
-                             for t, seeds in enumerate(teacher_seeds))
+        gt, features = _scene(config.height, config.width, config.classes,
+                              config.region_scale, gt_seeds[i])
+        return gt, features, tuple(corrupt_teacher(gt, rates[t], seed=seeds[i],
+                                                   blob_scale=config.teacher_blob_scale)
+                                   for t, seeds in enumerate(teacher_seeds))
 
     # No name binds an image between yields, so none outlives its turn.
     return rates, temps, (image(i) for i in range(config.images))
@@ -291,9 +351,12 @@ def benchmark_images(config: BenchmarkConfig, seed: int):
 
 def make_benchmark(config: BenchmarkConfig, seed: int) -> Benchmark:
     """Deterministically generate scenes and a mixed-quality ensemble: every
-    image of ``benchmark_images``, held at once."""
+    image of ``benchmark_images``, held at once, its features put together
+    into one FeatureMap as ``gen_ground_truth`` does."""
     rates, temps, images = benchmark_images(config, seed)
-    gts, feats, labels = zip(*images)
+    shape = (config.height, config.width, config.classes)
+    gts, feats, labels = zip(*((gt, FeatureMap(_whole(features, shape)), teachers)
+                               for gt, features, teachers in images))
     return Benchmark(gts, feats, tuple(zip(*labels)), rates, temps)
 
 

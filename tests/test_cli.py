@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse import cli, fileio, util
+from segfuse import cli, fileio, synth, util
 from segfuse.cli import build_parser, main
 from segfuse.core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
 from segfuse.distill import TrainConfig, _row_blocks, measure_teacher, train_student
@@ -907,9 +907,13 @@ class TestSynthCommand:
         assert (peak(synth) - peak(lambda: make_benchmark(config, 0))) / one_map < 1.8
 
     def test_peak_does_not_grow_with_images(self, tmp_path):
-        # each image is written as it is made; only its ground truth is kept
+        # each image is written as it is made; only its ground truth is kept.
+        # Region scale 16 keeps the scene's Voronoi step, whose tile
+        # temporaries differ by up to 110 KB from image to image at the
+        # default 8, below the streamed writes, so the peak is the writes'
+        # plus what is held
         flags = ["--height", "64", "--width", "128", "--classes", "19",
-                 "--teachers", "2", "--seed", "0"]
+                 "--teachers", "2", "--seed", "0", "--region-scale", "16"]
 
         def peak(images):
             outdir = tmp_path / str(images)
@@ -926,6 +930,46 @@ class TestSynthCommand:
         # 16 KB for small objects; holding the 3 more images' features
         # would add 3.7 MB
         assert peak(5) - peak(2) <= kept + 16 * 1024
+
+    def test_peak_is_under_0_4_feature_maps(self, tmp_path):
+        # features and softened maps stream in row blocks of about 512 KB,
+        # so no float64 H x W x C map is ever whole; the peak is the
+        # Voronoi and teacher temporaries of H x W ids, 0.33 maps here
+        warm = ["--height", "8", "--width", "8", "--classes", "3", "--teachers", "1", "--seed", "0"]
+        assert main(["synth", *warm, "--outdir", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--height", "256", "--width", "256", "--classes", "19",
+                         "--teachers", "2", "--images", "2", "--seed", "0",
+                         "--outdir", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_map = 256 * 256 * 19 * 8
+        assert peak < 0.4 * one_map
+
+    @pytest.mark.parametrize("module, kernel, name", [
+        (synth, "_feature_blocks", "img000.features.npy"),
+        (cli, "_soften_blocks", "teacher00.img000.pmap"),
+    ], ids=["features", "soften"])
+    def test_a_failed_block_leaves_no_file(self, tmp_path, monkeypatch, module, kernel,
+                                           name):
+        # 128 x 256 x 5 maps are written in three row blocks; the second fails
+        real = getattr(module, kernel)
+
+        def failing(*args):
+            for n, blk in enumerate(real(*args)):
+                if n == 1:
+                    raise ValueError("second block failed")
+                yield blk
+
+        monkeypatch.setattr(module, kernel, failing)
+        outdir = tmp_path / "bench"
+        argv = ["synth", "--height", "128", "--width", "256", "--classes", "5",
+                "--teachers", "3", "--seed", "0", "--outdir", str(outdir)]
+        assert _run_rejected(tmp_path, argv) == "second block failed"
+        assert not (outdir / name).exists()
+        assert not list(outdir.glob(".segfuse-*"))
 
     @pytest.mark.parametrize("flags, error", [
         (["--classes", "300", "--height", "10", "--width", "10"],

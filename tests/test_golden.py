@@ -4,7 +4,9 @@
 teachers, 2 images, seed 0; the feature maps are not kept), one certainty
 (rho) report and one IoU report per teacher, and ``sha256.json``, the
 sha256 of every output of ``cases()``, of ``trained_digests()`` and of
-``synth_digests()``, the ``synth`` files the set does not keep.  The
+``synth_digests()``: the ``synth`` files the set does not keep, and
+every file of a ``synth`` run large enough to be written in several row
+blocks.  The
 outputs of ``cases()`` come from comparisons and counts over fixed float32
 inputs, so they do not depend on the BLAS build or on numpy's SIMD
 ``exp``; a change to any of them is a behaviour change, and
@@ -54,6 +56,16 @@ TRAINED = [f"student.{name}" for name in STUDENT_OF] + ["student.blocks.fuse-pix
 # the corpus does not keep, pinned by their sha256 as "synth.<file>".
 SYNTH_PINNED = [*(f"img{i:03d}.features.npy" for i in range(IMAGES)), "manifest.json",
                 *(f"under00.img{i:03d}.pmap" for i in range(IMAGES))]
+
+# Every file of a `synth --underperformers 1` run at ``BLOCKS_FLAGS``, in
+# manifest order, pinned by its sha256 as "synth.blocks.<file>".  Its
+# 128 x 256 x 5 maps are written in row blocks of 51 rows and a short last
+# block of 26, where the corpus' 32 x 32 maps are each one block.
+BLOCKS_PINNED = [
+    *(name for i in range(IMAGES) for name in (
+        f"img{i:03d}.gt.lmap", f"img{i:03d}.features.npy",
+        *(f"teacher{t:02d}.img{i:03d}.pmap" for t in range(TEACHERS)))),
+    *(f"under00.img{i:03d}.pmap" for i in range(IMAGES)), "manifest.json"]
 
 # The member whose report each "-dup" policy lists twice, as
 # `experiment robustness` re-adds one member: it is the member that wins
@@ -157,16 +169,23 @@ def trained_digests(workdir: Path) -> dict[str, str]:
 
 
 def synth_digests(workdir: Path) -> dict[str, str]:
-    """Run ``synth`` at the corpus flags with one under-performer into
-    ``workdir``; the sha256 of each ``SYNTH_PINNED`` file, by "synth.<file>"."""
+    """Run ``synth`` with one under-performer at the corpus flags into
+    ``workdir`` and at ``BLOCKS_FLAGS`` into ``workdir / "blocks"``; the
+    sha256 of each ``SYNTH_PINNED`` file, by "synth.<file>", then of each
+    ``BLOCKS_PINNED`` file, by "synth.blocks.<file>"."""
     _run("synth", *SYNTH_FLAGS, "--underperformers", "1", "--outdir", workdir)
-    return {f"synth.{name}": _sha256(workdir / name) for name in SYNTH_PINNED}
+    blocks = workdir / "blocks"
+    _run("synth", *BLOCKS_FLAGS, "--underperformers", "1", "--outdir", blocks)
+    assert sorted(p.name for p in blocks.iterdir()) == sorted(BLOCKS_PINNED)
+    return {**{f"synth.{name}": _sha256(workdir / name) for name in SYNTH_PINNED},
+            **{f"synth.blocks.{name}": _sha256(blocks / name) for name in BLOCKS_PINNED}}
 
 
 def test_outputs_match_the_golden_hashes(tmp_path):
     want = json.loads((GOLDEN / "sha256.json").read_text())
     got = run_cases(GOLDEN, tmp_path)
-    assert list(got) + TRAINED + [f"synth.{name}" for name in SYNTH_PINNED] == list(want)
+    assert list(got) + TRAINED + [f"synth.{name}" for name in SYNTH_PINNED] + [
+        f"synth.blocks.{name}" for name in BLOCKS_PINNED] == list(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
 
 
@@ -187,7 +206,8 @@ def test_fresh_rho_gives_the_golden_certainty_policy(tmp_path):
 
 def test_synth_rebuilds_the_golden_inputs(tmp_path):
     """``synth`` at the corpus flags writes every kept input byte for byte,
-    and the files not kept match their pinned sha256."""
+    and the files not kept, and every file of the multi-block run at
+    ``BLOCKS_FLAGS``, match their pinned sha256."""
     want = json.loads((GOLDEN / "sha256.json").read_text())
     got = synth_digests(tmp_path)
     kept = sorted(GOLDEN.glob("*.pmap")) + sorted(GOLDEN.glob("*.gt.lmap"))

@@ -10,6 +10,7 @@ from segfuse.metrics import dataset_iou
 from segfuse.synth import (
     UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
+    _feature_blocks,
     _voronoi_cells,
     benchmark_images,
     corrupt_teacher,
@@ -183,6 +184,49 @@ class TestCorruptTeacher:
             corrupt_teacher(self.gt, [0.1] * 3, seed=0)
 
 
+# 1 x 1 x 2; a height that is not a multiple of the block rows (51 at
+# width 256 and 5 classes); and a row wider than a block, one row a block.
+BLOCK_SHAPES = [(1, 1, 2), (130, 256, 5), (3, 40000, 2)]
+
+
+def random_labels(h, w, c, seed=0) -> LabelMap:
+    return LabelMap(np.random.default_rng(seed).integers(0, c, size=(h, w)), c)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def whole_features(labels: np.ndarray, classes: int, rng) -> np.ndarray:
+    """The features of the class ids ``labels`` as one whole draw: noise
+    times 0.5 plus 0.0, then 2.0 added at each pixel's class."""
+    feats = rng.standard_normal((*labels.shape, classes)) * 0.5 + 0.0
+    feats.reshape(-1)[np.arange(0, labels.size * classes, classes) + labels.reshape(-1)] += 2.0
+    return feats
+
+
+class TestFeatureBlocks:
+    """The feature kernel draws what one whole draw gave, block by block."""
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+    def test_blocks_are_one_whole_draw(self, shape):
+        labels = random_labels(*shape)
+        want = whole_features(labels.values, shape[2], np.random.default_rng(4))
+        blocks = [blk.copy() for blk in _feature_blocks(labels, np.random.default_rng(4))]
+        assert len(blocks) == {(1, 1, 2): 1, (130, 256, 5): 3, (3, 40000, 2): 3}[shape]
+        assert same_bits(np.concatenate(blocks), want)
+
+    def test_gen_ground_truth_features_are_one_whole_draw(self):
+        # the draws gen_ground_truth makes before the features, replayed
+        h, w, c, scale, seed = 130, 256, 5, 8, 3
+        gt, fm = gen_ground_truth(h, w, c, region_scale=scale, seed=seed)
+        rng = np.random.default_rng(seed)
+        sites = round(h * w / scale**2)
+        _voronoi_cells(h, w, sites, rng)
+        rng.integers(0, c, size=sites - c)
+        assert same_bits(fm.values, whole_features(gt.values, c, rng))
+
+
 class TestSoften:
     def setup_method(self):
         self.gt, _ = gen_ground_truth(24, 24, 5, seed=8)
@@ -214,6 +258,16 @@ class TestSoften:
         values[0, 0] = UNLABELED_ID
         with pytest.raises(ValueError, match="unlabeled"):
             soften(LabelMap(values, 5), 1.0)
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+    def test_blocks_are_one_full_map(self, shape):
+        labels = random_labels(*shape, seed=1)
+        c = shape[2]
+        for temp in (0.1, 2.0):
+            p_top = 1.0 / (1.0 + (c - 1) * np.exp(-1.0 / temp))
+            want = np.full(shape, (1.0 - p_top) / (c - 1))
+            np.put_along_axis(want, labels.values[:, :, None], p_top, axis=2)
+            assert same_bits(soften(labels, temp).values, want)
 
     @pytest.mark.parametrize("temp", [1e16, 1e300, float("inf")])
     def test_rejects_temperature_that_ties_every_class(self, temp):
@@ -261,9 +315,11 @@ class TestBenchmark:
         rates, temps, images = benchmark_images(cfg, seed=5)
         images = list(images)
         assert len(images) == cfg.images
-        for i, (gt, fm, teachers) in enumerate(images):
+        for i, (gt, features, teachers) in enumerate(images):
             assert np.array_equal(gt.values, bench.gts[i].values)
-            assert np.array_equal(fm.values, bench.feats[i].values)
+            # each block is copied before the next is drawn into its buffer
+            drawn = np.concatenate([blk.copy() for blk in features])
+            assert drawn.tobytes() == bench.feats[i].values.tobytes()
             assert len(teachers) == cfg.num_teachers
             for t, labels in enumerate(teachers):
                 assert np.array_equal(labels.values, bench.teacher_labels[t][i].values)
