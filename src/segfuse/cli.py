@@ -112,11 +112,26 @@ def cmd_select_policy(args) -> int:
     return 0
 
 
+def _read_images(pairs):
+    """Read the images of the (feature path, LabelMap) pairs ``pairs``, in
+    order, into one ``_TrainingBlocks`` of their labeled pixels, each
+    feature file streamed through ``fileio.read_feature_rows``.  Returns
+    it, every row added, and each image's (labeled mask, unlabeled pieces):
+    the images ``student_blocks`` reads."""
+    x = _TrainingBlocks([labels for _, labels in pairs])
+    images, start = [], 0
+    for path, labels in pairs:
+        pieces = _load(path, fileio.read_feature_rows, labels, x, stream=True)
+        end = start + labels.height * labels.width
+        images.append((x.labeled[start:end], pieces))
+        start = end
+    return x, images
+
+
 def cmd_distill(args) -> int:
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
     labels = _load(args.labels, fileio.read_labelmap)
-    x = _TrainingBlocks([labels])
-    pieces = _load(args.features, fileio.read_feature_rows, labels, x, stream=True)
+    x, images = _read_images([(args.features, labels)])
     # train_rows takes the finished set; its label sums and positions die
     # with it, so the --probmap-out write holds only x's blocks and pieces.
     result = train_rows(x.done(), config)
@@ -124,7 +139,7 @@ def cmd_distill(args) -> int:
     np.savez(buf, weights=result.model.weights, bias=result.model.bias)
     outputs = [(args.output, [buf.getvalue()])]
     if args.probmap_out:
-        blocks = (blk.T for _, blk in student_blocks(result.model, x.blocks, [(x.labeled, pieces)]))
+        blocks = (blk.T for _, blk in student_blocks(result.model, x.blocks, images))
         outputs.append((args.probmap_out, fileio.probmap_chunks(
             labels.height, labels.width, labels.num_classes, blocks)))
     if args.trace_out:

@@ -471,6 +471,13 @@ def train_rows(rows: _TrainingSet, config: TrainConfig) -> TrainResult:
     return TrainResult(ToyStudent(wb[:, :dims], wb[:, dims]), _frozen(losses))
 
 
+def _measure_split(n_images: int) -> int:
+    """How many of ``n_images`` images (at least 2) the selection protocol
+    measures on: the first ``_MEASURE_FRACTION`` share, at least one and
+    at most all but one."""
+    return min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
+
+
 def measure_teacher(
     labels: Sequence[LabelMap],
     feats: Sequence[FeatureMap],
@@ -488,8 +495,8 @@ def measure_teacher(
     The result depends on this member alone, so a member measured once
     never needs measuring again when others join or leave the ensemble;
     ``select_certainty`` over the members' reports is the
-    certainty-aware policy.  The first ``_MEASURE_FRACTION`` share of the
-    images (at least one, at most all but one) is the measurement split.
+    certainty-aware policy.  The first ``_measure_split`` images are the
+    measurement split.
     """
     labels = _as_list(labels, LabelMap)
     feats = _as_list(feats, FeatureMap)
@@ -498,7 +505,7 @@ def measure_teacher(
         raise ValueError("protocol needs >= 2 images to split")
     if len(labels) != n_images:
         raise ValueError(f"member has {len(labels)} label maps for {n_images} images")
-    n_measure = min(max(1, round(_MEASURE_FRACTION * n_images)), n_images - 1)
+    n_measure = _measure_split(n_images)
     # The student's dims are the training images'; check before training.
     images = _unlabeled(feats[:n_measure], feats[n_measure].dims)
     model = train_student(feats[n_measure:], labels[n_measure:], config).model

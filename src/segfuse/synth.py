@@ -49,11 +49,16 @@ def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
     every pixel of the tile lies within ``reach`` of it, so only sites
     within ``reach`` of the tile, taken from the buckets that reach
     covers, can be nearest to one of its pixels; they stay in ascending
-    order for the tie rule.
+    order for the tie rule.  The ids come in the narrowest type that holds
+    ``num_sites - 1``.
     """
     flat = rng.choice(height * width, size=num_sites, replace=False)
     sy = flat // width
     sx = flat % width
+    # Distances in the narrowest signed type that holds the largest, m:
+    # the type of -(m + 1).
+    d2_type = np.min_scalar_type(-1 - (height - 1) ** 2 - (width - 1) ** 2)
+    sy_d, sx_d = sy.astype(d2_type), sx.astype(d2_type)
     tile = min(max(16, round(4 * math.sqrt(height * width / num_sites))), 32)
     ny, nx = -(-height // tile), -(-width // tile)
     bucket = sy // tile * nx + sx // tile
@@ -66,7 +71,7 @@ def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
         return np.concatenate([order[starts[row * nx + a] : starts[row * nx + b + 1]]
                                for row in range(max(ty - r, 0), min(ty + r, ny - 1) + 1)])
 
-    cells = np.empty((height, width), dtype=np.intp)
+    cells = np.empty((height, width), dtype=np.min_scalar_type(num_sites - 1))
     for ty in range(ny):
         y0, y1 = ty * tile, min(ty * tile + tile, height)
         for tx in range(nx):
@@ -83,8 +88,8 @@ def _voronoi_cells(height: int, width: int, num_sites: int, rng) -> np.ndarray:
             dx = np.maximum(np.maximum(x0 - sx[near], sx[near] - (x1 - 1)), 0)
             near = near[dy**2 + dx**2 <= reach**2]
             # Sites on the last axis: argmin runs along contiguous memory.
-            d2 = ((np.arange(y0, y1)[:, None, None] - sy[near]) ** 2
-                  + (np.arange(x0, x1)[:, None] - sx[near]) ** 2)
+            d2 = ((np.arange(y0, y1, dtype=d2_type)[:, None, None] - sy_d[near]) ** 2
+                  + (np.arange(x0, x1, dtype=d2_type)[:, None] - sx_d[near]) ** 2)
             cells[y0:y1, x0:x1] = near[d2.argmin(axis=2)]
     return cells
 
@@ -106,16 +111,24 @@ def _check_scene(height: int, width: int, classes: int, region_scale: int) -> No
         raise ValueError(f"grid {height}x{width} has negative sides")
 
 
+def _cuts(rows: int, width: int) -> list:
+    """Slices of ``range(rows)`` that cut a float64 array of ``rows`` rows
+    of ``width`` values into blocks of about ``_BLOCK_BYTES`` (at least
+    one row each)."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(r, r + step) for r in range(0, rows, step)]
+
+
 def _row_blocks(labels: np.ndarray, classes: int):
     """Cut the H x W class ids ``labels`` into row blocks of a float64
-    H x W x ``classes`` map of about ``_BLOCK_BYTES`` (at least one row):
-    yields each block's ids and its buffer, the first rows of one buffer
-    reused for every block."""
+    H x W x ``classes`` map (``_cuts``): yields each block's ids and its
+    buffer, the first rows of one buffer reused for every block."""
     h, w = labels.shape
-    rows = max(1, _BLOCK_BYTES // (8 * classes * max(w, 1)))
-    buf = np.empty((min(rows, h), w, classes))
-    for r in range(0, h, rows):
-        ids = labels[r : r + rows]
+    buf = None
+    for cut in _cuts(h, w * classes):
+        ids = labels[cut]
+        if buf is None:  # the first block is the largest
+            buf = np.empty((len(ids), w, classes))
         yield ids, buf[: len(ids)]
 
 
@@ -159,7 +172,7 @@ def _scene(height: int, width: int, classes: int, region_scale: int, seed: int):
     site_class = np.concatenate(
         [np.arange(classes), rng.integers(0, classes, size=num_sites - classes)]
     )
-    labels = site_class[cells].astype(np.uint16)
+    labels = site_class.astype(np.uint16)[cells]
     del cells
     labels.setflags(write=False)  # no one else holds it, so LabelMap keeps it
     gt = LabelMap(labels, classes)
@@ -198,6 +211,10 @@ def corrupt_teacher(
     the flip decisions are shared within Voronoi blobs of that scale, so
     errors come out spatially coherent instead of i.i.d.  ``soften`` gives
     the labels a certainty scale.
+
+    The pixels go one row block (``_cuts``) at a time, so the only H x W
+    arrays it makes are the uint16 result, the blob ids and bool masks;
+    with blobs, the flips and offsets come from per-blob, per-class tables.
     """
     rates = np.asarray(per_class_error, dtype=np.float64)
     num_classes = gt.num_classes
@@ -209,21 +226,42 @@ def corrupt_teacher(
         raise ValueError("ground truth may not contain unlabeled pixels")
 
     rng = np.random.default_rng(seed)
-    labels = gt.values.astype(np.int64)
-    h, w = labels.shape
+    ids = gt.values
+    h, w = ids.shape
+    # Each draw is made in pieces, in the order of the one whole draw it
+    # stands for: numpy's float64 and bounded integer draws give the same
+    # values in pieces as whole (PCG64 keeps a spare 32-bit half in its
+    # state), as the whole-array oracle in the tests checks.
     if blob_scale > 0:
         num_blobs = min(max(1, round(h * w / blob_scale**2)), h * w)
         blobs = _voronoi_cells(h, w, num_blobs, rng)
-        flip_draw = rng.random((num_blobs, num_classes))[blobs, labels]
-        offsets = rng.integers(1, num_classes, size=(num_blobs, num_classes))[
-            blobs, labels
-        ]
+        flip = np.empty((num_blobs, num_classes), bool)  # per blob and class
+        for cut in _cuts(num_blobs, num_classes):
+            flip[cut] = rng.random(flip[cut].shape) < rates
+        offset = np.empty((num_blobs, num_classes), np.uint16)
+        for cut in _cuts(num_blobs, num_classes):
+            offset[cut] = rng.integers(1, num_classes, size=offset[cut].shape)
+
+        def draw(cut):
+            at = blobs[cut], ids[cut]
+            f = flip[at]
+            return f, offset[at[0][f], at[1][f]]
     else:
-        flip_draw = rng.random((h, w))
-        offsets = rng.integers(1, num_classes, size=(h, w))
-    flip = flip_draw < rates[labels]
-    labels[flip] = (labels[flip] + offsets[flip]) % num_classes
-    return LabelMap(labels.astype(np.uint16), num_classes)
+        flip = np.empty((h, w), bool)  # per pixel
+        for cut in _cuts(h, w):
+            flip[cut] = rng.random(flip[cut].shape) < rates[ids[cut]]
+
+        def draw(cut):
+            f = flip[cut]
+            return f, rng.integers(1, num_classes, size=f.shape)[f]
+    out = ids.copy()
+    for cut in _cuts(h, w):
+        f, off = draw(cut)
+        block = out[cut]
+        # in int64: an id plus its offset can pass 65,535
+        block[f] = (block[f] + off.astype(np.int64)) % num_classes
+    out.setflags(write=False)  # no one else holds it, so LabelMap keeps it
+    return LabelMap(out, num_classes)
 
 
 def _soften_blocks(labels: LabelMap, temperature: float):

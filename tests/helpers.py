@@ -19,6 +19,7 @@ from segfuse.core import (UNLABELED_ID, FeatureMap, IoUReport, LabelMap, Probabi
                           ProbMap)
 from segfuse.distill import _unlabeled, measure_teacher, student_blocks
 from segfuse.policy import select_certainty
+from segfuse.synth import _voronoi_cells
 from segfuse.unify import unify
 
 
@@ -158,6 +159,42 @@ def voronoi_cells_tiled(height: int, width: int, num_sites: int, rng) -> np.ndar
             d2 = (yy - sy[near, None, None]) ** 2 + (xx - sx[near, None, None]) ** 2
             cells[y0:y1, x0:x1] = near[d2.argmin(axis=0)]
     return cells
+
+
+def corrupt_teacher_whole(
+    gt: LabelMap,
+    per_class_error: Sequence[float],
+    seed: int,
+    blob_scale: int = 0,
+) -> LabelMap:
+    """``synth.corrupt_teacher`` as it was before it went by row blocks:
+    int64 labels, blob ids, flip draws, offsets and rates of every pixel
+    at once.  The oracle for the row-block ``corrupt_teacher``."""
+    rates = np.asarray(per_class_error, dtype=np.float64)
+    num_classes = gt.num_classes
+    if rates.shape != (num_classes,):
+        raise ValueError(f"need one error rate per class ({num_classes})")
+    if (rates < 0).any() or (rates > 1).any():
+        raise ValueError("error rates must lie in [0, 1]")
+    if gt.unlabeled_mask().any():
+        raise ValueError("ground truth may not contain unlabeled pixels")
+
+    rng = np.random.default_rng(seed)
+    labels = gt.values.astype(np.int64)
+    h, w = labels.shape
+    if blob_scale > 0:
+        num_blobs = min(max(1, round(h * w / blob_scale**2)), h * w)
+        blobs = _voronoi_cells(h, w, num_blobs, rng)
+        flip_draw = rng.random((num_blobs, num_classes))[blobs, labels]
+        offsets = rng.integers(1, num_classes, size=(num_blobs, num_classes))[
+            blobs, labels
+        ]
+    else:
+        flip_draw = rng.random((h, w))
+        offsets = rng.integers(1, num_classes, size=(h, w))
+    flip = flip_draw < rates[labels]
+    labels[flip] = (labels[flip] + offsets[flip]) % num_classes
+    return LabelMap(labels.astype(np.uint16), num_classes)
 
 
 def average_fuse_stacked(teachers: Sequence[ProbMap]) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from segfuse import cli, fileio, synth, util
 from segfuse.cli import build_parser, main
 from segfuse.core import UNLABELED_ID, FeatureMap, IoUReport, LabelMap, ProbMap, stack_reports
-from segfuse.distill import TrainConfig, _row_blocks, measure_teacher, train_student
+from segfuse.distill import (TrainConfig, _row_blocks, measure_teacher, train_rows,
+                             train_student)
 from segfuse.experiments import policy_quality, robustness
 from segfuse.fusion import channel_fuse, pixel_fuse
 from segfuse.metrics import (
@@ -441,6 +443,43 @@ class TestLabelRoute:
         assert main(argv + (["--renormalize"] if renormalize else [])) == 0
         assert calls == [(renormalize,)] * len(pmaps)
         assert (tmp / "out.lmap").read_bytes() == fileio.write_labelmap(want)
+
+
+class TestReadImages:
+    """``cli._read_images`` reads (feature path, LabelMap) pairs into one
+    training builder, and into the images ``student_blocks`` reads."""
+
+    def test_pairs_are_one_builder_and_their_images(self, tmp_path):
+        bench = make_benchmark(BenchmarkConfig(images=3), 0)
+        rng = np.random.default_rng(0)
+        pairs = []
+        for i, (f, l) in enumerate(zip(bench.feats, bench.teacher_labels[0])):
+            ids = l.values.copy()
+            # image 0 as a measurement image: no pixel labeled
+            ids[(rng.random(ids.shape) < 0.15) | (i == 0)] = UNLABELED_ID
+            np.save(tmp_path / f"f{i}.npy", f.values)
+            pairs.append((str(tmp_path / f"f{i}.npy"), LabelMap(ids, l.num_classes)))
+        x, images = cli._read_images(pairs)
+        assert len(images) == 3
+        for (labeled, pieces), f, (_, l) in zip(images, bench.feats, pairs):
+            mask = l.values.reshape(-1) != UNLABELED_ID
+            assert np.array_equal(labeled, mask)
+            unlabeled = np.concatenate(pieces, axis=1).T
+            assert np.array_equal(unlabeled, f.values.reshape(-1, f.dims)[~mask])
+        config = TrainConfig(iterations=20, seed=3)
+        got = train_rows(x.done(), config)
+        want = train_student(bench.feats, [l for _, l in pairs], config)
+        assert np.array_equal(got.model.weights, want.model.weights)
+        assert np.array_equal(got.model.bias, want.model.bias)
+        assert np.array_equal(got.losses, want.losses)
+
+    def test_a_bad_file_is_named(self, tmp_path):
+        gt, feats = gen_ground_truth(8, 8, 3, seed=0)
+        np.save(tmp_path / "good.npy", feats.values)
+        np.save(tmp_path / "small.npy", feats.values[:4])
+        pairs = [(str(tmp_path / name), gt) for name in ("good.npy", "small.npy")]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{tmp_path / 'small.npy'}: feature and label")):
+            cli._read_images(pairs)
 
 
 class TestFileReads:
@@ -947,6 +986,30 @@ class TestSynthCommand:
             tracemalloc.stop()
         one_map = 256 * 256 * 19 * 8
         assert peak < 0.4 * one_map
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no VmHWM to read")
+    def test_fresh_run_peaks_under_30_mb_over_its_imports(self, tmp_path):
+        # Its own process: tracemalloc sees neither the pages numpy.random
+        # touches on import nor the heap earlier tests leave.  At 512 x 1024
+        # x 19 the whole-array teacher draws peaked 36 MB over the imports.
+        argv = ["synth", "--height", "512", "--width", "1024", "--classes", "19",
+                "--teachers", "4", "--images", "2", "--seed", "0",
+                "--outdir", str(tmp_path / "run")]
+        child = (
+            "import json, sys\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            "from segfuse import cli\n"
+            "base = hwm()\n"
+            "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print(base, hwm())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(argv)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        base_kb, peak_kb = map(int, done.stdout.split())
+        assert peak_kb - base_kb < 30 * 1024
 
     @pytest.mark.parametrize("module, kernel, name", [
         (synth, "_feature_blocks", "img000.features.npy"),

@@ -27,6 +27,7 @@ from segfuse.distill import (
     _ce_means,
     _certainty,
     _labeled_rows,
+    _measure_split,
     _row_blocks,
     _TrainingBlocks,
     _unlabeled,
@@ -1317,6 +1318,11 @@ class TestSelectionProtocol:
         small = [LabelMap(lm.values[:12, :12], lm.num_classes) for lm in good]
         with pytest.raises(ValueError, match="dimensions differ"):
             certainty_policy([small, good], feats, TrainConfig(seed=0))
+
+    def test_measurement_split_is_the_first_share_of_the_images(self):
+        # 500 of Cityscapes' 2,975; at least one image, and one left to train on
+        sizes = [2, 3, 6, 9, 12, 2975]
+        assert [_measure_split(n) for n in sizes] == [1, 1, 1, 2, 2, 500]
 
     def test_never_reads_the_measurement_split_labels(self):
         _, feats, good, bad = protocol_inputs(2)

@@ -10,7 +10,9 @@ from segfuse.metrics import dataset_iou
 from segfuse.synth import (
     UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
+    _cuts,
     _feature_blocks,
+    _scene,
     _voronoi_cells,
     benchmark_images,
     corrupt_teacher,
@@ -21,7 +23,7 @@ from segfuse.synth import (
 )
 from segfuse.unify import unify
 
-from helpers import softmax, voronoi_cells_tiled
+from helpers import corrupt_teacher_whole, softmax, voronoi_cells_tiled
 
 
 def voronoi_reference(height, width, num_sites, rng):
@@ -32,6 +34,27 @@ def voronoi_reference(height, width, num_sites, rng):
     yy, xx = np.indices((height, width))
     d2 = (yy[None] - sy[:, None, None]) ** 2 + (xx[None] - sx[:, None, None]) ** 2
     return d2.argmin(axis=0)
+
+
+class FixedSites:
+    """An rng whose ``choice`` gives the flat pixel indices ``flat``: the
+    sites ``_voronoi_cells`` and ``voronoi_reference`` draw."""
+
+    def __init__(self, flat):
+        self.flat = np.array(flat)
+
+    def choice(self, n, size, replace):
+        return self.flat[:size]
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of ``fn(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestVoronoiCells:
@@ -71,6 +94,27 @@ class TestVoronoiCells:
             got = _voronoi_cells(40, 300, 2, np.random.default_rng(seed))
             want = voronoi_reference(40, 300, 2, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("side", [9, 129])
+    def test_distances_one_past_their_type(self, side):
+        # Corner to corner is 128 or 32,768, one more than an int8 or an
+        # int16 holds, so the distances take the next type: the far corner
+        # is nearer to the site at (0, 1) than to the one at (0, 0).
+        got = _voronoi_cells(side, side, 2, FixedSites([0, 1]))
+        assert got[-1, -1] == 1
+        np.testing.assert_array_equal(got, voronoi_reference(side, side, 2, FixedSites([0, 1])))
+
+    @pytest.mark.parametrize("sites, dtype", [(1, np.uint8), (256, np.uint8),
+                                              (257, np.uint16), (65537, np.uint32)])
+    def test_ids_come_in_the_narrowest_type(self, sites, dtype):
+        assert _voronoi_cells(256, 512, sites, np.random.default_rng(0)).dtype == dtype
+
+    def test_tiles_hold_small_distances(self):
+        # 128 sites at 64 x 128, nearly all near every 32 x 32 tile: one
+        # tile's int64 distances alone would be about 1 MB.
+        peaks = [traced_peak(_voronoi_cells, 64, 128, 128, np.random.default_rng(seed))
+                 for seed in range(3)]
+        assert max(peaks) < 0.5e6
 
     def test_peak_memory_per_pixel_does_not_grow_with_height(self):
         # One site per 16 pixels, as at blob_scale=4.  The broadcast formula
@@ -182,6 +226,54 @@ class TestCorruptTeacher:
             corrupt_teacher(self.gt, [1.5] * 5, seed=0)
         with pytest.raises(ValueError):
             corrupt_teacher(self.gt, [0.1] * 3, seed=0)
+
+
+# Grids of at least 3 of corrupt_teacher's row blocks (65,536 pixels
+# each), with a blob scale that puts its blob tables in 1, 3 or 6 cuts.
+# 300 classes, in 3 blocks of 65,065 pixels: an odd count, so a block ends
+# halfway through a 64-bit draw of bounded integers; one row per block; and
+# one odd row per block with tables cut into odd counts (3,449 x 19).
+CORRUPT_CASES = [((150, 1001, 300), 0), ((150, 1001, 300), 16), ((50, 40000, 3), 0),
+                 ((50, 40000, 3), 16), ((7, 40001, 19), 0), ((7, 40001, 19), 4)]
+
+
+class TestCorruptTeacherBlocks:
+    """``corrupt_teacher`` goes one row block at a time, and gives the labels
+    of the whole-array draws it replaced."""
+
+    @pytest.mark.parametrize("shape, blob_scale", CORRUPT_CASES, ids=str)
+    def test_is_the_whole_array_draw(self, shape, blob_scale):
+        h, w, c = shape
+        assert len(_cuts(h, w)) >= 3
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            gt = LabelMap(rng.integers(0, c, size=(h, w)), c)
+            rates = rng.uniform(0.0, 1.0, size=c)
+            got = corrupt_teacher(gt, rates, seed, blob_scale).values
+            want = corrupt_teacher_whole(gt, rates, seed, blob_scale).values
+            assert same_bits(got, want)
+            assert (got != gt.values).any()
+
+    @pytest.mark.parametrize("blob_scale", [0, 4])
+    def test_peak_per_pixel_does_not_grow_with_height(self, blob_scale):
+        # The whole-array draws peaked at 33 (i.i.d.) and 41.5 (blobs)
+        # bytes a pixel, at any height.
+        def per_pixel(height, width=1024):
+            gt = LabelMap(np.random.default_rng(0).integers(0, 19, size=(height, width)), 19)
+            rates = np.full(19, 0.2)
+            return traced_peak(corrupt_teacher, gt, rates, 1, blob_scale) / (height * width)
+
+        large = per_pixel(512)
+        assert large <= per_pixel(128)
+        assert large < 16
+
+    def test_scene_peak_per_pixel_does_not_grow_with_height(self):
+        def per_pixel(height, width=1024):
+            return traced_peak(_scene, height, width, 19, 8, 0) / (height * width)
+
+        large = per_pixel(512)
+        assert large <= per_pixel(128)
+        assert large < 16
 
 
 # 1 x 1 x 2; a height that is not a multiple of the block rows (51 at
