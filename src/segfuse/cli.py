@@ -73,7 +73,7 @@ def _read_members(args) -> list:
     """The labels of each member file of ``args.inputs``, in order, read on
     one thread per core, at most one per member (``on_threads``): worker w
     reads members w, w + W, ...  A read lets go of the GIL in its file
-    reads and numpy's loops, so reads of ``unify._BLOCK_BYTES`` chunks
+    reads and numpy's loops, so reads of ``util.RowBlock`` chunks
     overlap.  A failure raised is the first failing member's in argument
     order, as a loop's would be."""
     return on_threads(lambda w, p: _load(p, fileio.read_labels, args.renormalize, stream=True),
@@ -247,17 +247,20 @@ def cmd_synth(args) -> int:
 
     # Each image is written as it is made, its features drawn and its
     # members softened one row block at a time; only its ground truth is
-    # kept, for the under-performers.
+    # kept, and only for the under-performers.
     gts = []
     shape = (config.height, config.width, config.classes)
-    for gt, features, teachers in images:
-        i = len(gts)
+    for i in range(config.images):
+        # not enumerate(images): its reused result tuple would hold this
+        # image while the next one is made
+        gt, features, teachers = next(images)
         emit(f"img{i:03d}.gt.lmap", [fileio.write_labelmap(gt)])
         emit(f"img{i:03d}.features.npy", fileio.npy_chunks(shape, features))
         for t, labels in enumerate(teachers):
             emit(f"teacher{t:02d}.img{i:03d}.pmap", pmap(labels, temps[t]))
-        gts.append(gt)
-        del teachers  # before the next image is made
+        if args.underperformers:
+            gts.append(gt)
+        del gt, teachers, labels  # before the next image is made
     for j in range(args.underperformers):
         # under00 is the under-performer `experiment robustness` adds at this seed
         for i, m in enumerate(make_underperformer_maps(gts, args.seed + j)):

@@ -112,8 +112,20 @@ class ProbabilityCheck:
             )
 
 
+class _Grid:
+    """The height and width of a map whose ``values`` are H x W first."""
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+
 @dataclass(frozen=True, eq=False)
-class ProbMap:
+class ProbMap(_Grid):
     """H x W x C map of per-pixel class probabilities.
 
     Values are kept as float64 in memory (training and loss code needs
@@ -138,14 +150,6 @@ class ProbMap:
         object.__setattr__(self, "values", _frozen(v))
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def num_classes(self) -> int:
         return self.values.shape[2]
 
@@ -167,7 +171,7 @@ _FEATURES_NOT_FINITE = "feature map contains non-finite values"
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMap:
+class FeatureMap(_Grid):
     """H x W x d map of real-valued per-pixel features, kept as float64."""
 
     values: np.ndarray
@@ -181,20 +185,12 @@ class FeatureMap:
         object.__setattr__(self, "values", _frozen(v))
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def dims(self) -> int:
         return self.values.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
-class LabelMap:
+class LabelMap(_Grid):
     """H x W map of class ids; UNLABELED_ID marks pixels with no class."""
 
     values: np.ndarray
@@ -226,14 +222,6 @@ class LabelMap:
         if not (v.dtype == np.uint16 and _unwritable(v)):
             v = _frozen(v.astype(np.uint16))
         object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
     def unlabeled_mask(self) -> np.ndarray:
         return self.values == UNLABELED_ID

@@ -129,7 +129,8 @@ def _row_blocks(n):
     ``_BLOCK_UNIT``-row units, none shorter than ``_BLOCK_ROWS`` unless
     ``n`` is, then the ``n % _BLOCK_UNIT`` left-over rows as one short last
     block.  The cut depends on ``n`` alone, so a step's sums run in one
-    order for a given row count."""
+    order for a given row count.  It is set by the training bits, not by
+    a byte budget, so it is not the streamed maps' ``util.RowBlock``."""
     units = n // _BLOCK_UNIT
     k = max(1, n // _BLOCK_ROWS)
     cuts = [i * units // k * _BLOCK_UNIT for i in range(k + 1)] + [n]

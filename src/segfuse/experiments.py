@@ -37,11 +37,6 @@ def _fuse_channel_all(unified, policy, kappa):
     return [channel_fuse([u[i] for u in unified], policy, kappa) for i in range(images)]
 
 
-def _fuse_pixel_all(unified):
-    images = len(unified[0])
-    return [pixel_fuse([u[i] for u in unified]) for i in range(images)]
-
-
 def _measure(members, feats, train_config) -> list:
     """``measure_teacher`` of each member (its label maps) of ``members``
     on ``feats``, in member order, on one thread per core (``on_threads``):
@@ -132,8 +127,8 @@ def robustness(
         for j, k in enumerate(bad_counts):
             unified = list(bench.teacher_labels) + [bad] * k
 
-            pixel = dataset_iou(_fuse_pixel_all(unified), bench.gts).miou
-            rows.append((k, "pixel", seed, pixel))
+            fused = [pixel_fuse([u[i] for u in unified]) for i in range(config.images)]
+            rows.append((k, "pixel", seed, dataset_iou(fused, bench.gts).miou))
 
             policy = select_certainty(good_rhos + [bad_rho] * k)
             fused = _fuse_channel_all(unified, policy, DEFAULT_KAPPA)

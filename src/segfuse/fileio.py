@@ -9,8 +9,8 @@ Binary layouts (all little-endian):
 
 A member's labels are read by ``read_labels``, which tells a .lmap from a
 .pmap by its magic: a .pmap is read for its labels alone, its float32 body
-streaming through one reused buffer a cache-sized chunk at a time, each
-chunk checked (``core.ProbabilityCheck``) and argmaxed (``unify``'s
+streaming through one reused buffer a chunk (``util.RowBlock``) at a time,
+each chunk checked (``core.ProbabilityCheck``) and argmaxed (``unify``'s
 kernel) as it arrives, and no decoder builds a ProbMap: this module
 takes no argmax and no finiteness test of a map's values itself.
 Feature maps are NumPy .npy files, read in the same kind of chunks
@@ -39,8 +39,8 @@ import numpy as np
 
 from .core import (_FEATURES_NOT_FINITE, FusionPolicy, IoUReport, LabelMap,
                    ProbabilityCheck, _all_finite, _check_feature_layout)
-from .unify import _BLOCK_BYTES, _argmax_into
-from .util import grow_rows, json_number
+from .unify import _argmax_into
+from .util import RowBlock, grow_rows, json_number
 
 _HEADER = struct.Struct("<4sIIIH")
 _PMAP_MAGIC = b"PMAP"
@@ -107,7 +107,7 @@ def _fill(fh, buf: np.ndarray, size: int) -> tuple[np.ndarray, int]:
 
 def _take(fh, size: int) -> bytes:
     """Up to ``size`` bytes of ``fh``, short only at end of file."""
-    buf, got = _fill(fh, np.empty(min(size, _BLOCK_BYTES), np.uint8), size)
+    buf, got = _fill(fh, np.empty(min(size, RowBlock(1).rows), np.uint8), size)
     return buf[:got].tobytes()
 
 
@@ -117,7 +117,7 @@ def _chunks(fh, expected: int, step: int, unit: int, prefix: str = ""):
     one reused uint8 buffer: yields (offset, chunk) for each chunk that
     can be part of that body, and skips the rest, which only count.  At
     end of file it raises the size error, ``prefix`` in front."""
-    buf, body = np.empty(min(step, _BLOCK_BYTES), np.uint8), 0
+    buf, body = np.empty(min(step, RowBlock(1).rows), np.uint8), 0
     while True:
         buf, got = _fill(fh, buf, step)
         if not got:
@@ -152,7 +152,7 @@ def read_labels(source, logits: bool = False) -> LabelMap:
         return read_labelmap(head + fh.read())
     h, w, c = _parse_header(head, _PMAP_MAGIC)
     pixel = 4 * c
-    step = pixel * min(h * w, max(1, _BLOCK_BYTES // pixel))
+    step = pixel * min(h * w, RowBlock(pixel).rows)
     labels, ids = np.empty(0, np.uint16), None
     check, finite = ProbabilityCheck(), True
     for offset, chunk in _chunks(fh, h * w * pixel, step, pixel):
@@ -178,15 +178,15 @@ def read_labels(source, logits: bool = False) -> LabelMap:
 def probmap_chunks(height: int, width: int, classes: int, blocks):
     """A .pmap's bytes as chunks to write: the header, then each of
     ``blocks`` (rows x classes probabilities, together the H x W pixels in
-    pixel order) cast to float32 as it comes, one slice of whole rows of
-    about ``_BLOCK_BYTES`` at a time.  It checks no probability."""
+    pixel order) cast to float32 as it comes, one ``util.RowBlock`` of
+    rows at a time.  It checks no probability."""
     if classes > 65535:
         raise ValueError(f"class count {classes} does not fit the u16 header field")
     yield _HEADER.pack(_PMAP_MAGIC, _VERSION, height, width, classes)
-    step = max(1, _BLOCK_BYTES // (classes * 4))
+    block = RowBlock(classes * 4)
     for blk in blocks:
-        for r in range(0, len(blk), step):
-            yield blk[r : r + step].astype("<f4", order="C")
+        for cut in block.cuts(len(blk)):
+            yield blk[cut].astype("<f4", order="C")
 
 
 def read_labelmap(data: bytes) -> LabelMap:
@@ -311,8 +311,8 @@ def read_feature_rows(source, labels: LabelMap, x) -> list:
     chunk that has any, one exact-size copy, as a class-major d x rows view.
 
     ``source`` is a binary stream at the start of the file, or its bytes,
-    as for ``read_labels``.  The body is read in chunks of whole pixels of
-    about ``_BLOCK_BYTES`` into one reused buffer, each cast to float64,
+    as for ``read_labels``.  The body is read in chunks of whole pixels,
+    one ``util.RowBlock``, into one reused buffer, each cast to float64,
     checked and handed to ``x``.  The peak is the rows plus ``x``'s own
     and one chunk, and no array is sized from the header before its bytes
     arrive.
@@ -328,13 +328,13 @@ def read_feature_rows(source, labels: LabelMap, x) -> list:
         _check_feature_layout(dtype, shape)
         if shape[:2] != (labels.height, labels.width):
             raise ValueError("feature and label dimensions differ")
-        error, dims = None, shape[2]
+        error = None
     except ValueError as e:
-        error, dims = e, 1  # raised once the body is counted
-    pixel = dims * dtype.itemsize
-    # A chunk is whole pixel rows, or a Fortran-order body whole.
-    unit = expected if fortran else pixel
-    step = _BLOCK_BYTES if error is not None else unit * max(1, _BLOCK_BYTES // unit)
+        error = e  # raised once the body is counted
+    # A chunk is whole pixel rows, or a Fortran-order body whole; once an
+    # error is decided, bytes only counted.
+    unit = 1 if error is not None else expected if fortran else shape[2] * dtype.itemsize
+    step = unit * RowBlock(unit).rows
     pieces, finite = [], True
     for _, chunk in _chunks(fh, expected, step, unit, "bad .npy file: "):
         if error is not None or not finite:
@@ -342,7 +342,7 @@ def read_feature_rows(source, labels: LabelMap, x) -> list:
         v = chunk.view(dtype)
         if fortran:
             v = v.reshape(shape, order="F")
-        v = v.reshape(-1, dims).astype(np.float64, copy=False)
+        v = v.reshape(-1, shape[2]).astype(np.float64, copy=False)
         finite = _all_finite(v)
         if finite:
             keep = ~x.add(v)

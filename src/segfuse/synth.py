@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (_FEATURES_NOT_FINITE, UNLABELED_ID, FeatureMap, LabelMap, ProbMap,
                    _all_finite)
-from .unify import _BLOCK_BYTES
+from .util import RowBlock
 
 
 #: Standard deviation of the Gaussian feature noise around each class mean.
@@ -111,21 +111,14 @@ def _check_scene(height: int, width: int, classes: int, region_scale: int) -> No
         raise ValueError(f"grid {height}x{width} has negative sides")
 
 
-def _cuts(rows: int, width: int) -> list:
-    """Slices of ``range(rows)`` that cut a float64 array of ``rows`` rows
-    of ``width`` values into blocks of about ``_BLOCK_BYTES`` (at least
-    one row each)."""
-    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
-    return [slice(r, r + step) for r in range(0, rows, step)]
-
-
-def _row_blocks(labels: np.ndarray, classes: int):
-    """Cut the H x W class ids ``labels`` into row blocks of a float64
-    H x W x ``classes`` map (``_cuts``): yields each block's ids and its
-    buffer, the first rows of one buffer reused for every block."""
+def _label_blocks(labels: np.ndarray, classes: int):
+    """Cut the H x W class ids ``labels`` into the row blocks
+    (``RowBlock``) of a float64 H x W x ``classes`` map: yields each
+    block's ids and its buffer, the first rows of one buffer reused for
+    every block."""
     h, w = labels.shape
     buf = None
-    for cut in _cuts(h, w * classes):
+    for cut in RowBlock(8 * w * classes).cuts(h):
         ids = labels[cut]
         if buf is None:  # the first block is the largest
             buf = np.empty((len(ids), w, classes))
@@ -145,14 +138,14 @@ def _whole(blocks, shape: tuple) -> np.ndarray:
 
 def _feature_blocks(gt: LabelMap, rng):
     """The features of ``gen_ground_truth`` on ``gt``, drawn from ``rng``
-    one row block (``_row_blocks``) at a time: each block is valid until
+    one row block (``_label_blocks``) at a time: each block is valid until
     the next is drawn.  The blocks draw the one ``standard_normal`` stream
     in pixel order, so they hold the bits of one whole draw
     ``2.0 * np.eye(classes)[labels] + _FEATURE_NOISE * noise``: adding 0.0
     turns a -0.0 into +0.0 as ``0.0 + x`` does, and 2.0 goes to each
     pixel's own class.  Each block is checked finite, as a FeatureMap is."""
     c = gt.num_classes
-    for ids, out in _row_blocks(gt.values, c):
+    for ids, out in _label_blocks(gt.values, c):
         rng.standard_normal(out=out)
         out *= _FEATURE_NOISE
         out += 0.0
@@ -212,9 +205,10 @@ def corrupt_teacher(
     errors come out spatially coherent instead of i.i.d.  ``soften`` gives
     the labels a certainty scale.
 
-    The pixels go one row block (``_cuts``) at a time, so the only H x W
-    arrays it makes are the uint16 result, the blob ids and bool masks;
-    with blobs, the flips and offsets come from per-blob, per-class tables.
+    The pixels go one row block (``RowBlock``, 8 bytes a pixel) at a
+    time, so the only H x W arrays it makes are the uint16 result, the
+    blob ids and bool masks; with blobs, the flips and offsets come from
+    per-blob, per-class tables, each drawn in blocks of the same kind.
     """
     rates = np.asarray(per_class_error, dtype=np.float64)
     num_classes = gt.num_classes
@@ -228,6 +222,7 @@ def corrupt_teacher(
     rng = np.random.default_rng(seed)
     ids = gt.values
     h, w = ids.shape
+    pixels = RowBlock(8 * w).cuts(h)
     # Each draw is made in pieces, in the order of the one whole draw it
     # stands for: numpy's float64 and bounded integer draws give the same
     # values in pieces as whole (PCG64 keeps a spare 32-bit half in its
@@ -236,10 +231,11 @@ def corrupt_teacher(
         num_blobs = min(max(1, round(h * w / blob_scale**2)), h * w)
         blobs = _voronoi_cells(h, w, num_blobs, rng)
         flip = np.empty((num_blobs, num_classes), bool)  # per blob and class
-        for cut in _cuts(num_blobs, num_classes):
+        table = RowBlock(8 * num_classes).cuts(num_blobs)
+        for cut in table:
             flip[cut] = rng.random(flip[cut].shape) < rates
         offset = np.empty((num_blobs, num_classes), np.uint16)
-        for cut in _cuts(num_blobs, num_classes):
+        for cut in table:
             offset[cut] = rng.integers(1, num_classes, size=offset[cut].shape)
 
         def draw(cut):
@@ -248,14 +244,14 @@ def corrupt_teacher(
             return f, offset[at[0][f], at[1][f]]
     else:
         flip = np.empty((h, w), bool)  # per pixel
-        for cut in _cuts(h, w):
+        for cut in pixels:
             flip[cut] = rng.random(flip[cut].shape) < rates[ids[cut]]
 
         def draw(cut):
             f = flip[cut]
             return f, rng.integers(1, num_classes, size=f.shape)[f]
     out = ids.copy()
-    for cut in _cuts(h, w):
+    for cut in pixels:
         f, off = draw(cut)
         block = out[cut]
         # in int64: an id plus its offset can pass 65,535
@@ -266,7 +262,7 @@ def corrupt_teacher(
 
 def _soften_blocks(labels: LabelMap, temperature: float):
     """``soften``'s probabilities of ``labels``, one row block
-    (``_row_blocks``) at a time, each valid until the next is made; its
+    (``_label_blocks``) at a time, each valid until the next is made; its
     errors are raised before the first block."""
     num_classes = labels.num_classes
     if not temperature > 0:
@@ -281,7 +277,7 @@ def _soften_blocks(labels: LabelMap, temperature: float):
         )
     if labels.unlabeled_mask().any():
         raise ValueError("cannot soften unlabeled pixels")
-    for ids, out in _row_blocks(labels.values, num_classes):
+    for ids, out in _label_blocks(labels.values, num_classes):
         out.fill(p_other)
         np.put_along_axis(out, ids[:, :, None], p_top, axis=2)
         yield out
@@ -351,7 +347,7 @@ def benchmark_images(config: BenchmarkConfig, seed: int):
     ``make_benchmark`` builds: ``images`` yields one image at a time, as
     ``(ground truth, features, (teacher 0's labels, ...))``.  The features
     are not drawn yet: they are an iterator of the feature map's row
-    blocks of about ``_BLOCK_BYTES``, drawn as each is asked for into one
+    blocks (``util.RowBlock``), drawn as each is asked for into one
     reused buffer (``_feature_blocks``), so no whole float64 map is made
     unless the caller puts the blocks together.
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -113,7 +114,7 @@ def _unlabeled_runs(directory):
     gt, feats = gen_ground_truth(136, 128, 4, region_scale=16, seed=1)
     ids = gt.values.reshape(-1).copy()
     ids[np.random.default_rng(2).random(len(ids)) < 0.02] = UNLABELED_ID
-    chunk = fileio._BLOCK_BYTES // (4 * 8)
+    chunk = util._BLOCK_BYTES // (4 * 8)
     for cut in [*range(chunk, len(ids), chunk), *(b.start for b in _row_blocks(len(ids))[1:])]:
         ids[cut - 100 : cut + 100] = UNLABELED_ID
     labels = LabelMap(ids.reshape(gt.values.shape), 4)
@@ -489,7 +490,7 @@ class TestFileReads:
 
     def test_pmap_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
         # height x 256 x 4 float32 is two whole chunks and a part of one more
-        height = 2 * fileio._BLOCK_BYTES // (256 * 4 * 4) + 2
+        height = 2 * util._BLOCK_BYTES // (256 * 4 * 4) + 2
         pm = ProbMap(np.full((height, 256, 4), 0.25))
         (tmp_path / "t.pmap").write_bytes(write_probmap(pm))
         seen = []
@@ -502,14 +503,14 @@ class TestFileReads:
         monkeypatch.setattr(fileio, "ProbabilityCheck", Recording)
         assert main(["unify", str(tmp_path / "t.pmap"), "-o", str(tmp_path / "u.lmap")]) == 0
         assert len(seen) == 3 and len({start for start, _, _ in seen}) == 1
-        assert all(aligned and size <= fileio._BLOCK_BYTES for _, size, aligned in seen)
+        assert all(aligned and size <= util._BLOCK_BYTES for _, size, aligned in seen)
         assert sum(size for _, size, _ in seen) == pm.values.size * 4
         got = fileio.read_labelmap((tmp_path / "u.lmap").read_bytes())
         np.testing.assert_array_equal(got.values, unify(pm).values)
 
     def test_npy_body_streams_through_one_aligned_chunk(self, tmp_path, monkeypatch):
         # height x 256 x 4 float64 is four whole chunks and a part of one more
-        height = 4 * fileio._BLOCK_BYTES // (256 * 4 * 8) + 2
+        height = 4 * util._BLOCK_BYTES // (256 * 4 * 8) + 2
         rng = np.random.default_rng(0)
         values = rng.normal(size=(height, 256, 4))
         labels = random_labelmap(rng, height, 256, 3, 0.1)
@@ -526,7 +527,7 @@ class TestFileReads:
                      str(tmp_path / "l.lmap"), "--iterations", "2", "--seed", "0",
                      "-o", str(tmp_path / "m.npz")]) == 0
         assert len(seen) == 5 and len({start for start, _, _ in seen}) == 1
-        assert all(aligned and size <= fileio._BLOCK_BYTES for _, size, aligned in seen)
+        assert all(aligned and size <= util._BLOCK_BYTES for _, size, aligned in seen)
         assert sum(size for _, size, _ in seen) == values.nbytes
         want = train_student(FeatureMap(values), labels, TrainConfig(iterations=2, seed=0))
         with np.load(tmp_path / "m.npz") as model:
@@ -716,7 +717,7 @@ def _member_files(directory, count):
     """``count`` members of one image of 256 columns and 5 classes, each
     .pmap body two whole chunks and a part, so that two readers overlap:
     paths t0, t1, ..., every third a .lmap."""
-    height = 2 * fileio._BLOCK_BYTES // (256 * 5 * 4) + 2
+    height = 2 * util._BLOCK_BYTES // (256 * 5 * 4) + 2
     gt, _ = gen_ground_truth(height, 256, 5, region_scale=16, seed=0)
     paths = []
     for i in range(count):
@@ -824,7 +825,7 @@ class TestMemberReads:
         # a chunk buffer, and 96 KB for the second reader's smaller
         # temporaries (its chunk's float32 row sums, about 28 KB) and its
         # thread's own objects: 2 readers read 575 KB above 1 when measured
-        assert peak(2) - one <= fileio._BLOCK_BYTES + 96 * 1024
+        assert peak(2) - one <= util._BLOCK_BYTES + 96 * 1024
 
 
 class TestParserReuse:
@@ -946,7 +947,7 @@ class TestSynthCommand:
         assert (peak(synth) - peak(lambda: make_benchmark(config, 0))) / one_map < 1.8
 
     def test_peak_does_not_grow_with_images(self, tmp_path):
-        # each image is written as it is made; only its ground truth is kept.
+        # each image is written as it is made; at most its ground truth is kept.
         # Region scale 16 keeps the scene's Voronoi step, whose tile
         # temporaries differ by up to 110 KB from image to image at the
         # default 8, below the streamed writes, so the peak is the writes'
@@ -969,6 +970,51 @@ class TestSynthCommand:
         # 16 KB for small objects; holding the 3 more images' features
         # would add 3.7 MB
         assert peak(5) - peak(2) <= kept + 16 * 1024
+
+    def test_peak_does_not_grow_with_images_without_underperformers(self, tmp_path):
+        # no ground truth is kept where no under-performer needs it: one
+        # 512 x 512 uint16 map is 512 KB, far above the Voronoi noise at
+        # these scales
+        flags = ["--height", "512", "--width", "512", "--classes", "4", "--teachers", "1",
+                 "--seed", "0", "--region-scale", "32", "--blob-scale", "16"]
+
+        def peak(images):
+            outdir = tmp_path / str(images)
+            tracemalloc.start()
+            try:
+                assert main(["synth", *flags, "--images", str(images),
+                             "--outdir", str(outdir)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the first call's peak holds one-off allocations
+        one_gt = 512 * 512 * 2
+        assert peak(6) - peak(2) < one_gt / 4
+
+    def test_each_image_is_gone_before_the_next_is_made(self, tmp_path, monkeypatch):
+        # at --underperformers 0 no ground truth or teacher map outlives its
+        # files, not even in a loop helper's reused result tuple
+        alive = []
+
+        def tracked_images(config, seed):
+            rates, temps, images = synth.benchmark_images(config, seed)
+
+            def tracked():
+                for _ in range(config.images):
+                    image = None
+                    assert not [ref for ref in alive if ref() is not None]
+                    image = next(images)
+                    alive[:] = [weakref.ref(m) for m in (image[0], *image[2])]
+                    yield image
+
+            return rates, temps, tracked()
+
+        monkeypatch.setattr(cli, "benchmark_images", tracked_images)
+        assert main(["synth", "--height", "8", "--width", "8", "--classes", "3",
+                     "--teachers", "2", "--images", "3", "--seed", "0",
+                     "--outdir", str(tmp_path)]) == 0
+        assert len(alive) == 3
 
     def test_peak_is_under_0_4_feature_maps(self, tmp_path):
         # features and softened maps stream in row blocks of about 512 KB,

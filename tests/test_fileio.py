@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse import fileio
+from segfuse import fileio, util
 from segfuse.distill import TrainConfig, _row_blocks, _TrainingBlocks, train_rows, train_student
 from segfuse.core import (
     UNLABELED_ID,
@@ -61,7 +61,7 @@ class TestProbMapCodec:
         assert write_probmap(pm) == want
 
     def test_blocks_are_cast_in_whole_row_slices_of_about_one_chunk(self):
-        step = fileio._BLOCK_BYTES // (4 * 19)  # rows of 19 float32 classes
+        step = util._BLOCK_BYTES // (4 * 19)  # rows of 19 float32 classes
         sizes = [1, step - 1, step, 2 * step + 3, 0, 5]
         rng = np.random.default_rng(0)
         blocks = [rng.random((n, 19)) for n in sizes]
@@ -69,7 +69,7 @@ class TestProbMapCodec:
         assert header == HEADER.pack(b"PMAP", 1, 1, sum(sizes), 19)
         assert [len(c) for c in body] == [1, step - 1, step, step, step, 3, 5]
         assert all(c.dtype == "<f4" and c.flags.c_contiguous for c in body)
-        assert max(c.nbytes for c in body) <= fileio._BLOCK_BYTES
+        assert max(c.nbytes for c in body) <= util._BLOCK_BYTES
         assert b"".join(body) == np.concatenate(blocks).astype("<f4").tobytes()
 
     def test_class_count_must_fit_the_u16_header_field(self):
@@ -301,7 +301,7 @@ class TestReadLabels:
         with open(path, "rb") as fh:
             peak, labels = self.peak_of_read(fh)
         assert labels.values.shape == (256, 512)
-        assert peak < 2 * fileio._BLOCK_BYTES + labels.values.nbytes
+        assert peak < 2 * util._BLOCK_BYTES + labels.values.nbytes
         assert peak / (path.stat().st_size - HEADER.size) < 0.1
 
     def test_peak_grows_only_by_the_labels(self):
@@ -348,7 +348,7 @@ class Trickle:
 
 def _chunk_pixels(c: int) -> int:
     """Pixels in one of ``read_labels``' chunks at ``c`` classes."""
-    return fileio._BLOCK_BYTES // (4 * c)
+    return util._BLOCK_BYTES // (4 * c)
 
 
 @st.composite
@@ -455,7 +455,7 @@ class TestChunkedReads:
 
 def _row_chunk(dims: int, itemsize: int) -> int:
     """Pixels in one of ``read_feature_rows``' chunks."""
-    return max(1, fileio._BLOCK_BYTES // (dims * itemsize))
+    return max(1, util._BLOCK_BYTES // (dims * itemsize))
 
 
 _NPY_DTYPES = ["<f8", ">f8", "<f4", "<i2", "|b1"]
@@ -670,7 +670,7 @@ class TestReadFeatureRows:
         rows = (n_x * (dims + 1) + (h * w - n_x) * dims) * 8
         block = max(c.stop - c.start for c in _row_blocks(n_x)) * dims * 8
         # the chunk read, and for float32 its float64 cast
-        chunk = fileio._BLOCK_BYTES * (1 if dtype == "<f8" else 3)
+        chunk = util._BLOCK_BYTES * (1 if dtype == "<f8" else 3)
         assert peak < rows + block + chunk + 128 * 1024
 
     @pytest.mark.parametrize("shape", [(1, 1, 2**27), (2**20, 2**20, 19)])
@@ -846,7 +846,7 @@ class TestReadFile:
         # height x 256 x 4 little-endian float64 is four whole chunks and a
         # part of one more; each is checked as an aligned float64 view of
         # one reused buffer, not a copy
-        height = 4 * fileio._BLOCK_BYTES // (256 * 4 * 8) + 2
+        height = 4 * util._BLOCK_BYTES // (256 * 4 * 8) + 2
         values = np.random.default_rng(0).normal(size=(height, 256, 4))
         path = tmp_path / "f.npy"
         np.save(path, values)
@@ -862,7 +862,7 @@ class TestReadFile:
             x, pieces = read_rows(fh, labels)
         u = joined(pieces, 4)
         assert len(seen) == 5 and len({start for start, *_ in seen}) == 1
-        assert all(aligned and view and size <= fileio._BLOCK_BYTES
+        assert all(aligned and view and size <= util._BLOCK_BYTES
                    for _, size, aligned, view in seen)
         assert sum(size for _, size, *_ in seen) == values.nbytes
         rows, labeled = values.reshape(-1, 4), labels.values.reshape(-1) != UNLABELED_ID

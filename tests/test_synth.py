@@ -10,7 +10,6 @@ from segfuse.metrics import dataset_iou
 from segfuse.synth import (
     UNDERPERFORMER_TEMPERATURE,
     BenchmarkConfig,
-    _cuts,
     _feature_blocks,
     _scene,
     _voronoi_cells,
@@ -22,6 +21,7 @@ from segfuse.synth import (
     soften,
 )
 from segfuse.unify import unify
+from segfuse.util import RowBlock
 
 from helpers import corrupt_teacher_whole, softmax, voronoi_cells_tiled
 
@@ -244,7 +244,7 @@ class TestCorruptTeacherBlocks:
     @pytest.mark.parametrize("shape, blob_scale", CORRUPT_CASES, ids=str)
     def test_is_the_whole_array_draw(self, shape, blob_scale):
         h, w, c = shape
-        assert len(_cuts(h, w)) >= 3
+        assert len(RowBlock(8 * w).cuts(h)) >= 3
         for seed in range(3):
             rng = np.random.default_rng(seed)
             gt = LabelMap(rng.integers(0, c, size=(h, w)), c)

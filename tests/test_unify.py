@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from segfuse import unify
 from segfuse.core import ProbMap
-from segfuse.unify import _BLOCK_BYTES
+from segfuse.util import _BLOCK_BYTES
 
 
 def probmap_from_rows(rows):

@@ -1,7 +1,9 @@
+import ast
 import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +165,32 @@ def test_one_thread_pool_and_one_core_count():
     assert owners({"Thread"}) == [("util", "on_threads")]
     assert owners({"sched_getaffinity"}) == [("util", "cores")]
     assert owners({"CDLL"}) == [("util", "_openblas")]
+
+
+class TestRowBlock:
+    """``RowBlock`` fits whole rows in about ``_BLOCK_BYTES``, at least one,
+    and cuts n rows into such blocks, the last one short."""
+
+    @pytest.mark.parametrize("row_bytes, rows", [
+        (1, util._BLOCK_BYTES), (76, util._BLOCK_BYTES // 76), (util._BLOCK_BYTES, 1),
+        (util._BLOCK_BYTES + 1, 1), (0, util._BLOCK_BYTES)])
+    def test_rows_fit_the_block(self, row_bytes, rows):
+        assert util.RowBlock(row_bytes).rows == rows
+
+    @pytest.mark.parametrize("n", [0, 1, 6898, 6899, 20695])
+    def test_cuts_cover_the_rows_in_order(self, n):
+        block = util.RowBlock(76)  # 6,898 rows
+        cuts = block.cuts(n)
+        assert [r for c in cuts for r in range(n)[c]] == list(range(n))
+        assert all(c.stop - c.start == block.rows for c in cuts)
+        assert len(cuts) == -(-n // block.rows)
+
+
+def test_the_block_size_has_one_owner():
+    # _BLOCK_BYTES is assigned once, in util, and read there by RowBlock
+    # alone: a module that cut its own blocks from it would cut apart from
+    # the one rule again.
+    assert owners({"_BLOCK_BYTES"}) == [("util", "<module>"), ("util", "__init__")]
+    tree = ast.parse(Path(util.__file__).read_text(encoding="utf-8"))
+    assert sum(isinstance(node, ast.Name) and node.id == "_BLOCK_BYTES"
+               and isinstance(node.ctx, ast.Store) for node in ast.walk(tree)) == 1
